@@ -19,6 +19,7 @@ from .builders import (
 from .network import (
     LayerSpec,
     NetworkSpec,
+    PackedNetwork,
     Shortcut,
     backward,
     backward_batch,
@@ -51,6 +52,7 @@ from .oracles import (
     grid_l1,
     grid_sup,
     horner,
+    reference_backward_batch,
 )
 from .polynomials import (
     FactoredForm,

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..network import LayerSpec, NetworkSpec, forward_batch
 from ..neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
+from .factorization import _frozen
 
 
 @dataclass
@@ -94,15 +95,6 @@ def _norm_neuron(input_dim: int) -> QuadraticNeuron:
         w_r=zeros, b_r=0.0, w_g=zeros.copy(), b_g=0.0,
         w_b=np.ones(input_dim), c=0.0,
     )
-
-
-def _frozen(net: NetworkSpec) -> NetworkSpec:
-    for layer_masks in net.masks:
-        for m in layer_masks:
-            m[:] = False
-    for sc in net.shortcuts:
-        sc.trainable = False
-    return net
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Layered networks of quadratic / conventional / passthrough neurons.
 
 A NetworkSpec is a plain value: an ordered list of layers, optional forward
-shortcut edges, and per-parameter trainability masks.  forward/backward are
-pure functions of the spec, so the same network can be evaluated from many
-threads; only the trainer mutates anything, and it works on copies.
+shortcut edges, and per-parameter trainability masks.  It is the
+construction and JSON format, and nothing here mutates it: forward/backward
+are pure functions of the spec, so the same network can be evaluated from
+many threads.  forward_batch evaluates neuron by neuron.  Training runs on a
+PackedNetwork instead, the spec compiled once into a flat parameter buffer
+that the trainer updates in place (one executor per thread); backward_batch
+compiles one per call and runs the same backward.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -15,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +30,6 @@ from .neurons import (
     QuadraticNeuron,
     preactivation,
     relu,
-    relu_prime,
 )
 
 ACTIVATIONS = ("relu", "identity")
@@ -123,9 +127,9 @@ class NetworkSpec:
         for sc in self.shortcuts:
             if not (0 <= sc.src_layer < sc.dst_layer < n_layers):
                 raise ValueError("shortcut layer indices out of range")
-            if sc.src_neuron >= self.layers[sc.src_layer].width:
+            if not 0 <= sc.src_neuron < self.layers[sc.src_layer].width:
                 raise ValueError("shortcut source neuron out of range")
-            if sc.dst_neuron >= self.layers[sc.dst_layer].width:
+            if not 0 <= sc.dst_neuron < self.layers[sc.dst_layer].width:
                 raise ValueError("shortcut destination neuron out of range")
 
     @property
@@ -250,6 +254,215 @@ def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
 
 
 # ---------------------------------------------------------------------------
+# Packed executor: forward, loss and analytic gradients on one flat buffer
+# ---------------------------------------------------------------------------
+
+
+class _PackedLayer(NamedTuple):
+    quadratic: bool  # False: conventional and passthrough neurons only
+    relu: bool
+    inp: slice  # augmented input [x, 1] in the activation array
+    out: slice  # this layer's activations
+    thirds: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c]: views of the block
+    weights: tuple  # W_r, W_g, W_b: the same without the bias rows
+    grads: tuple  # gradient views matching thirds
+    shortcuts: tuple | None  # (cells of the dense matrix, weight positions, its shape)
+    overwrite_input_grad: bool  # no shortcut starts at layer k-1: its gradient is still empty
+
+
+class PackedNetwork:
+    """A NetworkSpec compiled once into one flat float64 parameter buffer.
+
+    Layer k, with input width n and width m, owns a (3n+3, m) block of
+    `params` whose rows are W_r | b_r | W_g | b_g | W_b | c, so column j is
+    neuron j's canonical quadratic parameter vector.  With the input
+    augmented by a column of ones, X1 = [X, 1], a layer is three matmuls,
+
+        Z = (X1 [W_r; b_r]) * (X1 [W_g; b_g]) + (X1 * X1) [W_b; c]
+
+    plus its incoming shortcuts, then the activation.  A conventional
+    neuron fills the W_r and b_r rows (its own parameter order maps onto
+    the same rows) and is stored as W_g = 0, b_g = 1, W_b = 0, c = 0; a
+    passthrough neuron is the frozen one-hot column W_r = e_index, b_g = 1.
+    A layer without quadratic neurons is evaluated as its affine part
+    alone.  Shortcut weights follow the blocks, and `theta_index` maps the
+    canonical trainable vector (shortcut weights last) into `params`.
+
+    The executor owns its buffers: use one instance per thread.  It agrees
+    with the per-neuron path to rounding on finite values.  The zero
+    entries of a block multiply every input, so where an input is inf a
+    packed pre-activation can be NaN where forward_batch gives inf or an
+    exact copy; a training run stops the restart at its non-finite loss.
+    """
+
+    def __init__(self, net: NetworkSpec):
+        self.input_dim = net.input_dim
+        widths = net.layer_widths()
+        fan_in = [net.input_dim] + widths[:-1]
+        sizes = [(3 * n + 3) * m for n, m in zip(fan_in, widths)]
+        self.params = np.zeros(sum(sizes) + len(net.shortcuts))
+        self._grad = np.zeros_like(self.params)
+        sc_base = sum(sizes)
+        self.params[sc_base:] = [sc.weight for sc in net.shortcuts]
+
+        # Columns of the per-pass activation array: the input, then each
+        # layer's activations, each block followed by a column of ones.
+        base = np.cumsum([0] + [n + 1 for n in fan_in] + [widths[-1] + 1])
+        self._ones = base[1:] - 1
+        self._act_width = int(base[-1])
+
+        incoming: dict[int, list[int]] = {}
+        for i, sc in enumerate(net.shortcuts):
+            incoming.setdefault(sc.dst_layer, []).append(i)
+        sources = {sc.src_layer for sc in net.shortcuts}
+
+        index = []
+        self._layers = []
+        pos = 0
+        for k, (layer, n, m) in enumerate(zip(net.layers, fan_in, widths)):
+            block = self.params[pos : pos + sizes[k]].reshape(3 * n + 3, m)
+            gblock = self._grad[pos : pos + sizes[k]].reshape(3 * n + 3, m)
+            quadratic = False
+            for j, neuron in enumerate(layer.neurons):
+                if isinstance(neuron, QuadraticNeuron):
+                    block[:, j] = neuron.param_vector()
+                    quadratic = True
+                elif isinstance(neuron, ConventionalNeuron):
+                    block[: n + 1, j] = neuron.param_vector()
+                    block[2 * n + 1, j] = 1.0
+                else:
+                    block[neuron.index, j] = 1.0
+                    block[2 * n + 1, j] = 1.0
+                index.append(pos + np.flatnonzero(net.masks[k][j]) * m + j)
+            shortcuts = None
+            if k in incoming:
+                # every earlier activation column feeds this layer through a
+                # dense (base[k + 1], m) weight matrix, rebuilt on each pass
+                cells = [
+                    (base[net.shortcuts[i].src_layer + 1]
+                     + net.shortcuts[i].src_neuron) * m
+                    + net.shortcuts[i].dst_neuron
+                    for i in incoming[k]
+                ]
+                shortcuts = (np.array(cells), sc_base + np.array(incoming[k]),
+                             (int(base[k + 1]), m))
+            thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
+            weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
+            self._layers.append(_PackedLayer(
+                quadratic=quadratic,
+                relu=layer.activation == "relu",
+                inp=slice(base[k], base[k + 1]),
+                out=slice(base[k + 1], base[k + 2] - 1),
+                thirds=tuple(block[t] for t in thirds),
+                weights=tuple(block[t] for t in weights),
+                grads=tuple(gblock[t] for t in thirds),
+                shortcuts=shortcuts,
+                overwrite_input_grad=k - 1 not in sources,
+            ))
+            pos += sizes[k]
+
+        trainable = [i for i, sc in enumerate(net.shortcuts) if sc.trainable]
+        index.append(sc_base + np.array(trainable, dtype=np.intp))
+        self.theta_index = np.concatenate(index).astype(np.intp)
+
+    @property
+    def trainable_count(self) -> int:
+        return len(self.theta_index)
+
+    def set_theta(self, theta) -> None:
+        """Write the canonical trainable vector into the buffer."""
+        self.params[self.theta_index] = theta
+
+    def forward(self, X: np.ndarray):
+        """Evaluate a (B, input_dim) float64 batch with the current params.
+
+        Returns (output, tape); the tape serves one call of backward.
+        """
+        acts = np.empty((X.shape[0], self._act_width))
+        acts[:, : self.input_dim] = X
+        acts[:, self._ones] = 1.0
+        tape = []
+        for quadratic, relu, inp, out, (R, R_g, R_b), _, _, sc, _ in self._layers:
+            X1 = acts[:, inp]
+            Z = acts[:, out]
+            X2 = P = Q = M = None
+            if quadratic:
+                X2 = X1 * X1
+                P = X1 @ R
+                Q = X1 @ R_g
+                np.multiply(P, Q, out=Z)
+                Z += X2 @ R_b
+            else:
+                np.matmul(X1, R, out=Z)
+            if sc is not None:
+                cells, wpos, shape = sc
+                M = np.bincount(cells, self.params[wpos], shape[0] * shape[1])
+                M = M.reshape(shape)
+                Z += acts[:, : shape[0]] @ M
+            if relu:
+                np.maximum(Z, 0.0, out=Z)
+            tape.append((X2, P, Q, M))
+        return acts[:, out], (acts, tape)
+
+    def backward(self, tape, upstream: np.ndarray) -> np.ndarray:
+        """Gradient of sum_b upstream[b] . output[b] w.r.t. the trainable parameters.
+
+        Runs from the intermediates of the forward pass that made `tape`,
+        overwriting them, so a tape serves one call.  For a quadratic
+        neuron with p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x,
+        dh/db_r = q, dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
+        """
+        acts, layers = tape
+        if len(layers) != len(self._layers):
+            raise ValueError("a tape serves one backward pass")
+        grad_acts = np.zeros_like(acts)
+        grad_acts[:, self._layers[-1].out] = upstream
+        grad = self._grad
+        for k in range(len(self._layers) - 1, -1, -1):
+            quadratic, relu, inp, out, _, (W_r, W_g, W_b), (G, G_g, G_b), sc, overwrite = (
+                self._layers[k]
+            )
+            X2, P, Q, M = layers.pop()
+            X1 = acts[:, inp]
+            d = grad_acts[:, out]
+            if relu:
+                d *= acts[:, out] > 0.0
+            if sc is not None:
+                cells, wpos, shape = sc
+                grad[wpos] = (acts[:, : shape[0]].T @ d).ravel()[cells]
+                grad_acts[:, : shape[0]] += d @ M.T
+            dq = d
+            if quadratic:
+                dq = np.multiply(d, Q, out=Q)
+                dp = np.multiply(d, P, out=P)
+                np.matmul(X1.T, dp, out=G_g)
+                np.matmul(X2.T, d, out=G_b)
+            np.matmul(X1.T, dq, out=G)
+            if not k:
+                break
+            g_inp = grad_acts[:, inp.start : inp.stop - 1]
+            if overwrite:
+                np.matmul(dq, W_r.T, out=g_inp)
+            else:
+                g_inp += dq @ W_r.T
+            if quadratic:
+                g_inp += dp @ W_g.T
+                g_inp += 2.0 * X1[:, :-1] * (d @ W_b.T)
+        return grad[self.theta_index]
+
+    def loss_and_grad(self, theta, X: np.ndarray, loss):
+        """Write theta, run one forward pass and the backward from its tape.
+
+        loss maps the (B, output_dim) output to (value, d value / d output);
+        returns (value, gradient w.r.t. theta).
+        """
+        self.set_theta(theta)
+        out, tape = self.forward(X)
+        value, upstream = loss(out)
+        return value, self.backward(tape, upstream)
+
+
+# ---------------------------------------------------------------------------
 # Backward (analytic gradients)
 # ---------------------------------------------------------------------------
 
@@ -258,10 +471,8 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     """Gradient of sum_b upstream[b] . output[b] w.r.t. trainable parameters.
 
     Returns one value per mask=true parameter, canonical order; frozen
-    parameters receive no entry.  Exact chain-rule derivatives: for a
-    quadratic neuron with p = w_r.x + b_r and q = w_g.x + b_g,
-    dh/dw_r = q x, dh/db_r = q, dh/dw_g = p x, dh/db_g = p,
-    dh/dw_b = x*x, dh/dc = 1.
+    parameters receive no entry.  Exact chain-rule derivatives, computed by
+    PackedNetwork.backward.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -273,82 +484,9 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
         raise ValueError(
             f"expected upstream of shape ({X.shape[0]}, {net.output_dim})"
         )
-
-    preacts, acts = _forward_cached(net, X)
-    n_layers = len(net.layers)
-    grad_act: list[np.ndarray | None] = [None] * n_layers
-    grad_act[-1] = upstream.copy()
-
-    param_grads: dict[tuple[int, int], np.ndarray] = {}
-    shortcut_grads = np.zeros(len(net.shortcuts))
-    outgoing: dict[tuple[int, int], list[int]] = {}
-    for idx, sc in enumerate(net.shortcuts):
-        outgoing.setdefault((sc.dst_layer, sc.dst_neuron), []).append(idx)
-
-    for k in range(n_layers - 1, -1, -1):
-        layer = net.layers[k]
-        g_act = grad_act[k]
-        if g_act is None:
-            g_act = np.zeros_like(acts[k])
-        if layer.activation == "relu":
-            g_pre = g_act * relu_prime(preacts[k])
-        else:
-            g_pre = g_act
-        inp = X if k == 0 else acts[k - 1]
-        g_inp = np.zeros_like(inp)
-        for j, neuron in enumerate(layer.neurons):
-            d = g_pre[:, j]
-            if isinstance(neuron, QuadraticNeuron):
-                p = inp @ neuron.w_r + neuron.b_r
-                q = inp @ neuron.w_g + neuron.b_g
-                dq = d * q
-                dp = d * p
-                grads = np.concatenate(
-                    [
-                        inp.T @ dq,
-                        [dq.sum()],
-                        inp.T @ dp,
-                        [dp.sum()],
-                        (inp * inp).T @ d,
-                        [d.sum()],
-                    ]
-                )
-                g_inp += (
-                    dq[:, None] * neuron.w_r
-                    + dp[:, None] * neuron.w_g
-                    + 2.0 * d[:, None] * inp * neuron.w_b
-                )
-            elif isinstance(neuron, ConventionalNeuron):
-                grads = np.concatenate([inp.T @ d, [d.sum()]])
-                g_inp += d[:, None] * neuron.w
-            else:
-                grads = np.zeros(0)
-                g_inp[:, neuron.index] += d
-            param_grads[(k, j)] = grads
-            for idx in outgoing.get((k, j), ()):
-                sc = net.shortcuts[idx]
-                src = acts[sc.src_layer][:, sc.src_neuron]
-                shortcut_grads[idx] = float(d @ src)
-                prev = grad_act[sc.src_layer]
-                if prev is None:
-                    prev = np.zeros_like(acts[sc.src_layer])
-                    grad_act[sc.src_layer] = prev
-                prev[:, sc.src_neuron] += sc.weight * d
-        if k > 0:
-            if grad_act[k - 1] is None:
-                grad_act[k - 1] = g_inp
-            else:
-                grad_act[k - 1] = grad_act[k - 1] + g_inp
-
-    parts = [
-        param_grads[(k, j)][mask] for k, j, _, mask in _iter_neuron_entries(net)
-    ]
-    parts.append(
-        np.array(
-            [shortcut_grads[i] for i, sc in enumerate(net.shortcuts) if sc.trainable]
-        )
-    )
-    return np.concatenate(parts) if parts else np.zeros(0)
+    packed = PackedNetwork(net)
+    _, tape = packed.forward(X)
+    return packed.backward(tape, upstream)
 
 
 def backward(net: NetworkSpec, x, upstream) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately simple and written against definitions, not
 against the implementations it checks: Horner evaluation, factored-form
-expansion by repeated convolution, central finite differences, direct
-Bernstein basis summation, and trapezoidal / max-over-grid error measures.
+expansion by repeated convolution, central finite differences, a per-neuron
+chain-rule gradient, direct Bernstein basis summation, and trapezoidal /
+max-over-grid error measures.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from math import comb
 
 import numpy as np
 
-from .network import NetworkSpec, forward, set_trainable_values, trainable_values
+from .network import (
+    NetworkSpec,
+    _forward_cached,
+    _iter_neuron_entries,
+    forward,
+    set_trainable_values,
+    trainable_values,
+)
+from .neurons import ConventionalNeuron, QuadraticNeuron, relu_prime
 from .polynomials import FactoredForm, Polynomial
 
 
@@ -81,6 +90,104 @@ def finite_diff_grad(
         lo = upstream @ forward(set_trainable_values(net, bumped), x)
         grads[i] = (hi - lo) / (2.0 * step)
     return grads
+
+
+def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
+    """backward_batch computed neuron by neuron, as a reference for tests.
+
+    Gradient of sum_b upstream[b] . output[b] w.r.t. trainable parameters.
+    Returns one value per mask=true parameter, canonical order; frozen
+    parameters receive no entry.  Exact chain-rule derivatives: for a
+    quadratic neuron with p = w_r.x + b_r and q = w_g.x + b_g,
+    dh/dw_r = q x, dh/db_r = q, dh/dw_g = p x, dh/db_g = p,
+    dh/dw_b = x*x, dh/dc = 1.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ValueError(
+            f"expected batch of shape (B, {net.input_dim}), got {X.shape}"
+        )
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != (X.shape[0], net.output_dim):
+        raise ValueError(
+            f"expected upstream of shape ({X.shape[0]}, {net.output_dim})"
+        )
+
+    preacts, acts = _forward_cached(net, X)
+    n_layers = len(net.layers)
+    grad_act: list[np.ndarray | None] = [None] * n_layers
+    grad_act[-1] = upstream.copy()
+
+    param_grads: dict[tuple[int, int], np.ndarray] = {}
+    shortcut_grads = np.zeros(len(net.shortcuts))
+    outgoing: dict[tuple[int, int], list[int]] = {}
+    for idx, sc in enumerate(net.shortcuts):
+        outgoing.setdefault((sc.dst_layer, sc.dst_neuron), []).append(idx)
+
+    for k in range(n_layers - 1, -1, -1):
+        layer = net.layers[k]
+        g_act = grad_act[k]
+        if g_act is None:
+            g_act = np.zeros_like(acts[k])
+        if layer.activation == "relu":
+            g_pre = g_act * relu_prime(preacts[k])
+        else:
+            g_pre = g_act
+        inp = X if k == 0 else acts[k - 1]
+        g_inp = np.zeros_like(inp)
+        for j, neuron in enumerate(layer.neurons):
+            d = g_pre[:, j]
+            if isinstance(neuron, QuadraticNeuron):
+                p = inp @ neuron.w_r + neuron.b_r
+                q = inp @ neuron.w_g + neuron.b_g
+                dq = d * q
+                dp = d * p
+                grads = np.concatenate(
+                    [
+                        inp.T @ dq,
+                        [dq.sum()],
+                        inp.T @ dp,
+                        [dp.sum()],
+                        (inp * inp).T @ d,
+                        [d.sum()],
+                    ]
+                )
+                g_inp += (
+                    dq[:, None] * neuron.w_r
+                    + dp[:, None] * neuron.w_g
+                    + 2.0 * d[:, None] * inp * neuron.w_b
+                )
+            elif isinstance(neuron, ConventionalNeuron):
+                grads = np.concatenate([inp.T @ d, [d.sum()]])
+                g_inp += d[:, None] * neuron.w
+            else:
+                grads = np.zeros(0)
+                g_inp[:, neuron.index] += d
+            param_grads[(k, j)] = grads
+            for idx in outgoing.get((k, j), ()):
+                sc = net.shortcuts[idx]
+                src = acts[sc.src_layer][:, sc.src_neuron]
+                shortcut_grads[idx] = float(d @ src)
+                prev = grad_act[sc.src_layer]
+                if prev is None:
+                    prev = np.zeros_like(acts[sc.src_layer])
+                    grad_act[sc.src_layer] = prev
+                prev[:, sc.src_neuron] += sc.weight * d
+        if k > 0:
+            if grad_act[k - 1] is None:
+                grad_act[k - 1] = g_inp
+            else:
+                grad_act[k - 1] = grad_act[k - 1] + g_inp
+
+    parts = [
+        param_grads[(k, j)][mask] for k, j, _, mask in _iter_neuron_entries(net)
+    ]
+    parts.append(
+        np.array(
+            [shortcut_grads[i] for i, sc in enumerate(net.shortcuts) if sc.trainable]
+        )
+    )
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def grid_l1(f, g, grid: GridSpec) -> float:

@@ -2,9 +2,12 @@
 
 Plain fixed-step descent, no momentum or minibatching: reproducibility over
 speed.  Restarts draw independent initialisations from a seeded generator,
-train independently (optionally in parallel threads; each restart owns its
-own network copy), and the run with the lowest final loss wins, earliest
-restart on ties.  Parameters whose mask is false are never touched.
+train independently (optionally in parallel threads), and the run with the
+lowest final loss wins, earliest restart on ties.  Each restart compiles the
+network once into its own PackedNetwork and updates the trainable vector
+theta in place: one fused forward and backward pass per step, and no
+NetworkSpec is built until the winner is returned.  Parameters whose mask is
+false are never touched.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    NetworkSpec,
-    backward_batch,
-    copy_network,
-    forward_batch,
-    set_trainable_values,
-    trainable_count,
-    trainable_values,
-)
+from .network import NetworkSpec, PackedNetwork, forward_batch, set_trainable_values
 from .oracles import horner
 from .polynomials import Polynomial
 
@@ -45,14 +40,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
+        if not (np.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError("init_scale must be positive and finite")
 
 
 @dataclass
@@ -69,6 +64,8 @@ class Dataset:
             raise ValueError("inputs and targets must have equal length")
         if len(self.inputs) == 0:
             raise ValueError("dataset must be non-empty")
+        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
+            raise ValueError("inputs and targets must be finite")
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -78,7 +75,7 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def _loss_and_grad(kind: str, out: np.ndarray, y: np.ndarray):
+def _output_loss(kind: str, out: np.ndarray, y: np.ndarray):
     """Batch loss and its gradient w.r.t. the outputs.
 
     mse averages squared errors; sse sums them (same descent direction,
@@ -100,27 +97,31 @@ def _loss_and_grad(kind: str, out: np.ndarray, y: np.ndarray):
 
 
 def _run_restart(net: NetworkSpec, data: Dataset, cfg: TrainConfig, index: int):
+    """Returns (theta, history, final_loss); theta is None if the run diverged."""
     rng = np.random.default_rng([cfg.seed, index])
-    theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=trainable_count(net))
-    current = set_trainable_values(net, theta)
+    packed = PackedNetwork(net)
+    theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=packed.trainable_count)
+    X, y = data.inputs, data.targets
+
+    def loss(out):
+        value, dout = _output_loss(cfg.loss, out[:, 0], y)
+        return value, dout[:, None]
+
     history = np.empty(cfg.iterations)
     # overflow on a diverging restart is expected; it is caught by the
     # finiteness check and the restart is dropped
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.iterations):
-            out = forward_batch(current, data.inputs)[:, 0]
-            loss, dout = _loss_and_grad(cfg.loss, out, data.targets)
-            if not np.isfinite(loss):
+            value, grad = packed.loss_and_grad(theta, X, loss)
+            if not np.isfinite(value):
                 return None, history[:it], float("inf")
-            history[it] = loss
-            grad = backward_batch(current, data.inputs, dout[:, None])
-            theta = trainable_values(current) - cfg.learning_rate * grad
-            current = set_trainable_values(current, theta)
-        final_out = forward_batch(current, data.inputs)[:, 0]
-        final_loss, _ = _loss_and_grad(cfg.loss, final_out, data.targets)
+            history[it] = value
+            theta -= cfg.learning_rate * grad
+        packed.set_theta(theta)
+        final_loss, _ = loss(packed.forward(X)[0])
     if not np.isfinite(final_loss):
         return None, history, float("inf")
-    return current, history, final_loss
+    return theta, history, final_loss
 
 
 def train(
@@ -142,27 +143,27 @@ def train(
             f"dataset width {data.input_dim} does not match network input "
             f"width {net.input_dim}"
         )
-    base = copy_network(net)
     indices = range(cfg.restarts)
     if parallel and cfg.restarts > 1:
         with ThreadPoolExecutor() as pool:
             results = list(
-                pool.map(lambda i: _run_restart(base, data, cfg, i), indices)
+                pool.map(lambda i: _run_restart(net, data, cfg, i), indices)
             )
     else:
-        results = [_run_restart(base, data, cfg, i) for i in indices]
+        results = [_run_restart(net, data, cfg, i) for i in indices]
 
     best = None
     best_loss = np.inf
-    for trained, history, final_loss in results:
-        if trained is not None and final_loss < best_loss:
-            best = (trained, history)
+    for theta, history, final_loss in results:
+        if theta is not None and final_loss < best_loss:
+            best = (theta, history)
             best_loss = final_loss
     if best is None:
         raise TrainingError(
             f"all {cfg.restarts} restarts diverged to non-finite loss"
         )
-    return best
+    theta, history = best
+    return set_trainable_values(net, theta), history
 
 
 def make_rings_dataset(

@@ -7,6 +7,7 @@ from qnn.builders import RadialPartition, build_deep_radial
 from qnn.network import (
     LayerSpec,
     NetworkSpec,
+    PackedNetwork,
     Shortcut,
     backward,
     backward_batch,
@@ -20,7 +21,7 @@ from qnn.network import (
     trainable_values,
 )
 from qnn.neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
-from qnn.oracles import finite_diff_grad
+from qnn.oracles import finite_diff_grad, reference_backward_batch
 
 
 def norm_neuron(n=2):
@@ -145,6 +146,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             LayerSpec([norm_neuron(2)], "tanh")
 
+    @pytest.mark.parametrize("field", ["src_neuron", "dst_neuron"])
+    def test_negative_shortcut_neuron_rejected(self, field):
+        layers = [
+            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)] * 2, "identity"),
+            LayerSpec([ConventionalNeuron(w=[1.0, 1.0], b=0.0)] * 2, "identity"),
+        ]
+        NetworkSpec(1, layers, [Shortcut(0, 1, 1, 1, 1.0)])
+        edge = dict(src_layer=0, src_neuron=1, dst_layer=1, dst_neuron=1, weight=1.0)
+        edge[field] = -1
+        with pytest.raises(ValueError):
+            NetworkSpec(1, layers, [Shortcut(**edge)])
+
 
 class TestBackward:
     def test_constant_offset_gradient_is_one(self):
@@ -198,6 +211,76 @@ class TestBackward:
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
         with pytest.raises(ValueError):
             backward(net, np.zeros(2), np.ones(2))
+
+
+def assert_gradients_close(got, want, rtol):
+    """Elementwise rtol, with an absolute floor of rtol times the largest entry
+    so that components cancelling to near zero are not held to their own scale."""
+    scale = np.max(np.abs(want), initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale)
+
+
+class TestPackedNetwork:
+    """The compiled executor against the per-neuron forward and reference gradient."""
+
+    def test_theta_index_addresses_trainable_values(self, net_factory):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            net = net_factory(rng)
+            packed = PackedNetwork(net)
+            assert packed.trainable_count == trainable_count(net)
+            np.testing.assert_array_equal(
+                packed.params[packed.theta_index], trainable_values(net)
+            )
+
+    def test_gradients_match_reference(self, net_factory):
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for _ in range(300):
+            net = net_factory(rng)
+            kinds.update(type(nr).__name__ for layer in net.layers for nr in layer.neurons)
+            kinds.update(layer.activation for layer in net.layers)
+            kinds.add(bool(net.shortcuts))
+            theta = rng.normal(size=trainable_count(net))
+            X = rng.normal(size=(9, net.input_dim))
+            U = rng.normal(size=(9, net.output_dim))
+            packed = PackedNetwork(net)
+            packed.set_theta(theta)
+            out, tape = packed.forward(X)
+            updated = set_trainable_values(net, theta)
+            np.testing.assert_allclose(out, forward_batch(updated, X), rtol=1e-12, atol=1e-12)
+            assert_gradients_close(
+                packed.backward(tape, U), reference_backward_batch(updated, X, U), 1e-12
+            )
+        assert kinds == {"QuadraticNeuron", "ConventionalNeuron", "PassthroughNeuron",
+                         "relu", "identity", True, False}
+
+    def test_tape_serves_one_backward(self, net_factory):
+        net = net_factory(np.random.default_rng(24))
+        packed = PackedNetwork(net)
+        _, tape = packed.forward(np.ones((2, net.input_dim)))
+        packed.backward(tape, np.ones((2, net.output_dim)))
+        with pytest.raises(ValueError):
+            packed.backward(tape, np.ones((2, net.output_dim)))
+
+    def test_loss_matches_forward_batch(self, net_factory):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            net = net_factory(rng)
+            X = rng.normal(size=(6, net.input_dim))
+            Y = rng.normal(size=(6, net.output_dim))
+            theta = rng.normal(size=trainable_count(net))
+
+            def loss(out):
+                return float(np.sum((out - Y) ** 2)), 2.0 * (out - Y)
+
+            value, grad = PackedNetwork(net).loss_and_grad(theta, X, loss)
+            updated = set_trainable_values(net, theta)
+            expected, upstream = loss(forward_batch(updated, X))
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert_gradients_close(
+                grad, reference_backward_batch(updated, X, upstream), 1e-12
+            )
 
 
 class TestParameters:

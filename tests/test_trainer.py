@@ -6,11 +6,14 @@ import pytest
 from qnn.builders import build_factorization_trainable
 from qnn.network import (
     forward_batch,
+    one_hidden_quadratic,
+    set_trainable_values,
     single_quadratic_net,
+    trainable_count,
     trainable_values,
 )
 from qnn.neurons import QuadraticNeuron, quad_preactivation
-from qnn.oracles import horner
+from qnn.oracles import horner, reference_backward_batch
 from qnn.polynomials import Polynomial
 from qnn.trainer import (
     Dataset,
@@ -92,6 +95,34 @@ class TestTrain:
             trainable_values(serial), trainable_values(threaded)
         )
         np.testing.assert_array_equal(hist_s, hist_t)
+
+    @pytest.mark.parametrize("case", ["factorizer", "relu"])
+    def test_matches_per_neuron_reference_loop(self, case):
+        """One restart of train against plain descent written with the
+        per-neuron forward_batch and reference_backward_batch."""
+        if case == "factorizer":  # shortcuts, frozen products, a passthrough
+            net = build_factorization_trainable(5, 1, 2)
+            target = Polynomial([0.5, -1.0, 0.0, 0.0, 0.0, 1.0])
+            data = make_poly_dataset(target, -1.0, 0.0, 40)
+            cfg = TrainConfig(loss="sse", learning_rate=2e-3, iterations=150, seed=1)
+        else:
+            net = one_hidden_quadratic(2, 4)
+            data = quad_teacher_data(seed=10, n=40)
+            cfg = TrainConfig(loss="mse", learning_rate=5e-2, iterations=150, seed=2)
+        trained, history = train(net, data, cfg)
+
+        rng = np.random.default_rng([cfg.seed, 0])
+        theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=trainable_count(net))
+        expected = []
+        for _ in range(cfg.iterations):
+            current = set_trainable_values(net, theta)
+            err = forward_batch(current, data.inputs)[:, 0] - data.targets
+            scale = 1.0 / len(err) if cfg.loss == "mse" else 1.0
+            expected.append(scale * float(np.sum(err * err)))
+            grad = reference_backward_batch(current, data.inputs, 2.0 * scale * err[:, None])
+            theta = theta - cfg.learning_rate * grad
+        np.testing.assert_allclose(history, expected, rtol=1e-9)
+        np.testing.assert_allclose(trainable_values(trained), theta, rtol=1e-9, atol=1e-12)
 
     def test_descent_with_small_rate(self):
         """A small step on a smooth quadratic-teacher problem should not
@@ -218,3 +249,20 @@ class TestDatasetValidation:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(restarts=0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "init_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_config_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, value):
+        X = np.zeros((3, 2))
+        y = np.zeros(3)
+        X[1, 0] = value
+        with pytest.raises(ValueError):
+            Dataset(X, np.zeros(3))
+        y[2] = value
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((3, 2)), y)
