@@ -224,7 +224,7 @@ def cmd_rings(args) -> int:
                 seed=args.seed + restart,
                 restarts=1,
             )
-            trained, hist = train(net, data, cfg, parallel=args.parallel_restarts)
+            trained, hist = train(net, data, cfg)
             acc = accuracy(trained, data)
             rows.append((label, restart, acc, hist[-1]))
             if acc > best_acc or (acc == best_acc and hist[-1] < best_loss):
@@ -399,7 +399,7 @@ def cmd_factor_train(args) -> int:
         init_scale=args.init_scale,
     )
     try:
-        trained, history = train(net, data, cfg, parallel=args.parallel_restarts)
+        trained, history = train(net, data, cfg)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -521,12 +521,7 @@ def cmd_width_sweep(args) -> int:
                         seed=seed_idx,
                         restarts=args.restarts,
                     )
-                    trained, _ = train(
-                        net=make(dim, width),
-                        data=data,
-                        cfg=cfg,
-                        parallel=args.parallel_restarts,
-                    )
+                    trained, _ = train(net=make(dim, width), data=data, cfg=cfg)
                     out = forward_batch(trained, data.inputs)[:, 0]
                     mse = float(np.mean((out - data.targets) ** 2))
                     rows.append((dim, seed_idx, kind, width, mse))
@@ -555,11 +550,15 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _positive_int_list(text: str) -> list[int]:
-    values = _int_list(text)
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("widths must be >= 1")
-    return values
+    return [_positive_int(v) for v in text.replace(",", " ").split()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,12 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-inner", type=float, default=1.0)
     p.add_argument("--r-outer", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--iterations", type=int, default=1500)
+    p.add_argument("--restarts", type=_positive_int, default=5)
+    p.add_argument("--iterations", type=_positive_int, default=1500)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--conv-widths", type=_positive_int_list, default=[1, 2, 4, 6])
     p.add_argument("--grid-n", type=int, default=41)
-    p.add_argument("--parallel-restarts", action="store_true")
     p.set_defaults(func=cmd_rings)
 
     p = sub.add_parser("radial-deep", help="stacked truncated-parabola approximator")
@@ -610,14 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor-train", help="learn a factorization by gradient descent")
     common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--learning-rate", type=float, default=2.0e-3)
-    p.add_argument("--iterations", type=int, default=600)
+    p.add_argument("--iterations", type=_positive_int, default=600)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--lo", type=float, default=-1.0)
     p.add_argument("--hi", type=float, default=0.0)
     p.add_argument("--init-scale", type=float, default=0.5)
-    p.add_argument("--parallel-restarts", action="store_true")
     p.set_defaults(func=cmd_factor_train)
 
     p = sub.add_parser("bernstein", help="polynomial approximants of a named target")
@@ -635,13 +632,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_int_list, default=[2, 4])
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--iterations", type=int, default=400)
+    p.add_argument("--iterations", type=_positive_int, default=400)
     p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--restarts", type=_positive_int, default=3)
     p.add_argument("--annuli", type=int, default=3)
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=100)
-    p.add_argument("--parallel-restarts", action="store_true")
     p.set_defaults(func=cmd_width_sweep)
 
     return parser

@@ -3,11 +3,11 @@
 A NetworkSpec is a plain value: an ordered list of layers, optional forward
 shortcut edges, and per-parameter trainability masks.  It is the
 construction and JSON format, and nothing here mutates it: forward/backward
-are pure functions of the spec, so the same network can be evaluated from
-many threads.  forward_batch evaluates neuron by neuron.  Training runs on a
-PackedNetwork instead, the spec compiled once into a flat parameter buffer
-that the trainer updates in place (one executor per thread); backward_batch
-compiles one per call and runs the same backward.
+are pure functions of the spec.  forward_batch evaluates neuron by neuron.
+Training runs on a PackedNetwork instead, the spec compiled once into a flat
+parameter buffer with one row per restart, which the trainer updates in place
+so that every restart advances in the same stacked matmuls; backward_batch
+compiles a one-row executor per call and runs the same backward.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -263,47 +263,58 @@ class _PackedLayer(NamedTuple):
     relu: bool
     inp: slice  # augmented input [x, 1] in the activation array
     out: slice  # this layer's activations
-    thirds: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c]: views of the block
-    weights: tuple  # W_r, W_g, W_b: the same without the bias rows
+    thirds: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c]: (R, rows, m) views of the block
+    weights_t: tuple  # W_r, W_g, W_b without the bias rows, transposed: (R, m, n)
     grads: tuple  # gradient views matching thirds
-    shortcuts: tuple | None  # (cells of the dense matrix, weight positions, its shape)
+    # (cells of one restart's dense matrix, the same cells over all restarts,
+    # weight positions, the matrices' shape (R, rows, m))
+    shortcuts: tuple | None
     overwrite_input_grad: bool  # no shortcut starts at layer k-1: its gradient is still empty
 
 
 class PackedNetwork:
-    """A NetworkSpec compiled once into one flat float64 parameter buffer.
+    """A NetworkSpec compiled once into flat float64 parameter buffers.
 
-    Layer k, with input width n and width m, owns a (3n+3, m) block of
-    `params` whose rows are W_r | b_r | W_g | b_g | W_b | c, so column j is
-    neuron j's canonical quadratic parameter vector.  With the input
-    augmented by a column of ones, X1 = [X, 1], a layer is three matmuls,
+    `params` has shape (R, P): one row per restart, all compiled from the
+    same spec.  In each row, layer k, with input width n and width m, owns a
+    (3n+3, m) block whose rows are W_r | b_r | W_g | b_g | W_b | c, so
+    column j is neuron j's canonical quadratic parameter vector.  With the
+    input augmented by a column of ones, X1 = [X, 1], a layer is three
+    matmuls,
 
         Z = (X1 [W_r; b_r]) * (X1 [W_g; b_g]) + (X1 * X1) [W_b; c]
 
-    plus its incoming shortcuts, then the activation.  A conventional
-    neuron fills the W_r and b_r rows (its own parameter order maps onto
-    the same rows) and is stored as W_g = 0, b_g = 1, W_b = 0, c = 0; a
-    passthrough neuron is the frozen one-hot column W_r = e_index, b_g = 1.
-    A layer without quadratic neurons is evaluated as its affine part
-    alone.  Shortcut weights follow the blocks, and `theta_index` maps the
-    canonical trainable vector (shortcut weights last) into `params`.
+    plus its incoming shortcuts, then the activation.  Every matmul is
+    stacked over the restart axis: blocks are (R, 3n+3, m), activations
+    (R, B, width), and one input batch X feeds every restart.  A
+    conventional neuron fills the W_r and b_r rows (its own parameter order
+    maps onto the same rows) and is stored as W_g = 0, b_g = 1, W_b = 0,
+    c = 0; a passthrough neuron is the frozen one-hot column W_r = e_index,
+    b_g = 1.  A layer without quadratic neurons is evaluated as its affine
+    part alone.  Shortcut weights follow the blocks, and `theta_index` maps
+    the canonical trainable vector (shortcut weights last) into a row of
+    `params`.
 
-    The executor owns its buffers: use one instance per thread.  It agrees
-    with the per-neuron path to rounding on finite values.  The zero
-    entries of a block multiply every input, so where an input is inf a
-    packed pre-activation can be NaN where forward_batch gives inf or an
-    exact copy; a training run stops the restart at its non-finite loss.
+    Restarts never mix: row i of every output and gradient depends on row i
+    of `params` alone, and equals what a one-row executor gives for it.
+    The executor agrees with the per-neuron path to rounding on finite
+    values.  The zero entries of a block multiply every input, so where an
+    input is inf a packed pre-activation can be NaN where forward_batch
+    gives inf or an exact copy; the trainer drops a restart at its first
+    non-finite loss.
     """
 
-    def __init__(self, net: NetworkSpec):
+    def __init__(self, net: NetworkSpec, restarts: int = 1):
+        if restarts < 1:
+            raise ValueError("restarts must be >= 1")
         self.input_dim = net.input_dim
         widths = net.layer_widths()
         fan_in = [net.input_dim] + widths[:-1]
         sizes = [(3 * n + 3) * m for n, m in zip(fan_in, widths)]
-        self.params = np.zeros(sum(sizes) + len(net.shortcuts))
+        self.params = np.zeros((restarts, sum(sizes) + len(net.shortcuts)))
         self._grad = np.zeros_like(self.params)
         sc_base = sum(sizes)
-        self.params[sc_base:] = [sc.weight for sc in net.shortcuts]
+        self.params[:, sc_base:] = [sc.weight for sc in net.shortcuts]
 
         # Columns of the per-pass activation array: the input, then each
         # layer's activations, each block followed by a column of ones.
@@ -320,32 +331,36 @@ class PackedNetwork:
         self._layers = []
         pos = 0
         for k, (layer, n, m) in enumerate(zip(net.layers, fan_in, widths)):
-            block = self.params[pos : pos + sizes[k]].reshape(3 * n + 3, m)
-            gblock = self._grad[pos : pos + sizes[k]].reshape(3 * n + 3, m)
+            shape = (restarts, 3 * n + 3, m)
+            block = self.params[:, pos : pos + sizes[k]].reshape(shape)
+            gblock = self._grad[:, pos : pos + sizes[k]].reshape(shape)
             quadratic = False
             for j, neuron in enumerate(layer.neurons):
                 if isinstance(neuron, QuadraticNeuron):
-                    block[:, j] = neuron.param_vector()
+                    block[:, :, j] = neuron.param_vector()
                     quadratic = True
                 elif isinstance(neuron, ConventionalNeuron):
-                    block[: n + 1, j] = neuron.param_vector()
-                    block[2 * n + 1, j] = 1.0
+                    block[:, : n + 1, j] = neuron.param_vector()
+                    block[:, 2 * n + 1, j] = 1.0
                 else:
-                    block[neuron.index, j] = 1.0
-                    block[2 * n + 1, j] = 1.0
+                    block[:, neuron.index, j] = 1.0
+                    block[:, 2 * n + 1, j] = 1.0
                 index.append(pos + np.flatnonzero(net.masks[k][j]) * m + j)
             shortcuts = None
             if k in incoming:
                 # every earlier activation column feeds this layer through a
-                # dense (base[k + 1], m) weight matrix, rebuilt on each pass
-                cells = [
+                # dense (base[k + 1], m) weight matrix per restart, rebuilt
+                # on each pass
+                rows = int(base[k + 1])
+                cells = np.array([
                     (base[net.shortcuts[i].src_layer + 1]
                      + net.shortcuts[i].src_neuron) * m
                     + net.shortcuts[i].dst_neuron
                     for i in incoming[k]
-                ]
-                shortcuts = (np.array(cells), sc_base + np.array(incoming[k]),
-                             (int(base[k + 1]), m))
+                ])
+                all_cells = (np.arange(restarts)[:, None] * (rows * m) + cells).ravel()
+                shortcuts = (cells, all_cells, sc_base + np.array(incoming[k]),
+                             (restarts, rows, m))
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
             self._layers.append(_PackedLayer(
@@ -353,9 +368,9 @@ class PackedNetwork:
                 relu=layer.activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
-                thirds=tuple(block[t] for t in thirds),
-                weights=tuple(block[t] for t in weights),
-                grads=tuple(gblock[t] for t in thirds),
+                thirds=tuple(block[:, t] for t in thirds),
+                weights_t=tuple(block[:, t].swapaxes(1, 2) for t in weights),
+                grads=tuple(gblock[:, t] for t in thirds),
                 shortcuts=shortcuts,
                 overwrite_input_grad=k - 1 not in sources,
             ))
@@ -366,100 +381,111 @@ class PackedNetwork:
         self.theta_index = np.concatenate(index).astype(np.intp)
 
     @property
+    def restarts(self) -> int:
+        return len(self.params)
+
+    @property
     def trainable_count(self) -> int:
         return len(self.theta_index)
 
     def set_theta(self, theta) -> None:
-        """Write the canonical trainable vector into the buffer."""
-        self.params[self.theta_index] = theta
+        """Write the (R, T) canonical trainable vectors into the buffer."""
+        self.params[:, self.theta_index] = theta
 
     def forward(self, X: np.ndarray):
-        """Evaluate a (B, input_dim) float64 batch with the current params.
+        """Evaluate a (B, input_dim) float64 batch under every restart's params.
 
-        Returns (output, tape); the tape serves one call of backward.
+        Returns (output, tape), output of shape (R, B, output_dim); the tape
+        serves one call of backward.
         """
-        acts = np.empty((X.shape[0], self._act_width))
-        acts[:, : self.input_dim] = X
-        acts[:, self._ones] = 1.0
+        acts = np.empty((self.restarts, X.shape[0], self._act_width))
+        acts[..., : self.input_dim] = X
+        acts[..., self._ones] = 1.0
         tape = []
-        for quadratic, relu, inp, out, (R, R_g, R_b), _, _, sc, _ in self._layers:
-            X1 = acts[:, inp]
-            Z = acts[:, out]
+        for quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _ in self._layers:
+            X1 = acts[..., inp]
+            Z = acts[..., out]
             X2 = P = Q = M = None
             if quadratic:
                 X2 = X1 * X1
-                P = X1 @ R
-                Q = X1 @ R_g
+                P = X1 @ W
+                Q = X1 @ W_g
                 np.multiply(P, Q, out=Z)
-                Z += X2 @ R_b
+                Z += X2 @ W_b
             else:
-                np.matmul(X1, R, out=Z)
+                np.matmul(X1, W, out=Z)
             if sc is not None:
-                cells, wpos, shape = sc
-                M = np.bincount(cells, self.params[wpos], shape[0] * shape[1])
+                _, all_cells, wpos, shape = sc
+                size = shape[0] * shape[1] * shape[2]
+                M = np.bincount(all_cells, self.params[:, wpos].ravel(), size)
                 M = M.reshape(shape)
-                Z += acts[:, : shape[0]] @ M
+                Z += acts[..., : shape[1]] @ M
             if relu:
                 np.maximum(Z, 0.0, out=Z)
             tape.append((X2, P, Q, M))
-        return acts[:, out], (acts, tape)
+        return acts[..., out], (acts, tape)
 
     def backward(self, tape, upstream: np.ndarray) -> np.ndarray:
-        """Gradient of sum_b upstream[b] . output[b] w.r.t. the trainable parameters.
+        """Gradient of sum_b upstream[r, b] . output[r, b] w.r.t. each
+        restart's trainable parameters, shape (R, T).
 
-        Runs from the intermediates of the forward pass that made `tape`,
-        overwriting them, so a tape serves one call.  For a quadratic
-        neuron with p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x,
-        dh/db_r = q, dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
+        upstream has the output's shape (R, B, output_dim).  Runs from the
+        intermediates of the forward pass that made `tape`, overwriting
+        them, so a tape serves one call.  For a quadratic neuron with
+        p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x, dh/db_r = q,
+        dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
         """
         acts, layers = tape
         if len(layers) != len(self._layers):
             raise ValueError("a tape serves one backward pass")
         grad_acts = np.zeros_like(acts)
-        grad_acts[:, self._layers[-1].out] = upstream
+        grad_acts[..., self._layers[-1].out] = upstream
         grad = self._grad
         for k in range(len(self._layers) - 1, -1, -1):
-            quadratic, relu, inp, out, _, (W_r, W_g, W_b), (G, G_g, G_b), sc, overwrite = (
+            quadratic, relu, inp, out, _, (W_t, W_gt, W_bt), (G, G_g, G_b), sc, overwrite = (
                 self._layers[k]
             )
             X2, P, Q, M = layers.pop()
-            X1 = acts[:, inp]
-            d = grad_acts[:, out]
+            X1 = acts[..., inp]
+            X1_t = X1.swapaxes(1, 2)
+            d = grad_acts[..., out]
             if relu:
-                d *= acts[:, out] > 0.0
+                d *= acts[..., out] > 0.0
             if sc is not None:
-                cells, wpos, shape = sc
-                grad[wpos] = (acts[:, : shape[0]].T @ d).ravel()[cells]
-                grad_acts[:, : shape[0]] += d @ M.T
+                cells, _, wpos, shape = sc
+                sources = acts[..., : shape[1]]
+                grad[:, wpos] = (sources.swapaxes(1, 2) @ d).reshape(shape[0], -1)[:, cells]
+                grad_acts[..., : shape[1]] += d @ M.swapaxes(1, 2)
             dq = d
             if quadratic:
                 dq = np.multiply(d, Q, out=Q)
                 dp = np.multiply(d, P, out=P)
-                np.matmul(X1.T, dp, out=G_g)
-                np.matmul(X2.T, d, out=G_b)
-            np.matmul(X1.T, dq, out=G)
+                np.matmul(X1_t, dp, out=G_g)
+                np.matmul(X2.swapaxes(1, 2), d, out=G_b)
+            np.matmul(X1_t, dq, out=G)
             if not k:
                 break
-            g_inp = grad_acts[:, inp.start : inp.stop - 1]
+            g_inp = grad_acts[..., inp.start : inp.stop - 1]
             if overwrite:
-                np.matmul(dq, W_r.T, out=g_inp)
+                np.matmul(dq, W_t, out=g_inp)
             else:
-                g_inp += dq @ W_r.T
+                g_inp += dq @ W_t
             if quadratic:
-                g_inp += dp @ W_g.T
-                g_inp += 2.0 * X1[:, :-1] * (d @ W_b.T)
-        return grad[self.theta_index]
+                g_inp += dp @ W_gt
+                g_inp += 2.0 * X1[..., :-1] * (d @ W_bt)
+        return grad[:, self.theta_index]
 
     def loss_and_grad(self, theta, X: np.ndarray, loss):
-        """Write theta, run one forward pass and the backward from its tape.
+        """Write theta (R, T), run one forward pass and the backward from its tape.
 
-        loss maps the (B, output_dim) output to (value, d value / d output);
-        returns (value, gradient w.r.t. theta).
+        loss maps the (R, B, output_dim) output to (values, d values / d
+        output), values holding one loss per restart; returns (values,
+        gradients w.r.t. theta, shape (R, T)).
         """
         self.set_theta(theta)
         out, tape = self.forward(X)
-        value, upstream = loss(out)
-        return value, self.backward(tape, upstream)
+        values, upstream = loss(out)
+        return values, self.backward(tape, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +512,7 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
         )
     packed = PackedNetwork(net)
     _, tape = packed.forward(X)
-    return packed.backward(tape, upstream)
+    return packed.backward(tape, upstream[None])[0]
 
 
 def backward(net: NetworkSpec, x, upstream) -> np.ndarray:
@@ -583,7 +609,11 @@ def _neuron_from_dict(d: dict) -> Neuron:
 
 
 def to_json(net: NetworkSpec) -> str:
-    """Serialize to JSON; round-trips bit-exactly for finite parameters."""
+    """Serialize to JSON; round-trips bit-exactly.
+
+    JSON has no NaN or infinity, so a non-finite neuron parameter or
+    shortcut weight raises ValueError.
+    """
     doc = {
         "input_dim": net.input_dim,
         "layers": [
@@ -608,11 +638,27 @@ def to_json(net: NetworkSpec) -> str:
             [m.astype(int).tolist() for m in layer_masks] for layer_masks in net.masks
         ],
     }
-    return json.dumps(doc, sort_keys=True)
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(
+            "cannot write network JSON: a neuron parameter or shortcut weight "
+            "is not finite"
+        ) from None
+
+
+_JSON_KEYS = ("input_dim", "layers", "shortcuts", "masks")
 
 
 def from_json(text: str) -> NetworkSpec:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"network JSON must be an object, got {type(doc).__name__}"
+        )
+    missing = [key for key in _JSON_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"network JSON lacks {', '.join(missing)}")
     layers = [
         LayerSpec(
             neurons=[_neuron_from_dict(d) for d in layer["neurons"]],

@@ -1,19 +1,19 @@
 """Full-batch gradient descent over masked network parameters.
 
 Plain fixed-step descent, no momentum or minibatching: reproducibility over
-speed.  Restarts draw independent initialisations from a seeded generator,
-train independently (optionally in parallel threads), and the run with the
-lowest final loss wins, earliest restart on ties.  Each restart compiles the
-network once into its own PackedNetwork and updates the trainable vector
-theta in place: one fused forward and backward pass per step, and no
-NetworkSpec is built until the winner is returned.  Parameters whose mask is
-false are never touched.
+speed.  Restarts draw independent initialisations from a seeded generator
+and train side by side on the restart axis of one PackedNetwork: theta is an
+(R, T) array updated in place, one fused forward and backward pass per step
+covers every restart, and no NetworkSpec is built until the winner is
+returned.  A restart whose loss turns non-finite is masked out, and the run
+with the lowest final loss wins, earliest restart on ties.  Parameters whose
+mask is false are never touched.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -42,10 +42,16 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
+        for name in ("iterations", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError("init_scale must be positive and finite")
 
@@ -76,65 +82,90 @@ class Dataset:
 
 
 def _output_loss(kind: str, out: np.ndarray, y: np.ndarray):
-    """Batch loss and its gradient w.r.t. the outputs.
+    """Batch losses and their gradients w.r.t. the outputs.
 
-    mse averages squared errors; sse sums them (same descent direction,
-    stepped batch-size times harder at equal learning rate); logistic is
-    mean log(1 + exp(-y * out)) on +-1 labels.
+    out holds one row of B predictions per restart; each loss reduces along
+    the last axis, so R rows give R values.  mse averages squared errors;
+    sse sums them (same descent direction, stepped batch-size times harder
+    at equal learning rate); logistic is mean log(1 + exp(-y * out)) on +-1
+    labels.
     """
     n = len(y)
     if kind == "mse":
         err = out - y
-        return float(np.mean(err * err)), 2.0 * err / n
+        return np.mean(err * err, axis=-1), 2.0 * err / n
     if kind == "sse":
         err = out - y
-        return float(np.sum(err * err)), 2.0 * err
+        return np.sum(err * err, axis=-1), 2.0 * err
     margin = y * out
-    loss = float(np.mean(np.logaddexp(0.0, -margin)))
+    loss = np.mean(np.logaddexp(0.0, -margin), axis=-1)
     with np.errstate(over="ignore"):
         grad = -y / (1.0 + np.exp(margin)) / n
     return loss, grad
 
 
-def _run_restart(net: NetworkSpec, data: Dataset, cfg: TrainConfig, index: int):
-    """Returns (theta, history, final_loss); theta is None if the run diverged."""
-    rng = np.random.default_rng([cfg.seed, index])
-    packed = PackedNetwork(net)
-    theta = rng.uniform(-cfg.init_scale, cfg.init_scale, size=packed.trainable_count)
+def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
+    """Run every restart side by side on one PackedNetwork.
+
+    Returns (theta, history, final, stopped): theta (R, T) after the last
+    step, history (iterations, R) with the loss at the parameters of each
+    step's gradient, the final losses (R,), and the iteration at which each
+    restart's loss turned non-finite (iterations if it never did).  A
+    restart that diverged during the steps has a zero theta row; every
+    diverged restart, the final evaluation included, has final loss inf.
+    """
+    packed = PackedNetwork(net, restarts=cfg.restarts)
+    theta = np.stack([
+        np.random.default_rng([cfg.seed, i]).uniform(
+            -cfg.init_scale, cfg.init_scale, size=packed.trainable_count
+        )
+        for i in range(cfg.restarts)
+    ])
     X, y = data.inputs, data.targets
 
     def loss(out):
-        value, dout = _output_loss(cfg.loss, out[:, 0], y)
-        return value, dout[:, None]
+        values, dout = _output_loss(cfg.loss, out[..., 0], y)
+        return values, dout[..., None]
 
-    history = np.empty(cfg.iterations)
+    history = np.empty((cfg.iterations, cfg.restarts))
+    rate = np.full((cfg.restarts, 1), cfg.learning_rate)
+    live = np.ones(cfg.restarts, dtype=bool)
+    stopped = np.full(cfg.restarts, cfg.iterations)
     # overflow on a diverging restart is expected; it is caught by the
-    # finiteness check and the restart is dropped
+    # finiteness check and the restart is masked
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.iterations):
-            value, grad = packed.loss_and_grad(theta, X, loss)
-            if not np.isfinite(value):
-                return None, history[:it], float("inf")
-            history[it] = value
-            theta -= cfg.learning_rate * grad
+            values, grad = packed.loss_and_grad(theta, X, loss)
+            history[it] = values
+            if not np.isfinite(values).all():
+                diverged = live & ~np.isfinite(values)
+                stopped[diverged] = it
+                live &= ~diverged
+                theta[diverged] = 0.0
+                if not live.any():
+                    break
+                grad[diverged] = 0.0
+                rate[diverged] = 0.0
+            theta -= rate * grad
         packed.set_theta(theta)
-        final_loss, _ = loss(packed.forward(X)[0])
-    if not np.isfinite(final_loss):
-        return None, history, float("inf")
-    return theta, history, final_loss
+        final, _ = loss(packed.forward(X)[0])
+    final[~(live & np.isfinite(final))] = np.inf
+    return theta, history, final, stopped
 
 
 def train(
     net: NetworkSpec,
     data: Dataset,
     cfg: TrainConfig,
-    parallel: bool = False,
 ) -> tuple[NetworkSpec, np.ndarray]:
     """Fit the masked parameters of net to data; returns (net, loss_history).
 
-    history[i] is the loss at the parameters used for step i's gradient.
-    Restarts that hit a non-finite loss are dropped; if all of them diverge
-    a TrainingError is raised.  Deterministic for a given (net, data, cfg).
+    history[i] is the winning restart's loss at the parameters used for step
+    i's gradient.  Restart i starts from default_rng([seed, i]).  A restart
+    that hits a non-finite loss is dropped: its theta row and its updates
+    are zeroed so that the non-finite values go no further.  The lowest
+    final loss wins, earliest restart on ties; if every restart diverges a
+    TrainingError is raised.  Deterministic for a given (net, data, cfg).
     """
     if net.output_dim != 1:
         raise ValueError("training expects a single-output network")
@@ -143,27 +174,14 @@ def train(
             f"dataset width {data.input_dim} does not match network input "
             f"width {net.input_dim}"
         )
-    indices = range(cfg.restarts)
-    if parallel and cfg.restarts > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(
-                pool.map(lambda i: _run_restart(net, data, cfg, i), indices)
-            )
-    else:
-        results = [_run_restart(net, data, cfg, i) for i in indices]
-
-    best = None
-    best_loss = np.inf
-    for theta, history, final_loss in results:
-        if theta is not None and final_loss < best_loss:
-            best = (theta, history)
-            best_loss = final_loss
-    if best is None:
+    theta, history, final, stopped = _descend(net, data, cfg)
+    if np.isinf(final).all():
         raise TrainingError(
-            f"all {cfg.restarts} restarts diverged to non-finite loss"
+            f"all {cfg.restarts} restarts diverged to non-finite loss "
+            f"(at iterations {stopped.tolist()})"
         )
-    theta, history = best
-    return set_trainable_values(net, theta), history
+    best = int(np.argmin(final))
+    return set_trainable_values(net, theta[best]), history[:, best].copy()
 
 
 def make_rings_dataset(

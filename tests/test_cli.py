@@ -148,17 +148,6 @@ class TestFactorTrain:
         factors = (run_dir / "learned_factors.csv").read_text().strip().splitlines()
         assert len(factors) == 4
 
-    def test_parallel_restarts_flag(self, tmp_path):
-        serial = run(tmp_path, "factor-train", "--iterations", "40",
-                     "--restarts", "3", "--samples", "30")
-        threaded = run(tmp_path, "factor-train", "--iterations", "40",
-                       "--restarts", "3", "--samples", "30",
-                       "--parallel-restarts")
-        assert serial[0] == threaded[0] == 0
-        a = read_report(serial[1])["metrics"]["mean_abs_error"]
-        b = read_report(threaded[1])["metrics"]["mean_abs_error"]
-        assert a == b
-
     def test_all_restarts_diverging_fails(self, tmp_path):
         code, _ = run(
             tmp_path, "factor-train", "--learning-rate", "1e9",
@@ -185,3 +174,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["poly"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["rings", "factor-train", "width-sweep"])
+    def test_removed_parallel_restarts_flag_refused(self, command, tmp_path):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--parallel-restarts", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rings", "factor-train", "width-sweep"])
+    @pytest.mark.parametrize("flag", ["--restarts", "--iterations"])
+    @pytest.mark.parametrize("value", ["0", "-1", "2.5"])
+    def test_counts_must_be_positive_integers(self, command, flag, value, tmp_path, capsys):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()

@@ -16,6 +16,7 @@ from qnn.network import (
     from_json,
     parameter_count,
     set_trainable_values,
+    single_quadratic_net,
     to_json,
     trainable_count,
     trainable_values,
@@ -230,7 +231,7 @@ class TestPackedNetwork:
             packed = PackedNetwork(net)
             assert packed.trainable_count == trainable_count(net)
             np.testing.assert_array_equal(
-                packed.params[packed.theta_index], trainable_values(net)
+                packed.params[0, packed.theta_index], trainable_values(net)
             )
 
     def test_gradients_match_reference(self, net_factory):
@@ -245,12 +246,12 @@ class TestPackedNetwork:
             X = rng.normal(size=(9, net.input_dim))
             U = rng.normal(size=(9, net.output_dim))
             packed = PackedNetwork(net)
-            packed.set_theta(theta)
+            packed.set_theta(theta[None])
             out, tape = packed.forward(X)
             updated = set_trainable_values(net, theta)
-            np.testing.assert_allclose(out, forward_batch(updated, X), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out[0], forward_batch(updated, X), rtol=1e-12, atol=1e-12)
             assert_gradients_close(
-                packed.backward(tape, U), reference_backward_batch(updated, X, U), 1e-12
+                packed.backward(tape, U[None])[0], reference_backward_batch(updated, X, U), 1e-12
             )
         assert kinds == {"QuadraticNeuron", "ConventionalNeuron", "PassthroughNeuron",
                          "relu", "identity", True, False}
@@ -272,15 +273,43 @@ class TestPackedNetwork:
             theta = rng.normal(size=trainable_count(net))
 
             def loss(out):
-                return float(np.sum((out - Y) ** 2)), 2.0 * (out - Y)
+                return np.sum((out - Y) ** 2, axis=(-2, -1)), 2.0 * (out - Y)
 
-            value, grad = PackedNetwork(net).loss_and_grad(theta, X, loss)
+            value, grad = PackedNetwork(net).loss_and_grad(theta[None], X, loss)
             updated = set_trainable_values(net, theta)
             expected, upstream = loss(forward_batch(updated, X))
-            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert value.shape == grad.shape[:1] == (1,)
+            assert value[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert_gradients_close(
-                grad, reference_backward_batch(updated, X, upstream), 1e-12
+                grad[0], reference_backward_batch(updated, X, upstream), 1e-12
             )
+
+    def test_restart_rows_match_one_row_executors(self, net_factory):
+        """Row i of a stacked executor gives bit for bit what a one-row
+        executor gives for theta[i]: restarts never mix."""
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            net = net_factory(rng)
+            theta = rng.normal(size=(3, trainable_count(net)))
+            X = rng.normal(size=(7, net.input_dim))
+            U = rng.normal(size=(3, 7, net.output_dim))
+            stacked = PackedNetwork(net, restarts=3)
+            assert stacked.restarts == 3
+            stacked.set_theta(theta)
+            out, tape = stacked.forward(X)
+            grad = stacked.backward(tape, U)
+            assert out.shape == (3, 7, net.output_dim)
+            assert grad.shape == theta.shape
+            for i in range(3):
+                single = PackedNetwork(net)
+                single.set_theta(theta[i : i + 1])
+                out_i, tape_i = single.forward(X)
+                np.testing.assert_array_equal(out[i], out_i[0])
+                np.testing.assert_array_equal(grad[i], single.backward(tape_i, U[i : i + 1])[0])
+
+    def test_restarts_must_be_positive(self):
+        with pytest.raises(ValueError):
+            PackedNetwork(single_quadratic_net(2), restarts=0)
 
 
 class TestParameters:
@@ -340,6 +369,33 @@ class TestSerialization:
         w = rebuilt.layers[0].neurons[0].w
         assert np.signbit(w[0]) and w[1] == 5e-324
         assert rebuilt.layers[0].neurons[0].b == 1e-17
+
+    def test_non_finite_neuron_parameter_rejected(self):
+        neuron = QuadraticNeuron(w_r=[1.0], b_r=np.nan, w_g=[0.0], b_g=1.0,
+                                 w_b=[0.0], c=0.0)
+        net = NetworkSpec(1, [LayerSpec([neuron], "identity")])
+        with pytest.raises(ValueError, match="not finite"):
+            to_json(net)
+
+    def test_non_finite_shortcut_weight_rejected(self):
+        layers = [
+            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "relu"),
+            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
+            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
+        ]
+        net = NetworkSpec(1, layers, [Shortcut(0, 0, 2, 0, weight=np.inf)])
+        with pytest.raises(ValueError, match="not finite"):
+            to_json(net)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", "object"),
+        ("3", "object"),
+        ("{}", "input_dim, layers, shortcuts, masks"),
+        ('{"input_dim": 1, "layers": [], "shortcuts": []}', "masks"),
+    ])
+    def test_malformed_document_rejected(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            from_json(text)
 
 
 class TestConcurrentEvaluation:

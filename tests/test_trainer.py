@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import qnn.trainer
 from qnn.builders import build_factorization_trainable
 from qnn.network import (
+    PackedNetwork,
     forward_batch,
     one_hidden_quadratic,
     set_trainable_values,
@@ -19,6 +21,7 @@ from qnn.trainer import (
     Dataset,
     TrainConfig,
     TrainingError,
+    _descend,
     accuracy,
     make_poly_dataset,
     make_rings_dataset,
@@ -35,6 +38,50 @@ def quad_teacher_data(seed=0, n=50, scale=0.5):
     )
     X = rng.uniform(-1.0, 1.0, size=(n, 2))
     return Dataset(X, quad_preactivation(teacher, X))
+
+
+def one_at_a_time(net, data, cfg):
+    """Each restart of cfg on its own one-row PackedNetwork, in the trainer's
+    arithmetic (mse or sse).  Returns (theta, history, final_loss) per
+    restart, theta None when the restart's loss turned non-finite."""
+    assert cfg.loss in ("mse", "sse")
+    X, y = data.inputs, data.targets
+
+    def loss(out):
+        err = out[..., 0] - y
+        if cfg.loss == "mse":
+            return np.mean(err * err, axis=-1), (2.0 * err / len(y))[..., None]
+        return np.sum(err * err, axis=-1), (2.0 * err)[..., None]
+
+    runs = []
+    for i in range(cfg.restarts):
+        packed = PackedNetwork(net)
+        theta = np.random.default_rng([cfg.seed, i]).uniform(
+            -cfg.init_scale, cfg.init_scale, size=(1, packed.trainable_count))
+        history = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.iterations):
+                value, grad = packed.loss_and_grad(theta, X, loss)
+                if not np.isfinite(value[0]):
+                    break
+                history.append(value[0])
+                theta = theta - cfg.learning_rate * grad
+            packed.set_theta(theta)
+            final = loss(packed.forward(X)[0])[0][0]
+        if len(history) < cfg.iterations or not np.isfinite(final):
+            runs.append((None, np.array(history), np.inf))
+        else:
+            runs.append((theta[0], np.array(history), final))
+    return runs
+
+
+def winner(runs):
+    """Lowest finite final loss, earliest restart on ties: (theta, history)."""
+    best = None
+    for theta, history, final in runs:
+        if theta is not None and (best is None or final < best[2]):
+            best = (theta, history, final)
+    return best[:2]
 
 
 class TestTrain:
@@ -85,16 +132,68 @@ class TestTrain:
         )
         np.testing.assert_array_equal(hist1, hist2)
 
-    def test_parallel_restarts_match_serial(self):
+    def test_batched_restarts_match_one_at_a_time(self):
         data = quad_teacher_data(seed=4, n=30)
         cfg = TrainConfig(loss="mse", learning_rate=5e-3, iterations=60,
                           seed=2, restarts=4)
-        serial, hist_s = train(single_quadratic_net(2), data, cfg, parallel=False)
-        threaded, hist_t = train(single_quadratic_net(2), data, cfg, parallel=True)
-        np.testing.assert_array_equal(
-            trainable_values(serial), trainable_values(threaded)
-        )
-        np.testing.assert_array_equal(hist_s, hist_t)
+        net = single_quadratic_net(2)
+        runs = one_at_a_time(net, data, cfg)
+        assert all(theta is not None for theta, _, _ in runs)
+        trained, history = train(net, data, cfg)
+        theta, expected = winner(runs)
+        np.testing.assert_array_equal(trainable_values(trained), theta)
+        np.testing.assert_array_equal(history, expected)
+
+    def test_winner_is_lowest_final_loss_earliest_on_ties(self, monkeypatch):
+        net = single_quadratic_net(2)
+        theta = np.arange(4.0)[:, None] * np.ones(trainable_count(net))
+        history = np.arange(12.0).reshape(3, 4)
+        final = np.array([np.inf, 0.5, 0.25, 0.25])
+        monkeypatch.setattr(qnn.trainer, "_descend",
+                            lambda net, data, cfg: (theta, history, final, np.full(4, 3)))
+        cfg = TrainConfig(iterations=3, restarts=4)
+        trained, hist = train(net, quad_teacher_data(n=5), cfg)
+        np.testing.assert_array_equal(trainable_values(trained), theta[2])
+        np.testing.assert_array_equal(hist, history[:, 2])
+
+    @pytest.mark.parametrize("learning_rate, seed, survivors", [
+        (3e-3, 6, [0, 1, 3]),  # restart 2 diverges
+        (1e-2, 0, [3]),        # only the last restart survives
+        (1e-2, 7, []),         # every restart diverges
+    ])
+    def test_partial_divergence_masks_only_diverged_restarts(
+        self, learning_rate, seed, survivors
+    ):
+        net = build_factorization_trainable(5, 1, 2)
+        target = Polynomial([0.5, -1.0, 0.0, 0.0, 0.0, 1.0])
+        data = make_poly_dataset(target, -1.0, 0.0, 40)
+        cfg = TrainConfig(loss="sse", learning_rate=learning_rate, iterations=60,
+                          seed=seed, restarts=4, init_scale=1.0)
+        runs = one_at_a_time(net, data, cfg)
+        assert [i for i, run in enumerate(runs) if run[0] is not None] == survivors
+
+        theta, history, final, stopped = _descend(net, data, cfg)
+        for i, (ref_theta, ref_history, ref_final) in enumerate(runs):
+            if ref_theta is None:
+                assert stopped[i] == len(ref_history) < cfg.iterations
+                assert final[i] == np.inf
+                np.testing.assert_array_equal(theta[i], 0.0)
+            else:
+                assert stopped[i] == cfg.iterations
+                np.testing.assert_array_equal(theta[i], ref_theta)
+                np.testing.assert_array_equal(history[:, i], ref_history)
+                assert final[i] == ref_final
+            np.testing.assert_array_equal(history[: stopped[i], i], ref_history[: stopped[i]])
+
+        if not survivors:
+            with pytest.raises(TrainingError):
+                train(net, data, cfg)
+            return
+        trained, history = train(net, data, cfg)
+        ref_theta, ref_history = winner(runs)
+        assert len(history) == cfg.iterations
+        np.testing.assert_array_equal(trainable_values(trained), ref_theta)
+        np.testing.assert_array_equal(history, ref_history)
 
     @pytest.mark.parametrize("case", ["factorizer", "relu"])
     def test_matches_per_neuron_reference_loop(self, case):
@@ -249,6 +348,19 @@ class TestDatasetValidation:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(restarts=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"iterations": 2.5}, {"restarts": 2.5}, {"seed": 1.5},
+        {"iterations": True}, {"restarts": False}, {"seed": "3"}, {"seed": -1},
+    ])
+    def test_config_counts_must_be_integers(self, kwargs):
+        with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = TrainConfig(iterations=np.int64(3), restarts=np.int32(2), seed=np.int64(0))
+        _, history = train(single_quadratic_net(2), quad_teacher_data(n=5), cfg)
+        assert len(history) == 3
 
     @pytest.mark.parametrize("field", ["learning_rate", "init_scale"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
