@@ -542,19 +542,28 @@ def cmd_width_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.replace(",", " ").split()]
-
-
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _two_or_more(text: str) -> int:
+    """A point count where the command needs at least two points."""
+    return _int_at_least(text, 2)
 
 
 def _positive_int_list(text: str) -> list[int]:
@@ -575,23 +584,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rings", help="separate two concentric rings")
     common(p)
-    p.add_argument("--n-per-class", type=int, default=60)
+    p.add_argument("--n-per-class", type=_positive_int, default=60)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--r-inner", type=float, default=1.0)
     p.add_argument("--r-outer", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=5)
     p.add_argument("--iterations", type=_positive_int, default=1500)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--conv-widths", type=_positive_int_list, default=[1, 2, 4, 6])
-    p.add_argument("--grid-n", type=int, default=41)
+    p.add_argument("--grid-n", type=_positive_int, default=41)
     p.set_defaults(func=cmd_rings)
 
     p = sub.add_parser("radial-deep", help="stacked truncated-parabola approximator")
     common(p)
     p.add_argument("--deltas", type=_float_list, default=[0.4, 0.2, 0.1, 0.05])
-    p.add_argument("--grid-n", type=int, default=2001)
-    p.add_argument("--input-dim", type=int, default=2)
+    p.add_argument("--grid-n", type=_two_or_more, default=2001)
+    p.add_argument("--input-dim", type=_positive_int, default=2)
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_radial_deep)
 
@@ -599,19 +608,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--coeffs", type=float, nargs="+", required=True,
                    help="coefficients, lowest degree first")
-    p.add_argument("--points", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--pair-real-roots", action="store_true")
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("factor-train", help="learn a factorization by gradient descent")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--learning-rate", type=float, default=2.0e-3)
     p.add_argument("--iterations", type=_positive_int, default=600)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_two_or_more, default=100)
     p.add_argument("--lo", type=float, default=-1.0)
     p.add_argument("--hi", type=float, default=0.0)
     p.add_argument("--init-scale", type=float, default=0.5)
@@ -621,23 +630,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", choices=sorted(_BERNSTEIN_TARGETS), default="absmid")
     p.add_argument("--n-sweep", type=_positive_int_list, default=[4, 8, 16, 32, 64])
-    p.add_argument("--net-n", type=int, default=10)
-    p.add_argument("--grid-n", type=int, default=1001)
+    p.add_argument("--net-n", type=_positive_int, default=10)
+    p.add_argument("--grid-n", type=_positive_int, default=1001)
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_bernstein)
 
     p = sub.add_parser("width-sweep", help="quadratic vs conventional across widths")
     common(p)
     p.add_argument("--widths", type=_positive_int_list, default=[1, 2, 4, 8, 16, 32])
-    p.add_argument("--dims", type=_int_list, default=[2, 4])
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--dims", type=_positive_int_list, default=[2, 4])
+    p.add_argument("--seeds", type=_positive_int, default=5)
+    p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--iterations", type=_positive_int, default=400)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--restarts", type=_positive_int, default=3)
-    p.add_argument("--annuli", type=int, default=3)
+    p.add_argument("--annuli", type=_non_negative_int, default=3)
     p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=100)
+    p.add_argument("--seed", type=_non_negative_int, default=100)
     p.set_defaults(func=cmd_width_sweep)
 
     return parser

@@ -6,8 +6,11 @@ construction and JSON format, and nothing here mutates it: forward/backward
 are pure functions of the spec.  forward_batch evaluates neuron by neuron.
 Training runs on a PackedNetwork instead, the spec compiled once into a flat
 parameter buffer with one row per restart, which the trainer updates in place
-so that every restart advances in the same stacked matmuls; backward_batch
-compiles a one-row executor per call and runs the same backward.
+so that every restart advances in the same stacked matmuls.  The executor
+also owns its work arrays (activations, their gradient and the per-layer
+products), made once per batch size, reused by every step and freed with
+it.  backward_batch compiles a one-row executor per call and runs the same
+backward.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -272,6 +275,29 @@ class _PackedLayer(NamedTuple):
     overwrite_input_grad: bool  # no shortcut starts at layer k-1: its gradient is still empty
 
 
+class _LayerBuffers(NamedTuple):
+    # Each is a C-contiguous (R, B, width) array, n the layer's fan-in and m
+    # its width.  Contiguous, not a column block of acts or grad_acts: numpy
+    # runs an elementwise op on a narrow column block one row at a time.
+    product: np.ndarray  # m wide, over grad_acts' memory, which the forward leaves free
+    X2: np.ndarray | None  # X1 * X1, n + 1 wide; quadratic layers only
+    twice: np.ndarray | None  # n wide, over X2's memory: 2 X1 once X2 is spent
+    P: np.ndarray | None  # m wide; quadratic layers only
+    Q: np.ndarray | None
+    T: np.ndarray | None  # n wide, where the input gradient is a sum of terms
+
+
+class _WorkBuffers(NamedTuple):
+    acts: np.ndarray  # (R, B, act_width); the ones columns are written once
+    grad_acts: np.ndarray  # same shape
+    layers: list[_LayerBuffers]
+
+
+def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """A C-contiguous view of the given shape on the first entries of buf."""
+    return buf.reshape(-1)[: int(np.prod(shape))].reshape(shape)
+
+
 class PackedNetwork:
     """A NetworkSpec compiled once into flat float64 parameter buffers.
 
@@ -302,6 +328,20 @@ class PackedNetwork:
     input is inf a packed pre-activation can be NaN where forward_batch
     gives inf or an exact copy; the trainer drops a restart at its first
     non-finite loss.
+
+    The executor owns its work arrays, one set for the batch size last
+    seen: the activations (their ones columns written once), the
+    activation gradient, X1 * X1, P and Q of each quadratic layer, and an
+    (R, B, n) scratch for the input gradient.  The first forward pass at a
+    batch size makes them and a new size replaces them; they live as long
+    as the executor, and the trainer makes one executor per `train` call.
+    The layer products and the input gradient are written into them
+    through `out=`; a warm step still allocates the ReLU masks (one byte
+    per entry), the shortcut terms of the backward and the output copy.
+    Because a forward pass overwrites what the previous pass left there,
+    backward takes only the tape of the latest pass, and only once, and one
+    executor serves one caller at a time.  The output a forward pass
+    returns is a copy that later passes leave alone.
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
@@ -379,6 +419,9 @@ class PackedNetwork:
         trainable = [i for i, sc in enumerate(net.shortcuts) if sc.trainable]
         index.append(sc_base + np.array(trainable, dtype=np.intp))
         self.theta_index = np.concatenate(index).astype(np.intp)
+        self._work: _WorkBuffers | None = None
+        self._passes = 0  # forward passes run; a tape carries its number
+        self._open_tape = 0  # number of the pass whose tape is unused, else 0
 
     @property
     def restarts(self) -> int:
@@ -392,26 +435,63 @@ class PackedNetwork:
         """Write the (R, T) canonical trainable vectors into the buffer."""
         self.params[:, self.theta_index] = theta
 
+    def _buffers(self, batch: int) -> _WorkBuffers:
+        """The work arrays for a batch of `batch` rows, made on first use.
+
+        A new batch size replaces the previous set, so at most one is held.
+        """
+        work = self._work
+        if work is None or work.acts.shape[1] != batch:
+            rows = (self.restarts, batch)
+            acts = np.empty(rows + (self._act_width,))
+            acts[..., self._ones] = 1.0
+            grad_acts = np.empty_like(acts)
+            # Layer k > 0 sums its input gradient from several terms unless
+            # it is affine and the first to write that gradient.  The terms
+            # then pass one at a time through T, and T of every layer shares
+            # one scratch array.
+            summed = [k > 0 and (layer.quadratic or not layer.overwrite_input_grad)
+                      for k, layer in enumerate(self._layers)]
+            fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
+            scratch = np.empty(self.restarts * batch * max(
+                (n for n, s in zip(fan_in, summed) if s), default=0))
+            per_layer = []
+            for layer, n, s in zip(self._layers, fan_in, summed):
+                m = layer.out.stop - layer.out.start
+                X2 = twice = P = Q = None
+                if layer.quadratic:
+                    X2, P, Q = (np.empty(rows + (w,)) for w in (n + 1, m, m))
+                    twice = _leading(X2, rows + (n,))
+                per_layer.append(_LayerBuffers(
+                    _leading(grad_acts, rows + (m,)), X2, twice, P, Q,
+                    _leading(scratch, rows + (n,)) if s else None,
+                ))
+            work = _WorkBuffers(acts, grad_acts, per_layer)
+            self._work = work
+        return work
+
     def forward(self, X: np.ndarray):
         """Evaluate a (B, input_dim) float64 batch under every restart's params.
 
-        Returns (output, tape), output of shape (R, B, output_dim); the tape
-        serves one call of backward.
+        Returns (output, tape), output of shape (R, B, output_dim), a copy
+        that later passes leave alone.  The tape serves one call of
+        backward, and only until the next forward pass.
         """
-        acts = np.empty((self.restarts, X.shape[0], self._act_width))
+        work = self._buffers(X.shape[0])
+        acts = work.acts
         acts[..., : self.input_dim] = X
-        acts[..., self._ones] = 1.0
-        tape = []
-        for quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _ in self._layers:
+        matrices = []
+        for layer, (product, X2, _, P, Q, _) in zip(self._layers, work.layers):
+            quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _ = layer
             X1 = acts[..., inp]
             Z = acts[..., out]
-            X2 = P = Q = M = None
+            M = None
             if quadratic:
-                X2 = X1 * X1
-                P = X1 @ W
-                Q = X1 @ W_g
+                np.multiply(X1, X1, out=X2)
+                np.matmul(X1, W, out=P)
+                np.matmul(X1, W_g, out=Q)
                 np.multiply(P, Q, out=Z)
-                Z += X2 @ W_b
+                Z += np.matmul(X2, W_b, out=product)
             else:
                 np.matmul(X1, W, out=Z)
             if sc is not None:
@@ -419,33 +499,42 @@ class PackedNetwork:
                 size = shape[0] * shape[1] * shape[2]
                 M = np.bincount(all_cells, self.params[:, wpos].ravel(), size)
                 M = M.reshape(shape)
-                Z += acts[..., : shape[1]] @ M
+                Z += np.matmul(acts[..., : shape[1]], M, out=product)
             if relu:
                 np.maximum(Z, 0.0, out=Z)
-            tape.append((X2, P, Q, M))
-        return acts[..., out], (acts, tape)
+            matrices.append(M)
+        self._passes += 1
+        self._open_tape = self._passes
+        return acts[..., out].copy(), (self._passes, matrices)
 
     def backward(self, tape, upstream: np.ndarray) -> np.ndarray:
         """Gradient of sum_b upstream[r, b] . output[r, b] w.r.t. each
         restart's trainable parameters, shape (R, T).
 
         upstream has the output's shape (R, B, output_dim).  Runs from the
-        intermediates of the forward pass that made `tape`, overwriting
-        them, so a tape serves one call.  For a quadratic neuron with
+        work buffers as the forward pass that made `tape` left them and
+        overwrites them, so a tape serves one call, and a tape older than
+        the latest forward pass is refused.  For a quadratic neuron with
         p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x, dh/db_r = q,
         dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
         """
-        acts, layers = tape
-        if len(layers) != len(self._layers):
+        number, matrices = tape
+        if number != self._passes:
+            raise ValueError("stale tape: a later forward pass overwrote its buffers")
+        if number != self._open_tape:
             raise ValueError("a tape serves one backward pass")
-        grad_acts = np.zeros_like(acts)
+        self._open_tape = 0
+        work = self._work
+        acts, grad_acts = work.acts, work.grad_acts
+        grad_acts.fill(0.0)
         grad_acts[..., self._layers[-1].out] = upstream
         grad = self._grad
         for k in range(len(self._layers) - 1, -1, -1):
             quadratic, relu, inp, out, _, (W_t, W_gt, W_bt), (G, G_g, G_b), sc, overwrite = (
                 self._layers[k]
             )
-            X2, P, Q, M = layers.pop()
+            M = matrices[k]
+            _, X2, twice, P, Q, T = work.layers[k]
             X1 = acts[..., inp]
             X1_t = X1.swapaxes(1, 2)
             d = grad_acts[..., out]
@@ -469,10 +558,12 @@ class PackedNetwork:
             if overwrite:
                 np.matmul(dq, W_t, out=g_inp)
             else:
-                g_inp += dq @ W_t
+                g_inp += np.matmul(dq, W_t, out=T)
             if quadratic:
-                g_inp += dp @ W_gt
-                g_inp += 2.0 * X1[..., :-1] * (d @ W_bt)
+                g_inp += np.matmul(dp, W_gt, out=T)
+                np.multiply(X1[..., :-1], 2.0, out=twice)
+                np.matmul(d, W_bt, out=T)
+                g_inp += np.multiply(twice, T, out=T)
         return grad[:, self.theta_index]
 
     def loss_and_grad(self, theta, X: np.ndarray, loss):
@@ -589,23 +680,91 @@ def _neuron_to_dict(neuron: Neuron) -> dict:
     return {"kind": "passthrough", "index": neuron.index}
 
 
-def _neuron_from_dict(d: dict) -> Neuron:
-    kind = d["kind"]
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list"}
+
+
+def _field(d, key: str, kind: type):
+    """d[key], required to be of JSON type kind; a float field takes integers too."""
+    if type(d) is not dict:
+        raise ValueError(f"expected an object, got {d!r}")
+    try:
+        value = d[key]
+    except KeyError:
+        raise ValueError(f"lacks {key!r}") from None
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ValueError(f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def _neuron_from_dict(d) -> Neuron:
+    kind = _field(d, "kind", str)
     if kind == "passthrough":
-        return PassthroughNeuron(d["index"])
-    params = np.asarray(d["params"], dtype=np.float64)
+        return PassthroughNeuron(_field(d, "index", int))
+    if kind not in ("quadratic", "conventional"):
+        raise ValueError(f"unknown neuron kind {kind!r}")
+    values = _field(d, "params", list)
+    params = np.array(values)
+    if params.ndim != 1 or params.dtype.kind not in "fiu":
+        raise ValueError(f"'params' must hold numbers only, got {values!r}")
+    params = params.astype(np.float64, copy=False)
     if kind == "quadratic":
-        if (len(params) - 3) % 3:
-            raise ValueError("quadratic neuron parameter count must be 3n + 3")
+        if len(params) < 6 or (len(params) - 3) % 3:
+            raise ValueError("quadratic neuron parameter count must be 3n + 3, n >= 1")
         n = (len(params) - 3) // 3
         return QuadraticNeuron(
             w_r=params[0:n], b_r=params[n],
             w_g=params[n + 1 : 2 * n + 1], b_g=params[2 * n + 1],
             w_b=params[2 * n + 2 : 3 * n + 2], c=params[3 * n + 2],
         )
-    if kind == "conventional":
-        return ConventionalNeuron(w=params[:-1], b=params[-1])
-    raise ValueError(f"unknown neuron kind {kind!r}")
+    if len(params) < 2:
+        raise ValueError("conventional neuron parameter count must be n + 1, n >= 1")
+    return ConventionalNeuron(w=params[:-1], b=params[-1])
+
+
+_SHORTCUT_FIELDS = {"src_layer": int, "src_neuron": int, "dst_layer": int,
+                    "dst_neuron": int, "weight": float, "trainable": bool}
+
+
+def _shortcut_from_dict(d) -> Shortcut:
+    fields = {key: _field(d, key, kind) for key, kind in _SHORTCUT_FIELDS.items()}
+    unknown = sorted(d.keys() - fields.keys())
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return Shortcut(**fields)
+
+
+def _mask_from_list(m) -> np.ndarray:
+    # True, False, 1.0 and 0.0 compare equal to 1 and 0 and pass too
+    try:
+        ok = type(m) is list and set(m) <= {0, 1}
+    except TypeError:  # an entry that is itself a list or an object
+        ok = False
+    if not ok:
+        raise ValueError(f"mask must be a list of 0 and 1 entries, got {m!r}")
+    return np.asarray(m, dtype=bool)
+
+
+def _layer_from_dict(d) -> LayerSpec:
+    neurons = _each(_field(d, "neurons", list), "neuron", _neuron_from_dict)
+    return LayerSpec(neurons, _field(d, "activation", str))
+
+
+def _masks_from_list(layer_masks) -> list[np.ndarray]:
+    if not isinstance(layer_masks, list):
+        raise ValueError(f"expected a list of masks, got {layer_masks!r}")
+    return _each(layer_masks, "neuron", _mask_from_list)
+
+
+def _each(items: list, name: str, parse) -> list:
+    """parse applied to each item; a ValueError gets the item's name and index."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(parse(item))
+        except ValueError as exc:
+            raise ValueError(f"{name} {i}: {exc}") from None
+    return out
 
 
 def to_json(net: NetworkSpec) -> str:
@@ -650,8 +809,20 @@ def to_json(net: NetworkSpec) -> str:
 _JSON_KEYS = ("input_dim", "layers", "shortcuts", "masks")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"network JSON holds the non-finite number {name}")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def from_json(text: str) -> NetworkSpec:
-    doc = json.loads(text)
+    """Parse a network written by to_json.
+
+    A malformed document raises ValueError naming the layer, neuron,
+    shortcut or mask at fault.
+    """
+    doc = _DECODER.decode(text)
     if not isinstance(doc, dict):
         raise ValueError(
             f"network JSON must be an object, got {type(doc).__name__}"
@@ -659,16 +830,15 @@ def from_json(text: str) -> NetworkSpec:
     missing = [key for key in _JSON_KEYS if key not in doc]
     if missing:
         raise ValueError(f"network JSON lacks {', '.join(missing)}")
-    layers = [
-        LayerSpec(
-            neurons=[_neuron_from_dict(d) for d in layer["neurons"]],
-            activation=layer["activation"],
-        )
-        for layer in doc["layers"]
-    ]
-    shortcuts = [Shortcut(**d) for d in doc["shortcuts"]]
-    masks = [
-        [np.asarray(m, dtype=bool) for m in layer_masks]
-        for layer_masks in doc["masks"]
-    ]
-    return NetworkSpec(doc["input_dim"], layers, shortcuts, masks)
+    try:
+        input_dim = _field(doc, "input_dim", int)
+        for key in _JSON_KEYS[1:]:
+            _field(doc, key, list)
+    except ValueError as exc:
+        raise ValueError(f"network JSON: {exc}") from None
+    return NetworkSpec(
+        input_dim,
+        _each(doc["layers"], "layer", _layer_from_dict),
+        _each(doc["shortcuts"], "shortcut", _shortcut_from_dict),
+        _each(doc["masks"], "masks of layer", _masks_from_list),
+    )

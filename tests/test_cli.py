@@ -193,3 +193,30 @@ class TestUsage:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["width-sweep", "--samples", "0"],
+        ["width-sweep", "--dims", "0"],
+        ["width-sweep", "--dims", "2,0"],
+        ["width-sweep", "--seeds", "0"],
+        ["rings", "--n-per-class", "0"],
+        ["rings", "--grid-n", "0"],
+        ["factor-train", "--samples", "1"],
+        ["poly", "--coeffs", "1", "1", "--points", "0"],
+        ["radial-deep", "--input-dim", "0"],
+        ["radial-deep", "--grid-n", "1"],
+        ["bernstein", "--grid-n", "0"],
+        ["bernstein", "--net-n", "0"],
+        ["width-sweep", "--annuli", "-1"],
+        ["rings", "--seed", "-1"],
+        ["factor-train", "--seed", "-1"],
+        ["width-sweep", "--seed", "-1"],
+        ["poly", "--coeffs", "1", "1", "--seed", "-1"],
+    ])
+    def test_count_flags_checked_at_parse_time(self, argv, tmp_path, capsys):
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()

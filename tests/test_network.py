@@ -1,5 +1,8 @@
 """Forward/backward evaluation, shortcuts, masks, and serialization."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from qnn.network import (
     forward,
     forward_batch,
     from_json,
+    one_hidden_quadratic,
     parameter_count,
     set_trainable_values,
     single_quadratic_net,
@@ -264,6 +268,76 @@ class TestPackedNetwork:
         with pytest.raises(ValueError):
             packed.backward(tape, np.ones((2, net.output_dim)))
 
+    def test_tape_of_an_earlier_pass_refused(self, net_factory):
+        net = net_factory(np.random.default_rng(25))
+        packed = PackedNetwork(net)
+        _, first = packed.forward(np.ones((2, net.input_dim)))
+        _, second = packed.forward(np.zeros((3, net.input_dim)))
+        with pytest.raises(ValueError, match="stale"):
+            packed.backward(first, np.ones((1, 2, net.output_dim)))
+        packed.backward(second, np.ones((1, 3, net.output_dim)))
+
+    def test_output_survives_later_passes(self, net_factory):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            net = net_factory(rng)
+            packed = PackedNetwork(net)
+            packed.set_theta(rng.normal(size=(1, trainable_count(net))))
+            X = rng.normal(size=(5, net.input_dim))
+            out, _ = packed.forward(X)
+            kept = out.copy()
+            packed.forward(rng.normal(size=(5, net.input_dim)))
+            packed.forward(rng.normal(size=(4, net.input_dim)))
+            np.testing.assert_array_equal(out, kept)
+
+    def test_warm_step_allocates_no_large_array(self):
+        """Once its buffers exist, a training step allocates less than one
+        (B, width) float64 array."""
+        B, width = 4096, 32
+        net = one_hidden_quadratic(4, width)
+        rng = np.random.default_rng(27)
+        X, y = rng.normal(size=(B, 4)), rng.normal(size=B)
+
+        def loss(out):
+            err = out[..., 0] - y
+            return np.mean(err * err, axis=-1), (2.0 * err / B)[..., None]
+
+        packed = PackedNetwork(net)
+        theta = rng.uniform(-0.5, 0.5, size=(1, trainable_count(net)))
+        packed.loss_and_grad(theta, X, loss)
+        tracemalloc.start()
+        try:
+            packed.loss_and_grad(theta, X, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B * width * 8
+
+    def test_restart_rows_match_one_row_executors_across_steps(self, net_factory):
+        """Two consecutive descent steps on the reused buffers: each row of
+        an R=3 executor keeps equal to its own one-row executor."""
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            net = net_factory(rng)
+            X = rng.normal(size=(6, net.input_dim))
+            Y = rng.normal(size=(6, net.output_dim))
+
+            def loss(out):
+                return np.sum((out - Y) ** 2, axis=(-2, -1)), 2.0 * (out - Y)
+
+            theta = rng.normal(size=(3, trainable_count(net)))
+            rows = theta.copy()
+            stacked = PackedNetwork(net, restarts=3)
+            singles = [PackedNetwork(net) for _ in range(3)]
+            for _ in range(2):
+                _, grad = stacked.loss_and_grad(theta, X, loss)
+                for i, single in enumerate(singles):
+                    _, grad_i = single.loss_and_grad(rows[i : i + 1], X, loss)
+                    np.testing.assert_array_equal(grad[i], grad_i[0])
+                    rows[i] -= 1e-3 * grad_i[0]
+                theta -= 1e-3 * grad
+                np.testing.assert_array_equal(theta, rows)
+
     def test_loss_matches_forward_batch(self, net_factory):
         rng = np.random.default_rng(22)
         for _ in range(50):
@@ -344,6 +418,20 @@ class TestParameters:
         assert to_json(net) == snapshot
 
 
+def _edit(path, *value):
+    """An edit of a JSON document: the entry at path becomes value, or is
+    removed when no value is given."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value:
+            doc[last] = value[0]
+        else:
+            del doc[last]
+    return edit
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, net_factory):
         rng = np.random.default_rng(17)
@@ -395,6 +483,48 @@ class TestSerialization:
     ])
     def test_malformed_document_rejected(self, text, problem):
         with pytest.raises(ValueError, match=problem):
+            from_json(text)
+
+    @staticmethod
+    def _valid_document() -> dict:
+        layers = [
+            LayerSpec([norm_neuron(1), PassthroughNeuron(0)], "relu"),
+            LayerSpec([ConventionalNeuron(w=[1.0, -1.0], b=0.5)], "identity"),
+        ]
+        net = NetworkSpec(1, layers, [Shortcut(0, 1, 1, 0, weight=0.25)])
+        return json.loads(to_json(net))
+
+    @pytest.mark.parametrize("edit, problem", [
+        (_edit(["layers", 1, "neurons"]), "layer 1: lacks 'neurons'"),
+        (_edit(["layers", 0, "neurons", 0, "params"]), "layer 0: neuron 0: lacks 'params'"),
+        (_edit(["layers", 0, "neurons", 0, "params"], [1.0, "2", 0, 0, 0, 0]),
+         "layer 0: neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 0, "neurons", 0, "params"], []), "layer 0: neuron 0: .*3n \\+ 3"),
+        (_edit(["layers", 1, "neurons", 0, "params"], [1.0]), "layer 1: neuron 0: .*n \\+ 1"),
+        (_edit(["layers", 0, "neurons", 1, "index"], "0"), "layer 0: neuron 1: 'index'"),
+        (_edit(["layers", 0, "neurons", 1], 7), "layer 0: neuron 1: expected an object"),
+        (_edit(["layers", 0, "activation"], None), "layer 0: 'activation'"),
+        (_edit(["shortcuts", 0, "bogus"], 1), "shortcut 0: unknown key 'bogus'"),
+        (_edit(["shortcuts", 0, "weight"]), "shortcut 0: lacks 'weight'"),
+        (_edit(["shortcuts", 0, "trainable"], 1), "shortcut 0: 'trainable'"),
+        (_edit(["shortcuts", 0, "src_layer"], 0.0), "shortcut 0: 'src_layer'"),
+        (_edit(["input_dim"], "1"), "input_dim' must be an integer"),
+        (_edit(["layers"], {}), "'layers' must be a list"),
+        (_edit(["masks", 1, 0, 1], 2), "masks of layer 1: neuron 0: .*0 and 1"),
+        (_edit(["masks", 0, 0, 0], 0.5), "masks of layer 0: neuron 0"),
+        (_edit(["masks", 0], 1), "masks of layer 0: expected a list"),
+    ])
+    def test_malformed_part_named(self, edit, problem):
+        doc = self._valid_document()
+        from_json(json.dumps(doc))
+        edit(doc)
+        with pytest.raises(ValueError, match=problem):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, literal):
+        text = json.dumps(self._valid_document()).replace("0.25", literal)
+        with pytest.raises(ValueError, match="non-finite"):
             from_json(text)
 
 
