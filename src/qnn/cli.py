@@ -1,9 +1,13 @@
 """Experiment harness: desk-scale runs emitting CSV/JSON (and optional SVG).
 
-Every command seeds all randomness from its flags, writes its artifacts into
-a fresh timestamped directory, and drops a report.json echoing the full
-configuration, so a run can be repeated bit-identically.  Exit code is 0
-exactly when every declared metric came out finite.
+Every command seeds all randomness from its flags.  ``main`` owns the run: a
+bad flag exits 2 before anything is written; otherwise it makes a fresh
+timestamped directory, starts the clock and hands the command a
+``RunReport``, whose ``artifact(name)`` gives each output its path.  A command
+returns None, or an exit code to stop without a report; ``main`` then writes
+a report.json echoing the full configuration, so a run can be repeated
+bit-identically.  Exit code is 0 exactly when every declared metric came out
+finite.
 """
 
 from __future__ import annotations
@@ -88,9 +92,16 @@ def ball_samples(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
 class RunReport:
     experiment: str
     config: dict
+    run_dir: Path
     metrics: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
     wall_time_s: float = 0.0
+
+    def artifact(self, name: str) -> Path:
+        """The path of artifact `name` in the run directory, recorded in the report."""
+        path = self.run_dir / name
+        self.artifacts.append(str(path))
+        return path
 
     def finite(self) -> bool:
         return all(np.isfinite(v) for v in self.metrics.values())
@@ -107,6 +118,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_svg(path: Path, width: int, height: int, shapes: list[str]) -> None:
+    """A white width x height canvas holding the given SVG elements."""
+    path.write_text("\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *shapes,
+        "</svg>",
+    ]))
 
 
 def _write_svg_lines(path: Path, series, width=640, height=420, margin=40) -> None:
@@ -126,17 +147,13 @@ def _write_svg_lines(path: Path, series, width=640, height=420, margin=40) -> No
     def sy(y):
         return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    shapes = []
     for xs, ys, color in series:
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
+        shapes.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    _write_svg(path, width, height, shapes)
 
 
 def _write_svg_scatter(path: Path, points, width=480, height=480, margin=30) -> None:
@@ -150,16 +167,10 @@ def _write_svg_scatter(path: Path, points, width=480, height=480, margin=30) -> 
     def s(v):
         return margin + (v - lo) / span * (width - 2 * margin)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for (x, y), color in points:
-        parts.append(
-            f'<circle cx="{s(x):.2f}" cy="{height - s(y):.2f}" r="3" fill="{color}"/>'
-        )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    _write_svg(path, width, height, [
+        f'<circle cx="{s(x):.2f}" cy="{height - s(y):.2f}" r="3" fill="{color}"/>'
+        for (x, y), color in points
+    ])
 
 
 def _make_run_dir(out_dir: str | None, name: str) -> Path:
@@ -170,24 +181,13 @@ def _make_run_dir(out_dir: str | None, name: str) -> Path:
     return run
 
 
-def _finish(report: RunReport, run_dir: Path, started: float) -> int:
+def _finish(report: RunReport, started: float) -> int:
     report.wall_time_s = time.perf_counter() - started
-    (run_dir / "report.json").write_text(
-        json.dumps(
-            {
-                "experiment": report.experiment,
-                "config": report.config,
-                "metrics": report.metrics,
-                "artifacts": report.artifacts,
-                "wall_time_s": report.wall_time_s,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    fields = {k: v for k, v in vars(report).items() if k != "run_dir"}
+    (report.run_dir / "report.json").write_text(json.dumps(fields, indent=2, sort_keys=True))
     for key in sorted(report.metrics):
         print(f"{report.experiment} {key} = {_fmt(report.metrics[key])}")
-    print(f"run directory: {run_dir}")
+    print(f"run directory: {report.run_dir}")
     if not report.finite():
         print("error: non-finite metric in report", file=sys.stderr)
         return 1
@@ -204,11 +204,7 @@ def _config_echo(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rings(args) -> int:
-    started = time.perf_counter()
-    run_dir = _make_run_dir(args.out_dir, "rings")
-    report = RunReport("rings", _config_echo(args))
-
+def cmd_rings(args, report: RunReport) -> None:
     data = make_rings_dataset(
         args.n_per_class, args.r_inner, args.r_outer, args.noise, args.seed
     )
@@ -237,24 +233,20 @@ def cmd_rings(args) -> int:
         acc, _ = fit(one_hidden_conventional(2, width), f"conventional-{width}")
         report.metrics[f"accuracy_conventional_w{width}"] = acc
 
-    acc_csv = run_dir / "accuracy.csv"
-    _write_csv(acc_csv, ["model", "restart", "accuracy", "final_loss"], rows)
-    report.artifacts.append(str(acc_csv))
+    _write_csv(report.artifact("accuracy.csv"),
+               ["model", "restart", "accuracy", "final_loss"], rows)
 
     # decision scores of the best quadratic model on a square grid
     grid = np.linspace(-(args.r_outer + 0.5), args.r_outer + 0.5, args.grid_n)
     gx, gy = np.meshgrid(grid, grid)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     scores = forward_batch(quad_net, pts)[:, 0]
-    boundary_csv = run_dir / "boundary.csv"
     _write_csv(
-        boundary_csv,
+        report.artifact("boundary.csv"),
         ["x1", "x2", "score"],
         zip(pts[:, 0], pts[:, 1], scores),
     )
-    report.artifacts.append(str(boundary_csv))
-    (run_dir / "quadratic_net.json").write_text(to_json(quad_net))
-    report.artifacts.append(str(run_dir / "quadratic_net.json"))
+    report.artifact("quadratic_net.json").write_text(to_json(quad_net))
 
     if args.svg:
         preds = forward_batch(quad_net, data.inputs)[:, 0]
@@ -262,89 +254,64 @@ def cmd_rings(args) -> int:
             ((x[0], x[1]), "#d62728" if s >= 0 else "#1f77b4")
             for x, s in zip(data.inputs, preds)
         ]
-        svg = run_dir / "rings.svg"
-        _write_svg_scatter(svg, pts_colored)
-        report.artifacts.append(str(svg))
-    return _finish(report, run_dir, started)
+        _write_svg_scatter(report.artifact("rings.svg"), pts_colored)
 
 
-def cmd_radial_deep(args) -> int:
-    started = time.perf_counter()
-    run_dir = _make_run_dir(args.out_dir, "radial-deep")
-    report = RunReport("radial-deep", _config_echo(args))
-
+def cmd_radial_deep(args, report: RunReport) -> None:
     t_max = float(RADIAL_BREAKPOINTS[-1])
     grid = GridSpec(0.0, t_max, args.grid_n)
     ts = grid.points()
 
-    part_csv = run_dir / "partition.csv"
     _write_csv(
-        part_csv,
+        report.artifact("partition.csv"),
         ["breakpoint_index", "breakpoint", "height"],
         [
             (i, RADIAL_BREAKPOINTS[i], RADIAL_HEIGHTS[i] if i < len(RADIAL_HEIGHTS) else "")
             for i in range(len(RADIAL_BREAKPOINTS))
         ],
     )
-    report.artifacts.append(str(part_csv))
 
     sweep_rows = []
-    finest_profile = None
-    finest_net = None
     for delta in args.deltas:
         partition = RadialPartition(RADIAL_BREAKPOINTS, RADIAL_HEIGHTS, delta)
         net = build_deep_radial(partition, args.input_dim)
+        # one forward pass per delta: grid_l1 samples both curves at ts
         profile = radial_profile(net, ts)
-        l1_cos = grid_l1(radial_target, lambda t: radial_profile(net, t), grid)
-        l1_step = grid_l1(partition.step_profile, lambda t: radial_profile(net, t), grid)
+        l1_cos = grid_l1(radial_target, lambda t: profile, grid)
+        l1_step = grid_l1(partition.step_profile, lambda t: profile, grid)
         sweep_rows.append((delta, l1_cos, l1_step, net.depth))
         report.metrics[f"l1_vs_cos_delta_{delta:g}"] = l1_cos
         report.metrics[f"l1_vs_step_delta_{delta:g}"] = l1_step
-        finest_profile = profile
-        finest_net = net
+    # net, profile and l1_cos below are those of the last delta
     report.metrics["module_layers"] = float(3 * len(RADIAL_HEIGHTS))
     report.metrics["outside_support_value"] = float(
-        radial_profile(finest_net, np.array([t_max + 1.0]))[0]
+        radial_profile(net, np.array([t_max + 1.0]))[0]
     )
 
-    sweep_csv = run_dir / "l1_sweep.csv"
-    _write_csv(sweep_csv, ["delta", "l1_vs_cos", "l1_vs_step", "total_layers"], sweep_rows)
-    report.artifacts.append(str(sweep_csv))
-
-    curve_csv = run_dir / "curve.csv"
+    _write_csv(report.artifact("l1_sweep.csv"),
+               ["delta", "l1_vs_cos", "l1_vs_step", "total_layers"], sweep_rows)
     _write_csv(
-        curve_csv,
+        report.artifact("curve.csv"),
         ["t", "target", "network"],
-        zip(ts, radial_target(ts), finest_profile),
+        zip(ts, radial_target(ts), profile),
     )
-    report.artifacts.append(str(curve_csv))
 
     if args.oracle:
-        partition = RadialPartition(RADIAL_BREAKPOINTS, RADIAL_HEIGHTS, args.deltas[-1])
-        net = build_deep_radial(partition, args.input_dim)
-        coarse = grid_l1(radial_target, lambda t: radial_profile(net, t), grid)
         fine = grid_l1(
             radial_target,
             lambda t: radial_profile(net, t),
             GridSpec(0.0, t_max, 2 * args.grid_n - 1),
         )
-        report.metrics["oracle_quadrature_gap"] = abs(coarse - fine)
+        report.metrics["oracle_quadrature_gap"] = abs(l1_cos - fine)
 
     if args.svg:
-        svg = run_dir / "radial.svg"
         _write_svg_lines(
-            svg,
-            [(ts, radial_target(ts), "#1f77b4"), (ts, finest_profile, "#d62728")],
+            report.artifact("radial.svg"),
+            [(ts, radial_target(ts), "#1f77b4"), (ts, profile, "#d62728")],
         )
-        report.artifacts.append(str(svg))
-    return _finish(report, run_dir, started)
 
 
-def cmd_poly(args) -> int:
-    started = time.perf_counter()
-    run_dir = _make_run_dir(args.out_dir, "poly")
-    report = RunReport("poly", _config_echo(args))
-
+def cmd_poly(args, report: RunReport) -> int | None:
     p = Polynomial(np.asarray(args.coeffs, dtype=np.float64))
     if p.degree < 1:
         print("error: polynomial must have degree >= 1", file=sys.stderr)
@@ -355,12 +322,10 @@ def cmd_poly(args) -> int:
         print(f"error: factorization failed: {exc}", file=sys.stderr)
         return 1
 
-    (run_dir / "factored_form.json").write_text(form.to_json())
-    report.artifacts.append(str(run_dir / "factored_form.json"))
+    report.artifact("factored_form.json").write_text(form.to_json())
 
     net = build_poly_net(form)
-    (run_dir / "network.json").write_text(to_json(net))
-    report.artifacts.append(str(run_dir / "network.json"))
+    report.artifact("network.json").write_text(to_json(net))
 
     report.metrics["degree"] = float(p.degree)
     report.metrics["linear_factors"] = float(len(form.linear_roots))
@@ -379,14 +344,10 @@ def cmd_poly(args) -> int:
         ref = horner(p, xs)
         rel = np.abs(net_vals - ref) / (1.0 + np.abs(ref))
         report.metrics["max_rel_error"] = float(np.max(rel))
-    return _finish(report, run_dir, started)
+    return None
 
 
-def cmd_factor_train(args) -> int:
-    started = time.perf_counter()
-    run_dir = _make_run_dir(args.out_dir, "factor-train")
-    report = RunReport("factor-train", _config_echo(args))
-
+def cmd_factor_train(args, report: RunReport) -> int | None:
     target = factorization_target()
     data = make_poly_dataset(target, args.lo, args.hi, args.samples)
     net = build_factorization_trainable(5, 1, 2)
@@ -411,35 +372,28 @@ def cmd_factor_train(args) -> int:
     fit = forward_batch(trained, xs[:, None])[:, 0]
     report.metrics["sup_error_grid"] = float(np.max(np.abs(fit - horner(target, xs))))
 
-    factors_csv = run_dir / "learned_factors.csv"
     _write_csv(
-        factors_csv,
+        report.artifact("learned_factors.csv"),
         ["factor", "a0", "a1", "a2"],
         [
             (j + 1, *quadratic_coefficients(neuron))
             for j, neuron in enumerate(trained.layers[0].neurons)
         ],
     )
-    report.artifacts.append(str(factors_csv))
 
-    loss_csv = run_dir / "loss_history.csv"
-    _write_csv(loss_csv, ["iteration", "loss"], enumerate(history))
-    report.artifacts.append(str(loss_csv))
+    _write_csv(report.artifact("loss_history.csv"), ["iteration", "loss"], enumerate(history))
 
-    fit_csv = run_dir / "fit.csv"
-    _write_csv(fit_csv, ["x", "target", "network"], zip(xs, horner(target, xs), fit))
-    report.artifacts.append(str(fit_csv))
+    _write_csv(report.artifact("fit.csv"), ["x", "target", "network"],
+               zip(xs, horner(target, xs), fit))
 
-    (run_dir / "trained_net.json").write_text(to_json(trained))
-    report.artifacts.append(str(run_dir / "trained_net.json"))
+    report.artifact("trained_net.json").write_text(to_json(trained))
 
     if args.svg:
-        svg = run_dir / "fit.svg"
         _write_svg_lines(
-            svg, [(xs, horner(target, xs), "#1f77b4"), (xs, fit, "#d62728")]
+            report.artifact("fit.svg"),
+            [(xs, horner(target, xs), "#1f77b4"), (xs, fit, "#d62728")],
         )
-        report.artifacts.append(str(svg))
-    return _finish(report, run_dir, started)
+    return None
 
 
 _BERNSTEIN_TARGETS = {
@@ -449,11 +403,7 @@ _BERNSTEIN_TARGETS = {
 }
 
 
-def cmd_bernstein(args) -> int:
-    started = time.perf_counter()
-    run_dir = _make_run_dir(args.out_dir, "bernstein")
-    report = RunReport("bernstein", _config_echo(args))
-
+def cmd_bernstein(args, report: RunReport) -> int | None:
     f = _BERNSTEIN_TARGETS[args.target]
     grid = np.linspace(0.0, 1.0, args.grid_n)
     target_vals = np.array([f(x) for x in grid])
@@ -464,14 +414,11 @@ def cmd_bernstein(args) -> int:
         sup = float(np.max(np.abs(approx - target_vals)))
         sweep_rows.append((n, sup))
         report.metrics[f"sup_error_n{n}"] = sup
-    sweep_csv = run_dir / "sweep.csv"
-    _write_csv(sweep_csv, ["n", "sup_error"], sweep_rows)
-    report.artifacts.append(str(sweep_csv))
+    _write_csv(report.artifact("sweep.csv"), ["n", "sup_error"], sweep_rows)
 
     # exact network for the expanded approximant at one chosen degree
     poly = bernstein_coeffs(f, args.net_n)
-    (run_dir / "coefficients.json").write_text(poly.to_json())
-    report.artifacts.append(str(run_dir / "coefficients.json"))
+    report.artifact("coefficients.json").write_text(poly.to_json())
     if poly.degree >= 1:
         try:
             form = factor_polynomial(poly)
@@ -489,16 +436,11 @@ def cmd_bernstein(args) -> int:
             report.metrics["net_vs_direct_sup"] = float(
                 np.max(np.abs(net_vals - direct))
             )
-        (run_dir / "network.json").write_text(to_json(net))
-        report.artifacts.append(str(run_dir / "network.json"))
-    return _finish(report, run_dir, started)
+        report.artifact("network.json").write_text(to_json(net))
+    return None
 
 
-def cmd_width_sweep(args) -> int:
-    started = time.perf_counter()
-    run_dir = _make_run_dir(args.out_dir, "width-sweep")
-    report = RunReport("width-sweep", _config_echo(args))
-
+def cmd_width_sweep(args, report: RunReport) -> None:
     rows = []
     wins_key_width = 8
     for dim in args.dims:
@@ -531,19 +473,12 @@ def cmd_width_sweep(args) -> int:
                 wins += 1
         if wins_key_width in args.widths:
             report.metrics[f"quad_wins_w{wins_key_width}_d{dim}"] = float(wins)
-    sweep_csv = run_dir / "width_mse.csv"
-    _write_csv(sweep_csv, ["dim", "seed", "kind", "width", "mse"], rows)
-    report.artifacts.append(str(sweep_csv))
-    return _finish(report, run_dir, started)
+    _write_csv(report.artifact("width_mse.csv"), ["dim", "seed", "kind", "width", "mse"], rows)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.replace(",", " ").split()]
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -570,6 +505,35 @@ def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(v) for v in text.replace(",", " ").split()]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {value:g}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {value:g}")
+    return value
+
+
+def _delta_list(text: str) -> list[float]:
+    """Ramp parameters of the deep radial modules, each in (0, 1/2)."""
+    values = [_finite_float(v) for v in text.replace(",", " ").split()]
+    if not values or not all(0.0 < v < 0.5 for v in values):
+        raise argparse.ArgumentTypeError(f"expected deltas in (0, 1/2), got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnn",
@@ -585,20 +549,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rings", help="separate two concentric rings")
     common(p)
     p.add_argument("--n-per-class", type=_positive_int, default=60)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--r-inner", type=float, default=1.0)
-    p.add_argument("--r-outer", type=float, default=2.0)
+    p.add_argument("--noise", type=_non_negative_float, default=0.1)
+    p.add_argument("--r-inner", type=_positive_float, default=1.0)
+    p.add_argument("--r-outer", type=_positive_float, default=2.0)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=5)
     p.add_argument("--iterations", type=_positive_int, default=1500)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--learning-rate", type=_positive_float, default=0.1)
     p.add_argument("--conv-widths", type=_positive_int_list, default=[1, 2, 4, 6])
     p.add_argument("--grid-n", type=_positive_int, default=41)
     p.set_defaults(func=cmd_rings)
 
     p = sub.add_parser("radial-deep", help="stacked truncated-parabola approximator")
     common(p)
-    p.add_argument("--deltas", type=_float_list, default=[0.4, 0.2, 0.1, 0.05])
+    p.add_argument("--deltas", type=_delta_list, default=[0.4, 0.2, 0.1, 0.05])
     p.add_argument("--grid-n", type=_two_or_more, default=2001)
     p.add_argument("--input-dim", type=_positive_int, default=2)
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
@@ -606,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="factor a polynomial and build its exact network")
     common(p)
-    p.add_argument("--coeffs", type=float, nargs="+", required=True,
+    p.add_argument("--coeffs", type=_finite_float, nargs="+", required=True,
                    help="coefficients, lowest degree first")
     p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -618,12 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=10)
-    p.add_argument("--learning-rate", type=float, default=2.0e-3)
+    p.add_argument("--learning-rate", type=_positive_float, default=2.0e-3)
     p.add_argument("--iterations", type=_positive_int, default=600)
     p.add_argument("--samples", type=_two_or_more, default=100)
-    p.add_argument("--lo", type=float, default=-1.0)
-    p.add_argument("--hi", type=float, default=0.0)
-    p.add_argument("--init-scale", type=float, default=0.5)
+    p.add_argument("--lo", type=_finite_float, default=-1.0)
+    p.add_argument("--hi", type=_finite_float, default=0.0)
+    p.add_argument("--init-scale", type=_positive_float, default=0.5)
     p.set_defaults(func=cmd_factor_train)
 
     p = sub.add_parser("bernstein", help="polynomial approximants of a named target")
@@ -642,10 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_positive_int, default=5)
     p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--iterations", type=_positive_int, default=400)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--learning-rate", type=_positive_float, default=0.1)
     p.add_argument("--restarts", type=_positive_int, default=3)
     p.add_argument("--annuli", type=_non_negative_int, default=3)
-    p.add_argument("--radius", type=float, default=2.0)
+    p.add_argument("--radius", type=_positive_float, default=2.0)
     p.add_argument("--seed", type=_non_negative_int, default=100)
     p.set_defaults(func=cmd_width_sweep)
 
@@ -653,8 +617,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "factor-train" and args.lo >= args.hi:
+        parser.error("--lo must be below --hi")
+    if args.command == "rings" and args.r_inner >= args.r_outer:
+        parser.error("--r-inner must be below --r-outer")
+    started = time.perf_counter()
+    run_dir = _make_run_dir(args.out_dir, args.command)
+    report = RunReport(args.command, _config_echo(args), run_dir)
+    code = args.func(args, report)
+    return _finish(report, started) if code is None else code
 
 
 if __name__ == "__main__":

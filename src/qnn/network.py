@@ -181,13 +181,25 @@ def _forward_cached(net: NetworkSpec, X: np.ndarray):
     return preacts, acts
 
 
-def forward_batch(net: NetworkSpec, X) -> np.ndarray:
-    """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim)."""
+def _check_batch(net: NetworkSpec, X, upstream=None):
+    """X as a (B, input_dim) float64 array and, when given, upstream as (B, output_dim)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ValueError(
             f"expected batch of shape (B, {net.input_dim}), got {X.shape}"
         )
+    if upstream is not None:
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != (X.shape[0], net.output_dim):
+            raise ValueError(
+                f"expected upstream of shape ({X.shape[0]}, {net.output_dim})"
+            )
+    return X, upstream
+
+
+def forward_batch(net: NetworkSpec, X) -> np.ndarray:
+    """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim)."""
+    X, _ = _check_batch(net, X)
     _, acts = _forward_cached(net, X)
     return acts[-1]
 
@@ -591,16 +603,7 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     parameters receive no entry.  Exact chain-rule derivatives, computed by
     PackedNetwork.backward.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise ValueError(
-            f"expected batch of shape (B, {net.input_dim}), got {X.shape}"
-        )
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (X.shape[0], net.output_dim):
-        raise ValueError(
-            f"expected upstream of shape ({X.shape[0]}, {net.output_dim})"
-        )
+    X, upstream = _check_batch(net, X, upstream)
     packed = PackedNetwork(net)
     _, tape = packed.forward(X)
     return packed.backward(tape, upstream[None])[0]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .network import (
     NetworkSpec,
+    _check_batch,
     _forward_cached,
     _iter_neuron_entries,
     forward,
@@ -102,16 +103,7 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     dh/dw_r = q x, dh/db_r = q, dh/dw_g = p x, dh/db_g = p,
     dh/dw_b = x*x, dh/dc = 1.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise ValueError(
-            f"expected batch of shape (B, {net.input_dim}), got {X.shape}"
-        )
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (X.shape[0], net.output_dim):
-        raise ValueError(
-            f"expected upstream of shape ({X.shape[0]}, {net.output_dim})"
-        )
+    X, upstream = _check_batch(net, X, upstream)
 
     preacts, acts = _forward_cached(net, X)
     n_layers = len(net.layers)

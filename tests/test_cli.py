@@ -156,6 +156,37 @@ class TestFactorTrain:
         assert code == 1
 
 
+# Small but complete runs of every command, each writing all its artifacts.
+LIFECYCLE_ARGV = {
+    "rings": ["rings", "--iterations", "40", "--restarts", "2", "--conv-widths", "1",
+              "--grid-n", "5", "--svg"],
+    "radial-deep": ["radial-deep", "--grid-n", "101", "--deltas", "0.3,0.1", "--svg"],
+    "poly": ["poly", "--coeffs", "-1", "1", "-1", "1", "--points", "50"],
+    "factor-train": ["factor-train", "--iterations", "20", "--restarts", "2",
+                     "--samples", "20", "--svg"],
+    "bernstein": ["bernstein", "--n-sweep", "4,8", "--net-n", "4", "--grid-n", "51"],
+    "width-sweep": ["width-sweep", "--widths", "2", "--dims", "2", "--seeds", "1",
+                    "--iterations", "10", "--samples", "20", "--restarts", "1"],
+}
+
+
+class TestRunLifecycle:
+    @pytest.mark.parametrize("argv", LIFECYCLE_ARGV.values(), ids=list(LIFECYCLE_ARGV))
+    def test_repeat_run_is_identical_and_lists_its_artifacts(self, argv, tmp_path):
+        code1, dir1 = run(tmp_path / "first", *argv)
+        code2, dir2 = run(tmp_path / "second", *argv)
+        assert code1 == code2 == 0
+        names = sorted(p.name for p in dir1.iterdir())
+        assert names == sorted(p.name for p in dir2.iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes(), name
+        report = read_report(dir1)
+        assert report["experiment"] == argv[0]
+        written = [str(dir1 / name) for name in names if name != "report.json"]
+        assert sorted(report["artifacts"]) == written
+
+
 class TestOutputDirectory:
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNN_OUT_DIR", str(tmp_path / "from-env"))
@@ -212,6 +243,24 @@ class TestUsage:
         ["factor-train", "--seed", "-1"],
         ["width-sweep", "--seed", "-1"],
         ["poly", "--coeffs", "1", "1", "--seed", "-1"],
+        ["rings", "--noise", "-1"],
+        ["rings", "--r-inner", "0"],
+        ["rings", "--r-inner", "3"],
+        ["rings", "--r-outer", "inf"],
+        ["rings", "--learning-rate", "-0.1"],
+        ["factor-train", "--learning-rate", "0"],
+        ["factor-train", "--learning-rate", "nan"],
+        ["factor-train", "--init-scale", "-1"],
+        ["factor-train", "--lo", "1", "--hi", "0"],
+        ["factor-train", "--lo", "0", "--hi", "0"],
+        ["factor-train", "--hi", "inf"],
+        ["radial-deep", "--deltas", "0.7"],
+        ["radial-deep", "--deltas", "0.2,0"],
+        ["radial-deep", "--deltas", "0.5"],
+        ["radial-deep", "--deltas", ""],
+        ["poly", "--coeffs", "1", "nan"],
+        ["width-sweep", "--radius", "0"],
+        ["width-sweep", "--learning-rate", "inf"],
     ])
     def test_count_flags_checked_at_parse_time(self, argv, tmp_path, capsys):
         out = tmp_path / "runs"
