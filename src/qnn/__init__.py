@@ -23,7 +23,6 @@ from .network import (
     Shortcut,
     backward,
     backward_batch,
-    copy_network,
     forward,
     forward_batch,
     from_json,
@@ -53,6 +52,7 @@ from .oracles import (
     grid_sup,
     horner,
     reference_backward_batch,
+    reference_forward_batch,
 )
 from .polynomials import (
     FactoredForm,

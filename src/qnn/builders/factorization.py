@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network import LayerSpec, NetworkSpec, Shortcut
-from ..neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
+from ..neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron, neuron_from_params
 from ..polynomials import FactoredForm, Polynomial, factor_polynomial
 
 
@@ -278,13 +278,9 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
             f"l1={l1}, l2={l2} gives {k}"
         )
 
-    def blank_factor() -> QuadraticNeuron:
-        return QuadraticNeuron(
-            w_r=np.zeros(1), b_r=0.0, w_g=np.zeros(1), b_g=0.0,
-            w_b=np.zeros(1), c=0.0,
-        )
-
-    factor_layer = LayerSpec([blank_factor() for _ in range(k)], "identity")
+    factor_layer = LayerSpec(
+        [neuron_from_params("quadratic", np.zeros(6)) for _ in range(k)], "identity"
+    )
     shortcuts: list[Shortcut] = []
 
     if k == 1:

@@ -4,10 +4,10 @@ Every command seeds all randomness from its flags.  ``main`` owns the run: a
 bad flag exits 2 before anything is written; otherwise it makes a fresh
 timestamped directory, starts the clock and hands the command a
 ``RunReport``, whose ``artifact(name)`` gives each output its path.  A command
-returns None, or an exit code to stop without a report; ``main`` then writes
-a report.json echoing the full configuration, so a run can be repeated
-bit-identically.  Exit code is 0 exactly when every declared metric came out
-finite.
+returns None, and ``main`` writes a report.json echoing the full
+configuration, so a run can be repeated bit-identically, or an exit code to
+stop early, and ``main`` removes the run directory.  Exit code is 0 exactly
+when every declared metric came out finite.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -195,7 +196,7 @@ def _finish(report: RunReport, started: float) -> int:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "parser")}
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
 
 
@@ -545,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None,
                        help="artifact directory (default $QNN_OUT_DIR or ./qnn-runs)")
         p.add_argument("--svg", action="store_true", help="also emit SVG plots")
+        p.set_defaults(parser=p)  # reports the cross-flag errors under its usage
 
     p = sub.add_parser("rings", help="separate two concentric rings")
     common(p)
@@ -620,14 +622,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "factor-train" and args.lo >= args.hi:
-        parser.error("--lo must be below --hi")
+        args.parser.error("--lo must be below --hi")
     if args.command == "rings" and args.r_inner >= args.r_outer:
-        parser.error("--r-inner must be below --r-outer")
+        args.parser.error("--r-inner must be below --r-outer")
     started = time.perf_counter()
     run_dir = _make_run_dir(args.out_dir, args.command)
     report = RunReport(args.command, _config_echo(args), run_dir)
     code = args.func(args, report)
-    return _finish(report, started) if code is None else code
+    if code is None:
+        return _finish(report, started)
+    shutil.rmtree(run_dir)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,14 +3,17 @@
 A NetworkSpec is a plain value: an ordered list of layers, optional forward
 shortcut edges, and per-parameter trainability masks.  It is the
 construction and JSON format, and nothing here mutates it: forward/backward
-are pure functions of the spec.  forward_batch evaluates neuron by neuron.
-Training runs on a PackedNetwork instead, the spec compiled once into a flat
-parameter buffer with one row per restart, which the trainer updates in place
-so that every restart advances in the same stacked matmuls.  The executor
-also owns its work arrays (activations, their gradient and the per-layer
-products), made once per batch size, reused by every step and freed with
-it.  backward_batch compiles a one-row executor per call and runs the same
-backward.
+are pure functions of the spec.  _compile turns it into one flat array of
+(3n+3, m) layer blocks, each neuron of any kind a column in quadratic form.
+forward_batch evaluates those blocks layer by layer, trainable_values and
+set_trainable_values gather and scatter on them, and a PackedNetwork copies
+them into one row per restart, which the trainer updates in place so that
+every restart advances in the same stacked matmuls.  The executor also owns
+its work arrays (activations, their gradient and the per-layer products),
+made once per batch size, reused by every step and freed with it.
+backward_batch compiles a one-row executor per call and runs the same
+backward.  The per-neuron forward and backward are the test oracle, in
+oracles.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -19,9 +22,8 @@ quadratic and (w, b) for conventional, with shortcut weights appended last.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,9 +32,7 @@ from .neurons import (
     ConventionalNeuron,
     Neuron,
     PassthroughNeuron,
-    QuadraticNeuron,
-    preactivation,
-    relu,
+    neuron_from_params,
 )
 
 ACTIVATIONS = ("relu", "identity")
@@ -147,38 +147,60 @@ class NetworkSpec:
         return [layer.width for layer in self.layers]
 
 
-def copy_network(net: NetworkSpec) -> NetworkSpec:
-    return copy.deepcopy(net)
+# ---------------------------------------------------------------------------
+# Compiled layer blocks
+# ---------------------------------------------------------------------------
+
+
+def _compile(net: NetworkSpec):
+    """net as one flat float64 array: each layer's (3n+3, m) block, n its
+    fan-in and m its width, then the shortcut weights.
+
+    Block rows are W_r | b_r | W_g | b_g | W_b | c, and column j is neuron j
+    as a quadratic neuron whose canonical parameters fill the leading rows:
+    a conventional neuron (w, b) fills W_r and b_r and gets b_g = 1, and a
+    passthrough, which has none, is the one-hot W_r = e_index with b_g = 1.
+    The zero entries multiply their inputs too, so where an input is inf a
+    pre-activation can be NaN where the per-neuron oracle gives inf or an
+    exact copy.  Returns (params, blocks, quadratic): blocks[k] is layer
+    k's block as a view of params, quadratic[k] whether it holds a
+    quadratic neuron.
+    """
+    fan_in = [net.input_dim] + net.layer_widths()[:-1]
+    sizes = [(3 * n + 3) * layer.width for n, layer in zip(fan_in, net.layers)]
+    params = np.zeros(sum(sizes) + len(net.shortcuts))
+    params[sum(sizes):] = [sc.weight for sc in net.shortcuts]
+    blocks, quadratic = [], []
+    pos = 0
+    for layer, n, size in zip(net.layers, fan_in, sizes):
+        block = params[pos : pos + size].reshape(3 * n + 3, layer.width)
+        pos += size
+        for j, nr in enumerate(layer.neurons):
+            block[: nr.param_count, j] = nr.param_vector()
+            if nr.kind != "quadratic":
+                block[2 * n + 1, j] = 1.0
+            if nr.kind == "passthrough":
+                block[nr.index, j] = 1.0
+        blocks.append(block)
+        quadratic.append(any(nr.kind == "quadratic" for nr in layer.neurons))
+    return params, blocks, quadratic
+
+
+def _theta_index(net: NetworkSpec) -> np.ndarray:
+    """Position in the params of _compile of each canonical trainable value."""
+    index, pos, n = [], 0, net.input_dim
+    for layer, layer_masks in zip(net.layers, net.masks):
+        m = layer.width
+        index += [pos + np.flatnonzero(mask) * m + j for j, mask in enumerate(layer_masks)]
+        pos += (3 * n + 3) * m
+        n = m
+    index.append(pos + np.flatnonzero([sc.trainable for sc in net.shortcuts]))
+    return np.concatenate(index).astype(np.intp)
 
 
 # ---------------------------------------------------------------------------
 # Forward evaluation
 # ---------------------------------------------------------------------------
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    return relu(z) if activation == "relu" else z
-
-
-def _forward_cached(net: NetworkSpec, X: np.ndarray):
-    """Evaluate a batch, returning (preactivations, activations) per layer."""
-    preacts: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
-    incoming: dict[tuple[int, int], list[Shortcut]] = {}
-    for sc in net.shortcuts:
-        incoming.setdefault((sc.dst_layer, sc.dst_neuron), []).append(sc)
-    current = X
-    for k, layer in enumerate(net.layers):
-        Z = np.empty((X.shape[0], layer.width))
-        for j, neuron in enumerate(layer.neurons):
-            z = preactivation(neuron, current)
-            for sc in incoming.get((k, j), ()):
-                z = z + sc.weight * acts[sc.src_layer][:, sc.src_neuron]
-            Z[:, j] = z
-        preacts.append(Z)
-        current = _activate(Z, layer.activation)
-        acts.append(current)
-    return preacts, acts
 
 
 def _check_batch(net: NetworkSpec, X, upstream=None):
@@ -198,10 +220,37 @@ def _check_batch(net: NetworkSpec, X, upstream=None):
 
 
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
-    """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim)."""
+    """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim).
+
+    Runs the compiled blocks layer by layer, Z = (X W_r + b_r) * (X W_g +
+    b_g) + (X * X) W_b + c (the affine part alone where a layer holds no
+    quadratic neuron), adds the incoming shortcuts in list order and applies
+    the activation.  Activations are held transposed, one row per neuron,
+    so that adding a bias or a shortcut runs along the batch.
+    """
     X, _ = _check_batch(net, X)
-    _, acts = _forward_cached(net, X)
-    return acts[-1]
+    _, blocks, quadratic = _compile(net)
+    acts: list[np.ndarray] = []
+    current = X.T
+    for k, (layer, block, quad) in enumerate(zip(net.layers, blocks, quadratic)):
+        n = len(current)
+        Z = block[:n].T @ current
+        Z += block[n][:, None]
+        if quad:
+            Q = block[n + 1 : 2 * n + 1].T @ current
+            Q += block[2 * n + 1][:, None]
+            Z *= Q
+            # the square term reuses Q, so a wide layer holds two (m, B) arrays
+            Z += np.matmul(block[2 * n + 2 : 3 * n + 2].T, current * current, out=Q)
+            Z += block[3 * n + 2][:, None]
+        for sc in net.shortcuts:
+            if sc.dst_layer == k:
+                Z[sc.dst_neuron] += sc.weight * acts[sc.src_layer][sc.src_neuron]
+        if layer.activation == "relu":
+            np.maximum(0.0, Z, out=Z)
+        acts.append(Z)
+        current = Z
+    return np.ascontiguousarray(current.T)
 
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
@@ -217,55 +266,42 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _iter_neuron_entries(net: NetworkSpec):
-    for k, layer in enumerate(net.layers):
-        for j, neuron in enumerate(layer.neurons):
-            yield k, j, neuron, net.masks[k][j]
-
-
 def parameter_count(net: NetworkSpec) -> int:
     """Total parameter count, shortcut weights included."""
-    total = sum(nr.param_count for _, _, nr, _ in _iter_neuron_entries(net))
+    total = sum(nr.param_count for layer in net.layers for nr in layer.neurons)
     return total + len(net.shortcuts)
 
 
 def trainable_count(net: NetworkSpec) -> int:
-    total = sum(int(mask.sum()) for _, _, _, mask in _iter_neuron_entries(net))
-    return total + sum(1 for sc in net.shortcuts if sc.trainable)
+    return len(_theta_index(net))
 
 
 def trainable_values(net: NetworkSpec) -> np.ndarray:
     """Mask-selected parameters in canonical order (shortcut weights last)."""
-    parts = [
-        nr.param_vector()[mask] for _, _, nr, mask in _iter_neuron_entries(net)
-    ]
-    parts.append(np.array([sc.weight for sc in net.shortcuts if sc.trainable]))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    params, _, _ = _compile(net)
+    return params[_theta_index(net)]
 
 
 def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
     """Return a copy of net with its trainable parameters replaced."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (trainable_count(net),):
+    index = _theta_index(net)
+    if values.shape != index.shape:
         raise ValueError(
-            f"expected {trainable_count(net)} trainable values, got {values.shape}"
+            f"expected {len(index)} trainable values, got {values.shape}"
         )
-    out = copy_network(net)
-    pos = 0
-    for k, layer in enumerate(out.layers):
-        for j, neuron in enumerate(layer.neurons):
-            mask = out.masks[k][j]
-            take = int(mask.sum())
-            if take:
-                vec = neuron.param_vector()
-                vec[mask] = values[pos : pos + take]
-                layer.neurons[j] = neuron.with_params(vec)
-                pos += take
-    for sc in out.shortcuts:
-        if sc.trainable:
-            sc.weight = float(values[pos])
-            pos += 1
-    return out
+    params, blocks, _ = _compile(net)
+    params[index] = values
+    layers = []
+    for layer, block in zip(net.layers, blocks):
+        neurons = [PassthroughNeuron(nr.index) if nr.kind == "passthrough"
+                   else neuron_from_params(nr.kind, block[: nr.param_count, j].copy())
+                   for j, nr in enumerate(layer.neurons)]
+        layers.append(LayerSpec(neurons, layer.activation))
+    weights = params[len(params) - len(net.shortcuts) :]
+    shortcuts = [replace(sc, weight=w) for sc, w in zip(net.shortcuts, weights)]
+    masks = [[m.copy() for m in layer_masks] for layer_masks in net.masks]
+    return NetworkSpec(net.input_dim, layers, shortcuts, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +349,25 @@ def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
 class PackedNetwork:
     """A NetworkSpec compiled once into flat float64 parameter buffers.
 
-    `params` has shape (R, P): one row per restart, all compiled from the
-    same spec.  In each row, layer k, with input width n and width m, owns a
-    (3n+3, m) block whose rows are W_r | b_r | W_g | b_g | W_b | c, so
-    column j is neuron j's canonical quadratic parameter vector.  With the
-    input augmented by a column of ones, X1 = [X, 1], a layer is three
-    matmuls,
+    `params` has shape (R, P): one row per restart, each a copy of the
+    layer blocks and shortcut weights of _compile.  With the input
+    augmented by a column of ones, X1 = [X, 1], a layer is three matmuls,
 
         Z = (X1 [W_r; b_r]) * (X1 [W_g; b_g]) + (X1 * X1) [W_b; c]
 
     plus its incoming shortcuts, then the activation.  Every matmul is
     stacked over the restart axis: blocks are (R, 3n+3, m), activations
-    (R, B, width), and one input batch X feeds every restart.  A
-    conventional neuron fills the W_r and b_r rows (its own parameter order
-    maps onto the same rows) and is stored as W_g = 0, b_g = 1, W_b = 0,
-    c = 0; a passthrough neuron is the frozen one-hot column W_r = e_index,
-    b_g = 1.  A layer without quadratic neurons is evaluated as its affine
-    part alone.  Shortcut weights follow the blocks, and `theta_index` maps
-    the canonical trainable vector (shortcut weights last) into a row of
+    (R, B, width), and one input batch X feeds every restart.  A layer
+    without quadratic neurons is evaluated as its affine part alone.
+    Shortcut weights follow the blocks, and `theta_index` maps the
+    canonical trainable vector (shortcut weights last) into a row of
     `params`.
 
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
-    The executor agrees with the per-neuron path to rounding on finite
-    values.  The zero entries of a block multiply every input, so where an
-    input is inf a packed pre-activation can be NaN where forward_batch
-    gives inf or an exact copy; the trainer drops a restart at its first
+    The executor agrees with oracles.reference_forward_batch and
+    reference_backward_batch, the per-neuron path, to rounding on finite
+    values (see _compile for inf); the trainer drops a restart at its first
     non-finite loss.
 
     The executor owns its work arrays, one set for the batch size last
@@ -360,17 +389,15 @@ class PackedNetwork:
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
         self.input_dim = net.input_dim
-        widths = net.layer_widths()
-        fan_in = [net.input_dim] + widths[:-1]
-        sizes = [(3 * n + 3) * m for n, m in zip(fan_in, widths)]
-        self.params = np.zeros((restarts, sum(sizes) + len(net.shortcuts)))
+        params, blocks, quadratic = _compile(net)
+        self.params = np.tile(params, (restarts, 1))
         self._grad = np.zeros_like(self.params)
-        sc_base = sum(sizes)
-        self.params[:, sc_base:] = [sc.weight for sc in net.shortcuts]
+        sc_base = len(params) - len(net.shortcuts)
+        fan_in = [net.input_dim] + net.layer_widths()[:-1]
 
         # Columns of the per-pass activation array: the input, then each
         # layer's activations, each block followed by a column of ones.
-        base = np.cumsum([0] + [n + 1 for n in fan_in] + [widths[-1] + 1])
+        base = np.cumsum([0] + [n + 1 for n in fan_in] + [net.output_dim + 1])
         self._ones = base[1:] - 1
         self._act_width = int(base[-1])
 
@@ -379,25 +406,13 @@ class PackedNetwork:
             incoming.setdefault(sc.dst_layer, []).append(i)
         sources = {sc.src_layer for sc in net.shortcuts}
 
-        index = []
         self._layers = []
         pos = 0
-        for k, (layer, n, m) in enumerate(zip(net.layers, fan_in, widths)):
+        for k, (layer, n, quad) in enumerate(zip(net.layers, fan_in, quadratic)):
+            m = layer.width
             shape = (restarts, 3 * n + 3, m)
-            block = self.params[:, pos : pos + sizes[k]].reshape(shape)
-            gblock = self._grad[:, pos : pos + sizes[k]].reshape(shape)
-            quadratic = False
-            for j, neuron in enumerate(layer.neurons):
-                if isinstance(neuron, QuadraticNeuron):
-                    block[:, :, j] = neuron.param_vector()
-                    quadratic = True
-                elif isinstance(neuron, ConventionalNeuron):
-                    block[:, : n + 1, j] = neuron.param_vector()
-                    block[:, 2 * n + 1, j] = 1.0
-                else:
-                    block[:, neuron.index, j] = 1.0
-                    block[:, 2 * n + 1, j] = 1.0
-                index.append(pos + np.flatnonzero(net.masks[k][j]) * m + j)
+            block = self.params[:, pos : pos + blocks[k].size].reshape(shape)
+            gblock = self._grad[:, pos : pos + blocks[k].size].reshape(shape)
             shortcuts = None
             if k in incoming:
                 # every earlier activation column feeds this layer through a
@@ -416,7 +431,7 @@ class PackedNetwork:
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
             self._layers.append(_PackedLayer(
-                quadratic=quadratic,
+                quadratic=quad,
                 relu=layer.activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
@@ -426,11 +441,9 @@ class PackedNetwork:
                 shortcuts=shortcuts,
                 overwrite_input_grad=k - 1 not in sources,
             ))
-            pos += sizes[k]
+            pos += blocks[k].size
 
-        trainable = [i for i, sc in enumerate(net.shortcuts) if sc.trainable]
-        index.append(sc_base + np.array(trainable, dtype=np.intp))
-        self.theta_index = np.concatenate(index).astype(np.intp)
+        self.theta_index = _theta_index(net)
         self._work: _WorkBuffers | None = None
         self._passes = 0  # forward passes run; a tape carries its number
         self._open_tape = 0  # number of the pass whose tape is unused, else 0
@@ -629,11 +642,7 @@ def backward(net: NetworkSpec, x, upstream) -> np.ndarray:
 
 def single_quadratic_net(input_dim: int) -> NetworkSpec:
     """One trainable quadratic neuron, identity activation, zero-initialised."""
-    neuron = QuadraticNeuron(
-        w_r=np.zeros(input_dim), b_r=0.0,
-        w_g=np.zeros(input_dim), b_g=0.0,
-        w_b=np.zeros(input_dim), c=0.0,
-    )
+    neuron = neuron_from_params("quadratic", np.zeros(3 * input_dim + 3))
     return NetworkSpec(input_dim, [LayerSpec([neuron], activation="identity")])
 
 
@@ -641,14 +650,8 @@ def one_hidden_quadratic(input_dim: int, width: int) -> NetworkSpec:
     """width quadratic ReLU units feeding one linear output neuron."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    hidden = [
-        QuadraticNeuron(
-            w_r=np.zeros(input_dim), b_r=0.0,
-            w_g=np.zeros(input_dim), b_g=0.0,
-            w_b=np.zeros(input_dim), c=0.0,
-        )
-        for _ in range(width)
-    ]
+    hidden = [neuron_from_params("quadratic", np.zeros(3 * input_dim + 3))
+              for _ in range(width)]
     out = ConventionalNeuron(w=np.zeros(width), b=0.0)
     return NetworkSpec(
         input_dim,
@@ -676,11 +679,9 @@ def one_hidden_conventional(input_dim: int, width: int) -> NetworkSpec:
 
 
 def _neuron_to_dict(neuron: Neuron) -> dict:
-    if isinstance(neuron, QuadraticNeuron):
-        return {"kind": "quadratic", "params": neuron.param_vector().tolist()}
-    if isinstance(neuron, ConventionalNeuron):
-        return {"kind": "conventional", "params": neuron.param_vector().tolist()}
-    return {"kind": "passthrough", "index": neuron.index}
+    if isinstance(neuron, PassthroughNeuron):
+        return {"kind": "passthrough", "index": neuron.index}
+    return {"kind": neuron.kind, "params": neuron.param_vector().tolist()}
 
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
@@ -710,19 +711,7 @@ def _neuron_from_dict(d) -> Neuron:
     params = np.array(values)
     if params.ndim != 1 or params.dtype.kind not in "fiu":
         raise ValueError(f"'params' must hold numbers only, got {values!r}")
-    params = params.astype(np.float64, copy=False)
-    if kind == "quadratic":
-        if len(params) < 6 or (len(params) - 3) % 3:
-            raise ValueError("quadratic neuron parameter count must be 3n + 3, n >= 1")
-        n = (len(params) - 3) // 3
-        return QuadraticNeuron(
-            w_r=params[0:n], b_r=params[n],
-            w_g=params[n + 1 : 2 * n + 1], b_g=params[2 * n + 1],
-            w_b=params[2 * n + 2 : 3 * n + 2], c=params[3 * n + 2],
-        )
-    if len(params) < 2:
-        raise ValueError("conventional neuron parameter count must be n + 1, n >= 1")
-    return ConventionalNeuron(w=params[:-1], b=params[-1])
+    return neuron_from_params(kind, params.astype(np.float64, copy=False))
 
 
 _SHORTCUT_FIELDS = {"src_layer": int, "src_neuron": int, "dst_layer": int,

@@ -16,6 +16,7 @@ of shape (n,) or a batch of shape (B, n); scalars broadcast accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +46,7 @@ class QuadraticNeuron:
     (w_r, b_r, w_g, b_g, w_b, c): 3n + 3 entries for input length n.
     """
 
+    kind: ClassVar[str] = "quadratic"
     w_r: np.ndarray
     b_r: float
     w_g: np.ndarray
@@ -75,25 +77,12 @@ class QuadraticNeuron:
             [self.w_r, [self.b_r], self.w_g, [self.b_g], self.w_b, [self.c]]
         )
 
-    def with_params(self, vec: np.ndarray) -> "QuadraticNeuron":
-        n = self.input_dim
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (3 * n + 3,):
-            raise ValueError("parameter vector has wrong length")
-        return QuadraticNeuron(
-            w_r=vec[0:n].copy(),
-            b_r=vec[n],
-            w_g=vec[n + 1 : 2 * n + 1].copy(),
-            b_g=vec[2 * n + 1],
-            w_b=vec[2 * n + 2 : 3 * n + 2].copy(),
-            c=vec[3 * n + 2],
-        )
-
 
 @dataclass
 class ConventionalNeuron:
     """Inner-product unit: h(x) = w . x + b."""
 
+    kind: ClassVar[str] = "conventional"
     w: np.ndarray
     b: float
 
@@ -112,18 +101,12 @@ class ConventionalNeuron:
     def param_vector(self) -> np.ndarray:
         return np.concatenate([self.w, [self.b]])
 
-    def with_params(self, vec: np.ndarray) -> "ConventionalNeuron":
-        n = self.input_dim
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (n + 1,):
-            raise ValueError("parameter vector has wrong length")
-        return ConventionalNeuron(w=vec[0:n].copy(), b=vec[n])
-
 
 @dataclass
 class PassthroughNeuron:
     """Copies input coordinate `index`; carries no parameters."""
 
+    kind: ClassVar[str] = "passthrough"
     index: int
 
     def __post_init__(self):
@@ -138,13 +121,29 @@ class PassthroughNeuron:
     def param_vector(self) -> np.ndarray:
         return np.zeros(0)
 
-    def with_params(self, vec: np.ndarray) -> "PassthroughNeuron":
-        if len(vec) != 0:
-            raise ValueError("passthrough neuron takes no parameters")
-        return PassthroughNeuron(self.index)
-
 
 Neuron = QuadraticNeuron | ConventionalNeuron | PassthroughNeuron
+
+
+def neuron_from_params(kind: str, params: np.ndarray) -> QuadraticNeuron | ConventionalNeuron:
+    """A quadratic or conventional neuron from its canonical parameter vector.
+
+    The weights are views of params, so pass an array the neuron may own.
+    """
+    if kind == "quadratic":
+        if len(params) < 6 or (len(params) - 3) % 3:
+            raise ValueError("quadratic neuron parameter count must be 3n + 3, n >= 1")
+        n = (len(params) - 3) // 3
+        return QuadraticNeuron(
+            w_r=params[0:n], b_r=params[n],
+            w_g=params[n + 1 : 2 * n + 1], b_g=params[2 * n + 1],
+            w_b=params[2 * n + 2 : 3 * n + 2], c=params[3 * n + 2],
+        )
+    if kind != "conventional":
+        raise ValueError(f"unknown neuron kind {kind!r}")
+    if len(params) < 2:
+        raise ValueError("conventional neuron parameter count must be n + 1, n >= 1")
+    return ConventionalNeuron(w=params[:-1], b=params[-1])
 
 
 def _check_input(n: int, x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Everything here is deliberately simple and written against definitions, not
 against the implementations it checks: Horner evaluation, factored-form
 expansion by repeated convolution, central finite differences, a per-neuron
-chain-rule gradient, direct Bernstein basis summation, and trapezoidal /
-max-over-grid error measures.
+forward pass and chain-rule gradient, direct Bernstein basis summation, and
+trapezoidal / max-over-grid error measures.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ import numpy as np
 from .network import (
     NetworkSpec,
     _check_batch,
-    _forward_cached,
-    _iter_neuron_entries,
     forward,
     set_trainable_values,
     trainable_values,
 )
-from .neurons import ConventionalNeuron, QuadraticNeuron, relu_prime
+from .neurons import ConventionalNeuron, QuadraticNeuron, preactivation, relu, relu_prime
 from .polynomials import FactoredForm, Polynomial
 
 
@@ -93,6 +91,29 @@ def finite_diff_grad(
     return grads
 
 
+def reference_forward_batch(net: NetworkSpec, X):
+    """forward_batch computed neuron by neuron, as a reference for tests.
+
+    Returns (preactivations, activations), one (B, width) array per layer.
+    """
+    X, _ = _check_batch(net, X)
+    preacts: list[np.ndarray] = []
+    acts: list[np.ndarray] = []
+    current = X
+    for k, layer in enumerate(net.layers):
+        Z = np.empty((X.shape[0], layer.width))
+        for j, neuron in enumerate(layer.neurons):
+            z = preactivation(neuron, current)
+            for sc in net.shortcuts:
+                if (sc.dst_layer, sc.dst_neuron) == (k, j):
+                    z = z + sc.weight * acts[sc.src_layer][:, sc.src_neuron]
+            Z[:, j] = z
+        preacts.append(Z)
+        current = relu(Z) if layer.activation == "relu" else Z
+        acts.append(current)
+    return preacts, acts
+
+
 def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     """backward_batch computed neuron by neuron, as a reference for tests.
 
@@ -105,7 +126,7 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     """
     X, upstream = _check_batch(net, X, upstream)
 
-    preacts, acts = _forward_cached(net, X)
+    preacts, acts = reference_forward_batch(net, X)
     n_layers = len(net.layers)
     grad_act: list[np.ndarray | None] = [None] * n_layers
     grad_act[-1] = upstream.copy()
@@ -172,7 +193,9 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
                 grad_act[k - 1] = grad_act[k - 1] + g_inp
 
     parts = [
-        param_grads[(k, j)][mask] for k, j, _, mask in _iter_neuron_entries(net)
+        param_grads[(k, j)][mask]
+        for k, layer_masks in enumerate(net.masks)
+        for j, mask in enumerate(layer_masks)
     ]
     parts.append(
         np.array(

@@ -1,10 +1,24 @@
 """Shared fixtures: random network generation and acceptance reporting."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
-from qnn.network import LayerSpec, NetworkSpec, Shortcut, _forward_cached
+from qnn.network import LayerSpec, NetworkSpec, Shortcut
 from qnn.neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
+from qnn.oracles import reference_forward_batch
+
+# Property tests draw the same examples on every run and keep no example
+# database.  Hypothesis also caches the constants it reads from the source,
+# from collection on; that cache goes to a temporary directory removed at
+# exit, so the suite writes no .hypothesis/ into the checkout.
+settings.register_profile("qnn", derandomize=True, deadline=None, database=None)
+settings.load_profile("qnn")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qnn-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def random_network(rng, max_layers=4, max_width=3, max_input=3,
@@ -70,7 +84,7 @@ def input_away_from_kinks(net: NetworkSpec, rng, margin=1e-3, tries=200):
     """
     for _ in range(tries):
         x = rng.normal(size=net.input_dim)
-        preacts, _ = _forward_cached(net, x[None, :])
+        preacts, _ = reference_forward_batch(net, x[None, :])
         ok = True
         for layer, z in zip(net.layers, preacts):
             if layer.activation == "relu" and np.min(np.abs(z)) < margin:

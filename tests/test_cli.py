@@ -42,6 +42,8 @@ class TestPoly:
         cfg = read_report(run_dir)["config"]
         assert cfg["coeffs"] == [1.0, 2.0, 1.0]
         assert cfg["seed"] == 3
+        assert sorted(cfg) == ["coeffs", "command", "oracle", "out_dir", "pair_real_roots",
+                               "points", "seed", "svg"]
 
 
 class TestRadialDeep:
@@ -186,6 +188,17 @@ class TestRunLifecycle:
         written = [str(dir1 / name) for name in names if name != "report.json"]
         assert sorted(report["artifacts"]) == written
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["poly", "--coeffs", "5"], 2),
+        (["bernstein", "--n-sweep", "4", "--grid-n", "51", "--net-n", "30"], 1),
+        (["factor-train", "--learning-rate", "1e9", "--restarts", "2",
+          "--iterations", "30", "--init-scale", "5.0"], 1),
+    ], ids=["degree-zero-poly", "bernstein-refused", "factor-train-diverged"])
+    def test_early_exit_leaves_no_run_directory(self, argv, expected, tmp_path):
+        out = tmp_path / "runs"
+        assert main([*argv, "--out-dir", str(out)]) == expected
+        assert list(out.iterdir()) == []
+
 
 class TestOutputDirectory:
     def test_env_var_default(self, tmp_path, monkeypatch):
@@ -224,6 +237,16 @@ class TestUsage:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rings", "--r-inner", "3"],
+        ["factor-train", "--lo", "1", "--hi", "0"],
+    ])
+    def test_cross_flag_error_shows_command_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"usage: qnn {argv[0]} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["width-sweep", "--samples", "0"],

@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qnn.builders import RadialPartition, build_deep_radial
+from qnn.builders import (
+    RadialPartition,
+    build_deep_radial,
+    build_factorization_trainable,
+    build_poly_net,
+)
 from qnn.network import (
     LayerSpec,
     NetworkSpec,
@@ -26,7 +31,8 @@ from qnn.network import (
     trainable_values,
 )
 from qnn.neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
-from qnn.oracles import finite_diff_grad, reference_backward_batch
+from qnn.oracles import finite_diff_grad, reference_backward_batch, reference_forward_batch
+from qnn.polynomials import Polynomial, bernstein_coeffs, factor_polynomial
 
 
 def norm_neuron(n=2):
@@ -85,6 +91,32 @@ class TestForward:
             batch = forward_batch(net, X)
             singles = np.stack([forward(net, x) for x in X])
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+    def test_builder_nets_match_reference_bitwise(self):
+        """On the constructed nets the compiled blocks do the per-neuron
+        arithmetic in the same order: product trees, Bernstein n <= 24, deep
+        radial at d = 2-4, and the factorizer with random parameters."""
+        rng = np.random.default_rng(29)
+        xs = np.linspace(-1.5, 1.5, 257)[:, None]
+        cases = []
+        for degree in range(1, 15):
+            p = Polynomial(np.poly(rng.uniform(-2.0, 2.0, size=degree))[::-1])
+            cases.append((build_poly_net(factor_polynomial(p)), xs))
+        for n in range(2, 25):
+            form = factor_polynomial(bernstein_coeffs(lambda t: abs(t - 0.5), n))
+            cases.append((build_poly_net(form), xs + 1.5))
+        breakpoints = np.sqrt([0.0, 200.0 / 3.0, 400.0 / 3.0, 200.0])
+        for dim in (2, 3, 4):
+            for delta in (0.4, 0.05):
+                partition = RadialPartition(breakpoints, [-1.0, 1.0, -1.0], delta)
+                cases.append((build_deep_radial(partition, dim),
+                              5.0 * rng.normal(size=(257, dim))))
+        net = build_factorization_trainable(5, 1, 2)
+        theta = rng.uniform(-0.5, 0.5, size=trainable_count(net))
+        cases.append((set_trainable_values(net, theta), xs))
+        for net, X in cases:
+            _, acts = reference_forward_batch(net, X)
+            assert forward_batch(net, X).tobytes() == acts[-1].tobytes()
 
 
 class TestShortcuts:
@@ -226,7 +258,7 @@ def assert_gradients_close(got, want, rtol):
 
 
 class TestPackedNetwork:
-    """The compiled executor against the per-neuron forward and reference gradient."""
+    """The compiled executor against the per-neuron reference forward and gradient."""
 
     def test_theta_index_addresses_trainable_values(self, net_factory):
         rng = np.random.default_rng(20)
@@ -253,7 +285,8 @@ class TestPackedNetwork:
             packed.set_theta(theta[None])
             out, tape = packed.forward(X)
             updated = set_trainable_values(net, theta)
-            np.testing.assert_allclose(out[0], forward_batch(updated, X), rtol=1e-12, atol=1e-12)
+            _, acts = reference_forward_batch(updated, X)
+            np.testing.assert_allclose(out[0], acts[-1], rtol=1e-12, atol=1e-12)
             assert_gradients_close(
                 packed.backward(tape, U[None])[0], reference_backward_batch(updated, X, U), 1e-12
             )
@@ -338,7 +371,7 @@ class TestPackedNetwork:
                 theta -= 1e-3 * grad
                 np.testing.assert_array_equal(theta, rows)
 
-    def test_loss_matches_forward_batch(self, net_factory):
+    def test_loss_matches_reference_forward(self, net_factory):
         rng = np.random.default_rng(22)
         for _ in range(50):
             net = net_factory(rng)
@@ -351,7 +384,7 @@ class TestPackedNetwork:
 
             value, grad = PackedNetwork(net).loss_and_grad(theta[None], X, loss)
             updated = set_trainable_values(net, theta)
-            expected, upstream = loss(forward_batch(updated, X))
+            expected, upstream = loss(reference_forward_batch(updated, X)[1][-1])
             assert value.shape == grad.shape[:1] == (1,)
             assert value[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert_gradients_close(

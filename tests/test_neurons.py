@@ -10,6 +10,7 @@ from qnn.neurons import (
     PassthroughNeuron,
     QuadraticNeuron,
     conv_preactivation,
+    neuron_from_params,
     preactivation,
     quad_preactivation,
     relu,
@@ -54,12 +55,19 @@ class TestQuadPreactivation:
             assert len(n.param_vector()) == n.param_count
 
     def test_param_vector_round_trip(self):
+        """neuron_from_params inverts param_vector for both parametrised kinds."""
         rng = np.random.default_rng(0)
-        n = quad(rng.normal(size=2), 1.0, rng.normal(size=2), -2.0,
-                 rng.normal(size=2), 0.5)
-        vec = n.param_vector()
-        rebuilt = n.with_params(vec)
-        np.testing.assert_array_equal(rebuilt.param_vector(), vec)
+        for n in (quad(rng.normal(size=2), 1.0, rng.normal(size=2), -2.0,
+                       rng.normal(size=2), 0.5),
+                  ConventionalNeuron(w=rng.normal(size=3), b=-0.0)):
+            vec = n.param_vector()
+            rebuilt = neuron_from_params(n.kind, vec)
+            assert type(rebuilt) is type(n)
+            assert rebuilt.param_vector().tobytes() == vec.tobytes()
+        for kind, bad in (("quadratic", np.ones(7)), ("conventional", np.ones(1)),
+                          ("passthrough", np.ones(2))):
+            with pytest.raises(ValueError):
+                neuron_from_params(kind, bad)
 
 
 class TestConvPreactivation:

@@ -1,0 +1,93 @@
+"""Property tests: compiled layer blocks against the per-neuron oracle, and
+the trainable-parameter gather and scatter."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qnn.network import (
+    ACTIVATIONS,
+    LayerSpec,
+    NetworkSpec,
+    Shortcut,
+    forward_batch,
+    set_trainable_values,
+    to_json,
+    trainable_count,
+    trainable_values,
+)
+from qnn.neurons import PassthroughNeuron, neuron_from_params
+from qnn.oracles import reference_forward_batch
+
+small = st.floats(-2.0, 2.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def vectors(size, elements=small):
+    return st.lists(elements, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def networks(draw):
+    """Up to four layers of up to three neurons of any kind, either
+    activation, shortcuts and frozen mask entries."""
+    input_dim = draw(st.integers(1, 3))
+    layers = []
+    fan_in = input_dim
+    for _ in range(draw(st.integers(1, 4))):
+        neurons = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["quadratic", "conventional", "passthrough"]))
+            if kind == "passthrough":
+                neurons.append(PassthroughNeuron(draw(st.integers(0, fan_in - 1))))
+            else:
+                count = 3 * fan_in + 3 if kind == "quadratic" else fan_in + 1
+                neurons.append(neuron_from_params(kind, draw(vectors(count))))
+        layers.append(LayerSpec(neurons, draw(st.sampled_from(ACTIVATIONS))))
+        fan_in = len(neurons)
+    shortcuts = []
+    for _ in range(draw(st.integers(0, 3)) if len(layers) > 1 else 0):
+        src = draw(st.integers(0, len(layers) - 2))
+        dst = draw(st.integers(src + 1, len(layers) - 1))
+        shortcuts.append(Shortcut(
+            src, draw(st.integers(0, layers[src].width - 1)),
+            dst, draw(st.integers(0, layers[dst].width - 1)),
+            draw(small), draw(st.booleans()),
+        ))
+    masks = [[draw(vectors(nr.param_count, st.booleans())).astype(bool) for nr in layer.neurons]
+             for layer in layers]
+    return NetworkSpec(input_dim, layers, shortcuts, masks)
+
+
+@given(st.data())
+def test_forward_batch_matches_reference(data):
+    net = data.draw(networks())
+    rows = data.draw(st.integers(1, 5))
+    X = data.draw(vectors(rows * net.input_dim)).reshape(rows, net.input_dim)
+    got = forward_batch(net, X)
+    want = reference_forward_batch(net, X)[1][-1]
+    # an absolute floor of rtol times the largest output, for outputs that
+    # cancel to near zero
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want), initial=0.0))
+
+
+@given(st.data())
+def test_trainable_values_round_trip(data):
+    net = data.draw(networks())
+    values = data.draw(vectors(trainable_count(net), finite))
+    before = to_json(net)
+    frozen = [[nr.param_vector()[~mask] for nr, mask in zip(layer.neurons, layer_masks)]
+              for layer, layer_masks in zip(net.layers, net.masks)]
+
+    updated = set_trainable_values(net, values)
+
+    assert trainable_values(updated).tobytes() == values.tobytes()
+    assert to_json(net) == before
+    for layer, layer_masks, kept in zip(updated.layers, updated.masks, frozen):
+        for nr, mask, old in zip(layer.neurons, layer_masks, kept):
+            assert nr.param_vector()[~mask].tobytes() == old.tobytes()
+    for new, old in zip(updated.shortcuts, net.shortcuts):
+        assert new.trainable == old.trainable
+        if not old.trainable:
+            assert new.weight == old.weight
