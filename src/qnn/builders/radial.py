@@ -62,18 +62,14 @@ class RadialPartition:
         return out
 
 
-def delta_for_target_error(partition_or_breakpoints, heights=None, eps: float = 0.1) -> float:
+def delta_for_target_error(breakpoints, heights, eps: float = 0.1) -> float:
     """Ramp sharpness needed for an L1 error budget of eps.
 
     Uses the budget split delta = eps / (4 C) where C is the total mass
     sum |b_i| * (interval length); the result is clipped into (0, 1/2).
     """
-    if isinstance(partition_or_breakpoints, RadialPartition):
-        bp = partition_or_breakpoints.breakpoints
-        hs = partition_or_breakpoints.heights
-    else:
-        bp = np.asarray(partition_or_breakpoints, dtype=np.float64)
-        hs = np.asarray(heights, dtype=np.float64)
+    bp = np.asarray(breakpoints, dtype=np.float64)
+    hs = np.asarray(heights, dtype=np.float64)
     mass = float(np.sum(np.abs(hs) * np.diff(bp)))
     if mass <= 0.0:
         return 0.25

@@ -6,8 +6,9 @@ timestamped directory, starts the clock and hands the command a
 ``RunReport``, whose ``artifact(name)`` gives each output its path.  A command
 returns None, and ``main`` writes a report.json echoing the full
 configuration, so a run can be repeated bit-identically, or an exit code to
-stop early, and ``main`` removes the run directory.  Exit code is 0 exactly
-when every declared metric came out finite.
+stop early, and ``main`` removes the run directory; it also removes it when
+the command raises, and re-raises.  Exit code is 0 exactly when every
+declared metric came out finite.
 """
 
 from __future__ import annotations
@@ -542,14 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, svg=False):
         p.add_argument("--out-dir", default=None,
                        help="artifact directory (default $QNN_OUT_DIR or ./qnn-runs)")
-        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
+        if svg:
+            p.add_argument("--svg", action="store_true", help="also emit SVG plots")
         p.set_defaults(parser=p)  # reports the cross-flag errors under its usage
 
     p = sub.add_parser("rings", help="separate two concentric rings")
-    common(p)
+    common(p, svg=True)
     p.add_argument("--n-per-class", type=_positive_int, default=60)
     p.add_argument("--noise", type=_non_negative_float, default=0.1)
     p.add_argument("--r-inner", type=_positive_float, default=1.0)
@@ -563,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rings)
 
     p = sub.add_parser("radial-deep", help="stacked truncated-parabola approximator")
-    common(p)
+    common(p, svg=True)
     p.add_argument("--deltas", type=_delta_list, default=[0.4, 0.2, 0.1, 0.05])
     p.add_argument("--grid-n", type=_two_or_more, default=2001)
     p.add_argument("--input-dim", type=_positive_int, default=2)
@@ -581,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("factor-train", help="learn a factorization by gradient descent")
-    common(p)
+    common(p, svg=True)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--learning-rate", type=_positive_float, default=2.0e-3)
@@ -628,7 +630,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     run_dir = _make_run_dir(args.out_dir, args.command)
     report = RunReport(args.command, _config_echo(args), run_dir)
-    code = args.func(args, report)
+    try:
+        code = args.func(args, report)
+    except BaseException:
+        shutil.rmtree(run_dir)
+        raise
     if code is None:
         return _finish(report, started)
     shutil.rmtree(run_dir)

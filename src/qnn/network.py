@@ -7,13 +7,14 @@ are pure functions of the spec.  _compile turns it into one flat array of
 (3n+3, m) layer blocks, each neuron of any kind a column in quadratic form.
 forward_batch evaluates those blocks layer by layer, trainable_values and
 set_trainable_values gather and scatter on them, and a PackedNetwork copies
-them into one row per restart, which the trainer updates in place so that
-every restart advances in the same stacked matmuls.  The executor also owns
-its work arrays (activations, their gradient and the per-layer products),
-made once per batch size, reused by every step and freed with it.
-backward_batch compiles a one-row executor per call and runs the same
-backward.  The per-neuron forward and backward are the test oracle, in
-oracles.
+them into one row per restart so that every restart advances in the same
+stacked matmuls.  The executor has two calls: forward(theta, X) writes the
+(R, T) trainable values and returns the output, and loss_and_grad(theta, X,
+loss) adds the backward pass right after that forward.  It owns its work
+arrays (activations, their gradient and the per-layer products), made once
+per batch size, reused by every step and freed with it.  backward_batch is
+loss_and_grad of a one-row executor at the net's own values.  The
+per-neuron forward and backward are the test oracle, in oracles.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -370,6 +371,10 @@ class PackedNetwork:
     values (see _compile for inf); the trainer drops a restart at its first
     non-finite loss.
 
+    `forward(theta, X)` writes the (R, T) trainable values into `params`
+    and returns the output; `loss_and_grad` runs the backward pass right
+    after its own forward, on what that pass left in the work arrays.
+
     The executor owns its work arrays, one set for the batch size last
     seen: the activations (their ones columns written once), the
     activation gradient, X1 * X1, P and Q of each quadratic layer, and an
@@ -379,16 +384,14 @@ class PackedNetwork:
     The layer products and the input gradient are written into them
     through `out=`; a warm step still allocates the ReLU masks (one byte
     per entry), the shortcut terms of the backward and the output copy.
-    Because a forward pass overwrites what the previous pass left there,
-    backward takes only the tape of the latest pass, and only once, and one
-    executor serves one caller at a time.  The output a forward pass
+    One executor serves one caller at a time.  The output a forward pass
     returns is a copy that later passes leave alone.
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
-        self.input_dim = net.input_dim
+        self._input_dim = net.input_dim
         params, blocks, quadratic = _compile(net)
         self.params = np.tile(params, (restarts, 1))
         self._grad = np.zeros_like(self.params)
@@ -445,20 +448,7 @@ class PackedNetwork:
 
         self.theta_index = _theta_index(net)
         self._work: _WorkBuffers | None = None
-        self._passes = 0  # forward passes run; a tape carries its number
-        self._open_tape = 0  # number of the pass whose tape is unused, else 0
-
-    @property
-    def restarts(self) -> int:
-        return len(self.params)
-
-    @property
-    def trainable_count(self) -> int:
-        return len(self.theta_index)
-
-    def set_theta(self, theta) -> None:
-        """Write the (R, T) canonical trainable vectors into the buffer."""
-        self.params[:, self.theta_index] = theta
+        self._matrices: list = []  # the last pass's shortcut matrices, per layer
 
     def _buffers(self, batch: int) -> _WorkBuffers:
         """The work arrays for a batch of `batch` rows, made on first use.
@@ -467,7 +457,7 @@ class PackedNetwork:
         """
         work = self._work
         if work is None or work.acts.shape[1] != batch:
-            rows = (self.restarts, batch)
+            rows = (len(self.params), batch)
             acts = np.empty(rows + (self._act_width,))
             acts[..., self._ones] = 1.0
             grad_acts = np.empty_like(acts)
@@ -478,7 +468,7 @@ class PackedNetwork:
             summed = [k > 0 and (layer.quadratic or not layer.overwrite_input_grad)
                       for k, layer in enumerate(self._layers)]
             fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
-            scratch = np.empty(self.restarts * batch * max(
+            scratch = np.empty(len(self.params) * batch * max(
                 (n for n, s in zip(fan_in, summed) if s), default=0))
             per_layer = []
             for layer, n, s in zip(self._layers, fan_in, summed):
@@ -495,16 +485,17 @@ class PackedNetwork:
             self._work = work
         return work
 
-    def forward(self, X: np.ndarray):
-        """Evaluate a (B, input_dim) float64 batch under every restart's params.
+    def forward(self, theta, X: np.ndarray) -> np.ndarray:
+        """Write theta (R, T) into params and evaluate a (B, input_dim)
+        float64 batch under every restart's params.
 
-        Returns (output, tape), output of shape (R, B, output_dim), a copy
-        that later passes leave alone.  The tape serves one call of
-        backward, and only until the next forward pass.
+        Returns the output, shape (R, B, output_dim), a copy that later
+        passes leave alone.
         """
+        self.params[:, self.theta_index] = theta
         work = self._buffers(X.shape[0])
         acts = work.acts
-        acts[..., : self.input_dim] = X
+        acts[..., : self._input_dim] = X
         matrices = []
         for layer, (product, X2, _, P, Q, _) in zip(self._layers, work.layers):
             quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _ = layer
@@ -528,27 +519,19 @@ class PackedNetwork:
             if relu:
                 np.maximum(Z, 0.0, out=Z)
             matrices.append(M)
-        self._passes += 1
-        self._open_tape = self._passes
-        return acts[..., out].copy(), (self._passes, matrices)
+        self._matrices = matrices
+        return acts[..., out].copy()
 
-    def backward(self, tape, upstream: np.ndarray) -> np.ndarray:
+    def _backward(self, upstream: np.ndarray) -> np.ndarray:
         """Gradient of sum_b upstream[r, b] . output[r, b] w.r.t. each
         restart's trainable parameters, shape (R, T).
 
         upstream has the output's shape (R, B, output_dim).  Runs from the
-        work buffers as the forward pass that made `tape` left them and
-        overwrites them, so a tape serves one call, and a tape older than
-        the latest forward pass is refused.  For a quadratic neuron with
+        work buffers and shortcut matrices as the last forward pass left
+        them, and overwrites the buffers.  For a quadratic neuron with
         p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x, dh/db_r = q,
         dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
         """
-        number, matrices = tape
-        if number != self._passes:
-            raise ValueError("stale tape: a later forward pass overwrote its buffers")
-        if number != self._open_tape:
-            raise ValueError("a tape serves one backward pass")
-        self._open_tape = 0
         work = self._work
         acts, grad_acts = work.acts, work.grad_acts
         grad_acts.fill(0.0)
@@ -558,7 +541,7 @@ class PackedNetwork:
             quadratic, relu, inp, out, _, (W_t, W_gt, W_bt), (G, G_g, G_b), sc, overwrite = (
                 self._layers[k]
             )
-            M = matrices[k]
+            M = self._matrices[k]
             _, X2, twice, P, Q, T = work.layers[k]
             X1 = acts[..., inp]
             X1_t = X1.swapaxes(1, 2)
@@ -592,16 +575,14 @@ class PackedNetwork:
         return grad[:, self.theta_index]
 
     def loss_and_grad(self, theta, X: np.ndarray, loss):
-        """Write theta (R, T), run one forward pass and the backward from its tape.
+        """Run forward(theta, X) and the backward pass right after it.
 
         loss maps the (R, B, output_dim) output to (values, d values / d
         output), values holding one loss per restart; returns (values,
         gradients w.r.t. theta, shape (R, T)).
         """
-        self.set_theta(theta)
-        out, tape = self.forward(X)
-        values, upstream = loss(out)
-        return values, self.backward(tape, upstream)
+        values, upstream = loss(self.forward(theta, X))
+        return values, self._backward(upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +595,12 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
 
     Returns one value per mask=true parameter, canonical order; frozen
     parameters receive no entry.  Exact chain-rule derivatives, computed by
-    PackedNetwork.backward.
+    a one-row PackedNetwork at net's own parameters.
     """
     X, upstream = _check_batch(net, X, upstream)
     packed = PackedNetwork(net)
-    _, tape = packed.forward(X)
-    return packed.backward(tape, upstream[None])[0]
+    theta = packed.params[:, packed.theta_index]
+    return packed.loss_and_grad(theta, X, lambda out: (None, upstream[None]))[1][0]
 
 
 def backward(net: NetworkSpec, x, upstream) -> np.ndarray:

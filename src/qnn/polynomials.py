@@ -162,7 +162,9 @@ def factor_polynomial(
     factors (flagged), which balances the downstream product tree.
 
     Raises ValueError for degree 0 and FactorizationError when re-expanding
-    the factors misses the input coefficients by more than rel_tol.
+    the factors misses the input coefficients by more than rel_tol, or when
+    a complex pair, as from a repeated real root, makes a factor whose
+    discriminant is not negative.
     """
     from .oracles import expand_factored
 
@@ -187,6 +189,12 @@ def factor_polynomial(
         )
 
     quads = [(-2.0 * z.real, float(abs(z) ** 2)) for z in upper]
+    for a, b in quads:
+        # a repeated real root can split into such a pair
+        if a * a - 4.0 * b >= 0.0:
+            raise FactorizationError(
+                f"complex root pair gives factor x^2 + {a:.17g} x + {b:.17g} "
+                "with a non-negative discriminant", float("nan"))
     paired = [False] * len(quads)
     if pair_real_roots:
         while len(real_roots) >= 2:

@@ -117,7 +117,7 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
     packed = PackedNetwork(net, restarts=cfg.restarts)
     theta = np.stack([
         np.random.default_rng([cfg.seed, i]).uniform(
-            -cfg.init_scale, cfg.init_scale, size=packed.trainable_count
+            -cfg.init_scale, cfg.init_scale, size=len(packed.theta_index)
         )
         for i in range(cfg.restarts)
     ])
@@ -147,8 +147,7 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
                 grad[diverged] = 0.0
                 rate[diverged] = 0.0
             theta -= rate * grad
-        packed.set_theta(theta)
-        final, _ = loss(packed.forward(X)[0])
+        final, _ = loss(packed.forward(theta, X))
     final[~(live & np.isfinite(final))] = np.inf
     return theta, history, final, stopped
 

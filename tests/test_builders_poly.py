@@ -23,6 +23,7 @@ from qnn.network import (
 from qnn.oracles import bernstein_direct, expand_factored, horner
 from qnn.polynomials import (
     FactoredForm,
+    FactorizationError,
     Polynomial,
     bernstein_coeffs,
     factor_polynomial,
@@ -96,6 +97,12 @@ class TestFactorPolynomial:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_polynomial(Polynomial([3.0]))
+
+    def test_double_root_split_into_real_discriminant_pair_refused(self):
+        """(x + 0.9)^2: the polished double root is a conjugate pair whose
+        factor has a non-negative discriminant."""
+        with pytest.raises(FactorizationError, match="discriminant"):
+            factor_polynomial(Polynomial([0.81, 1.8, 1.0]))
 
     def test_pair_real_roots_flagged(self):
         form = factor_polynomial(

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qnn.cli
 from qnn.cli import main
 
 
@@ -43,7 +44,7 @@ class TestPoly:
         assert cfg["coeffs"] == [1.0, 2.0, 1.0]
         assert cfg["seed"] == 3
         assert sorted(cfg) == ["coeffs", "command", "oracle", "out_dir", "pair_real_roots",
-                               "points", "seed", "svg"]
+                               "points", "seed"]
 
 
 class TestRadialDeep:
@@ -190,13 +191,26 @@ class TestRunLifecycle:
 
     @pytest.mark.parametrize("argv, expected", [
         (["poly", "--coeffs", "5"], 2),
+        (["poly", "--coeffs", "0.81", "1.8", "1"], 1),
         (["bernstein", "--n-sweep", "4", "--grid-n", "51", "--net-n", "30"], 1),
         (["factor-train", "--learning-rate", "1e9", "--restarts", "2",
           "--iterations", "30", "--init-scale", "5.0"], 1),
-    ], ids=["degree-zero-poly", "bernstein-refused", "factor-train-diverged"])
+    ], ids=["degree-zero-poly", "double-root-poly", "bernstein-refused",
+            "factor-train-diverged"])
     def test_early_exit_leaves_no_run_directory(self, argv, expected, tmp_path):
         out = tmp_path / "runs"
         assert main([*argv, "--out-dir", str(out)]) == expected
+        assert list(out.iterdir()) == []
+
+    def test_raising_command_leaves_no_run_directory(self, tmp_path, monkeypatch):
+        def cmd_fails(args, report):
+            report.artifact("partial.csv").write_text("n\n")
+            raise OverflowError("boom")
+
+        monkeypatch.setattr(qnn.cli, "cmd_poly", cmd_fails)
+        out = tmp_path / "runs"
+        with pytest.raises(OverflowError, match="boom"):
+            main(["poly", "--coeffs", "1", "1", "--out-dir", str(out)])
         assert list(out.iterdir()) == []
 
 
@@ -284,6 +298,9 @@ class TestUsage:
         ["poly", "--coeffs", "1", "nan"],
         ["width-sweep", "--radius", "0"],
         ["width-sweep", "--learning-rate", "inf"],
+        ["poly", "--coeffs", "1", "1", "--svg"],
+        ["bernstein", "--svg"],
+        ["width-sweep", "--svg"],
     ])
     def test_count_flags_checked_at_parse_time(self, argv, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -265,7 +265,7 @@ class TestPackedNetwork:
         for _ in range(50):
             net = net_factory(rng)
             packed = PackedNetwork(net)
-            assert packed.trainable_count == trainable_count(net)
+            assert len(packed.theta_index) == trainable_count(net)
             np.testing.assert_array_equal(
                 packed.params[0, packed.theta_index], trainable_values(net)
             )
@@ -282,45 +282,50 @@ class TestPackedNetwork:
             X = rng.normal(size=(9, net.input_dim))
             U = rng.normal(size=(9, net.output_dim))
             packed = PackedNetwork(net)
-            packed.set_theta(theta[None])
-            out, tape = packed.forward(X)
+            out = packed.forward(theta[None], X)
+            _, grad = packed.loss_and_grad(theta[None], X, lambda out: (None, U[None]))
             updated = set_trainable_values(net, theta)
             _, acts = reference_forward_batch(updated, X)
             np.testing.assert_allclose(out[0], acts[-1], rtol=1e-12, atol=1e-12)
-            assert_gradients_close(
-                packed.backward(tape, U[None])[0], reference_backward_batch(updated, X, U), 1e-12
-            )
+            assert_gradients_close(grad[0], reference_backward_batch(updated, X, U), 1e-12)
         assert kinds == {"QuadraticNeuron", "ConventionalNeuron", "PassthroughNeuron",
                          "relu", "identity", True, False}
 
-    def test_tape_serves_one_backward(self, net_factory):
-        net = net_factory(np.random.default_rng(24))
-        packed = PackedNetwork(net)
-        _, tape = packed.forward(np.ones((2, net.input_dim)))
-        packed.backward(tape, np.ones((2, net.output_dim)))
-        with pytest.raises(ValueError):
-            packed.backward(tape, np.ones((2, net.output_dim)))
+    def test_public_members(self):
+        packed = PackedNetwork(single_quadratic_net(2))
+        public = {name for name in {*vars(packed), *vars(PackedNetwork)}
+                  if not name.startswith("_")}
+        assert public == {"params", "theta_index", "forward", "loss_and_grad"}
 
-    def test_tape_of_an_earlier_pass_refused(self, net_factory):
-        net = net_factory(np.random.default_rng(25))
-        packed = PackedNetwork(net)
-        _, first = packed.forward(np.ones((2, net.input_dim)))
-        _, second = packed.forward(np.zeros((3, net.input_dim)))
-        with pytest.raises(ValueError, match="stale"):
-            packed.backward(first, np.ones((1, 2, net.output_dim)))
-        packed.backward(second, np.ones((1, 3, net.output_dim)))
+    def test_new_batch_size_matches_a_fresh_executor(self, net_factory):
+        """A pass at B=3 after one at B=2 replaces the work arrays: its loss
+        and gradient equal a fresh executor's bit for bit."""
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            net = net_factory(rng)
+            theta = rng.normal(size=(1, trainable_count(net)))
+            X = rng.normal(size=(3, net.input_dim))
+
+            def loss(out):
+                return np.sum(out * out, axis=(-2, -1)), 2.0 * out
+
+            packed = PackedNetwork(net)
+            packed.loss_and_grad(theta, X[:2], loss)
+            value, grad = packed.loss_and_grad(theta, X, loss)
+            fresh_value, fresh_grad = PackedNetwork(net).loss_and_grad(theta, X, loss)
+            np.testing.assert_array_equal(value, fresh_value)
+            np.testing.assert_array_equal(grad, fresh_grad)
 
     def test_output_survives_later_passes(self, net_factory):
         rng = np.random.default_rng(26)
         for _ in range(20):
             net = net_factory(rng)
             packed = PackedNetwork(net)
-            packed.set_theta(rng.normal(size=(1, trainable_count(net))))
-            X = rng.normal(size=(5, net.input_dim))
-            out, _ = packed.forward(X)
+            theta = rng.normal(size=(1, trainable_count(net)))
+            out = packed.forward(theta, rng.normal(size=(5, net.input_dim)))
             kept = out.copy()
-            packed.forward(rng.normal(size=(5, net.input_dim)))
-            packed.forward(rng.normal(size=(4, net.input_dim)))
+            packed.forward(theta, rng.normal(size=(5, net.input_dim)))
+            packed.forward(theta, rng.normal(size=(4, net.input_dim)))
             np.testing.assert_array_equal(out, kept)
 
     def test_warm_step_allocates_no_large_array(self):
@@ -401,18 +406,18 @@ class TestPackedNetwork:
             X = rng.normal(size=(7, net.input_dim))
             U = rng.normal(size=(3, 7, net.output_dim))
             stacked = PackedNetwork(net, restarts=3)
-            assert stacked.restarts == 3
-            stacked.set_theta(theta)
-            out, tape = stacked.forward(X)
-            grad = stacked.backward(tape, U)
+            assert stacked.params.shape[0] == 3
+            out = stacked.forward(theta, X)
+            _, grad = stacked.loss_and_grad(theta, X, lambda out: (None, U))
             assert out.shape == (3, 7, net.output_dim)
             assert grad.shape == theta.shape
             for i in range(3):
                 single = PackedNetwork(net)
-                single.set_theta(theta[i : i + 1])
-                out_i, tape_i = single.forward(X)
+                out_i = single.forward(theta[i : i + 1], X)
+                _, grad_i = single.loss_and_grad(
+                    theta[i : i + 1], X, lambda out: (None, U[i : i + 1]))
                 np.testing.assert_array_equal(out[i], out_i[0])
-                np.testing.assert_array_equal(grad[i], single.backward(tape_i, U[i : i + 1])[0])
+                np.testing.assert_array_equal(grad[i], grad_i[0])
 
     def test_restarts_must_be_positive(self):
         with pytest.raises(ValueError):

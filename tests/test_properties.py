@@ -1,5 +1,5 @@
-"""Property tests: compiled layer blocks against the per-neuron oracle, and
-the trainable-parameter gather and scatter."""
+"""Property tests: compiled layer blocks and the packed executor against the
+per-neuron oracle, and the trainable-parameter gather and scatter."""
 
 import numpy as np
 from hypothesis import given
@@ -9,6 +9,7 @@ from qnn.network import (
     ACTIVATIONS,
     LayerSpec,
     NetworkSpec,
+    PackedNetwork,
     Shortcut,
     forward_batch,
     set_trainable_values,
@@ -17,7 +18,7 @@ from qnn.network import (
     trainable_values,
 )
 from qnn.neurons import PassthroughNeuron, neuron_from_params
-from qnn.oracles import reference_forward_batch
+from qnn.oracles import reference_backward_batch, reference_forward_batch
 
 small = st.floats(-2.0, 2.0)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -25,6 +26,13 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 def vectors(size, elements=small):
     return st.lists(elements, min_size=size, max_size=size).map(np.array)
+
+
+def assert_close(got, want):
+    """rtol 1e-12 with an absolute floor of rtol times the largest entry of
+    want, for entries that cancel to near zero."""
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want), initial=0.0))
 
 
 @st.composite
@@ -64,12 +72,30 @@ def test_forward_batch_matches_reference(data):
     net = data.draw(networks())
     rows = data.draw(st.integers(1, 5))
     X = data.draw(vectors(rows * net.input_dim)).reshape(rows, net.input_dim)
-    got = forward_batch(net, X)
-    want = reference_forward_batch(net, X)[1][-1]
-    # an absolute floor of rtol times the largest output, for outputs that
-    # cancel to near zero
-    np.testing.assert_allclose(got, want, rtol=1e-12,
-                               atol=1e-12 * np.max(np.abs(want), initial=0.0))
+    assert_close(forward_batch(net, X), reference_forward_batch(net, X)[1][-1])
+
+
+@given(st.data())
+def test_packed_executor_rows_match_reference(data):
+    """Each restart row of a two-row executor's output and gradient matches
+    the per-neuron oracle at that row's trainable values."""
+    net = data.draw(networks())
+    rows = data.draw(st.integers(1, 5))
+    X = data.draw(vectors(rows * net.input_dim)).reshape(rows, net.input_dim)
+    theta = data.draw(vectors(2 * trainable_count(net))).reshape(2, -1)
+    U = data.draw(vectors(2 * rows * net.output_dim)).reshape(2, rows, net.output_dim)
+    outputs = []
+
+    def loss(out):
+        outputs.append(out)
+        return np.sum(out * U, axis=(-2, -1)), U
+
+    _, grad = PackedNetwork(net, restarts=2).loss_and_grad(theta, X, loss)
+
+    for i in range(2):
+        updated = set_trainable_values(net, theta[i])
+        assert_close(outputs[0][i], reference_forward_batch(updated, X)[1][-1])
+        assert_close(grad[i], reference_backward_batch(updated, X, U[i]))
 
 
 @given(st.data())

@@ -57,7 +57,7 @@ def one_at_a_time(net, data, cfg):
     for i in range(cfg.restarts):
         packed = PackedNetwork(net)
         theta = np.random.default_rng([cfg.seed, i]).uniform(
-            -cfg.init_scale, cfg.init_scale, size=(1, packed.trainable_count))
+            -cfg.init_scale, cfg.init_scale, size=(1, len(packed.theta_index)))
         history = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(cfg.iterations):
@@ -66,8 +66,7 @@ def one_at_a_time(net, data, cfg):
                     break
                 history.append(value[0])
                 theta = theta - cfg.learning_rate * grad
-            packed.set_theta(theta)
-            final = loss(packed.forward(X)[0])[0][0]
+            final = loss(packed.forward(theta, X))[0][0]
         if len(history) < cfg.iterations or not np.isfinite(final):
             runs.append((None, np.array(history), np.inf))
         else:
