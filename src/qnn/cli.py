@@ -419,7 +419,11 @@ def cmd_bernstein(args, report: RunReport) -> int | None:
     _write_csv(report.artifact("sweep.csv"), ["n", "sup_error"], sweep_rows)
 
     # exact network for the expanded approximant at one chosen degree
-    poly = bernstein_coeffs(f, args.net_n)
+    try:
+        poly = bernstein_coeffs(f, args.net_n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report.artifact("coefficients.json").write_text(poly.to_json())
     if poly.degree >= 1:
         try:

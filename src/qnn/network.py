@@ -11,10 +11,12 @@ them into one row per restart so that every restart advances in the same
 stacked matmuls.  The executor has two calls: forward(theta, X) writes the
 (R, T) trainable values and returns the output, and loss_and_grad(theta, X,
 loss) adds the backward pass right after that forward.  It owns its work
-arrays (activations, their gradient and the per-layer products), made once
-per batch size, reused by every step and freed with it.  backward_batch is
-loss_and_grad of a one-row executor at the net's own values.  The
-per-neuron forward and backward are the test oracle, in oracles.
+arrays (activations, their gradient and the per-layer products), held
+batch-last as (R, width, B) so that each layer's slice is contiguous, made
+once per batch size, reused by every step and freed with it.
+backward_batch is loss_and_grad of a one-row executor at the net's own
+values.  The per-neuron forward and backward are the test oracle, in
+oracles.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -204,13 +206,17 @@ def _theta_index(net: NetworkSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_inputs(X, input_dim: int) -> np.ndarray:
+    """X as a (B, input_dim) float64 array."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != input_dim:
+        raise ValueError(f"expected batch of shape (B, {input_dim}), got {X.shape}")
+    return X
+
+
 def _check_batch(net: NetworkSpec, X, upstream=None):
     """X as a (B, input_dim) float64 array and, when given, upstream as (B, output_dim)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise ValueError(
-            f"expected batch of shape (B, {net.input_dim}), got {X.shape}"
-        )
+    X = _check_inputs(X, net.input_dim)
     if upstream is not None:
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (X.shape[0], net.output_dim):
@@ -313,11 +319,11 @@ def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
 class _PackedLayer(NamedTuple):
     quadratic: bool  # False: conventional and passthrough neurons only
     relu: bool
-    inp: slice  # augmented input [x, 1] in the activation array
+    inp: slice  # augmented input [x; 1], rows of the activation array
     out: slice  # this layer's activations
-    thirds: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c]: (R, rows, m) views of the block
-    weights_t: tuple  # W_r, W_g, W_b without the bias rows, transposed: (R, m, n)
-    grads: tuple  # gradient views matching thirds
+    thirds_t: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c] transposed: (R, m, n + 1) views
+    weights: tuple  # W_r, W_g, W_b without the bias rows: (R, n, m)
+    grads: tuple  # gradient views of the thirds, untransposed: (R, n + 1, m)
     # (cells of one restart's dense matrix, the same cells over all restarts,
     # weight positions, the matrices' shape (R, rows, m))
     shortcuts: tuple | None
@@ -325,19 +331,17 @@ class _PackedLayer(NamedTuple):
 
 
 class _LayerBuffers(NamedTuple):
-    # Each is a C-contiguous (R, B, width) array, n the layer's fan-in and m
-    # its width.  Contiguous, not a column block of acts or grad_acts: numpy
-    # runs an elementwise op on a narrow column block one row at a time.
-    product: np.ndarray  # m wide, over grad_acts' memory, which the forward leaves free
-    X2: np.ndarray | None  # X1 * X1, n + 1 wide; quadratic layers only
-    twice: np.ndarray | None  # n wide, over X2's memory: 2 X1 once X2 is spent
-    P: np.ndarray | None  # m wide; quadratic layers only
+    # Each is a C-contiguous (R, rows, B) array, n the layer's fan-in and m
+    # its width.
+    product: np.ndarray  # m rows, over grad_acts' memory, which the forward leaves free
+    X2: np.ndarray | None  # X1 * X1, n + 1 rows; quadratic layers only
+    P: np.ndarray | None  # m rows; quadratic layers only
     Q: np.ndarray | None
-    T: np.ndarray | None  # n wide, where the input gradient is a sum of terms
+    T: np.ndarray | None  # n rows, where the input gradient is a sum of terms
 
 
 class _WorkBuffers(NamedTuple):
-    acts: np.ndarray  # (R, B, act_width); the ones columns are written once
+    acts: np.ndarray  # (R, act_width, B); the ones rows are written once
     grad_acts: np.ndarray  # same shape
     layers: list[_LayerBuffers]
 
@@ -351,14 +355,16 @@ class PackedNetwork:
     """A NetworkSpec compiled once into flat float64 parameter buffers.
 
     `params` has shape (R, P): one row per restart, each a copy of the
-    layer blocks and shortcut weights of _compile.  With the input
-    augmented by a column of ones, X1 = [X, 1], a layer is three matmuls,
+    layer blocks and shortcut weights of _compile.  Activations are held
+    batch-last, one row per neuron and one column per input.  With the
+    input augmented by a row of ones, X1 = [X; 1], a layer is three
+    matmuls,
 
-        Z = (X1 [W_r; b_r]) * (X1 [W_g; b_g]) + (X1 * X1) [W_b; c]
+        Z = ([W_r; b_r]^T X1) * ([W_g; b_g]^T X1) + [W_b; c]^T (X1 * X1)
 
     plus its incoming shortcuts, then the activation.  Every matmul is
     stacked over the restart axis: blocks are (R, 3n+3, m), activations
-    (R, B, width), and one input batch X feeds every restart.  A layer
+    (R, width, B), and one input batch X feeds every restart.  A layer
     without quadratic neurons is evaluated as its affine part alone.
     Shortcut weights follow the blocks, and `theta_index` maps the
     canonical trainable vector (shortcut weights last) into a row of
@@ -372,20 +378,24 @@ class PackedNetwork:
     non-finite loss.
 
     `forward(theta, X)` writes the (R, T) trainable values into `params`
-    and returns the output; `loss_and_grad` runs the backward pass right
-    after its own forward, on what that pass left in the work arrays.
+    and returns the output, (R, B, output_dim); `loss_and_grad` runs the
+    backward pass right after its own forward, on what that pass left in
+    the work arrays.  Both take X as (B, input_dim) and transpose at that
+    boundary.
 
     The executor owns its work arrays, one set for the batch size last
-    seen: the activations (their ones columns written once), the
-    activation gradient, X1 * X1, P and Q of each quadratic layer, and an
-    (R, B, n) scratch for the input gradient.  The first forward pass at a
-    batch size makes them and a new size replaces them; they live as long
-    as the executor, and the trainer makes one executor per `train` call.
-    The layer products and the input gradient are written into them
-    through `out=`; a warm step still allocates the ReLU masks (one byte
-    per entry), the shortcut terms of the backward and the output copy.
-    One executor serves one caller at a time.  The output a forward pass
-    returns is a copy that later passes leave alone.
+    seen: the activations (R, act_width, B), their ones rows written once,
+    the activation gradient of the same shape, X1 * X1, P and Q of each
+    quadratic layer, and an (R, n, B) scratch for the input gradient.
+    Every layer's slice of the activations is then contiguous within a
+    restart.  The first forward pass at a batch size makes them and a new
+    size replaces them; they live as long as the executor, and the trainer
+    makes one executor per `train` call.  The layer products and the input
+    gradient are written into them through `out=`; a warm step still
+    allocates the ReLU masks (one byte per entry), the shortcut terms of
+    the backward and the output copy.  One executor serves one caller at a
+    time.  The output a forward pass returns is a copy that later passes
+    leave alone.
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
@@ -398,8 +408,8 @@ class PackedNetwork:
         sc_base = len(params) - len(net.shortcuts)
         fan_in = [net.input_dim] + net.layer_widths()[:-1]
 
-        # Columns of the per-pass activation array: the input, then each
-        # layer's activations, each block followed by a column of ones.
+        # Rows of the per-pass activation array: the input, then each
+        # layer's activations, each block followed by a row of ones.
         base = np.cumsum([0] + [n + 1 for n in fan_in] + [net.output_dim + 1])
         self._ones = base[1:] - 1
         self._act_width = int(base[-1])
@@ -418,7 +428,7 @@ class PackedNetwork:
             gblock = self._grad[:, pos : pos + blocks[k].size].reshape(shape)
             shortcuts = None
             if k in incoming:
-                # every earlier activation column feeds this layer through a
+                # every earlier activation row feeds this layer through a
                 # dense (base[k + 1], m) weight matrix per restart, rebuilt
                 # on each pass
                 rows = int(base[k + 1])
@@ -438,8 +448,8 @@ class PackedNetwork:
                 relu=layer.activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
-                thirds=tuple(block[:, t] for t in thirds),
-                weights_t=tuple(block[:, t].swapaxes(1, 2) for t in weights),
+                thirds_t=tuple(block[:, t].swapaxes(1, 2) for t in thirds),
+                weights=tuple(block[:, t] for t in weights),
                 grads=tuple(gblock[:, t] for t in thirds),
                 shortcuts=shortcuts,
                 overwrite_input_grad=k - 1 not in sources,
@@ -451,15 +461,15 @@ class PackedNetwork:
         self._matrices: list = []  # the last pass's shortcut matrices, per layer
 
     def _buffers(self, batch: int) -> _WorkBuffers:
-        """The work arrays for a batch of `batch` rows, made on first use.
+        """The work arrays for a batch of `batch` columns, made on first use.
 
         A new batch size replaces the previous set, so at most one is held.
         """
         work = self._work
-        if work is None or work.acts.shape[1] != batch:
-            rows = (len(self.params), batch)
-            acts = np.empty(rows + (self._act_width,))
-            acts[..., self._ones] = 1.0
+        if work is None or work.acts.shape[2] != batch:
+            R = len(self.params)
+            acts = np.empty((R, self._act_width, batch))
+            acts[:, self._ones] = 1.0
             grad_acts = np.empty_like(acts)
             # Layer k > 0 sums its input gradient from several terms unless
             # it is affine and the first to write that gradient.  The terms
@@ -468,18 +478,17 @@ class PackedNetwork:
             summed = [k > 0 and (layer.quadratic or not layer.overwrite_input_grad)
                       for k, layer in enumerate(self._layers)]
             fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
-            scratch = np.empty(len(self.params) * batch * max(
+            scratch = np.empty(R * batch * max(
                 (n for n, s in zip(fan_in, summed) if s), default=0))
             per_layer = []
             for layer, n, s in zip(self._layers, fan_in, summed):
                 m = layer.out.stop - layer.out.start
-                X2 = twice = P = Q = None
+                X2 = P = Q = None
                 if layer.quadratic:
-                    X2, P, Q = (np.empty(rows + (w,)) for w in (n + 1, m, m))
-                    twice = _leading(X2, rows + (n,))
+                    X2, P, Q = (np.empty((R, rows, batch)) for rows in (n + 1, m, m))
                 per_layer.append(_LayerBuffers(
-                    _leading(grad_acts, rows + (m,)), X2, twice, P, Q,
-                    _leading(scratch, rows + (n,)) if s else None,
+                    _leading(grad_acts, (R, m, batch)), X2, P, Q,
+                    _leading(scratch, (R, n, batch)) if s else None,
                 ))
             work = _WorkBuffers(acts, grad_acts, per_layer)
             self._work = work
@@ -490,37 +499,38 @@ class PackedNetwork:
         float64 batch under every restart's params.
 
         Returns the output, shape (R, B, output_dim), a copy that later
-        passes leave alone.
+        passes leave alone.  Raises ValueError if X is not (B, input_dim).
         """
+        X = _check_inputs(X, self._input_dim)
         self.params[:, self.theta_index] = theta
         work = self._buffers(X.shape[0])
         acts = work.acts
-        acts[..., : self._input_dim] = X
+        acts[:, : self._input_dim] = X.T
         matrices = []
-        for layer, (product, X2, _, P, Q, _) in zip(self._layers, work.layers):
+        for layer, (product, X2, P, Q, _) in zip(self._layers, work.layers):
             quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _ = layer
-            X1 = acts[..., inp]
-            Z = acts[..., out]
+            X1 = acts[:, inp]
+            Z = acts[:, out]
             M = None
             if quadratic:
                 np.multiply(X1, X1, out=X2)
-                np.matmul(X1, W, out=P)
-                np.matmul(X1, W_g, out=Q)
+                np.matmul(W, X1, out=P)
+                np.matmul(W_g, X1, out=Q)
                 np.multiply(P, Q, out=Z)
-                Z += np.matmul(X2, W_b, out=product)
+                Z += np.matmul(W_b, X2, out=product)
             else:
-                np.matmul(X1, W, out=Z)
+                np.matmul(W, X1, out=Z)
             if sc is not None:
                 _, all_cells, wpos, shape = sc
                 size = shape[0] * shape[1] * shape[2]
                 M = np.bincount(all_cells, self.params[:, wpos].ravel(), size)
                 M = M.reshape(shape)
-                Z += np.matmul(acts[..., : shape[1]], M, out=product)
+                Z += np.matmul(M.swapaxes(1, 2), acts[:, : shape[1]], out=product)
             if relu:
                 np.maximum(Z, 0.0, out=Z)
             matrices.append(M)
         self._matrices = matrices
-        return acts[..., out].copy()
+        return acts[:, out].swapaxes(1, 2).copy()
 
     def _backward(self, upstream: np.ndarray) -> np.ndarray:
         """Gradient of sum_b upstream[r, b] . output[r, b] w.r.t. each
@@ -535,43 +545,44 @@ class PackedNetwork:
         work = self._work
         acts, grad_acts = work.acts, work.grad_acts
         grad_acts.fill(0.0)
-        grad_acts[..., self._layers[-1].out] = upstream
+        grad_acts[:, self._layers[-1].out] = upstream.swapaxes(1, 2)
         grad = self._grad
         for k in range(len(self._layers) - 1, -1, -1):
-            quadratic, relu, inp, out, _, (W_t, W_gt, W_bt), (G, G_g, G_b), sc, overwrite = (
+            quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b), sc, overwrite = (
                 self._layers[k]
             )
             M = self._matrices[k]
-            _, X2, twice, P, Q, T = work.layers[k]
-            X1 = acts[..., inp]
-            X1_t = X1.swapaxes(1, 2)
-            d = grad_acts[..., out]
+            _, X2, P, Q, T = work.layers[k]
+            X1 = acts[:, inp]
+            d = grad_acts[:, out]
             if relu:
-                d *= acts[..., out] > 0.0
+                d *= acts[:, out] > 0.0
             if sc is not None:
                 cells, _, wpos, shape = sc
-                sources = acts[..., : shape[1]]
-                grad[:, wpos] = (sources.swapaxes(1, 2) @ d).reshape(shape[0], -1)[:, cells]
-                grad_acts[..., : shape[1]] += d @ M.swapaxes(1, 2)
+                sources = acts[:, : shape[1]]
+                grad[:, wpos] = (sources @ d.swapaxes(1, 2)).reshape(shape[0], -1)[:, cells]
+                grad_acts[:, : shape[1]] += M @ d
             dq = d
             if quadratic:
                 dq = np.multiply(d, Q, out=Q)
                 dp = np.multiply(d, P, out=P)
-                np.matmul(X1_t, dp, out=G_g)
-                np.matmul(X2.swapaxes(1, 2), d, out=G_b)
-            np.matmul(X1_t, dq, out=G)
+                np.matmul(X1, dp.swapaxes(1, 2), out=G_g)
+                np.matmul(X2, d.swapaxes(1, 2), out=G_b)
+            np.matmul(X1, dq.swapaxes(1, 2), out=G)
             if not k:
                 break
-            g_inp = grad_acts[..., inp.start : inp.stop - 1]
+            g_inp = grad_acts[:, inp.start : inp.stop - 1]
             if overwrite:
-                np.matmul(dq, W_t, out=g_inp)
+                np.matmul(W, dq, out=g_inp)
             else:
-                g_inp += np.matmul(dq, W_t, out=T)
+                g_inp += np.matmul(W, dq, out=T)
             if quadratic:
-                g_inp += np.matmul(dp, W_gt, out=T)
-                np.multiply(X1[..., :-1], 2.0, out=twice)
-                np.matmul(d, W_bt, out=T)
-                g_inp += np.multiply(twice, T, out=T)
+                g_inp += np.matmul(W_g, dp, out=T)
+                # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
+                np.matmul(W_b, d, out=T)
+                T *= X1[:, :-1]
+                T *= 2.0
+                g_inp += T
         return grad[:, self.theta_index]
 
     def loss_and_grad(self, theta, X: np.ndarray, loss):
@@ -579,9 +590,17 @@ class PackedNetwork:
 
         loss maps the (R, B, output_dim) output to (values, d values / d
         output), values holding one loss per restart; returns (values,
-        gradients w.r.t. theta, shape (R, T)).
+        gradients w.r.t. theta, shape (R, T)).  Raises ValueError if X is
+        not (B, input_dim) or the gradient loss returns is not shaped like
+        the output.
         """
-        values, upstream = loss(self.forward(theta, X))
+        out = self.forward(theta, X)
+        values, upstream = loss(out)
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != out.shape:
+            raise ValueError(
+                f"expected loss upstream of shape {out.shape}, got {upstream.shape}"
+            )
         return values, self._backward(upstream)
 
 

@@ -24,11 +24,14 @@ import numpy as np
 class FactorizationError(RuntimeError):
     """Root finding failed to reproduce the input coefficients.
 
-    Carries the relative re-expansion residual that triggered the failure.
+    Carries the relative re-expansion residual that triggered the failure,
+    or None for a structural refusal made before any re-expansion.
     """
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (relative residual {residual:.3e})")
+    def __init__(self, message: str, residual: float | None = None):
+        if residual is not None:
+            message = f"{message} (relative residual {residual:.3e})"
+        super().__init__(message)
         self.residual = residual
 
 
@@ -184,9 +187,7 @@ def factor_polynomial(
         (z for z in complex_roots if z.imag > 0), key=lambda z: (z.real, z.imag)
     )
     if 2 * len(upper) != len(complex_roots):
-        raise FactorizationError(
-            "complex roots did not pair into conjugates", float("nan")
-        )
+        raise FactorizationError("complex roots did not pair into conjugates")
 
     quads = [(-2.0 * z.real, float(abs(z) ** 2)) for z in upper]
     for a, b in quads:
@@ -194,7 +195,7 @@ def factor_polynomial(
         if a * a - 4.0 * b >= 0.0:
             raise FactorizationError(
                 f"complex root pair gives factor x^2 + {a:.17g} x + {b:.17g} "
-                "with a non-negative discriminant", float("nan"))
+                "with a non-negative discriminant")
     paired = [False] * len(quads)
     if pair_real_roots:
         while len(real_roots) >= 2:
@@ -209,8 +210,7 @@ def factor_polynomial(
         paired_real=paired,
     )
     if form.degree != n:
-        raise FactorizationError("factor degrees do not sum to the input degree",
-                                 float("nan"))
+        raise FactorizationError("factor degrees do not sum to the input degree")
 
     rebuilt = expand_factored(form).coeffs
     if len(rebuilt) != len(coeffs):
@@ -242,7 +242,8 @@ def bernstein_coeffs(f, n: int) -> Polynomial:
     so polynomial targets expand without rounding at any n.  Coefficients
     tiny relative to the largest one (below 1e-12 relative) are zeroed: for
     float-valued targets they are sampling noise amplified by the binomials
-    and would otherwise inflate the degree.
+    and would otherwise inflate the degree.  Raises ValueError when an exact
+    coefficient is beyond the float64 range.
     """
     if n <= 0:
         raise ValueError("Bernstein degree must be >= 1")
@@ -255,7 +256,13 @@ def bernstein_coeffs(f, n: int) -> Polynomial:
         for j in range(n - m + 1):
             term = base * comb(n - m, j)
             coeffs[m + j] += -term if j % 2 else term
-    out = np.array([float(c) for c in coeffs])
+    try:
+        out = np.array([float(c) for c in coeffs])
+    except OverflowError:
+        raise ValueError(
+            f"Bernstein degree n={n}: a monomial coefficient exceeds the "
+            "float64 range"
+        ) from None
     biggest = np.max(np.abs(out))
     if biggest > 0.0:
         out[np.abs(out) < 1e-12 * biggest] = 0.0

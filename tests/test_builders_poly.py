@@ -100,9 +100,12 @@ class TestFactorPolynomial:
 
     def test_double_root_split_into_real_discriminant_pair_refused(self):
         """(x + 0.9)^2: the polished double root is a conjugate pair whose
-        factor has a non-negative discriminant."""
-        with pytest.raises(FactorizationError, match="discriminant"):
+        factor has a non-negative discriminant.  The refusal comes before
+        any re-expansion, so it carries no residual and names none."""
+        with pytest.raises(FactorizationError, match="discriminant") as info:
             factor_polynomial(Polynomial([0.81, 1.8, 1.0]))
+        assert info.value.residual is None
+        assert "residual" not in str(info.value)
 
     def test_pair_real_roots_flagged(self):
         form = factor_polynomial(
@@ -165,6 +168,11 @@ class TestBuildPolyNet:
             assert np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))) < 1e-8
 
 
+def alternating_huge(x):
+    """1e307 at x = 0, 1/2, 1 and -1e307 at x = 1/4, 3/4."""
+    return 1e307 if round(4 * x) % 2 == 0 else -1e307
+
+
 class TestBernstein:
     def test_linear_precision(self):
         for n in (1, 4, 10, 33):
@@ -197,6 +205,12 @@ class TestBernstein:
     def test_invalid_degree_rejected(self):
         with pytest.raises(ValueError):
             bernstein_coeffs(lambda x: x, 0)
+
+    def test_coefficient_beyond_float64_refused(self):
+        """Samples of +-1e307 alternating in sign expand at n=4 to an x^4
+        coefficient of 1.6e308 in magnitude plus 1e307 more: beyond float64."""
+        with pytest.raises(ValueError, match="n=4"):
+            bernstein_coeffs(alternating_huge, 4)
 
 
 class TestSeparable:

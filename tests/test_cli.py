@@ -1,6 +1,7 @@
 """Command-line harness: artifacts, determinism, usage errors."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,16 @@ class TestPoly:
     def test_degree_zero_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "poly", "--coeffs", "5")
         assert code == 2
+
+    def test_double_root_refusal_names_no_residual(self, tmp_path, capsys):
+        """(x + 0.9)^2 is refused before any residual is computed, so the
+        message names the discriminant and no NaN residual."""
+        code, run_dir = run(tmp_path, "poly", "--coeffs", "0.81", "1.8", "1")
+        assert (code, run_dir) == (1, None)
+        err = capsys.readouterr().err
+        assert "discriminant" in err
+        assert "residual" not in err
+        assert re.search(r"\bnan\b", err) is None
 
     def test_report_echoes_config(self, tmp_path):
         code, run_dir = run(tmp_path, "poly", "--coeffs", "1", "2", "1", "--seed", "3")
@@ -120,6 +131,18 @@ class TestBernstein:
         m = read_report(run_dir)["metrics"]
         sups = [m["sup_error_n4"], m["sup_error_n8"], m["sup_error_n16"]]
         assert sups[0] >= sups[1] >= sups[2]
+
+    def test_coefficients_beyond_float64_refused(self, tmp_path, monkeypatch, capsys):
+        """Samples of +-1e307 expand at n=4 past float64: an error message,
+        exit 1 and no run directory, not an OverflowError traceback."""
+        monkeypatch.setitem(qnn.cli._BERNSTEIN_TARGETS, "square",
+                            lambda x: 1e307 if round(4 * x) % 2 == 0 else -1e307)
+        code, run_dir = run(tmp_path, "bernstein", "--target", "square",
+                            "--n-sweep", "4", "--grid-n", "51", "--net-n", "4")
+        assert (code, run_dir) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "n=4" in err
 
 
 class TestWidthSweep:

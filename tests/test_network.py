@@ -22,6 +22,7 @@ from qnn.network import (
     forward,
     forward_batch,
     from_json,
+    one_hidden_conventional,
     one_hidden_quadratic,
     parameter_count,
     set_trainable_values,
@@ -330,9 +331,8 @@ class TestPackedNetwork:
 
     def test_warm_step_allocates_no_large_array(self):
         """Once its buffers exist, a training step allocates less than one
-        (B, width) float64 array."""
+        (B, width) float64 array, for either kind of hidden layer."""
         B, width = 4096, 32
-        net = one_hidden_quadratic(4, width)
         rng = np.random.default_rng(27)
         X, y = rng.normal(size=(B, 4)), rng.normal(size=B)
 
@@ -340,16 +340,39 @@ class TestPackedNetwork:
             err = out[..., 0] - y
             return np.mean(err * err, axis=-1), (2.0 * err / B)[..., None]
 
-        packed = PackedNetwork(net)
-        theta = rng.uniform(-0.5, 0.5, size=(1, trainable_count(net)))
-        packed.loss_and_grad(theta, X, loss)
-        tracemalloc.start()
-        try:
+        for net in (one_hidden_quadratic(4, width), one_hidden_conventional(4, width)):
+            packed = PackedNetwork(net)
+            theta = rng.uniform(-0.5, 0.5, size=(1, trainable_count(net)))
             packed.loss_and_grad(theta, X, loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < B * width * 8
+            tracemalloc.start()
+            try:
+                packed.loss_and_grad(theta, X, loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < B * width * 8
+
+    @pytest.mark.parametrize("X", [np.zeros(5), np.zeros((5, 2)), np.zeros((1, 5, 1))],
+                             ids=["1-D", "wrong-width", "3-D"])
+    def test_malformed_batch_refused(self, X):
+        """X must be (B, input_dim): a 1-D batch is not read as B inputs."""
+        packed = PackedNetwork(single_quadratic_net(1))
+        theta = np.zeros((1, len(packed.theta_index)))
+        with pytest.raises(ValueError, match="batch of shape"):
+            packed.forward(theta, X)
+        with pytest.raises(ValueError, match="batch of shape"):
+            packed.loss_and_grad(theta, X, lambda out: (None, np.ones_like(out)))
+
+    @pytest.mark.parametrize("shape", [(5, 1), (2, 5, 1), (1, 4, 1), (1, 5, 2), (1, 1, 1)],
+                             ids=["no-restart-axis", "two-restarts", "short-batch",
+                                  "wide-output", "broadcast"])
+    def test_malformed_upstream_refused(self, shape):
+        """The loss's gradient must have the output's shape (R, B, output_dim)
+        exactly; none is broadcast."""
+        packed = PackedNetwork(single_quadratic_net(1))
+        theta = np.zeros((1, len(packed.theta_index)))
+        with pytest.raises(ValueError, match="upstream of shape"):
+            packed.loss_and_grad(theta, np.zeros((5, 1)), lambda out: (None, np.ones(shape)))
 
     def test_restart_rows_match_one_row_executors_across_steps(self, net_factory):
         """Two consecutive descent steps on the reused buffers: each row of

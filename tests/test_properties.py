@@ -2,9 +2,11 @@
 per-neuron oracle, and the trainable-parameter gather and scatter."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qnn.builders import build_factorization_trainable
 from qnn.network import (
     ACTIVATIONS,
     LayerSpec,
@@ -12,6 +14,8 @@ from qnn.network import (
     PackedNetwork,
     Shortcut,
     forward_batch,
+    one_hidden_conventional,
+    one_hidden_quadratic,
     set_trainable_values,
     to_json,
     trainable_count,
@@ -93,6 +97,36 @@ def test_packed_executor_rows_match_reference(data):
     _, grad = PackedNetwork(net, restarts=2).loss_and_grad(theta, X, loss)
 
     for i in range(2):
+        updated = set_trainable_values(net, theta[i])
+        assert_close(outputs[0][i], reference_forward_batch(updated, X)[1][-1])
+        assert_close(grad[i], reference_backward_batch(updated, X, U[i]))
+
+
+@pytest.mark.parametrize("net, restarts, batch", [
+    (one_hidden_quadratic(4, 8), 1, 4096),
+    (one_hidden_quadratic(4, 32), 1, 4096),
+    (one_hidden_conventional(4, 8), 1, 4096),
+    (one_hidden_conventional(4, 32), 1, 4096),
+    (build_factorization_trainable(5, 1, 2), 10, 100),
+], ids=["quadratic-w8", "quadratic-w32", "conventional-w8", "conventional-w32",
+        "factorizer"])
+def test_packed_executor_matches_reference_at_training_shapes(net, restarts, batch):
+    """The width sweep's and the factorizer's shapes, far beyond the drawn
+    networks: BLAS reduces over thousands of inputs in blocks, and a
+    one-neuron layer makes matrix-vector products."""
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(batch, net.input_dim))
+    theta = rng.uniform(-0.5, 0.5, size=(restarts, trainable_count(net)))
+    U = rng.normal(size=(restarts, batch, net.output_dim))
+    outputs = []
+
+    def loss(out):
+        outputs.append(out)
+        return np.sum(out * U, axis=(-2, -1)), U
+
+    _, grad = PackedNetwork(net, restarts).loss_and_grad(theta, X, loss)
+
+    for i in range(restarts):
         updated = set_trainable_values(net, theta[i])
         assert_close(outputs[0][i], reference_forward_batch(updated, X)[1][-1])
         assert_close(grad[i], reference_backward_batch(updated, X, U[i]))
