@@ -18,6 +18,7 @@ import numpy as np
 
 from ..network import LayerSpec, NetworkSpec, Shortcut
 from ..neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron, neuron_from_params
+from ..oracles import horner
 from ..polynomials import FactoredForm, Polynomial, factor_polynomial
 
 
@@ -84,10 +85,7 @@ class SeparableSpec:
         for row in self.phis:
             term = np.ones(X.shape[0])
             for i, phi in enumerate(row):
-                acc = np.zeros(X.shape[0])
-                for c in phi.coeffs[::-1]:
-                    acc = acc * X[:, i] + c
-                term *= acc
+                term *= horner(phi, X[:, i])
             total += term
         return total
 
@@ -281,22 +279,10 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
     factor_layer = LayerSpec(
         [neuron_from_params("quadratic", np.zeros(6)) for _ in range(k)], "identity"
     )
-    shortcuts: list[Shortcut] = []
-
-    if k == 1:
-        out = ConventionalNeuron(w=np.zeros(1), b=0.0)
-        layers = [factor_layer, LayerSpec([out], "identity")]
-        fixed = []
-    elif k == 2:
-        product = LayerSpec([_product_neuron(2, 0, 1)], "identity")
-        out = ConventionalNeuron(w=np.zeros(1), b=0.0)
-        layers = [factor_layer, product, LayerSpec([out], "identity")]
-        fixed = [1]
-        shortcuts = [
-            Shortcut(0, 0, 2, 0, 0.0, trainable=True),
-            Shortcut(0, 1, 2, 0, 0.0, trainable=True),
-        ]
-    else:
+    products: list[LayerSpec] = []  # fixed: the pair products, then the triple
+    if k == 2:
+        products = [LayerSpec([_product_neuron(2, 0, 1)], "identity")]
+    elif k == 3:
         pairs = LayerSpec(
             [
                 _product_neuron(3, 0, 1),
@@ -307,21 +293,15 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
             "identity",
         )
         triple = LayerSpec([_product_neuron(4, 3, 1)], "identity")
-        out = ConventionalNeuron(w=np.zeros(1), b=0.0)
-        layers = [factor_layer, pairs, triple, LayerSpec([out], "identity")]
-        fixed = [1, 2]
-        shortcuts = [
-            Shortcut(0, 0, 3, 0, 0.0, trainable=True),
-            Shortcut(0, 1, 3, 0, 0.0, trainable=True),
-            Shortcut(0, 2, 3, 0, 0.0, trainable=True),
-            Shortcut(1, 0, 3, 0, 0.0, trainable=True),
-            Shortcut(1, 1, 3, 0, 0.0, trainable=True),
-            Shortcut(1, 2, 3, 0, 0.0, trainable=True),
-        ]
+        products = [pairs, triple]
+    out = ConventionalNeuron(w=np.zeros(1), b=0.0)
+    # the output taps every factor and every pair product
+    shortcuts = [Shortcut(src, j, len(products) + 1, 0, 0.0)
+                 for src in range(len(products)) for j in range(k)]
 
-    net = NetworkSpec(1, layers, shortcuts)
-    for layer_idx in fixed:
-        for m in net.masks[layer_idx]:
+    net = NetworkSpec(1, [factor_layer, *products, LayerSpec([out], "identity")], shortcuts)
+    for layer_masks in net.masks[1 : len(products) + 1]:
+        for m in layer_masks:
             m[:] = False
     return net
 

@@ -84,12 +84,12 @@ def radial_profile(net: NetworkSpec, ts) -> np.ndarray:
     return forward_batch(net, X)[:, 0].reshape(ts.shape)
 
 
-def _norm_neuron(input_dim: int) -> QuadraticNeuron:
-    """h(x) = ||x||^2 via the square term alone."""
+def _norm_neuron(input_dim: int, c: float = 0.0) -> QuadraticNeuron:
+    """h(x) = ||x||^2 + c via the square term alone."""
     zeros = np.zeros(input_dim)
     return QuadraticNeuron(
         w_r=zeros, b_r=0.0, w_g=zeros.copy(), b_g=0.0,
-        w_b=np.ones(input_dim), c=0.0,
+        w_b=np.ones(input_dim), c=c,
     )
 
 
@@ -133,14 +133,7 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     padded = np.concatenate([[0.0], slopes, [0.0]])
     alphas = np.diff(padded)  # one slope change per knot, flat outside [r, R]
 
-    hidden = [
-        QuadraticNeuron(
-            w_r=np.zeros(input_dim), b_r=0.0,
-            w_g=np.zeros(input_dim), b_g=0.0,
-            w_b=np.ones(input_dim), c=-gamma,
-        )
-        for gamma in knots_u
-    ]
+    hidden = [_norm_neuron(input_dim, -gamma) for gamma in knots_u]
     out = ConventionalNeuron(w=alphas, b=a)
     return _frozen(
         NetworkSpec(

@@ -6,9 +6,11 @@ timestamped directory, starts the clock and hands the command a
 ``RunReport``, whose ``artifact(name)`` gives each output its path.  A command
 returns None, and ``main`` writes a report.json echoing the full
 configuration, so a run can be repeated bit-identically, or an exit code to
-stop early, and ``main`` removes the run directory; it also removes it when
-the command raises, and re-raises.  Exit code is 0 exactly when every
-declared metric came out finite.
+stop early, and ``main`` removes the run directory.  Commands do not catch
+the library's refusals: ``main`` maps a FactorizationError or TrainingError
+to an ``error: ...`` line and exit 1, and removes the run directory; on any
+other exception it removes the directory too, and re-raises.  Exit code is 0
+exactly when every declared metric came out finite.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def _write_svg(path: Path, width: int, height: int, shapes: list[str]) -> None:
     ]))
 
 
-def _write_svg_lines(path: Path, series, width=640, height=420, margin=40) -> None:
-    """Minimal polyline plot: series is a list of (xs, ys, color)."""
+def _write_svg_lines(path: Path, series) -> None:
+    """Minimal 640 x 420 polyline plot: series is a list of (xs, ys, color)."""
+    width, height, margin = 640, 420, 40
     xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     x0, x1 = float(xs_all.min()), float(xs_all.max())
@@ -158,8 +161,9 @@ def _write_svg_lines(path: Path, series, width=640, height=420, margin=40) -> No
     _write_svg(path, width, height, shapes)
 
 
-def _write_svg_scatter(path: Path, points, width=480, height=480, margin=30) -> None:
-    """Scatter of ((x, y), color) pairs on a square canvas."""
+def _write_svg_scatter(path: Path, points) -> None:
+    """Scatter of ((x, y), color) pairs on a 480 x 480 canvas."""
+    width, height, margin = 480, 480, 30
     xs = np.array([p[0][0] for p in points])
     ys = np.array([p[0][1] for p in points])
     lo = float(min(xs.min(), ys.min()))
@@ -276,7 +280,8 @@ def cmd_radial_deep(args, report: RunReport) -> None:
     sweep_rows = []
     for delta in args.deltas:
         partition = RadialPartition(RADIAL_BREAKPOINTS, RADIAL_HEIGHTS, delta)
-        net = build_deep_radial(partition, args.input_dim)
+        # read along x = (t, 0), so any input width gives the same profile
+        net = build_deep_radial(partition, 2)
         # one forward pass per delta: grid_l1 samples both curves at ts
         profile = radial_profile(net, ts)
         l1_cos = grid_l1(radial_target, lambda t: profile, grid)
@@ -318,11 +323,7 @@ def cmd_poly(args, report: RunReport) -> int | None:
     if p.degree < 1:
         print("error: polynomial must have degree >= 1", file=sys.stderr)
         return 2
-    try:
-        form = factor_polynomial(p, pair_real_roots=args.pair_real_roots)
-    except FactorizationError as exc:
-        print(f"error: factorization failed: {exc}", file=sys.stderr)
-        return 1
+    form = factor_polynomial(p, pair_real_roots=args.pair_real_roots)
 
     report.artifact("factored_form.json").write_text(form.to_json())
 
@@ -349,7 +350,7 @@ def cmd_poly(args, report: RunReport) -> int | None:
     return None
 
 
-def cmd_factor_train(args, report: RunReport) -> int | None:
+def cmd_factor_train(args, report: RunReport) -> None:
     target = factorization_target()
     data = make_poly_dataset(target, args.lo, args.hi, args.samples)
     net = build_factorization_trainable(5, 1, 2)
@@ -361,11 +362,7 @@ def cmd_factor_train(args, report: RunReport) -> int | None:
         restarts=args.restarts,
         init_scale=args.init_scale,
     )
-    try:
-        trained, history = train(net, data, cfg)
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trained, history = train(net, data, cfg)
 
     out = forward_batch(trained, data.inputs)[:, 0]
     report.metrics["mean_abs_error"] = float(np.mean(np.abs(out - data.targets)))
@@ -395,7 +392,6 @@ def cmd_factor_train(args, report: RunReport) -> int | None:
             report.artifact("fit.svg"),
             [(xs, horner(target, xs), "#1f77b4"), (xs, fit, "#d62728")],
         )
-    return None
 
 
 _BERNSTEIN_TARGETS = {
@@ -426,12 +422,7 @@ def cmd_bernstein(args, report: RunReport) -> int | None:
         return 1
     report.artifact("coefficients.json").write_text(poly.to_json())
     if poly.degree >= 1:
-        try:
-            form = factor_polynomial(poly)
-        except FactorizationError as exc:
-            print(f"error: factorization failed: {exc}", file=sys.stderr)
-            return 1
-        net = build_poly_net(form)
+        net = build_poly_net(factor_polynomial(poly))
         net_vals = forward_batch(net, grid[:, None])[:, 0]
         ref = horner(poly, grid)
         report.metrics["net_vs_coeffs_max_rel"] = float(
@@ -572,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, svg=True)
     p.add_argument("--deltas", type=_delta_list, default=[0.4, 0.2, 0.1, 0.05])
     p.add_argument("--grid-n", type=_two_or_more, default=2001)
-    p.add_argument("--input-dim", type=_positive_int, default=2)
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_radial_deep)
 
@@ -636,6 +626,10 @@ def main(argv: list[str] | None = None) -> int:
     report = RunReport(args.command, _config_echo(args), run_dir)
     try:
         code = args.func(args, report)
+    except (FactorizationError, TrainingError) as exc:
+        refused = "factorization failed: " if isinstance(exc, FactorizationError) else ""
+        print(f"error: {refused}{exc}", file=sys.stderr)
+        code = 1
     except BaseException:
         shutil.rmtree(run_dir)
         raise

@@ -648,24 +648,19 @@ def single_quadratic_net(input_dim: int) -> NetworkSpec:
 
 def one_hidden_quadratic(input_dim: int, width: int) -> NetworkSpec:
     """width quadratic ReLU units feeding one linear output neuron."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    hidden = [neuron_from_params("quadratic", np.zeros(3 * input_dim + 3))
-              for _ in range(width)]
-    out = ConventionalNeuron(w=np.zeros(width), b=0.0)
-    return NetworkSpec(
-        input_dim,
-        [LayerSpec(hidden, "relu"), LayerSpec([out], "identity")],
-    )
+    return _one_hidden("quadratic", 3 * input_dim + 3, input_dim, width)
 
 
 def one_hidden_conventional(input_dim: int, width: int) -> NetworkSpec:
     """width conventional ReLU units feeding one linear output neuron."""
+    return _one_hidden("conventional", input_dim + 1, input_dim, width)
+
+
+def _one_hidden(kind: str, param_count: int, input_dim: int, width: int) -> NetworkSpec:
+    """width zero-initialised ReLU units of one kind feeding one linear output neuron."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    hidden = [
-        ConventionalNeuron(w=np.zeros(input_dim), b=0.0) for _ in range(width)
-    ]
+    hidden = [neuron_from_params(kind, np.zeros(param_count)) for _ in range(width)]
     out = ConventionalNeuron(w=np.zeros(width), b=0.0)
     return NetworkSpec(
         input_dim,
@@ -775,15 +770,7 @@ def to_json(net: NetworkSpec) -> str:
             for layer in net.layers
         ],
         "shortcuts": [
-            {
-                "src_layer": sc.src_layer,
-                "src_neuron": sc.src_neuron,
-                "dst_layer": sc.dst_layer,
-                "dst_neuron": sc.dst_neuron,
-                "weight": sc.weight,
-                "trainable": sc.trainable,
-            }
-            for sc in net.shortcuts
+            {key: getattr(sc, key) for key in _SHORTCUT_FIELDS} for sc in net.shortcuts
         ],
         "masks": [
             [m.astype(int).tolist() for m in layer_masks] for layer_masks in net.masks

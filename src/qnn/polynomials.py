@@ -7,8 +7,12 @@ numerically: companion-matrix eigenvalues, a few Newton polish steps, then a
 re-expansion residual check that fails loudly instead of returning garbage.
 
 bernstein_coeffs expands the degree-n Bernstein approximant of a function on
-[0, 1] into monomial coefficients using exact rational arithmetic for the
-binomial part, so the only rounding comes from the sampled function values.
+[0, 1] into monomial coefficients in exact rational arithmetic, so the only
+rounding comes from the sampled function values.  Its coefficient of x^k is
+C(n,k) * Delta^k f(0), the k-th forward difference of the samples f(m/n):
+expanding (1-x)^(n-m) gives sum_m f(m/n) C(n,m) C(n-m,k-m) (-1)^(k-m), and
+C(n,m) C(n-m,k-m) = C(n,k) C(k,m) turns that sum into C(n,k) times
+sum_m C(k,m) (-1)^(k-m) f(m/n) = Delta^k f(0).
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+_REL_TOL = 1e-8  # the re-expansion residual at which factor_polynomial refuses
 
 
 class FactorizationError(RuntimeError):
@@ -37,7 +43,7 @@ class FactorizationError(RuntimeError):
 
 @dataclass
 class Polynomial:
-    """Coefficients lowest degree first; exact trailing zeros are trimmed."""
+    """Coefficients lowest degree first, all finite; exact trailing zeros are trimmed."""
 
     coeffs: np.ndarray
 
@@ -45,6 +51,8 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
+        if not np.isfinite(c).all():
+            raise ValueError(f"coeffs must be finite, got {c.tolist()}")
         last = c.size - 1
         while last > 0 and c[last] == 0.0:
             last -= 1
@@ -66,9 +74,9 @@ class Polynomial:
 class FactoredForm:
     """scale * prod(x - x_i) * prod(x^2 + a_j x + b_j).
 
-    Quadratic factors normally hold complex conjugate root pairs (negative
-    discriminant); a factor may instead merge two real roots when the
-    corresponding paired_real flag is set.
+    Every number is finite.  Quadratic factors normally hold complex
+    conjugate root pairs (negative discriminant); a factor may instead merge
+    two real roots when the corresponding paired_real flag is set.
     """
 
     scale: float
@@ -82,6 +90,10 @@ class FactoredForm:
         self.quadratic_factors = [
             (float(a), float(b)) for a, b in self.quadratic_factors
         ]
+        for name in ("scale", "linear_roots", "quadratic_factors"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.paired_real is None:
             self.paired_real = [False] * len(self.quadratic_factors)
         if len(self.paired_real) != len(self.quadratic_factors):
@@ -139,11 +151,11 @@ def _poly_val(coeffs: np.ndarray, z: complex) -> complex:
     return acc
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 3) -> complex:
+def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
     deriv = coeffs[1:] * np.arange(1, len(coeffs))
     best = z
     best_val = abs(_poly_val(coeffs, z))
-    for _ in range(steps):
+    for _ in range(3):
         dp = _poly_val(deriv, z)
         if dp == 0:
             break
@@ -154,9 +166,7 @@ def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 3) -> complex:
     return best
 
 
-def factor_polynomial(
-    p: Polynomial, rel_tol: float = 1e-8, pair_real_roots: bool = False
-) -> FactoredForm:
+def factor_polynomial(p: Polynomial, pair_real_roots: bool = False) -> FactoredForm:
     """Split a real polynomial into real linear and quadratic factors.
 
     Roots come from companion-matrix eigenvalues with Newton polish; a root
@@ -165,9 +175,10 @@ def factor_polynomial(
     factors (flagged), which balances the downstream product tree.
 
     Raises ValueError for degree 0 and FactorizationError when re-expanding
-    the factors misses the input coefficients by more than rel_tol, or when
+    the factors misses the input coefficients by 1e-8 relative or more, when
     a complex pair, as from a repeated real root, makes a factor whose
-    discriminant is not negative.
+    discriminant is not negative, or when the monic coefficients or a
+    factor overflow float64.
     """
     from .oracles import expand_factored
 
@@ -177,6 +188,8 @@ def factor_polynomial(
         raise ValueError("cannot factor a polynomial of degree 0")
     scale = coeffs[-1]
     monic = coeffs[:-1] / scale
+    if not np.isfinite(monic).all():
+        raise FactorizationError("the monic coefficients overflow float64")
     roots = np.linalg.eigvals(_companion_matrix(monic))
     roots = np.array([_newton_polish(coeffs, z) for z in roots])
 
@@ -203,22 +216,24 @@ def factor_polynomial(
             quads.append((-(r1 + r2), r1 * r2))
             paired.append(True)
 
-    form = FactoredForm(
-        scale=float(scale),
-        linear_roots=list(real_roots),
-        quadratic_factors=quads,
-        paired_real=paired,
-    )
+    try:
+        form = FactoredForm(
+            scale=float(scale),
+            linear_roots=list(real_roots),
+            quadratic_factors=quads,
+            paired_real=paired,
+        )
+        rebuilt = expand_factored(form).coeffs
+    except ValueError:  # a factor or a coefficient of their product is not finite
+        raise FactorizationError("the factors overflow float64") from None
     if form.degree != n:
         raise FactorizationError("factor degrees do not sum to the input degree")
-
-    rebuilt = expand_factored(form).coeffs
     if len(rebuilt) != len(coeffs):
         raise FactorizationError("re-expansion changed the degree", float("inf"))
     residual = float(
         np.max(np.abs(rebuilt - coeffs)) / (1.0 + np.max(np.abs(coeffs)))
     )
-    if residual >= rel_tol:
+    if not residual < _REL_TOL:
         raise FactorizationError("re-expansion residual too large", residual)
     return form
 
@@ -237,25 +252,22 @@ def _sample_exact(f, m: int, n: int) -> Fraction:
 def bernstein_coeffs(f, n: int) -> Polynomial:
     """Monomial coefficients of sum_m f(m/n) C(n,m) x^m (1-x)^(n-m).
 
-    The binomial expansion is carried out in exact rational arithmetic, and f
-    is sampled at exact rationals m/n whenever it tolerates Fraction inputs,
-    so polynomial targets expand without rounding at any n.  Coefficients
-    tiny relative to the largest one (below 1e-12 relative) are zeroed: for
-    float-valued targets they are sampling noise amplified by the binomials
-    and would otherwise inflate the degree.  Raises ValueError when an exact
-    coefficient is beyond the float64 range.
+    The coefficient of x^k is C(n,k) times the k-th forward difference of
+    the samples at 0 (see the module docstring), taken in exact rational
+    arithmetic; f is sampled at exact rationals m/n whenever it tolerates
+    Fraction inputs, so polynomial targets expand without rounding at any
+    n.  Coefficients tiny relative to the largest one (below 1e-12
+    relative) are zeroed: for float-valued targets they are sampling noise
+    amplified by the binomials and would otherwise inflate the degree.
+    Raises ValueError when an exact coefficient is beyond the float64 range.
     """
     if n <= 0:
         raise ValueError("Bernstein degree must be >= 1")
-    values = [_sample_exact(f, m, n) for m in range(n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    for m, fm in enumerate(values):
-        if fm == 0:
-            continue
-        base = fm * comb(n, m)
-        for j in range(n - m + 1):
-            term = base * comb(n - m, j)
-            coeffs[m + j] += -term if j % 2 else term
+    diffs = [_sample_exact(f, m, n) for m in range(n + 1)]
+    coeffs = []
+    for k in range(n + 1):
+        coeffs.append(comb(n, k) * diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     try:
         out = np.array([float(c) for c in coeffs])
     except OverflowError:

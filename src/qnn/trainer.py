@@ -128,7 +128,6 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
         return values, dout[..., None]
 
     history = np.empty((cfg.iterations, cfg.restarts))
-    rate = np.full((cfg.restarts, 1), cfg.learning_rate)
     live = np.ones(cfg.restarts, dtype=bool)
     stopped = np.full(cfg.restarts, cfg.iterations)
     # overflow on a diverging restart is expected; it is caught by the
@@ -144,9 +143,7 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
                 theta[diverged] = 0.0
                 if not live.any():
                     break
-                grad[diverged] = 0.0
-                rate[diverged] = 0.0
-            theta -= rate * grad
+            np.subtract(theta, cfg.learning_rate * grad, out=theta, where=live[:, None])
         final, _ = loss(packed.forward(theta, X))
     final[~(live & np.isfinite(final))] = np.inf
     return theta, history, final, stopped
@@ -161,8 +158,8 @@ def train(
 
     history[i] is the winning restart's loss at the parameters used for step
     i's gradient.  Restart i starts from default_rng([seed, i]).  A restart
-    that hits a non-finite loss is dropped: its theta row and its updates
-    are zeroed so that the non-finite values go no further.  The lowest
+    that hits a non-finite loss is dropped: its theta row is zeroed and no
+    longer stepped, so that the non-finite values go no further.  The lowest
     final loss wins, earliest restart on ties; if every restart diverges a
     TrainingError is raised.  Deterministic for a given (net, data, cfg).
     """

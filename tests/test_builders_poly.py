@@ -1,7 +1,12 @@
 """Factorization, exact polynomial networks, separable sums, size formulas."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnn.builders import (
     MultiPolySpec,
@@ -25,9 +30,13 @@ from qnn.polynomials import (
     FactoredForm,
     FactorizationError,
     Polynomial,
+    _sample_exact,
     bernstein_coeffs,
     factor_polynomial,
 )
+
+# factoring finite inputs near the float64 limit overflows on the way to a refusal
+overflows = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 G_FACTORS = FactoredForm(1.0, [1.0], [(0.0, 1.0), (1.7, 1.2)])
 
@@ -117,6 +126,42 @@ class TestFactorPolynomial:
         rebuilt = expand_factored(form)
         np.testing.assert_allclose(rebuilt.coeffs, [-1.0, 0.0, 1.0], atol=1e-12)
 
+    def test_non_finite_coefficients_rejected_before_factoring(self):
+        with pytest.raises(ValueError, match="coeffs"):
+            factor_polynomial(Polynomial([1.0, np.nan, 1.0]))
+
+    @overflows
+    def test_monic_overflow_refused(self):
+        """1e300 / 1e-10 overflows: refused before the eigenvalue solver
+        sees an inf."""
+        with pytest.raises(FactorizationError, match="overflow"):
+            factor_polynomial(Polynomial([1e300, 0.0, 1e-10]))
+
+    @overflows
+    @pytest.mark.parametrize("pair_real_roots", [False, True])
+    def test_factor_overflow_refused(self, pair_real_roots):
+        """Finite coefficients whose factors re-expand past float64: a NaN
+        residual must not pass the tolerance check."""
+        p = Polynomial([5.066394819407678e-220, -1.3730664693337688e+294,
+                        3.9870235831189985e+182, -2.1839106305686216e-123,
+                        2.150013561674411e+177, -3.5235269857334594e+269,
+                        4.147004472638071e+79])
+        with pytest.raises(FactorizationError, match="overflow"):
+            factor_polynomial(p, pair_real_roots=pair_real_roots)
+
+    @overflows
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=8).filter(lambda c: c[-1] != 0.0),
+           st.booleans())
+    def test_finite_input_factors_or_refuses(self, coeffs, pair_real_roots):
+        """Any finite polynomial of degree >= 1 either factors into finite
+        numbers that re-expand finitely or raises FactorizationError."""
+        try:
+            form = factor_polynomial(Polynomial(coeffs), pair_real_roots=pair_real_roots)
+        except FactorizationError:
+            return
+        assert np.isfinite(expand_factored(form).coeffs).all()
+
     def test_unflagged_real_discriminant_rejected(self):
         with pytest.raises(ValueError):
             FactoredForm(1.0, [], [(3.0, 1.0)])
@@ -168,6 +213,23 @@ class TestBuildPolyNet:
             assert np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))) < 1e-8
 
 
+def binomial_bernstein_coeffs(f, n):
+    """Reference for bernstein_coeffs: expand each f(m/n) C(n,m) x^m (1-x)^(n-m)
+    term by term, a signed binomial double loop over exact Fractions."""
+    values = [_sample_exact(f, m, n) for m in range(n + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    for m, fm in enumerate(values):
+        base = fm * comb(n, m)
+        for j in range(n - m + 1):
+            term = base * comb(n - m, j)
+            coeffs[m + j] += -term if j % 2 else term
+    out = np.array([float(c) for c in coeffs])
+    biggest = np.max(np.abs(out))
+    if biggest > 0.0:
+        out[np.abs(out) < 1e-12 * biggest] = 0.0
+    return Polynomial(out)
+
+
 def alternating_huge(x):
     """1e307 at x = 0, 1/2, 1 and -1e307 at x = 1/4, 3/4."""
     return 1e307 if round(4 * x) % 2 == 0 else -1e307
@@ -205,6 +267,17 @@ class TestBernstein:
     def test_invalid_degree_rejected(self):
         with pytest.raises(ValueError):
             bernstein_coeffs(lambda x: x, 0)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: abs(x - 0.5),
+        lambda x: x * x,
+        lambda x: x,
+        lambda x: float(np.sin(3.0 * float(x))),
+    ], ids=["absmid", "square", "identity", "sin"])
+    def test_forward_differences_match_binomial_expansion(self, f):
+        for n in range(1, 65):
+            want = binomial_bernstein_coeffs(f, n).coeffs
+            assert bernstein_coeffs(f, n).coeffs.tobytes() == want.tobytes(), n
 
     def test_coefficient_beyond_float64_refused(self):
         """Samples of +-1e307 alternating in sign expand at n=4 to an x^4
@@ -371,6 +444,13 @@ class TestPolynomialType:
         with pytest.raises(ValueError):
             Polynomial([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="coeffs"):
+            Polynomial([bad, 1.0])
+        with pytest.raises(ValueError, match="coeffs"):
+            Polynomial([1.0, bad])
+
 
 class TestFactoredFormSerialization:
     def test_round_trip(self):
@@ -384,3 +464,32 @@ class TestFactoredFormSerialization:
         p = Polynomial([1.5, -2.0, 0.25])
         rebuilt = Polynomial.from_json(p.to_json())
         np.testing.assert_array_equal(rebuilt.coeffs, p.coeffs)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_polynomial_json_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="coeffs"):
+            Polynomial.from_json(f'{{"coeffs": [{bad}, 1.0]}}')
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale", "Infinity"),
+        ("scale", "NaN"),
+        ("linear_roots", "[NaN]"),
+        ("linear_roots", "[1.0, -Infinity]"),
+        ("quadratic_factors", "[[NaN, 1.0]]"),
+        ("quadratic_factors", "[[0.0, Infinity]]"),
+    ])
+    def test_factored_form_json_non_finite_rejected(self, field, value):
+        doc = {"scale": "1.0", "linear_roots": "[0.5]",
+               "quadratic_factors": "[[0.0, 1.0]]", "paired_real": "[false]"}
+        doc[field] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
+        with pytest.raises(ValueError, match=field):
+            FactoredForm.from_json(text)
+
+    def test_factored_form_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="scale"):
+            FactoredForm(np.inf)
+        with pytest.raises(ValueError, match="linear_roots"):
+            FactoredForm(1.0, [np.nan])
+        with pytest.raises(ValueError, match="quadratic_factors"):
+            FactoredForm(1.0, [], [(np.nan, 1.0)])

@@ -212,17 +212,25 @@ class TestRunLifecycle:
         written = [str(dir1 / name) for name in names if name != "report.json"]
         assert sorted(report["artifacts"]) == written
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["poly", "--coeffs", "5"], 2),
-        (["poly", "--coeffs", "0.81", "1.8", "1"], 1),
-        (["bernstein", "--n-sweep", "4", "--grid-n", "51", "--net-n", "30"], 1),
+    @pytest.mark.parametrize("argv, expected, message", [
+        (["poly", "--coeffs", "5"], 2, "error: polynomial must have degree"),
+        (["poly", "--coeffs", "0.81", "1.8", "1"], 1, "error: factorization failed: "),
+        (["bernstein", "--n-sweep", "4", "--grid-n", "51", "--net-n", "30"], 1,
+         "error: factorization failed: "),
         (["factor-train", "--learning-rate", "1e9", "--restarts", "2",
-          "--iterations", "30", "--init-scale", "5.0"], 1),
+          "--iterations", "30", "--init-scale", "5.0"], 1, "error: all 2 restarts diverged"),
+        (["rings", "--learning-rate", "1e12", "--iterations", "20", "--restarts", "1",
+          "--conv-widths", "1"], 1, "error: all 1 restarts diverged"),
+        (["width-sweep", "--learning-rate", "1e12", "--iterations", "20", "--restarts", "1",
+          "--widths", "2", "--dims", "2", "--seeds", "1", "--samples", "20"], 1,
+         "error: all 1 restarts diverged"),
     ], ids=["degree-zero-poly", "double-root-poly", "bernstein-refused",
-            "factor-train-diverged"])
-    def test_early_exit_leaves_no_run_directory(self, argv, expected, tmp_path):
+            "factor-train-diverged", "rings-diverged", "width-sweep-diverged"])
+    def test_early_exit_leaves_no_run_directory(self, argv, expected, message, tmp_path,
+                                                capsys):
         out = tmp_path / "runs"
         assert main([*argv, "--out-dir", str(out)]) == expected
+        assert capsys.readouterr().err.startswith(message)
         assert list(out.iterdir()) == []
 
     def test_raising_command_leaves_no_run_directory(self, tmp_path, monkeypatch):
@@ -264,6 +272,15 @@ class TestUsage:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_removed_input_dim_flag_refused(self, tmp_path):
+        """radial-deep reads its profile along x = (t, 0), the same curve at
+        any input width, so it takes no --input-dim."""
+        out = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["radial-deep", "--input-dim", "5", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rings", "factor-train", "width-sweep"])
     @pytest.mark.parametrize("flag", ["--restarts", "--iterations"])
     @pytest.mark.parametrize("value", ["0", "-1", "2.5"])
@@ -294,7 +311,7 @@ class TestUsage:
         ["rings", "--grid-n", "0"],
         ["factor-train", "--samples", "1"],
         ["poly", "--coeffs", "1", "1", "--points", "0"],
-        ["radial-deep", "--input-dim", "0"],
+        ["bernstein", "--n-sweep", "4,0"],
         ["radial-deep", "--grid-n", "1"],
         ["bernstein", "--grid-n", "0"],
         ["bernstein", "--net-n", "0"],
