@@ -328,6 +328,10 @@ class _PackedLayer(NamedTuple):
     # weight positions, the matrices' shape (R, rows, m))
     shortcuts: tuple | None
     overwrite_input_grad: bool  # no shortcut starts at layer k-1: its gradient is still empty
+    # the backward's products through the layer's width, W @ d and M @ d:
+    # np.multiply, an exact broadcast, where the layer is one neuron wide
+    # (a rank-1 BLAS call costs about six times as much), else np.matmul
+    through_width: np.ufunc
 
 
 class _LayerBuffers(NamedTuple):
@@ -338,6 +342,7 @@ class _LayerBuffers(NamedTuple):
     P: np.ndarray | None  # m rows; quadratic layers only
     Q: np.ndarray | None
     T: np.ndarray | None  # n rows, where the input gradient is a sum of terms
+    mask: np.ndarray | None  # bool, m rows: where a ReLU layer's output is positive
 
 
 class _WorkBuffers(NamedTuple):
@@ -386,16 +391,21 @@ class PackedNetwork:
     The executor owns its work arrays, one set for the batch size last
     seen: the activations (R, act_width, B), their ones rows written once,
     the activation gradient of the same shape, X1 * X1, P and Q of each
-    quadratic layer, and an (R, n, B) scratch for the input gradient.
-    Every layer's slice of the activations is then contiguous within a
-    restart.  The first forward pass at a batch size makes them and a new
-    size replaces them; they live as long as the executor, and the trainer
-    makes one executor per `train` call.  The layer products and the input
-    gradient are written into them through `out=`; a warm step still
-    allocates the ReLU masks (one byte per entry), the shortcut terms of
-    the backward and the output copy.  One executor serves one caller at a
-    time.  The output a forward pass returns is a copy that later passes
-    leave alone.
+    quadratic layer, an (R, n, B) scratch for the input gradient and a
+    bool (R, m, B) buffer for the ReLU masks.  Every layer's slice of the
+    activations is then contiguous within a restart.  The first forward
+    pass at a batch size makes them and a new size replaces them; they
+    live as long as the executor, and the trainer makes one executor per
+    `train` call.  The layer products, the input gradient and the ReLU
+    masks are written into them through `out=`; a warm step still
+    allocates the shortcut terms of the backward and the output copy.  A
+    pass reads only what it wrote: the backward zeroes just the gradient
+    rows of shortcut sources, which it sums into, and no row at all in a
+    net without shortcuts.  Where a layer is one neuron wide, the
+    backward's products through its width (W @ d, M @ d) are broadcast
+    multiplies, which give the same bits as the rank-1 matmul.  One
+    executor serves one caller at a time.  The output a forward pass
+    returns is a copy that later passes leave alone.
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
@@ -453,8 +463,13 @@ class PackedNetwork:
                 grads=tuple(gblock[:, t] for t in thirds),
                 shortcuts=shortcuts,
                 overwrite_input_grad=k - 1 not in sources,
+                through_width=np.multiply if m == 1 else np.matmul,
             ))
             pos += blocks[k].size
+        # the activation gradient rows that the backward sums into with +=:
+        # those of every shortcut source.  Every other row it reads is
+        # written whole first, by the upstream or by the next layer.
+        self._summed_rows = [self._layers[k].out for k in sorted(sources)]
 
         self.theta_index = _theta_index(net)
         self._work: _WorkBuffers | None = None
@@ -471,6 +486,10 @@ class PackedNetwork:
             acts = np.empty((R, self._act_width, batch))
             acts[:, self._ones] = 1.0
             grad_acts = np.empty_like(acts)
+            widths = [layer.out.stop - layer.out.start for layer in self._layers]
+            masks = np.empty(R * batch * max(
+                (m for m, layer in zip(widths, self._layers) if layer.relu), default=0),
+                dtype=bool)
             # Layer k > 0 sums its input gradient from several terms unless
             # it is affine and the first to write that gradient.  The terms
             # then pass one at a time through T, and T of every layer shares
@@ -481,14 +500,14 @@ class PackedNetwork:
             scratch = np.empty(R * batch * max(
                 (n for n, s in zip(fan_in, summed) if s), default=0))
             per_layer = []
-            for layer, n, s in zip(self._layers, fan_in, summed):
-                m = layer.out.stop - layer.out.start
+            for layer, n, m, s in zip(self._layers, fan_in, widths, summed):
                 X2 = P = Q = None
                 if layer.quadratic:
                     X2, P, Q = (np.empty((R, rows, batch)) for rows in (n + 1, m, m))
                 per_layer.append(_LayerBuffers(
                     _leading(grad_acts, (R, m, batch)), X2, P, Q,
                     _leading(scratch, (R, n, batch)) if s else None,
+                    _leading(masks, (R, m, batch)) if layer.relu else None,
                 ))
             work = _WorkBuffers(acts, grad_acts, per_layer)
             self._work = work
@@ -507,8 +526,8 @@ class PackedNetwork:
         acts = work.acts
         acts[:, : self._input_dim] = X.T
         matrices = []
-        for layer, (product, X2, P, Q, _) in zip(self._layers, work.layers):
-            quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _ = layer
+        for layer, (product, X2, P, Q, _, _) in zip(self._layers, work.layers):
+            quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _, _ = layer
             X1 = acts[:, inp]
             Z = acts[:, out]
             M = None
@@ -544,24 +563,24 @@ class PackedNetwork:
         """
         work = self._work
         acts, grad_acts = work.acts, work.grad_acts
-        grad_acts.fill(0.0)
+        for rows in self._summed_rows:
+            grad_acts[:, rows] = 0.0
         grad_acts[:, self._layers[-1].out] = upstream.swapaxes(1, 2)
         grad = self._grad
         for k in range(len(self._layers) - 1, -1, -1):
-            quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b), sc, overwrite = (
-                self._layers[k]
-            )
+            (quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b), sc, overwrite,
+             through) = self._layers[k]
             M = self._matrices[k]
-            _, X2, P, Q, T = work.layers[k]
+            _, X2, P, Q, T, mask = work.layers[k]
             X1 = acts[:, inp]
             d = grad_acts[:, out]
             if relu:
-                d *= acts[:, out] > 0.0
+                d *= np.greater(acts[:, out], 0.0, out=mask)
             if sc is not None:
                 cells, _, wpos, shape = sc
                 sources = acts[:, : shape[1]]
                 grad[:, wpos] = (sources @ d.swapaxes(1, 2)).reshape(shape[0], -1)[:, cells]
-                grad_acts[:, : shape[1]] += M @ d
+                grad_acts[:, : shape[1]] += through(M, d)
             dq = d
             if quadratic:
                 dq = np.multiply(d, Q, out=Q)
@@ -573,13 +592,13 @@ class PackedNetwork:
                 break
             g_inp = grad_acts[:, inp.start : inp.stop - 1]
             if overwrite:
-                np.matmul(W, dq, out=g_inp)
+                through(W, dq, out=g_inp)
             else:
-                g_inp += np.matmul(W, dq, out=T)
+                g_inp += through(W, dq, out=T)
             if quadratic:
-                g_inp += np.matmul(W_g, dp, out=T)
+                g_inp += through(W_g, dp, out=T)
                 # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
-                np.matmul(W_b, d, out=T)
+                through(W_b, d, out=T)
                 T *= X1[:, :-1]
                 T *= 2.0
                 g_inp += T

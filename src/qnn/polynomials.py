@@ -166,6 +166,10 @@ def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
     return best
 
 
+# Inputs near the float64 limit overflow in the monic division, the Newton
+# polish and the residual; the checks on their outcome refuse such inputs,
+# so numpy's warnings on the way are silenced.
+@np.errstate(all="ignore")
 def factor_polynomial(p: Polynomial, pair_real_roots: bool = False) -> FactoredForm:
     """Split a real polynomial into real linear and quadratic factors.
 

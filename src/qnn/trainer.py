@@ -113,6 +113,8 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
     restart's loss turned non-finite (iterations if it never did).  A
     restart that diverged during the steps has a zero theta row; every
     diverged restart, the final evaluation included, has final loss inf.
+    Once every restart has diverged the steps stop, and the history rows
+    after that step are NaN.
     """
     packed = PackedNetwork(net, restarts=cfg.restarts)
     theta = np.stack([
@@ -127,7 +129,7 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
         values, dout = _output_loss(cfg.loss, out[..., 0], y)
         return values, dout[..., None]
 
-    history = np.empty((cfg.iterations, cfg.restarts))
+    history = np.full((cfg.iterations, cfg.restarts), np.nan)
     live = np.ones(cfg.restarts, dtype=bool)
     stopped = np.full(cfg.restarts, cfg.iterations)
     # overflow on a diverging restart is expected; it is caught by the

@@ -35,8 +35,9 @@ from qnn.polynomials import (
     factor_polynomial,
 )
 
-# factoring finite inputs near the float64 limit overflows on the way to a refusal
-overflows = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# factoring finite inputs near the float64 limit overflows on the way to a
+# refusal, silently: a numpy warning fails the test
+no_runtime_warning = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 G_FACTORS = FactoredForm(1.0, [1.0], [(0.0, 1.0), (1.7, 1.2)])
 
@@ -130,14 +131,14 @@ class TestFactorPolynomial:
         with pytest.raises(ValueError, match="coeffs"):
             factor_polynomial(Polynomial([1.0, np.nan, 1.0]))
 
-    @overflows
+    @no_runtime_warning
     def test_monic_overflow_refused(self):
         """1e300 / 1e-10 overflows: refused before the eigenvalue solver
         sees an inf."""
         with pytest.raises(FactorizationError, match="overflow"):
             factor_polynomial(Polynomial([1e300, 0.0, 1e-10]))
 
-    @overflows
+    @no_runtime_warning
     @pytest.mark.parametrize("pair_real_roots", [False, True])
     def test_factor_overflow_refused(self, pair_real_roots):
         """Finite coefficients whose factors re-expand past float64: a NaN
@@ -149,7 +150,7 @@ class TestFactorPolynomial:
         with pytest.raises(FactorizationError, match="overflow"):
             factor_polynomial(p, pair_real_roots=pair_real_roots)
 
-    @overflows
+    @no_runtime_warning
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=8).filter(lambda c: c[-1] != 0.0),
            st.booleans())

@@ -222,3 +222,19 @@ class TestDeltaBudget:
 
     def test_clipped_into_valid_range(self):
         assert 0.0 < delta_for_target_error([0.0, 0.1], [0.01], eps=10.0) < 0.5
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
+    def test_budget_is_met(self, eps):
+        """The deep radial net built at the returned delta is within eps in
+        L1 of its step profile, on random four-step profiles."""
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            bps = rng.uniform(0.0, 1.0) + np.cumsum(np.r_[0.0, rng.uniform(0.2, 1.5, 4)])
+            heights = rng.uniform(-2.0, 2.0, 4)
+            partition = RadialPartition(bps, heights, delta_for_target_error(bps, heights, eps))
+            net = build_deep_radial(partition, int(rng.integers(1, 5)))
+            # fine enough that the trapezoid's error at the jumps stays
+            # far below eps
+            grid = GridSpec(0.0, bps[-1] + 1.0, 40001)
+            error = grid_l1(partition.step_profile, lambda t: radial_profile(net, t), grid)
+            assert error <= eps

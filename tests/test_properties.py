@@ -102,7 +102,8 @@ def test_packed_executor_rows_match_reference(data):
         assert_close(grad[i], reference_backward_batch(updated, X, U[i]))
 
 
-@pytest.mark.parametrize("net, restarts, batch", [
+# the width sweep's and the factorizer's (net, restarts, batch)
+training_shapes = pytest.mark.parametrize("net, restarts, batch", [
     (one_hidden_quadratic(4, 8), 1, 4096),
     (one_hidden_quadratic(4, 32), 1, 4096),
     (one_hidden_conventional(4, 8), 1, 4096),
@@ -110,6 +111,9 @@ def test_packed_executor_rows_match_reference(data):
     (build_factorization_trainable(5, 1, 2), 10, 100),
 ], ids=["quadratic-w8", "quadratic-w32", "conventional-w8", "conventional-w32",
         "factorizer"])
+
+
+@training_shapes
 def test_packed_executor_matches_reference_at_training_shapes(net, restarts, batch):
     """The width sweep's and the factorizer's shapes, far beyond the drawn
     networks: BLAS reduces over thousands of inputs in blocks, and a
@@ -130,6 +134,45 @@ def test_packed_executor_matches_reference_at_training_shapes(net, restarts, bat
         updated = set_trainable_values(net, theta[i])
         assert_close(outputs[0][i], reference_forward_batch(updated, X)[1][-1])
         assert_close(grad[i], reference_backward_batch(updated, X, U[i]))
+
+
+def assert_gradient_ignores_stale_work(net, X, theta, U):
+    """A second loss_and_grad after NaN is written over the executor's work
+    arrays returns the first one's gradient bit for bit: a pass reads only
+    what it wrote itself (the activations' ones rows are written once, and
+    kept)."""
+    packed = PackedNetwork(net, restarts=len(theta))
+
+    def loss(out):
+        return None, U
+
+    _, first = packed.loss_and_grad(theta, X, loss)
+    work = packed._work
+    for buf in (work.acts, work.grad_acts, packed._grad,
+                *(b for layer in work.layers for b in layer if b is not None)):
+        buf.fill(True if buf.dtype == bool else np.nan)
+    work.acts[:, packed._ones] = 1.0
+    _, second = packed.loss_and_grad(theta, X, loss)
+    assert first.tobytes() == second.tobytes()
+
+
+@given(st.data())
+def test_gradient_ignores_stale_work_arrays(data):
+    net = data.draw(networks())
+    rows = data.draw(st.integers(1, 5))
+    X = data.draw(vectors(rows * net.input_dim)).reshape(rows, net.input_dim)
+    theta = data.draw(vectors(2 * trainable_count(net))).reshape(2, -1)
+    U = data.draw(vectors(2 * rows * net.output_dim)).reshape(2, rows, net.output_dim)
+    assert_gradient_ignores_stale_work(net, X, theta, U)
+
+
+@training_shapes
+def test_gradient_ignores_stale_work_arrays_at_training_shapes(net, restarts, batch):
+    rng = np.random.default_rng(30)
+    X = rng.normal(size=(batch, net.input_dim))
+    theta = rng.uniform(-0.5, 0.5, size=(restarts, trainable_count(net)))
+    U = rng.normal(size=(restarts, batch, net.output_dim))
+    assert_gradient_ignores_stale_work(net, X, theta, U)
 
 
 @given(st.data())

@@ -194,6 +194,21 @@ class TestTrain:
         np.testing.assert_array_equal(trainable_values(trained), ref_theta)
         np.testing.assert_array_equal(history, ref_history)
 
+    def test_history_after_every_restart_diverged_is_nan(self):
+        """The steps stop at the last divergence and the history rows after
+        it are NaN, so two calls return equal histories."""
+        net = build_factorization_trainable(5, 1, 2)
+        data = make_poly_dataset(Polynomial([0.5, -1.0, 0.0, 0.0, 0.0, 1.0]), -1.0, 0.0, 40)
+        cfg = TrainConfig(loss="sse", learning_rate=1e-2, iterations=60,
+                          seed=7, restarts=4, init_scale=1.0)
+        _, history, final, stopped = _descend(net, data, cfg)
+        _, again, _, _ = _descend(net, data, cfg)
+        assert np.isinf(final).all()
+        last = stopped.max()
+        assert last < cfg.iterations - 1
+        assert np.isnan(history[last + 1 :]).all()
+        np.testing.assert_array_equal(history, again)
+
     @pytest.mark.parametrize("case", ["factorizer", "relu"])
     def test_matches_per_neuron_reference_loop(self, case):
         """One restart of train against plain descent written with the
