@@ -21,9 +21,7 @@ from .network import (
     NetworkSpec,
     PackedNetwork,
     Shortcut,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     from_json,
     one_hidden_conventional,

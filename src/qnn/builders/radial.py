@@ -46,7 +46,9 @@ class RadialPartition:
         if len(self.heights) != len(self.breakpoints) - 1:
             raise ValueError("need one height per interval")
         if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
+            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta:g}")
+        for a_lo, a_hi, b in zip(self.breakpoints, self.breakpoints[1:], self.heights):
+            _module_scale(float(a_lo), float(a_hi), float(b), self.delta)
 
     @property
     def intervals(self) -> int:
@@ -148,10 +150,25 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def _ramp_constant(a_lo: float, a_hi: float, delta: float) -> float:
-    """Normalizer making the quartic ramp reach 1 at the plateau edge."""
+def _module_scale(a_lo: float, a_hi: float, b: float, delta: float) -> float:
+    """|b| / C, the working neuron's scale, C the normalizer making the
+    quartic ramp reach 1 at the plateau edge.
+
+    Raises ValueError when delta is too small for the interval: C is not a
+    positive normal float (a_lo + delta (a_hi - a_lo) rounds onto a_lo, or
+    C underflows) or |b| / C overflows.
+    """
     edge = (a_lo + delta * (a_hi - a_lo)) ** 2
-    return (edge - a_lo**2) * (a_hi**2 - edge)
+    C = (edge - a_lo**2) * (a_hi**2 - edge)
+    if C >= np.finfo(np.float64).tiny:
+        scale = abs(b) / C
+        if np.isfinite(scale):
+            return scale
+    raise ValueError(
+        f"delta {delta:g} is too small for the interval [{a_lo:g}, {a_hi:g}] "
+        f"with height {b:g}: the ramp normalizer C = {C:g} or |b| / C is out "
+        "of the float64 range"
+    )
 
 
 def plateau_interval(a_lo: float, a_hi: float, delta: float) -> tuple[float, float]:
@@ -192,10 +209,10 @@ def build_parabola_module(a_lo: float, a_hi: float, b: float, delta: float,
         raise ValueError("delta must lie in (0, 1/2)")
 
     bmag = abs(float(b))
-    C = _ramp_constant(a_lo, a_hi, delta)
+    scale = _module_scale(a_lo, a_hi, bmag, delta)
     layers = [
         LayerSpec([_norm_neuron(input_dim)], "relu"),
-        LayerSpec([_module_working_neuron(0, 1, a_lo, a_hi, bmag / C)], "relu"),
+        LayerSpec([_module_working_neuron(0, 1, a_lo, a_hi, scale)], "relu"),
         LayerSpec([ConventionalNeuron(w=np.array([-1.0]), b=bmag)], "relu"),
     ]
     if b >= 0:
@@ -227,11 +244,11 @@ def build_deep_radial(partition: RadialPartition, input_dim: int) -> NetworkSpec
         a_lo = float(partition.breakpoints[i])
         a_hi = float(partition.breakpoints[i + 1])
         bmag = abs(float(partition.heights[i]))
-        C = _ramp_constant(a_lo, a_hi, partition.delta)
+        scale = _module_scale(a_lo, a_hi, bmag, partition.delta)
 
         prev_width = 1 if i == 0 else 4
         s_index = 0 if i == 0 else 1
-        work = _module_working_neuron(s_index, prev_width, a_lo, a_hi, bmag / C)
+        work = _module_working_neuron(s_index, prev_width, a_lo, a_hi, scale)
 
         w_plus = np.zeros(prev_width)
         w_minus = np.zeros(prev_width)

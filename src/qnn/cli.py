@@ -36,7 +36,7 @@ from .builders import (
     radial_profile,
 )
 from .network import forward_batch, one_hidden_conventional, one_hidden_quadratic, single_quadratic_net, to_json
-from .oracles import GridSpec, bernstein_direct, expand_factored, grid_l1, horner
+from .oracles import GridSpec, bernstein_binomials, bernstein_direct, expand_factored, grid_l1, horner
 from .polynomials import FactoredForm, FactorizationError, Polynomial, bernstein_coeffs, factor_polynomial
 from .trainer import Dataset, TrainConfig, TrainingError, accuracy, make_poly_dataset, make_rings_dataset, train
 
@@ -524,10 +524,27 @@ def _non_negative_float(text: str) -> float:
 
 
 def _delta_list(text: str) -> list[float]:
-    """Ramp parameters of the deep radial modules, each in (0, 1/2)."""
+    """Ramp parameters of the deep radial modules, each in (0, 1/2) and
+    large enough for the command's partition."""
     values = [_finite_float(v) for v in text.replace(",", " ").split()]
-    if not values or not all(0.0 < v < 0.5 for v in values):
-        raise argparse.ArgumentTypeError(f"expected deltas in (0, 1/2), got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one delta")
+    for delta in values:
+        try:
+            RadialPartition(RADIAL_BREAKPOINTS, RADIAL_HEIGHTS, delta)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return values
+
+
+def _bernstein_degrees(text: str) -> list[int]:
+    """Degrees of direct Bernstein sums, whose binomials must fit float64."""
+    values = _positive_int_list(text)
+    for n in values:
+        try:
+            bernstein_binomials(n)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 
@@ -591,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bernstein", help="polynomial approximants of a named target")
     common(p)
     p.add_argument("--target", choices=sorted(_BERNSTEIN_TARGETS), default="absmid")
-    p.add_argument("--n-sweep", type=_positive_int_list, default=[4, 8, 16, 32, 64])
+    p.add_argument("--n-sweep", type=_bernstein_degrees, default=[4, 8, 16, 32, 64])
     p.add_argument("--net-n", type=_positive_int, default=10)
     p.add_argument("--grid-n", type=_positive_int, default=1001)
     p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)

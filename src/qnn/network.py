@@ -2,9 +2,11 @@
 
 A NetworkSpec is a plain value: an ordered list of layers, optional forward
 shortcut edges, and per-parameter trainability masks.  It is the
-construction and JSON format, and nothing here mutates it: forward/backward
-are pure functions of the spec.  _compile turns it into one flat array of
-(3n+3, m) layer blocks, each neuron of any kind a column in quadratic form.
+construction and JSON format, and nothing here mutates it: forward_batch
+and backward_batch are pure functions of the spec, and both take a batch,
+(B, input_dim); a single input is the batch x[None].  _compile turns the
+spec into one flat array of (3n+3, m) layer blocks, each neuron of any kind
+a column in quadratic form.
 forward_batch evaluates those blocks layer by layer, trainable_values and
 set_trainable_values gather and scatter on them, and a PackedNetwork copies
 them into one row per restart so that every restart advances in the same
@@ -18,6 +20,20 @@ backward_batch is loss_and_grad of a one-row executor at the net's own
 values.  The per-neuron forward and backward are the test oracle, in
 oracles.
 
+Two evaluators of the blocks remain, each for a measured reason (2-core
+VM, one BLAS thread, B = 4096, best of 5):
+- forward_batch is not the forward pass of a one-row executor.  On 201
+  exact-build nets it took 229 ms against 326 ms for the executor, 141 ms
+  of which went to building it and its work arrays.  The executor folds
+  the biases into its matmuls through a ones row, so its output differed
+  from the per-neuron oracle in the last bits on every deep radial net at
+  d = 4 and on the factorizer, also with c added after the square term;
+  forward_batch adds each bias after its product and matches the oracle
+  bit for bit on the constructed nets.
+- The executor keeps a dense shortcut matrix per layer.  One gather and
+  scatter per shortcut made the factorizer's training step slower: median
+  444 against 381 us over 8 interleaved runs (R = 10, B = 100).
+
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
 quadratic and (w, b) for conventional, with shortcut weights appended last.
@@ -26,6 +42,7 @@ quadratic and (w, b) for conventional, with shortcut weights appended last.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -260,14 +277,6 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     return np.ascontiguousarray(current.T)
 
 
-def forward(net: NetworkSpec, x) -> np.ndarray:
-    """Evaluate one input vector, shape (input_dim,) -> (output_dim,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"expected input of shape ({net.input_dim},), got {x.shape}")
-    return forward_batch(net, x[None, :])[0]
-
-
 # ---------------------------------------------------------------------------
 # Parameter vector / masks
 # ---------------------------------------------------------------------------
@@ -342,7 +351,6 @@ class _LayerBuffers(NamedTuple):
     P: np.ndarray | None  # m rows; quadratic layers only
     Q: np.ndarray | None
     T: np.ndarray | None  # n rows, where the input gradient is a sum of terms
-    mask: np.ndarray | None  # bool, m rows: where a ReLU layer's output is positive
 
 
 class _WorkBuffers(NamedTuple):
@@ -391,13 +399,14 @@ class PackedNetwork:
     The executor owns its work arrays, one set for the batch size last
     seen: the activations (R, act_width, B), their ones rows written once,
     the activation gradient of the same shape, X1 * X1, P and Q of each
-    quadratic layer, an (R, n, B) scratch for the input gradient and a
-    bool (R, m, B) buffer for the ReLU masks.  Every layer's slice of the
-    activations is then contiguous within a restart.  The first forward
-    pass at a batch size makes them and a new size replaces them; they
-    live as long as the executor, and the trainer makes one executor per
-    `train` call.  The layer products, the input gradient and the ReLU
-    masks are written into them through `out=`; a warm step still
+    quadratic layer and an (R, n, B) scratch for the input gradient.
+    Every layer's slice of the activations is then contiguous within a
+    restart.  The first forward pass at a batch size makes them and a new
+    size replaces them; they live as long as the executor, and the trainer
+    makes one executor per `train` call.  The layer products and the input
+    gradient are written into them through `out=`, and the backward writes
+    each ReLU mask, as 0.0 and 1.0, over that layer's activations, which
+    are dead by then; a warm step still
     allocates the shortcut terms of the backward and the output copy.  A
     pass reads only what it wrote: the backward zeroes just the gradient
     rows of shortcut sources, which it sums into, and no row at all in a
@@ -487,9 +496,6 @@ class PackedNetwork:
             acts[:, self._ones] = 1.0
             grad_acts = np.empty_like(acts)
             widths = [layer.out.stop - layer.out.start for layer in self._layers]
-            masks = np.empty(R * batch * max(
-                (m for m, layer in zip(widths, self._layers) if layer.relu), default=0),
-                dtype=bool)
             # Layer k > 0 sums its input gradient from several terms unless
             # it is affine and the first to write that gradient.  The terms
             # then pass one at a time through T, and T of every layer shares
@@ -507,7 +513,6 @@ class PackedNetwork:
                 per_layer.append(_LayerBuffers(
                     _leading(grad_acts, (R, m, batch)), X2, P, Q,
                     _leading(scratch, (R, n, batch)) if s else None,
-                    _leading(masks, (R, m, batch)) if layer.relu else None,
                 ))
             work = _WorkBuffers(acts, grad_acts, per_layer)
             self._work = work
@@ -526,7 +531,7 @@ class PackedNetwork:
         acts = work.acts
         acts[:, : self._input_dim] = X.T
         matrices = []
-        for layer, (product, X2, P, Q, _, _) in zip(self._layers, work.layers):
+        for layer, (product, X2, P, Q, _) in zip(self._layers, work.layers):
             quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _, _ = layer
             X1 = acts[:, inp]
             Z = acts[:, out]
@@ -571,11 +576,13 @@ class PackedNetwork:
             (quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b), sc, overwrite,
              through) = self._layers[k]
             M = self._matrices[k]
-            _, X2, P, Q, T, mask = work.layers[k]
+            _, X2, P, Q, T = work.layers[k]
             X1 = acts[:, inp]
             d = grad_acts[:, out]
             if relu:
-                d *= np.greater(acts[:, out], 0.0, out=mask)
+                # the layer's activations are dead from here on (every later
+                # layer that reads them has run), so they take the mask
+                d *= np.greater(acts[:, out], 0.0, out=acts[:, out])
             if sc is not None:
                 cells, _, wpos, shape = sc
                 sources = acts[:, : shape[1]]
@@ -641,19 +648,6 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     return packed.loss_and_grad(theta, X, lambda out: (None, upstream[None]))[1][0]
 
 
-def backward(net: NetworkSpec, x, upstream) -> np.ndarray:
-    """Single-input gradient of upstream . output w.r.t. trainable parameters."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"expected input of shape ({net.input_dim},), got {x.shape}")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (net.output_dim,):
-        raise ValueError(
-            f"expected upstream of shape ({net.output_dim},), got {upstream.shape}"
-        )
-    return backward_batch(net, x[None, :], upstream[None, :])
-
-
 # ---------------------------------------------------------------------------
 # Common blank architectures
 # ---------------------------------------------------------------------------
@@ -703,16 +697,34 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
 
 
 def _field(d, key: str, kind: type):
-    """d[key], required to be of JSON type kind; a float field takes integers too."""
+    """d[key], required to be of JSON type kind; a float field takes integers
+    within the float64 range too, as floats."""
     if type(d) is not dict:
         raise ValueError(f"expected an object, got {d!r}")
     try:
         value = d[key]
     except KeyError:
         raise ValueError(f"lacks {key!r}") from None
-    if type(value) is kind or (kind is float and type(value) is int):
+    if type(value) is kind:
         return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
     raise ValueError(f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def _numbers(d, key: str, row: int = 0) -> np.ndarray:
+    """d[key], a JSON list of numbers, or of lists of `row` numbers where row
+    is given, as a float64 array."""
+    values = _field(d, key, list)
+    shape = (len(values), row) if row else (len(values),)
+    try:
+        array = np.array(values) if values else np.zeros(shape)
+    except ValueError:  # lists of unequal lengths
+        array = None
+    if array is None or array.shape != shape or array.dtype.kind not in "fiu":
+        what = f"lists of {row} numbers" if row else "numbers"
+        raise ValueError(f"{key!r} must hold {what} only, got {values!r}")
+    return array.astype(np.float64, copy=False)
 
 
 def _neuron_from_dict(d) -> Neuron:
@@ -721,11 +733,7 @@ def _neuron_from_dict(d) -> Neuron:
         return PassthroughNeuron(_field(d, "index", int))
     if kind not in ("quadratic", "conventional"):
         raise ValueError(f"unknown neuron kind {kind!r}")
-    values = _field(d, "params", list)
-    params = np.array(values)
-    if params.ndim != 1 or params.dtype.kind not in "fiu":
-        raise ValueError(f"'params' must hold numbers only, got {values!r}")
-    return neuron_from_params(kind, params.astype(np.float64, copy=False))
+    return neuron_from_params(kind, _numbers(d, "params"))
 
 
 _SHORTCUT_FIELDS = {"src_layer": int, "src_neuron": int, "dst_layer": int,

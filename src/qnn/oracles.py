@@ -17,7 +17,7 @@ import numpy as np
 from .network import (
     NetworkSpec,
     _check_batch,
-    forward,
+    forward_batch,
     set_trainable_values,
     trainable_values,
 )
@@ -69,8 +69,8 @@ def finite_diff_grad(
 ) -> np.ndarray:
     """Central differences (f(t+h) - f(t-h)) / 2h per trainable parameter.
 
-    f(t) is upstream . forward(net, x) with the trainable parameter vector
-    set to t; upstream defaults to all ones.
+    f(t) is upstream . forward_batch(net, x[None])[0] with the trainable
+    parameter vector set to t; upstream defaults to all ones.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -84,9 +84,9 @@ def finite_diff_grad(
     for i in range(len(theta)):
         bumped = theta.copy()
         bumped[i] = theta[i] + step
-        hi = upstream @ forward(set_trainable_values(net, bumped), x)
+        hi = upstream @ forward_batch(set_trainable_values(net, bumped), x[None])[0]
         bumped[i] = theta[i] - step
-        lo = upstream @ forward(set_trainable_values(net, bumped), x)
+        lo = upstream @ forward_batch(set_trainable_values(net, bumped), x[None])[0]
         grads[i] = (hi - lo) / (2.0 * step)
     return grads
 
@@ -222,14 +222,32 @@ def grid_sup(f, g, grid: GridSpec) -> float:
 def bernstein_direct(f, n: int, x) -> np.ndarray:
     """Direct basis summation sum_m f(m/n) C(n,m) x^m (1-x)^(n-m).
 
-    Numerically stable on [0, 1] for any n since every basis term is
-    non-negative there; serves as the reference for the expanded-coefficient
-    path, which is ill-conditioned in the monomial basis at large n.
+    Numerically stable on [0, 1] for any n whose binomials fit float64
+    (n <= 1029) since every basis term is non-negative there; serves as the
+    reference for the expanded-coefficient path, which is ill-conditioned in
+    the monomial basis at large n.  Raises ValueError naming n beyond that.
+    """
+    binomials = bernstein_binomials(n)
+    x = np.asarray(x, dtype=np.float64)
+    total = np.zeros_like(x)
+    for m, weight in enumerate(binomials):
+        total = total + float(f(m / n)) * weight * x**m * (1.0 - x) ** (n - m)
+    return total
+
+
+def bernstein_binomials(n: int) -> list[float]:
+    """C(n, m) for m = 0..n as floats.
+
+    Raises ValueError naming n when n < 1 or a binomial is beyond the
+    float64 range (n >= 1030); C(n, m) overflows at a small m for a huge n,
+    so the refusal comes quickly.
     """
     if n <= 0:
         raise ValueError("Bernstein degree must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    total = np.zeros_like(x)
-    for m in range(n + 1):
-        total = total + float(f(m / n)) * comb(n, m) * x**m * (1.0 - x) ** (n - m)
-    return total
+    try:
+        return [float(comb(n, m)) for m in range(n + 1)]
+    except OverflowError:
+        raise ValueError(
+            f"Bernstein degree n={n}: the binomial C({n}, {n // 2}) exceeds "
+            "the float64 range"
+        ) from None

@@ -24,6 +24,8 @@ from math import comb
 
 import numpy as np
 
+from .network import _field, _numbers
+
 _REL_TOL = 1e-8  # the re-expansion residual at which factor_polynomial refuses
 
 
@@ -67,7 +69,8 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
-        return cls(np.asarray(json.loads(text)["coeffs"], dtype=np.float64))
+        """Parse what to_json writes; a malformed document raises ValueError."""
+        return cls(_numbers(json.loads(text), "coeffs"))
 
 
 @dataclass
@@ -126,13 +129,15 @@ class FactoredForm:
 
     @classmethod
     def from_json(cls, text: str) -> "FactoredForm":
+        """Parse what to_json writes; a malformed document raises ValueError."""
         doc = json.loads(text)
-        return cls(
-            scale=doc["scale"],
-            linear_roots=doc["linear_roots"],
-            quadratic_factors=[tuple(q) for q in doc["quadratic_factors"]],
-            paired_real=doc["paired_real"],
-        )
+        scale = _field(doc, "scale", float)
+        roots = _numbers(doc, "linear_roots")
+        quadratics = _numbers(doc, "quadratic_factors", 2)
+        paired = _field(doc, "paired_real", list)
+        if not all(type(flag) is bool for flag in paired):
+            raise ValueError(f"'paired_real' must hold true or false only, got {paired!r}")
+        return cls(scale, list(roots), [tuple(q) for q in quadratics], paired)
 
 
 def _companion_matrix(monic: np.ndarray) -> np.ndarray:

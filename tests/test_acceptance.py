@@ -30,7 +30,7 @@ from qnn.builders import (
 )
 from qnn.cli import annuli_profile, ball_samples, factorization_target
 from qnn.network import (
-    backward,
+    backward_batch,
     forward_batch,
     one_hidden_conventional,
     one_hidden_quadratic,
@@ -79,7 +79,7 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
         if x is None or trainable_count(net) == 0:
             continue
         upstream = rng.normal(size=net.output_dim)
-        analytic = backward(net, x, upstream)
+        analytic = backward_batch(net, x[None], upstream[None])
         numeric = finite_diff_grad(net, x, step=1e-5, upstream=upstream)
         rel = np.abs(analytic - numeric) / (
             1.0 + np.maximum(np.abs(analytic), np.abs(numeric))

@@ -1,5 +1,6 @@
 """Factorization, exact polynomial networks, separable sums, size formulas."""
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -18,7 +19,6 @@ from qnn.builders import (
     quadratic_coefficients,
 )
 from qnn.network import (
-    forward,
     forward_batch,
     parameter_count,
     set_trainable_values,
@@ -33,6 +33,14 @@ from qnn.polynomials import (
     _sample_exact,
     bernstein_coeffs,
     factor_polynomial,
+)
+
+# any JSON value, huge integers and non-finite numbers included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
 )
 
 # factoring finite inputs near the float64 limit overflows on the way to a
@@ -173,22 +181,22 @@ class TestBuildPolyNet:
         form = FactoredForm(1.0, [], [(0.0, 0.0)], paired_real=[True])
         net = build_poly_net(form)
         assert net.depth == 1
-        assert forward(net, [2.0])[0] == 4.0
+        assert forward_batch(net, [[2.0]])[0, 0] == 4.0
 
     def test_quintic_value(self):
         net = build_poly_net(G_FACTORS)
-        assert forward(net, [-0.5])[0] == pytest.approx(-1.125, rel=1e-12)
+        assert forward_batch(net, [[-0.5]])[0, 0] == pytest.approx(-1.125, rel=1e-12)
 
     def test_four_linear_factors(self):
         form = FactoredForm(1.0, [1.0, 2.0, 3.0, 4.0], [])
         net = build_poly_net(form)
         assert net.depth <= 3
         assert max(net.layer_widths()) <= 4
-        assert forward(net, [0.0])[0] == 24.0
+        assert forward_batch(net, [[0.0]])[0, 0] == 24.0
 
     def test_constant_form(self):
         net = build_poly_net(FactoredForm(7.0))
-        assert forward(net, [3.0])[0] == 7.0
+        assert forward_batch(net, [[3.0]])[0, 0] == 7.0
 
     def test_scale_applied_once(self):
         form = FactoredForm(-2.5, [1.0, -1.0], [])
@@ -291,7 +299,7 @@ class TestSeparable:
     def test_two_variable_product(self):
         spec = SeparableSpec([[Polynomial([0, 1]), Polynomial([0, 1])]])
         net = build_separable_net(spec)
-        assert forward(net, [3.0, 4.0])[0] == pytest.approx(12.0)
+        assert forward_batch(net, [[3.0, 4.0]])[0, 0] == pytest.approx(12.0)
 
     def test_two_term_sum(self):
         spec = SeparableSpec(
@@ -301,8 +309,8 @@ class TestSeparable:
             ]
         )
         net = build_separable_net(spec)
-        assert forward(net, [1.0, 1.0])[0] == pytest.approx(1.0)
-        assert forward(net, [2.0, 3.0])[0] == pytest.approx(2 * 3 + 3 * 2)
+        assert forward_batch(net, [[1.0, 1.0]])[0, 0] == pytest.approx(1.0)
+        assert forward_batch(net, [[2.0, 3.0]])[0, 0] == pytest.approx(2 * 3 + 3 * 2)
 
     def test_constant_and_zero_phis(self):
         spec = SeparableSpec(
@@ -313,7 +321,7 @@ class TestSeparable:
             ]
         )
         net = build_separable_net(spec)
-        assert forward(net, [9.0, 2.5])[0] == pytest.approx(2 * 2.5 + 12.0)
+        assert forward_batch(net, [[9.0, 2.5]])[0, 0] == pytest.approx(2 * 2.5 + 12.0)
 
     def test_random_specs_match_direct_evaluation(self):
         rng = np.random.default_rng(32)
@@ -486,6 +494,43 @@ class TestFactoredFormSerialization:
         text = "{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}"
         with pytest.raises(ValueError, match=field):
             FactoredForm.from_json(text)
+
+    @pytest.mark.parametrize("reader, text, problem", [
+        (Polynomial, "{}", "lacks 'coeffs'"),
+        (Polynomial, "[1]", "expected an object"),
+        (Polynomial, '{"coeffs": [1, null]}', "'coeffs' must hold numbers"),
+        (FactoredForm, '{"scale": 1}', "lacks 'linear_roots'"),
+        (FactoredForm, '{"scale": true}', "'scale' must be a number"),
+        (FactoredForm, '{"scale": 1, "linear_roots": [], "quadratic_factors": [[1]], '
+                       '"paired_real": [true]}', "'quadratic_factors' must hold lists of 2"),
+        (FactoredForm, '{"scale": 1, "linear_roots": [], "quadratic_factors": [], '
+                       '"paired_real": [0]}', "'paired_real' must hold true or false"),
+    ])
+    def test_malformed_json_names_the_field(self, reader, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            reader.from_json(text)
+
+    @given(st.data())
+    def test_mutated_json_returns_or_raises_value_error(self, data):
+        valid = data.draw(st.sampled_from([
+            Polynomial([1.5, -2.0, 0.25]),
+            FactoredForm(2.0, [1.0, -0.5], [(0.0, 1.0), (-3.0, 2.0)], [False, True]),
+        ]))
+        doc = json.loads(valid.to_json())
+        key = data.draw(st.sampled_from(sorted(doc)))
+        action = data.draw(st.sampled_from(["replace", "delete", "entry", "document"]))
+        if action == "document":
+            doc = data.draw(json_values)
+        elif action == "delete":
+            del doc[key]
+        elif action == "entry" and isinstance(doc[key], list) and doc[key]:
+            doc[key][data.draw(st.integers(0, len(doc[key]) - 1))] = data.draw(json_values)
+        else:
+            doc[key] = data.draw(json_values)
+        try:
+            type(valid).from_json(json.dumps(doc))
+        except ValueError:
+            pass
 
     def test_factored_form_non_finite_rejected(self):
         with pytest.raises(ValueError, match="scale"):

@@ -12,7 +12,7 @@ from qnn.builders import (
     plateau_interval,
     radial_profile,
 )
-from qnn.network import forward
+from qnn.network import forward_batch
 from qnn.oracles import GridSpec, grid_l1
 
 
@@ -182,8 +182,8 @@ class TestDeepRadial:
         lo2, hi2 = plateau_interval(1.5, 2.5, 0.1)
         mid1 = 0.5 * (lo1 + hi1)
         mid2 = 0.5 * (lo2 + hi2)
-        assert forward(net, [mid1])[0] == pytest.approx(1.0, abs=1e-12)
-        assert forward(net, [mid2])[0] == pytest.approx(-2.0, abs=1e-12)
+        assert forward_batch(net, [[mid1]])[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert forward_batch(net, [[mid2]])[0, 0] == pytest.approx(-2.0, abs=1e-12)
 
     def test_monotone_refinement_against_step_target(self):
         bps = np.array([0.0, 1.0, 2.0, 3.0])

@@ -341,6 +341,10 @@ class TestUsage:
         ["poly", "--coeffs", "1", "1", "--svg"],
         ["bernstein", "--svg"],
         ["width-sweep", "--svg"],
+        ["radial-deep", "--deltas", "1e-20"],
+        ["radial-deep", "--deltas", "0.1,1e-16"],
+        ["bernstein", "--n-sweep", "1030"],
+        ["bernstein", "--n-sweep", "4,100000000000000000000"],
     ])
     def test_count_flags_checked_at_parse_time(self, argv, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -17,9 +17,7 @@ from qnn.network import (
     NetworkSpec,
     PackedNetwork,
     Shortcut,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     from_json,
     one_hidden_conventional,
@@ -46,7 +44,7 @@ def norm_neuron(n=2):
 class TestForward:
     def test_single_norm_neuron(self):
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
-        np.testing.assert_array_equal(forward(net, [3.0, 4.0]), [25.0])
+        np.testing.assert_array_equal(forward_batch(net, [[3.0, 4.0]])[0], [25.0])
 
     def test_two_layer_composition(self):
         layers = [
@@ -54,7 +52,7 @@ class TestForward:
             LayerSpec([ConventionalNeuron(w=[1.0], b=-25.0)], "identity"),
         ]
         net = NetworkSpec(2, layers)
-        np.testing.assert_array_equal(forward(net, [3.0, 4.0]), [0.0])
+        np.testing.assert_array_equal(forward_batch(net, [[3.0, 4.0]])[0], [0.0])
 
     def test_deep_radial_plateau_value(self):
         """The stacked three-module network returns minus the first height
@@ -66,21 +64,21 @@ class TestForward:
         )
         net = build_deep_radial(partition, 2)
         assert net.depth == 1 + 9 + 1
-        out = forward(net, [np.sqrt(100.0 / 3.0), 0.0])
+        out = forward_batch(net, [[np.sqrt(100.0 / 3.0), 0.0]])[0]
         assert out[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_input_width_checked(self):
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
         with pytest.raises(ValueError):
-            forward(net, [1.0, 2.0, 3.0])
+            forward_batch(net, [[1.0, 2.0, 3.0]])
 
     def test_deterministic(self, net_factory):
         rng = np.random.default_rng(5)
         net = net_factory(rng)
         x = rng.normal(size=net.input_dim)
-        first = forward(net, x)
+        first = forward_batch(net, x[None])[0]
         for _ in range(3):
-            np.testing.assert_array_equal(forward(net, x), first)
+            np.testing.assert_array_equal(forward_batch(net, x[None])[0], first)
 
     def test_batch_matches_single(self, net_factory):
         # BLAS picks different kernels for matrix and single-row products,
@@ -90,7 +88,7 @@ class TestForward:
             net = net_factory(rng)
             X = rng.normal(size=(7, net.input_dim))
             batch = forward_batch(net, X)
-            singles = np.stack([forward(net, x) for x in X])
+            singles = np.stack([forward_batch(net, x[None])[0] for x in X])
             np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
 
     def test_builder_nets_match_reference_bitwise(self):
@@ -129,7 +127,7 @@ class TestShortcuts:
             if net.depth < 2:
                 continue
             x = rng.normal(size=net.input_dim)
-            base = forward(net, x)
+            base = forward_batch(net, x[None])[0]
             src_layer = int(rng.integers(0, net.depth - 1))
             dst_layer = int(rng.integers(src_layer + 1, net.depth))
             sc = Shortcut(
@@ -138,7 +136,7 @@ class TestShortcuts:
                 weight=0.0,
             )
             with_sc = NetworkSpec(net.input_dim, net.layers, [sc], net.masks)
-            np.testing.assert_array_equal(forward(with_sc, x), base)
+            np.testing.assert_array_equal(forward_batch(with_sc, x[None])[0], base)
             checked += 1
 
     def test_shortcut_injects_before_activation(self):
@@ -149,8 +147,8 @@ class TestShortcuts:
         ]
         sc = Shortcut(0, 0, 1, 0, weight=-2.0)
         net = NetworkSpec(1, layers, [sc])
-        assert forward(net, [1.0])[0] == 0.0  # relu(1 - 2) = 0
-        assert forward(net, [0.25])[0] == 0.5  # relu(1 - 0.5)
+        assert forward_batch(net, [[1.0]])[0, 0] == 0.0  # relu(1 - 2) = 0
+        assert forward_batch(net, [[0.25]])[0, 0] == 0.5  # relu(1 - 0.5)
 
     def test_backward_only_points_forward(self):
         layers = [
@@ -202,12 +200,12 @@ class TestBackward:
         rng = np.random.default_rng(8)
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
         for _ in range(5):
-            g = backward(net, rng.normal(size=2), np.ones(1))
+            g = backward_batch(net, rng.normal(size=(1, 2)), np.ones((1, 1)))
             assert g[-1] == 1.0  # dh/dc
 
     def test_square_term_gradient_is_squared_input(self):
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
-        g = backward(net, np.array([3.0, 4.0]), np.ones(1))
+        g = backward_batch(net, [[3.0, 4.0]], [[1.0]])
         # canonical order: w_r(2), b_r, w_g(2), b_g, w_b(2), c
         np.testing.assert_array_equal(g[6:8], [9.0, 16.0])
 
@@ -220,7 +218,7 @@ class TestBackward:
             if x is None or trainable_count(net) == 0:
                 continue
             upstream = rng.normal(size=net.output_dim)
-            analytic = backward(net, x, upstream)
+            analytic = backward_batch(net, x[None], upstream[None])
             numeric = finite_diff_grad(net, x, step=1e-5, upstream=upstream)
             rel = np.abs(analytic - numeric) / (
                 1.0 + np.maximum(np.abs(analytic), np.abs(numeric))
@@ -233,7 +231,7 @@ class TestBackward:
         for _ in range(10):
             net = net_factory(rng)
             x = rng.normal(size=net.input_dim)
-            g = backward(net, x, np.ones(net.output_dim))
+            g = backward_batch(net, x[None], np.ones((1, net.output_dim)))
             assert len(g) == trainable_count(net)
 
     def test_batch_gradient_sums_per_sample(self, net_factory):
@@ -242,13 +240,13 @@ class TestBackward:
         X = rng.normal(size=(4, net.input_dim))
         U = rng.normal(size=(4, net.output_dim))
         total = backward_batch(net, X, U)
-        summed = sum(backward(net, x, u) for x, u in zip(X, U))
+        summed = sum(backward_batch(net, x[None], u[None]) for x, u in zip(X, U))
         np.testing.assert_allclose(total, summed, rtol=1e-12, atol=1e-12)
 
     def test_upstream_width_checked(self):
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
         with pytest.raises(ValueError):
-            backward(net, np.zeros(2), np.ones(2))
+            backward_batch(net, np.zeros((1, 2)), np.ones((1, 2)))
 
 
 def assert_gradients_close(got, want, rtol):
@@ -503,8 +501,8 @@ class TestSerialization:
             text = to_json(net)
             rebuilt = from_json(text)
             assert to_json(rebuilt) == text
-            x = rng.normal(size=net.input_dim)
-            np.testing.assert_array_equal(forward(rebuilt, x), forward(net, x))
+            X = rng.normal(size=(1, net.input_dim))
+            np.testing.assert_array_equal(forward_batch(rebuilt, X), forward_batch(net, X))
 
     def test_parameter_count_survives_round_trip(self, net_factory):
         rng = np.random.default_rng(18)
@@ -598,8 +596,8 @@ class TestConcurrentEvaluation:
         rng = np.random.default_rng(19)
         net = net_factory(rng)
         X = rng.normal(size=(64, net.input_dim))
-        expected = [forward(net, x) for x in X]
+        expected = [forward_batch(net, x[None])[0] for x in X]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda x: forward(net, x), X))
+            results = list(pool.map(lambda x: forward_batch(net, x[None])[0], X))
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qnn.network import LayerSpec, NetworkSpec, backward, trainable_count
+from qnn.network import LayerSpec, NetworkSpec, backward_batch, trainable_count
 from qnn.neurons import ConventionalNeuron
 from qnn.oracles import (
     GridSpec,
@@ -79,7 +79,7 @@ class TestFiniteDiff:
             if x is None or trainable_count(net) == 0:
                 continue
             upstream = rng.normal(size=net.output_dim)
-            analytic = backward(net, x, upstream)
+            analytic = backward_batch(net, x[None], upstream[None])
             for step in (1e-4, 1e-5):
                 numeric = finite_diff_grad(net, x, step=step, upstream=upstream)
                 rel = np.abs(analytic - numeric) / (
