@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network import LayerSpec, NetworkSpec, Shortcut
-from ..neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron, neuron_from_params
+from ..network import NetworkSpec, Shortcut, block_rows
+from ..neurons import QuadraticNeuron
 from ..oracles import horner
 from ..polynomials import FactoredForm, Polynomial, factor_polynomial
 
@@ -91,86 +91,82 @@ class SeparableSpec:
 
 
 def _frozen(net: NetworkSpec) -> NetworkSpec:
-    for layer_masks in net.masks:
-        for m in layer_masks:
-            m[:] = False
-    for sc in net.shortcuts:
-        sc.trainable = False
+    net.trainable[:] = False
     return net
 
 
-def _linear_factor_neuron(width: int, coord: int, root: float,
-                          scale: float = 1.0) -> QuadraticNeuron:
-    """h = scale * (x[coord] - root)."""
-    w_r = np.zeros(width)
-    w_r[coord] = scale
-    return QuadraticNeuron(
-        w_r=w_r, b_r=-scale * root,
-        w_g=np.zeros(width), b_g=1.0,
-        w_b=np.zeros(width), c=0.0,
-    )
+def _constant_net(input_dim: int, value: float) -> NetworkSpec:
+    """The frozen net whose one conventional neuron outputs value."""
+    net = NetworkSpec.blank(input_dim, [("identity", ["conventional"])])
+    net.blocks[0][block_rows(input_dim).b_r] = value
+    return _frozen(net)
 
 
-def _quadratic_factor_neuron(width: int, coord: int, a: float, b: float,
-                             scale: float = 1.0) -> QuadraticNeuron:
-    """h = scale * (x[coord]^2 + a x[coord] + b) via the square term plus one affine form."""
-    w_r = np.zeros(width)
-    w_r[coord] = scale * a
-    w_b = np.zeros(width)
-    w_b[coord] = scale
-    return QuadraticNeuron(
-        w_r=w_r, b_r=scale * b,
-        w_g=np.zeros(width), b_g=1.0,
-        w_b=w_b, c=0.0,
-    )
-
-
-def _product_neuron(width: int, u: int, v: int) -> QuadraticNeuron:
-    """h = x[u] * x[v]."""
-    w_r = np.zeros(width)
-    w_r[u] = 1.0
-    w_g = np.zeros(width)
-    w_g[v] = 1.0
-    return QuadraticNeuron(
-        w_r=w_r, b_r=0.0, w_g=w_g, b_g=0.0, w_b=np.zeros(width), c=0.0
-    )
-
-
-def _factor_neurons(ff: FactoredForm, width: int, coord: int,
-                    fold_scale: bool) -> list[QuadraticNeuron]:
-    """One neuron per factor; the overall scale multiplies the first one."""
-    neurons: list[QuadraticNeuron] = []
+def _factor_terms(ff: FactoredForm, coord: int, fold_scale: bool) -> list[tuple]:
+    """(coord, w, b, s) per factor: s x^2 + w x + b of x = input coord, a
+    linear factor with s = 0; the overall scale multiplies the first one."""
+    terms = []
     scale = ff.scale if fold_scale else 1.0
     for root in ff.linear_roots:
-        neurons.append(_linear_factor_neuron(width, coord, root, scale))
+        terms.append((coord, scale, -scale * root, 0.0))
         scale = 1.0
     for a, b in ff.quadratic_factors:
-        neurons.append(_quadratic_factor_neuron(width, coord, a, b, scale))
+        terms.append((coord, scale * a, scale * b, scale))
         scale = 1.0
-    return neurons
+    return terms
 
 
-def _reduce_products(layers: list[LayerSpec], groups: list[list[int]],
-                     width: int) -> tuple[list[list[int]], int]:
-    """Append pairwise-product layers until every group is a single channel."""
+def _write_factors(block: np.ndarray, terms: list[tuple]) -> None:
+    """Column j of block evaluates terms[j] through the square term and the
+    first affine form, the second being the constant 1."""
+    rows = block_rows(len(block) // 3 - 1)
+    for j, (coord, w, b, s) in enumerate(terms):
+        block[rows.w_r, j][coord] = w
+        block[rows.b_r, j] = b
+        block[rows.b_g, j] = 1.0
+        block[rows.w_b, j][coord] = s
+
+
+def _product_layers(groups: list[list[int]]) -> tuple[list[list], list[list[int]]]:
+    """The pairwise-product layers that reduce every group of channels to a
+    single channel, and the groups' channels after them.  A layer is a list
+    of units: (u, v) for the product neuron x[u] * x[v], or the index an odd
+    channel passes through at."""
+    layers = []
     while any(len(g) > 1 for g in groups):
-        neurons: list = []
-        new_groups: list[list[int]] = []
+        units: list = []
+        new_groups = []
         for group in groups:
-            ng = []
-            i = 0
-            while i + 1 < len(group):
-                neurons.append(_product_neuron(width, group[i], group[i + 1]))
-                ng.append(len(neurons) - 1)
-                i += 2
-            if i < len(group):
-                neurons.append(PassthroughNeuron(group[i]))
-                ng.append(len(neurons) - 1)
-            new_groups.append(ng)
-        layers.append(LayerSpec(neurons, "identity"))
+            channels = []
+            for i in range(0, len(group) - 1, 2):
+                channels.append(len(units))
+                units.append((group[i], group[i + 1]))
+            if len(group) % 2:
+                channels.append(len(units))
+                units.append(group[-1])
+            new_groups.append(channels)
+        layers.append(units)
         groups = new_groups
-        width = len(neurons)
-    return groups, width
+    return layers, groups
+
+
+def _product_net(input_dim: int, factors: int, products: list[list], output: bool,
+                 shortcuts=()) -> NetworkSpec:
+    """A layer of `factors` zero quadratic neurons, the product layers of
+    _product_layers, and with output one zero conventional neuron, all with
+    identity activation; the product neurons are written."""
+    layers = [("identity", ["quadratic"] * factors)]
+    layers += [("identity", ["quadratic" if isinstance(u, tuple) else u for u in units])
+               for units in products]
+    net = NetworkSpec.blank(input_dim, layers + [("identity", ["conventional"])] * output,
+                            shortcuts)
+    for block, units in zip(net.blocks[1:], products):
+        rows = block_rows(len(block) // 3 - 1)
+        for j, unit in enumerate(units):
+            if isinstance(unit, tuple):
+                block[rows.w_r, j][unit[0]] = 1.0
+                block[rows.w_g, j][unit[1]] = 1.0
+    return net
 
 
 def build_poly_net(ff: FactoredForm) -> NetworkSpec:
@@ -183,14 +179,13 @@ def build_poly_net(ff: FactoredForm) -> NetworkSpec:
     polynomial's degree.
     """
     if ff.factor_count == 0:
-        out = ConventionalNeuron(w=np.zeros(1), b=ff.scale)
-        return _frozen(NetworkSpec(1, [LayerSpec([out], "identity")]))
+        return _constant_net(1, ff.scale)
 
-    factor_layer = _factor_neurons(ff, width=1, coord=0, fold_scale=True)
-    layers = [LayerSpec(factor_layer, "identity")]
-    groups = [list(range(len(factor_layer)))]
-    _reduce_products(layers, groups, len(factor_layer))
-    return _frozen(NetworkSpec(1, layers))
+    terms = _factor_terms(ff, 0, fold_scale=True)
+    products, _ = _product_layers([list(range(len(terms)))])
+    net = _product_net(1, len(terms), products, output=False)
+    _write_factors(net.blocks[0], terms)
+    return _frozen(net)
 
 
 def build_separable_net(spec: SeparableSpec) -> NetworkSpec:
@@ -203,7 +198,7 @@ def build_separable_net(spec: SeparableSpec) -> NetworkSpec:
     term is constant).
     """
     n = spec.variables
-    factor_layer: list = []
+    terms: list[tuple] = []
     term_groups: list[list[int]] = []
     term_weights: list[float] = []
     bias = 0.0
@@ -217,9 +212,9 @@ def build_separable_net(spec: SeparableSpec) -> NetworkSpec:
             else:
                 ff = factor_polynomial(phi)
                 const *= ff.scale
-                for neuron in _factor_neurons(ff, n, coord, fold_scale=False):
-                    factor_layer.append(neuron)
-                    channels.append(len(factor_layer) - 1)
+                for term in _factor_terms(ff, coord, fold_scale=False):
+                    terms.append(term)
+                    channels.append(len(terms) - 1)
         if const == 0.0:
             continue
         if channels:
@@ -228,17 +223,18 @@ def build_separable_net(spec: SeparableSpec) -> NetworkSpec:
         else:
             bias += const
 
-    if not factor_layer:
-        out = ConventionalNeuron(w=np.zeros(n), b=bias)
-        return _frozen(NetworkSpec(n, [LayerSpec([out], "identity")]))
+    if not terms:
+        return _constant_net(n, bias)
 
-    layers = [LayerSpec(factor_layer, "identity")]
-    groups, width = _reduce_products(layers, term_groups, len(factor_layer))
-    w = np.zeros(width)
+    products, groups = _product_layers(term_groups)
+    width = len(products[-1]) if products else len(terms)
+    net = _product_net(n, len(terms), products, output=True)
+    blocks = net.blocks
+    _write_factors(blocks[0], terms)
     for group, weight in zip(groups, term_weights):
-        w[group[0]] += weight
-    layers.append(LayerSpec([ConventionalNeuron(w=w, b=bias)], "identity"))
-    return _frozen(NetworkSpec(n, layers))
+        blocks[-1][group[0], 0] += weight
+    blocks[-1][block_rows(width).b_r, 0] = bias
+    return _frozen(net)
 
 
 def multipoly_net_size(spec: MultiPolySpec) -> tuple[int, int]:
@@ -276,30 +272,12 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
             f"l1={l1}, l2={l2} gives {k}"
         )
 
-    factor_layer = LayerSpec(
-        [neuron_from_params("quadratic", np.zeros(6)) for _ in range(k)], "identity"
-    )
-    products: list[LayerSpec] = []  # fixed: the pair products, then the triple
-    if k == 2:
-        products = [LayerSpec([_product_neuron(2, 0, 1)], "identity")]
-    elif k == 3:
-        pairs = LayerSpec(
-            [
-                _product_neuron(3, 0, 1),
-                _product_neuron(3, 1, 2),
-                _product_neuron(3, 0, 2),
-                PassthroughNeuron(0),
-            ],
-            "identity",
-        )
-        triple = LayerSpec([_product_neuron(4, 3, 1)], "identity")
-        products = [pairs, triple]
-    out = ConventionalNeuron(w=np.zeros(1), b=0.0)
+    # fixed product neurons: the pair products, then the triple
+    products = {2: [[(0, 1)]], 3: [[(0, 1), (1, 2), (0, 2), 0], [(3, 1)]]}.get(k, [])
     # the output taps every factor and every pair product
     shortcuts = [Shortcut(src, j, len(products) + 1, 0, 0.0)
                  for src in range(len(products)) for j in range(k)]
-
-    net = NetworkSpec(1, [factor_layer, *products, LayerSpec([out], "identity")], shortcuts)
+    net = _product_net(1, k, products, output=True, shortcuts=shortcuts)
     for layer_masks in net.masks[1 : len(products) + 1]:
         for m in layer_masks:
             m[:] = False

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network import LayerSpec, NetworkSpec, forward_batch
-from ..neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
-from .factorization import _frozen
+from ..network import NetworkSpec, block_rows, forward_batch
+from .factorization import _constant_net, _frozen
 
 
 @dataclass
@@ -86,15 +85,6 @@ def radial_profile(net: NetworkSpec, ts) -> np.ndarray:
     return forward_batch(net, X)[:, 0].reshape(ts.shape)
 
 
-def _norm_neuron(input_dim: int, c: float = 0.0) -> QuadraticNeuron:
-    """h(x) = ||x||^2 + c via the square term alone."""
-    zeros = np.zeros(input_dim)
-    return QuadraticNeuron(
-        w_r=zeros, b_r=0.0, w_g=zeros.copy(), b_g=0.0,
-        w_b=np.ones(input_dim), c=c,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shallow construction
 # ---------------------------------------------------------------------------
@@ -124,8 +114,7 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
 
     a = float(f(r))
     if (R - r) * L < delta:
-        out = ConventionalNeuron(w=np.zeros(input_dim), b=a)
-        return _frozen(NetworkSpec(input_dim, [LayerSpec([out], "identity")]))
+        return _constant_net(input_dim, a)
 
     segments = int(np.floor((R - r) * L / delta))
     knots_t = np.linspace(r, R, segments + 1)
@@ -135,14 +124,17 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     padded = np.concatenate([[0.0], slopes, [0.0]])
     alphas = np.diff(padded)  # one slope change per knot, flat outside [r, R]
 
-    hidden = [_norm_neuron(input_dim, -gamma) for gamma in knots_u]
-    out = ConventionalNeuron(w=alphas, b=a)
-    return _frozen(
-        NetworkSpec(
-            input_dim,
-            [LayerSpec(hidden, "relu"), LayerSpec([out], "identity")],
-        )
-    )
+    # hidden neuron i is ||x||^2 - u_i through the square term alone
+    net = NetworkSpec.blank(input_dim, [("relu", ["quadratic"] * len(knots_u)),
+                                        ("identity", ["conventional"])])
+    hidden, out = net.blocks
+    rows = block_rows(input_dim)
+    hidden[rows.w_b] = 1.0
+    hidden[rows.c] = -knots_u
+    rows = block_rows(len(knots_u))
+    out[rows.w_r, 0] = alphas
+    out[rows.b_r, 0] = a
+    return _frozen(net)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +170,15 @@ def plateau_interval(a_lo: float, a_hi: float, delta: float) -> tuple[float, flo
     return lo, hi
 
 
-def _module_working_neuron(s_index: int, prev_width: int, a_lo: float,
-                           a_hi: float, scale: float) -> QuadraticNeuron:
-    """h = scale * (s - a_lo^2) * (a_hi^2 - s) read off channel s_index."""
-    w_r = np.zeros(prev_width)
-    w_r[s_index] = scale
-    w_g = np.zeros(prev_width)
-    w_g[s_index] = -1.0
-    return QuadraticNeuron(
-        w_r=w_r, b_r=-scale * a_lo**2,
-        w_g=w_g, b_g=a_hi**2,
-        w_b=np.zeros(prev_width), c=0.0,
-    )
+def _write_working_neuron(block: np.ndarray, s_index: int, a_lo: float,
+                          a_hi: float, scale: float) -> None:
+    """Column 0 of block becomes h = scale * (s - a_lo^2) * (a_hi^2 - s),
+    s read off channel s_index."""
+    rows = block_rows(len(block) // 3 - 1)
+    block[rows.w_r, 0][s_index] = scale
+    block[rows.b_r, 0] = -scale * a_lo**2
+    block[rows.w_g, 0][s_index] = -1.0
+    block[rows.b_g, 0] = a_hi**2
 
 
 def build_parabola_module(a_lo: float, a_hi: float, b: float, delta: float,
@@ -210,18 +199,16 @@ def build_parabola_module(a_lo: float, a_hi: float, b: float, delta: float,
 
     bmag = abs(float(b))
     scale = _module_scale(a_lo, a_hi, bmag, delta)
-    layers = [
-        LayerSpec([_norm_neuron(input_dim)], "relu"),
-        LayerSpec([_module_working_neuron(0, 1, a_lo, a_hi, scale)], "relu"),
-        LayerSpec([ConventionalNeuron(w=np.array([-1.0]), b=bmag)], "relu"),
-    ]
-    if b >= 0:
-        layers.append(LayerSpec([ConventionalNeuron(w=np.array([-1.0]), b=bmag)],
-                                "relu"))
-    else:
-        layers.append(LayerSpec([ConventionalNeuron(w=np.array([1.0]), b=-bmag)],
-                                "identity"))
-    return _frozen(NetworkSpec(input_dim, layers))
+    last = "relu" if b >= 0 else "identity"
+    net = NetworkSpec.blank(input_dim, [("relu", ["quadratic"]), ("relu", ["quadratic"]),
+                                        ("relu", ["conventional"]),
+                                        (last, ["conventional"])])
+    norm, work, clip, out = net.blocks
+    norm[block_rows(input_dim).w_b] = 1.0
+    _write_working_neuron(work, 0, a_lo, a_hi, scale)
+    clip[:2, 0] = -1.0, bmag
+    out[:2, 0] = (-1.0, bmag) if b >= 0 else (1.0, -bmag)
+    return _frozen(net)
 
 
 def build_deep_radial(partition: RadialPartition, input_dim: int) -> NetworkSpec:
@@ -239,55 +226,35 @@ def build_deep_radial(partition: RadialPartition, input_dim: int) -> NetworkSpec
     if m < 1:
         raise ValueError("partition must contain at least one interval")
 
-    layers = [LayerSpec([_norm_neuron(input_dim)], "relu")]
+    # a module: the working neuron, s passed through and the two sums, then
+    # two layers clipping the working channel at the height, s, K+ and K-
+    # passed through
+    layers = [("relu", ["quadratic"])]
+    for i in range(m):
+        s_index = 0 if i == 0 else 1
+        layers.append(("relu", ["quadratic", s_index, "conventional", "conventional"]))
+        layers += [("relu", ["conventional", 1, 2, 3])] * 2
+    layers.append(("identity", ["conventional"]))
+    net = NetworkSpec.blank(input_dim, layers)
+    blocks = net.blocks
+    blocks[0][block_rows(input_dim).w_b] = 1.0
+    rows = block_rows(4)  # the fan-in of every later layer
     for i in range(m):
         a_lo = float(partition.breakpoints[i])
         a_hi = float(partition.breakpoints[i + 1])
         bmag = abs(float(partition.heights[i]))
         scale = _module_scale(a_lo, a_hi, bmag, partition.delta)
 
-        prev_width = 1 if i == 0 else 4
-        s_index = 0 if i == 0 else 1
-        work = _module_working_neuron(s_index, prev_width, a_lo, a_hi, scale)
+        first = blocks[1 + 3 * i]
+        _write_working_neuron(first, 0 if i == 0 else 1, a_lo, a_hi, scale)
+        if i > 0:  # K+ and K- carry on, one of them taking the last bump
+            first[rows.w_r, 2][2] = 1.0
+            first[rows.w_r, 3][3] = 1.0
+            first[rows.w_r, 2 if partition.heights[i - 1] >= 0 else 3][0] = 1.0
+        for clip in blocks[2 + 3 * i : 4 + 3 * i]:
+            clip[rows.w_r, 0][0] = -1.0
+            clip[rows.b_r, 0] = bmag
 
-        w_plus = np.zeros(prev_width)
-        w_minus = np.zeros(prev_width)
-        if i > 0:
-            w_plus[2] = 1.0
-            w_minus[3] = 1.0
-            if partition.heights[i - 1] >= 0:
-                w_plus[0] = 1.0
-            else:
-                w_minus[0] = 1.0
-        layers.append(
-            LayerSpec(
-                [
-                    work,
-                    PassthroughNeuron(s_index),
-                    ConventionalNeuron(w=w_plus, b=0.0),
-                    ConventionalNeuron(w=w_minus, b=0.0),
-                ],
-                "relu",
-            )
-        )
-        for _ in range(2):
-            clip = np.zeros(4)
-            clip[0] = -1.0
-            layers.append(
-                LayerSpec(
-                    [
-                        ConventionalNeuron(w=clip, b=bmag),
-                        PassthroughNeuron(1),
-                        PassthroughNeuron(2),
-                        PassthroughNeuron(3),
-                    ],
-                    "relu",
-                )
-            )
-
-    w_out = np.zeros(4)
-    w_out[0] = 1.0 if partition.heights[-1] >= 0 else -1.0
-    w_out[2] = 1.0
-    w_out[3] = -1.0
-    layers.append(LayerSpec([ConventionalNeuron(w=w_out, b=0.0)], "identity"))
-    return _frozen(NetworkSpec(input_dim, layers))
+    sign = 1.0 if partition.heights[-1] >= 0 else -1.0
+    blocks[-1][rows.w_r, 0] = sign, 0.0, 1.0, -1.0
+    return _frozen(net)

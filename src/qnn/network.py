@@ -1,24 +1,19 @@
 """Layered networks of quadratic / conventional / passthrough neurons.
 
-A NetworkSpec is a plain value: an ordered list of layers, optional forward
-shortcut edges, and per-parameter trainability masks.  It is the
-construction and JSON format, and nothing here mutates it: forward_batch
-and backward_batch are pure functions of the spec, and both take a batch,
-(B, input_dim); a single input is the batch x[None].  _compile turns the
-spec into one flat array of (3n+3, m) layer blocks, each neuron of any kind
-a column in quadratic form.
-forward_batch evaluates those blocks layer by layer, trainable_values and
-set_trainable_values gather and scatter on them, and a PackedNetwork copies
-them into one row per restart so that every restart advances in the same
-stacked matmuls.  The executor has two calls: forward(theta, X) writes the
-(R, T) trainable values and returns the output, and loss_and_grad(theta, X,
-loss) adds the backward pass right after that forward.  It owns its work
-arrays (activations, their gradient and the per-layer products), held
-batch-last as (R, width, B) so that each layer's slice is contiguous, made
-once per batch size, reused by every step and freed with it.
-backward_batch is loss_and_grad of a one-row executor at the net's own
-values.  The per-neuron forward and backward are the test oracle, in
-oracles.
+A NetworkSpec stores its parameters once, as one flat float64 array of
+(3n+3, m) layer blocks, each neuron of any kind a column in quadratic form,
+then the shortcut weights, with a bool array of the same layout marking the
+trainable entries; beside them it keeps each layer's activation and neuron
+kinds and the shortcut endpoints.  Builders write the block columns, JSON
+reads and writes them directly, and neuron objects are made only where a
+net is built from them or net.layers is read (by the per-neuron oracle in
+oracles).  Nothing here mutates a spec: forward_batch and backward_batch
+are pure functions of it, and both take a batch, (B, input_dim); a single
+input is the batch x[None].  forward_batch evaluates the blocks layer by
+layer, trainable_values and set_trainable_values gather and scatter on
+them, and a PackedNetwork, the training executor, copies them into one row
+per restart so that every restart advances in the same stacked matmuls;
+backward_batch is a one-row executor at the net's own values.
 
 Two evaluators of the blocks remain, each for a measured reason (2-core
 VM, one BLAS thread, B = 4096, best of 5):
@@ -41,21 +36,53 @@ quadratic and (w, b) for conventional, with shortcut weights appended last.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .neurons import (
-    ConventionalNeuron,
-    Neuron,
-    PassthroughNeuron,
-    neuron_from_params,
-)
+from .neurons import Neuron, PassthroughNeuron, neuron_fan_in, neuron_from_params
 
 ACTIVATIONS = ("relu", "identity")
+
+
+def _layer(activation: str, kinds) -> tuple[str, tuple]:
+    """A layer's structure, (activation, kinds): per neuron "quadratic",
+    "conventional", or for a passthrough the input index it copies."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    if not kinds:
+        raise ValueError("layer must contain at least one neuron")
+    for kind in set(kinds).difference(("quadratic", "conventional")):
+        if type(kind) is not int:
+            raise ValueError(f"unknown neuron kind {kind!r}")
+    return activation, tuple(kinds)
+
+
+def _kind(neuron: Neuron):
+    return neuron.index if neuron.kind == "passthrough" else neuron.kind
+
+
+class BlockRows(NamedTuple):
+    """The rows of a block of fan-in n down which a column holds a neuron's
+    canonical parameters; a conventional neuron's w and b are w_r and b_r."""
+
+    w_r: slice
+    b_r: int
+    w_g: slice
+    b_g: int
+    w_b: slice
+    c: int
+
+
+def block_rows(n: int) -> BlockRows:
+    return BlockRows(slice(0, n), n, slice(n + 1, 2 * n + 1), 2 * n + 1,
+                     slice(2 * n + 2, 3 * n + 2), 3 * n + 2)
 
 
 @dataclass
@@ -66,10 +93,7 @@ class LayerSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not self.neurons:
-            raise ValueError("layer must contain at least one neuron")
+        _layer(self.activation, [_kind(nr) for nr in self.neurons])
 
     @property
     def width(self) -> int:
@@ -93,129 +117,201 @@ class Shortcut:
             raise ValueError("shortcut edges must point forward")
 
 
-@dataclass
 class NetworkSpec:
     """Layered network with shortcuts and per-parameter trainability masks.
 
-    masks mirrors layers: masks[k][j] is a boolean array the same length as
-    neuron j's parameter vector.  A missing masks argument means everything
-    is trainable.  Shortcut weights carry their own trainable flag.
+    params holds each layer's (3n+3, m) block, n its fan-in and m its width,
+    then the shortcut weights; blocks[k] is a view of layer k's block.  Its
+    rows are W_r | b_r | W_g | b_g | W_b | c (block_rows), and column j is
+    neuron j as a quadratic neuron: a conventional neuron (w, b) fills W_r
+    and b_r and has b_g = 1, and a passthrough is the one-hot W_r = e_index
+    with b_g = 1.  The zero entries multiply their inputs too, so where an
+    input is inf a pre-activation can be NaN where the per-neuron oracle
+    gives inf or an exact copy.  trainable flags the trainable entries of
+    params among the canonical parameters and shortcut weights; structure
+    holds each layer's (activation, kinds) (see _layer) and shortcut_ends
+    each (src_layer, src_neuron, dst_layer, dst_neuron).
+
+    NetworkSpec(input_dim, layers, shortcuts, masks) builds a net from
+    neuron objects, masks[k][j] flagging the entries of neuron j's parameter
+    vector (all trainable when masks is None), and NetworkSpec.blank one for
+    a builder to write the blocks of.  net.layers and net.shortcuts are made
+    on each read; net.masks are views of trainable, so that writing False to
+    one freezes those parameters.
     """
 
-    input_dim: int
-    layers: list[LayerSpec]
-    shortcuts: list[Shortcut] = field(default_factory=list)
-    masks: list[list[np.ndarray]] | None = None
+    def __init__(self, input_dim: int, layers, shortcuts=(), masks=None):
+        neurons = [layer.neurons for layer in layers]
+        vectors = [[nr.param_vector() for nr in nrs] for nrs in neurons]
+        structure = tuple(_layer(layer.activation, [_kind(nr) for nr in nrs])
+                          for layer, nrs in zip(layers, neurons))
+        if masks is not None:
+            masks = [[np.asarray(m, dtype=bool) for m in lm] for lm in masks]
+        self._setup(input_dim, structure, shortcuts,
+                    tuple(tuple(map(len, layer)) for layer in vectors),
+                    None if masks is None else
+                    tuple(tuple(len(m) if m.ndim == 1 else -1 for m in lm) for lm in masks))
+        own = self._layout.own
+        self.params[own] = np.concatenate(list(chain.from_iterable(vectors)))
+        if masks is not None:
+            self.trainable[own] = np.concatenate(list(chain.from_iterable(masks)))
 
-    def __post_init__(self):
-        if self.input_dim < 1:
+    @classmethod
+    def blank(cls, input_dim: int, layers, shortcuts=()) -> NetworkSpec:
+        """A net of layers given as (activation, kinds), every neuron
+        parameter zero and trainable, and the given shortcuts."""
+        net = cls.__new__(cls)
+        net._setup(input_dim, tuple(_layer(*layer) for layer in layers), shortcuts)
+        return net
+
+    def _setup(self, input_dim, structure, shortcuts, counts=None, mask_lengths=None):
+        """Check the structure, and each neuron's parameter count and mask
+        length where given, and allocate params and trainable."""
+        if input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if not self.layers:
+        if not structure:
             raise ValueError("network must have at least one layer")
-        if self.masks is None:
-            self.masks = [
-                [np.ones(nr.param_count, dtype=bool) for nr in layer.neurons]
-                for layer in self.layers
-            ]
-        else:
-            self.masks = [
-                [np.asarray(m, dtype=bool) for m in layer_masks]
-                for layer_masks in self.masks
-            ]
-        self._validate()
-
-    def _validate(self):
-        if len(self.masks) != len(self.layers):
-            raise ValueError("masks must parallel layers")
-        prev_width = self.input_dim
-        for k, layer in enumerate(self.layers):
-            if len(self.masks[k]) != layer.width:
-                raise ValueError(f"masks for layer {k} must parallel its neurons")
-            for j, neuron in enumerate(layer.neurons):
-                if isinstance(neuron, PassthroughNeuron):
-                    if neuron.index >= prev_width:
-                        raise ValueError(
-                            f"layer {k} neuron {j}: passthrough index "
-                            f"{neuron.index} out of range for width {prev_width}"
-                        )
-                elif neuron.input_dim != prev_width:
-                    raise ValueError(
-                        f"layer {k} neuron {j}: expects input width "
-                        f"{neuron.input_dim}, previous layer has {prev_width}"
-                    )
-                if self.masks[k][j].shape != (neuron.param_count,):
-                    raise ValueError(f"mask shape mismatch at layer {k} neuron {j}")
-            prev_width = layer.width
-        n_layers = len(self.layers)
-        for sc in self.shortcuts:
-            if not (0 <= sc.src_layer < sc.dst_layer < n_layers):
+        sizes, fit = _sizes_of(input_dim, structure)
+        if not (fit and counts in (None, sizes) and mask_lengths in (None, sizes)):
+            _refuse(input_dim, structure, sizes, counts, mask_lengths)
+        layout = _layout_of(input_dim, structure)  # sized only once the checks pass
+        widths = [len(kinds) for _, kinds in structure]
+        for sc in shortcuts:
+            if not (0 <= sc.src_layer < sc.dst_layer < len(widths)):
                 raise ValueError("shortcut layer indices out of range")
-            if not 0 <= sc.src_neuron < self.layers[sc.src_layer].width:
+            if not 0 <= sc.src_neuron < widths[sc.src_layer]:
                 raise ValueError("shortcut source neuron out of range")
-            if not 0 <= sc.dst_neuron < self.layers[sc.dst_layer].width:
+            if not 0 <= sc.dst_neuron < widths[sc.dst_layer]:
                 raise ValueError("shortcut destination neuron out of range")
+        self.input_dim, self.structure, self._layout = input_dim, structure, layout
+        self.shortcut_ends = tuple(
+            (sc.src_layer, sc.src_neuron, sc.dst_layer, sc.dst_neuron) for sc in shortcuts)
+        self.params = np.zeros(layout.size + len(shortcuts))
+        self.params[layout.ones] = 1.0
+        self.params[layout.size:] = [sc.weight for sc in shortcuts]
+        self.trainable = np.zeros(len(self.params), dtype=bool)
+        self.trainable[layout.own] = True
+        self.trainable[layout.size:] = [sc.trainable for sc in shortcuts]
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The layer blocks of an array laid out as params on its last axis."""
+        return [flat[..., pos : pos + rows * m].reshape(*flat.shape[:-1], rows, m)
+                for pos, rows, m in self._layout.blocks]
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        return self._split(self.params)
+
+    @property
+    def layers(self) -> list[LayerSpec]:
+        return [LayerSpec([neuron_from_params(kind, block[:size, j].copy()) if size
+                           else PassthroughNeuron(kind)
+                           for j, (kind, size) in enumerate(zip(kinds, sizes))], activation)
+                for (activation, kinds), sizes, block
+                in zip(self.structure, self._layout.sizes, self.blocks)]
+
+    @property
+    def masks(self) -> list[list[np.ndarray]]:
+        return [[block[:size, j] for j, size in enumerate(sizes)]
+                for sizes, block in zip(self._layout.sizes, self._split(self.trainable))]
+
+    @property
+    def shortcuts(self) -> list[Shortcut]:
+        tail = self._layout.size
+        return [Shortcut(*ends, self.params[tail + i], bool(self.trainable[tail + i]))
+                for i, ends in enumerate(self.shortcut_ends)]
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.structure)
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].width
+        return len(self.structure[-1][1])
 
     def layer_widths(self) -> list[int]:
-        return [layer.width for layer in self.layers]
+        return [len(kinds) for _, kinds in self.structure]
 
 
-# ---------------------------------------------------------------------------
-# Compiled layer blocks
-# ---------------------------------------------------------------------------
+class _Layout(NamedTuple):
+    """What a structure fixes of a net's params; the arrays are read-only."""
+
+    blocks: tuple  # per layer, (position, rows, width) of its block
+    sizes: tuple  # per layer, each neuron's parameter count
+    size: int  # of the blocks; the shortcut weights follow
+    ones: np.ndarray  # positions a passthrough or conventional column fixes at 1
+    own: np.ndarray  # each neuron parameter's position, in canonical order
 
 
-def _compile(net: NetworkSpec):
-    """net as one flat float64 array: each layer's (3n+3, m) block, n its
-    fan-in and m its width, then the shortcut weights.
+@lru_cache(maxsize=256)
+def _sizes_of(input_dim: int, structure: tuple) -> tuple[tuple, bool]:
+    """Each layer's per-neuron parameter counts, as plain tuples, and
+    whether every passthrough index is below its fan-in."""
+    sizes, n, fit = [], input_dim, True
+    for _, kinds in structure:
+        size = {"quadratic": 3 * n + 3, "conventional": n + 1}
+        sizes.append(tuple(size.get(kind, 0) for kind in kinds))
+        indices = set(kinds).difference(size)
+        fit = fit and (not indices or 0 <= min(indices) and max(indices) < n)
+        n = len(kinds)
+    return tuple(sizes), fit
 
-    Block rows are W_r | b_r | W_g | b_g | W_b | c, and column j is neuron j
-    as a quadratic neuron whose canonical parameters fill the leading rows:
-    a conventional neuron (w, b) fills W_r and b_r and gets b_g = 1, and a
-    passthrough, which has none, is the one-hot W_r = e_index with b_g = 1.
-    The zero entries multiply their inputs too, so where an input is inf a
-    pre-activation can be NaN where the per-neuron oracle gives inf or an
-    exact copy.  Returns (params, blocks, quadratic): blocks[k] is layer
-    k's block as a view of params, quadratic[k] whether it holds a
-    quadratic neuron.
-    """
-    fan_in = [net.input_dim] + net.layer_widths()[:-1]
-    sizes = [(3 * n + 3) * layer.width for n, layer in zip(fan_in, net.layers)]
-    params = np.zeros(sum(sizes) + len(net.shortcuts))
-    params[sum(sizes):] = [sc.weight for sc in net.shortcuts]
-    blocks, quadratic = [], []
-    pos = 0
-    for layer, n, size in zip(net.layers, fan_in, sizes):
-        block = params[pos : pos + size].reshape(3 * n + 3, layer.width)
-        pos += size
-        for j, nr in enumerate(layer.neurons):
-            block[: nr.param_count, j] = nr.param_vector()
-            if nr.kind != "quadratic":
-                block[2 * n + 1, j] = 1.0
-            if nr.kind == "passthrough":
-                block[nr.index, j] = 1.0
-        blocks.append(block)
-        quadratic.append(any(nr.kind == "quadratic" for nr in layer.neurons))
-    return params, blocks, quadratic
+
+def _refuse(input_dim: int, structure: tuple, sizes: tuple, counts, mask_lengths):
+    """Raise ValueError for the first fault, layer by layer and neuron by
+    neuron: masks that do not parallel the layers or a layer's neurons, a
+    passthrough index out of range, a parameter count that does not fit the
+    fan-in, a mask of the wrong length."""
+    if mask_lengths is not None and len(mask_lengths) != len(structure):
+        raise ValueError("masks must parallel layers")
+    n = input_dim
+    for k, ((_, kinds), layer_sizes) in enumerate(zip(structure, sizes)):
+        if mask_lengths is not None and len(mask_lengths[k]) != len(kinds):
+            raise ValueError(f"masks for layer {k} must parallel its neurons")
+        for j, (kind, size) in enumerate(zip(kinds, layer_sizes)):
+            if not size and not 0 <= kind < n:
+                raise ValueError(f"layer {k} neuron {j}: passthrough index "
+                                 f"{kind} out of range for width {n}")
+            if size and counts is not None and counts[k][j] != size:
+                raise ValueError(f"layer {k} neuron {j}: expects input width "
+                                 f"{neuron_fan_in(kind, counts[k][j])}, "
+                                 f"previous layer has {n}")
+            if mask_lengths is not None and mask_lengths[k][j] != size:
+                raise ValueError(f"mask shape mismatch at layer {k} neuron {j}")
+        n = len(kinds)
+
+
+@lru_cache(maxsize=256)
+def _layout_of(input_dim: int, structure: tuple) -> _Layout:
+    """The _Layout of a structure, made once for all nets that share it."""
+    sizes, _ = _sizes_of(input_dim, structure)
+    blocks, ones, columns, strides = [], [], [], []
+    pos, n = 0, input_dim
+    for (_, kinds), layer_sizes in zip(structure, sizes):
+        m = len(kinds)
+        for j, (kind, size) in enumerate(zip(kinds, layer_sizes)):
+            if not size:
+                ones.append(pos + kind * m + j)
+            if kind != "quadratic":
+                ones.append(pos + (2 * n + 1) * m + j)
+        columns += range(pos, pos + m)
+        strides += [m] * m
+        blocks.append((pos, 3 * n + 3, m))
+        pos += (3 * n + 3) * m
+        n = m
+    counts = np.fromiter(chain.from_iterable(sizes), np.intp)
+    rows = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    own = np.repeat(columns, counts) + rows * np.repeat(strides, counts)
+    ones = np.array(ones, dtype=np.intp)
+    own.flags.writeable = ones.flags.writeable = False
+    return _Layout(tuple(blocks), sizes, pos, ones, own)
 
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
-    """Position in the params of _compile of each canonical trainable value."""
-    index, pos, n = [], 0, net.input_dim
-    for layer, layer_masks in zip(net.layers, net.masks):
-        m = layer.width
-        index += [pos + np.flatnonzero(mask) * m + j for j, mask in enumerate(layer_masks)]
-        pos += (3 * n + 3) * m
-        n = m
-    index.append(pos + np.flatnonzero([sc.trainable for sc in net.shortcuts]))
-    return np.concatenate(index).astype(np.intp)
+    """Position in net.params of each canonical trainable value."""
+    own, size = net._layout.own, net._layout.size
+    return np.concatenate([own[net.trainable[own]],
+                           size + np.flatnonzero(net.trainable[size:])])
 
 
 # ---------------------------------------------------------------------------
@@ -246,31 +342,31 @@ def _check_batch(net: NetworkSpec, X, upstream=None):
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim).
 
-    Runs the compiled blocks layer by layer, Z = (X W_r + b_r) * (X W_g +
-    b_g) + (X * X) W_b + c (the affine part alone where a layer holds no
-    quadratic neuron), adds the incoming shortcuts in list order and applies
-    the activation.  Activations are held transposed, one row per neuron,
-    so that adding a bias or a shortcut runs along the batch.
+    Runs the layer blocks one by one, Z = (X W_r + b_r) * (X W_g + b_g) +
+    (X * X) W_b + c (the affine part alone where a layer holds no quadratic
+    neuron), adds the incoming shortcuts in list order and applies the
+    activation.  Activations are held transposed, one row per neuron, so
+    that adding a bias or a shortcut runs along the batch.
     """
     X, _ = _check_batch(net, X)
-    _, blocks, quadratic = _compile(net)
+    weights = net.params[net._layout.size:]
     acts: list[np.ndarray] = []
     current = X.T
-    for k, (layer, block, quad) in enumerate(zip(net.layers, blocks, quadratic)):
+    for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
         n = len(current)
         Z = block[:n].T @ current
         Z += block[n][:, None]
-        if quad:
+        if "quadratic" in kinds:
             Q = block[n + 1 : 2 * n + 1].T @ current
             Q += block[2 * n + 1][:, None]
             Z *= Q
             # the square term reuses Q, so a wide layer holds two (m, B) arrays
             Z += np.matmul(block[2 * n + 2 : 3 * n + 2].T, current * current, out=Q)
             Z += block[3 * n + 2][:, None]
-        for sc in net.shortcuts:
-            if sc.dst_layer == k:
-                Z[sc.dst_neuron] += sc.weight * acts[sc.src_layer][sc.src_neuron]
-        if layer.activation == "relu":
+        for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
+            if dst == k:
+                Z[dst_neuron] += weight * acts[src][src_neuron]
+        if activation == "relu":
             np.maximum(0.0, Z, out=Z)
         acts.append(Z)
         current = Z
@@ -284,8 +380,7 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
 
 def parameter_count(net: NetworkSpec) -> int:
     """Total parameter count, shortcut weights included."""
-    total = sum(nr.param_count for layer in net.layers for nr in layer.neurons)
-    return total + len(net.shortcuts)
+    return len(net._layout.own) + len(net.shortcut_ends)
 
 
 def trainable_count(net: NetworkSpec) -> int:
@@ -294,8 +389,7 @@ def trainable_count(net: NetworkSpec) -> int:
 
 def trainable_values(net: NetworkSpec) -> np.ndarray:
     """Mask-selected parameters in canonical order (shortcut weights last)."""
-    params, _, _ = _compile(net)
-    return params[_theta_index(net)]
+    return net.params[_theta_index(net)]
 
 
 def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
@@ -306,18 +400,10 @@ def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
         raise ValueError(
             f"expected {len(index)} trainable values, got {values.shape}"
         )
-    params, blocks, _ = _compile(net)
-    params[index] = values
-    layers = []
-    for layer, block in zip(net.layers, blocks):
-        neurons = [PassthroughNeuron(nr.index) if nr.kind == "passthrough"
-                   else neuron_from_params(nr.kind, block[: nr.param_count, j].copy())
-                   for j, nr in enumerate(layer.neurons)]
-        layers.append(LayerSpec(neurons, layer.activation))
-    weights = params[len(params) - len(net.shortcuts) :]
-    shortcuts = [replace(sc, weight=w) for sc, w in zip(net.shortcuts, weights)]
-    masks = [[m.copy() for m in layer_masks] for layer_masks in net.masks]
-    return NetworkSpec(net.input_dim, layers, shortcuts, masks)
+    out = copy.copy(net)
+    out.params, out.trainable = net.params.copy(), net.trainable.copy()
+    out.params[index] = values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +451,10 @@ def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class PackedNetwork:
-    """A NetworkSpec compiled once into flat float64 parameter buffers.
+    """The training executor: a NetworkSpec's params in one row per restart.
 
-    `params` has shape (R, P): one row per restart, each a copy of the
-    layer blocks and shortcut weights of _compile.  Activations are held
+    `params` has shape (R, P): one row per restart, each a copy of
+    net.params, its layer blocks and shortcut weights.  Activations are held
     batch-last, one row per neuron and one column per input.  With the
     input augmented by a row of ones, X1 = [X; 1], a layer is three
     matmuls,
@@ -387,7 +473,7 @@ class PackedNetwork:
     of `params` alone, and equals what a one-row executor gives for it.
     The executor agrees with oracles.reference_forward_batch and
     reference_backward_batch, the per-neuron path, to rounding on finite
-    values (see _compile for inf); the trainer drops a restart at its first
+    values (see NetworkSpec for inf); the trainer drops a restart at its first
     non-finite loss.
 
     `forward(theta, X)` writes the (R, T) trainable values into `params`
@@ -421,10 +507,9 @@ class PackedNetwork:
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
         self._input_dim = net.input_dim
-        params, blocks, quadratic = _compile(net)
-        self.params = np.tile(params, (restarts, 1))
+        self.params = np.tile(net.params, (restarts, 1))
         self._grad = np.zeros_like(self.params)
-        sc_base = len(params) - len(net.shortcuts)
+        ends = net.shortcut_ends
         fan_in = [net.input_dim] + net.layer_widths()[:-1]
 
         # Rows of the per-pass activation array: the input, then each
@@ -434,37 +519,31 @@ class PackedNetwork:
         self._act_width = int(base[-1])
 
         incoming: dict[int, list[int]] = {}
-        for i, sc in enumerate(net.shortcuts):
-            incoming.setdefault(sc.dst_layer, []).append(i)
-        sources = {sc.src_layer for sc in net.shortcuts}
+        for i, (_, _, dst, _) in enumerate(ends):
+            incoming.setdefault(dst, []).append(i)
+        sources = {src for src, _, _, _ in ends}
 
         self._layers = []
-        pos = 0
-        for k, (layer, n, quad) in enumerate(zip(net.layers, fan_in, quadratic)):
-            m = layer.width
-            shape = (restarts, 3 * n + 3, m)
-            block = self.params[:, pos : pos + blocks[k].size].reshape(shape)
-            gblock = self._grad[:, pos : pos + blocks[k].size].reshape(shape)
+        blocks = zip(net._split(self.params), net._split(self._grad))
+        for k, ((block, gblock), n, (activation, kinds)) in enumerate(
+                zip(blocks, fan_in, net.structure)):
+            m = block.shape[2]
             shortcuts = None
             if k in incoming:
                 # every earlier activation row feeds this layer through a
                 # dense (base[k + 1], m) weight matrix per restart, rebuilt
                 # on each pass
                 rows = int(base[k + 1])
-                cells = np.array([
-                    (base[net.shortcuts[i].src_layer + 1]
-                     + net.shortcuts[i].src_neuron) * m
-                    + net.shortcuts[i].dst_neuron
-                    for i in incoming[k]
-                ])
+                cells = np.array([(base[ends[i][0] + 1] + ends[i][1]) * m + ends[i][3]
+                                  for i in incoming[k]])
                 all_cells = (np.arange(restarts)[:, None] * (rows * m) + cells).ravel()
-                shortcuts = (cells, all_cells, sc_base + np.array(incoming[k]),
+                shortcuts = (cells, all_cells, net._layout.size + np.array(incoming[k]),
                              (restarts, rows, m))
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
             self._layers.append(_PackedLayer(
-                quadratic=quad,
-                relu=layer.activation == "relu",
+                quadratic="quadratic" in kinds,
+                relu=activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
                 thirds_t=tuple(block[:, t].swapaxes(1, 2) for t in thirds),
@@ -474,7 +553,6 @@ class PackedNetwork:
                 overwrite_input_grad=k - 1 not in sources,
                 through_width=np.multiply if m == 1 else np.matmul,
             ))
-            pos += blocks[k].size
         # the activation gradient rows that the backward sums into with +=:
         # those of every shortcut source.  Every other row it reads is
         # written whole first, by the upstream or by the next layer.
@@ -655,41 +733,30 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
 
 def single_quadratic_net(input_dim: int) -> NetworkSpec:
     """One trainable quadratic neuron, identity activation, zero-initialised."""
-    neuron = neuron_from_params("quadratic", np.zeros(3 * input_dim + 3))
-    return NetworkSpec(input_dim, [LayerSpec([neuron], activation="identity")])
+    return NetworkSpec.blank(input_dim, [("identity", ["quadratic"])])
 
 
 def one_hidden_quadratic(input_dim: int, width: int) -> NetworkSpec:
     """width quadratic ReLU units feeding one linear output neuron."""
-    return _one_hidden("quadratic", 3 * input_dim + 3, input_dim, width)
+    return _one_hidden("quadratic", input_dim, width)
 
 
 def one_hidden_conventional(input_dim: int, width: int) -> NetworkSpec:
     """width conventional ReLU units feeding one linear output neuron."""
-    return _one_hidden("conventional", input_dim + 1, input_dim, width)
+    return _one_hidden("conventional", input_dim, width)
 
 
-def _one_hidden(kind: str, param_count: int, input_dim: int, width: int) -> NetworkSpec:
+def _one_hidden(kind: str, input_dim: int, width: int) -> NetworkSpec:
     """width zero-initialised ReLU units of one kind feeding one linear output neuron."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    hidden = [neuron_from_params(kind, np.zeros(param_count)) for _ in range(width)]
-    out = ConventionalNeuron(w=np.zeros(width), b=0.0)
-    return NetworkSpec(
-        input_dim,
-        [LayerSpec(hidden, "relu"), LayerSpec([out], "identity")],
-    )
+    return NetworkSpec.blank(
+        input_dim, [("relu", [kind] * width), ("identity", ["conventional"])])
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-
-def _neuron_to_dict(neuron: Neuron) -> dict:
-    if isinstance(neuron, PassthroughNeuron):
-        return {"kind": "passthrough", "index": neuron.index}
-    return {"kind": neuron.kind, "params": neuron.param_vector().tolist()}
 
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
@@ -721,19 +788,33 @@ def _numbers(d, key: str, row: int = 0) -> np.ndarray:
         array = np.array(values) if values else np.zeros(shape)
     except ValueError:  # lists of unequal lengths
         array = None
-    if array is None or array.shape != shape or array.dtype.kind not in "fiu":
+    if (array is None or array.shape != shape or array.dtype.kind not in "fiu"
+            # numpy reads true and false among numbers as 1 and 0; the type
+            # test runs in C, at a few per cent of the cost of the decoding
+            or bool in map(type, chain.from_iterable(values) if row else values)):
         what = f"lists of {row} numbers" if row else "numbers"
         raise ValueError(f"{key!r} must hold {what} only, got {values!r}")
     return array.astype(np.float64, copy=False)
 
 
-def _neuron_from_dict(d) -> Neuron:
+def _neuron_from_dict(d):
+    """A neuron object as (kind, params): a passthrough's kind is its index
+    and its params empty."""
     kind = _field(d, "kind", str)
     if kind == "passthrough":
-        return PassthroughNeuron(_field(d, "index", int))
+        return PassthroughNeuron(_field(d, "index", int)).index, np.zeros(0)
     if kind not in ("quadratic", "conventional"):
         raise ValueError(f"unknown neuron kind {kind!r}")
-    return neuron_from_params(kind, _numbers(d, "params"))
+    params = _numbers(d, "params")
+    neuron_fan_in(kind, len(params))
+    return kind, params
+
+
+def _layer_from_dict(d) -> tuple[tuple, list]:
+    """A layer object as (structure, each neuron's parameters)."""
+    neurons = _each(_field(d, "neurons", list), "neuron", _neuron_from_dict)
+    layer = _layer(_field(d, "activation", str), [kind for kind, _ in neurons])
+    return layer, [p for _, p in neurons]
 
 
 _SHORTCUT_FIELDS = {"src_layer": int, "src_neuron": int, "dst_layer": int,
@@ -748,7 +829,7 @@ def _shortcut_from_dict(d) -> Shortcut:
     return Shortcut(**fields)
 
 
-def _mask_from_list(m) -> np.ndarray:
+def _mask_from_list(m) -> list:
     # True, False, 1.0 and 0.0 compare equal to 1 and 0 and pass too
     try:
         ok = type(m) is list and set(m) <= {0, 1}
@@ -756,15 +837,10 @@ def _mask_from_list(m) -> np.ndarray:
         ok = False
     if not ok:
         raise ValueError(f"mask must be a list of 0 and 1 entries, got {m!r}")
-    return np.asarray(m, dtype=bool)
+    return m
 
 
-def _layer_from_dict(d) -> LayerSpec:
-    neurons = _each(_field(d, "neurons", list), "neuron", _neuron_from_dict)
-    return LayerSpec(neurons, _field(d, "activation", str))
-
-
-def _masks_from_list(layer_masks) -> list[np.ndarray]:
+def _masks_from_list(layer_masks) -> list[list]:
     if not isinstance(layer_masks, list):
         raise ValueError(f"expected a list of masks, got {layer_masks!r}")
     return _each(layer_masks, "neuron", _mask_from_list)
@@ -784,24 +860,30 @@ def _each(items: list, name: str, parse) -> list:
 def to_json(net: NetworkSpec) -> str:
     """Serialize to JSON; round-trips bit-exactly.
 
+    Each neuron's params list is the leading entries of its block column.
     JSON has no NaN or infinity, so a non-finite neuron parameter or
     shortcut weight raises ValueError.
     """
+    own = net._layout.own
+    values, flags = net.params[own].tolist(), net.trainable[own].astype(int).tolist()
+    layers, masks, start = [], [], 0
+    for (activation, kinds), sizes in zip(net.structure, net._layout.sizes):
+        neurons, layer_masks = [], []
+        for kind, size in zip(kinds, sizes):
+            end = start + size
+            neurons.append({"kind": kind, "params": values[start:end]} if size
+                           else {"kind": "passthrough", "index": kind})
+            layer_masks.append(flags[start:end])
+            start = end
+        layers.append({"activation": activation, "neurons": neurons})
+        masks.append(layer_masks)
     doc = {
         "input_dim": net.input_dim,
-        "layers": [
-            {
-                "activation": layer.activation,
-                "neurons": [_neuron_to_dict(nr) for nr in layer.neurons],
-            }
-            for layer in net.layers
-        ],
+        "layers": layers,
         "shortcuts": [
             {key: getattr(sc, key) for key in _SHORTCUT_FIELDS} for sc in net.shortcuts
         ],
-        "masks": [
-            [m.astype(int).tolist() for m in layer_masks] for layer_masks in net.masks
-        ],
+        "masks": masks,
     }
     try:
         return json.dumps(doc, sort_keys=True, allow_nan=False)
@@ -823,7 +905,8 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def from_json(text: str) -> NetworkSpec:
-    """Parse a network written by to_json.
+    """Parse a network written by to_json, each neuron's params straight
+    into its block column.
 
     A malformed document raises ValueError naming the layer, neuron,
     shortcut or mask at fault.
@@ -842,9 +925,14 @@ def from_json(text: str) -> NetworkSpec:
             _field(doc, key, list)
     except ValueError as exc:
         raise ValueError(f"network JSON: {exc}") from None
-    return NetworkSpec(
-        input_dim,
-        _each(doc["layers"], "layer", _layer_from_dict),
-        _each(doc["shortcuts"], "shortcut", _shortcut_from_dict),
-        _each(doc["masks"], "masks of layer", _masks_from_list),
-    )
+    layers = _each(doc["layers"], "layer", _layer_from_dict)
+    shortcuts = _each(doc["shortcuts"], "shortcut", _shortcut_from_dict)
+    masks = _each(doc["masks"], "masks of layer", _masks_from_list)
+    net = NetworkSpec.__new__(NetworkSpec)
+    net._setup(input_dim, tuple(layer for layer, _ in layers), shortcuts,
+               tuple(tuple(map(len, params)) for _, params in layers),
+               tuple(tuple(map(len, layer_masks)) for layer_masks in masks))
+    net.params[net._layout.own] = np.concatenate([p for _, params in layers for p in params])
+    net.trainable[net._layout.own] = np.array(
+        list(chain.from_iterable(chain.from_iterable(masks))), dtype=bool)
+    return net

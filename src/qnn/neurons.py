@@ -125,24 +125,32 @@ class PassthroughNeuron:
 Neuron = QuadraticNeuron | ConventionalNeuron | PassthroughNeuron
 
 
+def neuron_fan_in(kind: str, count: int) -> int:
+    """The input width n of a quadratic or conventional neuron with count
+    canonical parameters (3n + 3 or n + 1); ValueError if there is none."""
+    if kind == "quadratic":
+        if count < 6 or count % 3:
+            raise ValueError("quadratic neuron parameter count must be 3n + 3, n >= 1")
+        return count // 3 - 1
+    if kind != "conventional":
+        raise ValueError(f"unknown neuron kind {kind!r}")
+    if count < 2:
+        raise ValueError("conventional neuron parameter count must be n + 1, n >= 1")
+    return count - 1
+
+
 def neuron_from_params(kind: str, params: np.ndarray) -> QuadraticNeuron | ConventionalNeuron:
     """A quadratic or conventional neuron from its canonical parameter vector.
 
     The weights are views of params, so pass an array the neuron may own.
     """
+    n = neuron_fan_in(kind, len(params))
     if kind == "quadratic":
-        if len(params) < 6 or (len(params) - 3) % 3:
-            raise ValueError("quadratic neuron parameter count must be 3n + 3, n >= 1")
-        n = (len(params) - 3) // 3
         return QuadraticNeuron(
             w_r=params[0:n], b_r=params[n],
             w_g=params[n + 1 : 2 * n + 1], b_g=params[2 * n + 1],
             w_b=params[2 * n + 2 : 3 * n + 2], c=params[3 * n + 2],
         )
-    if kind != "conventional":
-        raise ValueError(f"unknown neuron kind {kind!r}")
-    if len(params) < 2:
-        raise ValueError("conventional neuron parameter count must be n + 1, n >= 1")
     return ConventionalNeuron(w=params[:-1], b=params[-1])
 
 

@@ -97,6 +97,7 @@ def reference_forward_batch(net: NetworkSpec, X):
     Returns (preactivations, activations), one (B, width) array per layer.
     """
     X, _ = _check_batch(net, X)
+    shortcuts = net.shortcuts  # made on each read, like net.layers
     preacts: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     current = X
@@ -104,7 +105,7 @@ def reference_forward_batch(net: NetworkSpec, X):
         Z = np.empty((X.shape[0], layer.width))
         for j, neuron in enumerate(layer.neurons):
             z = preactivation(neuron, current)
-            for sc in net.shortcuts:
+            for sc in shortcuts:
                 if (sc.dst_layer, sc.dst_neuron) == (k, j):
                     z = z + sc.weight * acts[sc.src_layer][:, sc.src_neuron]
             Z[:, j] = z
@@ -127,18 +128,19 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     X, upstream = _check_batch(net, X, upstream)
 
     preacts, acts = reference_forward_batch(net, X)
-    n_layers = len(net.layers)
+    layers, shortcuts = net.layers, net.shortcuts  # made on each read
+    n_layers = len(layers)
     grad_act: list[np.ndarray | None] = [None] * n_layers
     grad_act[-1] = upstream.copy()
 
     param_grads: dict[tuple[int, int], np.ndarray] = {}
-    shortcut_grads = np.zeros(len(net.shortcuts))
+    shortcut_grads = np.zeros(len(shortcuts))
     outgoing: dict[tuple[int, int], list[int]] = {}
-    for idx, sc in enumerate(net.shortcuts):
+    for idx, sc in enumerate(shortcuts):
         outgoing.setdefault((sc.dst_layer, sc.dst_neuron), []).append(idx)
 
     for k in range(n_layers - 1, -1, -1):
-        layer = net.layers[k]
+        layer = layers[k]
         g_act = grad_act[k]
         if g_act is None:
             g_act = np.zeros_like(acts[k])
@@ -178,7 +180,7 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
                 g_inp[:, neuron.index] += d
             param_grads[(k, j)] = grads
             for idx in outgoing.get((k, j), ()):
-                sc = net.shortcuts[idx]
+                sc = shortcuts[idx]
                 src = acts[sc.src_layer][:, sc.src_neuron]
                 shortcut_grads[idx] = float(d @ src)
                 prev = grad_act[sc.src_layer]
@@ -199,7 +201,7 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     ]
     parts.append(
         np.array(
-            [shortcut_grads[i] for i, sc in enumerate(net.shortcuts) if sc.trainable]
+            [shortcut_grads[i] for i, sc in enumerate(shortcuts) if sc.trainable]
         )
     )
     return np.concatenate(parts) if parts else np.zeros(0)

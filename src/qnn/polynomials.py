@@ -7,9 +7,11 @@ numerically: companion-matrix eigenvalues, a few Newton polish steps, then a
 re-expansion residual check that fails loudly instead of returning garbage.
 
 bernstein_coeffs expands the degree-n Bernstein approximant of a function on
-[0, 1] into monomial coefficients in exact rational arithmetic, so the only
-rounding comes from the sampled function values.  Its coefficient of x^k is
-C(n,k) * Delta^k f(0), the k-th forward difference of the samples f(m/n):
+[0, 1] into monomial coefficients exactly, as integer forward differences
+over a common denominator, so the only rounding comes from the sampled
+function values and one correctly rounded division per coefficient.  Its
+coefficient of x^k is C(n,k) * Delta^k f(0), the k-th forward difference of
+the samples f(m/n):
 expanding (1-x)^(n-m) gives sum_m f(m/n) C(n,m) C(n-m,k-m) (-1)^(k-m), and
 C(n,m) C(n-m,k-m) = C(n,k) C(k,m) turns that sum into C(n,k) times
 sum_m C(k,m) (-1)^(k-m) f(m/n) = Delta^k f(0).
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -262,23 +264,28 @@ def bernstein_coeffs(f, n: int) -> Polynomial:
     """Monomial coefficients of sum_m f(m/n) C(n,m) x^m (1-x)^(n-m).
 
     The coefficient of x^k is C(n,k) times the k-th forward difference of
-    the samples at 0 (see the module docstring), taken in exact rational
-    arithmetic; f is sampled at exact rationals m/n whenever it tolerates
-    Fraction inputs, so polynomial targets expand without rounding at any
-    n.  Coefficients tiny relative to the largest one (below 1e-12
-    relative) are zeroed: for float-valued targets they are sampling noise
-    amplified by the binomials and would otherwise inflate the degree.
+    the samples at 0 (see the module docstring), taken exactly as integer
+    forward differences over a common denominator; f is sampled at exact
+    rationals m/n whenever it tolerates Fraction inputs, so polynomial
+    targets expand without rounding at any n.  Coefficients tiny relative
+    to the largest one (below 1e-12 relative) are zeroed: for float-valued
+    targets they are sampling noise amplified by the binomials and would
+    otherwise inflate the degree.
     Raises ValueError when an exact coefficient is beyond the float64 range.
     """
     if n <= 0:
         raise ValueError("Bernstein degree must be >= 1")
-    diffs = [_sample_exact(f, m, n) for m in range(n + 1)]
+    samples = [_sample_exact(f, m, n) for m in range(n + 1)]
+    # the samples as integers over one common denominator
+    denominator = lcm(*(s.denominator for s in samples))
+    diffs = [s.numerator * (denominator // s.denominator) for s in samples]
     coeffs = []
     for k in range(n + 1):
         coeffs.append(comb(n, k) * diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     try:
-        out = np.array([float(c) for c in coeffs])
+        # int / int is correctly rounded, as float(Fraction) is
+        out = np.array([c / denominator for c in coeffs])
     except OverflowError:
         raise ValueError(
             f"Bernstein degree n={n}: a monomial coefficient exceeds the "

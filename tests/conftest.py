@@ -21,9 +21,11 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qnn-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
-def random_network(rng, max_layers=4, max_width=3, max_input=3,
-                   allow_shortcuts=True, allow_frozen=True) -> NetworkSpec:
-    """A small random network mixing neuron kinds, activations, and masks."""
+def random_parts(rng, max_layers=4, max_width=3, max_input=3,
+                 allow_shortcuts=True, allow_frozen=True):
+    """The NetworkSpec arguments (input_dim, layers, shortcuts, masks) of a
+    small random network mixing neuron kinds, activations, and masks; masks
+    is None, everything trainable, unless allow_frozen."""
     input_dim = int(rng.integers(1, max_input + 1))
     n_layers = int(rng.integers(1, max_layers + 1))
     layers = []
@@ -67,13 +69,16 @@ def random_network(rng, max_layers=4, max_width=3, max_input=3,
                 )
             )
 
-    net = NetworkSpec(input_dim, layers, shortcuts)
-    if allow_frozen:
-        for layer_masks in net.masks:
-            for mask in layer_masks:
-                freeze = rng.random(size=mask.shape) < 0.2
-                mask[freeze] = False
-    return net
+    masks = None
+    if allow_frozen:  # about one parameter in five frozen
+        masks = [[rng.random(size=nr.param_count) >= 0.2 for nr in layer.neurons]
+                 for layer in layers]
+    return input_dim, layers, shortcuts, masks
+
+
+def random_network(rng, **kwargs) -> NetworkSpec:
+    """A small random network mixing neuron kinds, activations, and masks."""
+    return NetworkSpec(*random_parts(rng, **kwargs))
 
 
 def input_away_from_kinks(net: NetworkSpec, rng, margin=1e-3, tries=200):

@@ -43,6 +43,16 @@ json_values = st.recursive(
     max_leaves=6,
 )
 
+
+def _leaves(value):
+    """The non-list values nested in value."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 # factoring finite inputs near the float64 limit overflows on the way to a
 # refusal, silently: a numpy warning fails the test
 no_runtime_warning = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -518,19 +528,44 @@ class TestFactoredFormSerialization:
         ]))
         doc = json.loads(valid.to_json())
         key = data.draw(st.sampled_from(sorted(doc)))
-        action = data.draw(st.sampled_from(["replace", "delete", "entry", "document"]))
+        action = data.draw(st.sampled_from(["replace", "delete", "entry", "boolean",
+                                            "document"]))
         if action == "document":
             doc = data.draw(json_values)
         elif action == "delete":
             del doc[key]
         elif action == "entry" and isinstance(doc[key], list) and doc[key]:
             doc[key][data.draw(st.integers(0, len(doc[key]) - 1))] = data.draw(json_values)
+        elif action == "boolean" and isinstance(doc[key], list) and doc[key]:
+            # true or false in place of a number, in a pair too
+            entries = doc[key]
+            i = data.draw(st.integers(0, len(entries) - 1))
+            if isinstance(entries[i], list):
+                entries, i = entries[i], data.draw(st.integers(0, len(entries[i]) - 1))
+            entries[i] = data.draw(st.booleans())
         else:
             doc[key] = data.draw(json_values)
         try:
             type(valid).from_json(json.dumps(doc))
         except ValueError:
-            pass
+            return
+        # numpy reads true and false among numbers as 1 and 0: a document
+        # that parses holds none in its number fields
+        numbers = [doc[name] for name in ("coeffs", "linear_roots", "quadratic_factors")
+                   if name in doc]
+        assert bool not in map(type, _leaves(numbers))
+
+    @pytest.mark.parametrize("reader, text, field", [
+        (Polynomial, '{"coeffs": [1.5, true]}', "coeffs"),
+        (Polynomial, '{"coeffs": [false, 2]}', "coeffs"),
+        (FactoredForm, '{"scale": 1, "linear_roots": [0.5, true], "quadratic_factors": [], '
+                       '"paired_real": []}', "linear_roots"),
+        (FactoredForm, '{"scale": 1, "linear_roots": [], "quadratic_factors": [[0.0, true]], '
+                       '"paired_real": [false]}', "quadratic_factors"),
+    ])
+    def test_booleans_among_numbers_refused(self, reader, text, field):
+        with pytest.raises(ValueError, match=f"'{field}' must hold"):
+            reader.from_json(text)
 
     def test_factored_form_non_finite_rejected(self):
         with pytest.raises(ValueError, match="scale"):

@@ -178,6 +178,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkSpec(2, layers)
 
+    def test_sizes_checked_before_arrays_are_made(self):
+        layers = [LayerSpec([norm_neuron(2)], "identity"),
+                  LayerSpec([PassthroughNeuron(10**20)], "identity")]
+        with pytest.raises(ValueError, match="passthrough index"):
+            NetworkSpec(2, layers)
+        # a block of this fan-in would not fit in any address space
+        layers = [LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity")]
+        with pytest.raises(ValueError, match="expects input width 1"):
+            NetworkSpec(10**15, layers)
+
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec([norm_neuron(2)], "tanh")
@@ -578,6 +588,32 @@ class TestSerialization:
     def test_malformed_part_named(self, edit, problem):
         doc = self._valid_document()
         from_json(json.dumps(doc))
+        edit(doc)
+        with pytest.raises(ValueError, match=problem):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, problem", [
+        (_edit(["layers", 0, "neurons", 0, "params", 4], True),
+         "layer 0: neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 1, "neurons", 0, "params", 2], False),
+         "layer 1: neuron 0: 'params' must hold numbers"),
+    ])
+    def test_boolean_parameter_refused(self, edit, problem):
+        """numpy reads true among numbers as 1.0; the reader refuses it."""
+        doc = self._valid_document()
+        edit(doc)
+        with pytest.raises(ValueError, match=problem):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, problem", [
+        (_edit(["layers", 0, "neurons", 1, "index"], 10**20),
+         f"layer 0 neuron 1: passthrough index {10**20} out of range for width 1"),
+        # a block of this fan-in would not fit in any address space
+        (_edit(["input_dim"], 10**15),
+         f"layer 0 neuron 0: expects input width 1, previous layer has {10**15}"),
+    ])
+    def test_sizes_checked_before_arrays_are_made(self, edit, problem):
+        doc = self._valid_document()
         edit(doc)
         with pytest.raises(ValueError, match=problem):
             from_json(json.dumps(doc))

@@ -1,11 +1,12 @@
-"""Property tests: compiled layer blocks and the packed executor against the
-per-neuron oracle, and the trainable-parameter gather and scatter."""
+"""Property tests: the stored layer blocks and the packed executor against
+the per-neuron oracle, and the trainable-parameter gather and scatter."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_parts
 from qnn.builders import build_factorization_trainable
 from qnn.network import (
     ACTIVATIONS,
@@ -14,6 +15,7 @@ from qnn.network import (
     PackedNetwork,
     Shortcut,
     forward_batch,
+    from_json,
     one_hidden_conventional,
     one_hidden_quadratic,
     set_trainable_values,
@@ -194,3 +196,72 @@ def test_trainable_values_round_trip(data):
         assert new.trainable == old.trainable
         if not old.trainable:
             assert new.weight == old.weight
+
+
+# The conftest random nets: every neuron kind, passthroughs, shortcuts and,
+# unless everything is trainable, masks with frozen entries.
+random_nets = st.tuples(st.integers(0, 2**32 - 1), st.booleans()).map(
+    lambda drawn: random_parts(np.random.default_rng(drawn[0]), allow_frozen=drawn[1]))
+
+
+def full_masks(layers, masks):
+    """masks, or the all-trainable masks that None stands for."""
+    if masks is not None:
+        return masks
+    return [[np.ones(nr.param_count, dtype=bool) for nr in layer.neurons] for layer in layers]
+
+
+@given(random_nets)
+def test_json_round_trip_of_random_nets(parts):
+    text = to_json(NetworkSpec(*parts))
+    assert to_json(from_json(text)) == text
+
+
+@given(random_nets)
+def test_neurons_read_back_from_the_blocks(parts):
+    """net.layers and net.masks, made from the stored blocks, give back the
+    neurons and masks the net was built from, bit for bit."""
+    input_dim, layers, shortcuts, masks = parts
+    net = NetworkSpec(*parts)
+    for layer, read, layer_masks, read_masks in zip(
+            layers, net.layers, full_masks(layers, masks), net.masks, strict=True):
+        assert (read.activation, read.width) == (layer.activation, layer.width)
+        for nr, got, mask, got_mask in zip(
+                layer.neurons, read.neurons, layer_masks, read_masks, strict=True):
+            assert type(got) is type(nr)
+            assert getattr(got, "index", None) == getattr(nr, "index", None)
+            assert got.param_vector().tobytes() == nr.param_vector().tobytes()
+            assert got_mask.tobytes() == np.asarray(mask, dtype=bool).tobytes()
+    assert [(sc.weight, sc.trainable) for sc in net.shortcuts] == [
+        (sc.weight, sc.trainable) for sc in shortcuts]
+
+
+@given(random_nets)
+def test_trainable_values_in_canonical_order(parts):
+    """The trainable vector is each neuron's masked parameter vector, layer
+    by layer and neuron by neuron, then the trainable shortcut weights."""
+    input_dim, layers, shortcuts, masks = parts
+    expected = [nr.param_vector()[mask]
+                for layer, layer_masks in zip(layers, full_masks(layers, masks))
+                for nr, mask in zip(layer.neurons, layer_masks)]
+    expected.append(np.array([sc.weight for sc in shortcuts if sc.trainable]))
+    assert (trainable_values(NetworkSpec(*parts)).tobytes()
+            == np.concatenate(expected).tobytes())
+
+
+@given(random_nets)
+def test_set_trainable_values_leaves_its_input_unchanged(parts):
+    net = NetworkSpec(*parts)
+    params, trainable = net.params.copy(), net.trainable.copy()
+    masks = [[m.copy() for m in layer_masks] for layer_masks in net.masks]
+
+    updated = set_trainable_values(net, np.arange(trainable_count(net)) + 0.5)
+    updated.params[:] = np.nan
+    for layer_masks in updated.masks:
+        for m in layer_masks:
+            m[:] = False
+
+    assert net.params.tobytes() == params.tobytes()
+    assert net.trainable.tobytes() == trainable.tobytes()
+    assert [[m.tobytes() for m in lm] for lm in net.masks] == [
+        [m.tobytes() for m in lm] for lm in masks]
