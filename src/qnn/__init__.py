@@ -67,6 +67,7 @@ from .trainer import (
     make_poly_dataset,
     make_rings_dataset,
     train,
+    train_restarts,
 )
 
 __version__ = "0.1.0"

@@ -1,16 +1,16 @@
 """Experiment harness: desk-scale runs emitting CSV/JSON (and optional SVG).
 
 Every command seeds all randomness from its flags.  ``main`` owns the run: a
-bad flag exits 2 before anything is written; otherwise it makes a fresh
-timestamped directory, starts the clock and hands the command a
-``RunReport``, whose ``artifact(name)`` gives each output its path.  A command
-returns None, and ``main`` writes a report.json echoing the full
-configuration, so a run can be repeated bit-identically, or an exit code to
-stop early, and ``main`` removes the run directory.  Commands do not catch
-the library's refusals: ``main`` maps a FactorizationError or TrainingError
-to an ``error: ...`` line and exit 1, and removes the run directory; on any
-other exception it removes the directory too, and re-raises.  Exit code is 0
-exactly when every declared metric came out finite.
+bad flag (a degree-0 poly and an overflowing Bernstein --net-n included)
+exits 2 before anything is written; otherwise it makes a fresh timestamped
+directory, starts the clock and hands the command a ``RunReport``, whose
+``artifact(name)`` gives each output its path.  A command runs straight
+through and returns None, and ``main`` writes a report.json echoing the full
+configuration, so a run can be repeated bit-identically.  Commands do not
+catch the library's refusals: ``main`` maps a FactorizationError or
+TrainingError to an ``error: ...`` line and exit 1, and removes the run
+directory; on any other exception it removes the directory too, and
+re-raises.  Exit code is 0 exactly when every declared metric came out finite.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .builders import (
 from .network import forward_batch, one_hidden_conventional, one_hidden_quadratic, single_quadratic_net, to_json
 from .oracles import GridSpec, bernstein_binomials, bernstein_direct, expand_factored, grid_l1, horner
 from .polynomials import FactoredForm, FactorizationError, Polynomial, bernstein_coeffs, factor_polynomial
-from .trainer import Dataset, TrainConfig, TrainingError, accuracy, make_poly_dataset, make_rings_dataset, train
+from .trainer import (Dataset, TrainConfig, TrainingError, accuracy, make_poly_dataset,
+                      make_rings_dataset, train, train_restarts)
 
 # ---------------------------------------------------------------------------
 # Shared experiment definitions
@@ -214,23 +215,20 @@ def cmd_rings(args, report: RunReport) -> None:
     data = make_rings_dataset(
         args.n_per_class, args.r_inner, args.r_outer, args.noise, args.seed
     )
+    cfg = TrainConfig(loss="logistic", learning_rate=args.learning_rate,
+                      iterations=args.iterations, seed=args.seed, restarts=args.restarts)
     rows = []
 
     def fit(net, label):
+        """Best accuracy among the restarts that did not diverge, lower loss on ties."""
+        nets, history, final = train_restarts(net, data, cfg)
+        losses = np.where(np.isinf(final), np.inf, history[-1])
         best_acc, best_net, best_loss = -1.0, None, np.inf
-        for restart in range(args.restarts):
-            cfg = TrainConfig(
-                loss="logistic",
-                learning_rate=args.learning_rate,
-                iterations=args.iterations,
-                seed=args.seed + restart,
-                restarts=1,
-            )
-            trained, hist = train(net, data, cfg)
-            acc = accuracy(trained, data)
-            rows.append((label, restart, acc, hist[-1]))
-            if acc > best_acc or (acc == best_acc and hist[-1] < best_loss):
-                best_acc, best_net, best_loss = acc, trained, hist[-1]
+        for restart, (trained, loss) in enumerate(zip(nets, losses)):
+            acc = np.nan if trained is None else accuracy(trained, data)
+            rows.append((label, restart, acc, loss))
+            if acc > best_acc or (acc == best_acc and loss < best_loss):  # nan never wins
+                best_acc, best_net, best_loss = acc, trained, loss
         return best_acc, best_net
 
     quad_acc, quad_net = fit(single_quadratic_net(2), "quadratic-1")
@@ -303,13 +301,9 @@ def cmd_radial_deep(args, report: RunReport) -> None:
         zip(ts, radial_target(ts), profile),
     )
 
-    if args.oracle:
-        fine = grid_l1(
-            radial_target,
-            lambda t: radial_profile(net, t),
-            GridSpec(0.0, t_max, 2 * args.grid_n - 1),
-        )
-        report.metrics["oracle_quadrature_gap"] = abs(l1_cos - fine)
+    fine = grid_l1(radial_target, lambda t: radial_profile(net, t),
+                   GridSpec(0.0, t_max, 2 * args.grid_n - 1))
+    report.metrics["oracle_quadrature_gap"] = abs(l1_cos - fine)
 
     if args.svg:
         _write_svg_lines(
@@ -318,11 +312,8 @@ def cmd_radial_deep(args, report: RunReport) -> None:
         )
 
 
-def cmd_poly(args, report: RunReport) -> int | None:
-    p = Polynomial(np.asarray(args.coeffs, dtype=np.float64))
-    if p.degree < 1:
-        print("error: polynomial must have degree >= 1", file=sys.stderr)
-        return 2
+def cmd_poly(args, report: RunReport) -> None:
+    p = Polynomial(args.coeffs)
     form = factor_polynomial(p, pair_real_roots=args.pair_real_roots)
 
     report.artifact("factored_form.json").write_text(form.to_json())
@@ -340,14 +331,11 @@ def cmd_poly(args, report: RunReport) -> int | None:
     report.metrics["width"] = float(max(net.layer_widths()))
     report.metrics["width_bound"] = float(p.degree)
 
-    if args.oracle:
-        rng = np.random.default_rng(args.seed)
-        xs = rng.uniform(-2.0, 2.0, size=args.points)
-        net_vals = forward_batch(net, xs[:, None])[:, 0]
-        ref = horner(p, xs)
-        rel = np.abs(net_vals - ref) / (1.0 + np.abs(ref))
-        report.metrics["max_rel_error"] = float(np.max(rel))
-    return None
+    xs = np.random.default_rng(args.seed).uniform(-2.0, 2.0, size=args.points)
+    net_vals = forward_batch(net, xs[:, None])[:, 0]
+    ref = horner(p, xs)
+    rel = np.abs(net_vals - ref) / (1.0 + np.abs(ref))
+    report.metrics["max_rel_error"] = float(np.max(rel))
 
 
 def cmd_factor_train(args, report: RunReport) -> None:
@@ -401,7 +389,7 @@ _BERNSTEIN_TARGETS = {
 }
 
 
-def cmd_bernstein(args, report: RunReport) -> int | None:
+def cmd_bernstein(args, report: RunReport) -> None:
     f = _BERNSTEIN_TARGETS[args.target]
     grid = np.linspace(0.0, 1.0, args.grid_n)
     target_vals = np.array([f(x) for x in grid])
@@ -415,11 +403,7 @@ def cmd_bernstein(args, report: RunReport) -> int | None:
     _write_csv(report.artifact("sweep.csv"), ["n", "sup_error"], sweep_rows)
 
     # exact network for the expanded approximant at one chosen degree
-    try:
-        poly = bernstein_coeffs(f, args.net_n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    poly = bernstein_coeffs(f, args.net_n)
     report.artifact("coefficients.json").write_text(poly.to_json())
     if poly.degree >= 1:
         net = build_poly_net(factor_polynomial(poly))
@@ -428,13 +412,9 @@ def cmd_bernstein(args, report: RunReport) -> int | None:
         report.metrics["net_vs_coeffs_max_rel"] = float(
             np.max(np.abs(net_vals - ref) / (1.0 + np.abs(ref)))
         )
-        if args.oracle:
-            direct = bernstein_direct(f, args.net_n, grid)
-            report.metrics["net_vs_direct_sup"] = float(
-                np.max(np.abs(net_vals - direct))
-            )
+        direct = bernstein_direct(f, args.net_n, grid)
+        report.metrics["net_vs_direct_sup"] = float(np.max(np.abs(net_vals - direct)))
         report.artifact("network.json").write_text(to_json(net))
-    return None
 
 
 def cmd_width_sweep(args, report: RunReport) -> None:
@@ -580,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, svg=True)
     p.add_argument("--deltas", type=_delta_list, default=[0.4, 0.2, 0.1, 0.05])
     p.add_argument("--grid-n", type=_two_or_more, default=2001)
-    p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_radial_deep)
 
     p = sub.add_parser("poly", help="factor a polynomial and build its exact network")
@@ -590,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--pair-real-roots", action="store_true")
-    p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("factor-train", help="learn a factorization by gradient descent")
@@ -611,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sweep", type=_bernstein_degrees, default=[4, 8, 16, 32, 64])
     p.add_argument("--net-n", type=_positive_int, default=10)
     p.add_argument("--grid-n", type=_positive_int, default=1001)
-    p.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_bernstein)
 
     p = sub.add_parser("width-sweep", help="quadratic vs conventional across widths")
@@ -638,22 +615,27 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error("--lo must be below --hi")
     if args.command == "rings" and args.r_inner >= args.r_outer:
         args.parser.error("--r-inner must be below --r-outer")
+    if args.command == "poly" and (degree := Polynomial(args.coeffs).degree) < 1:
+        args.parser.error(f"--coeffs give a polynomial of degree {degree}; need degree >= 1")
+    if args.command == "bernstein":
+        try:
+            bernstein_coeffs(_BERNSTEIN_TARGETS[args.target], args.net_n)
+        except ValueError as exc:
+            args.parser.error(f"--net-n: {exc}")
     started = time.perf_counter()
     run_dir = _make_run_dir(args.out_dir, args.command)
     report = RunReport(args.command, _config_echo(args), run_dir)
     try:
-        code = args.func(args, report)
+        args.func(args, report)
     except (FactorizationError, TrainingError) as exc:
+        shutil.rmtree(run_dir)
         refused = "factorization failed: " if isinstance(exc, FactorizationError) else ""
         print(f"error: {refused}{exc}", file=sys.stderr)
-        code = 1
+        return 1
     except BaseException:
         shutil.rmtree(run_dir)
         raise
-    if code is None:
-        return _finish(report, started)
-    shutil.rmtree(run_dir)
-    return code
+    return _finish(report, started)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ Plain fixed-step descent, no momentum or minibatching: reproducibility over
 speed.  Restarts draw independent initialisations from a seeded generator
 and train side by side on the restart axis of one PackedNetwork: theta is an
 (R, T) array updated in place, one fused forward and backward pass per step
-covers every restart, and no NetworkSpec is built until the winner is
-returned.  A restart whose loss turns non-finite is masked out, and the run
-with the lowest final loss wins, earliest restart on ties.  Parameters whose
-mask is false are never touched.
+covers every restart, and no NetworkSpec is built until the steps end.  A
+restart whose loss turns non-finite is masked out; ``train`` keeps the one
+with the lowest final loss, earliest on ties.  Parameters whose mask is
+false are never touched.
 """
 
 from __future__ import annotations
@@ -151,18 +151,21 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
     return theta, history, final, stopped
 
 
-def train(
+def train_restarts(
     net: NetworkSpec,
     data: Dataset,
     cfg: TrainConfig,
-) -> tuple[NetworkSpec, np.ndarray]:
-    """Fit the masked parameters of net to data; returns (net, loss_history).
+) -> tuple[list[NetworkSpec | None], np.ndarray, np.ndarray]:
+    """Fit the masked parameters of net to data from every restart of cfg.
 
-    history[i] is the winning restart's loss at the parameters used for step
-    i's gradient.  Restart i starts from default_rng([seed, i]).  A restart
-    that hits a non-finite loss is dropped: its theta row is zeroed and no
-    longer stepped, so that the non-finite values go no further.  The lowest
-    final loss wins, earliest restart on ties; if every restart diverges a
+    Returns (nets, history, final): the trained net of each restart (None
+    for a restart that diverged), history (iterations, R) with each
+    restart's loss at the parameters used for step i's gradient (up to its
+    divergence, for a diverged restart), and the final losses (R,), inf for
+    a diverged restart.  Restart i starts from
+    default_rng([seed, i]).  A restart that hits a non-finite loss is
+    dropped: its theta row is zeroed and no longer stepped, so that the
+    non-finite values go no further.  If every restart diverges a
     TrainingError is raised.  Deterministic for a given (net, data, cfg).
     """
     if net.output_dim != 1:
@@ -178,8 +181,17 @@ def train(
             f"all {cfg.restarts} restarts diverged to non-finite loss "
             f"(at iterations {stopped.tolist()})"
         )
+    nets = [None if np.isinf(loss) else set_trainable_values(net, row)
+            for row, loss in zip(theta, final)]
+    return nets, history, final
+
+
+def train(net: NetworkSpec, data: Dataset, cfg: TrainConfig) -> tuple[NetworkSpec, np.ndarray]:
+    """The restart of train_restarts with the lowest final loss, earliest on
+    ties; returns (net, loss_history) with that restart's history column."""
+    nets, history, final = train_restarts(net, data, cfg)
     best = int(np.argmin(final))
-    return set_trainable_values(net, theta[best]), history[:, best].copy()
+    return nets[best], history[:, best].copy()
 
 
 def make_rings_dataset(

@@ -110,6 +110,10 @@ def kink_free_input():
     return input_away_from_kinks
 
 
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
+
+
 def pytest_runtest_logreport(report):
     if report.when != "call" or "test_acceptance" not in report.nodeid:
         return

@@ -9,6 +9,7 @@ import pytest
 
 import qnn.cli
 from qnn.cli import main
+from qnn.network import to_json
 
 
 def run(tmp_path, *argv):
@@ -16,6 +17,14 @@ def run(tmp_path, *argv):
     code = main([*argv, "--out-dir", str(out)])
     run_dirs = sorted(out.iterdir())
     return code, run_dirs[-1] if run_dirs else None
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit a bad flag raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_report(run_dir: Path) -> dict:
@@ -34,9 +43,16 @@ class TestPoly:
         assert m["depth"] <= 2
         assert (run_dir / "factored_form.json").exists()
 
-    def test_degree_zero_is_usage_error(self, tmp_path):
-        code, _ = run(tmp_path, "poly", "--coeffs", "5")
-        assert code == 2
+    def test_degree_zero_is_usage_error(self, tmp_path, capsys):
+        """A constant, also one written with a trailing zero, is refused with
+        the usage message before any run directory is made."""
+        out = tmp_path / "runs"
+        for coeffs in (["5"], ["1", "0"]):
+            assert exit_code(["poly", "--coeffs", *coeffs, "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: qnn poly ")
+            assert "degree 0" in err
+            assert not out.exists()
 
     def test_double_root_refusal_names_no_residual(self, tmp_path, capsys):
         """(x + 0.9)^2 is refused before any residual is computed, so the
@@ -54,8 +70,8 @@ class TestPoly:
         cfg = read_report(run_dir)["config"]
         assert cfg["coeffs"] == [1.0, 2.0, 1.0]
         assert cfg["seed"] == 3
-        assert sorted(cfg) == ["coeffs", "command", "oracle", "out_dir", "pair_real_roots",
-                               "points", "seed"]
+        assert sorted(cfg) == ["coeffs", "command", "out_dir", "pair_real_roots", "points",
+                               "seed"]
 
 
 class TestRadialDeep:
@@ -92,6 +108,34 @@ class TestRings:
         assert code1 == code2 == 0
         for name in ("accuracy.csv", "boundary.csv"):
             assert (dir1 / name).read_text() == (dir2 / name).read_text()
+
+    def test_diverged_restart_is_passed_over(self, tmp_path, monkeypatch):
+        """When the quadratic model's winning restart diverges, its row reads
+        an inf loss, another restart is picked and the run still succeeds."""
+        argv = ("rings", "--iterations", "150", "--restarts", "3", "--conv-widths", "1",
+                "--grid-n", "5")
+        code, clean = run(tmp_path / "clean", *argv)
+        assert code == 0
+        best = (clean / "quadratic_net.json").read_text()
+        train_restarts = qnn.cli.train_restarts
+
+        def winner_diverges(net, data, cfg):
+            nets, history, final = train_restarts(net, data, cfg)
+            for i, trained in enumerate(nets):
+                if to_json(trained) == best:
+                    nets[i], final[i] = None, np.inf
+            return nets, history, final
+
+        monkeypatch.setattr(qnn.cli, "train_restarts", winner_diverges)
+        code, patched = run(tmp_path / "patched", *argv)
+        assert code == 0
+        rows = (patched / "accuracy.csv").read_text().splitlines()
+        clean_rows = (clean / "accuracy.csv").read_text().splitlines()
+        changed = [i for i, (a, b) in enumerate(zip(rows, clean_rows)) if a != b]
+        assert len(rows) == len(clean_rows) == 7 and len(changed) == 1
+        model, _, accuracy, loss = rows[changed[0]].split(",")
+        assert (model, accuracy, loss) == ("quadratic-1", "nan", "inf")
+        assert (patched / "quadratic_net.json").read_text() != best
 
     def test_svg_artifact(self, tmp_path):
         code, run_dir = run(
@@ -133,16 +177,17 @@ class TestBernstein:
         assert sups[0] >= sups[1] >= sups[2]
 
     def test_coefficients_beyond_float64_refused(self, tmp_path, monkeypatch, capsys):
-        """Samples of +-1e307 expand at n=4 past float64: an error message,
-        exit 1 and no run directory, not an OverflowError traceback."""
+        """Samples of +-1e307 expand at n=4 past float64: a usage error, exit
+        2 and no run directory, not an OverflowError traceback."""
         monkeypatch.setitem(qnn.cli._BERNSTEIN_TARGETS, "square",
                             lambda x: 1e307 if round(4 * x) % 2 == 0 else -1e307)
-        code, run_dir = run(tmp_path, "bernstein", "--target", "square",
-                            "--n-sweep", "4", "--grid-n", "51", "--net-n", "4")
-        assert (code, run_dir) == (1, None)
+        out = tmp_path / "runs"
+        assert exit_code(["bernstein", "--target", "square", "--n-sweep", "4",
+                          "--grid-n", "51", "--net-n", "4", "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("usage: qnn bernstein ")
         assert "n=4" in err
+        assert not out.exists()
 
 
 class TestWidthSweep:
@@ -213,7 +258,7 @@ class TestRunLifecycle:
         assert sorted(report["artifacts"]) == written
 
     @pytest.mark.parametrize("argv, expected, message", [
-        (["poly", "--coeffs", "5"], 2, "error: polynomial must have degree"),
+        (["poly", "--coeffs", "5"], 2, "usage: qnn poly "),
         (["poly", "--coeffs", "0.81", "1.8", "1"], 1, "error: factorization failed: "),
         (["bernstein", "--n-sweep", "4", "--grid-n", "51", "--net-n", "30"], 1,
          "error: factorization failed: "),
@@ -229,9 +274,9 @@ class TestRunLifecycle:
     def test_early_exit_leaves_no_run_directory(self, argv, expected, message, tmp_path,
                                                 capsys):
         out = tmp_path / "runs"
-        assert main([*argv, "--out-dir", str(out)]) == expected
+        assert exit_code([*argv, "--out-dir", str(out)]) == expected
         assert capsys.readouterr().err.startswith(message)
-        assert list(out.iterdir()) == []
+        assert list(out.glob("*")) == []
 
     def test_raising_command_leaves_no_run_directory(self, tmp_path, monkeypatch):
         def cmd_fails(args, report):

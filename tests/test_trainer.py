@@ -26,6 +26,7 @@ from qnn.trainer import (
     make_poly_dataset,
     make_rings_dataset,
     train,
+    train_restarts,
 )
 
 
@@ -187,7 +188,17 @@ class TestTrain:
         if not survivors:
             with pytest.raises(TrainingError):
                 train(net, data, cfg)
+            with pytest.raises(TrainingError):
+                train_restarts(net, data, cfg)
             return
+        nets, history, final = train_restarts(net, data, cfg)
+        for i, (ref_theta, ref_history, ref_final) in enumerate(runs):
+            assert (nets[i] is None) == (ref_theta is None)
+            if ref_theta is not None:
+                np.testing.assert_array_equal(trainable_values(nets[i]), ref_theta)
+            np.testing.assert_array_equal(history[: len(ref_history), i], ref_history)
+            assert final[i] == ref_final
+
         trained, history = train(net, data, cfg)
         ref_theta, ref_history = winner(runs)
         assert len(history) == cfg.iterations
