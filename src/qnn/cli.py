@@ -1,9 +1,10 @@
 """Experiment harness: desk-scale runs emitting CSV/JSON (and optional SVG).
 
 Every command seeds all randomness from its flags.  ``main`` owns the run: a
-bad flag (a degree-0 poly and an overflowing Bernstein --net-n included)
-exits 2 before anything is written; otherwise it makes a fresh timestamped
-directory, starts the clock and hands the command a ``RunReport``, whose
+bad flag (a degree-0 poly, a poly whose values on [-2, 2] may overflow
+float64 and an overflowing Bernstein --net-n included) exits 2 before
+anything is written; otherwise it makes a fresh timestamped directory,
+starts the clock and hands the command a ``RunReport``, whose
 ``artifact(name)`` gives each output its path.  A command runs straight
 through and returns None, and ``main`` writes a report.json echoing the full
 configuration, so a run can be repeated bit-identically.  Commands do not
@@ -312,6 +313,9 @@ def cmd_radial_deep(args, report: RunReport) -> None:
         )
 
 
+_POLY_X_MAX = 2.0  # cmd_poly checks the net against Horner on [-2, 2]
+
+
 def cmd_poly(args, report: RunReport) -> None:
     p = Polynomial(args.coeffs)
     form = factor_polynomial(p, pair_real_roots=args.pair_real_roots)
@@ -331,7 +335,8 @@ def cmd_poly(args, report: RunReport) -> None:
     report.metrics["width"] = float(max(net.layer_widths()))
     report.metrics["width_bound"] = float(p.degree)
 
-    xs = np.random.default_rng(args.seed).uniform(-2.0, 2.0, size=args.points)
+    xs = np.random.default_rng(args.seed).uniform(
+        -_POLY_X_MAX, _POLY_X_MAX, size=args.points)
     net_vals = forward_batch(net, xs[:, None])[:, 0]
     ref = horner(p, xs)
     rel = np.abs(net_vals - ref) / (1.0 + np.abs(ref))
@@ -615,8 +620,17 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error("--lo must be below --hi")
     if args.command == "rings" and args.r_inner >= args.r_outer:
         args.parser.error("--r-inner must be below --r-outer")
-    if args.command == "poly" and (degree := Polynomial(args.coeffs).degree) < 1:
-        args.parser.error(f"--coeffs give a polynomial of degree {degree}; need degree >= 1")
+    if args.command == "poly":
+        p = Polynomial(args.coeffs)
+        if p.degree < 1:
+            args.parser.error(
+                f"--coeffs give a polynomial of degree {p.degree}; need degree >= 1")
+        bound = 0.0  # sum |c_k| X^k, the most |p| reaches on the sampled [-X, X]
+        for c in p.coeffs[::-1].tolist():
+            bound = bound * _POLY_X_MAX + abs(c)
+        if not np.isfinite(bound):
+            args.parser.error(f"--coeffs: |p| on [-{_POLY_X_MAX:g}, {_POLY_X_MAX:g}] "
+                              "may exceed the float64 range")
     if args.command == "bernstein":
         try:
             bernstein_coeffs(_BERNSTEIN_TARGETS[args.target], args.net_n)

@@ -10,10 +10,11 @@ net is built from them or net.layers is read (by the per-neuron oracle in
 oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
 input is the batch x[None].  forward_batch evaluates the blocks layer by
-layer, trainable_values and set_trainable_values gather and scatter on
-them, and a PackedNetwork, the training executor, copies them into one row
-per restart so that every restart advances in the same stacked matmuls;
-backward_batch is a one-row executor at the net's own values.
+layer, a layer of fan-in one by broadcast multiplies, trainable_values and
+set_trainable_values gather and scatter on them, and a PackedNetwork, the
+training executor, copies them into one row per restart so that every
+restart advances in the same stacked matmuls; backward_batch is a one-row
+executor at the net's own values.
 
 Two evaluators of the blocks remain, each for a measured reason (2-core
 VM, one BLAS thread, B = 4096, best of 5):
@@ -339,6 +340,21 @@ def _check_batch(net: NetworkSpec, X, upstream=None):
     return X, upstream
 
 
+def _through_fan_in(W: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
+    """W^T A for (n, m) weight rows and (n, B) activations.
+
+    Where the fan-in n is 1 this is a broadcast multiply, not a rank-1
+    matmul, which costs several times as much.  The matmul sums from 0.0,
+    so it returns 0.0 + w x; adding 0.0 after the multiply gives those bits,
+    an exact -0.0 product turned into +0.0 included.
+    """
+    if len(W) > 1:
+        return np.matmul(W.T, A, out=out)
+    out = np.multiply(W.T, A, out=out)
+    out += 0.0
+    return out
+
+
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim).
 
@@ -346,7 +362,9 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     (X * X) W_b + c (the affine part alone where a layer holds no quadratic
     neuron), adds the incoming shortcuts in list order and applies the
     activation.  Activations are held transposed, one row per neuron, so
-    that adding a bias or a shortcut runs along the batch.
+    that adding a bias or a shortcut runs along the batch.  A layer of
+    fan-in one multiplies by broadcasting (see _through_fan_in), with the
+    matmul's bits.
     """
     X, _ = _check_batch(net, X)
     weights = net.params[net._layout.size:]
@@ -354,14 +372,14 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     current = X.T
     for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
         n = len(current)
-        Z = block[:n].T @ current
+        Z = _through_fan_in(block[:n], current)
         Z += block[n][:, None]
         if "quadratic" in kinds:
-            Q = block[n + 1 : 2 * n + 1].T @ current
+            Q = _through_fan_in(block[n + 1 : 2 * n + 1], current)
             Q += block[2 * n + 1][:, None]
             Z *= Q
             # the square term reuses Q, so a wide layer holds two (m, B) arrays
-            Z += np.matmul(block[2 * n + 2 : 3 * n + 2].T, current * current, out=Q)
+            Z += _through_fan_in(block[2 * n + 2 : 3 * n + 2], current * current, out=Q)
             Z += block[3 * n + 2][:, None]
         for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
             if dst == k:
@@ -424,8 +442,10 @@ class _PackedLayer(NamedTuple):
     shortcuts: tuple | None
     overwrite_input_grad: bool  # no shortcut starts at layer k-1: its gradient is still empty
     # the backward's products through the layer's width, W @ d and M @ d:
-    # np.multiply, an exact broadcast, where the layer is one neuron wide
-    # (a rank-1 BLAS call costs about six times as much), else np.matmul
+    # np.multiply, a broadcast, where the layer is one neuron wide (a rank-1
+    # BLAS call costs about six times as much), else np.matmul.  Only an
+    # exact -0.0 product differs, +0.0 from the matmul; it reaches the
+    # parameter gradients through matmul reductions, so their bits agree.
     through_width: np.ufunc
 
 
@@ -498,7 +518,10 @@ class PackedNetwork:
     rows of shortcut sources, which it sums into, and no row at all in a
     net without shortcuts.  Where a layer is one neuron wide, the
     backward's products through its width (W @ d, M @ d) are broadcast
-    multiplies, which give the same bits as the rank-1 matmul.  One
+    multiplies.  These give the rank-1 matmul's bits except on an exact
+    -0.0 product, which the matmul, summing from 0.0, returns as +0.0; each
+    such term reaches the parameter gradients through a matmul reduction,
+    which sums from 0.0 again, so the gradients keep the matmul's bits.  One
     executor serves one caller at a time.  The output a forward pass
     returns is a copy that later passes leave alone.
     """

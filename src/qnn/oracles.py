@@ -231,9 +231,14 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
     """
     binomials = bernstein_binomials(n)
     x = np.asarray(x, dtype=np.float64)
+    y = 1.0 - x
     total = np.zeros_like(x)
     for m, weight in enumerate(binomials):
-        total = total + float(f(m / n)) * weight * x**m * (1.0 - x) ** (n - m)
+        # the terms' product order, (f(m/n) C(n,m)) x^m (1-x)^(n-m), in place
+        term = x**m
+        term *= float(f(m / n)) * weight
+        term *= y ** (n - m)
+        total += term
     return total
 
 

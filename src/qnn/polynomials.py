@@ -5,6 +5,12 @@ its real roots and monic quadratic factors x^2 + a x + b for each complex
 conjugate pair, with l1 + 2*l2 = N.  factor_polynomial computes that split
 numerically: companion-matrix eigenvalues, a few Newton polish steps, then a
 re-expansion residual check that fails loudly instead of returning garbage.
+The polish runs Horner over plain lists of the coefficients in Python
+complex arithmetic, which rounds as numpy's complex128 scalars do at a
+fraction of their cost.  The Newton division keeps the arithmetic of the
+iterate's type: Python's for p(z) at a float64 eigenvalue (numpy returns
+real eigenvalues as float64 when all of them are real), numpy's at a
+complex128 one; the two divide differently in the last bits.
 
 bernstein_coeffs expands the degree-n Bernstein approximant of a function on
 [0, 1] into monomial coefficients exactly, as integer forward differences
@@ -151,23 +157,35 @@ def _companion_matrix(monic: np.ndarray) -> np.ndarray:
     return m
 
 
-def _poly_val(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def _poly_val(coeffs: list[float], z):
+    """p(z) by Horner, coeffs highest degree first, in Python complex arithmetic.
+
+    Python's complex * and + round as numpy's complex128 ones do, at a
+    fraction of the cost of numpy scalar operations.  The result is a numpy
+    complex where z is one and a Python complex otherwise, so that the
+    caller divides and takes abs() in the arithmetic of z's type.
+    """
+    acc = 0j
+    zc = complex(z)
+    for c in coeffs:
+        acc = acc * zc + c
+    return np.complex128(acc) if isinstance(z, np.complexfloating) else acc
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex) -> complex:
-    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+def _newton_polish(coeffs: list[float], deriv: list[float], z):
+    """Up to three Newton steps from z on p (coeffs) with p' (deriv), both
+    highest degree first; returns the iterate with the smallest |p|.  Each
+    iterate's p(z) is evaluated once and carried into the next step."""
     best = z
-    best_val = abs(_poly_val(coeffs, z))
+    pz = _poly_val(coeffs, z)
+    best_val = abs(pz)
     for _ in range(3):
         dp = _poly_val(deriv, z)
         if dp == 0:
             break
-        z = z - _poly_val(coeffs, z) / dp
-        val = abs(_poly_val(coeffs, z))
+        z = z - pz / dp
+        pz = _poly_val(coeffs, z)
+        val = abs(pz)
         if val < best_val:
             best, best_val = z, val
     return best
@@ -202,7 +220,9 @@ def factor_polynomial(p: Polynomial, pair_real_roots: bool = False) -> FactoredF
     if not np.isfinite(monic).all():
         raise FactorizationError("the monic coefficients overflow float64")
     roots = np.linalg.eigvals(_companion_matrix(monic))
-    roots = np.array([_newton_polish(coeffs, z) for z in roots])
+    descending = coeffs[::-1].tolist()
+    deriv = (coeffs[1:] * np.arange(1, len(coeffs)))[::-1].tolist()
+    roots = np.array([_newton_polish(descending, deriv, z) for z in roots])
 
     real_tol = 1e-9 * (1.0 + np.abs(roots))
     real_roots = sorted(roots[np.abs(roots.imag) < real_tol].real)

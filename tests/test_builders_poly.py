@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,6 +185,106 @@ class TestFactorPolynomial:
     def test_unflagged_real_discriminant_rejected(self):
         with pytest.raises(ValueError):
             FactoredForm(1.0, [], [(3.0, 1.0)])
+
+
+def numpy_scalar_poly_val(coeffs, z):
+    """Reference for polynomials._poly_val: Horner over the numpy coefficient
+    array, lowest degree first, in whatever scalar arithmetic z brings."""
+    acc = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def numpy_scalar_newton_polish(coeffs, z):
+    """Reference for polynomials._newton_polish: three Newton steps on numpy
+    scalars, p re-evaluated at every iterate it needs."""
+    deriv = coeffs[1:] * np.arange(1, len(coeffs))
+    best = z
+    best_val = abs(numpy_scalar_poly_val(coeffs, z))
+    for _ in range(3):
+        dp = numpy_scalar_poly_val(deriv, z)
+        if dp == 0:
+            break
+        z = z - numpy_scalar_poly_val(coeffs, z) / dp
+        val = abs(numpy_scalar_poly_val(coeffs, z))
+        if val < best_val:
+            best, best_val = z, val
+    return best
+
+
+def factor_outcome(p, pair_real_roots):
+    """factor_polynomial's form as JSON, or its refusal message."""
+    try:
+        return factor_polynomial(p, pair_real_roots=pair_real_roots).to_json()
+    except FactorizationError as exc:
+        return f"FactorizationError: {exc}"
+
+
+def assert_polish_matches_reference(p, pair_real_roots):
+    """The factorization is the same, bit for bit, with the reference polish."""
+    got = factor_outcome(p, pair_real_roots)
+    with mock.patch("qnn.polynomials._newton_polish",
+                    lambda descending, _, z: numpy_scalar_newton_polish(
+                        np.array(descending[::-1]), z)):
+        want = factor_outcome(p, pair_real_roots)
+    assert got == want
+
+
+magnitudes = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+signed_magnitudes = st.tuples(magnitudes, st.sampled_from([-1.0, 1.0])).map(
+    lambda t: t[0] * t[1])
+# roots on a coarse grid, so that a multiset repeats some of them
+grid_roots = st.integers(-20, 20).map(lambda k: k / 10.0)
+
+
+def poly_from_factors(scale, real_roots, pairs):
+    """scale * prod (x - r) * prod (x^2 - 2 Re z x + |z|^2), expanded in
+    float arithmetic."""
+    coeffs = np.array([scale])
+    for r in real_roots:
+        coeffs = np.convolve(coeffs, [-r, 1.0])
+    for re, im in pairs:
+        coeffs = np.convolve(coeffs, [re * re + im * im, -2.0 * re, 1.0])
+    return Polynomial(coeffs)
+
+
+class TestPolishReference:
+    """The Newton polish runs Horner in Python complex arithmetic; the numpy
+    scalar version it replaced is the reference, bit for bit.  Where the
+    eigenvalues are all real, numpy returns them as float64 and the first
+    step divides in Python complex arithmetic, the later ones in numpy's."""
+
+    @given(st.lists(signed_magnitudes, min_size=2, max_size=16), st.booleans())
+    def test_random_coefficients(self, coeffs, pair_real_roots):
+        assert_polish_matches_reference(Polynomial(coeffs), pair_real_roots)
+
+    @given(signed_magnitudes,
+           st.lists(st.tuples(grid_roots, st.integers(1, 3)), max_size=4),
+           st.lists(st.tuples(grid_roots, st.integers(1, 20).map(lambda k: k / 10.0),
+                              st.integers(1, 2)), max_size=3),
+           st.booleans())
+    def test_repeated_roots_and_conjugate_pairs(self, scale, reals, pairs, pair_real_roots):
+        real_roots = [r for r, times in reals for _ in range(times)]
+        pairs = [(re, im) for re, im, times in pairs for _ in range(times)]
+        if real_roots or pairs:
+            assert_polish_matches_reference(
+                poly_from_factors(scale, real_roots, pairs), pair_real_roots)
+
+    @given(signed_magnitudes,
+           st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=1, max_size=12),
+           st.booleans())
+    def test_all_real_roots(self, scale, roots, pair_real_roots):
+        assert_polish_matches_reference(poly_from_factors(scale, roots, []), pair_real_roots)
+
+    @pytest.mark.parametrize("f", [lambda x: abs(x - Fraction(1, 2)), lambda x: x * x],
+                             ids=["absmid", "square"])
+    def test_bernstein_approximants(self, f):
+        for n in range(1, 41):
+            p = bernstein_coeffs(f, n)
+            for pair_real_roots in (False, True):
+                if p.degree >= 1:  # |x - 1/2| at n = 1 is the constant 1/2
+                    assert_polish_matches_reference(p, pair_real_roots)
 
 
 class TestBuildPolyNet:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,24 @@ class TestPoly:
             assert err.startswith("usage: qnn poly ")
             assert "degree 0" in err
             assert not out.exists()
+
+    def test_overflowing_values_are_usage_error(self, tmp_path, capsys):
+        """Coefficients whose |p| on the sampled [-2, 2] may pass the float64
+        range are refused with the usage message, before any warning or run
+        directory; a bound just inside the range runs and exits 0."""
+        out = tmp_path / "runs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for coeffs in (["1", "1e308", "1e308"], ["1e308", "1e308"],
+                           ["0", "0", "0", "3e307"]):
+                assert exit_code(["poly", "--coeffs", *coeffs, "--out-dir", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("usage: qnn poly ")
+                assert "--coeffs: |p| on [-2, 2] may exceed the float64 range" in err
+                assert not out.exists()
+            code, run_dir = run(tmp_path, "poly", "--coeffs", "1e308", "3e307")
+        assert code == 0
+        assert np.isfinite(read_report(run_dir)["metrics"]["max_rel_error"])
 
     def test_double_root_refusal_names_no_residual(self, tmp_path, capsys):
         """(x + 0.9)^2 is refused before any residual is computed, so the
@@ -390,6 +409,7 @@ class TestUsage:
         ["radial-deep", "--deltas", "0.1,1e-16"],
         ["bernstein", "--n-sweep", "1030"],
         ["bernstein", "--n-sweep", "4,100000000000000000000"],
+        ["poly", "--coeffs", "1", "1e308", "1e308"],
     ])
     def test_count_flags_checked_at_parse_time(self, argv, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -1,10 +1,12 @@
 """Forward/backward evaluation, shortcuts, masks, and serialization."""
 
+import copy
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_network
 
 from qnn.builders import (
     RadialPartition,
@@ -39,6 +41,79 @@ def norm_neuron(n=2):
         w_r=np.zeros(n), b_r=0.0, w_g=np.zeros(n), b_g=0.0,
         w_b=np.ones(n), c=0.0,
     )
+
+
+def matmul_forward_batch(net, X):
+    """Reference for forward_batch: every product through a layer's fan-in a
+    matmul, fan-in one included."""
+    weights = net.params[net._layout.size:]
+    acts = []
+    current = np.asarray(X, dtype=np.float64).T
+    for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
+        n = len(current)
+        Z = block[:n].T @ current
+        Z += block[n][:, None]
+        if "quadratic" in kinds:
+            Q = block[n + 1 : 2 * n + 1].T @ current
+            Q += block[2 * n + 1][:, None]
+            Z *= Q
+            Z += block[2 * n + 2 : 3 * n + 2].T @ (current * current)
+            Z += block[3 * n + 2][:, None]
+        for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
+            if dst == k:
+                Z[dst_neuron] += weight * acts[src][src_neuron]
+        if activation == "relu":
+            np.maximum(0.0, Z, out=Z)
+        acts.append(Z)
+        current = Z
+    return np.ascontiguousarray(current.T)
+
+
+def fan_in_one_nets(kind, rng):
+    """Nets with fan-in-one layers: the first layer of a product tree, the
+    one-layer net of x, the second layer of a deep radial stack, random nets
+    of input dimension one."""
+    if kind == "product-tree":
+        return [build_poly_net(factor_polynomial(Polynomial(
+            np.poly(rng.uniform(-2.0, 2.0, size=degree))[::-1]))) for degree in range(1, 9)]
+    if kind == "identity-poly":
+        return [build_poly_net(factor_polynomial(Polynomial([0.0, 1.0])))]
+    if kind == "deep-radial":
+        breakpoints = np.sqrt([0.0, 200.0 / 3.0, 400.0 / 3.0, 200.0])
+        return [build_deep_radial(RadialPartition(breakpoints, [-1.0, 1.0, -1.0], 0.1), dim)
+                for dim in (2, 4)]
+    return [random_network(rng, max_input=1) for _ in range(12)]
+
+
+class TestFanInOne:
+    """forward_batch multiplies by broadcasting where a layer's fan-in is
+    one, and adds 0.0 to give the rank-1 matmul's bits: the matmul returns
+    0.0 + w x, so an exact -0.0 product comes out as +0.0."""
+
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324])
+
+    @pytest.mark.parametrize("kind",
+                             ["product-tree", "identity-poly", "deep-radial", "random"])
+    def test_matches_matmul_bitwise(self, kind):
+        rng = np.random.default_rng(31)
+        for net in fan_in_one_nets(kind, rng):
+            assert 1 in [net.input_dim] + net.layer_widths()[:-1]
+            d = net.input_dim
+            X = np.concatenate([
+                rng.normal(size=(64, d)),
+                np.repeat(self.SPECIALS[:, None], d, axis=1),
+                self.SPECIALS[rng.integers(0, len(self.SPECIALS), size=(64, d))],
+            ])
+            for zeros in (False, True):
+                if zeros:  # every bias and offset, b_r, b_g and c, a signed zero
+                    net = copy.deepcopy(net)
+                    for block in net.blocks:
+                        n = (len(block) - 3) // 3
+                        rows = [n, 2 * n + 1, 3 * n + 2]
+                        block[rows] = rng.choice([0.0, -0.0], size=(3, block.shape[1]))
+                with np.errstate(all="ignore"):
+                    got, want = forward_batch(net, X), matmul_forward_batch(net, X)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestForward:

@@ -1,5 +1,7 @@
 """The brute-force references themselves."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,17 @@ class TestBernsteinDirect:
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             bernstein_direct(lambda x: x, 0, np.array([0.5]))
+
+    @pytest.mark.parametrize("f", [lambda x: abs(x - 0.5), lambda x: x * x,
+                                   lambda x: np.sin(3.0 * x)],
+                             ids=["absmid", "square", "sine"])
+    def test_bits_match_one_line_sum(self, f):
+        """The in-place sum keeps the one-line sum's operation order, bit for
+        bit, inside [0, 1] and outside it."""
+        xs = np.concatenate([np.linspace(0.0, 1.0, 101), [-0.0, -0.5, 1.5, 3.0]])
+        for n in range(1, 65):
+            want = np.zeros_like(xs)
+            for m in range(n + 1):
+                weight = float(f(m / n)) * float(comb(n, m))
+                want = want + weight * xs**m * (1.0 - xs) ** (n - m)
+            assert bernstein_direct(f, n, xs).tobytes() == want.tobytes()
