@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network import NetworkSpec, block_rows, forward_batch
+from ..network import NetworkSpec, _real, block_rows, forward_batch
 from .factorization import _constant_net, _frozen
 
 
@@ -33,9 +33,9 @@ class RadialPartition:
     delta: float
 
     def __post_init__(self):
-        self.breakpoints = np.asarray(self.breakpoints, dtype=np.float64)
-        self.heights = np.asarray(self.heights, dtype=np.float64)
-        self.delta = float(self.delta)
+        self.breakpoints = _real(self.breakpoints, "breakpoints")
+        self.heights = _real(self.heights, "heights")
+        self.delta = float(_real(self.delta, "delta"))
         if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
         if self.breakpoints[0] < 0.0:

@@ -10,11 +10,14 @@ net is built from them or net.layers is read (by the per-neuron oracle in
 oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
 input is the batch x[None].  forward_batch evaluates the blocks layer by
-layer, a layer of fan-in one by broadcast multiplies, trainable_values and
+layer on one tile of the batch at a time, through one workspace per call,
+a layer of fan-in one by broadcast multiplies, trainable_values and
 set_trainable_values gather and scatter on them, and a PackedNetwork, the
 training executor, copies them into one row per restart so that every
 restart advances in the same stacked matmuls; backward_batch is a one-row
-executor at the net's own values.
+executor at the net's own values.  Complex inputs, parameters and data
+are refused by name (_real), here and in trainer, polynomials and
+builders, rather than cast to their real parts.
 
 Two evaluators of the blocks remain, each for a measured reason (2-core
 VM, one BLAS thread, B = 4096, best of 5):
@@ -25,7 +28,11 @@ VM, one BLAS thread, B = 4096, best of 5):
   from the per-neuron oracle in the last bits on every deep radial net at
   d = 4 and on the factorizer, also with c added after the square term;
   forward_batch adds each bias after its product and matches the oracle
-  bit for bit on the constructed nets.
+  bit for bit on the constructed nets.  Its tiles bound its memory: on
+  one_hidden_quadratic(2, 200) at B = 200,000 the tracemalloc peak fell
+  from 613 to 2.6 MiB and the time from 0.63 to 0.24 s, and on the d = 4
+  deep radial stack at B = 100,000 from 32 to 2.9 MiB; over 20 exact-build
+  rounds the process took 2.5 thousand page faults instead of 60.
 - The executor keeps a dense shortcut matrix per layer.  One gather and
   scatter per shortcut made the factorizer's training step slower: median
   444 against 381 us over 8 interleaved runs (R = 10, B = 100).
@@ -42,7 +49,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -320,9 +327,18 @@ def _theta_index(net: NetworkSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _real(values, name: str) -> np.ndarray:
+    """values as a float64 array; complex values raise ValueError naming
+    them, where the cast would drop their imaginary parts."""
+    array = np.asarray(values)
+    if array.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex values")
+    return array.astype(np.float64, copy=False)
+
+
 def _check_inputs(X, input_dim: int) -> np.ndarray:
     """X as a (B, input_dim) float64 array."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _real(X, "X")
     if X.ndim != 2 or X.shape[1] != input_dim:
         raise ValueError(f"expected batch of shape (B, {input_dim}), got {X.shape}")
     return X
@@ -332,7 +348,7 @@ def _check_batch(net: NetworkSpec, X, upstream=None):
     """X as a (B, input_dim) float64 array and, when given, upstream as (B, output_dim)."""
     X = _check_inputs(X, net.input_dim)
     if upstream is not None:
-        upstream = np.asarray(upstream, dtype=np.float64)
+        upstream = _real(upstream, "upstream")
         if upstream.shape != (X.shape[0], net.output_dim):
             raise ValueError(
                 f"expected upstream of shape ({X.shape[0]}, {net.output_dim})"
@@ -355,6 +371,9 @@ def _through_fan_in(W: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+_TILE_BYTES = 1 << 19  # one (widest layer, tile rows) float64 slab of the workspace
+
+
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim).
 
@@ -365,30 +384,103 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     that adding a bias or a shortcut runs along the batch.  A layer of
     fan-in one multiplies by broadcasting (see _through_fan_in), with the
     matmul's bits.
+
+    The batch runs through the whole net one tile of columns at a time, and
+    each column keeps the bits the whole batch gives it.  A tile has a
+    multiple of 64 columns, as many as keep one (widest layer, tile) float64
+    slab within _TILE_BYTES, and the last tile takes what is left; a batch
+    that fits one slab is one tile.  OpenBLAS, numpy's BLAS, computes each
+    column of a product in a group of 8 alike, whatever the product's size,
+    so tiles that start on multiples of 64 keep those bits.  The last
+    B mod 8 columns it computes with kernels that depend on the product's
+    size (its small-matrix kernel up to M N K = 1e6, a matrix-vector call
+    for one column), so a batch that is not a multiple of 8 is one tile, as
+    before, and holds O(widest layer x B).  Each call allocates one
+    workspace of (rows, tile) parts: Z of the even layers, Z of the odd
+    layers, Q and X * X, each as tall as the tallest layer it serves, and Z
+    of each shortcut-source layer, whose activations are the only ones read
+    after the next layer.  Every product and sum writes into it with out=,
+    so beside X and the output a call holds O(widest layer x tile) memory,
+    and one allocation per call, rather than several per layer, keeps the
+    allocator from handing pages back to the system between layers.
     """
     X, _ = _check_batch(net, X)
-    weights = net.params[net._layout.size:]
-    acts: list[np.ndarray] = []
-    current = X.T
-    for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
-        n = len(current)
-        Z = _through_fan_in(block[:n], current)
-        Z += block[n][:, None]
-        if "quadratic" in kinds:
-            Q = _through_fan_in(block[n + 1 : 2 * n + 1], current)
-            Q += block[2 * n + 1][:, None]
-            Z *= Q
-            # the square term reuses Q, so a wide layer holds two (m, B) arrays
-            Z += _through_fan_in(block[2 * n + 2 : 3 * n + 2], current * current, out=Q)
-            Z += block[3 * n + 2][:, None]
-        for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
-            if dst == k:
-                Z[dst_neuron] += weight * acts[src][src_neuron]
-        if activation == "relu":
-            np.maximum(0.0, Z, out=Z)
-        acts.append(Z)
-        current = Z
-    return np.ascontiguousarray(current.T)
+    batch, d = X.shape
+    widths = net.layer_widths()
+    widest = max(d, *widths)
+    rows = max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
+    if batch % 8:
+        rows = max(rows, batch)
+    cols = min(batch, rows)
+    incoming: dict[int, list] = {}
+    for weight, (src, src_neuron, dst, dst_neuron) in zip(
+            net.params[net._layout.size:], net.shortcut_ends):
+        incoming.setdefault(dst, []).append((weight, src, src_neuron, dst_neuron))
+    sources = sorted({src for src, _, _, _ in net.shortcut_ends})
+    # the rows of each part of the workspace: Z of the even and of the odd
+    # layers, Q, X * X, then Z of each shortcut source
+    heights = [0, 0, 0, 0] + [widths[k] for k in sources]
+    plan, places, n = [], [], d
+    for k, (block, (activation, kinds), m) in enumerate(
+            zip(net.blocks, net.structure, widths)):
+        part = 4 + sources.index(k) if k in sources else k & 1
+        heights[part] = max(heights[part], m)
+        quadratic = "quadratic" in kinds
+        if quadratic:
+            heights[2], heights[3] = max(heights[2], m), max(heights[3], n)
+        plan.append((block[:n], block[n, :, None], quadratic and (
+            block[n + 1 : 2 * n + 1], block[2 * n + 1, :, None],
+            block[2 * n + 2 : 3 * n + 2], block[3 * n + 2, :, None]),
+            activation == "relu", incoming.get(k, ())))
+        places.append((part, m, n))
+        n = m
+    starts = list(accumulate(heights, initial=0))
+    work = np.empty(starts[-1] * cols)
+    # X * X is laid out as numpy lays out X.T * X.T, F-order for a C-order X:
+    # an operand's layout picks the BLAS kernel of its product, and so its bits
+    f_order = abs(X.strides[1]) <= abs(X.strides[0])
+
+    def views(columns: int) -> list[tuple]:
+        """Each layer's Z, and for a quadratic layer Q and X * X, on the
+        workspace for a tile of the given columns; layers of one width
+        share the views of a part."""
+        made = {}
+
+        def view(part: int, height: int, transposed: bool = False) -> np.ndarray:
+            if (part, height, transposed) not in made:
+                at = starts[part] * cols
+                flat = work[at : at + height * columns]
+                made[part, height, transposed] = (flat.reshape(columns, height).T if transposed
+                                                  else flat.reshape(height, columns))
+            return made[part, height, transposed]
+
+        return [(view(part, m), quadratic and view(2, m),
+                 quadratic and view(3, n, transposed=not k and f_order))
+                for k, ((_, _, quadratic, _, _), (part, m, n)) in enumerate(zip(plan, places))]
+
+    full = views(cols)
+    out = np.empty((batch, net.output_dim))
+    for start in range(0, batch, rows):
+        stop = min(start + rows, batch)
+        tile = full if stop - start == cols else views(stop - start)
+        current = X.T[:, start:stop]
+        for (W, b, quadratic, relu, shortcuts), (Z, Q, square) in zip(plan, tile):
+            _through_fan_in(W, current, out=Z)
+            Z += b
+            if quadratic:
+                W_g, b_g, W_b, c = quadratic
+                _through_fan_in(W_g, current, out=Q)
+                Q += b_g
+                Z *= Q
+                Z += _through_fan_in(W_b, np.multiply(current, current, out=square), out=Q)
+                Z += c
+            for weight, src, src_neuron, dst_neuron in shortcuts:
+                Z[dst_neuron] += weight * tile[src][0][src_neuron]
+            if relu:
+                np.maximum(0.0, Z, out=Z)
+            current = Z
+        out[start:stop] = current.T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +504,7 @@ def trainable_values(net: NetworkSpec) -> np.ndarray:
 
 def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
     """Return a copy of net with its trainable parameters replaced."""
-    values = np.asarray(values, dtype=np.float64)
+    values = _real(values, "values")
     index = _theta_index(net)
     if values.shape != index.shape:
         raise ValueError(

@@ -32,7 +32,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .network import _field, _numbers
+from .network import _field, _numbers, _real
 
 _REL_TOL = 1e-8  # the re-expansion residual at which factor_polynomial refuses
 
@@ -58,7 +58,7 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
+        c = np.atleast_1d(_real(self.coeffs, "coeffs"))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
         if not np.isfinite(c).all():

@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .network import NetworkSpec, PackedNetwork, forward_batch, set_trainable_values
+from .network import NetworkSpec, PackedNetwork, _real, forward_batch, set_trainable_values
 from .oracles import horner
 from .polynomials import Polynomial
 
@@ -64,8 +64,8 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        self.targets = np.asarray(self.targets, dtype=np.float64).ravel()
+        self.inputs = np.atleast_2d(_real(self.inputs, "inputs"))
+        self.targets = _real(self.targets, "targets").ravel()
         if len(self.inputs) != len(self.targets):
             raise ValueError("inputs and targets must have equal length")
         if len(self.inputs) == 0:

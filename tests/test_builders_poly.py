@@ -150,6 +150,14 @@ class TestFactorPolynomial:
         with pytest.raises(ValueError, match="coeffs"):
             factor_polynomial(Polynomial([1.0, np.nan, 1.0]))
 
+    @pytest.mark.parametrize("coeffs", [[1 + 1j, 2.0], np.array([1.0, 2.0 + 0j])],
+                             ids=["python-complex", "complex-array"])
+    def test_complex_coefficients_refused(self, coeffs):
+        """Complex coefficients are refused, a zero imaginary part included,
+        not cast to their real parts."""
+        with pytest.raises(ValueError, match="coeffs must be real"):
+            Polynomial(coeffs)
+
     @no_runtime_warning
     def test_monic_overflow_refused(self):
         """1e300 / 1e-10 overflows: refused before the eigenvalue solver

@@ -212,6 +212,16 @@ class TestDeepRadial:
         with pytest.raises(ValueError):
             build_deep_radial("not a partition", 2)
 
+    @pytest.mark.parametrize("field", ["breakpoints", "heights", "delta"])
+    def test_complex_partition_refused(self, field):
+        """A complex breakpoint, height or delta is refused by name, not
+        cast to its real part."""
+        parts = {"breakpoints": np.array([0.0, 1.0]), "heights": np.array([1.0]),
+                 "delta": np.float64(0.1)}
+        parts[field] = parts[field] + 0j
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            RadialPartition(**parts)
+
 
 class TestDeltaBudget:
     def test_budget_scales_inversely_with_mass(self):

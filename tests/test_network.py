@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import random_network
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnn.builders import (
     RadialPartition,
@@ -15,10 +17,12 @@ from qnn.builders import (
     build_poly_net,
 )
 from qnn.network import (
+    _TILE_BYTES,
     LayerSpec,
     NetworkSpec,
     PackedNetwork,
     Shortcut,
+    _through_fan_in,
     backward_batch,
     forward_batch,
     from_json,
@@ -58,6 +62,32 @@ def matmul_forward_batch(net, X):
             Q += block[2 * n + 1][:, None]
             Z *= Q
             Z += block[2 * n + 2 : 3 * n + 2].T @ (current * current)
+            Z += block[3 * n + 2][:, None]
+        for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
+            if dst == k:
+                Z[dst_neuron] += weight * acts[src][src_neuron]
+        if activation == "relu":
+            np.maximum(0.0, Z, out=Z)
+        acts.append(Z)
+        current = Z
+    return np.ascontiguousarray(current.T)
+
+
+def whole_batch_forward(net, X):
+    """Reference for forward_batch's tiles: its arithmetic, layer by layer,
+    on the whole batch at once, every layer's activations kept."""
+    weights = net.params[net._layout.size:]
+    acts = []
+    current = np.asarray(X, dtype=np.float64).T
+    for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
+        n = len(current)
+        Z = _through_fan_in(block[:n], current)
+        Z += block[n][:, None]
+        if "quadratic" in kinds:
+            Q = _through_fan_in(block[n + 1 : 2 * n + 1], current)
+            Q += block[2 * n + 1][:, None]
+            Z *= Q
+            Z += _through_fan_in(block[2 * n + 2 : 3 * n + 2], current * current, out=Q)
             Z += block[3 * n + 2][:, None]
         for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
             if dst == k:
@@ -116,6 +146,104 @@ class TestFanInOne:
                 assert got.tobytes() == want.tobytes()
 
 
+SPECIAL_INPUTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
+
+
+def tile_rows(net) -> int:
+    """forward_batch's tile size: a multiple of 64 columns whose (widest
+    layer, tile) float64 slab fits _TILE_BYTES."""
+    widest = max(net.input_dim, *net.layer_widths())
+    return max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
+
+
+@st.composite
+def tiled_nets(draw):
+    """Nets of up to four layers up to 70 wide, mixing the three neuron
+    kinds, either activation, shortcuts and fan-in-one layers, with normal
+    parameters, sometimes every bias a signed zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    input_dim = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.sampled_from([1, 2, 3, 8, 33, 64, 70]), min_size=1, max_size=4))
+    structure, fan_in = [], input_dim
+    for m in widths:
+        kinds = [str(kind) if kind != "passthrough" else int(rng.integers(fan_in))
+                 for kind in rng.choice(["quadratic", "conventional", "passthrough"], size=m,
+                                        p=draw(st.sampled_from([(1, 0, 0), (0.4, 0.4, 0.2)])))]
+        structure.append((draw(st.sampled_from(["relu", "identity"])), kinds))
+        fan_in = m
+    shortcuts = []
+    if len(widths) > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            src = int(rng.integers(len(widths) - 1))
+            dst = int(rng.integers(src + 1, len(widths)))
+            shortcuts.append(Shortcut(src, int(rng.integers(widths[src])), dst,
+                                      int(rng.integers(widths[dst])), rng.normal()))
+    net = NetworkSpec.blank(input_dim, structure, shortcuts)
+    own = net._layout.own
+    net.params[own] = rng.normal(size=len(own))
+    if draw(st.booleans()):  # b_r, b_g and c of every column ±0
+        for block in net.blocks:
+            n = (len(block) - 3) // 3
+            rows = [n, 2 * n + 1, 3 * n + 2]
+            block[rows] = rng.choice([0.0, -0.0], size=(3, block.shape[1]))
+    return net
+
+
+class TestTiles:
+    """forward_batch runs the batch in tiles through one workspace; every
+    output byte stays what the layer-by-layer whole-batch evaluation gives."""
+
+    @given(tiled_nets(), st.integers(0, 2), st.sampled_from([-8, -1, 0, 1, 8, 64]),
+           st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1))
+    def test_matches_whole_batch_bitwise(self, net, tiles, offset, layout, seed):
+        """Batches of 0 and 1 and just below, at and above one and two tile
+        boundaries, with ±0, ±inf, NaN and subnormal inputs, in either
+        memory order and strided."""
+        batch = max(0, tiles * tile_rows(net) + offset) if tiles else max(0, offset)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(2 * batch if layout == "strided" else batch, net.input_dim))
+        special = rng.random(size=X.shape) < 0.05
+        X[special] = rng.choice(SPECIAL_INPUTS, size=int(special.sum()))
+        X = {"C": X, "F": np.asfortranarray(X), "strided": X[::2]}[layout]
+        with np.errstate(all="ignore"):
+            got, want = forward_batch(net, X), whole_batch_forward(net, X)
+        assert got.shape == want.shape == (batch, net.output_dim)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [0, 1])
+    def test_tiny_batches(self, batch):
+        rng = np.random.default_rng(33)
+        net = one_hidden_quadratic(3, 5)
+        net.params[:] = rng.normal(size=len(net.params))
+        X = rng.normal(size=(batch, 3))
+        got = forward_batch(net, X)
+        assert got.shape == (batch, 1)
+        assert got.tobytes() == whole_batch_forward(net, X).tobytes()
+
+    @pytest.mark.parametrize("case", ["one-hidden-200", "deep-radial-d4"])
+    def test_memory_bounded(self, case):
+        """One call holds a workspace of a few tiles and its output, not
+        every layer's (width, B) activations: under 16 MiB where the
+        whole-batch evaluation peaks at 613 and 32 MiB."""
+        rng = np.random.default_rng(34)
+        if case == "one-hidden-200":
+            net, batch = one_hidden_quadratic(2, 200), 200_000
+            net.params[:] = rng.uniform(-1.0, 1.0, size=len(net.params))
+        else:
+            breakpoints = np.sqrt([0.0, 200.0 / 3.0, 400.0 / 3.0, 200.0])
+            partition = RadialPartition(breakpoints, [-1.0, 1.0, -1.0], 0.05)
+            net, batch = build_deep_radial(partition, 4), 100_000
+        X = rng.uniform(-10.0, 10.0, size=(batch, net.input_dim))
+        tracemalloc.start()
+        try:
+            out = forward_batch(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (batch, 1)
+        assert peak < 16 * 2**20
+
+
 class TestForward:
     def test_single_norm_neuron(self):
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
@@ -146,6 +274,13 @@ class TestForward:
         net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
         with pytest.raises(ValueError):
             forward_batch(net, [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("X", [[[1 + 2j, 0.5]], np.array([[1.0, 0.5 + 0j]])],
+                             ids=["python-complex", "complex-array"])
+    def test_complex_inputs_refused(self, X):
+        """A complex batch is refused by name, not cast to its real part."""
+        with pytest.raises(ValueError, match="X must be real"):
+            forward_batch(one_hidden_quadratic(2, 3), X)
 
     def test_deterministic(self, net_factory):
         rng = np.random.default_rng(5)
@@ -333,6 +468,15 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward_batch(net, np.zeros((1, 2)), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("field", ["X", "upstream"])
+    def test_complex_batch_refused(self, field):
+        """A complex batch or upstream is refused by name, not cast to its
+        real part."""
+        args = {"X": np.zeros((1, 2)), "upstream": np.ones((1, 1))}
+        args[field] = args[field] + 1j
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            backward_batch(one_hidden_quadratic(2, 3), **args)
+
 
 def assert_gradients_close(got, want, rtol):
     """Elementwise rtol, with an absolute floor of rtol times the largest entry
@@ -448,6 +592,12 @@ class TestPackedNetwork:
         with pytest.raises(ValueError, match="batch of shape"):
             packed.loss_and_grad(theta, X, lambda out: (None, np.ones_like(out)))
 
+    def test_complex_batch_refused(self):
+        packed = PackedNetwork(single_quadratic_net(1))
+        theta = np.zeros((1, len(packed.theta_index)))
+        with pytest.raises(ValueError, match="X must be real"):
+            packed.forward(theta, np.ones((5, 1), dtype=complex))
+
     @pytest.mark.parametrize("shape", [(5, 1), (2, 5, 1), (1, 4, 1), (1, 5, 2), (1, 1, 1)],
                              ids=["no-restart-axis", "two-restarts", "short-batch",
                                   "wide-output", "broadcast"])
@@ -539,6 +689,11 @@ class TestParameters:
         values = rng.normal(size=trainable_count(net))
         updated = set_trainable_values(net, values)
         np.testing.assert_array_equal(trainable_values(updated), values)
+
+    def test_complex_values_refused(self):
+        net = one_hidden_quadratic(2, 3)
+        with pytest.raises(ValueError, match="values must be real"):
+            set_trainable_values(net, np.zeros(trainable_count(net), dtype=complex))
 
     def test_frozen_entries_unchanged(self, net_factory):
         rng = np.random.default_rng(15)

@@ -403,3 +403,12 @@ class TestDatasetValidation:
         y[2] = value
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), y)
+
+    @pytest.mark.parametrize("field", ["inputs", "targets"])
+    def test_complex_data_refused(self, field):
+        """Complex inputs or targets are refused by name, not cast to their
+        real parts."""
+        data = {"inputs": np.zeros((3, 2)), "targets": np.zeros(3)}
+        data[field] = data[field] + 1j
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            Dataset(**data)
