@@ -3,12 +3,11 @@
 from .builders import (
     MultiPolySpec,
     RadialPartition,
-    SeparableSpec,
     build_deep_radial,
     build_factorization_trainable,
+    build_multipoly_net,
     build_parabola_module,
     build_poly_net,
-    build_separable_net,
     build_shallow_radial,
     delta_for_target_error,
     multipoly_net_size,

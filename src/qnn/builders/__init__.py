@@ -2,10 +2,9 @@
 
 from .factorization import (
     MultiPolySpec,
-    SeparableSpec,
     build_factorization_trainable,
+    build_multipoly_net,
     build_poly_net,
-    build_separable_net,
     multipoly_net_size,
     quadratic_coefficients,
 )
@@ -22,12 +21,11 @@ from .radial import (
 __all__ = [
     "MultiPolySpec",
     "RadialPartition",
-    "SeparableSpec",
     "build_deep_radial",
     "build_factorization_trainable",
+    "build_multipoly_net",
     "build_parabola_module",
     "build_poly_net",
-    "build_separable_net",
     "build_shallow_radial",
     "delta_for_target_error",
     "multipoly_net_size",

@@ -1,11 +1,12 @@
-"""Exact polynomial networks built from real factorizations.
+"""Exact polynomial networks built from real factorizations and monomials.
 
 One quadratic neuron evaluates one factor (a shifted linear term needs only
 the first affine form; x^2 + a x + b additionally uses the square term), and
 one quadratic neuron multiplies two channels, so a balanced pairwise tree
 computes the whole product in logarithmically many identity-activation
-layers.  The same layer vocabulary yields sum-of-products networks for
-separable multivariate functions and the trainable factorizer whose first
+layers.  The same product neurons build a multivariate polynomial from its
+monomials (each variable's powers by doubling, then each monomial's powers
+multiplied in one per layer) and the trainable factorizer, whose first
 layer learns offset factors and whose linear output neuron undoes the
 offsets through shortcut taps.
 """
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network import NetworkSpec, Shortcut, block_rows
-from ..neurons import QuadraticNeuron
-from ..oracles import horner
-from ..polynomials import FactoredForm, Polynomial, factor_polynomial
+from ..neurons import QuadraticNeuron, _real
+from ..polynomials import FactoredForm
 
 
 @dataclass
@@ -30,8 +30,11 @@ class MultiPolySpec:
     coefficients: np.ndarray  # shape (M,)
 
     def __post_init__(self):
-        self.exponents = np.asarray(self.exponents, dtype=np.int64)
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        exponents = _real(self.exponents, "exponents")
+        if not np.all(np.isfinite(exponents) & (exponents == np.floor(exponents))):
+            raise ValueError("exponents must be integers")
+        self.exponents = exponents.astype(np.int64)
+        self.coefficients = _real(self.coefficients, "coefficients")
         if self.exponents.ndim != 2:
             raise ValueError("exponents must be a (terms, variables) table")
         m, n = self.exponents.shape
@@ -51,45 +54,6 @@ class MultiPolySpec:
         return self.exponents.shape[1]
 
 
-@dataclass
-class SeparableSpec:
-    """f(x_1..x_n) = sum over terms of the product of one Polynomial per variable."""
-
-    phis: list[list[Polynomial]]
-
-    def __post_init__(self):
-        if not self.phis:
-            raise ValueError("need at least one term")
-        n = len(self.phis[0])
-        if n < 1:
-            raise ValueError("need at least one variable")
-        for row in self.phis:
-            if len(row) != n:
-                raise ValueError("every term needs one polynomial per variable")
-            for phi in row:
-                if not isinstance(phi, Polynomial):
-                    raise ValueError("phi tables must hold Polynomial values")
-
-    @property
-    def terms(self) -> int:
-        return len(self.phis)
-
-    @property
-    def variables(self) -> int:
-        return len(self.phis[0])
-
-    def evaluate(self, X) -> np.ndarray:
-        """Direct reference evaluation at rows of X, shape (B, variables)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        total = np.zeros(X.shape[0])
-        for row in self.phis:
-            term = np.ones(X.shape[0])
-            for i, phi in enumerate(row):
-                term *= horner(phi, X[:, i])
-            total += term
-        return total
-
-
 def _frozen(net: NetworkSpec) -> NetworkSpec:
     net.trainable[:] = False
     return net
@@ -102,65 +66,54 @@ def _constant_net(input_dim: int, value: float) -> NetworkSpec:
     return _frozen(net)
 
 
-def _factor_terms(ff: FactoredForm, coord: int, fold_scale: bool) -> list[tuple]:
-    """(coord, w, b, s) per factor: s x^2 + w x + b of x = input coord, a
-    linear factor with s = 0; the overall scale multiplies the first one."""
+def _factor_terms(ff: FactoredForm) -> list[tuple]:
+    """(w, b, s) per factor: s x^2 + w x + b, a linear factor with s = 0;
+    the overall scale multiplies the first one."""
     terms = []
-    scale = ff.scale if fold_scale else 1.0
+    scale = ff.scale
     for root in ff.linear_roots:
-        terms.append((coord, scale, -scale * root, 0.0))
+        terms.append((scale, -scale * root, 0.0))
         scale = 1.0
     for a, b in ff.quadratic_factors:
-        terms.append((coord, scale * a, scale * b, scale))
+        terms.append((scale * a, scale * b, scale))
         scale = 1.0
     return terms
 
 
 def _write_factors(block: np.ndarray, terms: list[tuple]) -> None:
-    """Column j of block evaluates terms[j] through the square term and the
-    first affine form, the second being the constant 1."""
-    rows = block_rows(len(block) // 3 - 1)
-    for j, (coord, w, b, s) in enumerate(terms):
-        block[rows.w_r, j][coord] = w
+    """Column j of the fan-in-one block evaluates terms[j] through the square
+    term and the first affine form, the second being the constant 1."""
+    rows = block_rows(1)
+    for j, (w, b, s) in enumerate(terms):
+        block[rows.w_r, j] = w
         block[rows.b_r, j] = b
         block[rows.b_g, j] = 1.0
-        block[rows.w_b, j][coord] = s
+        block[rows.w_b, j] = s
 
 
-def _product_layers(groups: list[list[int]]) -> tuple[list[list], list[list[int]]]:
-    """The pairwise-product layers that reduce every group of channels to a
-    single channel, and the groups' channels after them.  A layer is a list
-    of units: (u, v) for the product neuron x[u] * x[v], or the index an odd
-    channel passes through at."""
+def _product_tree(count: int) -> list[list]:
+    """The pairwise-product layers that reduce count channels to one.  A
+    layer is a list of units: (u, v) for the product neuron x[u] * x[v], or
+    the index an odd channel passes through at."""
     layers = []
-    while any(len(g) > 1 for g in groups):
-        units: list = []
-        new_groups = []
-        for group in groups:
-            channels = []
-            for i in range(0, len(group) - 1, 2):
-                channels.append(len(units))
-                units.append((group[i], group[i + 1]))
-            if len(group) % 2:
-                channels.append(len(units))
-                units.append(group[-1])
-            new_groups.append(channels)
-        layers.append(units)
-        groups = new_groups
-    return layers, groups
+    while count > 1:
+        layers.append([(i, i + 1) for i in range(0, count - 1, 2)] + [count - 1] * (count % 2))
+        count = len(layers[-1])
+    return layers
 
 
 def _product_net(input_dim: int, factors: int, products: list[list], output: bool,
                  shortcuts=()) -> NetworkSpec:
-    """A layer of `factors` zero quadratic neurons, the product layers of
-    _product_layers, and with output one zero conventional neuron, all with
-    identity activation; the product neurons are written."""
-    layers = [("identity", ["quadratic"] * factors)]
+    """A layer of `factors` zero quadratic neurons (none when factors is 0),
+    the product layers (as _product_tree gives them), and with output one
+    zero conventional neuron, all with identity activation; the product
+    neurons are written."""
+    layers = [("identity", ["quadratic"] * factors)] * bool(factors)
     layers += [("identity", ["quadratic" if isinstance(u, tuple) else u for u in units])
                for units in products]
     net = NetworkSpec.blank(input_dim, layers + [("identity", ["conventional"])] * output,
                             shortcuts)
-    for block, units in zip(net.blocks[1:], products):
+    for block, units in zip(net.blocks[bool(factors):], products):
         rows = block_rows(len(block) // 3 - 1)
         for j, unit in enumerate(units):
             if isinstance(unit, tuple):
@@ -181,59 +134,9 @@ def build_poly_net(ff: FactoredForm) -> NetworkSpec:
     if ff.factor_count == 0:
         return _constant_net(1, ff.scale)
 
-    terms = _factor_terms(ff, 0, fold_scale=True)
-    products, _ = _product_layers([list(range(len(terms)))])
-    net = _product_net(1, len(terms), products, output=False)
+    terms = _factor_terms(ff)
+    net = _product_net(1, len(terms), _product_tree(len(terms)), output=False)
     _write_factors(net.blocks[0], terms)
-    return _frozen(net)
-
-
-def build_separable_net(spec: SeparableSpec) -> NetworkSpec:
-    """Sum-of-products network for a separable multivariate function.
-
-    Per term, every non-constant phi is factored and its factors become
-    first-layer neurons reading that variable; one product tree collapses
-    each term to a single channel; a linear output neuron sums the terms.
-    Constant phis fold into the output weights (or the bias when a whole
-    term is constant).
-    """
-    n = spec.variables
-    terms: list[tuple] = []
-    term_groups: list[list[int]] = []
-    term_weights: list[float] = []
-    bias = 0.0
-
-    for row in spec.phis:
-        const = 1.0
-        channels: list[int] = []
-        for coord, phi in enumerate(row):
-            if phi.degree == 0:
-                const *= float(phi.coeffs[0])
-            else:
-                ff = factor_polynomial(phi)
-                const *= ff.scale
-                for term in _factor_terms(ff, coord, fold_scale=False):
-                    terms.append(term)
-                    channels.append(len(terms) - 1)
-        if const == 0.0:
-            continue
-        if channels:
-            term_groups.append(channels)
-            term_weights.append(const)
-        else:
-            bias += const
-
-    if not terms:
-        return _constant_net(n, bias)
-
-    products, groups = _product_layers(term_groups)
-    width = len(products[-1]) if products else len(terms)
-    net = _product_net(n, len(terms), products, output=True)
-    blocks = net.blocks
-    _write_factors(blocks[0], terms)
-    for group, weight in zip(groups, term_weights):
-        blocks[-1][group[0], 0] += weight
-    blocks[-1][block_rows(width).b_r, 0] = bias
     return _frozen(net)
 
 
@@ -241,14 +144,63 @@ def multipoly_net_size(spec: MultiPolySpec) -> tuple[int, int]:
     """Closed-form (width, depth) sufficient to compute the polynomial exactly.
 
     width = sum_j 2 max_k n_j(k) + 2M and depth = max n_j(k) + N, the max
-    running over every entry of the exponent table.  The depth estimate is
-    conservative: the product-tree networks built here reach the same values
-    in logarithmically many layers.
+    running over every entry of the exponent table; build_multipoly_net
+    stays within both.
     """
     per_variable_max = spec.exponents.max(axis=0)
     width = int(2 * per_variable_max.sum() + 2 * spec.terms)
     depth = int(spec.exponents.max() + spec.variables)
     return width, depth
+
+
+def build_multipoly_net(spec: MultiPolySpec) -> NetworkSpec:
+    """Network computing sum_k c_k prod_j x_j^n_j(k) on input (x_1..x_N).
+
+    Power layers give each variable every power up to its largest exponent
+    by doubling: the layer after powers up to h holds those, passed through,
+    and x^e = x^h x^(e-h) for h < e <= 2h.  Term layers multiply each
+    monomial's powers in one per layer, passing through the channels still
+    needed, and a linear output neuron weights each monomial by its
+    coefficient, the constant terms forming its bias; a term whose
+    coefficient is 0 is left out.  A layer holds at most one channel per
+    power and one per monomial, so width and depth stay within
+    multipoly_net_size(spec).  No spec is refused for its range: where a
+    channel passes about 1.3e154, the next product layer's square term
+    overflows and the output is NaN.
+    """
+    keep = spec.coefficients != 0.0
+    exponents, coefficients = spec.exponents[keep], spec.coefficients[keep]
+    top = exponents.max(axis=0, initial=0).tolist()
+    # powers[j, e]: the channel of x_j^e in the last layer built, at first the input
+    powers = {(j, 1): j for j, e in enumerate(top) if e}
+    layers: list[list] = []
+    h = 1
+    while h < max(top):
+        units: dict = {}  # unit -> its channel, as _product_net reads a layer
+        powers = {(j, e): units.setdefault(powers[j, e] if e <= h else
+                                           (powers[j, h], powers[j, e - h]), len(units))
+                  for j, top_j in enumerate(top) for e in range(1, min(top_j, 2 * h) + 1)}
+        layers.append(list(units))
+        h *= 2
+    terms = [[powers[j, e] for j, e in enumerate(row) if e] for row in exponents.tolist()]
+    while any(len(term) > 1 for term in terms):
+        units = {}
+        for term in terms:
+            if len(term) > 1:
+                term[:2] = [(term[0], term[1])]
+            term[:] = [units.setdefault(unit, len(units)) for unit in term]
+        layers.append(list(units))
+
+    net = _product_net(spec.variables, 0, layers, output=True)
+    out = net.blocks[-1]
+    bias = 0.0
+    for term, c in zip(terms, coefficients):
+        if term:
+            out[term[0], 0] += c
+        else:
+            bias += c
+    out[block_rows(len(out) // 3 - 1).b_r, 0] = bias
+    return _frozen(net)
 
 
 def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:

@@ -79,7 +79,7 @@ def delta_for_target_error(breakpoints, heights, eps: float = 0.1) -> float:
 
 def radial_profile(net: NetworkSpec, ts) -> np.ndarray:
     """Evaluate a radial network along the ray x = (t, 0, ..., 0)."""
-    ts = np.asarray(ts, dtype=np.float64)
+    ts = _real(ts, "ts")
     X = np.zeros((ts.size, net.input_dim))
     X[:, 0] = ts.ravel()
     return forward_batch(net, X)[:, 0].reshape(ts.shape)

@@ -16,8 +16,8 @@ set_trainable_values gather and scatter on them, and a PackedNetwork, the
 training executor, copies them into one row per restart so that every
 restart advances in the same stacked matmuls; backward_batch is a one-row
 executor at the net's own values.  Complex inputs, parameters and data
-are refused by name (_real), here and in trainer, polynomials and
-builders, rather than cast to their real parts.
+are refused by name (neurons._real), here and in neurons, trainer,
+polynomials, oracles and builders, rather than cast to their real parts.
 
 Two evaluators of the blocks remain, each for a measured reason (2-core
 VM, one BLAS thread, B = 4096, best of 5):
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neurons import Neuron, PassthroughNeuron, neuron_fan_in, neuron_from_params
+from .neurons import Neuron, PassthroughNeuron, _real, neuron_fan_in, neuron_from_params
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -325,15 +325,6 @@ def _theta_index(net: NetworkSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward evaluation
 # ---------------------------------------------------------------------------
-
-
-def _real(values, name: str) -> np.ndarray:
-    """values as a float64 array; complex values raise ValueError naming
-    them, where the cast would drop their imaginary parts."""
-    array = np.asarray(values)
-    if array.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got complex values")
-    return array.astype(np.float64, copy=False)
 
 
 def _check_inputs(X, input_dim: int) -> np.ndarray:
@@ -815,7 +806,7 @@ class PackedNetwork:
         """
         out = self.forward(theta, X)
         values, upstream = loss(out)
-        upstream = np.asarray(upstream, dtype=np.float64)
+        upstream = _real(upstream, "loss upstream")
         if upstream.shape != out.shape:
             raise ValueError(
                 f"expected loss upstream of shape {out.shape}, got {upstream.shape}"

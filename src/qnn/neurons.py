@@ -31,8 +31,17 @@ def relu_prime(z):
     return np.where(z > 0.0, 1.0, 0.0)
 
 
-def _as_weight(v) -> np.ndarray:
-    w = np.asarray(v, dtype=np.float64)
+def _real(values, name: str) -> np.ndarray:
+    """values as a float64 array; complex values raise ValueError naming
+    them, where the cast would drop their imaginary parts."""
+    array = np.asarray(values)
+    if array.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex values")
+    return array.astype(np.float64, copy=False)
+
+
+def _as_weight(v, name: str) -> np.ndarray:
+    w = _real(v, name)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weight vector must be 1-D with length >= 1")
     return w
@@ -55,9 +64,9 @@ class QuadraticNeuron:
     c: float
 
     def __post_init__(self):
-        self.w_r = _as_weight(self.w_r)
-        self.w_g = _as_weight(self.w_g)
-        self.w_b = _as_weight(self.w_b)
+        self.w_r = _as_weight(self.w_r, "w_r")
+        self.w_g = _as_weight(self.w_g, "w_g")
+        self.w_b = _as_weight(self.w_b, "w_b")
         if not (len(self.w_r) == len(self.w_g) == len(self.w_b)):
             raise ValueError("w_r, w_g, w_b must have identical length")
         self.b_r = float(self.b_r)
@@ -87,7 +96,7 @@ class ConventionalNeuron:
     b: float
 
     def __post_init__(self):
-        self.w = _as_weight(self.w)
+        self.w = _as_weight(self.w, "w")
         self.b = float(self.b)
 
     @property

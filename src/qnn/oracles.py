@@ -21,7 +21,7 @@ from .network import (
     set_trainable_values,
     trainable_values,
 )
-from .neurons import ConventionalNeuron, QuadraticNeuron, preactivation, relu, relu_prime
+from .neurons import ConventionalNeuron, QuadraticNeuron, _real, preactivation, relu, relu_prime
 from .polynomials import FactoredForm, Polynomial
 
 
@@ -48,7 +48,7 @@ class GridSpec:
 
 def horner(p: Polynomial, x) -> float | np.ndarray:
     """Horner-scheme evaluation; accepts a scalar or an array of points."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     acc = np.zeros_like(x)
     for c in p.coeffs[::-1]:
         acc = acc * x + c
@@ -230,7 +230,7 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
     the monomial basis at large n.  Raises ValueError naming n beyond that.
     """
     binomials = bernstein_binomials(n)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     y = 1.0 - x
     total = np.zeros_like(x)
     for m, weight in enumerate(binomials):

@@ -1,6 +1,8 @@
 """Shared fixtures: random network generation and acceptance reporting."""
 
 import tempfile
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -79,6 +81,19 @@ def random_parts(rng, max_layers=4, max_width=3, max_input=3,
 def random_network(rng, **kwargs) -> NetworkSpec:
     """A small random network mixing neuron kinds, activations, and masks."""
     return NetworkSpec(*random_parts(rng, **kwargs))
+
+
+def exact_multipoly(spec, X):
+    """sum_k c_k prod_j x_j^n_j(k) of a MultiPolySpec at each row of X,
+    evaluated in exact rationals and rounded once, and the scale
+    1 + sum_k |c_k x^n(k)| that bounds the rounding of a float evaluation."""
+    values, scales = [], []
+    for x in np.asarray(X, dtype=np.float64).tolist():
+        terms = [prod((Fraction(v) ** e for v, e in zip(x, row)), start=Fraction(c))
+                 for row, c in zip(spec.exponents.tolist(), spec.coefficients.tolist())]
+        values.append(float(sum(terms)))
+        scales.append(1.0 + float(sum(map(abs, terms))))
+    return np.array(values), np.array(scales)
 
 
 def input_away_from_kinks(net: NetworkSpec, rng, margin=1e-3, tries=200):

@@ -1,4 +1,4 @@
-"""Factorization, exact polynomial networks, separable sums, size formulas."""
+"""Factorization, exact polynomial networks, multivariate polynomials, size formulas."""
 
 import json
 from fractions import Fraction
@@ -10,19 +10,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import exact_multipoly
 from qnn.builders import (
     MultiPolySpec,
-    SeparableSpec,
     build_factorization_trainable,
+    build_multipoly_net,
     build_poly_net,
-    build_separable_net,
     multipoly_net_size,
     quadratic_coefficients,
 )
 from qnn.network import (
     forward_batch,
+    from_json,
     parameter_count,
     set_trainable_values,
+    to_json,
     trainable_count,
     trainable_values,
 )
@@ -414,61 +416,100 @@ class TestBernstein:
             bernstein_coeffs(alternating_huge, 4)
 
 
-class TestSeparable:
+def assert_matches_exact(net, spec, X):
+    """net's output within 1e-13 (1 + sum_k |c_k x^n(k)|) of the exact value."""
+    want, scale = exact_multipoly(spec, X)
+    assert np.all(np.abs(forward_batch(net, X)[:, 0] - want) <= 1e-13 * scale)
+
+
+@st.composite
+def multipoly_specs(draw):
+    """1-4 variables, 1-6 terms, exponents 0-8, coefficients in [-2, 2]."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 8), min_size=n, max_size=n)
+    return MultiPolySpec(draw(st.lists(row, min_size=m, max_size=m)),
+                         draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+
+
+class TestMultiPoly:
     def test_two_variable_product(self):
-        spec = SeparableSpec([[Polynomial([0, 1]), Polynomial([0, 1])]])
-        net = build_separable_net(spec)
-        assert forward_batch(net, [[3.0, 4.0]])[0, 0] == pytest.approx(12.0)
+        net = build_multipoly_net(MultiPolySpec([[1, 1]], [1.0]))
+        assert forward_batch(net, [[3.0, 4.0]])[0, 0] == 12.0
 
     def test_two_term_sum(self):
-        spec = SeparableSpec(
-            [
-                [Polynomial([0, 1]), Polynomial([0, 1])],
-                [Polynomial([1, 1]), Polynomial([-1, 1])],
-            ]
-        )
-        net = build_separable_net(spec)
-        assert forward_batch(net, [[1.0, 1.0]])[0, 0] == pytest.approx(1.0)
-        assert forward_batch(net, [[2.0, 3.0]])[0, 0] == pytest.approx(2 * 3 + 3 * 2)
+        """x1 x2 + (x1 + 1)(x2 - 1), written as monomials."""
+        spec = MultiPolySpec([[1, 1], [1, 1], [1, 0], [0, 1], [0, 0]],
+                             [1.0, 1.0, -1.0, 1.0, -1.0])
+        net = build_multipoly_net(spec)
+        assert forward_batch(net, [[1.0, 1.0], [2.0, 3.0]])[:, 0].tolist() == [1.0, 12.0]
 
-    def test_constant_and_zero_phis(self):
-        spec = SeparableSpec(
-            [
-                [Polynomial([2.0]), Polynomial([0, 1])],   # 2 * x2
-                [Polynomial([0.0]), Polynomial([5, 1])],   # zero term drops out
-                [Polynomial([3.0]), Polynomial([4.0])],    # pure constant 12
-            ]
-        )
-        net = build_separable_net(spec)
-        assert forward_batch(net, [[9.0, 2.5]])[0, 0] == pytest.approx(2 * 2.5 + 12.0)
+    def test_constant_and_zero_terms(self):
+        """2 x2 + 0 x1^3 x2^2 + 12: the zero term is left out, so no product
+        layer is built, and the constant is the output's bias."""
+        net = build_multipoly_net(MultiPolySpec([[0, 1], [3, 2], [0, 0]], [2.0, 0.0, 12.0]))
+        assert net.layer_widths() == [1]
+        assert forward_batch(net, [[9.0, 2.5]])[0, 0] == 17.0
 
-    def test_random_specs_match_direct_evaluation(self):
+    def test_random_specs_match_exact_evaluation(self):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            terms = int(rng.integers(1, 4))
             n_vars = int(rng.integers(1, 4))
-            phis = []
-            for _ in range(terms):
-                row = []
-                for _ in range(n_vars):
-                    degree = int(rng.integers(0, 4))
-                    coeffs = rng.uniform(-2.0, 2.0, size=degree + 1)
-                    if degree >= 1 and abs(coeffs[-1]) < 0.1:
-                        coeffs[-1] = 0.5
-                    row.append(Polynomial(coeffs))
-                phis.append(row)
-            spec = SeparableSpec(phis)
-            net = build_separable_net(spec)
+            exponents = rng.integers(0, 7, size=(int(rng.integers(1, 6)), n_vars))
+            spec = MultiPolySpec(exponents, rng.uniform(-2.0, 2.0, size=len(exponents)))
             X = rng.uniform(-1.5, 1.5, size=(100, n_vars))
-            vals = forward_batch(net, X)[:, 0]
-            ref = spec.evaluate(X)
-            assert np.max(np.abs(vals - ref) / (1.0 + np.abs(ref))) < 1e-8
+            assert_matches_exact(build_multipoly_net(spec), spec, X)
 
-    def test_spec_validation(self):
+    @given(multipoly_specs(), st.data())
+    def test_within_size_formula_and_exact(self, spec, data):
+        net = build_multipoly_net(spec)
+        width, depth = multipoly_net_size(spec)
+        assert max(net.layer_widths()) <= width
+        assert net.depth <= depth
+        point = st.lists(st.floats(-1.5, 1.5), min_size=spec.variables,
+                         max_size=spec.variables)
+        X = np.array(data.draw(st.lists(point, min_size=1, max_size=8)))
+        assert_matches_exact(net, spec, X)
+
+    @pytest.mark.parametrize("exponents, widths", [
+        ([[3, 2]], [4, 5, 1, 1]),
+        ([[1, 1]], [1, 1]),
+        ([[4]], [2, 4, 1]),
+        ([[2, 1], [1, 3]], [4, 5, 2, 1]),
+    ], ids=["x1^3x2^2", "x1x2", "x^4", "x1^2x2+x1x2^3"])
+    def test_layer_widths(self, exponents, widths):
+        """Powers by doubling, one power multiplied in per term layer, one
+        output; the net is frozen and survives a JSON round trip."""
+        net = build_multipoly_net(MultiPolySpec(exponents, [1.0] * len(exponents)))
+        assert net.layer_widths() == widths
+        assert trainable_count(net) == 0
+        assert to_json(from_json(to_json(net))) == to_json(net)
+
+    def test_repeated_root_built_from_monomials(self):
+        """(x1 + 0.9)^2 x2: the factorizer refuses (x1 + 0.9)^2, and the
+        monomials need no roots."""
+        with pytest.raises(FactorizationError):
+            factor_polynomial(Polynomial([0.81, 1.8, 1.0]))
+        spec = MultiPolySpec([[2, 1], [1, 1], [0, 1]], [1.0, 1.8, 0.81])
+        X = np.random.default_rng(0).uniform(-1.5, 1.5, size=(200, 2))
+        assert_matches_exact(build_multipoly_net(spec), spec, X)
+
+    @pytest.mark.parametrize("exponents, coefficients", [
+        ([], []), ([[]], [1.0]), ([[1], [1, 2]], [1.0, 1.0]),
+    ], ids=["no-table", "no-variable", "ragged"])
+    def test_malformed_table_refused(self, exponents, coefficients):
         with pytest.raises(ValueError):
-            SeparableSpec([])
-        with pytest.raises(ValueError):
-            SeparableSpec([[Polynomial([1.0])], []])
+            MultiPolySpec(exponents, coefficients)
+
+    @pytest.mark.parametrize("exponent", [1.7, np.nan, np.inf])
+    def test_non_integer_exponent_refused(self, exponent):
+        """Not truncated: 1.7 used to become 1."""
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            MultiPolySpec([[exponent]], [1.0])
+
+    def test_complex_coefficients_refused(self):
+        """Not cast to their real parts."""
+        with pytest.raises(ValueError, match="coefficients must be real"):
+            MultiPolySpec([[1]], [1.0 + 2.0j])
 
 
 class TestSizeFormula:

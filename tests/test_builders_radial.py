@@ -45,6 +45,12 @@ class TestShallowRadial:
         ts = np.linspace(0.0, 3.0, 50)
         np.testing.assert_array_equal(radial_profile(net, ts), np.full(50, 5.0))
 
+    def test_complex_ray_refused(self):
+        """A complex ray parameter is refused by name, not cast to its real part."""
+        net = build_shallow_radial(lambda t: 5.0, 1.0, 2.0, 1e-9, 0.1, input_dim=2)
+        with pytest.raises(ValueError, match="ts must be real"):
+            radial_profile(net, np.array([1.0 + 1.0j]))
+
     def test_identity_target_three_units(self):
         f = clamp_to_interval(lambda t: t, 1.0, 2.0)
         net = build_shallow_radial(f, 1.0, 2.0, 1.0, 0.5, input_dim=2)

@@ -223,6 +223,20 @@ class TestWidthSweep:
         assert code1 == code2 == 0
         assert (dir1 / "width_mse.csv").read_text() == (dir2 / "width_mse.csv").read_text()
 
+    def test_width_eight_wins_metric(self, tmp_path):
+        """quad_wins_w8_d<dim> counts the seeds where the quadratic net's MSE
+        at width 8 is below the conventional one's."""
+        code, run_dir = run(tmp_path, "width-sweep", "--widths", "8", "--dims", "2",
+                            "--seeds", "3", "--iterations", "200", "--samples", "20",
+                            "--learning-rate", "0.2", "--restarts", "1")
+        assert code == 0
+        rows = [line.split(",") for line in
+                (run_dir / "width_mse.csv").read_text().splitlines()[1:]]
+        mse = {(seed, kind): float(value) for _, seed, kind, _, value in rows}
+        wins = sum(mse[seed, "quadratic"] < mse[seed, "conventional"] for seed in "012")
+        assert 0 < wins < 3  # here the count is not a constant
+        assert read_report(run_dir)["metrics"] == {"quad_wins_w8_d2": wins}
+
 
 class TestFactorTrain:
     def test_reduced_run_emits_artifacts(self, tmp_path):
@@ -307,6 +321,17 @@ class TestRunLifecycle:
         with pytest.raises(OverflowError, match="boom"):
             main(["poly", "--coeffs", "1", "1", "--out-dir", str(out)])
         assert list(out.iterdir()) == []
+
+    def test_non_finite_metric_exits_one_keeping_the_report(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def cmd_nan(args, report):
+            report.metrics["max_rel_error"] = float("nan")
+
+        monkeypatch.setattr(qnn.cli, "cmd_poly", cmd_nan)
+        code, run_dir = run(tmp_path, "poly", "--coeffs", "1", "1")
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite metric in report\n"
+        assert np.isnan(read_report(run_dir)["metrics"]["max_rel_error"])
 
 
 class TestOutputDirectory:

@@ -1,18 +1,26 @@
 """Source checks: every name a qnn module imports is used in that module,
-and every CLI command runs straight through.
+every CLI command runs straight through, qnn.builders exports exactly what
+it imports, and the README's API sketch runs.
 
-Package __init__ files are skipped: their imports are the re-exported API.
+Package __init__ files are skipped by the import check: their imports are
+the re-exported API.
 """
 
 import ast
+import contextlib
+import inspect
+import io
+import re
 from pathlib import Path
 
 import pytest
 
 import qnn
+import qnn.builders
 import qnn.cli
 
 PACKAGE = Path(qnn.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -58,3 +66,19 @@ def test_commands_run_straight_through():
              for cmd in commands for node in own_nodes(cmd)
              if isinstance(node, ast.Try) or (isinstance(node, ast.Return) and node.value)]
     assert not found, "; ".join(found)
+
+
+def test_builders_all_names_what_the_package_imports():
+    imported = {name for name, value in vars(qnn.builders).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(qnn.builders.__all__) == sorted(imported)
+
+
+def test_readme_api_sketch_runs():
+    """The README's API sketch runs as written and prints what it says."""
+    section = README.read_text().split("## API sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md API sketch", "exec"), {})
+    assert out.getvalue() == "1.0\n"

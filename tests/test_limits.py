@@ -13,9 +13,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import exact_multipoly
 from qnn.builders import (
+    MultiPolySpec,
     RadialPartition,
     build_deep_radial,
+    build_multipoly_net,
     build_parabola_module,
     build_poly_net,
     plateau_interval,
@@ -144,3 +147,31 @@ class TestBernsteinDirect:
     def test_refused_at_1030(self):
         with pytest.raises(ValueError, match="n=1030"):
             bernstein_direct(absmid, 1030, np.array([0.5]))
+
+
+class TestMultiPolyNet:
+    def test_accurate_at_total_degree_300(self):
+        """Within 1e-13 (1 + sum_k |c_k x^n(k)|) of exact rational
+        evaluation on [-1.5, 1.5]^3, half the points near |x_j| = 1 where the
+        terms are of one size; no channel passes 1.5^300 = 1.9e52."""
+        spec = MultiPolySpec([[100, 100, 100], [150, 0, 149], [1, 2, 3], [0, 0, 0]],
+                             [1.5, -0.75, 2.0, 0.25])
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.5, 1.5, size=(200, 3))
+        X[:100] = rng.uniform(0.9, 1.1, size=(100, 3)) * rng.choice([-1.0, 1.0], size=(100, 3))
+        want, scale = exact_multipoly(spec, X)
+        got = forward_batch(build_multipoly_net(spec), X)[:, 0]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_nan_past_the_range_without_refusal(self):
+        """A channel above sqrt(max float64), about 1.3e154, overflows where
+        the next product layer squares it for its square term, weight 0 or
+        not, and 0 * inf makes that layer NaN.  x^200 at 10 is right, its
+        channel feeding only the linear output; x1^160 x2 + x1 x2, still
+        finite at 10, and x^600, past float64, give NaN."""
+        net = build_multipoly_net(MultiPolySpec([[200]], [1.0]))
+        assert forward_batch(net, [[10.0]])[0, 0] == pytest.approx(1e200, rel=1e-13)
+        for exponents, x in (([[160, 1], [1, 1]], [10.0, 10.0]), ([[600]], [10.0])):
+            net = build_multipoly_net(MultiPolySpec(exponents, [1.0] * len(exponents)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isnan(forward_batch(net, [x])[0, 0])

@@ -598,6 +598,15 @@ class TestPackedNetwork:
         with pytest.raises(ValueError, match="X must be real"):
             packed.forward(theta, np.ones((5, 1), dtype=complex))
 
+    def test_complex_loss_gradient_refused(self):
+        """A loss whose gradient is complex is refused by name, not cast to
+        its real part."""
+        packed = PackedNetwork(single_quadratic_net(1))
+        theta = np.zeros((1, len(packed.theta_index)))
+        with pytest.raises(ValueError, match="loss upstream must be real"):
+            packed.loss_and_grad(theta, np.ones((5, 1)),
+                                 lambda out: (None, np.ones(out.shape, dtype=complex)))
+
     @pytest.mark.parametrize("shape", [(5, 1), (2, 5, 1), (1, 4, 1), (1, 5, 2), (1, 1, 1)],
                              ids=["no-restart-axis", "two-restarts", "short-batch",
                                   "wide-output", "broadcast"])

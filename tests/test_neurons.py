@@ -48,6 +48,14 @@ class TestQuadPreactivation:
         with pytest.raises(ValueError):
             quad([1, 0], 0, [1], 0, [0, 0], 0)
 
+    @pytest.mark.parametrize("field", ["w_r", "w_g", "w_b"])
+    def test_complex_weights_refused(self, field):
+        """A complex weight is refused by name, not cast to its real part."""
+        weights = {"w_r": [1.0], "w_g": [1.0], "w_b": [1.0]}
+        weights[field] = np.array([1.0 + 1.0j])
+        with pytest.raises(ValueError, match=f"{field} must be real"):
+            QuadraticNeuron(b_r=0.0, b_g=0.0, c=0.0, **weights)
+
     def test_parameter_count_is_3n_plus_3(self):
         for n_in in (1, 2, 5):
             n = quad(np.ones(n_in), 0, np.ones(n_in), 0, np.ones(n_in), 0)
@@ -87,6 +95,10 @@ class TestConvPreactivation:
         n = ConventionalNeuron(w=[1, 1], b=0)
         with pytest.raises(ValueError):
             conv_preactivation(n, [1])
+
+    def test_complex_weights_refused(self):
+        with pytest.raises(ValueError, match="w must be real"):
+            ConventionalNeuron(w=np.array([1.0j]), b=0.0)
 
 
 class TestRelu:

@@ -35,6 +35,11 @@ class TestHorner:
         xs = np.array([0.0, 1.0, -1.0])
         np.testing.assert_allclose(horner(p, xs), [1.0, 6.0, 2.0])
 
+    def test_complex_points_refused(self):
+        """A complex point is refused by name, not cast to its real part."""
+        with pytest.raises(ValueError, match="x must be real"):
+            horner(Polynomial([1.0, 2.0]), np.array([1.0j]))
+
 
 class TestExpandFactored:
     def test_two_real_roots(self):
@@ -142,6 +147,10 @@ class TestBernsteinDirect:
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             bernstein_direct(lambda x: x, 0, np.array([0.5]))
+
+    def test_complex_points_refused(self):
+        with pytest.raises(ValueError, match="x must be real"):
+            bernstein_direct(lambda x: x, 3, np.array([0.5 + 1.0j]))
 
     @pytest.mark.parametrize("f", [lambda x: abs(x - 0.5), lambda x: x * x,
                                    lambda x: np.sin(3.0 * x)],
