@@ -19,7 +19,6 @@ from .network import (
     LayerSpec,
     NetworkSpec,
     PackedNetwork,
-    Shortcut,
     backward_batch,
     forward_batch,
     from_json,

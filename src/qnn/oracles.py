@@ -97,18 +97,13 @@ def reference_forward_batch(net: NetworkSpec, X):
     Returns (preactivations, activations), one (B, width) array per layer.
     """
     X, _ = _check_batch(net, X)
-    shortcuts = net.shortcuts  # made on each read, like net.layers
     preacts: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     current = X
-    for k, layer in enumerate(net.layers):
+    for layer in net.layers:
         Z = np.empty((X.shape[0], layer.width))
         for j, neuron in enumerate(layer.neurons):
-            z = preactivation(neuron, current)
-            for sc in shortcuts:
-                if (sc.dst_layer, sc.dst_neuron) == (k, j):
-                    z = z + sc.weight * acts[sc.src_layer][:, sc.src_neuron]
-            Z[:, j] = z
+            Z[:, j] = preactivation(neuron, current)
         preacts.append(Z)
         current = relu(Z) if layer.activation == "relu" else Z
         acts.append(current)
@@ -128,22 +123,12 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     X, upstream = _check_batch(net, X, upstream)
 
     preacts, acts = reference_forward_batch(net, X)
-    layers, shortcuts = net.layers, net.shortcuts  # made on each read
-    n_layers = len(layers)
-    grad_act: list[np.ndarray | None] = [None] * n_layers
-    grad_act[-1] = upstream.copy()
+    layers = net.layers  # made on each read
+    g_act = upstream  # the gradient of layer k's activations
 
     param_grads: dict[tuple[int, int], np.ndarray] = {}
-    shortcut_grads = np.zeros(len(shortcuts))
-    outgoing: dict[tuple[int, int], list[int]] = {}
-    for idx, sc in enumerate(shortcuts):
-        outgoing.setdefault((sc.dst_layer, sc.dst_neuron), []).append(idx)
-
-    for k in range(n_layers - 1, -1, -1):
+    for k in range(len(layers) - 1, -1, -1):
         layer = layers[k]
-        g_act = grad_act[k]
-        if g_act is None:
-            g_act = np.zeros_like(acts[k])
         if layer.activation == "relu":
             g_pre = g_act * relu_prime(preacts[k])
         else:
@@ -179,32 +164,14 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
                 grads = np.zeros(0)
                 g_inp[:, neuron.index] += d
             param_grads[(k, j)] = grads
-            for idx in outgoing.get((k, j), ()):
-                sc = shortcuts[idx]
-                src = acts[sc.src_layer][:, sc.src_neuron]
-                shortcut_grads[idx] = float(d @ src)
-                prev = grad_act[sc.src_layer]
-                if prev is None:
-                    prev = np.zeros_like(acts[sc.src_layer])
-                    grad_act[sc.src_layer] = prev
-                prev[:, sc.src_neuron] += sc.weight * d
-        if k > 0:
-            if grad_act[k - 1] is None:
-                grad_act[k - 1] = g_inp
-            else:
-                grad_act[k - 1] = grad_act[k - 1] + g_inp
+        g_act = g_inp
 
     parts = [
         param_grads[(k, j)][mask]
         for k, layer_masks in enumerate(net.masks)
         for j, mask in enumerate(layer_masks)
     ]
-    parts.append(
-        np.array(
-            [shortcut_grads[i] for i, sc in enumerate(shortcuts) if sc.trainable]
-        )
-    )
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate(parts)
 
 
 def grid_l1(f, g, grid: GridSpec) -> float:

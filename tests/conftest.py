@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from qnn.network import LayerSpec, NetworkSpec, Shortcut
+from qnn.network import LayerSpec, NetworkSpec
 from qnn.neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
 from qnn.oracles import reference_forward_batch
 
@@ -23,9 +23,8 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qnn-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
-def random_parts(rng, max_layers=4, max_width=3, max_input=3,
-                 allow_shortcuts=True, allow_frozen=True):
-    """The NetworkSpec arguments (input_dim, layers, shortcuts, masks) of a
+def random_parts(rng, max_layers=4, max_width=3, max_input=3, allow_frozen=True):
+    """The NetworkSpec arguments (input_dim, layers, masks) of a
     small random network mixing neuron kinds, activations, and masks; masks
     is None, everything trainable, unless allow_frozen."""
     input_dim = int(rng.integers(1, max_input + 1))
@@ -55,27 +54,11 @@ def random_parts(rng, max_layers=4, max_width=3, max_input=3,
         layers.append(LayerSpec(neurons, activation))
         prev = width
 
-    shortcuts = []
-    if allow_shortcuts and n_layers >= 2 and rng.random() < 0.7:
-        for _ in range(int(rng.integers(1, 4))):
-            src_layer = int(rng.integers(0, n_layers - 1))
-            dst_layer = int(rng.integers(src_layer + 1, n_layers))
-            shortcuts.append(
-                Shortcut(
-                    src_layer=src_layer,
-                    src_neuron=int(rng.integers(0, layers[src_layer].width)),
-                    dst_layer=dst_layer,
-                    dst_neuron=int(rng.integers(0, layers[dst_layer].width)),
-                    weight=float(rng.normal()),
-                    trainable=bool(rng.random() < 0.8),
-                )
-            )
-
     masks = None
     if allow_frozen:  # about one parameter in five frozen
         masks = [[rng.random(size=nr.param_count) >= 0.2 for nr in layer.neurons]
                  for layer in layers]
-    return input_dim, layers, shortcuts, masks
+    return input_dim, layers, masks
 
 
 def random_network(rng, **kwargs) -> NetworkSpec:

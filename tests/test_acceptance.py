@@ -74,7 +74,7 @@ def test_criterion_01_gradients_match_finite_differences(capsys):
     checked = 0
     worst = 0.0
     while checked < 100:
-        net = random_network(rng, allow_shortcuts=bool(checked % 2))
+        net = random_network(rng)
         x = input_away_from_kinks(net, rng)
         if x is None or trainable_count(net) == 0:
             continue

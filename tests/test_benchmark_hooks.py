@@ -35,7 +35,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
 @pytest.mark.parametrize("net, tag", [
     # three linear factors: the odd one passes through the product layer
     (build_poly_net(FactoredForm(1.0, [0.5, -1.0, 1.5])), None),
-    (build_factorization_trainable(5, 1, 2), None),  # shortcut taps
+    (build_factorization_trainable(5, 1, 2), None),  # passthrough taps
     (one_hidden_quadratic(4, 32), "quadratic_w32"),
 ], ids=["product-tree", "factorizer", "quadratic-w32"])
 def test_trace_shapes_count_every_neuron_kind(net, tag, monkeypatch):

@@ -535,8 +535,8 @@ class TestSizeFormula:
 class TestFactorizationTrainable:
     def test_counts_for_degree_five(self):
         net = build_factorization_trainable(5, 1, 2)
-        assert net.depth == 4
-        assert trainable_count(net) == 3 * 6 + 2 + 6
+        assert net.layer_widths() == [3, 6, 7, 1]
+        assert trainable_count(net) == 3 * 6 + 7 + 1  # factors, output weights and bias
         assert parameter_count(net) - trainable_count(net) > 0
 
     def test_zero_offsets_reduce_to_exact_product(self):
@@ -548,8 +548,9 @@ class TestFactorizationTrainable:
         values[0:6] = [1.0, -1.0, 0.0, 1.0, 0.0, 0.0]        # x - 1
         values[6:12] = [0.0, 1.0, 0.0, 1.0, 1.0, 0.0]        # x^2 + 1
         values[12:18] = [1.7, 1.2, 0.0, 1.0, 1.0, 0.0]       # x^2 + 1.7x + 1.2
-        values[18:20] = [1.0, 0.0]                           # output w, b
-        values[20:] = 0.0                                    # shortcut taps
+        values[18] = 1.0                                     # output w of the triple
+        values[19:25] = 0.0                                  # taps of factors, pairs
+        values[25] = 0.0                                     # output bias
         seeded = set_trainable_values(net, values)
 
         reference = build_poly_net(G_FACTORS)
@@ -571,13 +572,11 @@ class TestFactorizationTrainable:
 
     def test_two_factor_variant(self):
         net = build_factorization_trainable(4, 0, 2)
-        assert net.depth == 3
-        assert len(net.shortcuts) == 2
+        assert net.layer_widths() == [2, 3, 1]
 
     def test_single_factor_variant(self):
         net = build_factorization_trainable(2, 0, 1)
-        assert net.depth == 2
-        assert len(net.shortcuts) == 0
+        assert net.layer_widths() == [1, 1]
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ValueError):

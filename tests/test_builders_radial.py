@@ -98,6 +98,16 @@ class TestShallowRadial:
         with pytest.raises(ValueError):
             build_shallow_radial(lambda t: t, 1.0, 2.0, -1.0, 0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["r", "R", "L", "delta"])
+    def test_non_finite_argument_refused(self, name, value):
+        """Refused by name, before any knot is placed; delta = inf would
+        otherwise pass as a budget that needs no hidden unit."""
+        args = dict(r=1.0, R=2.0, L=1.0, delta=0.1)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build_shallow_radial(lambda t: t, **args)
+
 
 class TestParabolaModule:
     def test_zero_at_interval_ends_and_outside(self):

@@ -7,6 +7,7 @@ high-precision oracle where values are compared.  The README's table of
 ranges states the same limits.
 """
 
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +22,8 @@ from qnn.builders import (
     build_multipoly_net,
     build_parabola_module,
     build_poly_net,
+    build_shallow_radial,
+    multipoly_net_size,
     plateau_interval,
     radial_profile,
 )
@@ -175,3 +178,36 @@ class TestMultiPolyNet:
             net = build_multipoly_net(MultiPolySpec(exponents, [1.0] * len(exponents)))
             with np.errstate(over="ignore", invalid="ignore"):
                 assert np.isnan(forward_batch(net, [x])[0, 0])
+
+    def test_power_channels_up_to_2058(self):
+        """The largest exponents of the variables may sum to 2058, the d = 2
+        tensor-product Bernstein net's at n = 1029 (not built here: 161 MiB)."""
+        spec = MultiPolySpec([[1029, 1], [3, 1029]], [1.0, 1.0])
+        assert multipoly_net_size(spec) == (2 * 2058 + 4, 1031)
+
+    @pytest.mark.parametrize("exponents", [[[1030, 1029]], [[1e300]], [[2.0**63]]],
+                             ids=["2059", "1e300", "2^63"])
+    def test_refused_past_2058_power_channels(self, exponents):
+        """Refused by name before any net is allocated; a float past int64
+        before the int64 cast, so no RuntimeWarning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exponents: .* more than 2058 power channels"):
+                MultiPolySpec(exponents, [1.0])
+
+
+class TestShallowRadialUnits:
+    def test_within_delta_at_1e5_units(self):
+        """sin on [1, 2] with L = 1 and delta = 1e-5: 10^5 hidden units,
+        within delta of the target along a ray, flat past R."""
+        net = build_shallow_radial(np.sin, 1.0, 2.0, 1.0, 1e-5, input_dim=2)
+        assert net.layer_widths() == [100_000, 1]
+        ts = np.linspace(0.0, 2.5, 2001)
+        want = np.sin(np.clip(ts, 1.0, 2.0))
+        assert np.max(np.abs(radial_profile(net, ts) - want)) < 1e-5
+
+    def test_refused_above_1e6_units(self):
+        """(R - r) L / delta = 10^6 asks for 10^6 + 1 units, refused before
+        any is made (10^6 units at input_dim 2 take 92 MiB of params)."""
+        with pytest.raises(ValueError, match="more than 1000000 hidden units"):
+            build_shallow_radial(np.sin, 1.0, 2.0, 1e6, 1.0, input_dim=2)

@@ -1,4 +1,4 @@
-"""Forward/backward evaluation, shortcuts, masks, and serialization."""
+"""Forward/backward evaluation, masks, and serialization."""
 
 import copy
 import json
@@ -21,7 +21,6 @@ from qnn.network import (
     LayerSpec,
     NetworkSpec,
     PackedNetwork,
-    Shortcut,
     _through_fan_in,
     backward_batch,
     forward_batch,
@@ -50,10 +49,8 @@ def norm_neuron(n=2):
 def matmul_forward_batch(net, X):
     """Reference for forward_batch: every product through a layer's fan-in a
     matmul, fan-in one included."""
-    weights = net.params[net._layout.size:]
-    acts = []
     current = np.asarray(X, dtype=np.float64).T
-    for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
+    for block, (activation, kinds) in zip(net.blocks, net.structure):
         n = len(current)
         Z = block[:n].T @ current
         Z += block[n][:, None]
@@ -63,23 +60,17 @@ def matmul_forward_batch(net, X):
             Z *= Q
             Z += block[2 * n + 2 : 3 * n + 2].T @ (current * current)
             Z += block[3 * n + 2][:, None]
-        for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
-            if dst == k:
-                Z[dst_neuron] += weight * acts[src][src_neuron]
         if activation == "relu":
             np.maximum(0.0, Z, out=Z)
-        acts.append(Z)
         current = Z
     return np.ascontiguousarray(current.T)
 
 
 def whole_batch_forward(net, X):
     """Reference for forward_batch's tiles: its arithmetic, layer by layer,
-    on the whole batch at once, every layer's activations kept."""
-    weights = net.params[net._layout.size:]
-    acts = []
+    on the whole batch at once."""
     current = np.asarray(X, dtype=np.float64).T
-    for k, (block, (activation, kinds)) in enumerate(zip(net.blocks, net.structure)):
+    for block, (activation, kinds) in zip(net.blocks, net.structure):
         n = len(current)
         Z = _through_fan_in(block[:n], current)
         Z += block[n][:, None]
@@ -89,12 +80,8 @@ def whole_batch_forward(net, X):
             Z *= Q
             Z += _through_fan_in(block[2 * n + 2 : 3 * n + 2], current * current, out=Q)
             Z += block[3 * n + 2][:, None]
-        for weight, (src, src_neuron, dst, dst_neuron) in zip(weights, net.shortcut_ends):
-            if dst == k:
-                Z[dst_neuron] += weight * acts[src][src_neuron]
         if activation == "relu":
             np.maximum(0.0, Z, out=Z)
-        acts.append(Z)
         current = Z
     return np.ascontiguousarray(current.T)
 
@@ -159,7 +146,7 @@ def tile_rows(net) -> int:
 @st.composite
 def tiled_nets(draw):
     """Nets of up to four layers up to 70 wide, mixing the three neuron
-    kinds, either activation, shortcuts and fan-in-one layers, with normal
+    kinds, either activation and fan-in-one layers, with normal
     parameters, sometimes every bias a signed zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     input_dim = draw(st.integers(1, 4))
@@ -171,14 +158,7 @@ def tiled_nets(draw):
                                         p=draw(st.sampled_from([(1, 0, 0), (0.4, 0.4, 0.2)])))]
         structure.append((draw(st.sampled_from(["relu", "identity"])), kinds))
         fan_in = m
-    shortcuts = []
-    if len(widths) > 1:
-        for _ in range(draw(st.integers(0, 3))):
-            src = int(rng.integers(len(widths) - 1))
-            dst = int(rng.integers(src + 1, len(widths)))
-            shortcuts.append(Shortcut(src, int(rng.integers(widths[src])), dst,
-                                      int(rng.integers(widths[dst])), rng.normal()))
-    net = NetworkSpec.blank(input_dim, structure, shortcuts)
+    net = NetworkSpec.blank(input_dim, structure)
     own = net._layout.own
     net.params[own] = rng.normal(size=len(own))
     if draw(st.booleans()):  # b_r, b_g and c of every column ±0
@@ -304,7 +284,9 @@ class TestForward:
     def test_builder_nets_match_reference_bitwise(self):
         """On the constructed nets the compiled blocks do the per-neuron
         arithmetic in the same order: product trees, Bernstein n <= 24, deep
-        radial at d = 2-4, and the factorizer with random parameters."""
+        radial at d = 2-4, and the factorizer with random factors, its
+        product and passthrough layers, and an output that reads the triple
+        product alone."""
         rng = np.random.default_rng(29)
         xs = np.linspace(-1.5, 1.5, 257)[:, None]
         cases = []
@@ -322,53 +304,24 @@ class TestForward:
                               5.0 * rng.normal(size=(257, dim))))
         net = build_factorization_trainable(5, 1, 2)
         theta = rng.uniform(-0.5, 0.5, size=trainable_count(net))
+        theta[19:] = 0.0  # the output's taps and bias; see the next test
         cases.append((set_trainable_values(net, theta), xs))
         for net, X in cases:
             _, acts = reference_forward_batch(net, X)
             assert forward_batch(net, X).tobytes() == acts[-1].tobytes()
 
-
-class TestShortcuts:
-    def test_zero_weight_shortcut_is_inert(self, net_factory):
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 20:
-            net = net_factory(rng, allow_shortcuts=False)
-            if net.depth < 2:
-                continue
-            x = rng.normal(size=net.input_dim)
-            base = forward_batch(net, x[None])[0]
-            src_layer = int(rng.integers(0, net.depth - 1))
-            dst_layer = int(rng.integers(src_layer + 1, net.depth))
-            sc = Shortcut(
-                src_layer, int(rng.integers(0, net.layers[src_layer].width)),
-                dst_layer, int(rng.integers(0, net.layers[dst_layer].width)),
-                weight=0.0,
-            )
-            with_sc = NetworkSpec(net.input_dim, net.layers, [sc], net.masks)
-            np.testing.assert_array_equal(forward_batch(with_sc, x[None])[0], base)
-            checked += 1
-
-    def test_shortcut_injects_before_activation(self):
-        # relu(w.x + b + weight * src) with a negative sum must clip at 0
-        layers = [
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
-            LayerSpec([ConventionalNeuron(w=[0.0], b=1.0)], "relu"),
-        ]
-        sc = Shortcut(0, 0, 1, 0, weight=-2.0)
-        net = NetworkSpec(1, layers, [sc])
-        assert forward_batch(net, [[1.0]])[0, 0] == 0.0  # relu(1 - 2) = 0
-        assert forward_batch(net, [[0.25]])[0, 0] == 0.5  # relu(1 - 0.5)
-
-    def test_backward_only_points_forward(self):
-        layers = [
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
-        ]
-        with pytest.raises(ValueError):
-            NetworkSpec(1, layers, [Shortcut(1, 0, 1, 0, 1.0)])
-        with pytest.raises(ValueError):
-            NetworkSpec(1, layers, [Shortcut(0, 5, 1, 0, 1.0)])
+    def test_factorizer_matches_reference(self):
+        """With every parameter random, the factorizer's output is a dense
+        sum of seven taps.  Its BLAS kernel follows the operand layout, which
+        need not be the per-neuron oracle's, so the two agree to rounding."""
+        rng = np.random.default_rng(30)
+        xs = np.linspace(-1.5, 1.5, 257)[:, None]
+        net = build_factorization_trainable(5, 1, 2)
+        for _ in range(5):
+            theta = rng.uniform(-0.5, 0.5, size=trainable_count(net))
+            updated = set_trainable_values(net, theta)
+            _, acts = reference_forward_batch(updated, xs)
+            np.testing.assert_allclose(forward_batch(updated, xs), acts[-1], rtol=1e-12)
 
 
 class TestValidation:
@@ -401,19 +354,6 @@ class TestValidation:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec([norm_neuron(2)], "tanh")
-
-    @pytest.mark.parametrize("field", ["src_neuron", "dst_neuron"])
-    def test_negative_shortcut_neuron_rejected(self, field):
-        layers = [
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)] * 2, "identity"),
-            LayerSpec([ConventionalNeuron(w=[1.0, 1.0], b=0.0)] * 2, "identity"),
-        ]
-        NetworkSpec(1, layers, [Shortcut(0, 1, 1, 1, 1.0)])
-        edge = dict(src_layer=0, src_neuron=1, dst_layer=1, dst_neuron=1, weight=1.0)
-        edge[field] = -1
-        with pytest.raises(ValueError):
-            NetworkSpec(1, layers, [Shortcut(**edge)])
-
 
 class TestBackward:
     def test_constant_offset_gradient_is_one(self):
@@ -456,7 +396,7 @@ class TestBackward:
 
     def test_batch_gradient_sums_per_sample(self, net_factory):
         rng = np.random.default_rng(13)
-        net = net_factory(rng, allow_shortcuts=True)
+        net = net_factory(rng)
         X = rng.normal(size=(4, net.input_dim))
         U = rng.normal(size=(4, net.output_dim))
         total = backward_batch(net, X, U)
@@ -505,7 +445,6 @@ class TestPackedNetwork:
             net = net_factory(rng)
             kinds.update(type(nr).__name__ for layer in net.layers for nr in layer.neurons)
             kinds.update(layer.activation for layer in net.layers)
-            kinds.add(bool(net.shortcuts))
             theta = rng.normal(size=trainable_count(net))
             X = rng.normal(size=(9, net.input_dim))
             U = rng.normal(size=(9, net.output_dim))
@@ -517,7 +456,7 @@ class TestPackedNetwork:
             np.testing.assert_allclose(out[0], acts[-1], rtol=1e-12, atol=1e-12)
             assert_gradients_close(grad[0], reference_backward_batch(updated, X, U), 1e-12)
         assert kinds == {"QuadraticNeuron", "ConventionalNeuron", "PassthroughNeuron",
-                         "relu", "identity", True, False}
+                         "relu", "identity"}
 
     def test_public_members(self):
         packed = PackedNetwork(single_quadratic_net(2))
@@ -775,16 +714,6 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not finite"):
             to_json(net)
 
-    def test_non_finite_shortcut_weight_rejected(self):
-        layers = [
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "relu"),
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
-            LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity"),
-        ]
-        net = NetworkSpec(1, layers, [Shortcut(0, 0, 2, 0, weight=np.inf)])
-        with pytest.raises(ValueError, match="not finite"):
-            to_json(net)
-
     @pytest.mark.parametrize("text, problem", [
         ("[]", "object"),
         ("3", "object"),
@@ -799,10 +728,9 @@ class TestSerialization:
     def _valid_document() -> dict:
         layers = [
             LayerSpec([norm_neuron(1), PassthroughNeuron(0)], "relu"),
-            LayerSpec([ConventionalNeuron(w=[1.0, -1.0], b=0.5)], "identity"),
+            LayerSpec([ConventionalNeuron(w=[1.0, -1.0], b=0.25)], "identity"),
         ]
-        net = NetworkSpec(1, layers, [Shortcut(0, 1, 1, 0, weight=0.25)])
-        return json.loads(to_json(net))
+        return json.loads(to_json(NetworkSpec(1, layers)))
 
     @pytest.mark.parametrize("edit, problem", [
         (_edit(["layers", 1, "neurons"]), "layer 1: lacks 'neurons'"),
@@ -814,10 +742,6 @@ class TestSerialization:
         (_edit(["layers", 0, "neurons", 1, "index"], "0"), "layer 0: neuron 1: 'index'"),
         (_edit(["layers", 0, "neurons", 1], 7), "layer 0: neuron 1: expected an object"),
         (_edit(["layers", 0, "activation"], None), "layer 0: 'activation'"),
-        (_edit(["shortcuts", 0, "bogus"], 1), "shortcut 0: unknown key 'bogus'"),
-        (_edit(["shortcuts", 0, "weight"]), "shortcut 0: lacks 'weight'"),
-        (_edit(["shortcuts", 0, "trainable"], 1), "shortcut 0: 'trainable'"),
-        (_edit(["shortcuts", 0, "src_layer"], 0.0), "shortcut 0: 'src_layer'"),
         (_edit(["input_dim"], "1"), "input_dim' must be an integer"),
         (_edit(["layers"], {}), "'layers' must be a list"),
         (_edit(["masks", 1, 0, 1], 2), "masks of layer 1: neuron 0: .*0 and 1"),
@@ -829,6 +753,15 @@ class TestSerialization:
         from_json(json.dumps(doc))
         edit(doc)
         with pytest.raises(ValueError, match=problem):
+            from_json(json.dumps(doc))
+
+    def test_saved_shortcut_edge_refused(self):
+        """A document that holds an edge skipping layers, as older versions
+        wrote them, is refused by name rather than read without the edge."""
+        doc = self._valid_document()
+        doc["shortcuts"] = [{"src_layer": 0, "src_neuron": 1, "dst_layer": 1,
+                             "dst_neuron": 0, "trainable": True, "weight": 0.25}]
+        with pytest.raises(ValueError, match="'shortcuts' must be empty"):
             from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("edit, problem", [

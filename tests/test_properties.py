@@ -13,7 +13,6 @@ from qnn.network import (
     LayerSpec,
     NetworkSpec,
     PackedNetwork,
-    Shortcut,
     forward_batch,
     from_json,
     one_hidden_conventional,
@@ -44,7 +43,7 @@ def assert_close(got, want):
 @st.composite
 def networks(draw):
     """Up to four layers of up to three neurons of any kind, either
-    activation, shortcuts and frozen mask entries."""
+    activation and frozen mask entries."""
     input_dim = draw(st.integers(1, 3))
     layers = []
     fan_in = input_dim
@@ -59,18 +58,9 @@ def networks(draw):
                 neurons.append(neuron_from_params(kind, draw(vectors(count))))
         layers.append(LayerSpec(neurons, draw(st.sampled_from(ACTIVATIONS))))
         fan_in = len(neurons)
-    shortcuts = []
-    for _ in range(draw(st.integers(0, 3)) if len(layers) > 1 else 0):
-        src = draw(st.integers(0, len(layers) - 2))
-        dst = draw(st.integers(src + 1, len(layers) - 1))
-        shortcuts.append(Shortcut(
-            src, draw(st.integers(0, layers[src].width - 1)),
-            dst, draw(st.integers(0, layers[dst].width - 1)),
-            draw(small), draw(st.booleans()),
-        ))
     masks = [[draw(vectors(nr.param_count, st.booleans())).astype(bool) for nr in layer.neurons]
              for layer in layers]
-    return NetworkSpec(input_dim, layers, shortcuts, masks)
+    return NetworkSpec(input_dim, layers, masks)
 
 
 @given(st.data())
@@ -192,13 +182,9 @@ def test_trainable_values_round_trip(data):
     for layer, layer_masks, kept in zip(updated.layers, updated.masks, frozen):
         for nr, mask, old in zip(layer.neurons, layer_masks, kept):
             assert nr.param_vector()[~mask].tobytes() == old.tobytes()
-    for new, old in zip(updated.shortcuts, net.shortcuts):
-        assert new.trainable == old.trainable
-        if not old.trainable:
-            assert new.weight == old.weight
 
 
-# The conftest random nets: every neuron kind, passthroughs, shortcuts and,
+# The conftest random nets: every neuron kind, passthroughs and,
 # unless everything is trainable, masks with frozen entries.
 random_nets = st.tuples(st.integers(0, 2**32 - 1), st.booleans()).map(
     lambda drawn: random_parts(np.random.default_rng(drawn[0]), allow_frozen=drawn[1]))
@@ -221,7 +207,7 @@ def test_json_round_trip_of_random_nets(parts):
 def test_neurons_read_back_from_the_blocks(parts):
     """net.layers and net.masks, made from the stored blocks, give back the
     neurons and masks the net was built from, bit for bit."""
-    input_dim, layers, shortcuts, masks = parts
+    input_dim, layers, masks = parts
     net = NetworkSpec(*parts)
     for layer, read, layer_masks, read_masks in zip(
             layers, net.layers, full_masks(layers, masks), net.masks, strict=True):
@@ -232,19 +218,16 @@ def test_neurons_read_back_from_the_blocks(parts):
             assert getattr(got, "index", None) == getattr(nr, "index", None)
             assert got.param_vector().tobytes() == nr.param_vector().tobytes()
             assert got_mask.tobytes() == np.asarray(mask, dtype=bool).tobytes()
-    assert [(sc.weight, sc.trainable) for sc in net.shortcuts] == [
-        (sc.weight, sc.trainable) for sc in shortcuts]
 
 
 @given(random_nets)
 def test_trainable_values_in_canonical_order(parts):
     """The trainable vector is each neuron's masked parameter vector, layer
-    by layer and neuron by neuron, then the trainable shortcut weights."""
-    input_dim, layers, shortcuts, masks = parts
+    by layer and neuron by neuron."""
+    input_dim, layers, masks = parts
     expected = [nr.param_vector()[mask]
                 for layer, layer_masks in zip(layers, full_masks(layers, masks))
                 for nr, mask in zip(layer.neurons, layer_masks)]
-    expected.append(np.array([sc.weight for sc in shortcuts if sc.trainable]))
     assert (trainable_values(NetworkSpec(*parts)).tobytes()
             == np.concatenate(expected).tobytes())
 
