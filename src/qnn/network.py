@@ -16,9 +16,10 @@ a layer of fan-in one by broadcast multiplies, trainable_values and
 set_trainable_values gather and scatter on them, and a PackedNetwork, the
 training executor, copies them into one row per restart so that every
 restart advances in the same stacked matmuls; backward_batch is a one-row
-executor at the net's own values.  Complex inputs, parameters and data
-are refused by name (neurons._real), here and in neurons, trainer,
-polynomials, oracles and builders, rather than cast to their real parts.
+executor at the net's own values.  Complex and non-numeric inputs,
+parameters and data are refused by name (neurons._real), here and in
+neurons, trainer, polynomials, oracles and builders, rather than cast to
+their real parts or read as NaN.
 
 Two evaluators of the blocks remain, for a measured reason (2-core VM, one
 BLAS thread, B = 4096, best of 5): forward_batch is not the forward pass of
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neurons import Neuron, PassthroughNeuron, _real, neuron_fan_in, neuron_from_params
+from .neurons import Neuron, PassthroughNeuron, _integer, _real, neuron_fan_in, neuron_from_params
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -161,8 +162,9 @@ class NetworkSpec:
 
     def _setup(self, input_dim, structure, counts=None, mask_lengths=None):
         """Check the structure, and each neuron's parameter count and mask
-        length where given, and allocate params and trainable."""
-        if input_dim < 1:
+        length where given, and allocate params and trainable.  input_dim is
+        checked to be an integer first: the layout caches would key 2.0 as 2."""
+        if _integer(input_dim, "input_dim") < 1:
             raise ValueError("input_dim must be >= 1")
         if not structure:
             raise ValueError("network must have at least one layer")
@@ -473,12 +475,17 @@ def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
 
 class _PackedLayer(NamedTuple):
     quadratic: bool  # False: conventional and passthrough neurons only
+    # False where the layer is quadratic but its [W_b; c] third is frozen
+    # at zero: it has no square term to evaluate or differentiate
+    square: bool
     relu: bool
     inp: slice  # augmented input [x; 1], rows of the activation array
     out: slice  # this layer's activations
     thirds_t: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c] transposed: (R, m, n + 1) views
     weights: tuple  # W_r, W_g, W_b without the bias rows: (R, n, m)
-    grads: tuple  # gradient views of the thirds, untransposed: (R, n + 1, m)
+    # gradient views of the thirds, untransposed, (R, n + 1, m); None for a
+    # third with no trainable entry
+    grads: tuple
     # the backward's products through the layer's width, W @ d:
     # np.multiply, a broadcast, where the layer is one neuron wide (a rank-1
     # BLAS call costs about six times as much), else np.matmul.  Only an
@@ -491,7 +498,7 @@ class _LayerBuffers(NamedTuple):
     # Each is a C-contiguous (R, rows, B) array, n the layer's fan-in and m
     # its width.
     product: np.ndarray  # m rows, over grad_acts' memory, which the forward leaves free
-    X2: np.ndarray | None  # X1 * X1, n + 1 rows; quadratic layers only
+    X2: np.ndarray | None  # X1 * X1, n + 1 rows; layers with a square term only
     P: np.ndarray | None  # m rows; quadratic layers only
     Q: np.ndarray | None
     T: np.ndarray | None  # n rows; quadratic layers sum their input gradient through it
@@ -524,6 +531,24 @@ class PackedNetwork:
     as its affine part alone.  `theta_index` maps the canonical trainable
     vector into a row of `params`.
 
+    The executor does only the work a trainable value needs, as it is made,
+    from net.trainable and net.params.  A third of a layer's block, [W_r;
+    b_r], [W_g; b_g] or [W_b; c], with no trainable entry gets no parameter
+    gradient: the backward skips its reduction, and the gradient, read at
+    the trainable positions alone, keeps every bit.  A quadratic layer whose
+    whole [W_b; c] third is frozen and zero, as in the product layers of the
+    trainable factorizer and of the exact product nets, has no square term:
+    the forward forms neither X1 * X1 nor its product, and the backward no
+    2 x * (W_b d) input-gradient term.  That holds because the frozen entries
+    of `params` are fixed when the executor is made: `forward` writes
+    `params` at `theta_index` alone, and no caller writes it elsewhere.
+    Outputs and gradients keep their bits on finite activations, except that
+    an exact -0.0 product stays -0.0 where the skipped zero term made it
+    +0.0; nothing reads that sign.  Where a channel passes sqrt(max float64),
+    about 1.3e154, no square overflows into 0 * inf = NaN, so the executor
+    gives the finite values forward_batch, which squares every channel of a
+    quadratic layer, gives as NaN.
+
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
     The executor agrees with oracles.reference_forward_batch and
@@ -539,8 +564,9 @@ class PackedNetwork:
 
     The executor owns its work arrays, one set for the batch size last seen:
     the activations (R, act_width, B), their ones rows written once, the
-    activation gradient of the same shape, X1 * X1, P and Q of each quadratic
-    layer and an (R, n, B) scratch for a quadratic layer's input gradient.
+    activation gradient of the same shape, X1 * X1 of each layer with a
+    square term, P and Q of each quadratic layer and an (R, n, B) scratch for
+    a quadratic layer's input gradient.
     Every layer's slice of the activations is then contiguous within a restart.
     The first forward pass at a batch size makes them and a new size replaces
     them; they live as long as the executor, and the trainer makes one executor
@@ -560,7 +586,7 @@ class PackedNetwork:
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
-        if restarts < 1:
+        if _integer(restarts, "restarts") < 1:
             raise ValueError("restarts must be >= 1")
         self._input_dim = net.input_dim
         self.params = np.tile(net.params, (restarts, 1))
@@ -574,20 +600,25 @@ class PackedNetwork:
         self._act_width = int(base[-1])
 
         self._layers = []
-        blocks = zip(net._split(self.params), net._split(self._grad))
-        for k, ((block, gblock), n, (activation, kinds)) in enumerate(
+        blocks = zip(net._split(self.params), net._split(self._grad),
+                     net.blocks, net._split(net.trainable))
+        for k, ((block, gblock, values, trainable), n, (activation, kinds)) in enumerate(
                 zip(blocks, fan_in, net.structure)):
             m = block.shape[2]
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
+            learnt = [trainable[t].any() for t in thirds]
+            quadratic = "quadratic" in kinds
             self._layers.append(_PackedLayer(
-                quadratic="quadratic" in kinds,
+                quadratic=quadratic,
+                square=bool(quadratic and (learnt[2] or values[thirds[2]].any())),
                 relu=activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
                 thirds_t=tuple(block[:, t].swapaxes(1, 2) for t in thirds),
                 weights=tuple(block[:, t] for t in weights),
-                grads=tuple(gblock[:, t] for t in thirds),
+                grads=tuple(gblock[:, t] if some else None
+                            for t, some in zip(thirds, learnt)),
                 through_width=np.multiply if m == 1 else np.matmul,
             ))
 
@@ -616,8 +647,10 @@ class PackedNetwork:
             per_layer = []
             for layer, n, m, s in zip(self._layers, fan_in, widths, summed):
                 X2 = P = Q = None
+                if layer.square:
+                    X2 = np.empty((R, n + 1, batch))
                 if layer.quadratic:
-                    X2, P, Q = (np.empty((R, rows, batch)) for rows in (n + 1, m, m))
+                    P, Q = (np.empty((R, m, batch)) for _ in range(2))
                 per_layer.append(_LayerBuffers(
                     _leading(grad_acts, (R, m, batch)), X2, P, Q,
                     _leading(scratch, (R, n, batch)) if s else None,
@@ -639,15 +672,17 @@ class PackedNetwork:
         acts = work.acts
         acts[:, : self._input_dim] = X.T
         for layer, (product, X2, P, Q, _) in zip(self._layers, work.layers):
-            quadratic, relu, inp, out, (W, W_g, W_b), _, _, _ = layer
+            quadratic, square, relu, inp, out, (W, W_g, W_b), _, _, _ = layer
             X1 = acts[:, inp]
             Z = acts[:, out]
-            if quadratic:
+            if square:
                 np.multiply(X1, X1, out=X2)
+            if quadratic:
                 np.matmul(W, X1, out=P)
                 np.matmul(W_g, X1, out=Q)
                 np.multiply(P, Q, out=Z)
-                Z += np.matmul(W_b, X2, out=product)
+                if square:
+                    Z += np.matmul(W_b, X2, out=product)
             else:
                 np.matmul(W, X1, out=Z)
             if relu:
@@ -669,7 +704,7 @@ class PackedNetwork:
         grad_acts[:, self._layers[-1].out] = upstream.swapaxes(1, 2)
         grad = self._grad
         for k in range(len(self._layers) - 1, -1, -1):
-            (quadratic, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b),
+            (quadratic, square, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b),
              through) = self._layers[k]
             _, X2, P, Q, T = work.layers[k]
             X1 = acts[:, inp]
@@ -682,15 +717,19 @@ class PackedNetwork:
             if quadratic:
                 dq = np.multiply(d, Q, out=Q)
                 dp = np.multiply(d, P, out=P)
-                np.matmul(X1, dp.swapaxes(1, 2), out=G_g)
-                np.matmul(X2, d.swapaxes(1, 2), out=G_b)
-            np.matmul(X1, dq.swapaxes(1, 2), out=G)
+                if G_g is not None:
+                    np.matmul(X1, dp.swapaxes(1, 2), out=G_g)
+                if G_b is not None:
+                    np.matmul(X2, d.swapaxes(1, 2), out=G_b)
+            if G is not None:
+                np.matmul(X1, dq.swapaxes(1, 2), out=G)
             if not k:
                 break
             g_inp = grad_acts[:, inp.start : inp.stop - 1]
             through(W, dq, out=g_inp)
             if quadratic:
                 g_inp += through(W_g, dp, out=T)
+            if square:
                 # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
                 through(W_b, d, out=T)
                 T *= X1[:, :-1]
@@ -757,7 +796,7 @@ def one_hidden_conventional(input_dim: int, width: int) -> NetworkSpec:
 
 def _one_hidden(kind: str, input_dim: int, width: int) -> NetworkSpec:
     """width zero-initialised ReLU units of one kind feeding one linear output neuron."""
-    if width < 1:
+    if _integer(width, "width") < 1:
         raise ValueError("width must be >= 1")
     return NetworkSpec.blank(
         input_dim, [("relu", [kind] * width), ("identity", ["conventional"])])

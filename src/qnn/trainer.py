@@ -13,11 +13,11 @@ false are never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .network import NetworkSpec, PackedNetwork, _real, forward_batch, set_trainable_values
+from .network import NetworkSpec, PackedNetwork, forward_batch, set_trainable_values
+from .neurons import _integer, _real
 from .oracles import horner
 from .polynomials import Polynomial
 
@@ -43,9 +43,7 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
         for name in ("iterations", "restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.restarts < 1:

@@ -28,7 +28,7 @@ from qnn.builders import (
     radial_profile,
 )
 from qnn.cli import RADIAL_BREAKPOINTS, RADIAL_HEIGHTS
-from qnn.network import forward_batch
+from qnn.network import PackedNetwork, forward_batch
 from qnn.oracles import bernstein_direct
 from qnn.polynomials import FactorizationError, Polynomial, bernstein_coeffs, factor_polynomial
 
@@ -178,6 +178,16 @@ class TestMultiPolyNet:
             net = build_multipoly_net(MultiPolySpec(exponents, [1.0] * len(exponents)))
             with np.errstate(over="ignore", invalid="ignore"):
                 assert np.isnan(forward_batch(net, [x])[0, 0])
+
+    def test_executor_skips_the_zero_square_term(self):
+        """The training executor forms no square term in a layer whose
+        [W_b; c] is frozen at zero, so x1^160 x2 + x1 x2 at 10, whose
+        x1^160 channel is past 1.3e154, comes out finite there; forward_batch
+        still squares it (see above)."""
+        net = build_multipoly_net(MultiPolySpec([[160, 1], [1, 1]], [1.0, 1.0]))
+        packed = PackedNetwork(net)
+        out = packed.forward(packed.params[:, packed.theta_index], np.array([[10.0, 10.0]]))
+        assert out[0, 0, 0] == pytest.approx(1e161, rel=1e-13)
 
     def test_power_channels_up_to_2058(self):
         """The largest exponents of the variables may sum to 2058, the d = 2

@@ -21,6 +21,8 @@ from qnn.network import (
     LayerSpec,
     NetworkSpec,
     PackedNetwork,
+    _layout_of,
+    _sizes_of,
     _through_fan_in,
     backward_batch,
     forward_batch,
@@ -262,6 +264,15 @@ class TestForward:
         with pytest.raises(ValueError, match="X must be real"):
             forward_batch(one_hidden_quadratic(2, 3), X)
 
+    @pytest.mark.parametrize("X", [np.array([[None]], dtype=object), np.array([["1.0"]]),
+                                   np.array([["2026-01-01"]], dtype="datetime64[D]")],
+                             ids=["object", "string", "datetime"])
+    def test_non_numeric_inputs_refused(self, X):
+        """An object, string or date batch is refused by name, not read as
+        NaN or parsed."""
+        with pytest.raises(ValueError, match="X must be real numbers, got dtype"):
+            forward_batch(one_hidden_quadratic(1, 2), X)
+
     def test_deterministic(self, net_factory):
         rng = np.random.default_rng(5)
         net = net_factory(rng)
@@ -350,6 +361,30 @@ class TestValidation:
         layers = [LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity")]
         with pytest.raises(ValueError, match="expects input width 1"):
             NetworkSpec(10**15, layers)
+
+    @pytest.mark.parametrize("input_dim", [2.0, 2.5, True, "2", np.float64(2.0)],
+                             ids=["2.0", "2.5", "True", "str", "float64"])
+    def test_non_integer_input_dim_refused(self, input_dim):
+        with pytest.raises(ValueError, match="input_dim must be an integer"):
+            single_quadratic_net(input_dim)
+        with pytest.raises(ValueError, match="input_dim must be an integer"):
+            NetworkSpec(input_dim, [LayerSpec([norm_neuron(2)], "identity")])
+
+    def test_refused_float_input_dim_leaves_the_layout_caches_clean(self):
+        """2.0 and 2 share an lru_cache key: a 2.0 that reached the cached
+        layout helpers would spoil every later net of input_dim 2."""
+        _sizes_of.cache_clear()
+        _layout_of.cache_clear()
+        with pytest.raises(ValueError, match="input_dim must be an integer, got 2.0"):
+            single_quadratic_net(2.0)
+        net = single_quadratic_net(2)
+        assert net.input_dim == 2 and parameter_count(net) == 9
+
+    @pytest.mark.parametrize("width", [2.0, 2.5, True], ids=["2.0", "2.5", "True"])
+    def test_non_integer_width_refused(self, width):
+        for make in (one_hidden_quadratic, one_hidden_conventional):
+            with pytest.raises(ValueError, match="width must be an integer"):
+                make(2, width)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
@@ -557,6 +592,28 @@ class TestPackedNetwork:
         with pytest.raises(ValueError, match="upstream of shape"):
             packed.loss_and_grad(theta, np.zeros((5, 1)), lambda out: (None, np.ones(shape)))
 
+    @pytest.mark.parametrize("frozen", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)],
+                             ids=["W_r", "W_g", "W_b", "W_r-W_g", "W_r-W_b", "W_g-W_b"])
+    def test_gradient_where_thirds_are_frozen_whole(self, frozen):
+        """A third of a layer's block frozen whole gets no gradient, and the
+        others keep every bit of the all-trainable net's gradient."""
+        rng = np.random.default_rng(31)
+        full = one_hidden_quadratic(2, 3)
+        full.params[full._layout.own] = rng.normal(size=parameter_count(full))
+        net = copy.copy(full)
+        net.trainable = full.trainable.copy()
+        for t in frozen:  # rows 3t to 3t + 2 of layer 0's (9, 3) block
+            net._split(net.trainable)[0][3 * t : 3 * t + 3] = False
+        learnt = net.trainable[net._layout.own]
+        X = rng.normal(size=(7, 2))
+        U = rng.normal(size=(1, 7, 1))
+        packed = PackedNetwork(net)
+        _, grad = packed.loss_and_grad(trainable_values(net)[None], X, lambda out: (None, U))
+        _, want = PackedNetwork(full).loss_and_grad(trainable_values(full)[None], X,
+                                                    lambda out: (None, U))
+        assert [g is None for g in packed._layers[0].grads] == [t in frozen for t in range(3)]
+        assert grad.tobytes() == want[:, learnt].tobytes()
+
     def test_restart_rows_match_one_row_executors_across_steps(self, net_factory):
         """Two consecutive descent steps on the reused buffers: each row of
         an R=3 executor keeps equal to its own one-row executor."""
@@ -625,9 +682,12 @@ class TestPackedNetwork:
                 np.testing.assert_array_equal(out[i], out_i[0])
                 np.testing.assert_array_equal(grad[i], grad_i[0])
 
-    def test_restarts_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PackedNetwork(single_quadratic_net(2), restarts=0)
+    @pytest.mark.parametrize("restarts, message", [
+        (0, ">= 1"), (2.0, "an integer"), (2.5, "an integer"), (True, "an integer")],
+        ids=["0", "2.0", "2.5", "True"])
+    def test_restarts_must_be_a_positive_integer(self, restarts, message):
+        with pytest.raises(ValueError, match=f"restarts must be {message}"):
+            PackedNetwork(single_quadratic_net(2), restarts=restarts)
 
 
 class TestParameters:

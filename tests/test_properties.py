@@ -1,6 +1,8 @@
 """Property tests: the stored layer blocks and the packed executor against
 the per-neuron oracle, and the trainable-parameter gather and scatter."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -165,6 +167,90 @@ def test_gradient_ignores_stale_work_arrays_at_training_shapes(net, restarts, ba
     theta = rng.uniform(-0.5, 0.5, size=(restarts, trainable_count(net)))
     U = rng.normal(size=(restarts, batch, net.output_dim))
     assert_gradient_ignores_stale_work(net, X, theta, U)
+
+
+@st.composite
+def frozen_layer_networks(draw):
+    """A net of two to four layers, each one of three: a layer of any
+    neurons with random masks, thirds of them frozen whole; a frozen layer of quadratic neurons whose
+    W_b and c are zero, and passthroughs, as the factorizer's product
+    layers; or a frozen layer whose first quadratic neuron has c != 0.
+    Returns the net and, per layer, whether the executor may skip its
+    square term (None where the draw does not fix it)."""
+    input_dim = draw(st.integers(1, 3))
+    layers, masks, skips = [], [], []
+    fan_in = input_dim
+    for _ in range(draw(st.integers(2, 4))):
+        role = draw(st.sampled_from(["trainable", "product", "square"]))
+        neurons = []
+        for j in range(draw(st.integers(1, 3))):
+            kinds = (["quadratic", "conventional", "passthrough"] if role == "trainable"
+                     else ["quadratic", "passthrough"])
+            kind = "quadratic" if j == 0 and role != "trainable" else draw(st.sampled_from(kinds))
+            if kind == "passthrough":
+                neurons.append(PassthroughNeuron(draw(st.integers(0, fan_in - 1))))
+            elif kind == "conventional":
+                neurons.append(neuron_from_params(kind, draw(vectors(fan_in + 1))))
+            else:
+                params = draw(vectors(3 * fan_in + 3))
+                if role == "product":
+                    params[2 * fan_in + 2 :] = 0.0
+                elif role == "square" and j == 0:
+                    params[-1] = draw(st.floats(0.5, 2.0))
+                neurons.append(neuron_from_params(kind, params))
+        layers.append(LayerSpec(neurons, draw(st.sampled_from(ACTIVATIONS))))
+        # a trainable layer's masks are random within the thirds of its
+        # block that it does not freeze whole, so that some thirds have no
+        # trainable entry
+        thirds = np.repeat(draw(vectors(3, st.booleans())).astype(bool), fan_in + 1)
+        masks.append([draw(vectors(nr.param_count, st.booleans())).astype(bool)
+                      & thirds[: nr.param_count]
+                      if role == "trainable" else np.zeros(nr.param_count, dtype=bool)
+                      for nr in neurons])
+        skips.append({"trainable": None, "product": True, "square": False}[role])
+        fan_in = len(neurons)
+    return NetworkSpec(input_dim, layers, masks), skips
+
+
+@given(st.data(), st.sampled_from([1, 3]))
+def test_frozen_layers_lose_no_bit(data, restarts):
+    """The executor skips the gradients of frozen thirds of a block and the
+    square term of a frozen layer whose [W_b; c] is zero.  Its output and
+    gradient equal those of the same net with every entry trainable, where
+    nothing is skipped, bit for bit apart from the sign of an exact zero
+    (the skipped zero term no longer turns a -0.0 into +0.0), and match the
+    per-neuron oracle to rounding."""
+    net, skips = data.draw(frozen_layer_networks())
+    full = copy.copy(net)
+    full.trainable = net.trainable.copy()
+    full.trainable[net._layout.own] = True
+    learnt = net.trainable[net._layout.own]
+    rows = data.draw(st.integers(1, 5))
+    X = data.draw(vectors(rows * net.input_dim)).reshape(rows, net.input_dim)
+    theta = data.draw(vectors(restarts * trainable_count(net))).reshape(restarts, -1)
+    theta_full = np.tile(trainable_values(full), (restarts, 1))
+    theta_full[:, learnt] = theta
+    U = data.draw(vectors(restarts * rows * net.output_dim)).reshape(
+        restarts, rows, net.output_dim)
+    outputs = []
+
+    def loss(out):
+        outputs.append(out)
+        return None, U
+
+    packed = PackedNetwork(net, restarts)
+    _, grad = packed.loss_and_grad(theta, X, loss)
+    _, grad_full = PackedNetwork(full, restarts).loss_and_grad(theta_full, X, loss)
+
+    for layer, skip in zip(packed._layers, skips):
+        if skip is not None:
+            assert layer.square is not skip
+    assert (outputs[0] + 0.0).tobytes() == (outputs[1] + 0.0).tobytes()
+    assert (grad + 0.0).tobytes() == (grad_full[:, learnt] + 0.0).tobytes()
+    for i in range(restarts):
+        updated = set_trainable_values(net, theta[i])
+        assert_close(outputs[0][i], reference_forward_batch(updated, X)[1][-1])
+        assert_close(grad[i], reference_backward_batch(updated, X, U[i]))
 
 
 @given(st.data())

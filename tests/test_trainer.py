@@ -405,6 +405,15 @@ class TestDatasetValidation:
             Dataset(np.zeros((3, 2)), y)
 
     @pytest.mark.parametrize("field", ["inputs", "targets"])
+    def test_non_numeric_data_refused(self, field):
+        """Object inputs or targets are refused by name, not read as NaN."""
+        data = {"inputs": np.zeros((3, 2)), "targets": np.zeros(3)}
+        data[field] = data[field].astype(object)
+        data[field].flat[0] = None
+        with pytest.raises(ValueError, match=f"{field} must be real numbers, got dtype object"):
+            Dataset(**data)
+
+    @pytest.mark.parametrize("field", ["inputs", "targets"])
     def test_complex_data_refused(self, field):
         """Complex inputs or targets are refused by name, not cast to their
         real parts."""

@@ -1,0 +1,93 @@
+"""Print the training executor's warm step time, layer of the stack by layer.
+
+For each training shape it times ``PackedNetwork.forward`` and
+``PackedNetwork.loss_and_grad`` on warm work arrays, in µs per call, the
+best of ``--repeat`` runs of as many calls as fill about 0.2 s.  The loss
+hands back a fixed upstream gradient, so the time is the executor's alone.
+The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
+points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
+kinds, one restart of 4096 points); names given on the command line pick
+some of them.
+
+Runs from the ``src/`` of the checkout this script sits in, with one BLAS
+thread, so that two checkouts can be compared on the same machine:
+
+    python tools/step_timing.py
+    python ../parent/tools/step_timing.py
+
+A checkout that predates the script runs a copy put in its ``tools/``.
+Only the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import timeit
+from pathlib import Path
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def shapes() -> list[tuple]:
+    """(name, net, restarts, batch) of each training shape."""
+    from qnn.builders import build_factorization_trainable
+    from qnn.network import one_hidden_conventional, one_hidden_quadratic
+
+    return [("factorizer", build_factorization_trainable(5, 1, 2), 10, 100)] + [
+        (f"{kind}_w{width}", make(4, width), 1, 4096)
+        for kind, make in (("quadratic", one_hidden_quadratic),
+                           ("conventional", one_hidden_conventional))
+        for width in (8, 32)]
+
+
+def best_us(call, repeat: int) -> float:
+    """The least µs per call over repeat runs, each about 0.2 s long."""
+    timer = timeit.Timer(call)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("shapes", nargs="*", metavar="shape",
+                        help="time only these shapes, e.g. factorizer quadratic_w32")
+    parser.add_argument("--repeat", type=int, default=7, help="runs per timing (default 7)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+
+    for var in BLAS_THREADS:
+        os.environ[var] = "1"  # read when numpy loads its BLAS, on the import below
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    import numpy as np
+    from qnn.network import PackedNetwork, trainable_count
+
+    table = shapes()
+    unknown = set(args.shapes).difference(name for name, *_ in table)
+    if unknown:
+        parser.error(f"unknown shape {sorted(unknown)[0]!r}; the shapes are "
+                     f"{', '.join(name for name, *_ in table)}")
+    print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'loss_and_grad_us':>17}")
+    for name, net, restarts, batch in table:
+        if args.shapes and name not in args.shapes:
+            continue
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(batch, net.input_dim))
+        theta = rng.uniform(-0.5, 0.5, size=(restarts, trainable_count(net)))
+        upstream = rng.normal(size=(restarts, batch, net.output_dim))
+        packed = PackedNetwork(net, restarts)
+
+        def loss(out):
+            return None, upstream
+
+        packed.loss_and_grad(theta, X, loss)  # makes the work arrays
+        forward = best_us(lambda: packed.forward(theta, X), args.repeat)
+        step = best_us(lambda: packed.loss_and_grad(theta, X, loss), args.repeat)
+        print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {step:>17.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
