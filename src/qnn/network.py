@@ -12,14 +12,16 @@ oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
 input is the batch x[None].  forward_batch evaluates the blocks layer by
 layer on one tile of the batch at a time, through one workspace per call,
-a layer of fan-in one by broadcast multiplies, trainable_values and
-set_trainable_values gather and scatter on them, and a PackedNetwork, the
-training executor, copies them into one row per restart so that every
-restart advances in the same stacked matmuls; backward_batch is a one-row
-executor at the net's own values.  Complex and non-numeric inputs,
-parameters and data are refused by name (neurons._real), here and in
-neurons, trainer, polynomials, oracles and builders, rather than cast to
-their real parts or read as NaN.
+a layer of fan-in one by broadcast multiplies, and does no work for a
+third of a quadratic layer's block that is all zero (_live: the square
+term alone in a shallow radial net's hidden layer, no square term in a
+product layer); trainable_values and set_trainable_values gather and
+scatter on them, and a PackedNetwork, the training executor, copies them
+into one row per restart so that every restart advances in the same
+stacked matmuls; backward_batch is a one-row executor at the net's own
+values.  Complex and non-numeric inputs, parameters and data are refused
+by name (neurons._real), here and in neurons, trainer, polynomials,
+oracles and builders, rather than cast to their real parts or read as NaN.
 
 Two evaluators of the blocks remain, for a measured reason (2-core VM, one
 BLAS thread, B = 4096, best of 5): forward_batch is not the forward pass of
@@ -120,11 +122,14 @@ class NetworkSpec:
     rows are W_r | b_r | W_g | b_g | W_b | c (block_rows), and column j is
     neuron j as a quadratic neuron: a conventional neuron (w, b) fills W_r
     and b_r and has b_g = 1, and a passthrough is the one-hot W_r = e_index
-    with b_g = 1.  The zero entries multiply their inputs too, so where an
-    input is inf a pre-activation can be NaN where the per-neuron oracle
-    gives inf or an exact copy.  trainable flags the trainable entries of
-    params among the canonical parameters; structure holds each layer's
-    (activation, kinds) (see _layer).
+    with b_g = 1.  The evaluators skip a third of a quadratic layer's
+    block, [W_r; b_r], [W_g; b_g] or [W_b; c], that is all zero (see
+    forward_batch and PackedNetwork), but within the rest the zero entries
+    multiply their inputs too, so where an input is inf a pre-activation
+    can be NaN where the per-neuron oracle gives inf or an exact copy.
+    trainable flags the trainable entries of params among the canonical
+    parameters; structure holds each layer's (activation, kinds) (see
+    _layer).
 
     NetworkSpec(input_dim, layers, masks) builds a net from neuron objects,
     masks[k][j] flagging the entries of neuron j's parameter vector (all
@@ -220,6 +225,7 @@ class _Layout(NamedTuple):
     size: int  # of the blocks, and so of params
     ones: np.ndarray  # positions a passthrough or conventional column fixes at 1
     own: np.ndarray  # each neuron parameter's position, in canonical order
+    parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g and [W_b; c] rows start
 
 
 @lru_cache(maxsize=256)
@@ -264,7 +270,7 @@ def _refuse(input_dim: int, structure: tuple, sizes: tuple, counts, mask_lengths
 def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     """The _Layout of a structure, made once for all nets that share it."""
     sizes, _ = _sizes_of(input_dim, structure)
-    blocks, ones, columns, strides = [], [], [], []
+    blocks, ones, columns, strides, parts = [], [], [], [], []
     pos, n = 0, input_dim
     for (_, kinds), layer_sizes in zip(structure, sizes):
         m = len(kinds)
@@ -276,14 +282,15 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
         columns += range(pos, pos + m)
         strides += [m] * m
         blocks.append((pos, 3 * n + 3, m))
+        parts += (pos + row * m for row in (0, n, n + 1, 2 * n + 1, 2 * n + 2))
         pos += (3 * n + 3) * m
         n = m
     counts = np.fromiter(chain.from_iterable(sizes), np.intp)
     rows = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     own = np.repeat(columns, counts) + rows * np.repeat(strides, counts)
-    ones = np.array(ones, dtype=np.intp)
-    own.flags.writeable = ones.flags.writeable = False
-    return _Layout(tuple(blocks), sizes, pos, ones, own)
+    ones, parts = np.array(ones, dtype=np.intp), np.array(parts, dtype=np.intp)
+    own.flags.writeable = ones.flags.writeable = parts.flags.writeable = False
+    return _Layout(tuple(blocks), sizes, pos, ones, own, parts)
 
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
@@ -331,6 +338,16 @@ def _through_fan_in(W: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _live(net: NetworkSpec, flat: np.ndarray) -> list[list]:
+    """Per layer, whether the thirds of its block, [W_r; b_r], [W_g; b_g]
+    and [W_b; c], and its b_r and b_g rows hold an entry of flat, laid out
+    as params, other than +-0.0 (NaN counts): [affine, gate, square, b_r,
+    b_g], from one reduction over flat.  An evaluator does no work for a
+    third that holds none."""
+    return [[w_r or b_r, w_g or b_g, square, b_r, b_g] for w_r, b_r, w_g, b_g, square
+            in np.logical_or.reduceat(flat, net._layout.parts).reshape(-1, 5).tolist()]
+
+
 _TILE_BYTES = 1 << 19  # one (widest layer, tile rows) float64 slab of the workspace
 
 
@@ -343,6 +360,19 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     one row per neuron, so that adding a bias runs along the batch.  A
     layer of fan-in one multiplies by broadcasting (see _through_fan_in),
     with the matmul's bits.
+
+    A quadratic layer does no work for a third of its block that is all
+    +-0.0 (_live, decided from the values when the call starts).  Where
+    [W_r; b_r] and [W_g; b_g] both are, as in a shallow radial net's hidden
+    layer, Z = (X * X) W_b + c.  Where [W_b; c] is, as in every product
+    layer, Z = (X W_r + b_r) * (X W_g + b_g) + 0.0, with no X * X, and a
+    bias row of all zeros is not added: the final +0.0 turns every zero
+    into +0.0, as adding the zero square term and c did.  On finite inputs
+    whose squares are finite every output keeps the bits of evaluating
+    every third, since a product through the fan-in sums from 0.0 and so
+    never comes out -0.0.  A channel past sqrt(max float64), about 1.3e154,
+    is not squared where its square weights are 0, so no 0 * inf turns a
+    finite output NaN.
 
     The batch runs through the whole net one tile of columns at a time, and
     each column keeps the bits the whole batch gives it.  A tile has a
@@ -374,19 +404,32 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     # the rows of each part of the workspace: Z of the even and of the odd
     # layers, Q, X * X
     heights = [0, 0, 0, 0]
+    # per layer (W_r, b_r, W_g, b_g, W_b, c, relu), None for a term not
+    # evaluated; c is 0.0 where the square term is dead
     plan, places, n = [], [], d
-    for k, (block, (activation, kinds), m) in enumerate(
-            zip(net.blocks, net.structure, widths)):
+    for k, (block, (activation, kinds), m, live) in enumerate(
+            zip(net.blocks, net.structure, widths, _live(net, net.params))):
         part = k & 1
         heights[part] = max(heights[part], m)
-        quadratic = "quadratic" in kinds
-        if quadratic:
-            heights[2], heights[3] = max(heights[2], m), max(heights[3], n)
-        plan.append((block[:n], block[n, :, None], quadratic and (
-            block[n + 1 : 2 * n + 1], block[2 * n + 1, :, None],
-            block[2 * n + 2 : 3 * n + 2], block[3 * n + 2, :, None]),
-            activation == "relu"))
-        places.append((part, m, n))
+        W_r, b_r = block[:n], block[n, :, None]
+        W_g, b_g = block[n + 1 : 2 * n + 1], block[2 * n + 1, :, None]
+        W_b, c = block[2 * n + 2 : 3 * n + 2], block[3 * n + 2, :, None]
+        if "quadratic" not in kinds:
+            W_g = b_g = W_b = c = None
+        else:
+            affine, gate, squares, bias_r, bias_g = live
+            if not (affine or gate):
+                W_r = b_r = W_g = b_g = None
+            elif not squares:
+                b_r, b_g = b_r if bias_r else None, b_g if bias_g else None
+                W_b, c = None, 0.0
+        plan.append((W_r, b_r, W_g, b_g, W_b, c, activation == "relu"))
+        gated, squared = W_g is not None, W_b is not None
+        if gated:
+            heights[2] = max(heights[2], m)
+        if squared:
+            heights[3] = max(heights[3], n)
+        places.append((part, m, n, gated, squared))
         n = m
     starts = list(accumulate(heights, initial=0))
     work = np.empty(starts[-1] * cols)
@@ -395,7 +438,7 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     f_order = abs(X.strides[1]) <= abs(X.strides[0])
 
     def views(columns: int) -> list[tuple]:
-        """Each layer's Z, and for a quadratic layer Q and X * X, on the
+        """Each layer's Z, and where it evaluates them Q and X * X, on the
         workspace for a tile of the given columns; layers of one width
         share the views of a part."""
         made = {}
@@ -408,9 +451,9 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
                                                   else flat.reshape(height, columns))
             return made[part, height, transposed]
 
-        return [(view(part, m), quadratic and view(2, m),
-                 quadratic and view(3, n, transposed=not k and f_order))
-                for k, ((_, _, quadratic, _), (part, m, n)) in enumerate(zip(plan, places))]
+        return [(view(part, m), gated and view(2, m),
+                 squared and view(3, n, transposed=not k and f_order))
+                for k, (part, m, n, gated, squared) in enumerate(places)]
 
     full = views(cols)
     out = np.empty((batch, net.output_dim))
@@ -418,15 +461,21 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
         stop = min(start + rows, batch)
         tile = full if stop - start == cols else views(stop - start)
         current = X.T[:, start:stop]
-        for (W, b, quadratic, relu), (Z, Q, square) in zip(plan, tile):
-            _through_fan_in(W, current, out=Z)
-            Z += b
-            if quadratic:
-                W_g, b_g, W_b, c = quadratic
-                _through_fan_in(W_g, current, out=Q)
-                Q += b_g
-                Z *= Q
-                Z += _through_fan_in(W_b, np.multiply(current, current, out=square), out=Q)
+        for (W_r, b_r, W_g, b_g, W_b, c, relu), (Z, Q, square) in zip(plan, tile):
+            if W_r is None:
+                _through_fan_in(W_b, np.multiply(current, current, out=square), out=Z)
+            else:
+                _through_fan_in(W_r, current, out=Z)
+                if b_r is not None:
+                    Z += b_r
+                if W_g is not None:
+                    _through_fan_in(W_g, current, out=Q)
+                    if b_g is not None:
+                        Q += b_g
+                    Z *= Q
+                if W_b is not None:
+                    Z += _through_fan_in(W_b, np.multiply(current, current, out=square), out=Q)
+            if c is not None:
                 Z += c
             if relu:
                 np.maximum(0.0, Z, out=Z)
@@ -545,9 +594,8 @@ class PackedNetwork:
     Outputs and gradients keep their bits on finite activations, except that
     an exact -0.0 product stays -0.0 where the skipped zero term made it
     +0.0; nothing reads that sign.  Where a channel passes sqrt(max float64),
-    about 1.3e154, no square overflows into 0 * inf = NaN, so the executor
-    gives the finite values forward_batch, which squares every channel of a
-    quadratic layer, gives as NaN.
+    about 1.3e154, no square overflows into 0 * inf = NaN, as in
+    forward_batch.  Both decide which thirds are zero with _live.
 
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
@@ -601,24 +649,23 @@ class PackedNetwork:
 
         self._layers = []
         blocks = zip(net._split(self.params), net._split(self._grad),
-                     net.blocks, net._split(net.trainable))
-        for k, ((block, gblock, values, trainable), n, (activation, kinds)) in enumerate(
+                     _live(net, net.params), _live(net, net.trainable))
+        for k, ((block, gblock, live, learnt), n, (activation, kinds)) in enumerate(
                 zip(blocks, fan_in, net.structure)):
             m = block.shape[2]
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
-            learnt = [trainable[t].any() for t in thirds]
             quadratic = "quadratic" in kinds
             self._layers.append(_PackedLayer(
                 quadratic=quadratic,
-                square=bool(quadratic and (learnt[2] or values[thirds[2]].any())),
+                square=quadratic and (learnt[2] or live[2]),
                 relu=activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
                 thirds_t=tuple(block[:, t].swapaxes(1, 2) for t in thirds),
                 weights=tuple(block[:, t] for t in weights),
                 grads=tuple(gblock[:, t] if some else None
-                            for t, some in zip(thirds, learnt)),
+                            for t, some in zip(thirds, learnt[:3])),
                 through_width=np.multiply if m == 1 else np.matmul,
             ))
 

@@ -10,7 +10,7 @@ trapezoidal / max-over-grid error measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -21,13 +21,25 @@ from .network import (
     set_trainable_values,
     trainable_values,
 )
-from .neurons import ConventionalNeuron, QuadraticNeuron, _real, preactivation, relu, relu_prime
+from .neurons import (
+    ConventionalNeuron,
+    QuadraticNeuron,
+    _integer,
+    _real,
+    preactivation,
+    relu,
+    relu_prime,
+)
 from .polynomials import FactoredForm, Polynomial
 
 
 @dataclass
 class GridSpec:
-    """Uniform evaluation grid on [lo, hi] with n >= 2 points."""
+    """Uniform evaluation grid on [lo, hi] with n >= 2 points.
+
+    A non-finite lo or hi, and an n that is a bool or not an integer, are
+    refused by name rather than read as NaN bounds or truncated.
+    """
 
     lo: float
     hi: float
@@ -36,7 +48,10 @@ class GridSpec:
     def __post_init__(self):
         self.lo = float(self.lo)
         self.hi = float(self.hi)
-        self.n = int(self.n)
+        for name, value in (("lo", self.lo), ("hi", self.hi)):
+            if not isfinite(value):
+                raise ValueError(f"grid {name} must be finite, got {value}")
+        self.n = int(_integer(self.n, "grid n"))
         if self.lo >= self.hi:
             raise ValueError("grid requires lo < hi")
         if self.n < 2:
@@ -194,7 +209,8 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
     Numerically stable on [0, 1] for any n whose binomials fit float64
     (n <= 1029) since every basis term is non-negative there; serves as the
     reference for the expanded-coefficient path, which is ill-conditioned in
-    the monomial basis at large n.  Raises ValueError naming n beyond that.
+    the monomial basis at large n.  Raises ValueError naming n beyond that,
+    and where n is a bool or not an integer.
     """
     binomials = bernstein_binomials(n)
     x = _real(x, "x")
@@ -212,11 +228,12 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
 def bernstein_binomials(n: int) -> list[float]:
     """C(n, m) for m = 0..n as floats.
 
-    Raises ValueError naming n when n < 1 or a binomial is beyond the
-    float64 range (n >= 1030); C(n, m) overflows at a small m for a huge n,
-    so the refusal comes quickly.
+    Raises ValueError naming n when n is a bool or not an integer, when
+    n < 1, or when a binomial is beyond the float64 range (n >= 1030);
+    C(n, m) overflows at a small m for a huge n, so the refusal comes
+    quickly.
     """
-    if n <= 0:
+    if _integer(n, "Bernstein degree n") <= 0:
         raise ValueError("Bernstein degree must be >= 1")
     try:
         return [float(comb(n, m)) for m in range(n + 1)]

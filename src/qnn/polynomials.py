@@ -32,7 +32,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .network import _field, _numbers, _real
+from .network import _field, _integer, _numbers, _real
 
 _REL_TOL = 1e-8  # the re-expansion residual at which factor_polynomial refuses
 
@@ -291,9 +291,10 @@ def bernstein_coeffs(f, n: int) -> Polynomial:
     to the largest one (below 1e-12 relative) are zeroed: for float-valued
     targets they are sampling noise amplified by the binomials and would
     otherwise inflate the degree.
-    Raises ValueError when an exact coefficient is beyond the float64 range.
+    Raises ValueError when an exact coefficient is beyond the float64
+    range, and naming n when it is a bool or not an integer.
     """
-    if n <= 0:
+    if _integer(n, "Bernstein degree n") <= 0:
         raise ValueError("Bernstein degree must be >= 1")
     samples = [_sample_exact(f, m, n) for m in range(n + 1)]
     # the samples as integers over one common denominator

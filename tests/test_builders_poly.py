@@ -398,6 +398,17 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein_coeffs(lambda x: x, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0], ids=["2.5", "3.0"])
+    def test_non_integer_degree_refused(self, n):
+        """Refused by name, where range and comb raised a bare TypeError."""
+        with pytest.raises(ValueError, match=f"Bernstein degree n must be an integer, got {n}"):
+            bernstein_coeffs(lambda x: x, n)
+
+    def test_bool_degree_refused(self):
+        """True is not read as degree 1."""
+        with pytest.raises(ValueError, match="Bernstein degree n must be an integer, got True"):
+            bernstein_coeffs(lambda x: x, True)
+
     @pytest.mark.parametrize("f", [
         lambda x: abs(x - 0.5),
         lambda x: x * x,

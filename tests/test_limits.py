@@ -29,7 +29,7 @@ from qnn.builders import (
 )
 from qnn.cli import RADIAL_BREAKPOINTS, RADIAL_HEIGHTS
 from qnn.network import PackedNetwork, forward_batch
-from qnn.oracles import bernstein_direct
+from qnn.oracles import bernstein_direct, reference_forward_batch
 from qnn.polynomials import FactorizationError, Polynomial, bernstein_coeffs, factor_polynomial
 
 
@@ -167,23 +167,27 @@ class TestMultiPolyNet:
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_nan_past_the_range_without_refusal(self):
-        """A channel above sqrt(max float64), about 1.3e154, overflows where
-        the next product layer squares it for its square term, weight 0 or
-        not, and 0 * inf makes that layer NaN.  x^200 at 10 is right, its
-        channel feeding only the linear output; x1^160 x2 + x1 x2, still
-        finite at 10, and x^600, past float64, give NaN."""
+        """forward_batch squares no channel of a layer whose square weights
+        are all 0, so a channel above sqrt(max float64), about 1.3e154, is
+        no 0 * inf there: x^200 at 10, its channel feeding only the linear
+        output, and x1^160 x2 + x1 x2 at 10, whose x1^160 channel feeds a
+        product layer, are right.  x^600 at 10, past float64, gives NaN.
+        The per-neuron oracle squares every channel, and gives NaN for
+        x1^160 x2 + x1 x2 too."""
         net = build_multipoly_net(MultiPolySpec([[200]], [1.0]))
         assert forward_batch(net, [[10.0]])[0, 0] == pytest.approx(1e200, rel=1e-13)
-        for exponents, x in (([[160, 1], [1, 1]], [10.0, 10.0]), ([[600]], [10.0])):
-            net = build_multipoly_net(MultiPolySpec(exponents, [1.0] * len(exponents)))
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert np.isnan(forward_batch(net, [x])[0, 0])
+        net = build_multipoly_net(MultiPolySpec([[160, 1], [1, 1]], [1.0, 1.0]))
+        assert forward_batch(net, [[10.0, 10.0]])[0, 0] == pytest.approx(1e161, rel=1e-13)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(reference_forward_batch(net, np.array([[10.0, 10.0]]))[1][-1][0, 0])
+            net = build_multipoly_net(MultiPolySpec([[600]], [1.0]))
+            assert np.isnan(forward_batch(net, [[10.0]])[0, 0])
 
     def test_executor_skips_the_zero_square_term(self):
         """The training executor forms no square term in a layer whose
         [W_b; c] is frozen at zero, so x1^160 x2 + x1 x2 at 10, whose
-        x1^160 channel is past 1.3e154, comes out finite there; forward_batch
-        still squares it (see above)."""
+        x1^160 channel is past 1.3e154, comes out finite there, as in
+        forward_batch (see above)."""
         net = build_multipoly_net(MultiPolySpec([[160, 1], [1, 1]], [1.0, 1.0]))
         packed = PackedNetwork(net)
         out = packed.forward(packed.params[:, packed.theta_index], np.array([[10.0, 10.0]]))

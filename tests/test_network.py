@@ -11,10 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qnn.builders import (
+    MultiPolySpec,
     RadialPartition,
     build_deep_radial,
     build_factorization_trainable,
+    build_multipoly_net,
     build_poly_net,
+    build_shallow_radial,
 )
 from qnn.network import (
     _TILE_BYTES,
@@ -48,29 +51,66 @@ def norm_neuron(n=2):
     )
 
 
-def matmul_forward_batch(net, X):
-    """Reference for forward_batch: every product through a layer's fan-in a
-    matmul, fan-in one included."""
+def live_thirds(block, n):
+    """Whether [W_r; b_r], [W_g; b_g] and [W_b; c] of a fan-in-n block each
+    hold an entry other than ±0.0."""
+    return [bool(np.any(block[rows] != 0.0))
+            for rows in (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))]
+
+
+def layered_forward(net, X, through):
+    """forward_batch's arithmetic, layer by layer on the whole batch, with
+    through(W, A) as W^T A.  A quadratic layer does no work for a dead
+    third: with [W_r; b_r] and [W_g; b_g] both all ±0.0 it is
+    W_b^T (X * X) + c; with [W_b; c] all ±0.0 it is P * Q + 0.0, a bias row
+    of all ±0.0 not added."""
     current = np.asarray(X, dtype=np.float64).T
     for block, (activation, kinds) in zip(net.blocks, net.structure):
         n = len(current)
-        Z = block[:n].T @ current
-        Z += block[n][:, None]
-        if "quadratic" in kinds:
-            Q = block[n + 1 : 2 * n + 1].T @ current
-            Q += block[2 * n + 1][:, None]
+        W_r, b_r = block[:n], block[n][:, None]
+        W_g, b_g = block[n + 1 : 2 * n + 1], block[2 * n + 1][:, None]
+        W_b, c = block[2 * n + 2 : 3 * n + 2], block[3 * n + 2][:, None]
+        affine, gate, square = live_thirds(block, n)
+        if "quadratic" not in kinds:
+            Z = through(W_r, current)
+            Z += b_r
+        elif not (affine or gate):
+            Z = through(W_b, current * current)
+            Z += c
+        else:
+            Z = through(W_r, current)
+            if square or np.any(b_r != 0.0):
+                Z += b_r
+            Q = through(W_g, current)
+            if square or np.any(b_g != 0.0):
+                Q += b_g
             Z *= Q
-            Z += block[2 * n + 2 : 3 * n + 2].T @ (current * current)
-            Z += block[3 * n + 2][:, None]
+            if square:
+                Z += through(W_b, current * current)
+                Z += c
+            else:
+                Z += 0.0
         if activation == "relu":
             np.maximum(0.0, Z, out=Z)
         current = Z
     return np.ascontiguousarray(current.T)
 
 
+def matmul_forward_batch(net, X):
+    """Reference for forward_batch: every product through a layer's fan-in a
+    matmul, fan-in one included."""
+    return layered_forward(net, X, lambda W, A: W.T @ A)
+
+
 def whole_batch_forward(net, X):
     """Reference for forward_batch's tiles: its arithmetic, layer by layer,
     on the whole batch at once."""
+    return layered_forward(net, X, _through_fan_in)
+
+
+def dense_forward_batch(net, X):
+    """Every third of every quadratic layer evaluated, zero or not, layer by
+    layer on the whole batch: forward_batch before it skipped dead thirds."""
     current = np.asarray(X, dtype=np.float64).T
     for block, (activation, kinds) in zip(net.blocks, net.structure):
         n = len(current)
@@ -224,6 +264,73 @@ class TestTiles:
             tracemalloc.stop()
         assert out.shape == (batch, 1)
         assert peak < 16 * 2**20
+
+
+@st.composite
+def dead_third_nets(draw):
+    """A net with all-zero block thirds and the finite values its inputs
+    are drawn among beside normal ones: a shallow radial net (its hidden
+    layer the square term alone), a product tree (its product layers no
+    square term; its roots, where a factor is exactly 0, among the inputs),
+    a multivariate polynomial net, or a random net whose weight and bias
+    rows are zeroed at random, whole thirds included, in ±0.0, one entry
+    sometimes set back."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = [0.0, -0.0, 5e-324, -5e-324]
+    kind = draw(st.sampled_from(["shallow", "tree", "multipoly", "random"]))
+    if kind == "shallow":
+        units = draw(st.sampled_from([2, 3, 33, 200]))
+        net = build_shallow_radial(np.sin, 0.5, 2.0, 1.0, 1.5 / (units - 0.5),
+                                   input_dim=draw(st.integers(1, 4)))
+    elif kind == "tree":
+        form = factor_polynomial(Polynomial(
+            np.poly(rng.uniform(-2.0, 2.0, size=draw(st.integers(1, 10))))[::-1]))
+        net = build_poly_net(form)
+        specials += list(form.linear_roots)
+    elif kind == "multipoly":
+        terms, variables = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        net = build_multipoly_net(MultiPolySpec(rng.integers(0, 5, size=(terms, variables)),
+                                                rng.normal(size=terms)))
+    else:
+        net = draw(tiled_nets())
+        for block in net.blocks:
+            n = (len(block) - 3) // 3
+            # W_r, b_r, W_g, b_g, W_b and c, each zeroed or not: whole
+            # thirds, bias rows alone and weights alone
+            groups = [slice(0, n), n, slice(n + 1, 2 * n + 1), 2 * n + 1,
+                      slice(2 * n + 2, 3 * n + 2), 3 * n + 2]
+            zeroed = [rows for rows in groups if draw(st.booleans())]
+            for rows in zeroed:
+                block[rows] = rng.choice([0.0, -0.0], size=block[rows].shape)
+            if zeroed and draw(st.booleans()):  # one entry of a zeroed group set back
+                rows = np.atleast_2d(block[zeroed[draw(st.integers(0, len(zeroed) - 1))]])
+                rows[tuple(rng.integers(rows.shape))] = rng.normal()
+    return net, np.array(specials)
+
+
+class TestDeadThirds:
+    """forward_batch does no work for a block third that is all ±0.0, and
+    keeps the bits of evaluating every third on finite inputs whose squares
+    are finite."""
+
+    @given(dead_third_nets(), st.integers(0, 2), st.sampled_from([-8, -1, 0, 1, 8, 64]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_dense_bitwise(self, case, tiles, offset, seed):
+        """Batches of TestTiles' sizes, with ±0, ±5e-324 and a product
+        tree's roots among the inputs; with ±inf and NaN among them too,
+        forward_batch still gives the whole-batch reference's bytes."""
+        net, specials = case
+        batch = max(0, tiles * tile_rows(net) + offset) if tiles else max(0, offset)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(batch, net.input_dim))
+        special = rng.random(size=X.shape) < 0.1
+        X[special] = rng.choice(specials, size=int(special.sum()))
+        want = dense_forward_batch(net, X)
+        assert np.isfinite(want).all()
+        assert forward_batch(net, X).tobytes() == want.tobytes()
+        X[special] = rng.choice(SPECIAL_INPUTS, size=int(special.sum()))
+        with np.errstate(all="ignore"):
+            assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes()
 
 
 class TestForward:

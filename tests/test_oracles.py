@@ -133,6 +133,26 @@ class TestGrids:
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("lo", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_lo_refused(self, lo):
+        with pytest.raises(ValueError, match="grid lo must be finite"):
+            GridSpec(lo, 1.0, 5)
+
+    @pytest.mark.parametrize("hi", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_hi_refused(self, hi):
+        """GridSpec(0, nan, 5) passed lo < hi and made grid_l1 return nan."""
+        with pytest.raises(ValueError, match="grid hi must be finite"):
+            GridSpec(0.0, hi, 5)
+
+    def test_non_integer_n_refused(self):
+        """2.7 points is refused, not truncated to 2."""
+        with pytest.raises(ValueError, match="grid n must be an integer, got 2.7"):
+            GridSpec(0.0, 1.0, 2.7)
+
+    def test_bool_n_refused(self):
+        with pytest.raises(ValueError, match="grid n must be an integer, got True"):
+            GridSpec(0.0, 1.0, True)
+
 
 class TestBernsteinDirect:
     def test_endpoint_interpolation(self):
@@ -151,6 +171,17 @@ class TestBernsteinDirect:
     def test_complex_points_refused(self):
         with pytest.raises(ValueError, match="x must be real"):
             bernstein_direct(lambda x: x, 3, np.array([0.5 + 1.0j]))
+
+    @pytest.mark.parametrize("n", [2.5, 3.0], ids=["2.5", "3.0"])
+    def test_non_integer_degree_refused(self, n):
+        """Refused by name, where range and comb raised a bare TypeError."""
+        with pytest.raises(ValueError, match=f"Bernstein degree n must be an integer, got {n}"):
+            bernstein_direct(lambda x: x, n, np.array([0.5]))
+
+    def test_bool_degree_refused(self):
+        """True is not read as degree 1."""
+        with pytest.raises(ValueError, match="Bernstein degree n must be an integer, got True"):
+            bernstein_direct(lambda x: x, True, np.array([0.5]))
 
     @pytest.mark.parametrize("f", [lambda x: abs(x - 0.5), lambda x: x * x,
                                    lambda x: np.sin(3.0 * x)],

@@ -1,4 +1,4 @@
-"""Print the training executor's warm step time, layer of the stack by layer.
+"""Print the training executor's warm step time and forward_batch's time.
 
 For each training shape it times ``PackedNetwork.forward`` and
 ``PackedNetwork.loss_and_grad`` on warm work arrays, in µs per call, the
@@ -6,13 +6,17 @@ best of ``--repeat`` runs of as many calls as fill about 0.2 s.  The loss
 hands back a fixed upstream gradient, so the time is the executor's alone.
 The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
 points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
-kinds, one restart of 4096 points); names given on the command line pick
-some of them.
+kinds, one restart of 4096 points).  It then times ``forward_batch`` the
+same way on the exact nets that the exact-build benchmark evaluates, at
+4096 points: a degree-14 product tree, the Bernstein net of |x - 1/2| at
+n = 16, the deep radial stack at d = 4 and the 200-unit shallow radial net
+at d = 2.  Names given on the command line pick some of the shapes and nets.
 
 Runs from the ``src/`` of the checkout this script sits in, with one BLAS
 thread, so that two checkouts can be compared on the same machine:
 
     python tools/step_timing.py
+    python tools/step_timing.py shallow_200x2 product_tree_14
     python ../parent/tools/step_timing.py
 
 A checkout that predates the script runs a copy put in its ``tools/``.
@@ -42,6 +46,30 @@ def shapes() -> list[tuple]:
         for width in (8, 32)]
 
 
+def exact_nets() -> list[tuple]:
+    """(name, net, X) of each exact net forward_batch is timed on, X of 4096
+    points from where exact-build evaluates it."""
+    import numpy as np
+    from qnn.builders import (RadialPartition, build_deep_radial, build_poly_net,
+                              build_shallow_radial)
+    from qnn.polynomials import Polynomial, bernstein_coeffs, factor_polynomial
+
+    rng = np.random.default_rng(0)
+    tree = build_poly_net(factor_polynomial(
+        Polynomial(np.poly(rng.uniform(-2.0, 2.0, size=14))[::-1])))
+    bernstein = build_poly_net(factor_polynomial(bernstein_coeffs(lambda t: abs(t - 0.5), 16)))
+    breakpoints = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=4))])
+    deep = build_deep_radial(RadialPartition(breakpoints, [1.0, -0.5, 1.5, -1.0], 0.05), 4)
+    ray = np.zeros((4096, 4))
+    ray[:, 0] = np.linspace(0.0, breakpoints[-1] + 0.5, 4096)
+    # 200 hidden units: floor((R - r) L / delta) + 1
+    shallow = build_shallow_radial(np.sin, 0.5, 2.0, 1.0, 1.5 / 199.5, input_dim=2)
+    return [("product_tree_14", tree, rng.uniform(-2.0, 2.0, size=(4096, 1))),
+            ("bernstein_16", bernstein, rng.uniform(0.0, 1.0, size=(4096, 1))),
+            ("deep_radial_d4", deep, ray),
+            ("shallow_200x2", shallow, rng.uniform(-1.5, 1.5, size=(4096, 2)))]
+
+
 def best_us(call, repeat: int) -> float:
     """The least µs per call over repeat runs, each about 0.2 s long."""
     timer = timeit.Timer(call)
@@ -62,17 +90,19 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # read when numpy loads its BLAS, on the import below
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import numpy as np
-    from qnn.network import PackedNetwork, trainable_count
+    from qnn.network import PackedNetwork, forward_batch, trainable_count
 
-    table = shapes()
-    unknown = set(args.shapes).difference(name for name, *_ in table)
+    table, nets = shapes(), exact_nets()
+    names = [name for name, *_ in table + nets]
+    unknown = set(args.shapes).difference(names)
     if unknown:
-        parser.error(f"unknown shape {sorted(unknown)[0]!r}; the shapes are "
-                     f"{', '.join(name for name, *_ in table)}")
-    print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'loss_and_grad_us':>17}")
+        parser.error(f"unknown shape {sorted(unknown)[0]!r}; the shapes are {', '.join(names)}")
+    picked = set(args.shapes or names)
+    table = [row for row in table if row[0] in picked]
+    nets = [row for row in nets if row[0] in picked]
+    if table:
+        print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'loss_and_grad_us':>17}")
     for name, net, restarts, batch in table:
-        if args.shapes and name not in args.shapes:
-            continue
         rng = np.random.default_rng(0)
         X = rng.normal(size=(batch, net.input_dim))
         theta = rng.uniform(-0.5, 0.5, size=(restarts, trainable_count(net)))
@@ -86,6 +116,14 @@ def main(argv=None) -> int:
         forward = best_us(lambda: packed.forward(theta, X), args.repeat)
         step = best_us(lambda: packed.loss_and_grad(theta, X, loss), args.repeat)
         print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {step:>17.1f}")
+
+    if table and nets:
+        print()
+    if nets:
+        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17}")
+    for name, net, X in nets:
+        us = best_us(lambda: forward_batch(net, X), args.repeat)
+        print(f"{name:<18} {net.depth:>5} {len(X):>5} {us:>17.1f}")
     return 0
 
 
