@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network import NetworkSpec, block_rows
-from ..neurons import QuadraticNeuron, _real
+from ..neurons import _real
 from ..polynomials import FactoredForm
 
 
@@ -257,12 +257,11 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
     return net
 
 
-def quadratic_coefficients(neuron: QuadraticNeuron) -> np.ndarray:
-    """Expand a one-input quadratic neuron into [a0, a1, a2] monomial coefficients."""
-    if neuron.input_dim != 1:
-        raise ValueError("expected a one-input neuron")
-    wr, wg, wb = neuron.w_r[0], neuron.w_g[0], neuron.w_b[0]
-    a2 = wr * wg + wb
-    a1 = wr * neuron.b_g + wg * neuron.b_r
-    a0 = neuron.b_r * neuron.b_g + neuron.c
-    return np.array([a0, a1, a2])
+def quadratic_coefficients(column) -> np.ndarray:
+    """Expand the block column of a one-input quadratic neuron, (w_r, b_r,
+    w_g, b_g, w_b, c), into [a0, a1, a2] monomial coefficients."""
+    column = _real(column, "column")
+    if column.shape != (6,):
+        raise ValueError("expected the 6-entry block column of a one-input neuron")
+    wr, br, wg, bg, wb, c = column
+    return np.array([br * bg + c, wr * bg + wg * br, wr * wg + wb])

@@ -368,8 +368,8 @@ def cmd_factor_train(args, report: RunReport) -> None:
         report.artifact("learned_factors.csv"),
         ["factor", "a0", "a1", "a2"],
         [
-            (j + 1, *quadratic_coefficients(neuron))
-            for j, neuron in enumerate(trained.layers[0].neurons)
+            (j + 1, *quadratic_coefficients(column))
+            for j, column in enumerate(trained.blocks[0].T)
         ],
     )
 

@@ -5,10 +5,11 @@ A NetworkSpec stores its parameters once, as one flat float64 array of
 with a bool array of the same layout marking the trainable entries; beside
 them it keeps each layer's activation and neuron kinds.  A layer reads the
 layer before it alone: a value a later layer needs is carried there by
-passthrough neurons.  Builders write the block columns, JSON reads and
-writes them directly, and neuron objects are made only where a net is
-built from them or net.layers is read (by the per-neuron oracle in
-oracles).  Nothing here mutates a spec: forward_batch and backward_batch
+passthrough neurons.  A net is made in one of two ways: NetworkSpec.blank,
+whose block columns a builder or a test then writes, or from_json, which
+reads them straight from JSON; to_json writes them.  Neuron objects are a
+read-only view, made only when net.layers is read (by the per-neuron
+oracle in oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
 input is the batch x[None].  forward_batch evaluates the blocks layer by
 layer on one tile of the batch at a time, through one workspace per call,
@@ -60,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neurons import Neuron, PassthroughNeuron, _integer, _real, neuron_fan_in, neuron_from_params
+from .neurons import PassthroughNeuron, _integer, _real, neuron_fan_in, neuron_from_params
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -76,10 +77,6 @@ def _layer(activation: str, kinds) -> tuple[str, tuple]:
         if type(kind) is not int:
             raise ValueError(f"unknown neuron kind {kind!r}")
     return activation, tuple(kinds)
-
-
-def _kind(neuron: Neuron):
-    return neuron.index if neuron.kind == "passthrough" else neuron.kind
 
 
 class BlockRows(NamedTuple):
@@ -101,13 +98,11 @@ def block_rows(n: int) -> BlockRows:
 
 @dataclass
 class LayerSpec:
-    """An ordered list of neurons sharing one input vector and activation."""
+    """A layer of net.layers: its neuron objects, made from the block
+    columns, and its activation."""
 
-    neurons: list[Neuron]
-    activation: str = "relu"
-
-    def __post_init__(self):
-        _layer(self.activation, [_kind(nr) for nr in self.neurons])
+    neurons: list
+    activation: str
 
     @property
     def width(self) -> int:
@@ -131,31 +126,14 @@ class NetworkSpec:
     parameters; structure holds each layer's (activation, kinds) (see
     _layer).
 
-    NetworkSpec(input_dim, layers, masks) builds a net from neuron objects,
-    masks[k][j] flagging the entries of neuron j's parameter vector (all
-    trainable when masks is None), and NetworkSpec.blank one for a builder
-    to write the blocks of.  net.layers is made on each read; net.masks are
-    views of trainable, so that writing False to one freezes those
-    parameters.
+    NetworkSpec.blank makes a net for a builder to write the blocks of, and
+    from_json one from its JSON; there is no other way to make one.
+    net.layers, the neuron objects, is made from the blocks on each read and
+    writing to it changes nothing; net.masks are views of trainable, so
+    that writing False to one freezes those parameters.
     """
 
     shortcuts = ()  # no edge skips a layer; kept for len(net.shortcuts) readers
-
-    def __init__(self, input_dim: int, layers, masks=None):
-        neurons = [layer.neurons for layer in layers]
-        vectors = [[nr.param_vector() for nr in nrs] for nrs in neurons]
-        structure = tuple(_layer(layer.activation, [_kind(nr) for nr in nrs])
-                          for layer, nrs in zip(layers, neurons))
-        if masks is not None:
-            masks = [[np.asarray(m, dtype=bool) for m in lm] for lm in masks]
-        self._setup(input_dim, structure,
-                    tuple(tuple(map(len, layer)) for layer in vectors),
-                    None if masks is None else
-                    tuple(tuple(len(m) if m.ndim == 1 else -1 for m in lm) for lm in masks))
-        own = self._layout.own
-        self.params[own] = np.concatenate(list(chain.from_iterable(vectors)))
-        if masks is not None:
-            self.trainable[own] = np.concatenate(list(chain.from_iterable(masks)))
 
     @classmethod
     def blank(cls, input_dim: int, layers) -> NetworkSpec:
@@ -711,9 +689,15 @@ class PackedNetwork:
         float64 batch under every restart's params.
 
         Returns the output, shape (R, B, output_dim), a copy that later
-        passes leave alone.  Raises ValueError if X is not (B, input_dim).
+        passes leave alone.  Raises ValueError if X is not (B, input_dim),
+        or if theta is complex or not (R, T): a row or a scalar is not
+        broadcast to every restart.
         """
         X = _check_inputs(X, self._input_dim)
+        theta = _real(theta, "theta")
+        shape = (len(self.params), len(self.theta_index))
+        if theta.shape != shape:
+            raise ValueError(f"expected theta of shape {shape}, got {theta.shape}")
         self.params[:, self.theta_index] = theta
         work = self._buffers(X.shape[0])
         acts = work.acts
@@ -790,8 +774,8 @@ class PackedNetwork:
         loss maps the (R, B, output_dim) output to (values, d values / d
         output), values holding one loss per restart; returns (values,
         gradients w.r.t. theta, shape (R, T)).  Raises ValueError if X is
-        not (B, input_dim) or the gradient loss returns is not shaped like
-        the output.
+        not (B, input_dim), theta not (R, T) (see forward) or the gradient
+        loss returns is not shaped like the output.
         """
         out = self.forward(theta, X)
         values, upstream = loss(out)

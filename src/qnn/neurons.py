@@ -1,4 +1,4 @@
-"""Neuron primitives: pre-activations, activations, analytic derivatives.
+"""Neuron objects, their pre-activations, and the activations.
 
 Three neuron kinds are supported.  A quadratic neuron computes
 
@@ -9,8 +9,11 @@ annuli, products of affine forms).  A conventional neuron is the usual
 inner product plus bias, and a passthrough neuron copies one coordinate of
 its input unchanged (used to carry channels through deep constructions).
 
-All arithmetic is float64.  Functions accept either a single input vector
-of shape (n,) or a batch of shape (B, n); scalars broadcast accordingly.
+A net stores its neurons as the columns of its layer blocks (see network);
+the objects here are a read-only view of them, made by net.layers through
+neuron_from_params, and the per-neuron oracle evaluates them.  All
+arithmetic is float64.  Functions accept either a single input vector of
+shape (n,) or a batch of shape (B, n); complex input is refused by name.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ def _as_weight(v, name: str) -> np.ndarray:
 class QuadraticNeuron:
     """Second-order unit with two affine factors plus a square term.
 
-    The parameter vector, in canonical order, is
-    (w_r, b_r, w_g, b_g, w_b, c): 3n + 3 entries for input length n.
+    Its canonical parameters, in order, are (w_r, b_r, w_g, b_g, w_b, c):
+    3n + 3 entries for input length n.
     """
 
     kind: ClassVar[str] = "quadratic"
@@ -93,15 +96,6 @@ class QuadraticNeuron:
     def input_dim(self) -> int:
         return len(self.w_r)
 
-    @property
-    def param_count(self) -> int:
-        return 3 * len(self.w_r) + 3
-
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w_r, [self.b_r], self.w_g, [self.b_g], self.w_b, [self.c]]
-        )
-
 
 @dataclass
 class ConventionalNeuron:
@@ -119,13 +113,6 @@ class ConventionalNeuron:
     def input_dim(self) -> int:
         return len(self.w)
 
-    @property
-    def param_count(self) -> int:
-        return len(self.w) + 1
-
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([self.w, [self.b]])
-
 
 @dataclass
 class PassthroughNeuron:
@@ -138,16 +125,6 @@ class PassthroughNeuron:
         self.index = int(self.index)
         if self.index < 0:
             raise ValueError("passthrough index must be non-negative")
-
-    @property
-    def param_count(self) -> int:
-        return 0
-
-    def param_vector(self) -> np.ndarray:
-        return np.zeros(0)
-
-
-Neuron = QuadraticNeuron | ConventionalNeuron | PassthroughNeuron
 
 
 def neuron_fan_in(kind: str, count: int) -> int:
@@ -179,8 +156,8 @@ def neuron_from_params(kind: str, params: np.ndarray) -> QuadraticNeuron | Conve
     return ConventionalNeuron(w=params[:-1], b=params[-1])
 
 
-def _check_input(n: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_input(n: int, x) -> np.ndarray:
+    x = _real(x, "x")
     if x.shape[-1] != n:
         raise ValueError(f"input has width {x.shape[-1]}, neuron expects {n}")
     return x
@@ -201,13 +178,13 @@ def conv_preactivation(neuron: ConventionalNeuron, x) -> float | np.ndarray:
     return x @ neuron.w + neuron.b
 
 
-def preactivation(neuron: Neuron, x) -> float | np.ndarray:
+def preactivation(neuron, x) -> float | np.ndarray:
     """Dispatch on neuron kind; passthrough copies its source coordinate."""
     if isinstance(neuron, QuadraticNeuron):
         return quad_preactivation(neuron, x)
     if isinstance(neuron, ConventionalNeuron):
         return conv_preactivation(neuron, x)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real(x, "x")
     if neuron.index >= x.shape[-1]:
         raise ValueError(
             f"passthrough index {neuron.index} out of range for width {x.shape[-1]}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from .polynomials import FactoredForm, Polynomial
 class GridSpec:
     """Uniform evaluation grid on [lo, hi] with n >= 2 points.
 
-    A non-finite lo or hi, and an n that is a bool or not an integer, are
-    refused by name rather than read as NaN bounds or truncated.
+    A lo or hi that is a bool, a string or not finite, and an n that is a
+    bool or not an integer, are refused by name rather than parsed, read as
+    0 and 1 or as NaN bounds, or truncated.
     """
 
     lo: float
@@ -46,11 +48,13 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        self.lo = float(self.lo)
-        self.hi = float(self.hi)
-        for name, value in (("lo", self.lo), ("hi", self.hi)):
+        for name in ("lo", "hi"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"grid {name} must be a real number, got {value!r}")
             if not isfinite(value):
                 raise ValueError(f"grid {name} must be finite, got {value}")
+            setattr(self, name, float(value))
         self.n = int(_integer(self.n, "grid n"))
         if self.lo >= self.hi:
             raise ValueError("grid requires lo < hi")
@@ -85,10 +89,11 @@ def finite_diff_grad(
     """Central differences (f(t+h) - f(t-h)) / 2h per trainable parameter.
 
     f(t) is upstream . forward_batch(net, x[None])[0] with the trainable
-    parameter vector set to t; upstream defaults to all ones.
+    parameter vector set to t; upstream defaults to all ones.  A step that
+    is not a positive finite number is refused by name.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=np.float64)
     if upstream is None:
         upstream = np.ones(net.output_dim)

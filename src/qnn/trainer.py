@@ -202,9 +202,10 @@ def make_rings_dataset(
     """Two concentric rings in the plane: inner labelled +1, outer -1.
 
     Points sit at uniformly random angles with radius drawn uniformly from
-    r +- noise.  Deterministic for a given seed.
+    r +- noise.  Deterministic for a given seed.  An n_per_class that is a
+    bool or not an integer is refused by name.
     """
-    if n_per_class < 1:
+    if _integer(n_per_class, "n_per_class") < 1:
         raise ValueError("n_per_class must be >= 1")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
@@ -222,10 +223,11 @@ def make_rings_dataset(
 
 
 def make_poly_dataset(p: Polynomial, lo: float, hi: float, n: int) -> Dataset:
-    """n evenly spaced points of the polynomial on [lo, hi]."""
+    """n evenly spaced points of the polynomial on [lo, hi]; an n that is a
+    bool or not an integer is refused by name."""
     if lo >= hi:
         raise ValueError("need lo < hi")
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise ValueError("need n >= 2")
     xs = np.linspace(lo, hi, n)
     return Dataset(xs[:, None], horner(p, xs))

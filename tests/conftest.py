@@ -9,8 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from qnn.network import LayerSpec, NetworkSpec
-from qnn.neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
+from qnn.network import NetworkSpec
 from qnn.oracles import reference_forward_batch
 
 # Property tests draw the same examples on every run and keep no example
@@ -23,47 +22,32 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="qnn-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
-def random_parts(rng, max_layers=4, max_width=3, max_input=3, allow_frozen=True):
-    """The NetworkSpec arguments (input_dim, layers, masks) of a
-    small random network mixing neuron kinds, activations, and masks; masks
-    is None, everything trainable, unless allow_frozen."""
+def random_network(rng, max_layers=4, max_width=3, max_input=3, allow_frozen=True) -> NetworkSpec:
+    """A small random network mixing neuron kinds, activations, and masks;
+    everything is trainable unless allow_frozen.  Each neuron's parameters
+    are drawn in canonical order, as the rows of its block column."""
     input_dim = int(rng.integers(1, max_input + 1))
     n_layers = int(rng.integers(1, max_layers + 1))
-    layers = []
+    layers, values = [], []
     prev = input_dim
     for _ in range(n_layers):
-        width = int(rng.integers(1, max_width + 1))
-        neurons = []
-        for _ in range(width):
-            kind = rng.choice(["quadratic", "conventional", "passthrough"])
-            if kind == "quadratic":
-                neurons.append(
-                    QuadraticNeuron(
-                        w_r=rng.normal(size=prev), b_r=rng.normal(),
-                        w_g=rng.normal(size=prev), b_g=rng.normal(),
-                        w_b=rng.normal(size=prev), c=rng.normal(),
-                    )
-                )
-            elif kind == "conventional":
-                neurons.append(
-                    ConventionalNeuron(w=rng.normal(size=prev), b=rng.normal())
-                )
+        kinds = []
+        for _ in range(int(rng.integers(1, max_width + 1))):
+            kind = str(rng.choice(["quadratic", "conventional", "passthrough"]))
+            if kind == "passthrough":
+                kinds.append(int(rng.integers(0, prev)))
             else:
-                neurons.append(PassthroughNeuron(int(rng.integers(0, prev))))
-        activation = str(rng.choice(["relu", "identity"]))
-        layers.append(LayerSpec(neurons, activation))
-        prev = width
-
-    masks = None
+                kinds.append(kind)
+                values += rng.normal(size=3 * prev + 3 if kind == "quadratic" else prev + 1).tolist()
+        layers.append((str(rng.choice(["relu", "identity"])), kinds))
+        prev = len(kinds)
+    net = NetworkSpec.blank(input_dim, layers)
+    net.params[net._layout.own] = values
     if allow_frozen:  # about one parameter in five frozen
-        masks = [[rng.random(size=nr.param_count) >= 0.2 for nr in layer.neurons]
-                 for layer in layers]
-    return input_dim, layers, masks
-
-
-def random_network(rng, **kwargs) -> NetworkSpec:
-    """A small random network mixing neuron kinds, activations, and masks."""
-    return NetworkSpec(*random_parts(rng, **kwargs))
+        for layer_masks in net.masks:
+            for mask in layer_masks:
+                mask[:] = rng.random(size=len(mask)) >= 0.2
+    return net
 
 
 def exact_multipoly(spec, X):
@@ -89,8 +73,8 @@ def input_away_from_kinks(net: NetworkSpec, rng, margin=1e-3, tries=200):
         x = rng.normal(size=net.input_dim)
         preacts, _ = reference_forward_batch(net, x[None, :])
         ok = True
-        for layer, z in zip(net.layers, preacts):
-            if layer.activation == "relu" and np.min(np.abs(z)) < margin:
+        for (activation, _), z in zip(net.structure, preacts):
+            if activation == "relu" and np.min(np.abs(z)) < margin:
                 ok = False
                 break
         if ok:

@@ -602,10 +602,10 @@ class TestFactorizationTrainable:
         values = trainable_values(net)
         values[0:6] = [1.7, 1.2, 0.0, 1.0, 1.0, 0.0]
         seeded = set_trainable_values(net, values)
-        np.testing.assert_allclose(
-            quadratic_coefficients(seeded.layers[0].neurons[0]),
-            [1.2, 1.7, 1.0],
-        )
+        np.testing.assert_allclose(quadratic_coefficients(seeded.blocks[0][:, 0]),
+                                   [1.2, 1.7, 1.0])
+        with pytest.raises(ValueError, match="6-entry block column"):
+            quadratic_coefficients(np.ones(9))  # a column of fan-in 2
 
 
 class TestPolynomialType:

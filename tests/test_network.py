@@ -21,13 +21,13 @@ from qnn.builders import (
 )
 from qnn.network import (
     _TILE_BYTES,
-    LayerSpec,
     NetworkSpec,
     PackedNetwork,
     _layout_of,
     _sizes_of,
     _through_fan_in,
     backward_batch,
+    block_rows,
     forward_batch,
     from_json,
     one_hidden_conventional,
@@ -39,16 +39,15 @@ from qnn.network import (
     trainable_count,
     trainable_values,
 )
-from qnn.neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron
 from qnn.oracles import finite_diff_grad, reference_backward_batch, reference_forward_batch
 from qnn.polynomials import Polynomial, bernstein_coeffs, factor_polynomial
 
 
-def norm_neuron(n=2):
-    return QuadraticNeuron(
-        w_r=np.zeros(n), b_r=0.0, w_g=np.zeros(n), b_g=0.0,
-        w_b=np.ones(n), c=0.0,
-    )
+def norm_net(n=2):
+    """One identity quadratic neuron of fan-in n computing ||x||^2."""
+    net = NetworkSpec.blank(n, [("identity", ["quadratic"])])
+    net.blocks[0][block_rows(n).w_b] = 1.0
+    return net
 
 
 def live_thirds(block, n):
@@ -335,15 +334,13 @@ class TestDeadThirds:
 
 class TestForward:
     def test_single_norm_neuron(self):
-        net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
+        net = norm_net()
         np.testing.assert_array_equal(forward_batch(net, [[3.0, 4.0]])[0], [25.0])
 
     def test_two_layer_composition(self):
-        layers = [
-            LayerSpec([norm_neuron()], "identity"),
-            LayerSpec([ConventionalNeuron(w=[1.0], b=-25.0)], "identity"),
-        ]
-        net = NetworkSpec(2, layers)
+        net = NetworkSpec.blank(2, [("identity", ["quadratic"]), ("identity", ["conventional"])])
+        net.blocks[0][block_rows(2).w_b] = 1.0
+        net.blocks[1][:2, 0] = [1.0, -25.0]  # w, b
         np.testing.assert_array_equal(forward_batch(net, [[3.0, 4.0]])[0], [0.0])
 
     def test_deep_radial_plateau_value(self):
@@ -360,7 +357,7 @@ class TestForward:
         assert out[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_input_width_checked(self):
-        net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
+        net = norm_net()
         with pytest.raises(ValueError):
             forward_batch(net, [[1.0, 2.0, 3.0]])
 
@@ -443,39 +440,19 @@ class TestForward:
 
 
 class TestValidation:
-    def test_dimension_chain_enforced(self):
-        layers = [
-            LayerSpec([norm_neuron(2)], "identity"),
-            LayerSpec([ConventionalNeuron(w=[1.0, 1.0], b=0.0)], "identity"),
-        ]
-        with pytest.raises(ValueError):
-            NetworkSpec(2, layers)
-
     def test_passthrough_index_checked(self):
-        layers = [
-            LayerSpec([norm_neuron(2)], "identity"),
-            LayerSpec([PassthroughNeuron(1)], "identity"),
-        ]
         with pytest.raises(ValueError):
-            NetworkSpec(2, layers)
+            NetworkSpec.blank(2, [("identity", ["quadratic"]), ("identity", [1])])
 
     def test_sizes_checked_before_arrays_are_made(self):
-        layers = [LayerSpec([norm_neuron(2)], "identity"),
-                  LayerSpec([PassthroughNeuron(10**20)], "identity")]
         with pytest.raises(ValueError, match="passthrough index"):
-            NetworkSpec(2, layers)
-        # a block of this fan-in would not fit in any address space
-        layers = [LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity")]
-        with pytest.raises(ValueError, match="expects input width 1"):
-            NetworkSpec(10**15, layers)
+            NetworkSpec.blank(2, [("identity", ["quadratic"]), ("identity", [10**20])])
 
     @pytest.mark.parametrize("input_dim", [2.0, 2.5, True, "2", np.float64(2.0)],
                              ids=["2.0", "2.5", "True", "str", "float64"])
     def test_non_integer_input_dim_refused(self, input_dim):
         with pytest.raises(ValueError, match="input_dim must be an integer"):
             single_quadratic_net(input_dim)
-        with pytest.raises(ValueError, match="input_dim must be an integer"):
-            NetworkSpec(input_dim, [LayerSpec([norm_neuron(2)], "identity")])
 
     def test_refused_float_input_dim_leaves_the_layout_caches_clean(self):
         """2.0 and 2 share an lru_cache key: a 2.0 that reached the cached
@@ -494,19 +471,19 @@ class TestValidation:
                 make(2, width)
 
     def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            LayerSpec([norm_neuron(2)], "tanh")
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            NetworkSpec.blank(2, [("tanh", ["quadratic"])])
 
 class TestBackward:
     def test_constant_offset_gradient_is_one(self):
         rng = np.random.default_rng(8)
-        net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
+        net = norm_net()
         for _ in range(5):
             g = backward_batch(net, rng.normal(size=(1, 2)), np.ones((1, 1)))
             assert g[-1] == 1.0  # dh/dc
 
     def test_square_term_gradient_is_squared_input(self):
-        net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
+        net = norm_net()
         g = backward_batch(net, [[3.0, 4.0]], [[1.0]])
         # canonical order: w_r(2), b_r, w_g(2), b_g, w_b(2), c
         np.testing.assert_array_equal(g[6:8], [9.0, 16.0])
@@ -546,7 +523,7 @@ class TestBackward:
         np.testing.assert_allclose(total, summed, rtol=1e-12, atol=1e-12)
 
     def test_upstream_width_checked(self):
-        net = NetworkSpec(2, [LayerSpec([norm_neuron()], "identity")])
+        net = norm_net()
         with pytest.raises(ValueError):
             backward_batch(net, np.zeros((1, 2)), np.ones((1, 2)))
 
@@ -678,6 +655,22 @@ class TestPackedNetwork:
         theta = np.zeros((1, len(packed.theta_index)))
         with pytest.raises(ValueError, match="X must be real"):
             packed.forward(theta, np.ones((5, 1), dtype=complex))
+
+    @pytest.mark.parametrize("theta, problem", [
+        (np.ones((2, 6), dtype=complex), "theta must be real"),
+        (np.full(6, 0.5), r"expected theta of shape \(2, 6\), got \(6,\)"),
+        (0.5, r"expected theta of shape \(2, 6\), got \(\)"),
+        (np.ones((3, 6)), r"expected theta of shape \(2, 6\), got \(3, 6\)"),
+    ], ids=["complex", "row", "scalar", "restarts"])
+    def test_malformed_theta_refused(self, theta, problem):
+        """theta must be real and (R, T): a row or a scalar is not broadcast
+        to every restart, and no imaginary part is dropped."""
+        packed = PackedNetwork(single_quadratic_net(1), restarts=2)
+        X = np.ones((5, 1))
+        with pytest.raises(ValueError, match=problem):
+            packed.forward(theta, X)
+        with pytest.raises(ValueError, match=problem):
+            packed.loss_and_grad(theta, X, lambda out: (None, np.ones_like(out)))
 
     def test_complex_loss_gradient_refused(self):
         """A loss whose gradient is complex is refused by name, not cast to
@@ -813,18 +806,10 @@ class TestParameters:
     def test_frozen_entries_unchanged(self, net_factory):
         rng = np.random.default_rng(15)
         net = net_factory(rng, allow_frozen=True)
-        before = [
-            [nr.param_vector().copy() for nr in layer.neurons]
-            for layer in net.layers
-        ]
+        own = net._layout.own
+        frozen = ~net.trainable[own]
         updated = set_trainable_values(net, rng.normal(size=trainable_count(net)))
-        for k, layer in enumerate(updated.layers):
-            for j, neuron in enumerate(layer.neurons):
-                mask = net.masks[k][j]
-                frozen = ~mask
-                np.testing.assert_array_equal(
-                    neuron.param_vector()[frozen], before[k][j][frozen]
-                )
+        np.testing.assert_array_equal(updated.params[own][frozen], net.params[own][frozen])
 
     def test_original_network_not_mutated(self, net_factory):
         rng = np.random.default_rng(16)
@@ -867,17 +852,14 @@ class TestSerialization:
         assert trainable_count(rebuilt) == trainable_count(net)
 
     def test_negative_zero_and_tiny_values_survive(self):
-        neuron = ConventionalNeuron(w=[-0.0, 5e-324], b=1e-17)
-        net = NetworkSpec(2, [LayerSpec([neuron], "identity")])
-        rebuilt = from_json(to_json(net))
-        w = rebuilt.layers[0].neurons[0].w
-        assert np.signbit(w[0]) and w[1] == 5e-324
-        assert rebuilt.layers[0].neurons[0].b == 1e-17
+        net = NetworkSpec.blank(2, [("identity", ["conventional"])])
+        net.blocks[0][:3, 0] = [-0.0, 5e-324, 1e-17]  # w, b
+        w0, w1, b = from_json(to_json(net)).blocks[0][:3, 0]
+        assert np.signbit(w0) and w1 == 5e-324 and b == 1e-17
 
     def test_non_finite_neuron_parameter_rejected(self):
-        neuron = QuadraticNeuron(w_r=[1.0], b_r=np.nan, w_g=[0.0], b_g=1.0,
-                                 w_b=[0.0], c=0.0)
-        net = NetworkSpec(1, [LayerSpec([neuron], "identity")])
+        net = single_quadratic_net(1)
+        net.blocks[0][block_rows(1).b_r] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             to_json(net)
 
@@ -893,11 +875,10 @@ class TestSerialization:
 
     @staticmethod
     def _valid_document() -> dict:
-        layers = [
-            LayerSpec([norm_neuron(1), PassthroughNeuron(0)], "relu"),
-            LayerSpec([ConventionalNeuron(w=[1.0, -1.0], b=0.25)], "identity"),
-        ]
-        return json.loads(to_json(NetworkSpec(1, layers)))
+        net = NetworkSpec.blank(1, [("relu", ["quadratic", 0]), ("identity", ["conventional"])])
+        net.blocks[0][block_rows(1).w_b, 0] = 1.0
+        net.blocks[1][:3, 0] = [1.0, -1.0, 0.25]  # w, b
+        return json.loads(to_json(net))
 
     @pytest.mark.parametrize("edit, problem", [
         (_edit(["layers", 1, "neurons"]), "layer 1: lacks 'neurons'"),

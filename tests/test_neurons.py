@@ -56,22 +56,16 @@ class TestQuadPreactivation:
         with pytest.raises(ValueError, match=f"{field} must be real"):
             QuadraticNeuron(b_r=0.0, b_g=0.0, c=0.0, **weights)
 
-    def test_parameter_count_is_3n_plus_3(self):
-        for n_in in (1, 2, 5):
-            n = quad(np.ones(n_in), 0, np.ones(n_in), 0, np.ones(n_in), 0)
-            assert n.param_count == 3 * n_in + 3
-            assert len(n.param_vector()) == n.param_count
-
-    def test_param_vector_round_trip(self):
-        """neuron_from_params inverts param_vector for both parametrised kinds."""
-        rng = np.random.default_rng(0)
-        for n in (quad(rng.normal(size=2), 1.0, rng.normal(size=2), -2.0,
-                       rng.normal(size=2), 0.5),
-                  ConventionalNeuron(w=rng.normal(size=3), b=-0.0)):
-            vec = n.param_vector()
-            rebuilt = neuron_from_params(n.kind, vec)
-            assert type(rebuilt) is type(n)
-            assert rebuilt.param_vector().tobytes() == vec.tobytes()
+    def test_neuron_from_params_reads_canonical_order(self):
+        """neuron_from_params reads (w_r, b_r, w_g, b_g, w_b, c) or (w, b),
+        and refuses a vector of no neuron's length."""
+        vec = np.arange(9.0)
+        n = neuron_from_params("quadratic", vec)
+        assert (n.w_r.tolist(), n.b_r, n.w_g.tolist(), n.b_g, n.w_b.tolist(), n.c) == (
+            [0.0, 1.0], 2.0, [3.0, 4.0], 5.0, [6.0, 7.0], 8.0)
+        conv = neuron_from_params("conventional", np.array([1.0, 2.0, -0.0]))
+        assert type(conv) is ConventionalNeuron and conv.w.tolist() == [1.0, 2.0]
+        assert np.signbit(conv.b)
         for kind, bad in (("quadratic", np.ones(7)), ("conventional", np.ones(1)),
                           ("passthrough", np.ones(2))):
             with pytest.raises(ValueError):
@@ -115,11 +109,19 @@ class TestPassthrough:
     def test_copies_coordinate(self):
         n = PassthroughNeuron(1)
         assert preactivation(n, np.array([5.0, -2.0])) == -2.0
-        assert n.param_count == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             preactivation(PassthroughNeuron(3), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("neuron", [quad([1.0], 0, [1.0], 0, [1.0], 0),
+                                    ConventionalNeuron(w=[1.0], b=0.0), PassthroughNeuron(0)],
+                         ids=["quadratic", "conventional", "passthrough"])
+def test_complex_input_refused(neuron):
+    """Complex input is refused by name, not cast to its real part."""
+    with pytest.raises(ValueError, match="x must be real, got complex"):
+        preactivation(neuron, [1.0 + 1.0j])
 
 
 class TestAlgebraicStructure:

@@ -5,8 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from qnn.network import LayerSpec, NetworkSpec, backward_batch, trainable_count
-from qnn.neurons import ConventionalNeuron
+from qnn.network import NetworkSpec, backward_batch, trainable_count
 from qnn.oracles import (
     GridSpec,
     bernstein_direct,
@@ -57,11 +56,16 @@ class TestExpandFactored:
         )
 
 
+def conventional_net(w, b):
+    """One identity conventional neuron w . x + b."""
+    net = NetworkSpec.blank(len(w), [("identity", ["conventional"])])
+    net.blocks[0][: len(w) + 1, 0] = [*w, b]
+    return net
+
+
 class TestFiniteDiff:
     def test_linear_neuron_gradient_is_input(self):
-        net = NetworkSpec(
-            3, [LayerSpec([ConventionalNeuron(w=[0.1, 0.2, 0.3], b=0.0)], "identity")]
-        )
+        net = conventional_net([0.1, 0.2, 0.3], 0.0)
         x = np.array([1.5, -2.0, 0.25])
         for step in (1e-3, 1e-5, 1e-7):
             g = finite_diff_grad(net, x, step=step)
@@ -69,9 +73,7 @@ class TestFiniteDiff:
             assert g[3] == pytest.approx(1.0)
 
     def test_constant_network_all_zeros(self):
-        net = NetworkSpec(
-            2, [LayerSpec([ConventionalNeuron(w=[0.0, 0.0], b=4.0)], "identity")]
-        )
+        net = conventional_net([0.0, 0.0], 4.0)
         net.masks[0][0][:2] = False  # freeze the weights, keep the bias
         g = finite_diff_grad(net, np.array([1.0, 2.0]))
         assert len(g) == 1
@@ -96,11 +98,14 @@ class TestFiniteDiff:
             checked += 1
 
     def test_step_must_be_positive(self):
-        net = NetworkSpec(
-            1, [LayerSpec([ConventionalNeuron(w=[1.0], b=0.0)], "identity")]
-        )
         with pytest.raises(ValueError):
-            finite_diff_grad(net, np.array([1.0]), step=0.0)
+            finite_diff_grad(conventional_net([1.0], 0.0), np.array([1.0]), step=0.0)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_step_refused(self, step):
+        """A NaN step gave an all-NaN gradient; it is refused by name."""
+        with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
+            finite_diff_grad(conventional_net([1.0], 0.0), np.array([1.0]), step=step)
 
 
 class TestGrids:
@@ -152,6 +157,20 @@ class TestGrids:
     def test_bool_n_refused(self):
         with pytest.raises(ValueError, match="grid n must be an integer, got True"):
             GridSpec(0.0, 1.0, True)
+
+    @pytest.mark.parametrize("lo, hi, name", [("0", "1e0", "lo"), (0.0, "1e0", "hi"),
+                                              (False, True, "lo"), (0, np.True_, "hi")],
+                             ids=["strings", "string-hi", "bools", "numpy-bool-hi"])
+    def test_string_or_bool_bound_refused(self, lo, hi, name):
+        """Strings were parsed and bools read as 0 and 1: both built [0, 1]."""
+        with pytest.raises(ValueError, match=f"grid {name} must be a real number"):
+            GridSpec(lo, hi, 5)
+
+    def test_numeric_bounds_accepted(self):
+        for lo, hi in ((0, 1), (np.float64(0.0), np.float64(1.0)), (np.int64(0), 1.0)):
+            grid = GridSpec(lo, hi, 5)
+            assert (type(grid.lo), type(grid.hi)) == (float, float)
+            assert grid.points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 class TestBernsteinDirect:

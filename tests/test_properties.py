@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_parts
+from conftest import random_network
 from qnn.builders import build_factorization_trainable
 from qnn.network import (
     ACTIVATIONS,
-    LayerSpec,
+    BlockRows,
     NetworkSpec,
     PackedNetwork,
+    block_rows,
     forward_batch,
     from_json,
     one_hidden_conventional,
@@ -24,7 +25,6 @@ from qnn.network import (
     trainable_count,
     trainable_values,
 )
-from qnn.neurons import PassthroughNeuron, neuron_from_params
 from qnn.oracles import reference_backward_batch, reference_forward_batch
 
 small = st.floats(-2.0, 2.0)
@@ -47,22 +47,25 @@ def networks(draw):
     """Up to four layers of up to three neurons of any kind, either
     activation and frozen mask entries."""
     input_dim = draw(st.integers(1, 3))
-    layers = []
+    layers, values = [], []
     fan_in = input_dim
     for _ in range(draw(st.integers(1, 4))):
-        neurons = []
+        kinds = []
         for _ in range(draw(st.integers(1, 3))):
             kind = draw(st.sampled_from(["quadratic", "conventional", "passthrough"]))
             if kind == "passthrough":
-                neurons.append(PassthroughNeuron(draw(st.integers(0, fan_in - 1))))
+                kinds.append(draw(st.integers(0, fan_in - 1)))
             else:
-                count = 3 * fan_in + 3 if kind == "quadratic" else fan_in + 1
-                neurons.append(neuron_from_params(kind, draw(vectors(count))))
-        layers.append(LayerSpec(neurons, draw(st.sampled_from(ACTIVATIONS))))
-        fan_in = len(neurons)
-    masks = [[draw(vectors(nr.param_count, st.booleans())).astype(bool) for nr in layer.neurons]
-             for layer in layers]
-    return NetworkSpec(input_dim, layers, masks)
+                kinds.append(kind)
+                values.extend(draw(vectors(3 * fan_in + 3 if kind == "quadratic" else fan_in + 1)))
+        layers.append((draw(st.sampled_from(ACTIVATIONS)), kinds))
+        fan_in = len(kinds)
+    net = NetworkSpec.blank(input_dim, layers)
+    net.params[net._layout.own] = values
+    for layer_masks in net.masks:
+        for mask in layer_masks:
+            mask[:] = draw(vectors(len(mask), st.booleans()))
+    return net
 
 
 @given(st.data())
@@ -178,38 +181,40 @@ def frozen_layer_networks(draw):
     Returns the net and, per layer, whether the executor may skip its
     square term (None where the draw does not fix it)."""
     input_dim = draw(st.integers(1, 3))
-    layers, masks, skips = [], [], []
+    layers, values, flags, skips = [], [], [], []
     fan_in = input_dim
     for _ in range(draw(st.integers(2, 4))):
         role = draw(st.sampled_from(["trainable", "product", "square"]))
-        neurons = []
+        kinds, sizes = [], []
         for j in range(draw(st.integers(1, 3))):
-            kinds = (["quadratic", "conventional", "passthrough"] if role == "trainable"
-                     else ["quadratic", "passthrough"])
-            kind = "quadratic" if j == 0 and role != "trainable" else draw(st.sampled_from(kinds))
+            choices = (["quadratic", "conventional", "passthrough"] if role == "trainable"
+                       else ["quadratic", "passthrough"])
+            kind = "quadratic" if j == 0 and role != "trainable" else draw(st.sampled_from(choices))
             if kind == "passthrough":
-                neurons.append(PassthroughNeuron(draw(st.integers(0, fan_in - 1))))
-            elif kind == "conventional":
-                neurons.append(neuron_from_params(kind, draw(vectors(fan_in + 1))))
+                kind, params = draw(st.integers(0, fan_in - 1)), []
             else:
-                params = draw(vectors(3 * fan_in + 3))
+                params = draw(vectors(3 * fan_in + 3 if kind == "quadratic" else fan_in + 1))
                 if role == "product":
                     params[2 * fan_in + 2 :] = 0.0
                 elif role == "square" and j == 0:
                     params[-1] = draw(st.floats(0.5, 2.0))
-                neurons.append(neuron_from_params(kind, params))
-        layers.append(LayerSpec(neurons, draw(st.sampled_from(ACTIVATIONS))))
+            kinds.append(kind)
+            sizes.append(len(params))
+            values.extend(params)
+        layers.append((draw(st.sampled_from(ACTIVATIONS)), kinds))
         # a trainable layer's masks are random within the thirds of its
         # block that it does not freeze whole, so that some thirds have no
         # trainable entry
         thirds = np.repeat(draw(vectors(3, st.booleans())).astype(bool), fan_in + 1)
-        masks.append([draw(vectors(nr.param_count, st.booleans())).astype(bool)
-                      & thirds[: nr.param_count]
-                      if role == "trainable" else np.zeros(nr.param_count, dtype=bool)
-                      for nr in neurons])
+        for size in sizes:
+            flags.extend(draw(vectors(size, st.booleans())).astype(bool) & thirds[:size]
+                         if role == "trainable" else np.zeros(size, dtype=bool))
         skips.append({"trainable": None, "product": True, "square": False}[role])
-        fan_in = len(neurons)
-    return NetworkSpec(input_dim, layers, masks), skips
+        fan_in = len(kinds)
+    net = NetworkSpec.blank(input_dim, layers)
+    net.params[net._layout.own] = values
+    net.trainable[net._layout.own] = flags
+    return net, skips
 
 
 @given(st.data(), st.sampled_from([1, 3]))
@@ -258,69 +263,63 @@ def test_trainable_values_round_trip(data):
     net = data.draw(networks())
     values = data.draw(vectors(trainable_count(net), finite))
     before = to_json(net)
-    frozen = [[nr.param_vector()[~mask] for nr, mask in zip(layer.neurons, layer_masks)]
-              for layer, layer_masks in zip(net.layers, net.masks)]
+    own = net._layout.own
+    frozen = ~net.trainable[own]
+    kept = net.params[own][frozen]
 
     updated = set_trainable_values(net, values)
 
     assert trainable_values(updated).tobytes() == values.tobytes()
     assert to_json(net) == before
-    for layer, layer_masks, kept in zip(updated.layers, updated.masks, frozen):
-        for nr, mask, old in zip(layer.neurons, layer_masks, kept):
-            assert nr.param_vector()[~mask].tobytes() == old.tobytes()
+    assert updated.params[own][frozen].tobytes() == kept.tobytes()
 
 
 # The conftest random nets: every neuron kind, passthroughs and,
 # unless everything is trainable, masks with frozen entries.
 random_nets = st.tuples(st.integers(0, 2**32 - 1), st.booleans()).map(
-    lambda drawn: random_parts(np.random.default_rng(drawn[0]), allow_frozen=drawn[1]))
-
-
-def full_masks(layers, masks):
-    """masks, or the all-trainable masks that None stands for."""
-    if masks is not None:
-        return masks
-    return [[np.ones(nr.param_count, dtype=bool) for nr in layer.neurons] for layer in layers]
+    lambda drawn: random_network(np.random.default_rng(drawn[0]), allow_frozen=drawn[1]))
 
 
 @given(random_nets)
-def test_json_round_trip_of_random_nets(parts):
-    text = to_json(NetworkSpec(*parts))
+def test_json_round_trip_of_random_nets(net):
+    text = to_json(net)
     assert to_json(from_json(text)) == text
 
 
 @given(random_nets)
-def test_neurons_read_back_from_the_blocks(parts):
-    """net.layers and net.masks, made from the stored blocks, give back the
-    neurons and masks the net was built from, bit for bit."""
-    input_dim, layers, masks = parts
-    net = NetworkSpec(*parts)
-    for layer, read, layer_masks, read_masks in zip(
-            layers, net.layers, full_masks(layers, masks), net.masks, strict=True):
-        assert (read.activation, read.width) == (layer.activation, layer.width)
-        for nr, got, mask, got_mask in zip(
-                layer.neurons, read.neurons, layer_masks, read_masks, strict=True):
-            assert type(got) is type(nr)
-            assert getattr(got, "index", None) == getattr(nr, "index", None)
-            assert got.param_vector().tobytes() == nr.param_vector().tobytes()
-            assert got_mask.tobytes() == np.asarray(mask, dtype=bool).tobytes()
+def test_neurons_read_back_from_the_blocks(net):
+    """net.layers, made from the stored blocks, gives each layer's
+    activation and kinds and each neuron's block column, bit for bit, and
+    writing to its neurons leaves the net unchanged."""
+    params = net.params.copy()
+    fields = {"quadratic": BlockRows._fields, "conventional": ("w", "b")}
+    for (activation, kinds), layer, block in zip(net.structure, net.layers, net.blocks,
+                                                 strict=True):
+        assert (layer.activation, layer.width) == (activation, len(kinds))
+        rows = block_rows(len(block) // 3 - 1)
+        for j, (kind, got) in enumerate(zip(kinds, layer.neurons, strict=True)):
+            if kind not in fields:
+                assert (got.kind, got.index) == ("passthrough", kind)
+                continue
+            assert got.kind == kind
+            for field, row in zip(fields[kind], rows):
+                assert np.asarray(getattr(got, field)).tobytes() == block[row, j].tobytes()
+            getattr(got, fields[kind][0])[:] = np.nan
+    assert net.params.tobytes() == params.tobytes()
 
 
 @given(random_nets)
-def test_trainable_values_in_canonical_order(parts):
-    """The trainable vector is each neuron's masked parameter vector, layer
-    by layer and neuron by neuron."""
-    input_dim, layers, masks = parts
-    expected = [nr.param_vector()[mask]
-                for layer, layer_masks in zip(layers, full_masks(layers, masks))
-                for nr, mask in zip(layer.neurons, layer_masks)]
-    assert (trainable_values(NetworkSpec(*parts)).tobytes()
-            == np.concatenate(expected).tobytes())
+def test_trainable_values_in_canonical_order(net):
+    """The trainable vector is each block column's masked leading entries,
+    layer by layer and neuron by neuron."""
+    expected = [block[: len(mask), j][mask]
+                for block, layer_masks in zip(net.blocks, net.masks)
+                for j, mask in enumerate(layer_masks)]
+    assert trainable_values(net).tobytes() == np.concatenate(expected).tobytes()
 
 
 @given(random_nets)
-def test_set_trainable_values_leaves_its_input_unchanged(parts):
-    net = NetworkSpec(*parts)
+def test_set_trainable_values_leaves_its_input_unchanged(net):
     params, trainable = net.params.copy(), net.trainable.copy()
     masks = [[m.copy() for m in layer_masks] for layer_masks in net.masks]
 

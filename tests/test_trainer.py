@@ -108,18 +108,11 @@ class TestTrain:
         net = build_factorization_trainable(5, 1, 2)
         target = Polynomial([0.5, -1.0, 0.0, 0.0, 0.0, 1.0])
         data = make_poly_dataset(target, -1.0, 0.0, 20)
-        frozen_before = [
-            [nr.param_vector().copy() for nr in layer.neurons]
-            for layer in net.layers
-        ]
+        own = net._layout.own
+        frozen = ~net.trainable[own]
         cfg = TrainConfig(loss="mse", learning_rate=1e-3, iterations=50, seed=3)
         trained, _ = train(net, data, cfg)
-        for k, layer in enumerate(trained.layers):
-            for j, neuron in enumerate(layer.neurons):
-                mask = net.masks[k][j]
-                np.testing.assert_array_equal(
-                    neuron.param_vector()[~mask], frozen_before[k][j][~mask]
-                )
+        assert trained.params[own][frozen].tobytes() == net.params[own][frozen].tobytes()
 
     def test_deterministic_given_config(self):
         data = quad_teacher_data(seed=2, n=30)
@@ -273,11 +266,8 @@ class TestTrain:
             train(single_quadratic_net(3), data, TrainConfig())
 
     def test_multi_output_rejected(self):
-        from qnn.network import LayerSpec, NetworkSpec
-        from qnn.neurons import ConventionalNeuron
-        net = NetworkSpec(2, [LayerSpec(
-            [ConventionalNeuron(w=[1.0, 0.0], b=0.0),
-             ConventionalNeuron(w=[0.0, 1.0], b=0.0)], "identity")])
+        from qnn.network import NetworkSpec
+        net = NetworkSpec.blank(2, [("identity", ["conventional", "conventional"])])
         data = quad_teacher_data(seed=8, n=10)
         with pytest.raises(ValueError):
             train(net, data, TrainConfig())
@@ -311,6 +301,12 @@ class TestRingsDataset:
         with pytest.raises(ValueError):
             make_rings_dataset(0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
+    def test_non_integer_count_refused(self, count):
+        """2.5 raised a bare numpy TypeError and True made one point a ring."""
+        with pytest.raises(ValueError, match=f"n_per_class must be an integer, got {count}"):
+            make_rings_dataset(count)
+
 
 class TestPolyDataset:
     def test_hundred_points_on_unit_interval(self):
@@ -338,6 +334,12 @@ class TestPolyDataset:
             make_poly_dataset(p, 1.0, 1.0, 10)
         with pytest.raises(ValueError):
             make_poly_dataset(p, 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
+    def test_non_integer_count_refused(self, count):
+        """2.5 raised a bare numpy TypeError and True failed as "need n >= 2"."""
+        with pytest.raises(ValueError, match=f"n must be an integer, got {count}"):
+            make_poly_dataset(Polynomial([0.0, 1.0]), 0.0, 1.0, count)
 
 
 class TestAccuracy:
