@@ -54,8 +54,9 @@ class RadialPartition:
         return len(self.heights)
 
     def step_profile(self, t) -> np.ndarray:
-        """The piecewise-constant target the construction approximates."""
-        t = np.asarray(t, dtype=np.float64)
+        """The piecewise-constant target the construction approximates;
+        complex or non-numeric t is refused by name."""
+        t = _real(t, "t")
         out = np.zeros_like(t)
         for i, b in enumerate(self.heights):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]

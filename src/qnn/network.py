@@ -7,9 +7,13 @@ them it keeps each layer's activation and neuron kinds.  A layer reads the
 layer before it alone: a value a later layer needs is carried there by
 passthrough neurons.  A net is made in one of two ways: NetworkSpec.blank,
 whose block columns a builder or a test then writes, or from_json, which
-reads them straight from JSON; to_json writes them.  Neuron objects are a
-read-only view, made only when net.layers is read (by the per-neuron
-oracle in oracles).  Nothing here mutates a spec: forward_batch and backward_batch
+reads them straight from JSON; to_json writes them.  One cached walk of a
+structure, _layout_of, works out where its rows lie and refuses a
+passthrough index outside its fan-in; from_json checks each neuron's
+parameter count and mask length against its fan-in as it reads them,
+before any array is made, and then makes the net through blank.  Neuron
+objects are a read-only view, made only when net.layers is read (by the
+per-neuron oracle in oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
 input is the batch x[None].  forward_batch evaluates the blocks layer by
 layer on one tile of the batch at a time, through one workspace per call,
@@ -61,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neurons import PassthroughNeuron, _integer, _real, neuron_fan_in, neuron_from_params
+from .neurons import PassthroughNeuron, _integer, _real, neuron_from_params
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -127,7 +131,9 @@ class NetworkSpec:
     _layer).
 
     NetworkSpec.blank makes a net for a builder to write the blocks of, and
-    from_json one from its JSON; there is no other way to make one.
+    from_json one from its JSON, through blank once its counts are checked;
+    there is no other way to make one.  Either refuses a structure that does
+    not fit, naming the layer and neuron, before any array is made.
     net.layers, the neuron objects, is made from the blocks on each read and
     writing to it changes nothing; net.masks are views of trainable, so
     that writing False to one freezes those parameters.
@@ -138,28 +144,21 @@ class NetworkSpec:
     @classmethod
     def blank(cls, input_dim: int, layers) -> NetworkSpec:
         """A net of layers given as (activation, kinds), every neuron
-        parameter zero and trainable."""
-        net = cls.__new__(cls)
-        net._setup(input_dim, tuple(_layer(*layer) for layer in layers))
-        return net
-
-    def _setup(self, input_dim, structure, counts=None, mask_lengths=None):
-        """Check the structure, and each neuron's parameter count and mask
-        length where given, and allocate params and trainable.  input_dim is
-        checked to be an integer first: the layout caches would key 2.0 as 2."""
+        parameter zero and trainable.  input_dim is checked to be an integer
+        before the layout is looked up: its cache would key 2.0 as 2."""
+        structure = tuple(_layer(*layer) for layer in layers)
         if _integer(input_dim, "input_dim") < 1:
             raise ValueError("input_dim must be >= 1")
         if not structure:
             raise ValueError("network must have at least one layer")
-        sizes, fit = _sizes_of(input_dim, structure)
-        if not (fit and counts in (None, sizes) and mask_lengths in (None, sizes)):
-            _refuse(input_dim, structure, sizes, counts, mask_lengths)
-        layout = _layout_of(input_dim, structure)  # sized only once the checks pass
-        self.input_dim, self.structure, self._layout = input_dim, structure, layout
-        self.params = np.zeros(layout.size)
-        self.params[layout.ones] = 1.0
-        self.trainable = np.zeros(layout.size, dtype=bool)
-        self.trainable[layout.own] = True
+        layout = _layout_of(input_dim, structure)
+        net = cls.__new__(cls)
+        net.input_dim, net.structure, net._layout = input_dim, structure, layout
+        net.params = np.zeros(layout.size)
+        net.params[layout.ones] = 1.0
+        net.trainable = np.zeros(layout.size, dtype=bool)
+        net.trainable[layout.own] = True
+        return net
 
     def _split(self, flat: np.ndarray) -> list[np.ndarray]:
         """The layer blocks of an array laid out as params on its last axis."""
@@ -206,69 +205,51 @@ class _Layout(NamedTuple):
     parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g and [W_b; c] rows start
 
 
-@lru_cache(maxsize=256)
-def _sizes_of(input_dim: int, structure: tuple) -> tuple[tuple, bool]:
-    """Each layer's per-neuron parameter counts, as plain tuples, and
-    whether every passthrough index is below its fan-in."""
-    sizes, n, fit = [], input_dim, True
-    for _, kinds in structure:
-        size = {"quadratic": 3 * n + 3, "conventional": n + 1}
-        sizes.append(tuple(size.get(kind, 0) for kind in kinds))
-        indices = set(kinds).difference(size)
-        fit = fit and (not indices or 0 <= min(indices) and max(indices) < n)
-        n = len(kinds)
-    return tuple(sizes), fit
+def _param_counts(n: int) -> dict:
+    """The parameter count of each neuron kind at fan-in n; a passthrough has none."""
+    return {"quadratic": 3 * n + 3, "conventional": n + 1}
 
 
-def _refuse(input_dim: int, structure: tuple, sizes: tuple, counts, mask_lengths):
-    """Raise ValueError for the first fault, layer by layer and neuron by
-    neuron: masks that do not parallel the layers or a layer's neurons, a
-    passthrough index out of range, a parameter count that does not fit the
-    fan-in, a mask of the wrong length."""
-    if mask_lengths is not None and len(mask_lengths) != len(structure):
-        raise ValueError("masks must parallel layers")
-    n = input_dim
-    for k, ((_, kinds), layer_sizes) in enumerate(zip(structure, sizes)):
-        if mask_lengths is not None and len(mask_lengths[k]) != len(kinds):
-            raise ValueError(f"masks for layer {k} must parallel its neurons")
-        for j, (kind, size) in enumerate(zip(kinds, layer_sizes)):
-            if not size and not 0 <= kind < n:
-                raise ValueError(f"layer {k} neuron {j}: passthrough index "
-                                 f"{kind} out of range for width {n}")
-            if size and counts is not None and counts[k][j] != size:
-                raise ValueError(f"layer {k} neuron {j}: expects input width "
-                                 f"{neuron_fan_in(kind, counts[k][j])}, "
-                                 f"previous layer has {n}")
-            if mask_lengths is not None and mask_lengths[k][j] != size:
-                raise ValueError(f"mask shape mismatch at layer {k} neuron {j}")
-        n = len(kinds)
+# The most entries a net's blocks may hold, 32 GiB of float64: a passthrough
+# column of a huge fan-in, one JSON field, is refused rather than allocated.
+_MAX_ENTRIES = 2**32
 
 
 @lru_cache(maxsize=256)
 def _layout_of(input_dim: int, structure: tuple) -> _Layout:
-    """The _Layout of a structure, made once for all nets that share it."""
-    sizes, _ = _sizes_of(input_dim, structure)
-    blocks, ones, columns, strides, parts = [], [], [], [], []
+    """The _Layout of a structure, made once for all nets that share it: the
+    one walk of a structure.  A passthrough index outside its fan-in, or a
+    column that takes the blocks past _MAX_ENTRIES, raises ValueError naming
+    the layer and neuron before any array is made."""
+    blocks, sizes, ones, columns, strides, parts = [], [], [], [], [], []
     pos, n = 0, input_dim
-    for (_, kinds), layer_sizes in zip(structure, sizes):
-        m = len(kinds)
-        for j, (kind, size) in enumerate(zip(kinds, layer_sizes)):
-            if not size:
+    for k, (_, kinds) in enumerate(structure):
+        m, height = len(kinds), 3 * n + 3
+        if pos + height * m > _MAX_ENTRIES:
+            raise ValueError(f"layer {k} neuron {(_MAX_ENTRIES - pos) // height}: a column "
+                             f"of fan-in {n} takes the blocks past {_MAX_ENTRIES} entries")
+        size = _param_counts(n)
+        for j, kind in enumerate(kinds):
+            if kind not in size:
+                if not 0 <= kind < n:
+                    raise ValueError(f"layer {k} neuron {j}: passthrough index "
+                                     f"{kind} out of range for width {n}")
                 ones.append(pos + kind * m + j)
             if kind != "quadratic":
                 ones.append(pos + (2 * n + 1) * m + j)
+        sizes.append(tuple(size.get(kind, 0) for kind in kinds))
         columns += range(pos, pos + m)
         strides += [m] * m
-        blocks.append((pos, 3 * n + 3, m))
+        blocks.append((pos, height, m))
         parts += (pos + row * m for row in (0, n, n + 1, 2 * n + 1, 2 * n + 2))
-        pos += (3 * n + 3) * m
+        pos += height * m
         n = m
     counts = np.fromiter(chain.from_iterable(sizes), np.intp)
     rows = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     own = np.repeat(columns, counts) + rows * np.repeat(strides, counts)
     ones, parts = np.array(ones, dtype=np.intp), np.array(parts, dtype=np.intp)
     own.flags.writeable = ones.flags.writeable = parts.flags.writeable = False
-    return _Layout(tuple(blocks), sizes, pos, ones, own, parts)
+    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts)
 
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
@@ -881,12 +862,10 @@ def _neuron_from_dict(d):
     and its params empty."""
     kind = _field(d, "kind", str)
     if kind == "passthrough":
-        return PassthroughNeuron(_field(d, "index", int)).index, np.zeros(0)
+        return _field(d, "index", int), np.zeros(0)
     if kind not in ("quadratic", "conventional"):
         raise ValueError(f"unknown neuron kind {kind!r}")
-    params = _numbers(d, "params")
-    neuron_fan_in(kind, len(params))
-    return kind, params
+    return kind, _numbers(d, "params")
 
 
 def _layer_from_dict(d) -> tuple[tuple, list]:
@@ -987,6 +966,8 @@ def from_json(text: str) -> NetworkSpec:
         raise ValueError(f"network JSON lacks {', '.join(missing)}")
     try:
         input_dim = _field(doc, "input_dim", int)
+        if input_dim < 1:
+            raise ValueError("'input_dim' must be >= 1")
         for key in _JSON_KEYS[1:]:
             _field(doc, key, list)
     except ValueError as exc:
@@ -996,10 +977,21 @@ def from_json(text: str) -> NetworkSpec:
                          "skip layers are not supported")
     layers = _each(doc["layers"], "layer", _layer_from_dict)
     masks = _each(doc["masks"], "masks of layer", _masks_from_list)
-    net = NetworkSpec.__new__(NetworkSpec)
-    net._setup(input_dim, tuple(layer for layer, _ in layers),
-               tuple(tuple(map(len, params)) for _, params in layers),
-               tuple(tuple(map(len, layer_masks)) for layer_masks in masks))
+    if len(masks) != len(layers):
+        raise ValueError("masks must parallel layers")
+    n = input_dim
+    for k, (((_, kinds), params), layer_masks) in enumerate(zip(layers, masks)):
+        if len(layer_masks) != len(kinds):
+            raise ValueError(f"masks for layer {k} must parallel its neurons")
+        counts = _param_counts(n)
+        for j, (kind, p, mask) in enumerate(zip(kinds, params, layer_masks)):
+            size = counts.get(kind, 0)
+            if not len(p) == len(mask) == size:
+                raise ValueError(f"layer {k} neuron {j}: a {kind if size else 'passthrough'} "
+                                 f"neuron of fan-in {n} takes {size} parameters and mask "
+                                 f"entries, got {len(p)} and {len(mask)}")
+        n = len(kinds)
+    net = NetworkSpec.blank(input_dim, [layer for layer, _ in layers])
     net.params[net._layout.own] = np.concatenate([p for _, params in layers for p in params])
     net.trainable[net._layout.own] = np.array(
         list(chain.from_iterable(chain.from_iterable(masks))), dtype=bool)

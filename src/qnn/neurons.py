@@ -19,7 +19,8 @@ shape (n,) or a batch of shape (B, n); complex input is refused by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from math import isfinite
+from numbers import Integral, Real
 from typing import ClassVar
 
 import numpy as np
@@ -57,6 +58,18 @@ def _integer(value, name: str):
                                    or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _finite(value, name: str, positive: bool = False) -> float:
+    """value, a finite real number (numpy's included), as a float, else
+    ValueError naming it.  A bool or a string is refused rather than read as
+    0 and 1 or parsed, and so are a NaN, an infinity and, where positive is
+    set, a value <= 0."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (isfinite(value) and (value > 0 or not positive)):
+        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {value}")
+    return float(value)
 
 
 def _as_weight(v, name: str) -> np.ndarray:

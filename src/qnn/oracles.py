@@ -10,8 +10,7 @@ trapezoidal / max-over-grid error measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
-from numbers import Real
+from math import comb
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .network import (
 from .neurons import (
     ConventionalNeuron,
     QuadraticNeuron,
+    _finite,
     _integer,
     _real,
     preactivation,
@@ -48,13 +48,7 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        for name in ("lo", "hi"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"grid {name} must be a real number, got {value!r}")
-            if not isfinite(value):
-                raise ValueError(f"grid {name} must be finite, got {value}")
-            setattr(self, name, float(value))
+        self.lo, self.hi = _finite(self.lo, "grid lo"), _finite(self.hi, "grid hi")
         self.n = int(_integer(self.n, "grid n"))
         if self.lo >= self.hi:
             raise ValueError("grid requires lo < hi")
@@ -90,14 +84,12 @@ def finite_diff_grad(
 
     f(t) is upstream . forward_batch(net, x[None])[0] with the trainable
     parameter vector set to t; upstream defaults to all ones.  A step that
-    is not a positive finite number is refused by name.
+    is not a positive finite number, and a complex or non-numeric x or
+    upstream, are refused by name.
     """
-    if not (isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    x = np.asarray(x, dtype=np.float64)
-    if upstream is None:
-        upstream = np.ones(net.output_dim)
-    upstream = np.asarray(upstream, dtype=np.float64)
+    step = _finite(step, "step", positive=True)
+    x = _real(x, "x")
+    upstream = np.ones(net.output_dim) if upstream is None else _real(upstream, "upstream")
 
     theta = trainable_values(net)
     grads = np.zeros_like(theta)
@@ -195,16 +187,18 @@ def reference_backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
 
 
 def grid_l1(f, g, grid: GridSpec) -> float:
-    """Trapezoidal approximation of the integral of |f - g| over the grid."""
+    """Trapezoidal approximation of the integral of |f - g| over the grid;
+    complex or non-numeric values of f or g are refused by name."""
     t = grid.points()
-    diff = np.abs(np.asarray(f(t), dtype=np.float64) - np.asarray(g(t), dtype=np.float64))
+    diff = np.abs(_real(f(t), "f values") - _real(g(t), "g values"))
     return float(np.trapezoid(diff, t))
 
 
 def grid_sup(f, g, grid: GridSpec) -> float:
-    """Largest |f - g| over the grid points."""
+    """Largest |f - g| over the grid points; complex or non-numeric values
+    of f or g are refused by name."""
     t = grid.points()
-    diff = np.abs(np.asarray(f(t), dtype=np.float64) - np.asarray(g(t), dtype=np.float64))
+    diff = np.abs(_real(f(t), "f values") - _real(g(t), "g values"))
     return float(np.max(diff))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkSpec, PackedNetwork, forward_batch, set_trainable_values
-from .neurons import _integer, _real
+from .neurons import _finite, _integer, _real
 from .oracles import horner
 from .polynomials import Polynomial
 
@@ -202,16 +202,19 @@ def make_rings_dataset(
     """Two concentric rings in the plane: inner labelled +1, outer -1.
 
     Points sit at uniformly random angles with radius drawn uniformly from
-    r +- noise.  Deterministic for a given seed.  An n_per_class that is a
-    bool or not an integer is refused by name.
+    r +- noise.  Deterministic for a given seed.  An n_per_class or seed
+    that is a bool or not an integer, and radii or a noise that are not
+    finite real numbers, are refused by name.
     """
     if _integer(n_per_class, "n_per_class") < 1:
         raise ValueError("n_per_class must be >= 1")
+    r_inner, r_outer = _finite(r_inner, "r_inner"), _finite(r_outer, "r_outer")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
+    noise = _finite(noise, "noise")
     if noise < 0.0:
         raise ValueError("noise must be non-negative")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     rows = []
     labels = []
     for radius, label in ((r_inner, 1.0), (r_outer, -1.0)):
@@ -223,8 +226,10 @@ def make_rings_dataset(
 
 
 def make_poly_dataset(p: Polynomial, lo: float, hi: float, n: int) -> Dataset:
-    """n evenly spaced points of the polynomial on [lo, hi]; an n that is a
-    bool or not an integer is refused by name."""
+    """n evenly spaced points of the polynomial on [lo, hi]; bounds that are
+    not finite real numbers, and an n that is a bool or not an integer, are
+    refused by name."""
+    lo, hi = _finite(lo, "lo"), _finite(hi, "hi")
     if lo >= hi:
         raise ValueError("need lo < hi")
     if _integer(n, "n") < 2:

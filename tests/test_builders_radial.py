@@ -238,6 +238,15 @@ class TestDeepRadial:
         with pytest.raises(ValueError, match=f"{field} must be real"):
             RadialPartition(**parts)
 
+    @pytest.mark.parametrize("t, problem", [
+        (np.array([0.5 + 0j]), "t must be real, got complex values"),
+        (np.array(["0.5"]), "t must be real numbers, got dtype <U3"),
+    ], ids=["complex", "string"])
+    def test_complex_or_string_radius_refused(self, t, problem):
+        """A string radius was parsed, so ["0.5"] gave [1.0]."""
+        with pytest.raises(ValueError, match=problem):
+            RadialPartition([0.0, 1.0], [1.0], 0.1).step_profile(t)
+
 
 class TestDeltaBudget:
     def test_budget_scales_inversely_with_mass(self):

@@ -24,7 +24,6 @@ from qnn.network import (
     NetworkSpec,
     PackedNetwork,
     _layout_of,
-    _sizes_of,
     _through_fan_in,
     backward_batch,
     block_rows,
@@ -448,6 +447,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="passthrough index"):
             NetworkSpec.blank(2, [("identity", ["quadratic"]), ("identity", [10**20])])
 
+    @pytest.mark.parametrize("input_dim, kinds, neuron", [(10**15, [0], 0), (2**30, [0, 1, 2], 1)])
+    @pytest.mark.parametrize("make", ["blank", "from_json"])
+    def test_passthrough_columns_past_2_to_the_32_entries_refused(self, input_dim, kinds,
+                                                                  neuron, make):
+        """A passthrough column has 3n + 3 entries and costs one JSON field:
+        at a huge fan-in it is refused, naming the neuron whose column takes
+        the blocks past 2^32 entries, rather than handed to the allocator."""
+        problem = (f"layer 0 neuron {neuron}: a column of fan-in {input_dim} takes the "
+                   f"blocks past {2**32} entries")
+        with pytest.raises(ValueError, match=problem):
+            if make == "blank":
+                NetworkSpec.blank(input_dim, [("identity", kinds)])
+            else:
+                doc = json.loads(to_json(NetworkSpec.blank(1, [("identity", [0] * len(kinds))])))
+                doc["input_dim"] = input_dim
+                from_json(json.dumps(doc))
+
     @pytest.mark.parametrize("input_dim", [2.0, 2.5, True, "2", np.float64(2.0)],
                              ids=["2.0", "2.5", "True", "str", "float64"])
     def test_non_integer_input_dim_refused(self, input_dim):
@@ -457,7 +473,6 @@ class TestValidation:
     def test_refused_float_input_dim_leaves_the_layout_caches_clean(self):
         """2.0 and 2 share an lru_cache key: a 2.0 that reached the cached
         layout helpers would spoil every later net of input_dim 2."""
-        _sizes_of.cache_clear()
         _layout_of.cache_clear()
         with pytest.raises(ValueError, match="input_dim must be an integer, got 2.0"):
             single_quadratic_net(2.0)
@@ -885,16 +900,23 @@ class TestSerialization:
         (_edit(["layers", 0, "neurons", 0, "params"]), "layer 0: neuron 0: lacks 'params'"),
         (_edit(["layers", 0, "neurons", 0, "params"], [1.0, "2", 0, 0, 0, 0]),
          "layer 0: neuron 0: 'params' must hold numbers"),
-        (_edit(["layers", 0, "neurons", 0, "params"], []), "layer 0: neuron 0: .*3n \\+ 3"),
-        (_edit(["layers", 1, "neurons", 0, "params"], [1.0]), "layer 1: neuron 0: .*n \\+ 1"),
+        (_edit(["layers", 0, "neurons", 0, "params"], []),
+         "layer 0 neuron 0: a quadratic neuron of fan-in 1 takes 6 parameters and mask "
+         "entries, got 0 and 6"),
+        (_edit(["layers", 1, "neurons", 0, "params"], [1.0]),
+         "layer 1 neuron 0: a conventional neuron of fan-in 2 takes 3 parameters and mask "
+         "entries, got 1 and 3"),
         (_edit(["layers", 0, "neurons", 1, "index"], "0"), "layer 0: neuron 1: 'index'"),
         (_edit(["layers", 0, "neurons", 1], 7), "layer 0: neuron 1: expected an object"),
         (_edit(["layers", 0, "activation"], None), "layer 0: 'activation'"),
         (_edit(["input_dim"], "1"), "input_dim' must be an integer"),
+        (_edit(["input_dim"], 0), "'input_dim' must be >= 1"),
         (_edit(["layers"], {}), "'layers' must be a list"),
         (_edit(["masks", 1, 0, 1], 2), "masks of layer 1: neuron 0: .*0 and 1"),
         (_edit(["masks", 0, 0, 0], 0.5), "masks of layer 0: neuron 0"),
         (_edit(["masks", 0], 1), "masks of layer 0: expected a list"),
+        (_edit(["masks", 1]), "masks must parallel layers"),
+        (_edit(["masks", 0, 1]), "masks for layer 0 must parallel its neurons"),
     ])
     def test_malformed_part_named(self, edit, problem):
         doc = self._valid_document()
@@ -930,7 +952,8 @@ class TestSerialization:
          f"layer 0 neuron 1: passthrough index {10**20} out of range for width 1"),
         # a block of this fan-in would not fit in any address space
         (_edit(["input_dim"], 10**15),
-         f"layer 0 neuron 0: expects input width 1, previous layer has {10**15}"),
+         f"layer 0 neuron 0: a quadratic neuron of fan-in {10**15} takes {3 * 10**15 + 3} "
+         "parameters and mask entries, got 6 and 6"),
     ])
     def test_sizes_checked_before_arrays_are_made(self, edit, problem):
         doc = self._valid_document()

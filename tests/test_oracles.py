@@ -107,6 +107,20 @@ class TestFiniteDiff:
         with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
             finite_diff_grad(conventional_net([1.0], 0.0), np.array([1.0]), step=step)
 
+    @pytest.mark.parametrize("step", ["1e-5", True], ids=["string", "True"])
+    def test_non_number_step_refused(self, step):
+        """A string step raised a bare TypeError and True stepped by 1.0."""
+        with pytest.raises(ValueError, match=f"step must be a real number, got {step!r}"):
+            finite_diff_grad(conventional_net([1.0], 0.0), np.array([1.0]), step=step)
+
+    @pytest.mark.parametrize("field", ["x", "upstream"])
+    def test_complex_point_or_upstream_refused(self, field):
+        """Either lost its imaginary part with only a ComplexWarning."""
+        args = {"x": np.array([1.0]), "upstream": np.array([1.0])}
+        args[field] = args[field] + 1j
+        with pytest.raises(ValueError, match=f"^{field} must be real, got complex"):
+            finite_diff_grad(conventional_net([1.0], 0.0), args["x"], upstream=args["upstream"])
+
 
 class TestGrids:
     def test_identical_functions_have_zero_error(self):
@@ -165,6 +179,17 @@ class TestGrids:
         """Strings were parsed and bools read as 0 and 1: both built [0, 1]."""
         with pytest.raises(ValueError, match=f"grid {name} must be a real number"):
             GridSpec(lo, hi, 5)
+
+    @pytest.mark.parametrize("values, problem", [
+        (np.array([1j, 0.0, 0.0]), "must be real, got complex values"),
+        (np.array(["0.5", "0", "0"]), "must be real numbers, got dtype <U3"),
+    ], ids=["complex", "strings"])
+    @pytest.mark.parametrize("measure", [grid_l1, grid_sup])
+    def test_complex_or_string_values_refused(self, measure, values, problem):
+        """Complex values lost their imaginary parts with only a
+        ComplexWarning, and strings were parsed."""
+        with pytest.raises(ValueError, match=f"f values {problem}"):
+            measure(lambda t: values, np.zeros_like, GridSpec(0.0, 1.0, 3))
 
     def test_numeric_bounds_accepted(self):
         for lo, hi in ((0, 1), (np.float64(0.0), np.float64(1.0)), (np.int64(0), 1.0)):

@@ -2,6 +2,7 @@
 the per-neuron oracle, and the trainable-parameter gather and scatter."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -284,6 +285,44 @@ random_nets = st.tuples(st.integers(0, 2**32 - 1), st.booleans()).map(
 def test_json_round_trip_of_random_nets(net):
     text = to_json(net)
     assert to_json(from_json(text)) == text
+
+
+@given(random_nets, st.data())
+def test_malformed_json_of_random_nets_names_layer_and_neuron(net, data):
+    """A document of a random net that gains or loses a parameter or a mask
+    entry, whose passthrough index leaves its fan-in or turns negative, or
+    whose input_dim becomes 10**15, raises ValueError naming the layer and
+    neuron at fault, and never MemoryError.  At input_dim 10**15 that is
+    the first neuron of layer 0 with parameters, or where it has none the
+    first passthrough, whose column would pass 2^32 block entries."""
+    doc = json.loads(to_json(net))
+    fan_in = [net.input_dim] + net.layer_widths()
+    first = next((j for j, kind in enumerate(net.structure[0][1]) if isinstance(kind, str)), 0)
+    edits = [("input_dim", 0, first)]
+    for k, (_, kinds) in enumerate(net.structure):
+        for j, kind in enumerate(kinds):
+            if isinstance(kind, str):
+                edits += [("params", k, j), ("mask", k, j)]
+            else:
+                edits.append(("index", k, j))
+            edits.append(("add mask entry", k, j))
+    edit, k, j = data.draw(st.sampled_from(edits))
+    neuron, mask = doc["layers"][k]["neurons"][j], doc["masks"][k][j]
+    if edit == "input_dim":
+        doc["input_dim"] = 10**15
+    elif edit == "index":
+        neuron["index"] = data.draw(st.sampled_from(
+            [fan_in[k], fan_in[k] + 1, 10**20, -1, -(10**20)]))
+    elif edit == "add mask entry":
+        mask.insert(data.draw(st.integers(0, len(mask))), 1)
+    else:  # drop or add a parameter or a mask entry of a neuron with parameters
+        entries = neuron["params"] if edit == "params" else mask
+        if data.draw(st.booleans()):
+            del entries[data.draw(st.integers(0, len(entries) - 1))]
+        else:
+            entries.insert(data.draw(st.integers(0, len(entries))), entries[0])
+    with pytest.raises(ValueError, match=f"^layer {k} neuron {j}: "):
+        from_json(json.dumps(doc))
 
 
 @given(random_nets)

@@ -307,6 +307,18 @@ class TestRingsDataset:
         with pytest.raises(ValueError, match=f"n_per_class must be an integer, got {count}"):
             make_rings_dataset(count)
 
+    @pytest.mark.parametrize("kwargs, problem", [
+        ({"noise": True}, "noise must be a real number, got True"),
+        ({"r_inner": "1"}, "r_inner must be a real number, got '1'"),
+        ({"r_outer": np.inf}, "r_outer must be finite, got inf"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ], ids=["bool-noise", "string-radius", "inf-radius", "float-seed"])
+    def test_bad_scalar_refused(self, kwargs, problem):
+        """noise=True was read as 1.0, an infinite outer radius made an
+        infinite ring, and seed=1.5 raised a bare TypeError."""
+        with pytest.raises(ValueError, match=problem):
+            make_rings_dataset(5, **kwargs)
+
 
 class TestPolyDataset:
     def test_hundred_points_on_unit_interval(self):
@@ -340,6 +352,17 @@ class TestPolyDataset:
         """2.5 raised a bare numpy TypeError and True failed as "need n >= 2"."""
         with pytest.raises(ValueError, match=f"n must be an integer, got {count}"):
             make_poly_dataset(Polynomial([0.0, 1.0]), 0.0, 1.0, count)
+
+    @pytest.mark.parametrize("lo, hi, problem", [
+        (False, True, "lo must be a real number, got False"),
+        (0.0, "1", "hi must be a real number, got '1'"),
+        (0.0, np.nan, "hi must be finite, got nan"),
+    ], ids=["bools", "string-hi", "nan-hi"])
+    def test_bad_bound_refused(self, lo, hi, problem):
+        """Bools built the inputs [0, 0.5, 1], a string bound raised a bare
+        numpy error and a NaN bound made NaN inputs."""
+        with pytest.raises(ValueError, match=problem):
+            make_poly_dataset(Polynomial([0.0, 1.0]), lo, hi, 3)
 
 
 class TestAccuracy:

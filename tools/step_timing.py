@@ -10,7 +10,9 @@ kinds, one restart of 4096 points).  It then times ``forward_batch`` the
 same way on the exact nets that the exact-build benchmark evaluates, at
 4096 points: a degree-14 product tree, the Bernstein net of |x - 1/2| at
 n = 16, the deep radial stack at d = 4 and the 200-unit shallow radial net
-at d = 2.  Names given on the command line pick some of the shapes and nets.
+at d = 2, and ``from_json`` reading each of those nets back from its JSON,
+written once outside the timer.  Names given on the command line pick some
+of the shapes and nets.
 
 Runs from the ``src/`` of the checkout this script sits in, with one BLAS
 thread, so that two checkouts can be compared on the same machine:
@@ -90,7 +92,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # read when numpy loads its BLAS, on the import below
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import numpy as np
-    from qnn.network import PackedNetwork, forward_batch, trainable_count
+    from qnn.network import PackedNetwork, forward_batch, from_json, to_json, trainable_count
 
     table, nets = shapes(), exact_nets()
     names = [name for name, *_ in table + nets]
@@ -120,10 +122,12 @@ def main(argv=None) -> int:
     if table and nets:
         print()
     if nets:
-        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17}")
+        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'from_json_us':>13}")
     for name, net, X in nets:
+        text = to_json(net)
         us = best_us(lambda: forward_batch(net, X), args.repeat)
-        print(f"{name:<18} {net.depth:>5} {len(X):>5} {us:>17.1f}")
+        read = best_us(lambda: from_json(text), args.repeat)
+        print(f"{name:<18} {net.depth:>5} {len(X):>5} {us:>17.1f} {read:>13.1f}")
     return 0
 
 
