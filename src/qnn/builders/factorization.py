@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network import NetworkSpec, block_rows
-from ..neurons import _real
+from ..neurons import _integer, _real
 from ..polynomials import FactoredForm
 
 
@@ -235,8 +235,8 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
     the pair products' (p01, p12, p02), then the bias.  Supports 1 to 3
     factors.
     """
-    if degree < 1 or l1 < 0 or l2 < 0:
-        raise ValueError("need degree >= 1 and non-negative factor counts")
+    for name, count, low in (("degree", degree, 1), ("l1", l1, 0), ("l2", l2, 0)):
+        _integer(count, name, low)
     if l1 + 2 * l2 != degree:
         raise ValueError("factor counts must satisfy l1 + 2*l2 = degree")
     k = l1 + l2

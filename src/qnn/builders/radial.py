@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..network import NetworkSpec, _real, block_rows, forward_batch
+from ..network import NetworkSpec, block_rows, forward_batch
+from ..neurons import _finite, _real
 from .factorization import _constant_net, _frozen
 
 
@@ -35,7 +36,7 @@ class RadialPartition:
     def __post_init__(self):
         self.breakpoints = _real(self.breakpoints, "breakpoints")
         self.heights = _real(self.heights, "heights")
-        self.delta = float(_real(self.delta, "delta"))
+        self.delta = _finite(self.delta, "delta")
         if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
         if self.breakpoints[0] < 0.0:
@@ -70,8 +71,8 @@ def delta_for_target_error(breakpoints, heights, eps: float = 0.1) -> float:
     Uses the budget split delta = eps / (4 C) where C is the total mass
     sum |b_i| * (interval length); the result is clipped into (0, 1/2).
     """
-    bp = np.asarray(breakpoints, dtype=np.float64)
-    hs = np.asarray(heights, dtype=np.float64)
+    eps = _finite(eps, "eps", positive=True)
+    bp, hs = _real(breakpoints, "breakpoints"), _real(heights, "heights")
     mass = float(np.sum(np.abs(hs) * np.diff(bp)))
     if mass <= 0.0:
         return 0.25
@@ -105,25 +106,17 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     passes through f at every knot, is flat outside [r, R], and stays within
     delta of f everywhere.  Hidden width is exactly floor((R-r)L/delta) + 1,
     and more than 10^6 hidden units are refused before any is made, as is a
-    non-finite r, R, L or delta.
+    non-finite r or R and an L or delta that is not positive and finite.
 
     If (R-r)L < delta the residual is below the budget already and the
     constant network a = f(r) with zero hidden units is returned.
     """
-    scalars = {"r": r, "R": R, "L": L, "delta": delta}
-    for name, value in scalars.items():
-        scalars[name] = float(_real(value, name))
-        if not np.isfinite(scalars[name]):
-            raise ValueError(f"{name} must be finite, got {value}")
-    r, R, L, delta = scalars.values()
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    r, R = _finite(r, "r"), _finite(R, "R")
+    L, delta = _finite(L, "L", positive=True), _finite(delta, "delta", positive=True)
     if r >= R:
         raise ValueError("need r < R")
     if r < 0.0:
         raise ValueError("need r >= 0 (knots live on t = ||x|| >= 0)")
-    if L <= 0.0:
-        raise ValueError("Lipschitz constant must be positive")
 
     a = float(f(r))
     if (R - r) * L < delta:
@@ -182,6 +175,7 @@ def _module_scale(a_lo: float, a_hi: float, b: float, delta: float) -> float:
 
 def plateau_interval(a_lo: float, a_hi: float, delta: float) -> tuple[float, float]:
     """The t-interval on which the module output equals its height exactly."""
+    a_lo, a_hi, delta = _finite(a_lo, "a_lo"), _finite(a_hi, "a_hi"), _finite(delta, "delta")
     lo = a_lo + delta * (a_hi - a_lo)
     hi = float(np.sqrt(a_hi**2 + a_lo**2 - lo**2))
     return lo, hi
@@ -209,12 +203,14 @@ def build_parabola_module(a_lo: float, a_hi: float, b: float, delta: float,
     pre-activation is non-negative by construction, so for b >= 0 the ReLU
     there is a no-op and the printed composition is kept verbatim).
     """
+    a_lo, a_hi, b = _finite(a_lo, "a_lo"), _finite(a_hi, "a_hi"), _finite(b, "b")
+    delta = _finite(delta, "delta")
     if not 0.0 <= a_lo < a_hi:
         raise ValueError("need 0 <= a_lo < a_hi")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
 
-    bmag = abs(float(b))
+    bmag = abs(b)
     scale = _module_scale(a_lo, a_hi, bmag, delta)
     last = "relu" if b >= 0 else "identity"
     net = NetworkSpec.blank(input_dim, [("relu", ["quadratic"]), ("relu", ["quadratic"]),

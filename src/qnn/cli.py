@@ -37,6 +37,7 @@ from .builders import (
     radial_profile,
 )
 from .network import forward_batch, one_hidden_conventional, one_hidden_quadratic, single_quadratic_net, to_json
+from .neurons import _finite, _integer
 from .oracles import GridSpec, bernstein_binomials, bernstein_direct, expand_factored, grid_l1, horner
 from .polynomials import FactoredForm, FactorizationError, Polynomial, bernstein_coeffs, factor_polynomial
 from .trainer import (Dataset, TrainConfig, TrainingError, accuracy, make_poly_dataset,
@@ -463,48 +464,38 @@ def cmd_width_sweep(args, report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
-    return value
+def _flag(parse, check, **bound):
+    """An argparse type: the text read by parse (int or float), then held to
+    the package's rule by check (_integer or _finite) with its bound.  The
+    rule's ValueError becomes a usage error, so a bad flag exits 2 with its
+    usage line before any run directory is made; text that parse cannot read
+    is argparse's "invalid int value"."""
+    def read(text: str):
+        value = parse(text)
+        try:
+            return check(value, "value", **bound)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    read.__name__ = parse.__name__
+    return read
 
 
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _two_or_more(text: str) -> int:
-    """A point count where the command needs at least two points."""
-    return _int_at_least(text, 2)
+_non_negative_int = _flag(int, _integer, low=0)
+_positive_int = _flag(int, _integer, low=1)
+_two_or_more = _flag(int, _integer, low=2)  # a point count where the command needs two
+_finite_float = _flag(float, _finite)
+_positive_float = _flag(float, _finite, positive=True)
 
 
 def _positive_int_list(text: str) -> list[int]:
     return [_positive_int(v) for v in text.replace(",", " ").split()]
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {value:g}")
-    return value
-
-
 def _non_negative_float(text: str) -> float:
     value = _finite_float(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {value:g}")
+        raise argparse.ArgumentTypeError(f"value must be >= 0, got {value:g}")
     return value
 
 

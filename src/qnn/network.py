@@ -147,8 +147,7 @@ class NetworkSpec:
         parameter zero and trainable.  input_dim is checked to be an integer
         before the layout is looked up: its cache would key 2.0 as 2."""
         structure = tuple(_layer(*layer) for layer in layers)
-        if _integer(input_dim, "input_dim") < 1:
-            raise ValueError("input_dim must be >= 1")
+        _integer(input_dim, "input_dim", 1)
         if not structure:
             raise ValueError("network must have at least one layer")
         layout = _layout_of(input_dim, structure)
@@ -593,8 +592,7 @@ class PackedNetwork:
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
-        if _integer(restarts, "restarts") < 1:
-            raise ValueError("restarts must be >= 1")
+        _integer(restarts, "restarts", 1)
         self._input_dim = net.input_dim
         self.params = np.tile(net.params, (restarts, 1))
         self._grad = np.zeros_like(self.params)
@@ -808,8 +806,7 @@ def one_hidden_conventional(input_dim: int, width: int) -> NetworkSpec:
 
 def _one_hidden(kind: str, input_dim: int, width: int) -> NetworkSpec:
     """width zero-initialised ReLU units of one kind feeding one linear output neuron."""
-    if _integer(width, "width") < 1:
-        raise ValueError("width must be >= 1")
+    _integer(width, "width", 1)
     return NetworkSpec.blank(
         input_dim, [("relu", [kind] * width), ("identity", ["conventional"])])
 
@@ -965,9 +962,7 @@ def from_json(text: str) -> NetworkSpec:
     if missing:
         raise ValueError(f"network JSON lacks {', '.join(missing)}")
     try:
-        input_dim = _field(doc, "input_dim", int)
-        if input_dim < 1:
-            raise ValueError("'input_dim' must be >= 1")
+        input_dim = _integer(_field(doc, "input_dim", int), "'input_dim'", 1)
         for key in _JSON_KEYS[1:]:
             _field(doc, key, list)
     except ValueError as exc:

@@ -14,6 +14,14 @@ the objects here are a read-only view of them, made by net.layers through
 neuron_from_params, and the per-neuron oracle evaluates them.  All
 arithmetic is float64.  Functions accept either a single input vector of
 shape (n,) or a batch of shape (B, n); complex input is refused by name.
+
+The package's one rule for its arguments lives here too.  A scalar goes
+through _integer(value, name, low), an integer >= low, or _finite(value,
+name, positive), a finite real number, > 0 where positive is set; an array
+goes through _real.  A bool, a string, a complex number, a NaN, an infinity
+and an integer past the float64 range are refused with a ValueError naming
+the argument, never read as 0 and 1, parsed or cast; numpy's scalars pass
+with their values and bits unchanged.
 """
 
 from __future__ import annotations
@@ -50,26 +58,33 @@ def _real(values, name: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def _integer(value, name: str):
-    """value, an integer (numpy's included), else ValueError naming it: a
-    bool, a float such as 2.0 or anything else.  No numpy call, and a plain
-    int skips the Integral test, an ABC check that costs about 0.6 µs."""
+def _integer(value, name: str, low: int):
+    """value, an integer (numpy's included) >= low, else ValueError naming
+    it: a bool, a float such as 2.0 or anything else.  No numpy call, and a
+    plain int skips the Integral test, an ABC check that costs about 0.6 µs."""
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 
 def _finite(value, name: str, positive: bool = False) -> float:
     """value, a finite real number (numpy's included), as a float, else
     ValueError naming it.  A bool or a string is refused rather than read as
-    0 and 1 or parsed, and so are a NaN, an infinity and, where positive is
-    set, a value <= 0."""
+    0 and 1 or parsed, and so are a NaN, an infinity, an integer past the
+    float64 range and, where positive is set, a value <= 0."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (isfinite(value) and (value > 0 or not positive)):
-        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {value}")
-    return float(value)
+    must = f"{name} must be {'positive and ' * positive}finite"
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{must}, got a number past the float64 range") from None
+    if not (isfinite(number) and (number > 0 or not positive)):
+        raise ValueError(f"{must}, got {value}")
+    return number
 
 
 def _as_weight(v, name: str) -> np.ndarray:
@@ -135,9 +150,7 @@ class PassthroughNeuron:
     index: int
 
     def __post_init__(self):
-        self.index = int(self.index)
-        if self.index < 0:
-            raise ValueError("passthrough index must be non-negative")
+        self.index = _integer(self.index, "passthrough index", 0)
 
 
 def neuron_fan_in(kind: str, count: int) -> int:

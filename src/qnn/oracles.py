@@ -36,12 +36,7 @@ from .polynomials import FactoredForm, Polynomial
 
 @dataclass
 class GridSpec:
-    """Uniform evaluation grid on [lo, hi] with n >= 2 points.
-
-    A lo or hi that is a bool, a string or not finite, and an n that is a
-    bool or not an integer, are refused by name rather than parsed, read as
-    0 and 1 or as NaN bounds, or truncated.
-    """
+    """Uniform evaluation grid on [lo, hi] with n >= 2 points."""
 
     lo: float
     hi: float
@@ -49,11 +44,9 @@ class GridSpec:
 
     def __post_init__(self):
         self.lo, self.hi = _finite(self.lo, "grid lo"), _finite(self.hi, "grid hi")
-        self.n = int(_integer(self.n, "grid n"))
+        self.n = int(_integer(self.n, "grid n", 2))
         if self.lo >= self.hi:
             raise ValueError("grid requires lo < hi")
-        if self.n < 2:
-            raise ValueError("grid requires n >= 2")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
@@ -83,9 +76,8 @@ def finite_diff_grad(
     """Central differences (f(t+h) - f(t-h)) / 2h per trainable parameter.
 
     f(t) is upstream . forward_batch(net, x[None])[0] with the trainable
-    parameter vector set to t; upstream defaults to all ones.  A step that
-    is not a positive finite number, and a complex or non-numeric x or
-    upstream, are refused by name.
+    parameter vector set to t; upstream defaults to all ones; step must be
+    positive.
     """
     step = _finite(step, "step", positive=True)
     x = _real(x, "x")
@@ -208,8 +200,7 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
     Numerically stable on [0, 1] for any n whose binomials fit float64
     (n <= 1029) since every basis term is non-negative there; serves as the
     reference for the expanded-coefficient path, which is ill-conditioned in
-    the monomial basis at large n.  Raises ValueError naming n beyond that,
-    and where n is a bool or not an integer.
+    the monomial basis at large n.  Raises ValueError naming n beyond that.
     """
     binomials = bernstein_binomials(n)
     x = _real(x, "x")
@@ -227,13 +218,11 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
 def bernstein_binomials(n: int) -> list[float]:
     """C(n, m) for m = 0..n as floats.
 
-    Raises ValueError naming n when n is a bool or not an integer, when
-    n < 1, or when a binomial is beyond the float64 range (n >= 1030);
-    C(n, m) overflows at a small m for a huge n, so the refusal comes
-    quickly.
+    Raises ValueError naming n when n < 1 or when a binomial is beyond
+    the float64 range (n >= 1030); C(n, m) overflows at a small m for a
+    huge n, so the refusal comes quickly.
     """
-    if _integer(n, "Bernstein degree n") <= 0:
-        raise ValueError("Bernstein degree must be >= 1")
+    _integer(n, "Bernstein degree n", 1)
     try:
         return [float(comb(n, m)) for m in range(n + 1)]
     except OverflowError:

@@ -32,7 +32,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .network import _field, _integer, _numbers, _real
+from .network import _field, _numbers
+from .neurons import _finite, _integer, _real
 
 _REL_TOL = 1e-8  # the re-expansion residual at which factor_polynomial refuses
 
@@ -96,15 +97,12 @@ class FactoredForm:
     paired_real: list[bool] | None = None
 
     def __post_init__(self):
-        self.scale = float(self.scale)
-        self.linear_roots = [float(r) for r in self.linear_roots]
+        self.scale = _finite(self.scale, "scale")
+        self.linear_roots = [_finite(r, "linear_roots") for r in self.linear_roots]
         self.quadratic_factors = [
-            (float(a), float(b)) for a, b in self.quadratic_factors
+            (_finite(a, "quadratic_factors"), _finite(b, "quadratic_factors"))
+            for a, b in self.quadratic_factors
         ]
-        for name in ("scale", "linear_roots", "quadratic_factors"):
-            value = getattr(self, name)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.paired_real is None:
             self.paired_real = [False] * len(self.quadratic_factors)
         if len(self.paired_real) != len(self.quadratic_factors):
@@ -292,10 +290,9 @@ def bernstein_coeffs(f, n: int) -> Polynomial:
     targets they are sampling noise amplified by the binomials and would
     otherwise inflate the degree.
     Raises ValueError when an exact coefficient is beyond the float64
-    range, and naming n when it is a bool or not an integer.
+    range.
     """
-    if _integer(n, "Bernstein degree n") <= 0:
-        raise ValueError("Bernstein degree must be >= 1")
+    _integer(n, "Bernstein degree n", 1)
     samples = [_sample_exact(f, m, n) for m in range(n + 1)]
     # the samples as integers over one common denominator
     denominator = lcm(*(s.denominator for s in samples))

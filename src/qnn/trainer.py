@@ -40,18 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        for name in ("iterations", "restarts", "seed"):
-            _integer(getattr(self, name), name)
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not (np.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ValueError("init_scale must be positive and finite")
+        for name in ("learning_rate", "init_scale"):
+            setattr(self, name, _finite(getattr(self, name), name, positive=True))
+        for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
+            _integer(getattr(self, name), name, low)
 
 
 @dataclass
@@ -202,19 +194,16 @@ def make_rings_dataset(
     """Two concentric rings in the plane: inner labelled +1, outer -1.
 
     Points sit at uniformly random angles with radius drawn uniformly from
-    r +- noise.  Deterministic for a given seed.  An n_per_class or seed
-    that is a bool or not an integer, and radii or a noise that are not
-    finite real numbers, are refused by name.
+    r +- noise.  Deterministic for a given seed.
     """
-    if _integer(n_per_class, "n_per_class") < 1:
-        raise ValueError("n_per_class must be >= 1")
+    _integer(n_per_class, "n_per_class", 1)
     r_inner, r_outer = _finite(r_inner, "r_inner"), _finite(r_outer, "r_outer")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     noise = _finite(noise, "noise")
     if noise < 0.0:
         raise ValueError("noise must be non-negative")
-    rng = np.random.default_rng(_integer(seed, "seed"))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     rows = []
     labels = []
     for radius, label in ((r_inner, 1.0), (r_outer, -1.0)):
@@ -226,14 +215,11 @@ def make_rings_dataset(
 
 
 def make_poly_dataset(p: Polynomial, lo: float, hi: float, n: int) -> Dataset:
-    """n evenly spaced points of the polynomial on [lo, hi]; bounds that are
-    not finite real numbers, and an n that is a bool or not an integer, are
-    refused by name."""
+    """n >= 2 evenly spaced points of the polynomial on [lo, hi]."""
     lo, hi = _finite(lo, "lo"), _finite(hi, "hi")
     if lo >= hi:
         raise ValueError("need lo < hi")
-    if _integer(n, "n") < 2:
-        raise ValueError("need n >= 2")
+    _integer(n, "n", 2)
     xs = np.linspace(lo, hi, n)
     return Dataset(xs[:, None], horner(p, xs))
 

@@ -1,10 +1,10 @@
 """The numerical range of the constructions, pinned on both sides.
 
 Inside its stated range a construction meets its tolerance; past the range
-it either still meets it or refuses loudly (ValueError or
-FactorizationError), never a silently wrong net.  mpmath is the
-high-precision oracle where values are compared.  The README's table of
-ranges states the same limits.
+it either still meets it or refuses loudly (ValueError, FactorizationError
+or, for a training run, TrainingError), never a silently wrong net.
+mpmath is the high-precision oracle where values are compared.  The
+README's table of ranges states the same limits.
 """
 
 import warnings
@@ -19,6 +19,7 @@ from qnn.builders import (
     MultiPolySpec,
     RadialPartition,
     build_deep_radial,
+    build_factorization_trainable,
     build_multipoly_net,
     build_parabola_module,
     build_poly_net,
@@ -27,10 +28,11 @@ from qnn.builders import (
     plateau_interval,
     radial_profile,
 )
-from qnn.cli import RADIAL_BREAKPOINTS, RADIAL_HEIGHTS
+from qnn.cli import RADIAL_BREAKPOINTS, RADIAL_HEIGHTS, factorization_target
 from qnn.network import PackedNetwork, forward_batch
 from qnn.oracles import bernstein_direct, reference_forward_batch
 from qnn.polynomials import FactorizationError, Polynomial, bernstein_coeffs, factor_polynomial
+from qnn.trainer import TrainConfig, TrainingError, make_poly_dataset, train_restarts
 
 
 
@@ -225,3 +227,29 @@ class TestShallowRadialUnits:
         any is made (10^6 units at input_dim 2 take 92 MiB of params)."""
         with pytest.raises(ValueError, match="more than 1000000 hidden units"):
             build_shallow_radial(np.sin, 1.0, 2.0, 1e6, 1.0, input_dim=2)
+
+
+class TestFactorizationLearningRate:
+    """Criterion 8's run (sse, 600 iterations, 100 samples on [-1, 0], seed
+    0, 10 restarts, init scale 0.5) at other learning rates: none of the
+    restarts diverges up to 3e-3, some do from 4e-3, and at 8e-3 all do
+    within a few steps, which is a TrainingError."""
+
+    @staticmethod
+    def run(learning_rate):
+        data = make_poly_dataset(factorization_target(), -1.0, 0.0, 100)
+        cfg = TrainConfig(loss="sse", learning_rate=learning_rate, iterations=600, seed=0,
+                          restarts=10, init_scale=0.5)
+        return train_restarts(build_factorization_trainable(5, 1, 2), data, cfg)
+
+    @pytest.mark.parametrize("learning_rate, diverged", [
+        (2e-3, 0), (3e-3, 0), (4e-3, 2), (5e-3, 6), (6e-3, 7),
+    ])
+    def test_diverged_restarts(self, learning_rate, diverged):
+        nets, _, final = self.run(learning_rate)
+        assert sum(net is None for net in nets) == np.isinf(final).sum() == diverged
+
+    def test_every_restart_diverges_at_8e_3(self):
+        match = r"all 10 restarts diverged .*\(at iterations \[[4-6]"
+        with pytest.raises(TrainingError, match=match):
+            self.run(8e-3)
