@@ -21,12 +21,15 @@ a layer of fan-in one by broadcast multiplies, and does no work for a
 third of a quadratic layer's block that is all zero (_live: the square
 term alone in a shallow radial net's hidden layer, no square term in a
 product layer); trainable_values and set_trainable_values gather and
-scatter on them, and a PackedNetwork, the training executor, copies them
-into one row per restart so that every restart advances in the same
-stacked matmuls; backward_batch is a one-row executor at the net's own
-values.  Complex and non-numeric inputs, parameters and data are refused
-by name (neurons._real), here and in neurons, trainer, polynomials,
-oracles and builders, rather than cast to their real parts or read as NaN.
+scatter on them.  A PackedNetwork, the training executor, copies them into
+one row per restart so that every restart advances in the same stacked
+matmuls, holds its work arrays layer-major, and runs each pass as a list
+of (ufunc, a, b, out) built once per batch size, which the trainer steps
+with the parameters updated in place; backward_batch is a one-row executor
+at the net's own values.  Complex and non-numeric inputs, parameters and
+data are refused by name (neurons._real), here and in neurons, trainer,
+polynomials, oracles and builders, rather than cast to their real parts or
+read as NaN.
 
 Two evaluators of the blocks remain, for a measured reason (2-core VM, one
 BLAS thread, B = 4096, best of 5): forward_batch is not the forward pass of
@@ -145,9 +148,11 @@ class NetworkSpec:
     def blank(cls, input_dim: int, layers) -> NetworkSpec:
         """A net of layers given as (activation, kinds), every neuron
         parameter zero and trainable.  input_dim is checked to be an integer
-        before the layout is looked up: its cache would key 2.0 as 2."""
+        before the layout is looked up, its cache would key 2.0 as 2, and
+        taken as a Python int, so that a numpy integer neither sizes the
+        layout in its own width nor reaches the JSON."""
         structure = tuple(_layer(*layer) for layer in layers)
-        _integer(input_dim, "input_dim", 1)
+        input_dim = int(_integer(input_dim, "input_dim", 1))
         if not structure:
             raise ValueError("network must have at least one layer")
         layout = _layout_of(input_dim, structure)
@@ -211,6 +216,9 @@ def _param_counts(n: int) -> dict:
 
 # The most entries a net's blocks may hold, 32 GiB of float64: a passthrough
 # column of a huge fan-in, one JSON field, is refused rather than allocated.
+# A count that sizes an array is held to it too, by name and before the
+# array is made: an executor's restarts times its row, a hidden width, grid
+# and dataset points.
 _MAX_ENTRIES = 2**32
 
 
@@ -502,8 +510,8 @@ class _PackedLayer(NamedTuple):
 
 
 class _LayerBuffers(NamedTuple):
-    # Each is a C-contiguous (R, rows, B) array, n the layer's fan-in and m
-    # its width.
+    # Each is an (R, rows, B) view of layer-major memory, n the layer's
+    # fan-in and m its width.
     product: np.ndarray  # m rows, over grad_acts' memory, which the forward leaves free
     X2: np.ndarray | None  # X1 * X1, n + 1 rows; layers with a square term only
     P: np.ndarray | None  # m rows; quadratic layers only
@@ -515,11 +523,73 @@ class _WorkBuffers(NamedTuple):
     acts: np.ndarray  # (R, act_width, B); the ones rows are written once
     grad_acts: np.ndarray  # same shape
     layers: list[_LayerBuffers]
+    output: np.ndarray  # the output rows of acts, (R, output_dim, B)
+    upstream: np.ndarray  # the same rows of grad_acts, where the backward starts
+    # the passes, as (ufunc, a, b, out) on the views above and on params
+    forward: list[tuple]
+    backward: list[tuple]
 
 
-def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """A C-contiguous view of the given shape on the first entries of buf."""
-    return buf.reshape(-1)[: int(np.prod(shape))].reshape(shape)
+def _layer_major(rows: int, restarts: int, batch: int) -> np.ndarray:
+    """An (R, rows, B) view of (rows, R, B) memory: a run of rows is one
+    contiguous block across restarts."""
+    return np.empty((rows, restarts, batch)).transpose(1, 0, 2)
+
+
+def _run(program: list[tuple]) -> None:
+    for f, a, b, out in program:
+        f(a, b, out=out)
+
+
+def _forward_ops(layer: _PackedLayer, X1, Z, buffers: _LayerBuffers) -> list[tuple]:
+    """A layer's forward pass, from its input X1 into its activations Z."""
+    W, W_g, W_b = layer.thirds_t
+    product, X2, P, Q, _ = buffers
+    ops = [(np.multiply, X1, X1, X2)] if layer.square else []
+    if layer.quadratic:
+        ops += [(np.matmul, W, X1, P), (np.matmul, W_g, X1, Q), (np.multiply, P, Q, Z)]
+        if layer.square:
+            ops += [(np.matmul, W_b, X2, product), (np.add, Z, product, Z)]
+    else:
+        ops.append((np.matmul, W, X1, Z))
+    if layer.relu:
+        ops.append((np.maximum, Z, 0.0, Z))
+    return ops
+
+
+def _backward_ops(layer: _PackedLayer, X1, Z, d, g_inp, buffers: _LayerBuffers) -> list[tuple]:
+    """A layer's backward pass from the gradient d of its activations Z:
+    its parameter gradients and, where g_inp is given, its input gradient.
+    For a quadratic neuron with p = w_r.x + b_r and q = w_g.x + b_g:
+    dh/dw_r = q x, dh/db_r = q, dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x,
+    dh/dc = 1."""
+    (W, W_g, W_b), (G, G_g, G_b), through = layer.weights, layer.grads, layer.through_width
+    _, X2, P, Q, T = buffers
+    ops = []
+    if layer.relu:
+        # the layer's activations are dead from here on (every later layer
+        # that reads them has run), so they take the mask
+        ops += [(np.greater, Z, 0.0, Z), (np.multiply, d, Z, d)]
+    dq = dp = d
+    if layer.quadratic:
+        dq, dp = Q, P
+        ops += [(np.multiply, d, Q, dq), (np.multiply, d, P, dp)]
+        if G_g is not None:
+            ops.append((np.matmul, X1, dp.swapaxes(1, 2), G_g))
+        if G_b is not None:
+            ops.append((np.matmul, X2, d.swapaxes(1, 2), G_b))
+    if G is not None:
+        ops.append((np.matmul, X1, dq.swapaxes(1, 2), G))
+    if g_inp is None:
+        return ops
+    ops.append((through, W, dq, g_inp))
+    if layer.quadratic:
+        ops += [(through, W_g, dp, T), (np.add, g_inp, T, g_inp)]
+    if layer.square:
+        # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
+        ops += [(through, W_b, d, T), (np.multiply, T, X1[:, :-1], T),
+                (np.multiply, T, 2.0, T), (np.add, g_inp, T, g_inp)]
+    return ops
 
 
 class PackedNetwork:
@@ -547,13 +617,13 @@ class PackedNetwork:
     trainable factorizer and of the exact product nets, has no square term:
     the forward forms neither X1 * X1 nor its product, and the backward no
     2 x * (W_b d) input-gradient term.  That holds because the frozen entries
-    of `params` are fixed when the executor is made: `forward` writes
-    `params` at `theta_index` alone, and no caller writes it elsewhere.
-    Outputs and gradients keep their bits on finite activations, except that
-    an exact -0.0 product stays -0.0 where the skipped zero term made it
-    +0.0; nothing reads that sign.  Where a channel passes sqrt(max float64),
-    about 1.3e154, no square overflows into 0 * inf = NaN, as in
-    forward_batch.  Both decide which thirds are zero with _live.
+    of `params` are fixed when the executor is made: `forward` and the
+    trainer write `params` at `theta_index` alone, and no caller writes it
+    elsewhere.  Outputs and gradients keep their bits on finite activations,
+    except that an exact -0.0 product stays -0.0 where the skipped zero term
+    made it +0.0; nothing reads that sign.  Where a channel passes
+    sqrt(max float64), about 1.3e154, no square overflows into 0 * inf =
+    NaN, as in forward_batch.  Both decide which thirds are zero with _live.
 
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
@@ -562,37 +632,42 @@ class PackedNetwork:
     values (see NetworkSpec for inf); the trainer drops a restart at its first
     non-finite loss.
 
-    `forward(theta, X)` writes the (R, T) trainable values into `params`
-    and returns the output, (R, B, output_dim); `loss_and_grad` runs the
-    backward pass right after its own forward, on what that pass left in
-    the work arrays.  Both take X as (B, input_dim) and transpose at that
-    boundary.
+    The executor owns its work arrays (_WorkBuffers, _LayerBuffers) and its
+    step program, one set for the batch size last seen: the first pass at a
+    batch size makes them and a new size replaces them.  Each array is
+    layer-major, (rows, R, B) memory seen as (R, rows, B), so that a layer's
+    rows are one contiguous block across restarts, not R strided pieces,
+    and a one-output net's output is one contiguous (R, B) block.  The
+    program is the forward and the backward pass as lists of (ufunc, a, b,
+    out) on fixed views of those arrays and of `params`, and a pass is a
+    loop over its list: every product and sum is written through `out=`,
+    and the backward writes each ReLU mask, as 0.0 and 1.0, over that
+    layer's activations, which are dead by then.  A pass reads only what it
+    wrote (the ones rows are written once): each layer reads the layer
+    before it alone, so the backward overwrites every input gradient whole
+    and zeroes no row.
+    Where a layer is one neuron wide, the backward's products through its
+    width (W @ d) are broadcast multiplies.  These give the rank-1 matmul's
+    bits except on an exact -0.0 product, which the matmul, summing from
+    0.0, returns as +0.0; each such term reaches the parameter gradients
+    through a matmul reduction, which sums from 0.0 again, so the gradients
+    keep the matmul's bits.  The layout changes no bit: a matmul's result
+    does not depend on the row stride of its operands, as the tests of
+    restart rows against one-row executors, where the two layouts coincide,
+    check.  One executor serves one caller at a time, and the trainer makes
+    one per `train` call.
 
-    The executor owns its work arrays, one set for the batch size last seen:
-    the activations (R, act_width, B), their ones rows written once, the
-    activation gradient of the same shape, X1 * X1 of each layer with a
-    square term, P and Q of each quadratic layer and an (R, n, B) scratch for
-    a quadratic layer's input gradient.
-    Every layer's slice of the activations is then contiguous within a restart.
-    The first forward pass at a batch size makes them and a new size replaces
-    them; they live as long as the executor, and the trainer makes one executor
-    per `train` call.  The layer products and the input gradient are written
-    into them through `out=`, and the backward writes each ReLU mask, as 0.0
-    and 1.0, over that layer's activations, which are dead by then; a warm step
-    still allocates the output copy.  A pass reads only what it wrote: each
-    layer reads the layer before it alone, so the backward overwrites every
-    input gradient whole and zeroes no row.  Where a layer is one neuron wide,
-    the backward's products through its width (W @ d) are broadcast multiplies.
-    These give the rank-1 matmul's bits except on an exact -0.0 product, which
-    the matmul, summing from 0.0, returns as +0.0; each such term reaches the
-    parameter gradients through a matmul reduction, which sums from 0.0 again,
-    so the gradients keep the matmul's bits.  One executor serves one caller at
-    a time.  The output a forward pass returns is a copy that later passes
-    leave alone.
+    `forward(theta, X)` writes the (R, T) trainable values into `params`
+    and returns the output, (R, B, output_dim), a copy that later passes
+    leave alone; `loss_and_grad` runs the backward pass right after its own
+    forward.  Both take X as (B, input_dim), check it and theta, and
+    transpose X into the input rows of the activations; they are wrappers
+    over the program that the trainer runs directly, with X written once
+    (_bind) and `params` stepped in place.
     """
 
     def __init__(self, net: NetworkSpec, restarts: int = 1):
-        _integer(restarts, "restarts", 1)
+        _integer(restarts, "restarts", 1, _MAX_ENTRIES // net._layout.size)
         self._input_dim = net.input_dim
         self.params = np.tile(net.params, (restarts, 1))
         self._grad = np.zeros_like(self.params)
@@ -630,37 +705,50 @@ class PackedNetwork:
         self._work: _WorkBuffers | None = None
 
     def _buffers(self, batch: int) -> _WorkBuffers:
-        """The work arrays for a batch of `batch` columns, made on first use.
+        """The work arrays and the step program for a batch of `batch`
+        columns, made on first use.
 
         A new batch size replaces the previous set, so at most one is held.
         """
         work = self._work
         if work is None or work.acts.shape[2] != batch:
             R = len(self.params)
-            acts = np.empty((R, self._act_width, batch))
+            acts = _layer_major(self._act_width, R, batch)
             acts[:, self._ones] = 1.0
-            grad_acts = np.empty_like(acts)
-            widths = [layer.out.stop - layer.out.start for layer in self._layers]
+            grad_acts = _layer_major(self._act_width, R, batch)
             # A quadratic layer k > 0 sums its input gradient from three
-            # terms, the last two passing through T, and T of every layer
-            # shares one scratch array.
+            # terms, the last two passing through T.
             summed = [k > 0 and layer.quadratic for k, layer in enumerate(self._layers)]
             fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
-            scratch = np.empty(R * batch * max(
-                (n for n, s in zip(fan_in, summed) if s), default=0))
-            per_layer = []
-            for layer, n, m, s in zip(self._layers, fan_in, widths, summed):
-                X2 = P = Q = None
-                if layer.square:
-                    X2 = np.empty((R, n + 1, batch))
-                if layer.quadratic:
-                    P, Q = (np.empty((R, m, batch)) for _ in range(2))
-                per_layer.append(_LayerBuffers(
-                    _leading(grad_acts, (R, m, batch)), X2, P, Q,
-                    _leading(scratch, (R, n, batch)) if s else None,
-                ))
-            work = _WorkBuffers(acts, grad_acts, per_layer)
+            scratch = _layer_major(max(
+                (n for n, s in zip(fan_in, summed) if s), default=0), R, batch)
+            per_layer, forward, backward = [], [], []
+            for k, (layer, n, s) in enumerate(zip(self._layers, fan_in, summed)):
+                m = layer.out.stop - layer.out.start
+                buffers = _LayerBuffers(
+                    grad_acts[:, :m],
+                    _layer_major(n + 1, R, batch) if layer.square else None,
+                    *((_layer_major(m, R, batch) for _ in range(2)) if layer.quadratic
+                      else (None, None)),
+                    scratch[:, :n] if s else None,
+                )
+                X1, Z = acts[:, layer.inp], acts[:, layer.out]
+                g_inp = grad_acts[:, layer.inp.start : layer.inp.stop - 1] if k else None
+                per_layer.append(buffers)
+                forward += _forward_ops(layer, X1, Z, buffers)
+                backward[:0] = _backward_ops(layer, X1, Z, grad_acts[:, layer.out], g_inp,
+                                             buffers)
+            out = self._layers[-1].out
+            work = _WorkBuffers(acts, grad_acts, per_layer, acts[:, out], grad_acts[:, out],
+                                forward, backward)
             self._work = work
+        return work
+
+    def _bind(self, X: np.ndarray) -> _WorkBuffers:
+        """The work for X's batch size, X, (B, input_dim) float64, written
+        into its input rows, which no pass writes."""
+        work = self._buffers(X.shape[0])
+        work.acts[:, : self._input_dim] = X.T
         return work
 
     def forward(self, theta, X: np.ndarray) -> np.ndarray:
@@ -678,74 +766,9 @@ class PackedNetwork:
         if theta.shape != shape:
             raise ValueError(f"expected theta of shape {shape}, got {theta.shape}")
         self.params[:, self.theta_index] = theta
-        work = self._buffers(X.shape[0])
-        acts = work.acts
-        acts[:, : self._input_dim] = X.T
-        for layer, (product, X2, P, Q, _) in zip(self._layers, work.layers):
-            quadratic, square, relu, inp, out, (W, W_g, W_b), _, _, _ = layer
-            X1 = acts[:, inp]
-            Z = acts[:, out]
-            if square:
-                np.multiply(X1, X1, out=X2)
-            if quadratic:
-                np.matmul(W, X1, out=P)
-                np.matmul(W_g, X1, out=Q)
-                np.multiply(P, Q, out=Z)
-                if square:
-                    Z += np.matmul(W_b, X2, out=product)
-            else:
-                np.matmul(W, X1, out=Z)
-            if relu:
-                np.maximum(Z, 0.0, out=Z)
-        return acts[:, out].swapaxes(1, 2).copy()
-
-    def _backward(self, upstream: np.ndarray) -> np.ndarray:
-        """Gradient of sum_b upstream[r, b] . output[r, b] w.r.t. each
-        restart's trainable parameters, shape (R, T).
-
-        upstream has the output's shape (R, B, output_dim).  Runs from the
-        work buffers as the last forward pass left them, and overwrites
-        them.  For a quadratic neuron with
-        p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x, dh/db_r = q,
-        dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1.
-        """
-        work = self._work
-        acts, grad_acts = work.acts, work.grad_acts
-        grad_acts[:, self._layers[-1].out] = upstream.swapaxes(1, 2)
-        grad = self._grad
-        for k in range(len(self._layers) - 1, -1, -1):
-            (quadratic, square, relu, inp, out, _, (W, W_g, W_b), (G, G_g, G_b),
-             through) = self._layers[k]
-            _, X2, P, Q, T = work.layers[k]
-            X1 = acts[:, inp]
-            d = grad_acts[:, out]
-            if relu:
-                # the layer's activations are dead from here on (every later
-                # layer that reads them has run), so they take the mask
-                d *= np.greater(acts[:, out], 0.0, out=acts[:, out])
-            dq = d
-            if quadratic:
-                dq = np.multiply(d, Q, out=Q)
-                dp = np.multiply(d, P, out=P)
-                if G_g is not None:
-                    np.matmul(X1, dp.swapaxes(1, 2), out=G_g)
-                if G_b is not None:
-                    np.matmul(X2, d.swapaxes(1, 2), out=G_b)
-            if G is not None:
-                np.matmul(X1, dq.swapaxes(1, 2), out=G)
-            if not k:
-                break
-            g_inp = grad_acts[:, inp.start : inp.stop - 1]
-            through(W, dq, out=g_inp)
-            if quadratic:
-                g_inp += through(W_g, dp, out=T)
-            if square:
-                # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
-                through(W_b, d, out=T)
-                T *= X1[:, :-1]
-                T *= 2.0
-                g_inp += T
-        return grad[:, self.theta_index]
+        work = self._bind(X)
+        _run(work.forward)
+        return work.output.swapaxes(1, 2).copy()
 
     def loss_and_grad(self, theta, X: np.ndarray, loss):
         """Run forward(theta, X) and the backward pass right after it.
@@ -763,7 +786,10 @@ class PackedNetwork:
             raise ValueError(
                 f"expected loss upstream of shape {out.shape}, got {upstream.shape}"
             )
-        return values, self._backward(upstream)
+        work = self._work
+        work.upstream[...] = upstream.swapaxes(1, 2)
+        _run(work.backward)
+        return values, self._grad[:, self.theta_index]
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +831,12 @@ def one_hidden_conventional(input_dim: int, width: int) -> NetworkSpec:
 
 
 def _one_hidden(kind: str, input_dim: int, width: int) -> NetworkSpec:
-    """width zero-initialised ReLU units of one kind feeding one linear output neuron."""
-    _integer(width, "width", 1)
+    """width zero-initialised ReLU units of one kind feeding one linear output
+    neuron.  A width whose blocks, (3 input_dim + 3) width + 3 width + 3
+    entries, would pass _MAX_ENTRIES is refused by name before its layer is
+    listed."""
+    _integer(input_dim, "input_dim", 1)
+    _integer(width, "width", 1, max(1, (_MAX_ENTRIES - 3) // (3 * int(input_dim) + 6)))
     return NetworkSpec.blank(
         input_dim, [("relu", [kind] * width), ("identity", ["conventional"])])
 

@@ -58,15 +58,19 @@ def _real(values, name: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
-def _integer(value, name: str, low: int):
-    """value, an integer (numpy's included) >= low, else ValueError naming
-    it: a bool, a float such as 2.0 or anything else.  No numpy call, and a
-    plain int skips the Integral test, an ABC check that costs about 0.6 µs."""
+def _integer(value, name: str, low: int, high: int | None = None):
+    """value, an integer (numpy's included) >= low, and <= high where high is
+    given, else ValueError naming it: a bool, a float such as 2.0 or anything
+    else.  A count sets high so that what it sizes is refused before it is
+    allocated.  No numpy call, and a plain int skips the Integral test, an
+    ABC check that costs about 0.6 µs."""
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
     return value
 
 

@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 
 from .network import (
+    _MAX_ENTRIES,
     NetworkSpec,
     _check_batch,
     forward_batch,
@@ -36,7 +37,8 @@ from .polynomials import FactoredForm, Polynomial
 
 @dataclass
 class GridSpec:
-    """Uniform evaluation grid on [lo, hi] with n >= 2 points."""
+    """Uniform evaluation grid on [lo, hi] with n >= 2 points, at most
+    network._MAX_ENTRIES."""
 
     lo: float
     hi: float
@@ -44,7 +46,7 @@ class GridSpec:
 
     def __post_init__(self):
         self.lo, self.hi = _finite(self.lo, "grid lo"), _finite(self.hi, "grid hi")
-        self.n = int(_integer(self.n, "grid n", 2))
+        self.n = int(_integer(self.n, "grid n", 2, _MAX_ENTRIES))
         if self.lo >= self.hi:
             raise ValueError("grid requires lo < hi")
 

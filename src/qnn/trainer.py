@@ -2,12 +2,13 @@
 
 Plain fixed-step descent, no momentum or minibatching: reproducibility over
 speed.  Restarts draw independent initialisations from a seeded generator
-and train side by side on the restart axis of one PackedNetwork: theta is an
-(R, T) array updated in place, one fused forward and backward pass per step
-covers every restart, and no NetworkSpec is built until the steps end.  A
-restart whose loss turns non-finite is masked out; ``train`` keeps the one
-with the lowest final loss, earliest on ties.  Parameters whose mask is
-false are never touched.
+and train side by side on the restart axis of one PackedNetwork: the data
+is written into it once, each step runs its forward program, the loss on
+its output rows, its backward program and an in-place update of its
+params, the (R, P) rows that hold theta, and no NetworkSpec is built until
+the steps end.  A restart whose loss turns non-finite is masked out;
+``train`` keeps the one with the lowest final loss, earliest on ties.
+Parameters whose mask is false are never touched.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkSpec, PackedNetwork, forward_batch, set_trainable_values
+from .network import (_MAX_ENTRIES, NetworkSpec, PackedNetwork, _run, forward_batch,
+                      set_trainable_values)
 from .neurons import _finite, _integer, _real
 from .oracles import horner
 from .polynomials import Polynomial
@@ -42,8 +44,10 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}")
         for name in ("learning_rate", "init_scale"):
             setattr(self, name, _finite(getattr(self, name), name, positive=True))
-        for name, low in (("iterations", 1), ("restarts", 1), ("seed", 0)):
-            _integer(getattr(self, name), name, low)
+        _integer(self.seed, "seed", 0)
+        # the loss history holds iterations x restarts entries
+        _integer(self.restarts, "restarts", 1, _MAX_ENTRIES)
+        _integer(self.iterations, "iterations", 1, _MAX_ENTRIES // int(self.restarts))
 
 
 @dataclass
@@ -71,27 +75,35 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-def _output_loss(kind: str, out: np.ndarray, y: np.ndarray):
-    """Batch losses and their gradients w.r.t. the outputs.
+def _output_loss(kind: str, out: np.ndarray, y: np.ndarray, grad: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """Each restart's loss over the batch, with its gradient w.r.t. the
+    outputs written into grad.
 
-    out holds one row of B predictions per restart; each loss reduces along
-    the last axis, so R rows give R values.  mse averages squared errors;
-    sse sums them (same descent direction, stepped batch-size times harder
-    at equal learning rate); logistic is mean log(1 + exp(-y * out)) on +-1
-    labels.
+    out holds one row of B predictions per restart, (R, B); grad and scratch
+    are (R, B) arrays the call overwrites.  Returns the R losses, each
+    reduced along its row.  mse averages squared errors; sse sums them (same
+    descent direction, stepped batch-size times harder at equal learning
+    rate); logistic is mean log(1 + exp(-y * out)) on +-1 labels.  Every
+    value is written through out=, in the order of the plain expressions
+    err * err, 2.0 * err / n and -y / (1.0 + exp(y * out)) / n, and
+    np.add.reduce is np.sum's sum, so the bits are theirs.
     """
     n = len(y)
-    if kind == "mse":
-        err = out - y
-        return np.mean(err * err, axis=-1), 2.0 * err / n
-    if kind == "sse":
-        err = out - y
-        return np.sum(err * err, axis=-1), 2.0 * err
-    margin = y * out
-    loss = np.mean(np.logaddexp(0.0, -margin), axis=-1)
-    with np.errstate(over="ignore"):
-        grad = -y / (1.0 + np.exp(margin)) / n
-    return loss, grad
+    if kind == "logistic":
+        neg_y = -y
+        np.multiply(out, neg_y, out=grad)  # -(y * out), exactly
+        values = np.add.reduce(np.logaddexp(0.0, grad, out=grad), -1)
+        np.exp(np.multiply(y, out, out=scratch), out=scratch)
+        np.divide(neg_y, np.add(1.0, scratch, out=scratch), out=grad)
+    else:
+        err = np.subtract(out, y, out=grad)
+        values = np.add.reduce(np.multiply(err, err, out=scratch), -1)
+        np.multiply(err, 2.0, out=grad)
+    if kind != "sse":  # a mean
+        np.divide(grad, n, out=grad)
+        np.divide(values, n, out=values)
+    return values
 
 
 def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
@@ -105,19 +117,30 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
     diverged restart, the final evaluation included, has final loss inf.
     Once every restart has diverged the steps stop, and the history rows
     after that step are NaN.
+
+    X is written into the executor once, and each step runs its program:
+    the forward pass, the loss read from the output rows with its gradient
+    written where the backward starts, the backward pass, and
+    params -= learning_rate * grad where the entry is trainable and its
+    restart live, in place.
     """
     packed = PackedNetwork(net, restarts=cfg.restarts)
-    theta = np.stack([
+    params, grad, index = packed.params, packed._grad, packed.theta_index
+    params[:, index] = [
         np.random.default_rng([cfg.seed, i]).uniform(
-            -cfg.init_scale, cfg.init_scale, size=len(packed.theta_index)
+            -cfg.init_scale, cfg.init_scale, size=len(index)
         )
         for i in range(cfg.restarts)
-    ])
-    X, y = data.inputs, data.targets
+    ]
+    work = packed._bind(data.inputs)
+    out, dout = work.output[:, 0], work.upstream[:, 0]
+    scratch = np.empty_like(out)
+    stepped = np.zeros_like(params, dtype=bool)
+    stepped[:, index] = True  # trainable and live
 
-    def loss(out):
-        values, dout = _output_loss(cfg.loss, out[..., 0], y)
-        return values, dout[..., None]
+    def forward_loss():
+        _run(work.forward)
+        return _output_loss(cfg.loss, out, data.targets, dout, scratch)
 
     history = np.full((cfg.iterations, cfg.restarts), np.nan)
     live = np.ones(cfg.restarts, dtype=bool)
@@ -126,19 +149,23 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
     # finiteness check and the restart is masked
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.iterations):
-            values, grad = packed.loss_and_grad(theta, X, loss)
+            values = forward_loss()
             history[it] = values
             if not np.isfinite(values).all():
                 diverged = live & ~np.isfinite(values)
                 stopped[diverged] = it
                 live &= ~diverged
-                theta[diverged] = 0.0
+                params[np.ix_(diverged, index)] = 0.0
+                stepped[diverged] = False
                 if not live.any():
                     break
-            np.subtract(theta, cfg.learning_rate * grad, out=theta, where=live[:, None])
-        final, _ = loss(packed.forward(theta, X))
+            _run(work.backward)
+            # the next backward writes every entry of grad that is read
+            np.subtract(params, np.multiply(grad, cfg.learning_rate, out=grad), out=params,
+                        where=stepped)
+        final = forward_loss()
     final[~(live & np.isfinite(final))] = np.inf
-    return theta, history, final, stopped
+    return params[:, index], history, final, stopped
 
 
 def train_restarts(
@@ -196,7 +223,7 @@ def make_rings_dataset(
     Points sit at uniformly random angles with radius drawn uniformly from
     r +- noise.  Deterministic for a given seed.
     """
-    _integer(n_per_class, "n_per_class", 1)
+    _integer(n_per_class, "n_per_class", 1, _MAX_ENTRIES // 4)  # two rings of 2-D points
     r_inner, r_outer = _finite(r_inner, "r_inner"), _finite(r_outer, "r_outer")
     if not 0.0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
@@ -215,11 +242,12 @@ def make_rings_dataset(
 
 
 def make_poly_dataset(p: Polynomial, lo: float, hi: float, n: int) -> Dataset:
-    """n >= 2 evenly spaced points of the polynomial on [lo, hi]."""
+    """n >= 2 evenly spaced points of the polynomial on [lo, hi], at most
+    network._MAX_ENTRIES."""
     lo, hi = _finite(lo, "lo"), _finite(hi, "hi")
     if lo >= hi:
         raise ValueError("need lo < hi")
-    _integer(n, "n", 2)
+    _integer(n, "n", 2, _MAX_ENTRIES)
     xs = np.linspace(lo, hi, n)
     return Dataset(xs[:, None], horner(p, xs))
 

@@ -797,6 +797,15 @@ class TestPackedNetwork:
                 np.testing.assert_array_equal(out[i], out_i[0])
                 np.testing.assert_array_equal(grad[i], grad_i[0])
 
+    def test_numpy_integer_sizes_are_read_as_int(self):
+        """A numpy input_dim made a net whose JSON could not be written
+        (TypeError: int32 is not JSON serializable) and whose layout was
+        summed in int32, where a restart count's bound overflowed."""
+        net = single_quadratic_net(np.int32(1))
+        assert type(net.input_dim) is type(net._layout.size) is int
+        assert from_json(to_json(net)).input_dim == 1
+        assert PackedNetwork(net, np.int32(3)).params.shape == (3, net._layout.size)
+
     @pytest.mark.parametrize("restarts, message", [
         (0, ">= 1"), (2.0, "an integer"), (2.5, "an integer"), (True, "an integer")],
         ids=["0", "2.0", "2.5", "True"])

@@ -208,3 +208,32 @@ def test_cli_number_flags_follow_the_rule(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"usage: qnn {argv[0]} " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("make, problem", [
+    (lambda: PackedNetwork(single_quadratic_net(1), 10**12), r"restarts must be <= 715827882,"),
+    (lambda: PackedNetwork(single_quadratic_net(1), 10**400), r"restarts must be <= 715827882,"),
+    (lambda: one_hidden_quadratic(1, 10**400), r"width must be <= 477218588,"),
+    (lambda: one_hidden_conventional(3, 10**15), r"width must be <= 286331152,"),
+    (lambda: make_rings_dataset(10**400), r"n_per_class must be <= 1073741824,"),
+    (lambda: GridSpec(0, 1, 10**400), r"grid n must be <= 4294967296,"),
+    (lambda: make_poly_dataset(Polynomial([1.0]), 0.0, 1.0, 10**400), r"n must be <= 4294967296,"),
+    (lambda: TrainConfig(iterations=10**13, restarts=2), r"iterations must be <= 2147483648,"),
+], ids=["restarts-1e12", "restarts-1e400", "width", "width-d3", "n_per_class", "grid-n",
+        "poly-n", "iterations"])
+def test_oversized_count_refused_before_allocating(make, problem):
+    """A count past network._MAX_ENTRIES entries is refused by name before
+    anything is allocated.  At 10**12 restarts numpy raised MemoryError for
+    43.7 TiB; at 10**400 the executor and one_hidden_quadratic raised a bare
+    OverflowError, make_rings_dataset an unnamed ValueError, and GridSpec
+    accepted it and failed in points(); 10**13 iterations failed in train
+    with MemoryError for a 72.8 TiB loss history."""
+    with pytest.raises(ValueError, match=f"^{problem}"):
+        make()
+
+
+def test_grid_count_bound_is_inclusive():
+    """GridSpec holds n lazily, so the largest count is accepted unmade."""
+    assert GridSpec(0, 1, 2**32).n == 2**32
+    with pytest.raises(ValueError, match="grid n must be <= "):
+        GridSpec(0, 1, 2**32 + 1)

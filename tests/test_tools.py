@@ -1,0 +1,22 @@
+"""Smoke test of the timing tool, which reads the training executor's and
+the trainer's internals: it must still run and print its table."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_step_timing_prints_the_factorizer_row():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_timing.py"), "factorizer", "--repeat", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    header, row = result.stdout.splitlines()
+    assert header.split() == ["shape", "R", "B", "forward_us", "loss_and_grad_us",
+                              "descend_us", "np_calls"]
+    name, restarts, batch, *times, calls = row.split()
+    assert (name, restarts, batch) == ("factorizer", "10", "100")
+    assert all(float(us) > 0 for us in times)
+    assert int(calls) > 0

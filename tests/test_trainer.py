@@ -42,13 +42,18 @@ def quad_teacher_data(seed=0, n=50, scale=0.5):
 
 
 def one_at_a_time(net, data, cfg):
-    """Each restart of cfg on its own one-row PackedNetwork, in the trainer's
-    arithmetic (mse or sse).  Returns (theta, history, final_loss) per
-    restart, theta None when the restart's loss turned non-finite."""
-    assert cfg.loss in ("mse", "sse")
+    """Each restart of cfg on its own one-row PackedNetwork, with each loss
+    and its gradient written as plain numpy expressions (np.mean, np.sum,
+    operators), which the trainer's in-place arithmetic must match bit for
+    bit.  Returns (theta, history, final_loss) per restart, theta None when
+    the restart's loss turned non-finite."""
     X, y = data.inputs, data.targets
 
     def loss(out):
+        if cfg.loss == "logistic":
+            margin = y * out[..., 0]
+            grad = -y / (1.0 + np.exp(margin)) / len(y)
+            return np.mean(np.logaddexp(0.0, -margin), axis=-1), grad[..., None]
         err = out[..., 0] - y
         if cfg.loss == "mse":
             return np.mean(err * err, axis=-1), (2.0 * err / len(y))[..., None]
@@ -73,6 +78,33 @@ def one_at_a_time(net, data, cfg):
         else:
             runs.append((theta[0], np.array(history), final))
     return runs
+
+
+def factorizer_data(loss):
+    """The factorizer's target on [-1, 0] at 40 points; for the logistic
+    loss, labelled +1 where it is at least 0.6 and -1 elsewhere."""
+    data = make_poly_dataset(Polynomial([0.5, -1.0, 0.0, 0.0, 0.0, 1.0]), -1.0, 0.0, 40)
+    if loss == "logistic":
+        return Dataset(data.inputs, np.where(data.targets >= 0.6, 1.0, -1.0))
+    return data
+
+
+def assert_descend_matches(net, data, cfg, runs):
+    """_descend's theta, history, final losses and stop iterations equal
+    the one-at-a-time runs bit for bit: a diverged restart stops where its
+    own run did, with a zero theta row and final loss inf."""
+    theta, history, final, stopped = _descend(net, data, cfg)
+    for i, (ref_theta, ref_history, ref_final) in enumerate(runs):
+        if ref_theta is None:
+            assert stopped[i] == len(ref_history) < cfg.iterations
+            assert final[i] == np.inf
+            np.testing.assert_array_equal(theta[i], 0.0)
+        else:
+            assert stopped[i] == cfg.iterations
+            np.testing.assert_array_equal(theta[i], ref_theta)
+            np.testing.assert_array_equal(history[:, i], ref_history)
+            assert final[i] == ref_final
+        np.testing.assert_array_equal(history[: stopped[i], i], ref_history[: stopped[i]])
 
 
 def winner(runs):
@@ -158,25 +190,12 @@ class TestTrain:
         self, learning_rate, seed, survivors
     ):
         net = build_factorization_trainable(5, 1, 2)
-        target = Polynomial([0.5, -1.0, 0.0, 0.0, 0.0, 1.0])
-        data = make_poly_dataset(target, -1.0, 0.0, 40)
+        data = factorizer_data("sse")
         cfg = TrainConfig(loss="sse", learning_rate=learning_rate, iterations=60,
                           seed=seed, restarts=4, init_scale=1.0)
         runs = one_at_a_time(net, data, cfg)
         assert [i for i, run in enumerate(runs) if run[0] is not None] == survivors
-
-        theta, history, final, stopped = _descend(net, data, cfg)
-        for i, (ref_theta, ref_history, ref_final) in enumerate(runs):
-            if ref_theta is None:
-                assert stopped[i] == len(ref_history) < cfg.iterations
-                assert final[i] == np.inf
-                np.testing.assert_array_equal(theta[i], 0.0)
-            else:
-                assert stopped[i] == cfg.iterations
-                np.testing.assert_array_equal(theta[i], ref_theta)
-                np.testing.assert_array_equal(history[:, i], ref_history)
-                assert final[i] == ref_final
-            np.testing.assert_array_equal(history[: stopped[i], i], ref_history[: stopped[i]])
+        assert_descend_matches(net, data, cfg, runs)
 
         if not survivors:
             with pytest.raises(TrainingError):
@@ -197,6 +216,43 @@ class TestTrain:
         assert len(history) == cfg.iterations
         np.testing.assert_array_equal(trainable_values(trained), ref_theta)
         np.testing.assert_array_equal(history, ref_history)
+
+    @pytest.mark.parametrize("loss, learning_rate, seed, survivors, last", [
+        ("mse", 0.3, 4, [0, 3], 8),
+        ("mse", 0.3, 3, [0], 6),
+        ("logistic", 1.0, 0, [0, 2, 3], 38),
+        ("logistic", 1.0, 4, [0], 49),
+        ("sse", 3e-3, 0, [1, 2, 3], 6),
+    ], ids=["mse", "mse-one-survivor", "logistic", "logistic-one-survivor", "sse"])
+    def test_partial_divergence_matches_one_at_a_time_per_loss(
+        self, loss, learning_rate, seed, survivors, last
+    ):
+        """Every loss, some restarts diverging and some surviving: _descend
+        against one-row runs of the plain-expression loss, bit for bit.  last
+        is the latest divergence, so that a run which stops no restart, or
+        stops them all at once, cannot pass for a partial one."""
+        net = build_factorization_trainable(5, 1, 2)
+        data = factorizer_data(loss)
+        cfg = TrainConfig(loss=loss, learning_rate=learning_rate, iterations=60,
+                          seed=seed, restarts=4, init_scale=1.0)
+        runs = one_at_a_time(net, data, cfg)
+        assert [i for i, run in enumerate(runs) if run[0] is not None] == survivors
+        assert max(len(h) for theta, h, _ in runs if theta is None) == last
+        assert_descend_matches(net, data, cfg, runs)
+
+    def test_batched_restarts_match_one_at_a_time_logistic(self):
+        """The logistic loss on the rings, no restart diverging."""
+        data = make_rings_dataset(15, seed=3)
+        cfg = TrainConfig(loss="logistic", learning_rate=5e-2, iterations=60,
+                          seed=1, restarts=4)
+        net = one_hidden_quadratic(2, 3)
+        runs = one_at_a_time(net, data, cfg)
+        assert all(theta is not None for theta, _, _ in runs)
+        assert_descend_matches(net, data, cfg, runs)
+        trained, history = train(net, data, cfg)
+        theta, expected = winner(runs)
+        np.testing.assert_array_equal(trainable_values(trained), theta)
+        np.testing.assert_array_equal(history, expected)
 
     def test_history_after_every_restart_diverged_is_nan(self):
         """The steps stop at the last divergence and the history rows after

@@ -4,6 +4,16 @@ For each training shape it times ``PackedNetwork.forward`` and
 ``PackedNetwork.loss_and_grad`` on warm work arrays, in µs per call, the
 best of ``--repeat`` runs of as many calls as fill about 0.2 s.  The loss
 hands back a fixed upstream gradient, so the time is the executor's alone.
+``descend_us`` is one step of ``trainer._descend``, the way the trainer
+runs it: forward, mse loss, backward and parameter update, at a learning
+rate too small to diverge.  It is the best time of a descent of 1 + N
+steps less the best of a 1-step one, over N, so the setup and the final
+evaluation drop out; N steps take about 0.2 s.  ``np_calls`` is the numpy
+calls per step of that descent: each call made through the ``np`` name of
+a qnn module (functions, ufuncs and ufunc methods such as np.add.reduce,
+those in a prebuilt list of operations included), counted by putting a
+counting stand-in for numpy in those modules.  Arithmetic operators and
+array methods are not counted.
 The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
 points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
 kinds, one restart of 4096 points).  It then times ``forward_batch`` the
@@ -31,6 +41,7 @@ import argparse
 import os
 import sys
 import timeit
+import types
 from pathlib import Path
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -79,6 +90,63 @@ def best_us(call, repeat: int) -> float:
     return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
 
 
+def numpy_calls(call) -> int:
+    """The numpy calls call() makes through the np name of qnn's modules."""
+    import numpy as np
+
+    count = 0
+
+    class Counted:
+        def __init__(self, target):
+            self._target = target
+
+        def __call__(self, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return self._target(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return wrap(getattr(self._target, name))
+
+    def wrap(obj):
+        callable_kinds = (np.ufunc, types.FunctionType, types.BuiltinFunctionType)
+        return Counted(obj) if isinstance(obj, callable_kinds) else obj
+
+    class CountingNumpy(types.ModuleType):
+        def __getattr__(self, name):
+            return wrap(getattr(np, name))
+
+    modules = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "qnn" and getattr(module, "np", None) is np]
+    for module in modules:
+        module.np = CountingNumpy("numpy")
+    try:
+        call()
+    finally:
+        for module in modules:
+            module.np = np
+    return count
+
+
+def descend_step(net, restarts: int, batch: int, repeat: int, steps: int) -> tuple:
+    """(µs per step, numpy calls per step) of trainer._descend at a shape."""
+    import numpy as np
+    from qnn.trainer import Dataset, TrainConfig, _descend
+
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(batch, net.input_dim)), rng.normal(size=batch))
+
+    def descend(iterations: int):
+        cfg = TrainConfig(loss="mse", learning_rate=1e-9, iterations=iterations,
+                          restarts=restarts)
+        return lambda: _descend(net, data, cfg)
+
+    long = min(timeit.repeat(descend(1 + steps), number=1, repeat=repeat))
+    short = best_us(descend(1), repeat) * 1e-6
+    calls = numpy_calls(descend(3)) - numpy_calls(descend(2))
+    return (long - short) / steps * 1e6, calls
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("shapes", nargs="*", metavar="shape",
@@ -103,7 +171,8 @@ def main(argv=None) -> int:
     table = [row for row in table if row[0] in picked]
     nets = [row for row in nets if row[0] in picked]
     if table:
-        print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'loss_and_grad_us':>17}")
+        print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'loss_and_grad_us':>17} "
+              f"{'descend_us':>11} {'np_calls':>9}")
     for name, net, restarts, batch in table:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(batch, net.input_dim))
@@ -117,7 +186,10 @@ def main(argv=None) -> int:
         packed.loss_and_grad(theta, X, loss)  # makes the work arrays
         forward = best_us(lambda: packed.forward(theta, X), args.repeat)
         step = best_us(lambda: packed.loss_and_grad(theta, X, loss), args.repeat)
-        print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {step:>17.1f}")
+        descend, calls = descend_step(net, restarts, batch, args.repeat,
+                                      max(10, round(2e5 / step)))
+        print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {step:>17.1f} "
+              f"{descend:>11.1f} {calls:>9}")
 
     if table and nets:
         print()
