@@ -24,9 +24,10 @@ from ..polynomials import FactoredForm
 
 
 # The most power channels, sum_j max_k n_j(k), a MultiPolySpec may ask for:
-# those of the d = 2 tensor-product Bernstein net at n = 1029, the last n
-# whose binomial weights float64 holds.  The net of x1^1029 x2^1029 alone
-# takes 161 MiB of params and 0.24 s to build.
+# the 2n channels of the one-variable Bernstein net over (x, 1 - x) at
+# n = 1029, the last n whose binomial weights float64 holds (the d = 2
+# tensor-product net, with its (1 - x_i) channels, needs 4n).  The net of
+# x1^1029 x2^1029 alone takes 161 MiB of params and 0.24 s to build.
 _MAX_POWER_CHANNELS = 2058
 
 

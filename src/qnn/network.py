@@ -7,11 +7,12 @@ them it keeps each layer's activation and neuron kinds.  A layer reads the
 layer before it alone: a value a later layer needs is carried there by
 passthrough neurons.  A net is made in one of two ways: NetworkSpec.blank,
 whose block columns a builder or a test then writes, or from_json, which
-reads them straight from JSON; to_json writes them.  One cached walk of a
-structure, _layout_of, works out where its rows lie and refuses a
-passthrough index outside its fan-in; from_json checks each neuron's
-parameter count and mask length against its fan-in as it reads them,
-before any array is made, and then makes the net through blank.  Neuron
+reads them from JSON; to_json writes them.  Both pass over the whole net,
+not neuron by neuron.  One cached walk of a structure, _layout_of, works
+out where its rows lie and refuses a passthrough index outside its fan-in;
+from_json tests the document list by list, each neuron's parameter count
+and mask length against its fan-in among the tests, before any array is
+made, and then makes the net through blank.  Neuron
 objects are a read-only view, made only when net.layers is read (by the
 per-neuron oracle in oracles).  Nothing here mutates a spec: forward_batch and backward_batch
 are pure functions of it, and both take a batch, (B, input_dim); a single
@@ -63,7 +64,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -850,9 +851,18 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
                bool: "true or false", list: "a list"}
 
 
+def _all_numbers(values: list) -> bool:
+    """Whether every entry of values is a JSON number within the float64
+    range: a float, or an integer of magnitude at most sys.float_info.max,
+    read as its float.  true and false are not numbers."""
+    types = {*map(type, values)}
+    return types <= {float} or types <= {float, int} and all(
+        abs(value) <= sys.float_info.max for value in values if type(value) is int)
+
+
 def _field(d, key: str, kind: type):
-    """d[key], required to be of JSON type kind; a float field takes integers
-    within the float64 range too, as floats."""
+    """d[key], required to be of JSON type kind; a float field takes an
+    integer within the float64 range too (_all_numbers), as its float."""
     if type(d) is not dict:
         raise ValueError(f"expected an object, got {d!r}")
     try:
@@ -861,45 +871,39 @@ def _field(d, key: str, kind: type):
         raise ValueError(f"lacks {key!r}") from None
     if type(value) is kind:
         return value
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+    if kind is float and _all_numbers([value]):
         return float(value)
     raise ValueError(f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def _numbers(d, key: str, row: int = 0) -> np.ndarray:
-    """d[key], a JSON list of numbers, or of lists of `row` numbers where row
-    is given, as a float64 array."""
+    """d[key], a JSON list of numbers (_all_numbers), or of lists of `row`
+    numbers where row is given, as a float64 array."""
     values = _field(d, key, list)
-    shape = (len(values), row) if row else (len(values),)
-    try:
-        array = np.array(values) if values else np.zeros(shape)
-    except ValueError:  # lists of unequal lengths
-        array = None
-    if (array is None or array.shape != shape or array.dtype.kind not in "fiu"
-            # numpy reads true and false among numbers as 1 and 0; the type
-            # test runs in C, at a few per cent of the cost of the decoding
-            or bool in map(type, chain.from_iterable(values) if row else values)):
+    entries = ([x for v in values if type(v) is list and len(v) == row for x in v] if row
+               else values)
+    if len(entries) != len(values) * max(row, 1) or not _all_numbers(entries):
         what = f"lists of {row} numbers" if row else "numbers"
         raise ValueError(f"{key!r} must hold {what} only, got {values!r}")
-    return array.astype(np.float64, copy=False)
+    array = np.array(values, dtype=np.float64)
+    return array.reshape(len(values), row) if row else array
 
 
 def _neuron_from_dict(d):
-    """A neuron object as (kind, params): a passthrough's kind is its index
-    and its params empty."""
+    """Check a neuron object; return its kind, or a passthrough's index."""
     kind = _field(d, "kind", str)
     if kind == "passthrough":
-        return _field(d, "index", int), np.zeros(0)
+        return _field(d, "index", int)
     if kind not in ("quadratic", "conventional"):
         raise ValueError(f"unknown neuron kind {kind!r}")
-    return kind, _numbers(d, "params")
+    _numbers(d, "params")
+    return kind
 
 
-def _layer_from_dict(d) -> tuple[tuple, list]:
-    """A layer object as (structure, each neuron's parameters)."""
-    neurons = _each(_field(d, "neurons", list), "neuron", _neuron_from_dict)
-    layer = _layer(_field(d, "activation", str), [kind for kind, _ in neurons])
-    return layer, [p for _, p in neurons]
+def _layer_from_dict(d) -> None:
+    """Check a layer object: its neurons, then its activation."""
+    kinds = _each(_field(d, "neurons", list), "neuron", _neuron_from_dict)
+    _layer(_field(d, "activation", str), kinds)
 
 
 def _mask_from_list(m) -> list:
@@ -934,34 +938,43 @@ def to_json(net: NetworkSpec) -> str:
     """Serialize to JSON; round-trips bit-exactly.
 
     Each neuron's params list is the leading entries of its block column,
-    and "shortcuts" is always the empty list.  JSON has no NaN or infinity,
-    so a non-finite neuron parameter raises ValueError.
+    and "shortcuts" is always the empty list.  The text is what
+    json.dumps(sort_keys=True) writes for that document, joined in one pass
+    over params[own] and trainable[own], with no per-neuron dict and no
+    encoder.  A parameter's text is its float.__repr__, json.dumps's text
+    for a finite float; most entries of the exact nets are 0.0, whose text
+    is made once, so only the entries whose bits are not all zero (-0.0
+    among them) are formatted.  JSON has no NaN or infinity, so a
+    non-finite neuron parameter raises ValueError.
     """
     own = net._layout.own
-    values, flags = net.params[own].tolist(), net.trainable[own].astype(int).tolist()
+    values = net.params[own]
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "cannot write network JSON: a neuron parameter is not finite"
+        )
+    tokens = ["0.0"] * len(values)
+    nonzero = np.flatnonzero(values.view(np.int64))
+    for i, value in zip(nonzero.tolist(), values[nonzero].tolist()):
+        tokens[i] = repr(value)
+    # every mask entry as "0, " or "1, ", so entry i starts at character 3 i
+    flags = ", ".join((net.trainable[own].view(np.uint8) + ord("0")).tobytes().decode())
     layers, masks, start = [], [], 0
     for (activation, kinds), sizes in zip(net.structure, net._layout.sizes):
         neurons, layer_masks = [], []
         for kind, size in zip(kinds, sizes):
             end = start + size
-            neurons.append({"kind": kind, "params": values[start:end]} if size
-                           else {"kind": "passthrough", "index": kind})
-            layer_masks.append(flags[start:end])
+            if size:
+                neurons.append(f'{{"kind": "{kind}", "params": [{", ".join(tokens[start:end])}]}}')
+                layer_masks.append(f'[{flags[3 * start : 3 * end - 2]}]')
+            else:
+                neurons.append(f'{{"index": {kind}, "kind": "passthrough"}}')
+                layer_masks.append("[]")
             start = end
-        layers.append({"activation": activation, "neurons": neurons})
-        masks.append(layer_masks)
-    doc = {
-        "input_dim": net.input_dim,
-        "layers": layers,
-        "shortcuts": [],
-        "masks": masks,
-    }
-    try:
-        return json.dumps(doc, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise ValueError(
-            "cannot write network JSON: a neuron parameter is not finite"
-        ) from None
+        layers.append(f'{{"activation": "{activation}", "neurons": [{", ".join(neurons)}]}}')
+        masks.append(f'[{", ".join(layer_masks)}]')
+    return (f'{{"input_dim": {net.input_dim}, "layers": [{", ".join(layers)}], '
+            f'"masks": [{", ".join(masks)}], "shortcuts": []}}')
 
 
 _JSON_KEYS = ("input_dim", "layers", "shortcuts", "masks")
@@ -975,13 +988,16 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def from_json(text: str) -> NetworkSpec:
-    """Parse a network written by to_json, each neuron's params straight
-    into its block column.
+    """Parse a network written by to_json, all its parameters into
+    params[own] with one assignment and all its mask entries into
+    trainable[own] with another (see _read_net).
 
     A malformed document raises ValueError naming the layer, neuron or mask
-    at fault.  "shortcuts" must be the empty list: a layer reads the layer
-    before it alone, and an edge that skips layers is refused rather than
-    dropped.
+    at fault.  A parameter is any JSON number within the float64 range
+    (_all_numbers), a mask entry 0, 1, true, false, 0.0 or 1.0, and keys
+    the reader does not know are ignored.  "shortcuts" must be the empty
+    list: a layer reads the layer before it alone, and an edge that skips
+    layers is refused rather than dropped.
     """
     doc = _DECODER.decode(text)
     if not isinstance(doc, dict):
@@ -1000,24 +1016,71 @@ def from_json(text: str) -> NetworkSpec:
     if doc["shortcuts"]:
         raise ValueError("network JSON: 'shortcuts' must be empty; edges that "
                          "skip layers are not supported")
-    layers = _each(doc["layers"], "layer", _layer_from_dict)
-    masks = _each(doc["masks"], "masks of layer", _masks_from_list)
-    if len(masks) != len(layers):
+    structure, values, entries = _read_net(doc["layers"], doc["masks"], input_dim)
+    net = NetworkSpec.blank(input_dim, structure)
+    own = net._layout.own
+    net.params[own] = np.array(values, dtype=np.float64)
+    net.trainable[own] = np.array(entries, dtype=bool)
+    return net
+
+
+# each neuron kind with the type of the field it is read from: "params", or
+# a passthrough's "index"
+_NEURON_FIELDS = {("quadratic", list), ("conventional", list), ("passthrough", int)}
+
+
+def _read_net(layers: list, masks: list, input_dim: int) -> tuple:
+    """(structure, parameters, mask entries) of a document's layers and
+    masks, from tests on whole lists: the types of the layers' neuron lists
+    and activations, each neuron's kind with the type of its field, one type
+    scan over all the parameters and one over all the mask entries; then,
+    layer by layer, each neuron's parameter and mask count against its
+    fan-in, before blank makes any array.  Only once a test has failed are
+    the items walked one by one, to name the first at fault in reading
+    order: each layer's neurons and then its activation, each layer's
+    masks, the number of mask lists, then layer by layer the counts."""
+    try:
+        lists = [layer["neurons"] for layer in layers]
+        activations = [layer["activation"] for layer in layers]
+        neurons, flags = [*chain.from_iterable(lists)], [*chain.from_iterable(masks)]
+        kinds = [neuron["kind"] for neuron in neurons]
+        fields = [neuron["index" if kind == "passthrough" else "params"]
+                  for neuron, kind in zip(neurons, kinds)]
+        params = [[] if kind == "passthrough" else field for kind, field in zip(kinds, fields)]
+        values, entries = [*chain.from_iterable(params)], [*chain.from_iterable(flags)]
+        regular = ({*map(type, lists)} <= {list} and all(lists)
+                   and {*activations} <= {*ACTIVATIONS}
+                   and {*zip(kinds, map(type, fields))} <= _NEURON_FIELDS
+                   and _all_numbers(values) and {*map(type, masks)} <= {list}
+                   and {*map(type, flags)} <= {list} and {*entries} <= {0, 1}
+                   and len(masks) == len(layers))
+    # a layer or neuron that is no object or lacks a key, a number where a
+    # list belongs, an activation, kind or mask entry that is a list or an
+    # object
+    except (KeyError, TypeError):
+        regular = False
+    if not regular:
+        _each(layers, "layer", _layer_from_dict)
+        _each(masks, "masks of layer", _masks_from_list)
         raise ValueError("masks must parallel layers")
-    n = input_dim
-    for k, (((_, kinds), params), layer_masks) in enumerate(zip(layers, masks)):
-        if len(layer_masks) != len(kinds):
+    kinds = [field if kind == "passthrough" else kind for kind, field in zip(kinds, fields)]
+    widths = [*map(len, lists)]
+    structure, sizes, start, n = [], [], 0, input_dim
+    for activation, width in zip(activations, widths):
+        layer, counts = kinds[start : start + width], _param_counts(n)
+        sizes += map(counts.get, layer, repeat(0))
+        structure.append((activation, layer))
+        start, n = start + width, width
+    if [*map(len, masks)] == widths and [*map(len, params)] == sizes == [*map(len, flags)]:
+        return structure, values, entries
+    start, n = 0, input_dim
+    for k, (width, layer_masks) in enumerate(zip(widths, masks)):
+        if len(layer_masks) != width:
             raise ValueError(f"masks for layer {k} must parallel its neurons")
-        counts = _param_counts(n)
-        for j, (kind, p, mask) in enumerate(zip(kinds, params, layer_masks)):
-            size = counts.get(kind, 0)
+        for j, (kind, p, size, mask) in enumerate(zip(kinds[start:], params[start:],
+                                                      sizes[start:], layer_masks)):
             if not len(p) == len(mask) == size:
                 raise ValueError(f"layer {k} neuron {j}: a {kind if size else 'passthrough'} "
                                  f"neuron of fan-in {n} takes {size} parameters and mask "
                                  f"entries, got {len(p)} and {len(mask)}")
-        n = len(kinds)
-    net = NetworkSpec.blank(input_dim, [layer for layer, _ in layers])
-    net.params[net._layout.own] = np.concatenate([p for _, params in layers for p in params])
-    net.trainable[net._layout.own] = np.array(
-        list(chain.from_iterable(chain.from_iterable(masks))), dtype=bool)
-    return net
+        start, n = start + width, width

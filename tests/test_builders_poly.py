@@ -669,6 +669,11 @@ class TestFactoredFormSerialization:
         (Polynomial, "{}", "lacks 'coeffs'"),
         (Polynomial, "[1]", "expected an object"),
         (Polynomial, '{"coeffs": [1, null]}', "'coeffs' must hold numbers"),
+        (Polynomial, f'{{"coeffs": [1.0, {10**309}]}}', "'coeffs' must hold numbers"),
+        (FactoredForm, f'{{"scale": 1, "linear_roots": [{10**309}], "quadratic_factors": [], '
+                       '"paired_real": []}', "'linear_roots' must hold numbers"),
+        (FactoredForm, f'{{"scale": 1, "linear_roots": [], "quadratic_factors": [[0, {10**309}]], '
+                       '"paired_real": [false]}', "'quadratic_factors' must hold lists of 2"),
         (FactoredForm, '{"scale": 1}', "lacks 'linear_roots'"),
         (FactoredForm, '{"scale": true}', "'scale' must be a number"),
         (FactoredForm, '{"scale": 1, "linear_roots": [], "quadratic_factors": [[1]], '
@@ -679,6 +684,20 @@ class TestFactoredFormSerialization:
     def test_malformed_json_names_the_field(self, reader, text, problem):
         with pytest.raises(ValueError, match=problem):
             reader.from_json(text)
+
+    def test_polynomial_integers_read_as_floats(self):
+        """Every JSON integer within the float64 range is read as its float,
+        as _field reads one, however many digits it has."""
+        p = Polynomial.from_json(f'{{"coeffs": [1.0, {10**20}]}}')
+        assert p.coeffs.tolist() == [1.0, 1e20]
+
+    def test_factored_form_integers_read_as_floats(self):
+        big = 10**20
+        form = FactoredForm.from_json(
+            f'{{"scale": {big}, "linear_roots": [{big}, -{big}], '
+            f'"quadratic_factors": [[0, {big}]], "paired_real": [false]}}')
+        assert (form.scale, form.linear_roots, form.quadratic_factors) == (
+            1e20, [1e20, -1e20], [(0.0, 1e20)])
 
     @given(st.data())
     def test_mutated_json_returns_or_raises_value_error(self, data):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -909,6 +910,10 @@ class TestSerialization:
         (_edit(["layers", 0, "neurons", 0, "params"]), "layer 0: neuron 0: lacks 'params'"),
         (_edit(["layers", 0, "neurons", 0, "params"], [1.0, "2", 0, 0, 0, 0]),
          "layer 0: neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 1, "neurons", 0, "params", 0], 10**309),
+         "layer 1: neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 1, "neurons", 0, "params", 0], int(sys.float_info.max) + 1),
+         "layer 1: neuron 0: 'params' must hold numbers"),
         (_edit(["layers", 0, "neurons", 0, "params"], []),
          "layer 0 neuron 0: a quadratic neuron of fan-in 1 takes 6 parameters and mask "
          "entries, got 0 and 6"),
@@ -918,6 +923,10 @@ class TestSerialization:
         (_edit(["layers", 0, "neurons", 1, "index"], "0"), "layer 0: neuron 1: 'index'"),
         (_edit(["layers", 0, "neurons", 1], 7), "layer 0: neuron 1: expected an object"),
         (_edit(["layers", 0, "activation"], None), "layer 0: 'activation'"),
+        (_edit(["layers", 0, "activation"], "tanh"), "layer 0: unknown activation 'tanh'"),
+        (_edit(["layers", 0, "neurons"], []), "layer 0: layer must contain at least one neuron"),
+        (_edit(["layers", 0, "neurons", 0, "kind"], "cubic"),
+         "layer 0: neuron 0: unknown neuron kind 'cubic'"),
         (_edit(["input_dim"], "1"), "input_dim' must be an integer"),
         (_edit(["input_dim"], 0), "'input_dim' must be >= 1"),
         (_edit(["layers"], {}), "'layers' must be a list"),
@@ -933,6 +942,33 @@ class TestSerialization:
         edit(doc)
         with pytest.raises(ValueError, match=problem):
             from_json(json.dumps(doc))
+
+    def test_mask_entries_true_false_and_floats_read_as_flags(self):
+        doc = self._valid_document()
+        doc["masks"][0][0] = [True, False, 1.0, 0.0, 1, -0.0]
+        net = from_json(json.dumps(doc))
+        assert net.masks[0][0].tolist() == [True, False, True, False, True, False]
+
+    def test_unknown_keys_ignored(self):
+        """Keys the reader does not know, in a neuron, a layer or the
+        document, and a passthrough's params, are not read."""
+        doc = self._valid_document()
+        text = to_json(from_json(json.dumps(doc)))
+        doc["layers"][0]["neurons"][0]["note"] = "extra"
+        doc["layers"][0]["neurons"][1]["params"] = ["not read"]
+        doc["layers"][1]["comment"] = [1, 2]
+        doc["version"] = 2
+        assert to_json(from_json(json.dumps(doc))) == text
+
+    @pytest.mark.parametrize("value", [10**20, -(2**63) - 1, 2**64, -int(sys.float_info.max)],
+                             ids=["1e20", "-2**63-1", "2**64", "-max_float"])
+    def test_integer_parameters_read_as_floats(self, value):
+        """A JSON integer within the float64 range is read as its float, as
+        _field reads one, however many digits it has."""
+        doc = self._valid_document()
+        doc["layers"][1]["neurons"][0]["params"][0] = value
+        net = from_json(json.dumps(doc))
+        assert net.blocks[1][0, 0] == float(value)
 
     def test_saved_shortcut_edge_refused(self):
         """A document that holds an edge skipping layers, as older versions

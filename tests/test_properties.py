@@ -10,7 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_network
-from qnn.builders import build_factorization_trainable
+from qnn.builders import (
+    RadialPartition,
+    build_deep_radial,
+    build_factorization_trainable,
+    build_poly_net,
+    build_shallow_radial,
+)
 from qnn.network import (
     ACTIVATIONS,
     BlockRows,
@@ -27,6 +33,7 @@ from qnn.network import (
     trainable_values,
 )
 from qnn.oracles import reference_backward_batch, reference_forward_batch
+from qnn.polynomials import Polynomial, bernstein_coeffs, factor_polynomial
 
 small = st.floats(-2.0, 2.0)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -285,6 +292,49 @@ random_nets = st.tuples(st.integers(0, 2**32 - 1), st.booleans()).map(
 def test_json_round_trip_of_random_nets(net):
     text = to_json(net)
     assert to_json(from_json(text)) == text
+
+
+# The exact builders' nets: a product tree, the Bernstein net of |x - 1/2|
+# at n = 16, a deep and a shallow radial net, and the trainable factorizer.
+exact_nets = st.sampled_from([
+    build_poly_net(factor_polynomial(Polynomial(np.poly([-1.5, -0.5, 0.25, 1.0, 1.75])[::-1]))),
+    build_poly_net(factor_polynomial(bernstein_coeffs(lambda t: abs(t - 0.5), 16))),
+    build_deep_radial(RadialPartition([0.0, 0.5, 1.25, 2.0], [1.0, -0.5, 1.5], 0.1), 3),
+    build_shallow_radial(np.sin, 0.5, 2.0, 1.0, 0.25, input_dim=2),
+    build_factorization_trainable(5, 1, 2),
+])
+
+# values whose repr changes form: signed zero, subnormal, small and large
+# exponents, the largest finite magnitudes
+repr_edges = st.sampled_from([-0.0, 5e-324, 1e-17, 1e-5, 1e16, 1.7976931348623157e308,
+                              -1.7976931348623157e308])
+
+
+def json_document(net) -> dict:
+    """The network document to_json writes, built from the structure, the
+    blocks and the masks."""
+    layers, masks = [], []
+    for (activation, kinds), block, layer_masks in zip(net.structure, net.blocks, net.masks,
+                                                       strict=True):
+        layers.append({"activation": activation, "neurons": [
+            {"kind": kind, "params": block[: len(mask), j].tolist()} if isinstance(kind, str)
+            else {"kind": "passthrough", "index": kind}
+            for j, (kind, mask) in enumerate(zip(kinds, layer_masks, strict=True))]})
+        masks.append([mask.astype(int).tolist() for mask in layer_masks])
+    return {"input_dim": net.input_dim, "layers": layers, "shortcuts": [], "masks": masks}
+
+
+@given(st.one_of(random_nets, exact_nets), st.lists(st.one_of(repr_edges, finite), max_size=8),
+       st.data())
+def test_to_json_is_json_dumps_of_the_document(net, values, data):
+    """to_json writes the bytes json.dumps(sort_keys=True) writes for the
+    net's document, with parameters set to values where repr changes form."""
+    net = copy.copy(net)
+    net.params = net.params.copy()
+    own = net._layout.own
+    for value in values if len(own) else []:
+        net.params[own[data.draw(st.integers(0, len(own) - 1))]] = value
+    assert to_json(net) == json.dumps(json_document(net), sort_keys=True, allow_nan=False)
 
 
 @given(random_nets, st.data())

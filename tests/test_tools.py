@@ -1,5 +1,5 @@
-"""Smoke test of the timing tool, which reads the training executor's and
-the trainer's internals: it must still run and print its table."""
+"""Smoke tests of the timing tool, which reads the training executor's and
+the trainer's internals: it must still run and print its tables."""
 
 import subprocess
 import sys
@@ -20,3 +20,16 @@ def test_step_timing_prints_the_factorizer_row():
     assert (name, restarts, batch) == ("factorizer", "10", "100")
     assert all(float(us) > 0 for us in times)
     assert int(calls) > 0
+
+
+def test_step_timing_prints_an_exact_net_row():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_timing.py"), "bernstein_16", "--repeat", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    header, row = result.stdout.splitlines()
+    assert header.split() == ["net", "depth", "B", "forward_batch_us", "to_json_us",
+                              "from_json_us"]
+    name, depth, batch, *times = row.split()
+    assert (name, batch) == ("bernstein_16", "4096") and int(depth) > 0
+    assert all(float(us) > 0 for us in times)

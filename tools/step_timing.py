@@ -20,9 +20,9 @@ kinds, one restart of 4096 points).  It then times ``forward_batch`` the
 same way on the exact nets that the exact-build benchmark evaluates, at
 4096 points: a degree-14 product tree, the Bernstein net of |x - 1/2| at
 n = 16, the deep radial stack at d = 4 and the 200-unit shallow radial net
-at d = 2, and ``from_json`` reading each of those nets back from its JSON,
-written once outside the timer.  Names given on the command line pick some
-of the shapes and nets.
+at d = 2, ``to_json`` writing each of those nets, and ``from_json`` reading
+each back from its JSON, written once outside the timer.  Names given on
+the command line pick some of the shapes and nets.
 
 Runs from the ``src/`` of the checkout this script sits in, with one BLAS
 thread, so that two checkouts can be compared on the same machine:
@@ -194,12 +194,14 @@ def main(argv=None) -> int:
     if table and nets:
         print()
     if nets:
-        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'from_json_us':>13}")
+        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'to_json_us':>11} "
+              f"{'from_json_us':>13}")
     for name, net, X in nets:
         text = to_json(net)
         us = best_us(lambda: forward_batch(net, X), args.repeat)
+        write = best_us(lambda: to_json(net), args.repeat)
         read = best_us(lambda: from_json(text), args.repeat)
-        print(f"{name:<18} {net.depth:>5} {len(X):>5} {us:>17.1f} {read:>13.1f}")
+        print(f"{name:<18} {net.depth:>5} {len(X):>5} {us:>17.1f} {write:>11.1f} {read:>13.1f}")
     return 0
 
 
