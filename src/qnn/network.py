@@ -14,43 +14,27 @@ from_json tests the document list by list, each neuron's parameter count
 and mask length against its fan-in among the tests, before any array is
 made, and then makes the net through blank.  Neuron
 objects are a read-only view, made only when net.layers is read (by the
-per-neuron oracle in oracles).  Nothing here mutates a spec: forward_batch and backward_batch
-are pure functions of it, and both take a batch, (B, input_dim); a single
-input is the batch x[None].  forward_batch evaluates the blocks layer by
-layer on one tile of the batch at a time, through one workspace per call,
-a layer of fan-in one by broadcast multiplies, and does no work for a
-third of a quadratic layer's block that is all zero (_live: the square
-term alone in a shallow radial net's hidden layer, no square term in a
-product layer); trainable_values and set_trainable_values gather and
-scatter on them.  A PackedNetwork, the training executor, copies them into
-one row per restart so that every restart advances in the same stacked
-matmuls, holds its work arrays layer-major, and runs each pass as a list
-of (ufunc, a, b, out) built once per batch size, which the trainer steps
+per-neuron oracle in oracles).  Nothing here mutates a spec:
+forward_batch and backward_batch are pure functions of it, and both take
+a batch, (B, input_dim); a single input is the batch x[None];
+trainable_values and set_trainable_values gather and scatter on the
+blocks.  A PackedNetwork, the training executor, copies them into one row
+per restart so that every restart advances in the same stacked matmuls,
+holds its work arrays layer-major, and runs each pass as a list of
+(ufunc, a, b, out) built once per batch size, which the trainer steps
 with the parameters updated in place; backward_batch is a one-row executor
-at the net's own values.  Complex and non-numeric inputs, parameters and
-data are refused by name (neurons._real), here and in neurons, trainer,
-polynomials, oracles and builders, rather than cast to their real parts or
-read as NaN.
-
-Two evaluators of the blocks remain, for a measured reason (2-core VM, one
-BLAS thread, B = 4096, best of 5): forward_batch is not the forward pass of
-a one-row executor.  On 201 exact-build nets it took 229 ms against 326 ms
-for the executor, 141 ms of which went to building it and its work arrays.
-The executor folds the biases into its matmuls through a ones row, so its
-output differed from the per-neuron oracle in the last bits on every deep
-radial net at d = 4 and on the factorizer, also with c added after the
-square term; forward_batch adds each bias after its product.  It matches
-the oracle bit for bit on the nets whose sums come out in one fixed order,
-as tested: the product trees, the Bernstein nets and the deep radial
-stacks.  Elsewhere a dense sum with several nonzero weights gets the BLAS
-kernel its operand layout picks, which need not be the oracle's, and the
-two agree to rounding: the outputs of the multivariate polynomial nets and
-of the trainable factorizer, and one-hidden-layer nets.  Its tiles bound
-its memory: on one_hidden_quadratic(2, 200) at B = 200,000 the
-tracemalloc peak fell from 613 to 2.6 MiB and the time from 0.63 to
-0.24 s, and on the d = 4 deep radial stack at B = 100,000 from 32 to
-2.9 MiB; over 20 exact-build rounds the process took 2.5 thousand page
-faults instead of 60.
+at the net's own values.  forward_batch runs the executor's forward
+program, _forward_ops, tile by tile: one op order, the biases folded into
+the matmuls through a row of ones, and one rule for what is left out
+(_operands).  It matches the per-neuron oracle bit for bit where the sums
+come out in one fixed order, as tested (product trees, Bernstein nets,
+deep radial stacks, the factorizer reading the triple product alone); a
+dense sum of several nonzero weights gets the BLAS kernel its operand
+layout picks and agrees to rounding (100 of 200 random multivariate
+polynomial nets differ, by at most 7.8e-16 relative to 1 + |value|).
+Complex and non-numeric inputs, parameters and data are refused by name
+(neurons._real), here and in neurons, trainer, polynomials, oracles and
+builders, rather than cast to their real parts or read as NaN.
 
 Canonical parameter ordering (used by gradients, masks, and JSON):
 layer-major, neuron-minor, within a neuron (w_r, b_r, w_g, b_g, w_b, c) for
@@ -125,11 +109,12 @@ class NetworkSpec:
     rows are W_r | b_r | W_g | b_g | W_b | c (block_rows), and column j is
     neuron j as a quadratic neuron: a conventional neuron (w, b) fills W_r
     and b_r and has b_g = 1, and a passthrough is the one-hot W_r = e_index
-    with b_g = 1.  The evaluators skip a third of a quadratic layer's
-    block, [W_r; b_r], [W_g; b_g] or [W_b; c], that is all zero (see
-    forward_batch and PackedNetwork), but within the rest the zero entries
-    multiply their inputs too, so where an input is inf a pre-activation
-    can be NaN where the per-neuron oracle gives inf or an exact copy.
+    with b_g = 1.  The one forward program leaves out a third of a
+    quadratic layer's block, [W_r; b_r], [W_g; b_g] or [W_b; c], and a
+    bias row, b_r, b_g or c, that holds only zeros and no trainable entry
+    (see _operands), but within the rest the zero entries multiply their
+    inputs too, so where an input is inf a pre-activation can be NaN where
+    the per-neuron oracle gives inf or an exact copy.
     trainable flags the trainable entries of params among the canonical
     parameters; structure holds each layer's (activation, kinds) (see
     _layer).
@@ -207,7 +192,7 @@ class _Layout(NamedTuple):
     size: int  # of the blocks, and so of params
     ones: np.ndarray  # positions a passthrough or conventional column fixes at 1
     own: np.ndarray  # each neuron parameter's position, in canonical order
-    parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g and [W_b; c] rows start
+    parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g, W_b and c rows start
 
 
 def _param_counts(n: int) -> dict:
@@ -249,7 +234,7 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
         columns += range(pos, pos + m)
         strides += [m] * m
         blocks.append((pos, height, m))
-        parts += (pos + row * m for row in (0, n, n + 1, 2 * n + 1, 2 * n + 2))
+        parts += (pos + row * m for row in (0, n, n + 1, 2 * n + 1, 2 * n + 2, 3 * n + 2))
         pos += height * m
         n = m
     counts = np.fromiter(chain.from_iterable(sizes), np.intp)
@@ -290,29 +275,32 @@ def _check_batch(net: NetworkSpec, X, upstream=None):
     return X, upstream
 
 
-def _through_fan_in(W: np.ndarray, A: np.ndarray, out=None) -> np.ndarray:
-    """W^T A for (n, m) weight rows and (n, B) activations.
-
-    Where the fan-in n is 1 this is a broadcast multiply, not a rank-1
-    matmul, which costs several times as much.  The matmul sums from 0.0,
-    so it returns 0.0 + w x; adding 0.0 after the multiply gives those bits,
-    an exact -0.0 product turned into +0.0 included.
-    """
-    if len(W) > 1:
-        return np.matmul(W.T, A, out=out)
-    out = np.multiply(W.T, A, out=out)
-    out += 0.0
-    return out
-
-
 def _live(net: NetworkSpec, flat: np.ndarray) -> list[list]:
     """Per layer, whether the thirds of its block, [W_r; b_r], [W_g; b_g]
-    and [W_b; c], and its b_r and b_g rows hold an entry of flat, laid out
-    as params, other than +-0.0 (NaN counts): [affine, gate, square, b_r,
-    b_g], from one reduction over flat.  An evaluator does no work for a
-    third that holds none."""
-    return [[w_r or b_r, w_g or b_g, square, b_r, b_g] for w_r, b_r, w_g, b_g, square
-            in np.logical_or.reduceat(flat, net._layout.parts).reshape(-1, 5).tolist()]
+    and [W_b; c], and its b_r, b_g and c rows hold an entry of flat, laid
+    out as params, other than +-0.0 (NaN counts): [affine, gate, square,
+    b_r, b_g, c], from one reduction over flat."""
+    return [[w_r or b_r, w_g or b_g, w_b or c, b_r, b_g, c] for w_r, b_r, w_g, b_g, w_b, c
+            in np.logical_or.reduceat(flat, net._layout.parts).reshape(-1, 6).tolist()]
+
+
+def _operands(block: np.ndarray, n: int, quadratic: bool, kept: list) -> tuple:
+    """The forward's operands of a layer's block, (..., 3n + 3, m):
+    [W_r; b_r], [W_g; b_g] and [W_b; c] transposed, (..., m, rows) views,
+    None for a third left out.  kept, the layer's _live entry, says what
+    holds a value other than +-0.0 or a trainable entry; the rest is left
+    out.  A layer without quadratic neurons is its affine third; a
+    quadratic one without [W_r; b_r] and [W_g; b_g] its square term, or
+    its affine third where that is left out too, so that it writes its
+    zeros.  A bias row left out takes the ones row of X1 with it, except
+    at fan-in one, where the matmul would be rank 1 and cost twice as
+    much."""
+    affine, gate, square, b_r, b_g, c = kept
+    gated, square = quadratic and (affine or gate), quadratic and square
+    block_t = block.swapaxes(-1, -2)
+    return (block_t[..., : n + (b_r or n == 1)] if gated or not square else None,
+            block_t[..., n + 1 : 2 * n + 1 + (b_g or n == 1)] if gated else None,
+            block_t[..., 2 * n + 2 : 3 * n + 2 + (c or n == 1)] if square else None)
 
 
 _TILE_BYTES = 1 << 19  # one (widest layer, tile rows) float64 slab of the workspace
@@ -321,133 +309,86 @@ _TILE_BYTES = 1 << 19  # one (widest layer, tile rows) float64 slab of the works
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim).
 
-    Runs the layer blocks one by one, Z = (X W_r + b_r) * (X W_g + b_g) +
-    (X * X) W_b + c (the affine part alone where a layer holds no quadratic
-    neuron) and applies the activation.  Activations are held transposed,
-    one row per neuron, so that adding a bias runs along the batch.  A
-    layer of fan-in one multiplies by broadcasting (see _through_fan_in),
-    with the matmul's bits.
+    Runs the executor's forward program (_forward_ops) on net.params, built
+    on each call: with X1 = [X; 1], a layer is Z = ([W_r; b_r]^T X1) *
+    ([W_g; b_g]^T X1) + [W_b; c]^T (X1 * X1), then the activation, less
+    what holds only +-0.0 (_operands).  The output is written with 0.0
+    added, so that an exact zero is +0.0 as when every third is evaluated:
+    a layer without its square term gives -0.0 where P * Q is zero times a
+    negative value, as at a product tree's root, and later layers read it
+    through matmuls, which sum from 0.0.  A channel past sqrt(max float64)
+    is not squared where its square weights are 0.
 
-    A quadratic layer does no work for a third of its block that is all
-    +-0.0 (_live, decided from the values when the call starts).  Where
-    [W_r; b_r] and [W_g; b_g] both are, as in a shallow radial net's hidden
-    layer, Z = (X * X) W_b + c.  Where [W_b; c] is, as in every product
-    layer, Z = (X W_r + b_r) * (X W_g + b_g) + 0.0, with no X * X, and a
-    bias row of all zeros is not added: the final +0.0 turns every zero
-    into +0.0, as adding the zero square term and c did.  On finite inputs
-    whose squares are finite every output keeps the bits of evaluating
-    every third, since a product through the fan-in sums from 0.0 and so
-    never comes out -0.0.  A channel past sqrt(max float64), about 1.3e154,
-    is not squared where its square weights are 0, so no 0 * inf turns a
-    finite output NaN.
-
-    The batch runs through the whole net one tile of columns at a time, and
-    each column keeps the bits the whole batch gives it.  A tile has a
-    multiple of 64 columns, as many as keep one (widest layer, tile) float64
-    slab within _TILE_BYTES, and the last tile takes what is left; a batch
-    that fits one slab is one tile.  OpenBLAS, numpy's BLAS, computes each
-    column of a product in a group of 8 alike, whatever the product's size,
-    so tiles that start on multiples of 64 keep those bits.  The last
-    B mod 8 columns it computes with kernels that depend on the product's
-    size (its small-matrix kernel up to M N K = 1e6, a matrix-vector call
-    for one column), so a batch that is not a multiple of 8 is one tile, as
-    before, and holds O(widest layer x B).  Each call allocates one
-    workspace of (rows, tile) parts: Z of the even layers, Z of the odd
-    layers, Q and X * X, each as tall as the tallest layer it serves; a
-    layer's activations are read by the next layer alone.  Every product
-    and sum writes into it with out=, so beside X and the output a call
-    holds O(widest layer x tile) memory, and one allocation per call, rather
-    than several per layer, keeps the allocator from handing pages back to
-    the system between layers.
+    The first layer reads [X | 1] copied into a (tile, input_dim + 1)
+    buffer, seen transposed, and squares it in that layout, so the output's
+    bits do not depend on X's memory order (an operand's layout picks its
+    BLAS kernel).  The batch runs one tile of columns at a time, one op list
+    per tile width: a multiple of 64 columns, as many as keep one (widest
+    layer, tile) float64 slab within _TILE_BYTES, the last tile what is
+    left.  OpenBLAS computes the columns of a product in groups of 8 alike
+    whatever its size, so each column keeps the whole batch's bits; the
+    last B mod 8 columns get kernels that depend on the product's size, so
+    a batch that is not a multiple of 8 is one tile, and holds O(widest
+    layer x B): one_hidden_quadratic(2, 200) peaks (tracemalloc) at 1.2 MiB
+    at B = 20,000 and 20,008, 62.6 MiB at B = 20,001.  Pass a multiple of 8
+    to bound a large batch's memory.  The one workspace per call has
+    (rows, tile) parts, each as tall as its tallest layer: [X | 1], [Z; 1]
+    of the even and of the odd layers, Q and X1 * X1; Z doubles as P, and
+    Q as the square term's product.
     """
     X, _ = _check_batch(net, X)
     batch, d = X.shape
     widths = net.layer_widths()
-    widest = max(d, *widths)
-    rows = max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
+    fan_in = [d] + widths[:-1]
+    rows = max(64, _TILE_BYTES // (8 * max(d, *widths)) // 64 * 64)
     if batch % 8:
         rows = max(rows, batch)
     cols = min(batch, rows)
-    # the rows of each part of the workspace: Z of the even and of the odd
-    # layers, Q, X * X
-    heights = [0, 0, 0, 0]
-    # per layer (W_r, b_r, W_g, b_g, W_b, c, relu), None for a term not
-    # evaluated; c is 0.0 where the square term is dead
-    plan, places, n = [], [], d
-    for k, (block, (activation, kinds), m, live) in enumerate(
-            zip(net.blocks, net.structure, widths, _live(net, net.params))):
-        part = k & 1
-        heights[part] = max(heights[part], m)
-        W_r, b_r = block[:n], block[n, :, None]
-        W_g, b_g = block[n + 1 : 2 * n + 1], block[2 * n + 1, :, None]
-        W_b, c = block[2 * n + 2 : 3 * n + 2], block[3 * n + 2, :, None]
-        if "quadratic" not in kinds:
-            W_g = b_g = W_b = c = None
-        else:
-            affine, gate, squares, bias_r, bias_g = live
-            if not (affine or gate):
-                W_r = b_r = W_g = b_g = None
-            elif not squares:
-                b_r, b_g = b_r if bias_r else None, b_g if bias_g else None
-                W_b, c = None, 0.0
-        plan.append((W_r, b_r, W_g, b_g, W_b, c, activation == "relu"))
-        gated, squared = W_g is not None, W_b is not None
-        if gated:
-            heights[2] = max(heights[2], m)
-        if squared:
-            heights[3] = max(heights[3], n)
-        places.append((part, m, n, gated, squared))
-        n = m
-    starts = list(accumulate(heights, initial=0))
-    work = np.empty(starts[-1] * cols)
-    # X * X is laid out as numpy lays out X.T * X.T, F-order for a C-order X:
-    # an operand's layout picks the BLAS kernel of its product, and so its bits
-    f_order = abs(X.strides[1]) <= abs(X.strides[0])
+    layers = [(_operands(block, n, "quadratic" in kinds, kept), activation == "relu")
+              for block, n, (activation, kinds), kept
+              in zip(net.blocks, fan_in, net.structure, _live(net, net.params))]
+    # the rows of each part of the workspace: [X | 1], [Z; 1] of the even
+    # and of the odd layers (Z the rows just above the ones row, so that
+    # the ones row stays put), Q, X1 * X1
+    gated = [m for ((_, W_g, _), _), m in zip(layers, widths) if W_g is not None]
+    squared = [n + 1 for ((*_, W_b), _), n in zip(layers, fan_in) if W_b is not None]
+    heights = [d + 1, max(widths[::2]) + 1, max(widths[1::2], default=-1) + 1,
+               max(gated, default=0), max(squared, default=0)]
+    starts = [cols * start for start in accumulate(heights, initial=0)]
+    work = np.empty(starts[-1])
 
-    def views(columns: int) -> list[tuple]:
-        """Each layer's Z, and where it evaluates them Q and X * X, on the
-        workspace for a tile of the given columns; layers of one width
-        share the views of a part."""
-        made = {}
+    def program(columns: int) -> tuple:
+        """The op list for a tile of the given columns, the tile's input
+        rows and its output rows, with the ones rows written."""
+        inp, even, odd, Q, square = (work[at : at + height * columns]
+                                     for at, height in zip(starts, heights))
+        inp = inp.reshape(columns, d + 1)
+        inp[:, d] = 1.0
+        parts = [even.reshape(-1, columns), odd.reshape(-1, columns)]
+        for part in parts:
+            part[-1:] = 1.0
+        Q = Q.reshape(-1, columns)
+        ops, X1, X2 = [], inp.T, None
+        for k, ((thirds, relu), m, n) in enumerate(zip(layers, widths, fan_in)):
+            Z1 = parts[k % 2][-1 - m :]
+            if thirds[2] is not None:  # the first layer's in its input's layout
+                X2 = square[: (n + 1) * columns]
+                X2 = X2.reshape(n + 1, columns) if k else X2.reshape(columns, n + 1).T
+            Z, Qm = Z1[:-1], Q[:m]
+            ops += _forward_ops(thirds, relu, X1, Z, _LayerBuffers(Qm, X2, Z, Qm, None))
+            X1 = Z1
+        return ops, inp[:, :d], Z
 
-        def view(part: int, height: int, transposed: bool = False) -> np.ndarray:
-            if (part, height, transposed) not in made:
-                at = starts[part] * cols
-                flat = work[at : at + height * columns]
-                made[part, height, transposed] = (flat.reshape(columns, height).T if transposed
-                                                  else flat.reshape(height, columns))
-            return made[part, height, transposed]
-
-        return [(view(part, m), gated and view(2, m),
-                 squared and view(3, n, transposed=not k and f_order))
-                for k, (part, m, n, gated, squared) in enumerate(places)]
-
-    full = views(cols)
     out = np.empty((batch, net.output_dim))
+    width = None
     for start in range(0, batch, rows):
         stop = min(start + rows, batch)
-        tile = full if stop - start == cols else views(stop - start)
-        current = X.T[:, start:stop]
-        for (W_r, b_r, W_g, b_g, W_b, c, relu), (Z, Q, square) in zip(plan, tile):
-            if W_r is None:
-                _through_fan_in(W_b, np.multiply(current, current, out=square), out=Z)
-            else:
-                _through_fan_in(W_r, current, out=Z)
-                if b_r is not None:
-                    Z += b_r
-                if W_g is not None:
-                    _through_fan_in(W_g, current, out=Q)
-                    if b_g is not None:
-                        Q += b_g
-                    Z *= Q
-                if W_b is not None:
-                    Z += _through_fan_in(W_b, np.multiply(current, current, out=square), out=Q)
-            if c is not None:
-                Z += c
-            if relu:
-                np.maximum(0.0, Z, out=Z)
-            current = Z
-        out[start:stop] = current.T
+        if stop - start != width:
+            width = stop - start
+            ops, tile, result = program(width)
+        tile[...] = X[start:stop]
+        _run(ops)
+        np.add(result.T, 0.0, out=out[start:stop])
     return out
 
 
@@ -490,14 +431,12 @@ def set_trainable_values(net: NetworkSpec, values) -> NetworkSpec:
 
 
 class _PackedLayer(NamedTuple):
-    quadratic: bool  # False: conventional and passthrough neurons only
-    # False where the layer is quadratic but its [W_b; c] third is frozen
-    # at zero: it has no square term to evaluate or differentiate
-    square: bool
     relu: bool
     inp: slice  # augmented input [x; 1], rows of the activation array
     out: slice  # this layer's activations
-    thirds_t: tuple  # [W_r; b_r], [W_g; b_g], [W_b; c] transposed: (R, m, n + 1) views
+    # the forward's operands (_operands): [W_r; b_r], [W_g; b_g], [W_b; c]
+    # transposed, (R, m, rows) views, None for a third not evaluated
+    thirds_t: tuple
     weights: tuple  # W_r, W_g, W_b without the bias rows: (R, n, m)
     # gradient views of the thirds, untransposed, (R, n + 1, m); None for a
     # third with no trainable entry
@@ -509,15 +448,24 @@ class _PackedLayer(NamedTuple):
     # parameter gradients through matmul reductions, so their bits agree.
     through_width: np.ufunc
 
+    @property
+    def gated(self) -> bool:
+        """Whether the layer forms P * Q: it is quadratic and keeps [W_r; b_r] or [W_g; b_g]."""
+        return self.thirds_t[1] is not None
+
+    @property
+    def square(self) -> bool:
+        return self.thirds_t[2] is not None
+
 
 class _LayerBuffers(NamedTuple):
     # Each is an (R, rows, B) view of layer-major memory, n the layer's
     # fan-in and m its width.
     product: np.ndarray  # m rows, over grad_acts' memory, which the forward leaves free
     X2: np.ndarray | None  # X1 * X1, n + 1 rows; layers with a square term only
-    P: np.ndarray | None  # m rows; quadratic layers only
+    P: np.ndarray | None  # m rows; layers that form P * Q only
     Q: np.ndarray | None
-    T: np.ndarray | None  # n rows; quadratic layers sum their input gradient through it
+    T: np.ndarray | None  # n rows; layers that form P * Q sum their input gradient through it
 
 
 class _WorkBuffers(NamedTuple):
@@ -542,18 +490,26 @@ def _run(program: list[tuple]) -> None:
         f(a, b, out=out)
 
 
-def _forward_ops(layer: _PackedLayer, X1, Z, buffers: _LayerBuffers) -> list[tuple]:
-    """A layer's forward pass, from its input X1 into its activations Z."""
-    W, W_g, W_b = layer.thirds_t
+def _through(W, A, out) -> tuple:
+    """The op W A into out, A without its ones row where W's bias row is
+    left out."""
+    return np.matmul, W, A[..., : W.shape[-1], :], out
+
+
+def _forward_ops(thirds: tuple, relu: bool, X1, Z, buffers: _LayerBuffers) -> list[tuple]:
+    """A layer's forward pass, from its input X1 = [X; 1] into its
+    activations Z, on its operands (_operands): the one forward program,
+    of the executor and of forward_batch."""
+    W, W_g, W_b = thirds
     product, X2, P, Q, _ = buffers
-    ops = [(np.multiply, X1, X1, X2)] if layer.square else []
-    if layer.quadratic:
-        ops += [(np.matmul, W, X1, P), (np.matmul, W_g, X1, Q), (np.multiply, P, Q, Z)]
-        if layer.square:
-            ops += [(np.matmul, W_b, X2, product), (np.add, Z, product, Z)]
+    ops = [] if W_b is None else [(np.multiply, X1, X1, X2)]
+    if W_g is not None:
+        ops += [_through(W, X1, P), _through(W_g, X1, Q), (np.multiply, P, Q, Z)]
+        if W_b is not None:
+            ops += [_through(W_b, X2, product), (np.add, Z, product, Z)]
     else:
-        ops.append((np.matmul, W, X1, Z))
-    if layer.relu:
+        ops.append(_through(W_b, X2, Z) if W is None else _through(W, X1, Z))
+    if relu:
         ops.append((np.maximum, Z, 0.0, Z))
     return ops
 
@@ -572,24 +528,29 @@ def _backward_ops(layer: _PackedLayer, X1, Z, d, g_inp, buffers: _LayerBuffers) 
         # that reads them has run), so they take the mask
         ops += [(np.greater, Z, 0.0, Z), (np.multiply, d, Z, d)]
     dq = dp = d
-    if layer.quadratic:
+    if layer.gated:
         dq, dp = Q, P
         ops += [(np.multiply, d, Q, dq), (np.multiply, d, P, dp)]
         if G_g is not None:
             ops.append((np.matmul, X1, dp.swapaxes(1, 2), G_g))
-        if G_b is not None:
-            ops.append((np.matmul, X2, d.swapaxes(1, 2), G_b))
+    if G_b is not None:
+        ops.append((np.matmul, X2, d.swapaxes(1, 2), G_b))
     if G is not None:
         ops.append((np.matmul, X1, dq.swapaxes(1, 2), G))
     if g_inp is None:
         return ops
-    ops.append((through, W, dq, g_inp))
-    if layer.quadratic:
+    affine = layer.thirds_t[0] is not None
+    term = T if affine else g_inp  # the square term alone writes straight to g_inp
+    if affine:
+        ops.append((through, W, dq, g_inp))
+    if layer.gated:
         ops += [(through, W_g, dp, T), (np.add, g_inp, T, g_inp)]
     if layer.square:
         # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
-        ops += [(through, W_b, d, T), (np.multiply, T, X1[:, :-1], T),
-                (np.multiply, T, 2.0, T), (np.add, g_inp, T, g_inp)]
+        ops += [(through, W_b, d, term), (np.multiply, term, X1[:, :-1], term),
+                (np.multiply, term, 2.0, term)]
+        if affine:
+            ops.append((np.add, g_inp, T, g_inp))
     return ops
 
 
@@ -610,21 +571,20 @@ class PackedNetwork:
     vector into a row of `params`.
 
     The executor does only the work a trainable value needs, as it is made,
-    from net.trainable and net.params.  A third of a layer's block, [W_r;
-    b_r], [W_g; b_g] or [W_b; c], with no trainable entry gets no parameter
-    gradient: the backward skips its reduction, and the gradient, read at
-    the trainable positions alone, keeps every bit.  A quadratic layer whose
-    whole [W_b; c] third is frozen and zero, as in the product layers of the
-    trainable factorizer and of the exact product nets, has no square term:
-    the forward forms neither X1 * X1 nor its product, and the backward no
-    2 x * (W_b d) input-gradient term.  That holds because the frozen entries
-    of `params` are fixed when the executor is made: `forward` and the
-    trainer write `params` at `theta_index` alone, and no caller writes it
-    elsewhere.  Outputs and gradients keep their bits on finite activations,
-    except that an exact -0.0 product stays -0.0 where the skipped zero term
-    made it +0.0; nothing reads that sign.  Where a channel passes
-    sqrt(max float64), about 1.3e154, no square overflows into 0 * inf =
-    NaN, as in forward_batch.  Both decide which thirds are zero with _live.
+    from net.trainable and net.params.  A third of a layer's block with no
+    trainable entry gets no parameter gradient: the backward skips its
+    reduction, and the gradient, read at the trainable positions alone,
+    keeps every bit.  The forward leaves out what holds only zeros and no
+    trainable entry, by the rule forward_batch uses too (_operands): a
+    [W_b; c] third, as in every product layer, so that neither X1 * X1's
+    product nor the backward's 2 x * (W_b d) term is formed; [W_r; b_r]
+    with [W_g; b_g], so that the layer is its square term alone; a bias
+    row.  The frozen entries of `params` are fixed when the executor is
+    made: `forward` and the trainer write `params` at `theta_index` alone.
+    Outputs and gradients keep their bits on finite activations, except
+    that an exact -0.0 product stays -0.0 where the skipped zero term made
+    it +0.0; nothing reads that sign.  No channel past sqrt(max float64),
+    about 1.3e154, is squared into 0 * inf = NaN.
 
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
@@ -682,20 +642,18 @@ class PackedNetwork:
 
         self._layers = []
         blocks = zip(net._split(self.params), net._split(self._grad),
-                     _live(net, net.params), _live(net, net.trainable))
-        for k, ((block, gblock, live, learnt), n, (activation, kinds)) in enumerate(
+                     _live(net, np.logical_or(net.params, net.trainable)),
+                     _live(net, net.trainable))
+        for k, ((block, gblock, kept, learnt), n, (activation, kinds)) in enumerate(
                 zip(blocks, fan_in, net.structure)):
             m = block.shape[2]
             thirds = (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))
             weights = (slice(0, n), slice(n + 1, 2 * n + 1), slice(2 * n + 2, 3 * n + 2))
-            quadratic = "quadratic" in kinds
             self._layers.append(_PackedLayer(
-                quadratic=quadratic,
-                square=quadratic and (learnt[2] or live[2]),
                 relu=activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
-                thirds_t=tuple(block[:, t].swapaxes(1, 2) for t in thirds),
+                thirds_t=_operands(block, n, "quadratic" in kinds, kept),
                 weights=tuple(block[:, t] for t in weights),
                 grads=tuple(gblock[:, t] if some else None
                             for t, some in zip(thirds, learnt[:3])),
@@ -717,9 +675,9 @@ class PackedNetwork:
             acts = _layer_major(self._act_width, R, batch)
             acts[:, self._ones] = 1.0
             grad_acts = _layer_major(self._act_width, R, batch)
-            # A quadratic layer k > 0 sums its input gradient from three
-            # terms, the last two passing through T.
-            summed = [k > 0 and layer.quadratic for k, layer in enumerate(self._layers)]
+            # A layer k > 0 that forms P * Q sums its input gradient from
+            # two or three terms, all but the first passing through T.
+            summed = [k > 0 and layer.gated for k, layer in enumerate(self._layers)]
             fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
             scratch = _layer_major(max(
                 (n for n, s in zip(fan_in, summed) if s), default=0), R, batch)
@@ -729,14 +687,14 @@ class PackedNetwork:
                 buffers = _LayerBuffers(
                     grad_acts[:, :m],
                     _layer_major(n + 1, R, batch) if layer.square else None,
-                    *((_layer_major(m, R, batch) for _ in range(2)) if layer.quadratic
+                    *((_layer_major(m, R, batch) for _ in range(2)) if layer.gated
                       else (None, None)),
                     scratch[:, :n] if s else None,
                 )
                 X1, Z = acts[:, layer.inp], acts[:, layer.out]
                 g_inp = grad_acts[:, layer.inp.start : layer.inp.stop - 1] if k else None
                 per_layer.append(buffers)
-                forward += _forward_ops(layer, X1, Z, buffers)
+                forward += _forward_ops(layer.thirds_t, layer.relu, X1, Z, buffers)
                 backward[:0] = _backward_ops(layer, X1, Z, grad_acts[:, layer.out], g_inp,
                                              buffers)
             out = self._layers[-1].out

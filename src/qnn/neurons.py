@@ -199,7 +199,7 @@ def quad_preactivation(neuron: QuadraticNeuron, x) -> float | np.ndarray:
     p = x @ neuron.w_r + neuron.b_r
     q = x @ neuron.w_g + neuron.b_g
     s = (x * x) @ neuron.w_b
-    return p * q + s + neuron.c
+    return p * q + (s + neuron.c)
 
 
 def conv_preactivation(neuron: ConventionalNeuron, x) -> float | np.ndarray:

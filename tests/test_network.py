@@ -25,7 +25,6 @@ from qnn.network import (
     NetworkSpec,
     PackedNetwork,
     _layout_of,
-    _through_fan_in,
     backward_batch,
     block_rows,
     forward_batch,
@@ -50,81 +49,63 @@ def norm_net(n=2):
     return net
 
 
-def live_thirds(block, n):
-    """Whether [W_r; b_r], [W_g; b_g] and [W_b; c] of a fan-in-n block each
-    hold an entry other than ±0.0."""
-    return [bool(np.any(block[rows] != 0.0))
-            for rows in (slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, None))]
-
-
-def layered_forward(net, X, through):
-    """forward_batch's arithmetic, layer by layer on the whole batch, with
-    through(W, A) as W^T A.  A quadratic layer does no work for a dead
+def layered_forward(net, X, keep_ones=True, dense=False):
+    """forward_batch's arithmetic, layer by layer on the whole batch.  With
+    X1 = [X; 1], a third [W; b] of a block is [W; b]^T X1, with X1 * X1 for
+    [W_b; c]; a bias row, b_r, b_g or c, that is all ±0.0 is left out with
+    X1's ones row, except at fan-in one where keep_ones (a rank-1 matmul
+    otherwise).  Unless dense, a quadratic layer does no work for a dead
     third: with [W_r; b_r] and [W_g; b_g] both all ±0.0 it is
-    W_b^T (X * X) + c; with [W_b; c] all ±0.0 it is P * Q + 0.0, a bias row
-    of all ±0.0 not added."""
-    current = np.asarray(X, dtype=np.float64).T
+    [W_b; c]^T (X1 * X1), or [W_r; b_r]^T X1 where [W_b; c] is too; with
+    [W_b; c] all ±0.0 it is P * Q.  The output has 0.0 added.  The first
+    layer's X1 is [X | 1] transposed, the layout forward_batch copies X
+    into."""
+    X = np.asarray(X, dtype=np.float64)
+    X1 = np.ones((len(X), X.shape[1] + 1))
+    X1[:, :-1] = X
+    X1 = X1.T
     for block, (activation, kinds) in zip(net.blocks, net.structure):
-        n = len(current)
-        W_r, b_r = block[:n], block[n][:, None]
-        W_g, b_g = block[n + 1 : 2 * n + 1], block[2 * n + 1][:, None]
-        W_b, c = block[2 * n + 2 : 3 * n + 2], block[3 * n + 2][:, None]
-        affine, gate, square = live_thirds(block, n)
-        if "quadratic" not in kinds:
-            Z = through(W_r, current)
-            Z += b_r
-        elif not (affine or gate):
-            Z = through(W_b, current * current)
-            Z += c
-        else:
-            Z = through(W_r, current)
-            if square or np.any(b_r != 0.0):
-                Z += b_r
-            Q = through(W_g, current)
-            if square or np.any(b_g != 0.0):
-                Q += b_g
-            Z *= Q
+        n = len(X1) - 1
+        live = [bool(np.any(block[rows] != 0.0)) for rows in (
+            slice(0, n), n, slice(n + 1, 2 * n + 1), 2 * n + 1, slice(2 * n + 2, 3 * n + 2),
+            3 * n + 2)]
+
+        def third(t, A):
+            rows = n + (live[2 * t + 1] or (keep_ones and n == 1))
+            return block[t * (n + 1) : t * (n + 1) + rows].T @ A[:rows]
+
+        quadratic, square = "quadratic" in kinds, dense or any(live[4:])
+        if quadratic and (dense or any(live[:4])):
+            Z = third(0, X1) * third(1, X1)
             if square:
-                Z += through(W_b, current * current)
-                Z += c
-            else:
-                Z += 0.0
+                Z += third(2, X1 * X1)
+        elif quadratic and square:
+            Z = third(2, X1 * X1)
+        else:
+            Z = third(0, X1)
         if activation == "relu":
-            np.maximum(0.0, Z, out=Z)
-        current = Z
-    return np.ascontiguousarray(current.T)
+            np.maximum(Z, 0.0, out=Z)
+        X1 = np.vstack([Z, np.ones((1, Z.shape[1]))])
+    return np.ascontiguousarray(X1[:-1].T) + 0.0
 
 
 def matmul_forward_batch(net, X):
-    """Reference for forward_batch: every product through a layer's fan-in a
-    matmul, fan-in one included."""
-    return layered_forward(net, X, lambda W, A: W.T @ A)
+    """Reference for forward_batch at fan-in one: a bias row that is all
+    ±0.0 left out there too, so that its third is a rank-1 matmul."""
+    return layered_forward(net, X, keep_ones=False)
 
 
 def whole_batch_forward(net, X):
     """Reference for forward_batch's tiles: its arithmetic, layer by layer,
     on the whole batch at once."""
-    return layered_forward(net, X, _through_fan_in)
+    return layered_forward(net, X)
 
 
 def dense_forward_batch(net, X):
     """Every third of every quadratic layer evaluated, zero or not, layer by
-    layer on the whole batch: forward_batch before it skipped dead thirds."""
-    current = np.asarray(X, dtype=np.float64).T
-    for block, (activation, kinds) in zip(net.blocks, net.structure):
-        n = len(current)
-        Z = _through_fan_in(block[:n], current)
-        Z += block[n][:, None]
-        if "quadratic" in kinds:
-            Q = _through_fan_in(block[n + 1 : 2 * n + 1], current)
-            Q += block[2 * n + 1][:, None]
-            Z *= Q
-            Z += _through_fan_in(block[2 * n + 2 : 3 * n + 2], current * current, out=Q)
-            Z += block[3 * n + 2][:, None]
-        if activation == "relu":
-            np.maximum(0.0, Z, out=Z)
-        current = Z
-    return np.ascontiguousarray(current.T)
+    layer on the whole batch; a bias row of all ±0.0 is still left out, as
+    forward_batch leaves it out."""
+    return layered_forward(net, X, dense=True)
 
 
 def fan_in_one_nets(kind, rng):
@@ -144,9 +125,10 @@ def fan_in_one_nets(kind, rng):
 
 
 class TestFanInOne:
-    """forward_batch multiplies by broadcasting where a layer's fan-in is
-    one, and adds 0.0 to give the rank-1 matmul's bits: the matmul returns
-    0.0 + w x, so an exact -0.0 product comes out as +0.0."""
+    """Where a layer's fan-in is one, forward_batch keeps the ones row under
+    a bias row of all ±0.0, rather than a rank-1 matmul, which costs twice
+    as much, and gets the rank-1 matmul's bits: the zero bias adds 0.0 last
+    to 0.0 + w x, which already turns an exact -0.0 product into +0.0."""
 
     SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 5e-324])
 
@@ -212,7 +194,8 @@ def tiled_nets(draw):
 
 class TestTiles:
     """forward_batch runs the batch in tiles through one workspace; every
-    output byte stays what the layer-by-layer whole-batch evaluation gives."""
+    output byte stays what the layer-by-layer whole-batch evaluation gives,
+    whatever X's memory order."""
 
     @given(tiled_nets(), st.integers(0, 2), st.sampled_from([-8, -1, 0, 1, 8, 64]),
            st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1))
@@ -240,6 +223,18 @@ class TestTiles:
         got = forward_batch(net, X)
         assert got.shape == (batch, 1)
         assert got.tobytes() == whole_batch_forward(net, X).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 8, 64, 257]))
+    def test_memory_order_changes_no_bit(self, seed, batch):
+        """The same X as a C-order, F-order or strided array gives the same
+        bytes: X is copied into one input layout before any product, and
+        an operand's layout picks its BLAS kernel."""
+        rng = np.random.default_rng(seed)
+        net = random_network(rng)
+        X = rng.normal(size=(2 * batch, net.input_dim))
+        outputs = {forward_batch(net, Y).tobytes()
+                   for Y in (X[::2].copy(), np.asfortranarray(X[::2]), X[::2])}
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("case", ["one-hidden-200", "deep-radial-d4"])
     def test_memory_bounded(self, case):
@@ -310,7 +305,7 @@ def dead_third_nets(draw):
 class TestDeadThirds:
     """forward_batch does no work for a block third that is all ±0.0, and
     keeps the bits of evaluating every third on finite inputs whose squares
-    are finite."""
+    are finite, +0.0 for an exact zero output included."""
 
     @given(dead_third_nets(), st.integers(0, 2), st.sampled_from([-8, -1, 0, 1, 8, 64]),
            st.integers(0, 2**32 - 1))
@@ -730,6 +725,36 @@ class TestPackedNetwork:
         assert [g is None for g in packed._layers[0].grads] == [t in frozen for t in range(3)]
         assert grad.tobytes() == want[:, learnt].tobytes()
 
+    def test_square_term_alone(self):
+        """A layer whose [W_r; b_r] and [W_g; b_g] are zero and frozen, as a
+        shallow radial net's hidden layer, is its square term alone forward
+        and backward, its input gradient 2 x * (W_b d) included: output and
+        gradient keep the bits of the net with those thirds trainable."""
+        rng = np.random.default_rng(32)
+        full = NetworkSpec.blank(2, [("identity", ["conventional"] * 3),
+                                     ("relu", ["quadratic"] * 2), ("identity", ["conventional"])])
+        full.params[full._layout.own] = rng.normal(size=parameter_count(full))
+        net = copy.copy(full)
+        net.trainable = full.trainable.copy()
+        for flat in (net.params, net.trainable):
+            net._split(flat)[1][: 2 * 3 + 2] = 0  # W_r, b_r, W_g, b_g of fan-in 3
+        full.params = net.params
+        learnt = net.trainable[net._layout.own]
+        X = rng.normal(size=(7, 2))
+        U = rng.normal(size=(1, 7, 1))
+        outputs = []
+
+        def loss(out):
+            outputs.append(out)
+            return None, U
+
+        packed = PackedNetwork(net)
+        _, grad = packed.loss_and_grad(trainable_values(net)[None], X, loss)
+        _, want = PackedNetwork(full).loss_and_grad(trainable_values(full)[None], X, loss)
+        assert packed._layers[1].square and not packed._layers[1].gated
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+        assert grad.tobytes() == want[:, learnt].tobytes()
+
     def test_restart_rows_match_one_row_executors_across_steps(self, net_factory):
         """Two consecutive descent steps on the reused buffers: each row of
         an R=3 executor keeps equal to its own one-row executor."""
@@ -1025,3 +1050,18 @@ class TestConcurrentEvaluation:
             results = list(pool.map(lambda x: forward_batch(net, x[None])[0], X))
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
+
+    def test_threads_evaluating_tiled_batches(self):
+        """Four threads each evaluate batches of several tiles, the last
+        one short, on one net: every result has the single-thread bytes."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(35)
+        net = one_hidden_quadratic(2, 200)
+        net.params[:] = rng.uniform(-1.0, 1.0, size=len(net.params))
+        assert tile_rows(net) < 1000
+        batches = [rng.uniform(-2.0, 2.0, size=(1000, 2)) for _ in range(16)]
+        expected = [forward_batch(net, X).tobytes() for X in batches]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda X: forward_batch(net, X).tobytes(), batches))
+        assert results == expected

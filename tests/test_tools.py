@@ -27,9 +27,13 @@ def test_step_timing_prints_an_exact_net_row():
         [sys.executable, str(ROOT / "tools" / "step_timing.py"), "bernstein_16", "--repeat", "1"],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    header, row = result.stdout.splitlines()
-    assert header.split() == ["net", "depth", "B", "forward_batch_us", "to_json_us",
-                              "from_json_us"]
-    name, depth, batch, *times = row.split()
+    header, row, grid_row = result.stdout.splitlines()
+    assert header.split() == ["net", "depth", "B", "forward_batch_us", "np_calls",
+                              "to_json_us", "from_json_us"]
+    name, depth, batch, forward, calls, *json_times = row.split()
     assert (name, batch) == ("bernstein_16", "4096") and int(depth) > 0
-    assert all(float(us) > 0 for us in times)
+    assert float(forward) > 0 and int(calls) > 0
+    assert all(float(us) > 0 for us in json_times)
+    name, _, batch, forward, calls, *json_times = grid_row.split()
+    assert (name, batch) == ("bernstein_16", "401") and json_times == ["-", "-"]
+    assert float(forward) > 0 and int(calls) > 0

@@ -18,10 +18,14 @@ The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
 points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
 kinds, one restart of 4096 points).  It then times ``forward_batch`` the
 same way on the exact nets that the exact-build benchmark evaluates, at
-4096 points: a degree-14 product tree, the Bernstein net of |x - 1/2| at
-n = 16, the deep radial stack at d = 4 and the 200-unit shallow radial net
-at d = 2, ``to_json`` writing each of those nets, and ``from_json`` reading
-each back from its JSON, written once outside the timer.  Names given on
+4096 points and at every tenth of the first 4010, 401 points: the CLI's
+grid size, one tile, where building the call's op list counts.  The nets
+are a degree-14 product tree, the Bernstein net of |x - 1/2| at n = 16,
+the deep radial stack at d = 4 and the 200-unit shallow radial net at
+d = 2; ``np_calls`` is the numpy calls of one call, counted as above.
+The 4096-point row also times ``to_json`` writing the net and
+``from_json`` reading it back from its JSON, written once outside the
+timer; the 401-point row leaves those "-".  Names given on
 the command line pick some of the shapes and nets.
 
 Runs from the ``src/`` of the checkout this script sits in, with one BLAS
@@ -194,14 +198,19 @@ def main(argv=None) -> int:
     if table and nets:
         print()
     if nets:
-        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'to_json_us':>11} "
-              f"{'from_json_us':>13}")
+        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'np_calls':>9} "
+              f"{'to_json_us':>11} {'from_json_us':>13}")
     for name, net, X in nets:
         text = to_json(net)
-        us = best_us(lambda: forward_batch(net, X), args.repeat)
-        write = best_us(lambda: to_json(net), args.repeat)
-        read = best_us(lambda: from_json(text), args.repeat)
-        print(f"{name:<18} {net.depth:>5} {len(X):>5} {us:>17.1f} {write:>11.1f} {read:>13.1f}")
+        for points in (X, X[:4010:10]):
+            us = best_us(lambda: forward_batch(net, points), args.repeat)
+            calls = numpy_calls(lambda: forward_batch(net, points))
+            write = read = "-"
+            if points is X:
+                write = f"{best_us(lambda: to_json(net), args.repeat):.1f}"
+                read = f"{best_us(lambda: from_json(text), args.repeat):.1f}"
+            print(f"{name:<18} {net.depth:>5} {len(points):>5} {us:>17.1f} {calls:>9} "
+                  f"{write:>11} {read:>13}")
     return 0
 
 
