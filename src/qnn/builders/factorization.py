@@ -47,7 +47,7 @@ class MultiPolySpec:
         exponents = _real(self.exponents, "exponents")
         if not np.all(np.isfinite(exponents) & (exponents == np.floor(exponents))):
             raise ValueError("exponents must be integers")
-        self.coefficients = _real(self.coefficients, "coefficients")
+        self.coefficients = _real(self.coefficients, "coefficients", finite=True)
         if exponents.ndim != 2:
             raise ValueError("exponents must be a (terms, variables) table")
         m, n = exponents.shape

@@ -34,8 +34,8 @@ class RadialPartition:
     delta: float
 
     def __post_init__(self):
-        self.breakpoints = _real(self.breakpoints, "breakpoints")
-        self.heights = _real(self.heights, "heights")
+        self.breakpoints = _real(self.breakpoints, "breakpoints", finite=True)
+        self.heights = _real(self.heights, "heights", finite=True)
         self.delta = _finite(self.delta, "delta")
         if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
@@ -70,9 +70,11 @@ def delta_for_target_error(breakpoints, heights, eps: float = 0.1) -> float:
 
     Uses the budget split delta = eps / (4 C) where C is the total mass
     sum |b_i| * (interval length); the result is clipped into (0, 1/2).
+    Non-finite breakpoints or heights are refused by name.
     """
     eps = _finite(eps, "eps", positive=True)
-    bp, hs = _real(breakpoints, "breakpoints"), _real(heights, "heights")
+    bp = _real(breakpoints, "breakpoints", finite=True)
+    hs = _real(heights, "heights", finite=True)
     mass = float(np.sum(np.abs(hs) * np.diff(bp)))
     if mass <= 0.0:
         return 0.25
@@ -106,7 +108,8 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     passes through f at every knot, is flat outside [r, R], and stays within
     delta of f everywhere.  Hidden width is exactly floor((R-r)L/delta) + 1,
     and more than 10^6 hidden units are refused before any is made, as is a
-    non-finite r or R and an L or delta that is not positive and finite.
+    non-finite r or R, an L or delta that is not positive and finite, and a
+    value of f that is not a finite real number ("f values").
 
     If (R-r)L < delta the residual is below the budget already and the
     constant network a = f(r) with zero hidden units is returned.
@@ -118,7 +121,7 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     if r < 0.0:
         raise ValueError("need r >= 0 (knots live on t = ||x|| >= 0)")
 
-    a = float(f(r))
+    a = _finite(f(r), "f values")
     if (R - r) * L < delta:
         return _constant_net(input_dim, a)
 
@@ -129,7 +132,7 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
     segments = int(np.floor(segments))
     knots_t = np.linspace(r, R, segments + 1)
     knots_u = knots_t**2
-    values = np.array([float(f(t)) for t in knots_t])
+    values = np.array([_finite(f(t), "f values") for t in knots_t])
     slopes = np.diff(values) / np.diff(knots_u)
     padded = np.concatenate([[0.0], slopes, [0.0]])
     alphas = np.diff(padded)  # one slope change per knot, flat outside [r, R]

@@ -12,13 +12,13 @@ not neuron by neuron.  One cached walk of a structure, _layout_of, works
 out where its rows lie and refuses a passthrough index outside its fan-in;
 from_json tests the document list by list, each neuron's parameter count
 and mask length against its fan-in among the tests, before any array is
-made, and then makes the net through blank.  Neuron
-objects are a read-only view, made only when net.layers is read (by the
-per-neuron oracle in oracles).  Nothing here mutates a spec:
-forward_batch and backward_batch are pure functions of it, and both take
-a batch, (B, input_dim); a single input is the batch x[None];
-trainable_values and set_trainable_values gather and scatter on the
-blocks.  A PackedNetwork, the training executor, copies them into one row
+made, and then makes the net through blank.  Neuron objects are a
+read-only view, made only when net.layers is read (by the per-neuron
+oracle in oracles) through block_rows, the one map of a block column.
+Nothing here mutates a spec: forward_batch and backward_batch are pure
+functions of it, and both take a batch, (B, input_dim); a single input
+is the batch x[None]; trainable_values and set_trainable_values gather
+and scatter on the blocks.  A PackedNetwork, the training executor, copies them into one row
 per restart so that every restart advances in the same stacked matmuls,
 holds its work arrays layer-major, and runs each pass as a list of
 (ufunc, a, b, out) built once per batch size, which the trainer steps
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neurons import PassthroughNeuron, _integer, _real, neuron_from_params
+from .neurons import ConventionalNeuron, PassthroughNeuron, QuadraticNeuron, _integer, _real
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -73,7 +73,8 @@ def _layer(activation: str, kinds) -> tuple[str, tuple]:
 
 class BlockRows(NamedTuple):
     """The rows of a block of fan-in n down which a column holds a neuron's
-    canonical parameters; a conventional neuron's w and b are w_r and b_r."""
+    canonical parameters, in QuadraticNeuron's field order; a conventional
+    neuron's w and b are w_r and b_r."""
 
     w_r: slice
     b_r: int
@@ -161,11 +162,16 @@ class NetworkSpec:
 
     @property
     def layers(self) -> list[LayerSpec]:
-        return [LayerSpec([neuron_from_params(kind, block[:size, j].copy()) if size
-                           else PassthroughNeuron(kind)
-                           for j, (kind, size) in enumerate(zip(kinds, sizes))], activation)
-                for (activation, kinds), sizes, block
-                in zip(self.structure, self._layout.sizes, self.blocks)]
+        layers = []
+        for (activation, kinds), block in zip(self.structure, self.blocks):
+            rows = block_rows(len(block) // 3 - 1)
+            # copied once, transposed: no neuron writes the net, and its weights are contiguous
+            neurons = [QuadraticNeuron(*(column[row] for row in rows)) if kind == "quadratic"
+                       else ConventionalNeuron(column[rows.w_r], column[rows.b_r])
+                       if kind == "conventional" else PassthroughNeuron(kind)
+                       for kind, column in zip(kinds, block.T.copy())]
+            layers.append(LayerSpec(neurons, activation))
+        return layers
 
     @property
     def masks(self) -> list[list[np.ndarray]]:

@@ -10,18 +10,20 @@ inner product plus bias, and a passthrough neuron copies one coordinate of
 its input unchanged (used to carry channels through deep constructions).
 
 A net stores its neurons as the columns of its layer blocks (see network);
-the objects here are a read-only view of them, made by net.layers through
-neuron_from_params, and the per-neuron oracle evaluates them.  All
+the objects here are a read-only view of them, made by net.layers, which
+alone knows the block layout, and the per-neuron oracle evaluates them.  All
 arithmetic is float64.  Functions accept either a single input vector of
 shape (n,) or a batch of shape (B, n); complex input is refused by name.
 
 The package's one rule for its arguments lives here too.  A scalar goes
 through _integer(value, name, low), an integer >= low, or _finite(value,
-name, positive), a finite real number, > 0 where positive is set; an array
-goes through _real.  A bool, a string, a complex number, a NaN, an infinity
-and an integer past the float64 range are refused with a ValueError naming
-the argument, never read as 0 and 1, parsed or cast; numpy's scalars pass
-with their values and bits unchanged.
+name, positive), a finite real number, > 0 where positive is set, and so
+does each value a caller's target function returns ("f values").  An
+array goes through _real(values, name, finite), with finite set for every
+array a construction is built from.  A bool, a string, a complex number,
+a NaN, an infinity and an integer past the float64 range are refused with
+a ValueError naming the argument, never read as 0 and 1, parsed or cast;
+numpy's scalars pass with their values and bits unchanged.
 """
 
 from __future__ import annotations
@@ -44,18 +46,22 @@ def relu_prime(z):
     return np.where(z > 0.0, 1.0, 0.0)
 
 
-def _real(values, name: str) -> np.ndarray:
+def _real(values, name: str, finite: bool = False) -> np.ndarray:
     """values as a float64 array; complex values raise ValueError naming
     them, where the cast would drop their imaginary parts, and so does any
     other dtype than bool, integer and float (objects, strings, dates),
-    which the cast would read as NaN or parse."""
+    which the cast would read as NaN or parse, and, where finite is set, a
+    NaN or an infinity."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if kind not in "biuf":
         if kind == "c":
             raise ValueError(f"{name} must be real, got complex values")
         raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
-    return array.astype(np.float64, copy=False)
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array.tolist()}")
+    return array
 
 
 def _integer(value, name: str, low: int, high: int | None = None):
@@ -78,8 +84,10 @@ def _finite(value, name: str, positive: bool = False) -> float:
     """value, a finite real number (numpy's included), as a float, else
     ValueError naming it.  A bool or a string is refused rather than read as
     0 and 1 or parsed, and so are a NaN, an infinity, an integer past the
-    float64 range and, where positive is set, a value <= 0."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+    float64 range and, where positive is set, a value <= 0.  A plain float
+    skips the Real test, an ABC check that costs about 1 µs."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     must = f"{name} must be {'positive and ' * positive}finite"
     try:
@@ -155,35 +163,6 @@ class PassthroughNeuron:
 
     def __post_init__(self):
         self.index = _integer(self.index, "passthrough index", 0)
-
-
-def neuron_fan_in(kind: str, count: int) -> int:
-    """The input width n of a quadratic or conventional neuron with count
-    canonical parameters (3n + 3 or n + 1); ValueError if there is none."""
-    if kind == "quadratic":
-        if count < 6 or count % 3:
-            raise ValueError("quadratic neuron parameter count must be 3n + 3, n >= 1")
-        return count // 3 - 1
-    if kind != "conventional":
-        raise ValueError(f"unknown neuron kind {kind!r}")
-    if count < 2:
-        raise ValueError("conventional neuron parameter count must be n + 1, n >= 1")
-    return count - 1
-
-
-def neuron_from_params(kind: str, params: np.ndarray) -> QuadraticNeuron | ConventionalNeuron:
-    """A quadratic or conventional neuron from its canonical parameter vector.
-
-    The weights are views of params, so pass an array the neuron may own.
-    """
-    n = neuron_fan_in(kind, len(params))
-    if kind == "quadratic":
-        return QuadraticNeuron(
-            w_r=params[0:n], b_r=params[n],
-            w_g=params[n + 1 : 2 * n + 1], b_g=params[2 * n + 1],
-            w_b=params[2 * n + 2 : 3 * n + 2], c=params[3 * n + 2],
-        )
-    return ConventionalNeuron(w=params[:-1], b=params[-1])
 
 
 def _check_input(n: int, x) -> np.ndarray:

@@ -18,6 +18,7 @@ from .network import (
     _MAX_ENTRIES,
     NetworkSpec,
     _check_batch,
+    _theta_index,
     forward_batch,
     set_trainable_values,
     trainable_values,
@@ -79,22 +80,24 @@ def finite_diff_grad(
 
     f(t) is upstream . forward_batch(net, x[None])[0] with the trainable
     parameter vector set to t; upstream defaults to all ones; step must be
-    positive.
+    positive.  Each parameter is bumped in place in one copy of net and put
+    back, so net itself is left unchanged.
     """
     step = _finite(step, "step", positive=True)
     x = _real(x, "x")
     upstream = np.ones(net.output_dim) if upstream is None else _real(upstream, "upstream")
 
-    theta = trainable_values(net)
-    grads = np.zeros_like(theta)
-    for i in range(len(theta)):
-        bumped = theta.copy()
-        bumped[i] = theta[i] + step
-        hi = upstream @ forward_batch(set_trainable_values(net, bumped), x[None])[0]
-        bumped[i] = theta[i] - step
-        lo = upstream @ forward_batch(set_trainable_values(net, bumped), x[None])[0]
-        grads[i] = (hi - lo) / (2.0 * step)
-    return grads
+    bumped = set_trainable_values(net, trainable_values(net))
+    grads = []
+    for position in _theta_index(net):
+        value = bumped.params[position]
+        bumped.params[position] = value + step
+        hi = upstream @ forward_batch(bumped, x[None])[0]
+        bumped.params[position] = value - step
+        lo = upstream @ forward_batch(bumped, x[None])[0]
+        bumped.params[position] = value
+        grads.append((hi - lo) / (2.0 * step))
+    return np.array(grads)
 
 
 def reference_forward_batch(net: NetworkSpec, X):
@@ -202,7 +205,8 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
     Numerically stable on [0, 1] for any n whose binomials fit float64
     (n <= 1029) since every basis term is non-negative there; serves as the
     reference for the expanded-coefficient path, which is ill-conditioned in
-    the monomial basis at large n.  Raises ValueError naming n beyond that.
+    the monomial basis at large n.  Raises ValueError naming n beyond that,
+    and naming "f values" when f returns anything but a finite real number.
     """
     binomials = bernstein_binomials(n)
     x = _real(x, "x")
@@ -211,7 +215,7 @@ def bernstein_direct(f, n: int, x) -> np.ndarray:
     for m, weight in enumerate(binomials):
         # the terms' product order, (f(m/n) C(n,m)) x^m (1-x)^(n-m), in place
         term = x**m
-        term *= float(f(m / n)) * weight
+        term *= _finite(f(m / n), "f values") * weight
         term *= y ** (n - m)
         total += term
     return total

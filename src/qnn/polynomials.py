@@ -59,11 +59,9 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(_real(self.coeffs, "coeffs"))
+        c = np.atleast_1d(_real(self.coeffs, "coeffs", finite=True))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.isfinite(c).all():
-            raise ValueError(f"coeffs must be finite, got {c.tolist()}")
         last = c.size - 1
         while last > 0 and c[last] == 0.0:
             last -= 1
@@ -268,14 +266,14 @@ def factor_polynomial(p: Polynomial, pair_real_roots: bool = False) -> FactoredF
 
 
 def _sample_exact(f, m: int, n: int) -> Fraction:
-    """f(m/n) as an exact rational where the callable allows it."""
+    """f(m/n) as an exact rational where the callable allows it, else by the scalar rule."""
     try:
         value = f(Fraction(m, n))
     except (TypeError, AttributeError):
         value = f(m / n)
     if isinstance(value, Fraction):
         return value
-    return Fraction(float(value))
+    return Fraction(_finite(value, "f values"))
 
 
 def bernstein_coeffs(f, n: int) -> Polynomial:
@@ -290,7 +288,8 @@ def bernstein_coeffs(f, n: int) -> Polynomial:
     targets they are sampling noise amplified by the binomials and would
     otherwise inflate the degree.
     Raises ValueError when an exact coefficient is beyond the float64
-    range.
+    range, and naming "f values" when a sample is neither a Fraction nor a
+    finite real number.
     """
     _integer(n, "Bernstein degree n", 1)
     samples = [_sample_exact(f, m, n) for m in range(n + 1)]

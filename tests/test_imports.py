@@ -1,6 +1,7 @@
 """Source checks: every name a qnn module imports is used in that module,
-every CLI command runs straight through, qnn.builders exports exactly what
-it imports, and the README's API sketch runs.
+every module-level function and class has a caller or is exported, every
+CLI command runs straight through, qnn.builders exports exactly what it
+imports, and the README's API sketch runs.
 
 Package __init__ files are skipped by the import check: their imports are
 the re-exported API.
@@ -11,6 +12,7 @@ import contextlib
 import inspect
 import io
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,25 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports but never uses {', '.join(unused)}"
+
+
+def test_every_definition_is_exported_or_referenced():
+    """A module-level function or class that qnn and qnn.builders do not
+    export is named somewhere in src/qnn, as a name, an attribute or an
+    import: a helper whose last caller is deleted goes with it."""
+    exported = set(vars(qnn)) | set(vars(qnn.builders))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    referenced = {name for name, _ in chain.from_iterable(map(imported_names, trees.values()))}
+    for node in chain.from_iterable(map(ast.walk, trees.values())):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+    orphans = [f"{path.relative_to(PACKAGE).as_posix()}: {node.name} (line {node.lineno})"
+               for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name not in exported | referenced]
+    assert not orphans, "defined but never used: " + "; ".join(orphans)
 
 
 def own_nodes(function: ast.FunctionDef):

@@ -10,7 +10,6 @@ from qnn.neurons import (
     PassthroughNeuron,
     QuadraticNeuron,
     conv_preactivation,
-    neuron_from_params,
     preactivation,
     quad_preactivation,
     relu,
@@ -55,21 +54,6 @@ class TestQuadPreactivation:
         weights[field] = np.array([1.0 + 1.0j])
         with pytest.raises(ValueError, match=f"{field} must be real"):
             QuadraticNeuron(b_r=0.0, b_g=0.0, c=0.0, **weights)
-
-    def test_neuron_from_params_reads_canonical_order(self):
-        """neuron_from_params reads (w_r, b_r, w_g, b_g, w_b, c) or (w, b),
-        and refuses a vector of no neuron's length."""
-        vec = np.arange(9.0)
-        n = neuron_from_params("quadratic", vec)
-        assert (n.w_r.tolist(), n.b_r, n.w_g.tolist(), n.b_g, n.w_b.tolist(), n.c) == (
-            [0.0, 1.0], 2.0, [3.0, 4.0], 5.0, [6.0, 7.0], 8.0)
-        conv = neuron_from_params("conventional", np.array([1.0, 2.0, -0.0]))
-        assert type(conv) is ConventionalNeuron and conv.w.tolist() == [1.0, 2.0]
-        assert np.signbit(conv.b)
-        for kind, bad in (("quadratic", np.ones(7)), ("conventional", np.ones(1)),
-                          ("passthrough", np.ones(2))):
-            with pytest.raises(ValueError):
-                neuron_from_params(kind, bad)
 
 
 class TestConvPreactivation:

@@ -79,6 +79,18 @@ class TestFiniteDiff:
         assert len(g) == 1
         assert g[0] == pytest.approx(1.0)
 
+    def test_leaves_the_net_unchanged(self, net_factory):
+        """Each parameter is bumped in place in a copy and put back: the
+        caller's params and trainable are never written (read-only here, so
+        a write raises) and keep their bytes."""
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            net = net_factory(rng)
+            params, trainable = net.params.tobytes(), net.trainable.tobytes()
+            net.params.flags.writeable = net.trainable.flags.writeable = False
+            finite_diff_grad(net, rng.normal(size=net.input_dim))
+            assert (net.params.tobytes(), net.trainable.tobytes()) == (params, trainable)
+
     def test_two_step_sizes_agree_with_backward(self, net_factory, kink_free_input):
         rng = np.random.default_rng(40)
         checked = 0

@@ -19,10 +19,8 @@ from qnn.builders import (
 )
 from qnn.network import (
     ACTIVATIONS,
-    BlockRows,
     NetworkSpec,
     PackedNetwork,
-    block_rows,
     forward_batch,
     from_json,
     one_hidden_conventional,
@@ -378,22 +376,25 @@ def test_malformed_json_of_random_nets_names_layer_and_neuron(net, data):
 @given(random_nets)
 def test_neurons_read_back_from_the_blocks(net):
     """net.layers, made from the stored blocks, gives each layer's
-    activation and kinds and each neuron's block column, bit for bit, and
-    writing to its neurons leaves the net unchanged."""
+    activation and kinds, and each neuron's fields, laid end to end in
+    canonical order, are its slice of the parameters in the order JSON and
+    theta use, bit for bit; writing to its neurons leaves the net unchanged."""
     params = net.params.copy()
-    fields = {"quadratic": BlockRows._fields, "conventional": ("w", "b")}
-    for (activation, kinds), layer, block in zip(net.structure, net.layers, net.blocks,
-                                                 strict=True):
+    canonical = params[net._layout.own]
+    fields = {"quadratic": ("w_r", "b_r", "w_g", "b_g", "w_b", "c"), "conventional": ("w", "b")}
+    pos = 0
+    for (activation, kinds), layer in zip(net.structure, net.layers, strict=True):
         assert (layer.activation, layer.width) == (activation, len(kinds))
-        rows = block_rows(len(block) // 3 - 1)
-        for j, (kind, got) in enumerate(zip(kinds, layer.neurons, strict=True)):
+        for kind, got in zip(kinds, layer.neurons, strict=True):
             if kind not in fields:
                 assert (got.kind, got.index) == ("passthrough", kind)
                 continue
             assert got.kind == kind
-            for field, row in zip(fields[kind], rows):
-                assert np.asarray(getattr(got, field)).tobytes() == block[row, j].tobytes()
+            values = np.concatenate([np.atleast_1d(getattr(got, field)) for field in fields[kind]])
+            assert values.tobytes() == canonical[pos : pos + len(values)].tobytes()
+            pos += len(values)
             getattr(got, fields[kind][0])[:] = np.nan
+    assert pos == len(canonical)
     assert net.params.tobytes() == params.tobytes()
 
 

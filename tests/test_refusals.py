@@ -6,9 +6,11 @@ a bool, a string, a complex number, an array, a NaN, an infinity, an
 integer past the float64 range where a real number is asked for, and a
 fraction where an integer is, each with a ValueError that names the
 parameter and no warning on the way.  numpy's scalars are taken, with the
-values and bits the plain ones give.  A guard walks qnn's exports so that a
-new int or float parameter cannot skip the table.  The CLI's number flags
-follow the same rule, as usage errors.
+values and bits the plain ones give.  A value a caller's target function
+returns follows the same rule, and an array a construction is built from
+must be finite.  A guard walks qnn's exports so that a new int or float
+parameter cannot skip the table.  The CLI's number flags follow the same
+rule, as usage errors.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ import qnn
 from qnn import (
     FactoredForm,
     GridSpec,
+    MultiPolySpec,
     NetworkSpec,
     PackedNetwork,
     PassthroughNeuron,
@@ -140,6 +143,40 @@ def test_delta_for_target_error_complex_arrays_refused(field):
     args[field] = np.array(args[field]) + 1j
     with pytest.raises(ValueError, match=f"^{field} must be real"):
         delta_for_target_error(**args)
+
+
+F_CALLS = [
+    (build_shallow_radial, dict(r=0.0, R=1.0, L=1.0, delta=0.1)),
+    (bernstein_direct, dict(n=4, x=[0.5])),
+    (bernstein_coeffs, dict(n=4)),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1", 1j, np.array(0.5), np.nan, np.inf], ids=repr)
+@pytest.mark.parametrize("call, kwargs", F_CALLS, ids=[call.__name__ for call, _ in F_CALLS])
+def test_target_function_values_follow_the_rule(call, kwargs, value):
+    """A value the caller's f returns is a real number by the scalar rule:
+    not parsed, read as 1, cast, or let through as NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^f values must be "):
+            call(lambda t: value, **kwargs)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("make, field", [
+    (lambda v: MultiPolySpec([[1]], [v]), "coefficients"),
+    (lambda v: RadialPartition([0.0, 1.0], [v], 0.1), "heights"),
+    (lambda v: RadialPartition([0.0, v], [1.0], 0.1), "breakpoints"),
+    (lambda v: delta_for_target_error([0.0, 1.0], [v]), "heights"),
+    (lambda v: delta_for_target_error([0.0, v], [1.0]), "breakpoints"),
+], ids=["multipoly-coefficients", "partition-heights", "partition-breakpoints",
+        "delta-heights", "delta-breakpoints"])
+def test_non_finite_construction_array_refused(make, field, value):
+    """Refused by name, where it made a NaN net, was blamed on delta, or
+    gave a delta of nan or 0."""
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        make(value)
 
 
 def _bits(obj):
