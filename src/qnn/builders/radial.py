@@ -34,17 +34,8 @@ class RadialPartition:
     delta: float
 
     def __post_init__(self):
-        self.breakpoints = _real(self.breakpoints, "breakpoints", finite=True)
-        self.heights = _real(self.heights, "heights", finite=True)
+        self.breakpoints, self.heights = _profile(self.breakpoints, self.heights)
         self.delta = _finite(self.delta, "delta")
-        if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2:
-            raise ValueError("need at least two breakpoints")
-        if self.breakpoints[0] < 0.0:
-            raise ValueError("breakpoints must be non-negative")
-        if np.any(np.diff(self.breakpoints) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(self.heights) != len(self.breakpoints) - 1:
-            raise ValueError("need one height per interval")
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 1/2), got {self.delta:g}")
         for a_lo, a_hi, b in zip(self.breakpoints, self.breakpoints[1:], self.heights):
@@ -65,17 +56,37 @@ class RadialPartition:
         return out
 
 
+def _profile(breakpoints, heights) -> tuple[np.ndarray, np.ndarray]:
+    """breakpoints and heights as float64 arrays held to a partition's
+    rules: finite, at least two breakpoints, non-negative and strictly
+    increasing, and one height per interval."""
+    breakpoints = _real(breakpoints, "breakpoints", finite=True)
+    heights = _real(heights, "heights", finite=True)
+    if breakpoints.ndim != 1 or len(breakpoints) < 2:
+        raise ValueError("need at least two breakpoints")
+    if breakpoints[0] < 0.0:
+        raise ValueError("breakpoints must be non-negative")
+    if np.any(np.diff(breakpoints) <= 0.0):
+        raise ValueError("breakpoints must be strictly increasing")
+    if heights.shape != (len(breakpoints) - 1,):
+        raise ValueError("need one height per interval")
+    return breakpoints, heights
+
+
 def delta_for_target_error(breakpoints, heights, eps: float = 0.1) -> float:
     """Ramp sharpness needed for an L1 error budget of eps.
 
     Uses the budget split delta = eps / (4 C) where C is the total mass
     sum |b_i| * (interval length); the result is clipped into (0, 1/2).
-    Non-finite breakpoints or heights are refused by name.
+    The breakpoints and heights are held to RadialPartition's rules, and a
+    mass past the float64 range is refused by name.
     """
     eps = _finite(eps, "eps", positive=True)
-    bp = _real(breakpoints, "breakpoints", finite=True)
-    hs = _real(heights, "heights", finite=True)
-    mass = float(np.sum(np.abs(hs) * np.diff(bp)))
+    bp, hs = _profile(breakpoints, heights)
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(np.abs(hs) * np.diff(bp)))
+    if mass == np.inf:
+        raise ValueError("the mass sum |heights| * interval lengths is past the float64 range")
     if mass <= 0.0:
         return 0.25
     return min(eps / (4.0 * mass), 0.499)

@@ -18,12 +18,13 @@ oracle in oracles) through block_rows, the one map of a block column.
 Nothing here mutates a spec: forward_batch and backward_batch are pure
 functions of it, and both take a batch, (B, input_dim); a single input
 is the batch x[None]; trainable_values and set_trainable_values gather
-and scatter on the blocks.  A PackedNetwork, the training executor, copies them into one row
-per restart so that every restart advances in the same stacked matmuls,
-holds its work arrays layer-major, and runs each pass as a list of
-(ufunc, a, b, out) built once per batch size, which the trainer steps
-with the parameters updated in place; backward_batch is a one-row executor
-at the net's own values.  forward_batch runs the executor's forward
+and scatter on the blocks.  A PackedNetwork, the training executor, is
+built for one input batch: it copies the blocks into one row per restart
+so that every restart advances in the same stacked matmuls, holds its
+work arrays layer-major, and runs each pass, forward() and backward(), as
+a list of (ufunc, a, b, out) built with it; the trainer steps its params
+in place, and backward_batch is a one-row executor at the net's own
+values.  forward_batch runs the executor's forward
 program, _forward_ops, tile by tile: one op order, the biases folded into
 the matmuls through a row of ones, and one rule for what is left out
 (_operands).  It matches the per-neuron oracle bit for bit where the sums
@@ -209,8 +210,8 @@ def _param_counts(n: int) -> dict:
 # The most entries a net's blocks may hold, 32 GiB of float64: a passthrough
 # column of a huge fan-in, one JSON field, is refused rather than allocated.
 # A count that sizes an array is held to it too, by name and before the
-# array is made: an executor's restarts times its row, a hidden width, grid
-# and dataset points.
+# array is made: an executor's restarts times its row or its activation
+# rows times B, a hidden width, grid and dataset points.
 _MAX_ENTRIES = 2**32
 
 
@@ -474,17 +475,6 @@ class _LayerBuffers(NamedTuple):
     T: np.ndarray | None  # n rows; layers that form P * Q sum their input gradient through it
 
 
-class _WorkBuffers(NamedTuple):
-    acts: np.ndarray  # (R, act_width, B); the ones rows are written once
-    grad_acts: np.ndarray  # same shape
-    layers: list[_LayerBuffers]
-    output: np.ndarray  # the output rows of acts, (R, output_dim, B)
-    upstream: np.ndarray  # the same rows of grad_acts, where the backward starts
-    # the passes, as (ufunc, a, b, out) on the views above and on params
-    forward: list[tuple]
-    backward: list[tuple]
-
-
 def _layer_major(rows: int, restarts: int, batch: int) -> np.ndarray:
     """An (R, rows, B) view of (rows, R, B) memory: a run of rows is one
     contiguous block across restarts."""
@@ -561,20 +551,32 @@ def _backward_ops(layer: _PackedLayer, X1, Z, d, g_inp, buffers: _LayerBuffers) 
 
 
 class PackedNetwork:
-    """The training executor: a NetworkSpec's params in one row per restart.
+    """The training executor: a NetworkSpec's params in one row per restart,
+    bound to one input batch.
 
-    `params` has shape (R, P): one row per restart, each a copy of
-    net.params, its layer blocks.  Activations are held batch-last, one row
-    per neuron and one column per input.  With the input augmented by a row
-    of ones, X1 = [X; 1], a layer is three matmuls,
+    `PackedNetwork(net, X, restarts=1)` checks X, (B, input_dim), and
+    restarts, and makes what a step touches, once: `params`, (R, P), one
+    row per restart, each a copy of net.params; `grad`, of the same shape;
+    the work arrays, with X written into their input rows, which no pass
+    writes; and the two passes as op lists.  `theta_index` maps the
+    canonical trainable vector into a row of `params` or of `grad`.
+    `forward()` writes `output`, an (R, output_dim, B) view, and
+    `backward()` starts from `upstream`, the same rows of the activations'
+    gradient, where the caller writes d loss / d output between the two.
+    Each call is one run of its op list, with no check and no copy, and
+    later passes write over both views (the backward writes its ReLU mask
+    over a ReLU output layer's).
+
+    Activations are held batch-last, one row per neuron and one column per
+    input.  With the input augmented by a row of ones, X1 = [X; 1], a layer
+    is three matmuls,
 
         Z = ([W_r; b_r]^T X1) * ([W_g; b_g]^T X1) + [W_b; c]^T (X1 * X1)
 
     then the activation.  Every matmul is stacked over the restart axis:
-    blocks are (R, 3n+3, m), activations (R, width, B), and one input batch
-    X feeds every restart.  A layer without quadratic neurons is evaluated
-    as its affine part alone.  `theta_index` maps the canonical trainable
-    vector into a row of `params`.
+    blocks are (R, 3n+3, m), activations (R, width, B), and the one input
+    batch feeds every restart.  A layer without quadratic neurons is
+    evaluated as its affine part alone.
 
     The executor does only the work a trainable value needs, as it is made,
     from net.trainable and net.params.  A third of a layer's block with no
@@ -586,11 +588,11 @@ class PackedNetwork:
     product nor the backward's 2 x * (W_b d) term is formed; [W_r; b_r]
     with [W_g; b_g], so that the layer is its square term alone; a bias
     row.  The frozen entries of `params` are fixed when the executor is
-    made: `forward` and the trainer write `params` at `theta_index` alone.
-    Outputs and gradients keep their bits on finite activations, except
-    that an exact -0.0 product stays -0.0 where the skipped zero term made
-    it +0.0; nothing reads that sign.  No channel past sqrt(max float64),
-    about 1.3e154, is squared into 0 * inf = NaN.
+    made: a caller writes `params` at `theta_index` alone.  Outputs and
+    gradients keep their bits on finite activations, except that an exact
+    -0.0 product stays -0.0 where the skipped zero term made it +0.0;
+    nothing reads that sign.  No channel past sqrt(max float64), about
+    1.3e154, is squared into 0 * inf = NaN.
 
     Restarts never mix: row i of every output and gradient depends on row i
     of `params` alone, and equals what a one-row executor gives for it.
@@ -599,18 +601,15 @@ class PackedNetwork:
     values (see NetworkSpec for inf); the trainer drops a restart at its first
     non-finite loss.
 
-    The executor owns its work arrays (_WorkBuffers, _LayerBuffers) and its
-    step program, one set for the batch size last seen: the first pass at a
-    batch size makes them and a new size replaces them.  Each array is
-    layer-major, (rows, R, B) memory seen as (R, rows, B), so that a layer's
-    rows are one contiguous block across restarts, not R strided pieces,
-    and a one-output net's output is one contiguous (R, B) block.  The
-    program is the forward and the backward pass as lists of (ufunc, a, b,
+    Each work array (_LayerBuffers) is layer-major, (rows, R, B) memory
+    seen as (R, rows, B), so that a layer's rows are one contiguous block
+    across restarts, not R strided pieces, and a one-output net's output is
+    one contiguous (R, B) block.  The passes are lists of (ufunc, a, b,
     out) on fixed views of those arrays and of `params`, and a pass is a
     loop over its list: every product and sum is written through `out=`,
     and the backward writes each ReLU mask, as 0.0 and 1.0, over that
     layer's activations, which are dead by then.  A pass reads only what it
-    wrote (the ones rows are written once): each layer reads the layer
+    wrote, the input and the ones rows aside: each layer reads the layer
     before it alone, so the backward overwrites every input gradient whole
     and zeroes no row.
     Where a layer is one neuron wide, the backward's products through its
@@ -624,30 +623,31 @@ class PackedNetwork:
     check.  One executor serves one caller at a time, and the trainer makes
     one per `train` call.
 
-    `forward(theta, X)` writes the (R, T) trainable values into `params`
-    and returns the output, (R, B, output_dim), a copy that later passes
-    leave alone; `loss_and_grad` runs the backward pass right after its own
-    forward.  Both take X as (B, input_dim), check it and theta, and
-    transpose X into the input rows of the activations; they are wrappers
-    over the program that the trainer runs directly, with X written once
-    (_bind) and `params` stepped in place.
+    A restarts count whose params or activation array, R x (activation
+    rows) x B entries, would pass _MAX_ENTRIES is refused by name before
+    anything is allocated.
     """
 
-    def __init__(self, net: NetworkSpec, restarts: int = 1):
-        _integer(restarts, "restarts", 1, _MAX_ENTRIES // net._layout.size)
-        self._input_dim = net.input_dim
-        self.params = np.tile(net.params, (restarts, 1))
-        self._grad = np.zeros_like(self.params)
+    def __init__(self, net: NetworkSpec, X, restarts: int = 1):
+        X = _check_inputs(X, net.input_dim)
+        batch = len(X)
         fan_in = [net.input_dim] + net.layer_widths()[:-1]
-
-        # Rows of the per-pass activation array: the input, then each
-        # layer's activations, each block followed by a row of ones.
+        # Rows of the activation array: the input, then each layer's
+        # activations, each block followed by a row of ones.
         base = np.cumsum([0] + [n + 1 for n in fan_in] + [net.output_dim + 1])
-        self._ones = base[1:] - 1
-        self._act_width = int(base[-1])
+        rows = int(base[-1])
+        R = _integer(restarts, "restarts", 1,
+                     _MAX_ENTRIES // max(net._layout.size, rows * batch))
+        self.params = np.tile(net.params, (R, 1))
+        self.grad = np.zeros_like(self.params)
+        self.theta_index = _theta_index(net)
+        self._acts = acts = _layer_major(rows, R, batch)
+        self._grad_acts = grad_acts = _layer_major(rows, R, batch)
+        acts[:, : net.input_dim] = X.T
+        acts[:, base[1:] - 1] = 1.0
 
         self._layers = []
-        blocks = zip(net._split(self.params), net._split(self._grad),
+        blocks = zip(net._split(self.params), net._split(self.grad),
                      _live(net, np.logical_or(net.params, net.trainable)),
                      _live(net, net.trainable))
         for k, ((block, gblock, kept, learnt), n, (activation, kinds)) in enumerate(
@@ -666,95 +666,38 @@ class PackedNetwork:
                 through_width=np.multiply if m == 1 else np.matmul,
             ))
 
-        self.theta_index = _theta_index(net)
-        self._work: _WorkBuffers | None = None
-
-    def _buffers(self, batch: int) -> _WorkBuffers:
-        """The work arrays and the step program for a batch of `batch`
-        columns, made on first use.
-
-        A new batch size replaces the previous set, so at most one is held.
-        """
-        work = self._work
-        if work is None or work.acts.shape[2] != batch:
-            R = len(self.params)
-            acts = _layer_major(self._act_width, R, batch)
-            acts[:, self._ones] = 1.0
-            grad_acts = _layer_major(self._act_width, R, batch)
-            # A layer k > 0 that forms P * Q sums its input gradient from
-            # two or three terms, all but the first passing through T.
-            summed = [k > 0 and layer.gated for k, layer in enumerate(self._layers)]
-            fan_in = [layer.inp.stop - layer.inp.start - 1 for layer in self._layers]
-            scratch = _layer_major(max(
-                (n for n, s in zip(fan_in, summed) if s), default=0), R, batch)
-            per_layer, forward, backward = [], [], []
-            for k, (layer, n, s) in enumerate(zip(self._layers, fan_in, summed)):
-                m = layer.out.stop - layer.out.start
-                buffers = _LayerBuffers(
-                    grad_acts[:, :m],
-                    _layer_major(n + 1, R, batch) if layer.square else None,
-                    *((_layer_major(m, R, batch) for _ in range(2)) if layer.gated
-                      else (None, None)),
-                    scratch[:, :n] if s else None,
-                )
-                X1, Z = acts[:, layer.inp], acts[:, layer.out]
-                g_inp = grad_acts[:, layer.inp.start : layer.inp.stop - 1] if k else None
-                per_layer.append(buffers)
-                forward += _forward_ops(layer.thirds_t, layer.relu, X1, Z, buffers)
-                backward[:0] = _backward_ops(layer, X1, Z, grad_acts[:, layer.out], g_inp,
-                                             buffers)
-            out = self._layers[-1].out
-            work = _WorkBuffers(acts, grad_acts, per_layer, acts[:, out], grad_acts[:, out],
-                                forward, backward)
-            self._work = work
-        return work
-
-    def _bind(self, X: np.ndarray) -> _WorkBuffers:
-        """The work for X's batch size, X, (B, input_dim) float64, written
-        into its input rows, which no pass writes."""
-        work = self._buffers(X.shape[0])
-        work.acts[:, : self._input_dim] = X.T
-        return work
-
-    def forward(self, theta, X: np.ndarray) -> np.ndarray:
-        """Write theta (R, T) into params and evaluate a (B, input_dim)
-        float64 batch under every restart's params.
-
-        Returns the output, shape (R, B, output_dim), a copy that later
-        passes leave alone.  Raises ValueError if X is not (B, input_dim),
-        or if theta is complex or not (R, T): a row or a scalar is not
-        broadcast to every restart.
-        """
-        X = _check_inputs(X, self._input_dim)
-        theta = _real(theta, "theta")
-        shape = (len(self.params), len(self.theta_index))
-        if theta.shape != shape:
-            raise ValueError(f"expected theta of shape {shape}, got {theta.shape}")
-        self.params[:, self.theta_index] = theta
-        work = self._bind(X)
-        _run(work.forward)
-        return work.output.swapaxes(1, 2).copy()
-
-    def loss_and_grad(self, theta, X: np.ndarray, loss):
-        """Run forward(theta, X) and the backward pass right after it.
-
-        loss maps the (R, B, output_dim) output to (values, d values / d
-        output), values holding one loss per restart; returns (values,
-        gradients w.r.t. theta, shape (R, T)).  Raises ValueError if X is
-        not (B, input_dim), theta not (R, T) (see forward) or the gradient
-        loss returns is not shaped like the output.
-        """
-        out = self.forward(theta, X)
-        values, upstream = loss(out)
-        upstream = _real(upstream, "loss upstream")
-        if upstream.shape != out.shape:
-            raise ValueError(
-                f"expected loss upstream of shape {out.shape}, got {upstream.shape}"
+        # A layer k > 0 that forms P * Q sums its input gradient from two or
+        # three terms, all but the first passing through T.
+        summed = [k > 0 and layer.gated for k, layer in enumerate(self._layers)]
+        scratch = _layer_major(max((n for n, s in zip(fan_in, summed) if s), default=0),
+                               R, batch)
+        self._layer_buffers, self._forward, self._backward = [], [], []
+        for k, (layer, n, s) in enumerate(zip(self._layers, fan_in, summed)):
+            m = layer.out.stop - layer.out.start
+            buffers = _LayerBuffers(
+                grad_acts[:, :m],
+                _layer_major(n + 1, R, batch) if layer.square else None,
+                *((_layer_major(m, R, batch) for _ in range(2)) if layer.gated
+                  else (None, None)),
+                scratch[:, :n] if s else None,
             )
-        work = self._work
-        work.upstream[...] = upstream.swapaxes(1, 2)
-        _run(work.backward)
-        return values, self._grad[:, self.theta_index]
+            X1, Z = acts[:, layer.inp], acts[:, layer.out]
+            g_inp = grad_acts[:, layer.inp.start : layer.inp.stop - 1] if k else None
+            self._layer_buffers.append(buffers)
+            self._forward += _forward_ops(layer.thirds_t, layer.relu, X1, Z, buffers)
+            self._backward[:0] = _backward_ops(layer, X1, Z, grad_acts[:, layer.out], g_inp,
+                                               buffers)
+        self.output, self.upstream = acts[:, layer.out], grad_acts[:, layer.out]
+
+    def forward(self) -> None:
+        """Evaluate the batch under every restart's params into `output`."""
+        _run(self._forward)
+
+    def backward(self) -> None:
+        """Write into grad[:, theta_index] each restart's gradient of
+        sum(upstream * output) w.r.t. its trainable params, at the params of
+        the last forward()."""
+        _run(self._backward)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +713,11 @@ def backward_batch(net: NetworkSpec, X, upstream) -> np.ndarray:
     a one-row PackedNetwork at net's own parameters.
     """
     X, upstream = _check_batch(net, X, upstream)
-    packed = PackedNetwork(net)
-    theta = packed.params[:, packed.theta_index]
-    return packed.loss_and_grad(theta, X, lambda out: (None, upstream[None]))[1][0]
+    packed = PackedNetwork(net, X)
+    packed.forward()
+    packed.upstream[0] = upstream.T
+    packed.backward()
+    return packed.grad[0, packed.theta_index]
 
 
 # ---------------------------------------------------------------------------

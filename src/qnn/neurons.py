@@ -51,7 +51,8 @@ def _real(values, name: str, finite: bool = False) -> np.ndarray:
     them, where the cast would drop their imaginary parts, and so does any
     other dtype than bool, integer and float (objects, strings, dates),
     which the cast would read as NaN or parse, and, where finite is set, a
-    NaN or an infinity."""
+    NaN or an infinity, named with its index alone, so that the message
+    stays short whatever the array's size."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if kind not in "biuf":
@@ -59,8 +60,13 @@ def _real(values, name: str, finite: bool = False) -> np.ndarray:
             raise ValueError(f"{name} must be real, got complex values")
         raise ValueError(f"{name} must be real numbers, got dtype {array.dtype}")
     array = array.astype(np.float64, copy=False)
-    if finite and not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite, got {array.tolist()}")
+    if finite:
+        ok = np.isfinite(array)
+        if not ok.all():
+            at = np.unravel_index(ok.argmin(), array.shape)  # the first, in C order
+            index = int(at[0]) if len(at) == 1 else tuple(map(int, at))
+            where = f" at index {index}" if at else ""
+            raise ValueError(f"{name} must be finite, got {array[at]}{where}")
     return array
 
 

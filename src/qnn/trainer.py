@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (_MAX_ENTRIES, NetworkSpec, PackedNetwork, _run, forward_batch,
-                      set_trainable_values)
+from .network import _MAX_ENTRIES, NetworkSpec, PackedNetwork, forward_batch, set_trainable_values
 from .neurons import _finite, _integer, _real
 from .oracles import horner
 from .polynomials import Polynomial
@@ -58,14 +57,12 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(_real(self.inputs, "inputs"))
-        self.targets = _real(self.targets, "targets").ravel()
+        self.inputs = np.atleast_2d(_real(self.inputs, "inputs", finite=True))
+        self.targets = _real(self.targets, "targets", finite=True).ravel()
         if len(self.inputs) != len(self.targets):
             raise ValueError("inputs and targets must have equal length")
         if len(self.inputs) == 0:
             raise ValueError("dataset must be non-empty")
-        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
-            raise ValueError("inputs and targets must be finite")
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -118,28 +115,26 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
     Once every restart has diverged the steps stop, and the history rows
     after that step are NaN.
 
-    X is written into the executor once, and each step runs its program:
-    the forward pass, the loss read from the output rows with its gradient
-    written where the backward starts, the backward pass, and
-    params -= learning_rate * grad where the entry is trainable and its
-    restart live, in place.
+    The executor is made for the data's inputs, and each step runs
+    forward(), the loss read from its output with the loss gradient written
+    into its upstream, backward(), and params -= learning_rate * grad where
+    the entry is trainable and its restart live, in place.
     """
-    packed = PackedNetwork(net, restarts=cfg.restarts)
-    params, grad, index = packed.params, packed._grad, packed.theta_index
+    packed = PackedNetwork(net, data.inputs, cfg.restarts)
+    params, grad, index = packed.params, packed.grad, packed.theta_index
     params[:, index] = [
         np.random.default_rng([cfg.seed, i]).uniform(
             -cfg.init_scale, cfg.init_scale, size=len(index)
         )
         for i in range(cfg.restarts)
     ]
-    work = packed._bind(data.inputs)
-    out, dout = work.output[:, 0], work.upstream[:, 0]
+    out, dout = packed.output[:, 0], packed.upstream[:, 0]
     scratch = np.empty_like(out)
     stepped = np.zeros_like(params, dtype=bool)
     stepped[:, index] = True  # trainable and live
 
     def forward_loss():
-        _run(work.forward)
+        packed.forward()
         return _output_loss(cfg.loss, out, data.targets, dout, scratch)
 
     history = np.full((cfg.iterations, cfg.restarts), np.nan)
@@ -159,7 +154,7 @@ def _descend(net: NetworkSpec, data: Dataset, cfg: TrainConfig):
                 stepped[diverged] = False
                 if not live.any():
                     break
-            _run(work.backward)
+            packed.backward()
             # the next backward writes every entry of grad that is read
             np.subtract(params, np.multiply(grad, cfg.learning_rate, out=grad), out=params,
                         where=stepped)

@@ -50,6 +50,20 @@ def random_network(rng, max_layers=4, max_width=3, max_input=3, allow_frozen=Tru
     return net
 
 
+def loss_and_grad(packed, theta, loss):
+    """One step of a PackedNetwork at theta, (R, T): theta written into
+    packed.params at theta_index, forward(), loss called on a copy of the
+    output as (R, B, output_dim), its gradient, of that shape, written into
+    packed.upstream, backward().  loss returns (values, d values / d
+    output); returns (values, the gradient w.r.t. theta, (R, T))."""
+    packed.params[:, packed.theta_index] = theta
+    packed.forward()
+    values, upstream = loss(packed.output.swapaxes(1, 2).copy())
+    packed.upstream[...] = np.swapaxes(upstream, 1, 2)
+    packed.backward()
+    return values, packed.grad[:, packed.theta_index]
+
+
 def exact_multipoly(spec, X):
     """sum_k c_k prod_j x_j^n_j(k) of a MultiPolySpec at each row of X,
     evaluated in exact rationals and rounded once, and the scale

@@ -1,5 +1,7 @@
 """Radial constructions: shallow knotted interpolant and deep module stacks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,37 @@ class TestDeltaBudget:
 
     def test_clipped_into_valid_range(self):
         assert 0.0 < delta_for_target_error([0.0, 0.1], [0.01], eps=10.0) < 0.5
+
+    @pytest.mark.parametrize("breakpoints, heights, problem", [
+        ([0.0, 1.0, 2.0], [1.0], "need one height per interval"),
+        ([0.0, 1.0], [1.0, 2.0, 3.0], "need one height per interval"),
+        ([0.0, 1.0], [[1.0]], "need one height per interval"),
+        ([2.0, 1.0], [1.0], "breakpoints must be strictly increasing"),
+        ([-1.0, 1.0], [1.0], "breakpoints must be non-negative"),
+        ([1.0], [], "need at least two breakpoints"),
+    ], ids=["short-heights", "long-heights", "2-D-heights", "decreasing", "negative", "one"])
+    def test_partition_rules_refused(self, breakpoints, heights, problem):
+        """The profile is held to RadialPartition's rules, with its
+        messages: it gave a delta for heights that do not pair with the
+        intervals (0.0125 and 0.00417 for the first two), for decreasing
+        breakpoints (0.25) and for a single breakpoint."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                delta_for_target_error(breakpoints, heights)
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                RadialPartition(breakpoints, heights, 0.1)
+
+    def test_overflowing_mass_refused(self):
+        """sum |b_i| (a_(i+1) - a_i) past the float64 range is refused by
+        name; it gave delta = 0.0 with an overflow RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the mass .* is past the float64 range$"):
+                delta_for_target_error([0.0, 1e300], [1e300])
+            # each term 1.5e308, their sum past float64
+            with pytest.raises(ValueError, match="past the float64 range"):
+                delta_for_target_error(np.linspace(0.0, 1e301, 11), np.full(10, 1.5e8))
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
     def test_budget_is_met(self, eps):

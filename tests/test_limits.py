@@ -191,9 +191,9 @@ class TestMultiPolyNet:
         x1^160 channel is past 1.3e154, comes out finite there, as in
         forward_batch (see above)."""
         net = build_multipoly_net(MultiPolySpec([[160, 1], [1, 1]], [1.0, 1.0]))
-        packed = PackedNetwork(net)
-        out = packed.forward(packed.params[:, packed.theta_index], np.array([[10.0, 10.0]]))
-        assert out[0, 0, 0] == pytest.approx(1e161, rel=1e-13)
+        packed = PackedNetwork(net, np.array([[10.0, 10.0]]))
+        packed.forward()
+        assert packed.output[0, 0, 0] == pytest.approx(1e161, rel=1e-13)
 
     def test_power_channels_up_to_2058(self):
         """The largest exponents of the variables may sum to 2058, the d = 2

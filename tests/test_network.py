@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_network
+from conftest import loss_and_grad, random_network
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -562,7 +562,7 @@ class TestPackedNetwork:
         rng = np.random.default_rng(20)
         for _ in range(50):
             net = net_factory(rng)
-            packed = PackedNetwork(net)
+            packed = PackedNetwork(net, np.zeros((1, net.input_dim)))
             assert len(packed.theta_index) == trainable_count(net)
             np.testing.assert_array_equal(
                 packed.params[0, packed.theta_index], trainable_values(net)
@@ -578,56 +578,31 @@ class TestPackedNetwork:
             theta = rng.normal(size=trainable_count(net))
             X = rng.normal(size=(9, net.input_dim))
             U = rng.normal(size=(9, net.output_dim))
-            packed = PackedNetwork(net)
-            out = packed.forward(theta[None], X)
-            _, grad = packed.loss_and_grad(theta[None], X, lambda out: (None, U[None]))
+            outputs = []
+
+            def loss(out):
+                outputs.append(out)
+                return None, U[None]
+
+            _, grad = loss_and_grad(PackedNetwork(net, X), theta[None], loss)
             updated = set_trainable_values(net, theta)
             _, acts = reference_forward_batch(updated, X)
-            np.testing.assert_allclose(out[0], acts[-1], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(outputs[0][0], acts[-1], rtol=1e-12, atol=1e-12)
             assert_gradients_close(grad[0], reference_backward_batch(updated, X, U), 1e-12)
         assert kinds == {"QuadraticNeuron", "ConventionalNeuron", "PassthroughNeuron",
                          "relu", "identity"}
 
     def test_public_members(self):
-        packed = PackedNetwork(single_quadratic_net(2))
+        packed = PackedNetwork(single_quadratic_net(2), np.zeros((3, 2)))
         public = {name for name in {*vars(packed), *vars(PackedNetwork)}
                   if not name.startswith("_")}
-        assert public == {"params", "theta_index", "forward", "loss_and_grad"}
-
-    def test_new_batch_size_matches_a_fresh_executor(self, net_factory):
-        """A pass at B=3 after one at B=2 replaces the work arrays: its loss
-        and gradient equal a fresh executor's bit for bit."""
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            net = net_factory(rng)
-            theta = rng.normal(size=(1, trainable_count(net)))
-            X = rng.normal(size=(3, net.input_dim))
-
-            def loss(out):
-                return np.sum(out * out, axis=(-2, -1)), 2.0 * out
-
-            packed = PackedNetwork(net)
-            packed.loss_and_grad(theta, X[:2], loss)
-            value, grad = packed.loss_and_grad(theta, X, loss)
-            fresh_value, fresh_grad = PackedNetwork(net).loss_and_grad(theta, X, loss)
-            np.testing.assert_array_equal(value, fresh_value)
-            np.testing.assert_array_equal(grad, fresh_grad)
-
-    def test_output_survives_later_passes(self, net_factory):
-        rng = np.random.default_rng(26)
-        for _ in range(20):
-            net = net_factory(rng)
-            packed = PackedNetwork(net)
-            theta = rng.normal(size=(1, trainable_count(net)))
-            out = packed.forward(theta, rng.normal(size=(5, net.input_dim)))
-            kept = out.copy()
-            packed.forward(theta, rng.normal(size=(5, net.input_dim)))
-            packed.forward(theta, rng.normal(size=(4, net.input_dim)))
-            np.testing.assert_array_equal(out, kept)
+        assert public == {"params", "grad", "theta_index", "output", "upstream",
+                          "forward", "backward"}
+        assert packed.output.shape == packed.upstream.shape == (1, 1, 3)
 
     def test_warm_step_allocates_no_large_array(self):
-        """Once its buffers exist, a training step allocates less than five
-        length-B float64 arrays, for either kind of hidden layer: the
+        """Once the executor is built, a training step allocates less than
+        five length-B float64 arrays, for either kind of hidden layer: the
         output copy and the loss's temporaries, and no (B, width) array,
         not even a one-byte ReLU mask."""
         B, width = 4096, 32
@@ -639,12 +614,12 @@ class TestPackedNetwork:
             return np.mean(err * err, axis=-1), (2.0 * err / B)[..., None]
 
         for net in (one_hidden_quadratic(4, width), one_hidden_conventional(4, width)):
-            packed = PackedNetwork(net)
+            packed = PackedNetwork(net, X)
             theta = rng.uniform(-0.5, 0.5, size=(1, trainable_count(net)))
-            packed.loss_and_grad(theta, X, loss)
+            loss_and_grad(packed, theta, loss)
             tracemalloc.start()
             try:
-                packed.loss_and_grad(theta, X, loss)
+                loss_and_grad(packed, theta, loss)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -654,54 +629,12 @@ class TestPackedNetwork:
                              ids=["1-D", "wrong-width", "3-D"])
     def test_malformed_batch_refused(self, X):
         """X must be (B, input_dim): a 1-D batch is not read as B inputs."""
-        packed = PackedNetwork(single_quadratic_net(1))
-        theta = np.zeros((1, len(packed.theta_index)))
         with pytest.raises(ValueError, match="batch of shape"):
-            packed.forward(theta, X)
-        with pytest.raises(ValueError, match="batch of shape"):
-            packed.loss_and_grad(theta, X, lambda out: (None, np.ones_like(out)))
+            PackedNetwork(single_quadratic_net(1), X)
 
     def test_complex_batch_refused(self):
-        packed = PackedNetwork(single_quadratic_net(1))
-        theta = np.zeros((1, len(packed.theta_index)))
         with pytest.raises(ValueError, match="X must be real"):
-            packed.forward(theta, np.ones((5, 1), dtype=complex))
-
-    @pytest.mark.parametrize("theta, problem", [
-        (np.ones((2, 6), dtype=complex), "theta must be real"),
-        (np.full(6, 0.5), r"expected theta of shape \(2, 6\), got \(6,\)"),
-        (0.5, r"expected theta of shape \(2, 6\), got \(\)"),
-        (np.ones((3, 6)), r"expected theta of shape \(2, 6\), got \(3, 6\)"),
-    ], ids=["complex", "row", "scalar", "restarts"])
-    def test_malformed_theta_refused(self, theta, problem):
-        """theta must be real and (R, T): a row or a scalar is not broadcast
-        to every restart, and no imaginary part is dropped."""
-        packed = PackedNetwork(single_quadratic_net(1), restarts=2)
-        X = np.ones((5, 1))
-        with pytest.raises(ValueError, match=problem):
-            packed.forward(theta, X)
-        with pytest.raises(ValueError, match=problem):
-            packed.loss_and_grad(theta, X, lambda out: (None, np.ones_like(out)))
-
-    def test_complex_loss_gradient_refused(self):
-        """A loss whose gradient is complex is refused by name, not cast to
-        its real part."""
-        packed = PackedNetwork(single_quadratic_net(1))
-        theta = np.zeros((1, len(packed.theta_index)))
-        with pytest.raises(ValueError, match="loss upstream must be real"):
-            packed.loss_and_grad(theta, np.ones((5, 1)),
-                                 lambda out: (None, np.ones(out.shape, dtype=complex)))
-
-    @pytest.mark.parametrize("shape", [(5, 1), (2, 5, 1), (1, 4, 1), (1, 5, 2), (1, 1, 1)],
-                             ids=["no-restart-axis", "two-restarts", "short-batch",
-                                  "wide-output", "broadcast"])
-    def test_malformed_upstream_refused(self, shape):
-        """The loss's gradient must have the output's shape (R, B, output_dim)
-        exactly; none is broadcast."""
-        packed = PackedNetwork(single_quadratic_net(1))
-        theta = np.zeros((1, len(packed.theta_index)))
-        with pytest.raises(ValueError, match="upstream of shape"):
-            packed.loss_and_grad(theta, np.zeros((5, 1)), lambda out: (None, np.ones(shape)))
+            PackedNetwork(single_quadratic_net(1), np.ones((5, 1), dtype=complex))
 
     @pytest.mark.parametrize("frozen", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)],
                              ids=["W_r", "W_g", "W_b", "W_r-W_g", "W_r-W_b", "W_g-W_b"])
@@ -718,10 +651,10 @@ class TestPackedNetwork:
         learnt = net.trainable[net._layout.own]
         X = rng.normal(size=(7, 2))
         U = rng.normal(size=(1, 7, 1))
-        packed = PackedNetwork(net)
-        _, grad = packed.loss_and_grad(trainable_values(net)[None], X, lambda out: (None, U))
-        _, want = PackedNetwork(full).loss_and_grad(trainable_values(full)[None], X,
-                                                    lambda out: (None, U))
+        packed = PackedNetwork(net, X)
+        _, grad = loss_and_grad(packed, trainable_values(net)[None], lambda out: (None, U))
+        _, want = loss_and_grad(PackedNetwork(full, X), trainable_values(full)[None],
+                                lambda out: (None, U))
         assert [g is None for g in packed._layers[0].grads] == [t in frozen for t in range(3)]
         assert grad.tobytes() == want[:, learnt].tobytes()
 
@@ -748,9 +681,9 @@ class TestPackedNetwork:
             outputs.append(out)
             return None, U
 
-        packed = PackedNetwork(net)
-        _, grad = packed.loss_and_grad(trainable_values(net)[None], X, loss)
-        _, want = PackedNetwork(full).loss_and_grad(trainable_values(full)[None], X, loss)
+        packed = PackedNetwork(net, X)
+        _, grad = loss_and_grad(packed, trainable_values(net)[None], loss)
+        _, want = loss_and_grad(PackedNetwork(full, X), trainable_values(full)[None], loss)
         assert packed._layers[1].square and not packed._layers[1].gated
         assert outputs[0].tobytes() == outputs[1].tobytes()
         assert grad.tobytes() == want[:, learnt].tobytes()
@@ -769,12 +702,12 @@ class TestPackedNetwork:
 
             theta = rng.normal(size=(3, trainable_count(net)))
             rows = theta.copy()
-            stacked = PackedNetwork(net, restarts=3)
-            singles = [PackedNetwork(net) for _ in range(3)]
+            stacked = PackedNetwork(net, X, restarts=3)
+            singles = [PackedNetwork(net, X) for _ in range(3)]
             for _ in range(2):
-                _, grad = stacked.loss_and_grad(theta, X, loss)
+                _, grad = loss_and_grad(stacked, theta, loss)
                 for i, single in enumerate(singles):
-                    _, grad_i = single.loss_and_grad(rows[i : i + 1], X, loss)
+                    _, grad_i = loss_and_grad(single, rows[i : i + 1], loss)
                     np.testing.assert_array_equal(grad[i], grad_i[0])
                     rows[i] -= 1e-3 * grad_i[0]
                 theta -= 1e-3 * grad
@@ -791,7 +724,7 @@ class TestPackedNetwork:
             def loss(out):
                 return np.sum((out - Y) ** 2, axis=(-2, -1)), 2.0 * (out - Y)
 
-            value, grad = PackedNetwork(net).loss_and_grad(theta[None], X, loss)
+            value, grad = loss_and_grad(PackedNetwork(net, X), theta[None], loss)
             updated = set_trainable_values(net, theta)
             expected, upstream = loss(reference_forward_batch(updated, X)[1][-1])
             assert value.shape == grad.shape[:1] == (1,)
@@ -809,18 +742,23 @@ class TestPackedNetwork:
             theta = rng.normal(size=(3, trainable_count(net)))
             X = rng.normal(size=(7, net.input_dim))
             U = rng.normal(size=(3, 7, net.output_dim))
-            stacked = PackedNetwork(net, restarts=3)
+            outputs = []
+
+            def loss_for(upstream):
+                def loss(out):
+                    outputs.append(out)
+                    return None, upstream
+                return loss
+
+            stacked = PackedNetwork(net, X, restarts=3)
             assert stacked.params.shape[0] == 3
-            out = stacked.forward(theta, X)
-            _, grad = stacked.loss_and_grad(theta, X, lambda out: (None, U))
-            assert out.shape == (3, 7, net.output_dim)
+            _, grad = loss_and_grad(stacked, theta, loss_for(U))
+            assert outputs[0].shape == (3, 7, net.output_dim)
             assert grad.shape == theta.shape
             for i in range(3):
-                single = PackedNetwork(net)
-                out_i = single.forward(theta[i : i + 1], X)
-                _, grad_i = single.loss_and_grad(
-                    theta[i : i + 1], X, lambda out: (None, U[i : i + 1]))
-                np.testing.assert_array_equal(out[i], out_i[0])
+                _, grad_i = loss_and_grad(PackedNetwork(net, X), theta[i : i + 1],
+                                          loss_for(U[i : i + 1]))
+                np.testing.assert_array_equal(outputs[0][i], outputs[-1][0])
                 np.testing.assert_array_equal(grad[i], grad_i[0])
 
     def test_numpy_integer_sizes_are_read_as_int(self):
@@ -830,14 +768,31 @@ class TestPackedNetwork:
         net = single_quadratic_net(np.int32(1))
         assert type(net.input_dim) is type(net._layout.size) is int
         assert from_json(to_json(net)).input_dim == 1
-        assert PackedNetwork(net, np.int32(3)).params.shape == (3, net._layout.size)
+        packed = PackedNetwork(net, np.ones((2, 1)), np.int32(3))
+        assert packed.params.shape == (3, net._layout.size)
 
     @pytest.mark.parametrize("restarts, message", [
         (0, ">= 1"), (2.0, "an integer"), (2.5, "an integer"), (True, "an integer")],
         ids=["0", "2.0", "2.5", "True"])
     def test_restarts_must_be_a_positive_integer(self, restarts, message):
         with pytest.raises(ValueError, match=f"restarts must be {message}"):
-            PackedNetwork(single_quadratic_net(2), restarts=restarts)
+            PackedNetwork(single_quadratic_net(2), np.zeros((1, 2)), restarts=restarts)
+
+    def test_restarts_past_the_work_arrays_refused_before_allocating(self):
+        """restarts x (activation rows) x B past 2^32 entries is refused by
+        name before params or any work array is made: 40 activation rows
+        at B = 4096 allow 26214 restarts, where the params alone, 579
+        entries a restart, would allow 7.4 million."""
+        net = one_hidden_quadratic(4, 32)
+        X = np.zeros((4096, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="restarts must be <= 26214, got 26215"):
+                PackedNetwork(net, X, restarts=26215)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestParameters:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_network
+from conftest import loss_and_grad, random_network
 from qnn.builders import (
     RadialPartition,
     build_deep_radial,
@@ -97,7 +97,7 @@ def test_packed_executor_rows_match_reference(data):
         outputs.append(out)
         return np.sum(out * U, axis=(-2, -1)), U
 
-    _, grad = PackedNetwork(net, restarts=2).loss_and_grad(theta, X, loss)
+    _, grad = loss_and_grad(PackedNetwork(net, X, restarts=2), theta, loss)
 
     for i in range(2):
         updated = set_trainable_values(net, theta[i])
@@ -131,7 +131,7 @@ def test_packed_executor_matches_reference_at_training_shapes(net, restarts, bat
         outputs.append(out)
         return np.sum(out * U, axis=(-2, -1)), U
 
-    _, grad = PackedNetwork(net, restarts).loss_and_grad(theta, X, loss)
+    _, grad = loss_and_grad(PackedNetwork(net, X, restarts), theta, loss)
 
     for i in range(restarts):
         updated = set_trainable_values(net, theta[i])
@@ -140,22 +140,22 @@ def test_packed_executor_matches_reference_at_training_shapes(net, restarts, bat
 
 
 def assert_gradient_ignores_stale_work(net, X, theta, U):
-    """A second loss_and_grad after NaN is written over the executor's work
-    arrays returns the first one's gradient bit for bit: a pass reads only
-    what it wrote itself (the activations' ones rows are written once, and
-    kept)."""
-    packed = PackedNetwork(net, restarts=len(theta))
+    """A second step after NaN is written over the executor's work arrays
+    returns the first one's gradient bit for bit: a pass reads only what it
+    wrote itself.  Every work array is filled but the activations' input
+    and ones rows, which are written once, when the executor is built."""
+    packed = PackedNetwork(net, X, restarts=len(theta))
 
     def loss(out):
         return None, U
 
-    _, first = packed.loss_and_grad(theta, X, loss)
-    work = packed._work
-    for buf in (work.acts, work.grad_acts, packed._grad,
-                *(b for layer in work.layers for b in layer if b is not None)):
-        buf.fill(True if buf.dtype == bool else np.nan)
-    work.acts[:, packed._ones] = 1.0
-    _, second = packed.loss_and_grad(theta, X, loss)
+    _, first = loss_and_grad(packed, theta, loss)
+    for layer in packed._layers:
+        packed._acts[:, layer.out] = np.nan
+    for buf in (packed._grad_acts, packed.grad,
+                *(b for layer in packed._layer_buffers for b in layer if b is not None)):
+        buf.fill(np.nan)
+    _, second = loss_and_grad(packed, theta, loss)
     assert first.tobytes() == second.tobytes()
 
 
@@ -249,9 +249,9 @@ def test_frozen_layers_lose_no_bit(data, restarts):
         outputs.append(out)
         return None, U
 
-    packed = PackedNetwork(net, restarts)
-    _, grad = packed.loss_and_grad(theta, X, loss)
-    _, grad_full = PackedNetwork(full, restarts).loss_and_grad(theta_full, X, loss)
+    packed = PackedNetwork(net, X, restarts)
+    _, grad = loss_and_grad(packed, theta, loss)
+    _, grad_full = loss_and_grad(PackedNetwork(full, X, restarts), theta_full, loss)
 
     for layer, skip in zip(packed._layers, skips):
         if skip is not None:

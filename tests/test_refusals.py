@@ -59,7 +59,8 @@ _PARTITION = RadialPartition([0.0, 1.0, 2.0], [1.0, -0.5], 0.2)
 # callable, arguments it accepts, and its scalar parameters with their rule
 TABLE = [
     (GridSpec, dict(lo=0.0, hi=1.0, n=5), {"lo": float, "hi": float, "n": int}),
-    (PackedNetwork, dict(net=one_hidden_quadratic(1, 2), restarts=2), {"restarts": int}),
+    (PackedNetwork, dict(net=one_hidden_quadratic(1, 2), X=np.ones((3, 1)), restarts=2),
+     {"restarts": int}),
     (PassthroughNeuron, dict(index=1), {"index": int}),
     (RadialPartition, dict(breakpoints=[0.0, 1.0], heights=[1.0], delta=0.2),
      {"delta": float}),
@@ -179,6 +180,17 @@ def test_non_finite_construction_array_refused(make, field, value):
         make(value)
 
 
+def test_non_finite_entry_named_by_its_index():
+    """The first non-finite entry is named with its index, not the whole
+    array: a million-coefficient Polynomial gave a 5,000,037-character
+    message."""
+    with pytest.raises(ValueError) as exc:
+        Polynomial(np.r_[np.zeros(10**6), np.nan, 1.0, np.inf])
+    assert str(exc.value) == "coeffs must be finite, got nan at index 1000000"
+    with pytest.raises(ValueError, match=r"^heights must be finite, got -inf at index 2$"):
+        RadialPartition([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, -np.inf], 0.1)
+
+
 def _bits(obj):
     """obj as nested tuples, equal only where every float has equal bits."""
     if isinstance(obj, (NetworkSpec, PackedNetwork)):
@@ -248,8 +260,10 @@ def test_cli_number_flags_follow_the_rule(argv, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("make, problem", [
-    (lambda: PackedNetwork(single_quadratic_net(1), 10**12), r"restarts must be <= 715827882,"),
-    (lambda: PackedNetwork(single_quadratic_net(1), 10**400), r"restarts must be <= 715827882,"),
+    (lambda: PackedNetwork(single_quadratic_net(1), np.ones((1, 1)), 10**12),
+     r"restarts must be <= 715827882,"),
+    (lambda: PackedNetwork(single_quadratic_net(1), np.ones((1, 1)), 10**400),
+     r"restarts must be <= 715827882,"),
     (lambda: one_hidden_quadratic(1, 10**400), r"width must be <= 477218588,"),
     (lambda: one_hidden_conventional(3, 10**15), r"width must be <= 286331152,"),
     (lambda: make_rings_dataset(10**400), r"n_per_class must be <= 1073741824,"),

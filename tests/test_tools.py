@@ -14,7 +14,7 @@ def test_step_timing_prints_the_factorizer_row():
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     header, row = result.stdout.splitlines()
-    assert header.split() == ["shape", "R", "B", "forward_us", "loss_and_grad_us",
+    assert header.split() == ["shape", "R", "B", "forward_us", "backward_us",
                               "descend_us", "np_calls"]
     name, restarts, batch, *times, calls = row.split()
     assert (name, restarts, batch) == ("factorizer", "10", "100")

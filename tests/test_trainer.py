@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import loss_and_grad
 
 import qnn.trainer
 from qnn.builders import build_factorization_trainable
@@ -61,18 +62,18 @@ def one_at_a_time(net, data, cfg):
 
     runs = []
     for i in range(cfg.restarts):
-        packed = PackedNetwork(net)
+        packed = PackedNetwork(net, X)
         theta = np.random.default_rng([cfg.seed, i]).uniform(
             -cfg.init_scale, cfg.init_scale, size=(1, len(packed.theta_index)))
         history = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(cfg.iterations):
-                value, grad = packed.loss_and_grad(theta, X, loss)
+                value, grad = loss_and_grad(packed, theta, loss)
                 if not np.isfinite(value[0]):
                     break
                 history.append(value[0])
                 theta = theta - cfg.learning_rate * grad
-            final = loss(packed.forward(theta, X))[0][0]
+            final = loss_and_grad(packed, theta, loss)[0][0]
         if len(history) < cfg.iterations or not np.isfinite(final):
             runs.append((None, np.array(history), np.inf))
         else:
@@ -479,10 +480,11 @@ class TestDatasetValidation:
         X = np.zeros((3, 2))
         y = np.zeros(3)
         X[1, 0] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=rf"^inputs must be finite, got {value} at index \(1, 0\)$"):
             Dataset(X, np.zeros(3))
         y[2] = value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^targets must be finite, got {value} at index 2$"):
             Dataset(np.zeros((3, 2)), y)
 
     @pytest.mark.parametrize("field", ["inputs", "targets"])

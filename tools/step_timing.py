@@ -1,9 +1,11 @@
 """Print the training executor's warm step time and forward_batch's time.
 
-For each training shape it times ``PackedNetwork.forward`` and
-``PackedNetwork.loss_and_grad`` on warm work arrays, in µs per call, the
-best of ``--repeat`` runs of as many calls as fill about 0.2 s.  The loss
-hands back a fixed upstream gradient, so the time is the executor's alone.
+For each training shape it times the executor's two passes apart, in µs
+per call, the best of ``--repeat`` runs of as many calls as fill about
+0.2 s: ``forward_us`` is ``PackedNetwork.forward()``, and ``backward_us``
+``PackedNetwork.backward()``, each call timed alone right after a
+``forward()``, whose activations it reads.  The upstream gradient is
+written once, so the times are the executor's alone.
 ``descend_us`` is one step of ``trainer._descend``, the way the trainer
 runs it: forward, mse loss, backward and parameter update, at a learning
 rate too small to diverge.  It is the best time of a descent of 1 + N
@@ -44,6 +46,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 import timeit
 import types
 from pathlib import Path
@@ -92,6 +95,22 @@ def best_us(call, repeat: int) -> float:
     timer = timeit.Timer(call)
     number, _ = timer.autorange()
     return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+
+
+def backward_us(packed, repeat: int) -> float:
+    """The least mean µs of packed.backward() over repeat runs of about
+    0.2 s, each call timed alone after a packed.forward()."""
+    means = []
+    for _ in range(repeat):
+        spent, calls, start = 0.0, 0, time.perf_counter()
+        while time.perf_counter() - start < 0.2:
+            packed.forward()
+            tick = time.perf_counter()
+            packed.backward()
+            spent += time.perf_counter() - tick
+            calls += 1
+        means.append(spent / calls * 1e6)
+    return min(means)
 
 
 def numpy_calls(call) -> int:
@@ -175,24 +194,19 @@ def main(argv=None) -> int:
     table = [row for row in table if row[0] in picked]
     nets = [row for row in nets if row[0] in picked]
     if table:
-        print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'loss_and_grad_us':>17} "
+        print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'backward_us':>12} "
               f"{'descend_us':>11} {'np_calls':>9}")
     for name, net, restarts, batch in table:
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(batch, net.input_dim))
-        theta = rng.uniform(-0.5, 0.5, size=(restarts, trainable_count(net)))
-        upstream = rng.normal(size=(restarts, batch, net.output_dim))
-        packed = PackedNetwork(net, restarts)
-
-        def loss(out):
-            return None, upstream
-
-        packed.loss_and_grad(theta, X, loss)  # makes the work arrays
-        forward = best_us(lambda: packed.forward(theta, X), args.repeat)
-        step = best_us(lambda: packed.loss_and_grad(theta, X, loss), args.repeat)
+        packed = PackedNetwork(net, rng.normal(size=(batch, net.input_dim)), restarts)
+        packed.params[:, packed.theta_index] = rng.uniform(
+            -0.5, 0.5, size=(restarts, trainable_count(net)))
+        packed.upstream[...] = rng.normal(size=packed.upstream.shape)
+        forward = best_us(packed.forward, args.repeat)
+        backward = backward_us(packed, args.repeat)
         descend, calls = descend_step(net, restarts, batch, args.repeat,
-                                      max(10, round(2e5 / step)))
-        print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {step:>17.1f} "
+                                      max(10, round(2e5 / (forward + backward))))
+        print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {backward:>12.1f} "
               f"{descend:>11.1f} {calls:>9}")
 
     if table and nets:
