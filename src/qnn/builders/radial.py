@@ -36,10 +36,8 @@ class RadialPartition:
     def __post_init__(self):
         self.breakpoints, self.heights = _profile(self.breakpoints, self.heights)
         self.delta = _finite(self.delta, "delta")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta:g}")
         for a_lo, a_hi, b in zip(self.breakpoints, self.breakpoints[1:], self.heights):
-            _module_scale(float(a_lo), float(a_hi), float(b), self.delta)
+            _module_scale(*_module_args(float(a_lo), float(a_hi), self.delta), float(b))
 
     @property
     def intervals(self) -> int:
@@ -166,16 +164,38 @@ def build_shallow_radial(f, r: float, R: float, L: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def _module_scale(a_lo: float, a_hi: float, b: float, delta: float) -> float:
-    """|b| / C, the working neuron's scale, C the normalizer making the
-    quartic ramp reach 1 at the plateau edge.
+def _module_args(a_lo: float, a_hi: float, delta: float) -> tuple[float, float, float]:
+    """a_lo, a_hi and delta as floats held to a module's rules: finite,
+    0 <= a_lo < a_hi, 0 < delta < 1/2, and a_hi^2 within the float64 range."""
+    a_lo, a_hi, delta = _finite(a_lo, "a_lo"), _finite(a_hi, "a_hi"), _finite(delta, "delta")
+    if not 0.0 <= a_lo < a_hi:
+        raise ValueError("need 0 <= a_lo < a_hi")
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must lie in (0, 1/2), got {delta:g}")
+    if a_hi * a_hi == np.inf:
+        raise _past_range(a_lo, a_hi)
+    return a_lo, a_hi, delta
 
-    Raises ValueError when delta is too small for the interval: C is not a
-    positive normal float (a_lo + delta (a_hi - a_lo) rounds onto a_lo, or
-    C underflows) or |b| / C overflows.
+
+def _past_range(a_lo: float, a_hi: float) -> ValueError:
+    return ValueError(f"the interval [{a_lo:g}, {a_hi:g}] is past the float64 range: "
+                      "a_hi^2 or the ramp normalizer C overflows")
+
+
+def _module_scale(a_lo: float, a_hi: float, delta: float, b: float) -> float:
+    """|b| / C, the working neuron's scale, C the normalizer making the
+    quartic ramp reach 1 at the plateau edge, for arguments _module_args
+    has checked.
+
+    Raises ValueError naming the interval when C overflows, and when delta
+    is too small for the interval: C is not a positive normal float (a_lo +
+    delta (a_hi - a_lo) rounds onto a_lo, or C underflows) or |b| / C
+    overflows.
     """
     edge = (a_lo + delta * (a_hi - a_lo)) ** 2
     C = (edge - a_lo**2) * (a_hi**2 - edge)
+    if C == np.inf:
+        raise _past_range(a_lo, a_hi)
     if C >= np.finfo(np.float64).tiny:
         scale = abs(b) / C
         if np.isfinite(scale):
@@ -188,8 +208,9 @@ def _module_scale(a_lo: float, a_hi: float, b: float, delta: float) -> float:
 
 
 def plateau_interval(a_lo: float, a_hi: float, delta: float) -> tuple[float, float]:
-    """The t-interval on which the module output equals its height exactly."""
-    a_lo, a_hi, delta = _finite(a_lo, "a_lo"), _finite(a_hi, "a_hi"), _finite(delta, "delta")
+    """The t-interval on which the module output equals its height exactly,
+    for arguments held to build_parabola_module's rules (_module_args)."""
+    a_lo, a_hi, delta = _module_args(a_lo, a_hi, delta)
     lo = a_lo + delta * (a_hi - a_lo)
     hi = float(np.sqrt(a_hi**2 + a_lo**2 - lo**2))
     return lo, hi
@@ -217,15 +238,10 @@ def build_parabola_module(a_lo: float, a_hi: float, b: float, delta: float,
     pre-activation is non-negative by construction, so for b >= 0 the ReLU
     there is a no-op and the printed composition is kept verbatim).
     """
-    a_lo, a_hi, b = _finite(a_lo, "a_lo"), _finite(a_hi, "a_hi"), _finite(b, "b")
-    delta = _finite(delta, "delta")
-    if not 0.0 <= a_lo < a_hi:
-        raise ValueError("need 0 <= a_lo < a_hi")
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
-
+    a_lo, a_hi, delta = _module_args(a_lo, a_hi, delta)
+    b = _finite(b, "b")
     bmag = abs(b)
-    scale = _module_scale(a_lo, a_hi, bmag, delta)
+    scale = _module_scale(a_lo, a_hi, delta, bmag)
     last = "relu" if b >= 0 else "identity"
     net = NetworkSpec.blank(input_dim, [("relu", ["quadratic"]), ("relu", ["quadratic"]),
                                         ("relu", ["conventional"]),
@@ -270,7 +286,7 @@ def build_deep_radial(partition: RadialPartition, input_dim: int) -> NetworkSpec
         a_lo = float(partition.breakpoints[i])
         a_hi = float(partition.breakpoints[i + 1])
         bmag = abs(float(partition.heights[i]))
-        scale = _module_scale(a_lo, a_hi, bmag, partition.delta)
+        scale = _module_scale(a_lo, a_hi, partition.delta, bmag)
 
         first = blocks[1 + 3 * i]
         _write_working_neuron(first, 0 if i == 0 else 1, a_lo, a_hi, scale)

@@ -446,9 +446,8 @@ def cmd_width_sweep(args, report: RunReport) -> None:
                         seed=seed_idx,
                         restarts=args.restarts,
                     )
-                    trained, _ = train(net=make(dim, width), data=data, cfg=cfg)
-                    out = forward_batch(trained, data.inputs)[:, 0]
-                    mse = float(np.mean((out - data.targets) ** 2))
+                    # the best restart's final loss, its mse at its returned params
+                    mse = float(train_restarts(make(dim, width), data, cfg)[2].min())
                     rows.append((dim, seed_idx, kind, width, mse))
                     if width == wins_key_width:
                         per_kind[kind] = mse

@@ -164,6 +164,39 @@ class TestParabolaModule:
         with pytest.raises(ValueError):
             build_parabola_module(1.0, 2.0, 1.0, 0.6)
 
+    @pytest.mark.parametrize("a_lo, a_hi, delta, problem", [
+        (1.0, 0.5, 0.2, "need 0 <= a_lo < a_hi"),
+        (-0.5, 1.0, 0.2, "need 0 <= a_lo < a_hi"),
+        (0.0, 1.0, 0.7, r"delta must lie in \(0, 1/2\), got 0.7"),
+        (0.0, 1.0, 2.0, r"delta must lie in \(0, 1/2\), got 2"),
+        (0.0, 1e200, 0.2, r"the interval \[0, 1e\+200\] is past the float64 range"),
+    ], ids=["reversed", "negative", "delta-0.7", "delta-2", "a_hi-1e200"])
+    def test_plateau_interval_holds_the_module_rules(self, a_lo, a_hi, delta, problem):
+        """plateau_interval refuses what build_parabola_module refuses, with
+        its message.  It checked finiteness alone: it returned (0.9, 0.663)
+        for the reversed interval and (0.7, 0.714) at delta 0.7, NaN with a
+        RuntimeWarning at delta 2, and raised OverflowError at a_hi 1e200."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{problem}"):
+                plateau_interval(a_lo, a_hi, delta)
+            with pytest.raises(ValueError, match=f"^{problem}"):
+                build_parabola_module(a_lo, a_hi, 1.0, delta)
+
+    @pytest.mark.parametrize("a_hi", [1e200, 1e154], ids=["square", "normalizer"])
+    def test_interval_past_float64_refused(self, a_hi):
+        """An interval whose a_hi^2 or ramp normalizer C overflows is
+        refused by name.  At 1e200 the Python float square raised a bare
+        OverflowError; at 1e154 C was inf and the working neuron's scale
+        |b| / C was 0.0, a module that outputs 0 for height 1."""
+        problem = rf"^the interval \[0, {a_hi:g}\] is past the float64 range".replace("+", r"\+")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=problem):
+                build_parabola_module(0.0, a_hi, 1.0, 0.2)
+            with pytest.raises(ValueError, match=problem):
+                RadialPartition([0.0, a_hi], [1.0], 0.2)
+
 
 class TestDeepRadial:
     def test_single_interval_matches_module(self):

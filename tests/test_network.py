@@ -20,6 +20,7 @@ from qnn.builders import (
     build_poly_net,
     build_shallow_radial,
 )
+from qnn import network
 from qnn.network import (
     _TILE_BYTES,
     NetworkSpec,
@@ -793,6 +794,67 @@ class TestPackedNetwork:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns array's memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def assert_rows_aligned(array: np.ndarray) -> None:
+    """Each row of array, along every axis but its last, starts on a
+    64-byte boundary."""
+    starts = array.ctypes.data + sum(np.ix_(*(stride * np.arange(size) for stride, size
+                                              in zip(array.strides[:-1], array.shape[:-1]))))
+    assert (np.asarray(starts) % 64 == 0).all()
+
+
+class TestWorkMemory:
+    """An evaluator's work memory is one allocation, and each of its rows
+    starts on a 64-byte boundary: the executor's rows of R x B entries, and
+    forward_batch's rows of a tile."""
+
+    @pytest.mark.parametrize("restarts, batch", [(1, 4096), (10, 100), (3, 7)])
+    def test_executor_rows_aligned_in_one_block(self, restarts, batch):
+        net = NetworkSpec.blank(4, [("relu", ["quadratic"] * 5), ("relu", ["quadratic"] * 3),
+                                    ("identity", ["conventional"])])
+        packed = PackedNetwork(net, np.zeros((batch, 4)), restarts)
+        buffers = [[b for b in field if b is not None] for field in zip(*packed._layer_buffers)]
+        assert all(buffers)  # every kind of work array is there: product, X2, P, Q and T
+        # the activations and their gradient as (rows, B) at restart 0, where a
+        # row of R x B entries starts; the buffers are rows of the work memory
+        arrays = [packed._acts[0], packed._grad_acts[0], *sum(buffers, [])]
+        assert all(array.ndim == 2 for array in arrays)
+        assert len({id(_owner(a)) for a in arrays}) == 1
+        for array in arrays:
+            assert_rows_aligned(array)
+
+    @pytest.mark.parametrize("batch", [4096, 4097, 401])
+    def test_forward_batch_outputs_aligned_in_one_block(self, batch, monkeypatch):
+        """Every out that forward_batch's op lists write is a view of one
+        array and starts on a 64-byte boundary, with each row of a tile
+        on one; the first layer's X1 * X1, in [X | 1]'s (tile, d + 1)
+        layout, is checked at its start."""
+        outs, run = [], network._run
+
+        def spy(program):
+            outs.extend(out for *_, out in program)
+            run(program)
+
+        monkeypatch.setattr(network, "_run", spy)
+        rng = np.random.default_rng(40)
+        for net in (one_hidden_quadratic(3, 200), build_deep_radial(
+                RadialPartition([0.0, 1.0, 2.0], [1.0, -0.5], 0.1), 3)):
+            net.params[net._layout.own] = rng.normal(size=parameter_count(net))
+            outs.clear()
+            forward_batch(net, rng.normal(size=(batch, 3)))
+            assert len({id(_owner(out)) for out in outs}) == 1
+            for out in outs:
+                assert out.ctypes.data % 64 == 0
+                if out.strides[-1] == out.itemsize:
+                    assert_rows_aligned(out)
 
 
 class TestParameters:

@@ -15,11 +15,11 @@ def test_step_timing_prints_the_factorizer_row():
     assert result.returncode == 0, result.stderr
     header, row = result.stdout.splitlines()
     assert header.split() == ["shape", "R", "B", "forward_us", "backward_us",
-                              "descend_us", "np_calls"]
-    name, restarts, batch, *times, calls = row.split()
+                              "descend_us", "np_calls", "faults"]
+    name, restarts, batch, *times, calls, faults = row.split()
     assert (name, restarts, batch) == ("factorizer", "10", "100")
     assert all(float(us) > 0 for us in times)
-    assert int(calls) > 0
+    assert int(calls) > 0 and float(faults) >= 0
 
 
 def test_step_timing_prints_an_exact_net_row():
@@ -37,3 +37,25 @@ def test_step_timing_prints_an_exact_net_row():
     name, _, batch, forward, calls, *json_times = grid_row.split()
     assert (name, batch) == ("bernstein_16", "401") and json_times == ["-", "-"]
     assert float(forward) > 0 and int(calls) > 0
+
+
+def test_ab_times_the_checkout_against_itself():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "factorizer", "bernstein_16",
+         "--rounds", "2", "--seconds", "0.005"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["row", "measure", "A_us", "B_us", "B/A", "B/A_iqr",
+                              "C/B", "C/B_iqr"]
+    assert [row.split()[:2] for row in rows] == [
+        ["factorizer", "forward_us"], ["factorizer", "backward_us"],
+        ["factorizer", "descend_us"], ["bernstein_16@4096", "forward_batch_us"],
+        ["bernstein_16@401", "forward_batch_us"], ["bernstein_16", "to_json_us"],
+        ["bernstein_16", "from_json_us"]]
+    for row in rows:
+        _, measure, *medians, spread, aa, aa_spread = row.split()
+        # a descend_us sample is a difference of two descents, which noise can make negative
+        assert all(float(us) > 0 for us in medians) or measure == "descend_us"
+        for low, high in (spread.split(".."), aa_spread.split("..")):
+            assert float(low) <= float(high)

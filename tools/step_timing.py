@@ -15,7 +15,9 @@ calls per step of that descent: each call made through the ``np`` name of
 a qnn module (functions, ufuncs and ufunc methods such as np.add.reduce,
 those in a prebuilt list of operations included), counted by putting a
 counting stand-in for numpy in those modules.  Arithmetic operators and
-array methods are not counted.
+array methods are not counted.  ``faults`` is the minor page faults
+(``ru_minflt``) of the process per ``trainer.train`` call of 20 steps, the
+mean of 5 calls after one warm-up: the pages a call maps afresh.
 The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
 points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
 kinds, one restart of 4096 points).  It then times ``forward_batch`` the
@@ -37,14 +39,18 @@ thread, so that two checkouts can be compared on the same machine:
     python tools/step_timing.py shallow_200x2 product_tree_14
     python ../parent/tools/step_timing.py
 
-A checkout that predates the script runs a copy put in its ``tools/``.
-Only the standard library and numpy are used.
+A checkout that predates the script runs a copy put in its ``tools/``;
+``tools/ab.py`` times this script's rows for two checkouts in one process.
+Only the standard library and numpy are used; ``faults`` needs the
+``resource`` module of Unix.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
+import resource
 import sys
 import time
 import timeit
@@ -54,63 +60,107 @@ from pathlib import Path
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def shapes() -> list[tuple]:
-    """(name, net, restarts, batch) of each training shape."""
-    from qnn.builders import build_factorization_trainable
-    from qnn.network import one_hidden_conventional, one_hidden_quadratic
-
-    return [("factorizer", build_factorization_trainable(5, 1, 2), 10, 100)] + [
+def shapes(qnn) -> list[tuple]:
+    """(name, net, restarts, batch) of each training shape, the nets made by
+    the qnn package given."""
+    return [("factorizer", qnn.build_factorization_trainable(5, 1, 2), 10, 100)] + [
         (f"{kind}_w{width}", make(4, width), 1, 4096)
-        for kind, make in (("quadratic", one_hidden_quadratic),
-                           ("conventional", one_hidden_conventional))
+        for kind, make in (("quadratic", qnn.one_hidden_quadratic),
+                           ("conventional", qnn.one_hidden_conventional))
         for width in (8, 32)]
 
 
-def exact_nets() -> list[tuple]:
-    """(name, net, X) of each exact net forward_batch is timed on, X of 4096
-    points from where exact-build evaluates it."""
+def exact_nets(qnn) -> list[tuple]:
+    """(name, net, X) of each exact net forward_batch is timed on, made by
+    the qnn package given, X of 4096 points from where exact-build
+    evaluates it."""
     import numpy as np
-    from qnn.builders import (RadialPartition, build_deep_radial, build_poly_net,
-                              build_shallow_radial)
-    from qnn.polynomials import Polynomial, bernstein_coeffs, factor_polynomial
 
     rng = np.random.default_rng(0)
-    tree = build_poly_net(factor_polynomial(
-        Polynomial(np.poly(rng.uniform(-2.0, 2.0, size=14))[::-1])))
-    bernstein = build_poly_net(factor_polynomial(bernstein_coeffs(lambda t: abs(t - 0.5), 16)))
+    tree = qnn.build_poly_net(qnn.factor_polynomial(
+        qnn.Polynomial(np.poly(rng.uniform(-2.0, 2.0, size=14))[::-1])))
+    bernstein = qnn.build_poly_net(qnn.factor_polynomial(
+        qnn.bernstein_coeffs(lambda t: abs(t - 0.5), 16)))
     breakpoints = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=4))])
-    deep = build_deep_radial(RadialPartition(breakpoints, [1.0, -0.5, 1.5, -1.0], 0.05), 4)
+    deep = qnn.build_deep_radial(
+        qnn.RadialPartition(breakpoints, [1.0, -0.5, 1.5, -1.0], 0.05), 4)
     ray = np.zeros((4096, 4))
     ray[:, 0] = np.linspace(0.0, breakpoints[-1] + 0.5, 4096)
     # 200 hidden units: floor((R - r) L / delta) + 1
-    shallow = build_shallow_radial(np.sin, 0.5, 2.0, 1.0, 1.5 / 199.5, input_dim=2)
+    shallow = qnn.build_shallow_radial(np.sin, 0.5, 2.0, 1.0, 1.5 / 199.5, input_dim=2)
     return [("product_tree_14", tree, rng.uniform(-2.0, 2.0, size=(4096, 1))),
             ("bernstein_16", bernstein, rng.uniform(0.0, 1.0, size=(4096, 1))),
             ("deep_radial_d4", deep, ray),
             ("shallow_200x2", shallow, rng.uniform(-1.5, 1.5, size=(4096, 2)))]
 
 
-def best_us(call, repeat: int) -> float:
-    """The least µs per call over repeat runs, each about 0.2 s long."""
-    timer = timeit.Timer(call)
-    number, _ = timer.autorange()
-    return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
+def calls_for(run, seconds: float = 0.2) -> int:
+    """The least of 1, 2, 5, 10, 20, 50, ... calls for which run(calls), the
+    seconds that many calls take, reaches seconds, as timeit's autorange."""
+    for calls in (base * 10**power for power in itertools.count() for base in (1, 2, 5)):
+        if run(calls) >= seconds:
+            return calls
 
 
-def backward_us(packed, repeat: int) -> float:
-    """The least mean µs of packed.backward() over repeat runs of about
-    0.2 s, each call timed alone after a packed.forward()."""
-    means = []
-    for _ in range(repeat):
-        spent, calls, start = 0.0, 0, time.perf_counter()
-        while time.perf_counter() - start < 0.2:
-            packed.forward()
-            tick = time.perf_counter()
-            packed.backward()
-            spent += time.perf_counter() - tick
-            calls += 1
-        means.append(spent / calls * 1e6)
-    return min(means)
+def best_us(run, repeat: int) -> float:
+    """The least µs per call over repeat runs of run(calls), each about
+    0.2 s long; run(n) gives the seconds n calls take, as Timer.timeit."""
+    calls = calls_for(run)
+    return min(run(calls) for _ in range(repeat)) / calls * 1e6
+
+
+def timed(call):
+    """call's run(n): the seconds n calls of call take."""
+    return timeit.Timer(call).timeit
+
+
+def backward_seconds(packed, calls: int) -> float:
+    """The seconds calls of packed.backward() take, each timed alone after
+    a packed.forward()."""
+    spent = 0.0
+    for _ in range(calls):
+        packed.forward()
+        tick = time.perf_counter()
+        packed.backward()
+        spent += time.perf_counter() - tick
+    return spent
+
+
+def executor(qnn, net, restarts: int, batch: int):
+    """A PackedNetwork of qnn for the shape, on normal inputs, its params
+    and upstream gradient drawn once."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    packed = qnn.PackedNetwork(net, rng.normal(size=(batch, net.input_dim)), restarts)
+    packed.params[:, packed.theta_index] = rng.uniform(
+        -0.5, 0.5, size=(restarts, len(packed.theta_index)))
+    packed.upstream[...] = rng.normal(size=packed.upstream.shape)
+    return packed
+
+
+def training(qnn, net, restarts: int, batch: int, iterations: int, run=None):
+    """A call of run, qnn.trainer._descend or qnn.train, on the shape: the
+    mse of normal targets on normal inputs, at a learning rate too small to
+    diverge."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    data = qnn.Dataset(rng.normal(size=(batch, net.input_dim)), rng.normal(size=batch))
+    cfg = qnn.TrainConfig(loss="mse", learning_rate=1e-9, iterations=iterations,
+                          restarts=restarts)
+    run = run or qnn.trainer._descend
+    return lambda: run(net, data, cfg)
+
+
+def page_faults(call, calls: int = 5) -> float:
+    """Minor page faults of the process per call(), the mean of calls calls
+    after one warm-up."""
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        call()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
 def numpy_calls(call) -> int:
@@ -151,21 +201,14 @@ def numpy_calls(call) -> int:
     return count
 
 
-def descend_step(net, restarts: int, batch: int, repeat: int, steps: int) -> tuple:
+def descend_step(qnn, net, restarts: int, batch: int, repeat: int, steps: int) -> tuple:
     """(µs per step, numpy calls per step) of trainer._descend at a shape."""
-    import numpy as np
-    from qnn.trainer import Dataset, TrainConfig, _descend
-
-    rng = np.random.default_rng(0)
-    data = Dataset(rng.normal(size=(batch, net.input_dim)), rng.normal(size=batch))
 
     def descend(iterations: int):
-        cfg = TrainConfig(loss="mse", learning_rate=1e-9, iterations=iterations,
-                          restarts=restarts)
-        return lambda: _descend(net, data, cfg)
+        return training(qnn, net, restarts, batch, iterations)
 
     long = min(timeit.repeat(descend(1 + steps), number=1, repeat=repeat))
-    short = best_us(descend(1), repeat) * 1e-6
+    short = best_us(timed(descend(1)), repeat) * 1e-6
     calls = numpy_calls(descend(3)) - numpy_calls(descend(2))
     return (long - short) / steps * 1e6, calls
 
@@ -182,10 +225,10 @@ def main(argv=None) -> int:
     for var in BLAS_THREADS:
         os.environ[var] = "1"  # read when numpy loads its BLAS, on the import below
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    import numpy as np
-    from qnn.network import PackedNetwork, forward_batch, from_json, to_json, trainable_count
+    import qnn
+    from qnn.network import forward_batch, from_json, to_json
 
-    table, nets = shapes(), exact_nets()
+    table, nets = shapes(qnn), exact_nets(qnn)
     names = [name for name, *_ in table + nets]
     unknown = set(args.shapes).difference(names)
     if unknown:
@@ -195,19 +238,16 @@ def main(argv=None) -> int:
     nets = [row for row in nets if row[0] in picked]
     if table:
         print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'backward_us':>12} "
-              f"{'descend_us':>11} {'np_calls':>9}")
+              f"{'descend_us':>11} {'np_calls':>9} {'faults':>8}")
     for name, net, restarts, batch in table:
-        rng = np.random.default_rng(0)
-        packed = PackedNetwork(net, rng.normal(size=(batch, net.input_dim)), restarts)
-        packed.params[:, packed.theta_index] = rng.uniform(
-            -0.5, 0.5, size=(restarts, trainable_count(net)))
-        packed.upstream[...] = rng.normal(size=packed.upstream.shape)
-        forward = best_us(packed.forward, args.repeat)
-        backward = backward_us(packed, args.repeat)
-        descend, calls = descend_step(net, restarts, batch, args.repeat,
+        packed = executor(qnn, net, restarts, batch)
+        forward = best_us(timed(packed.forward), args.repeat)
+        backward = best_us(lambda calls: backward_seconds(packed, calls), args.repeat)
+        descend, calls = descend_step(qnn, net, restarts, batch, args.repeat,
                                       max(10, round(2e5 / (forward + backward))))
+        faults = page_faults(training(qnn, net, restarts, batch, 20, qnn.train))
         print(f"{name:<18} {restarts:>3} {batch:>5} {forward:>11.1f} {backward:>12.1f} "
-              f"{descend:>11.1f} {calls:>9}")
+              f"{descend:>11.1f} {calls:>9} {faults:>8.1f}")
 
     if table and nets:
         print()
@@ -217,12 +257,12 @@ def main(argv=None) -> int:
     for name, net, X in nets:
         text = to_json(net)
         for points in (X, X[:4010:10]):
-            us = best_us(lambda: forward_batch(net, points), args.repeat)
+            us = best_us(timed(lambda: forward_batch(net, points)), args.repeat)
             calls = numpy_calls(lambda: forward_batch(net, points))
             write = read = "-"
             if points is X:
-                write = f"{best_us(lambda: to_json(net), args.repeat):.1f}"
-                read = f"{best_us(lambda: from_json(text), args.repeat):.1f}"
+                write = f"{best_us(timed(lambda: to_json(net)), args.repeat):.1f}"
+                read = f"{best_us(timed(lambda: from_json(text)), args.repeat):.1f}"
             print(f"{name:<18} {net.depth:>5} {len(points):>5} {us:>17.1f} {calls:>9} "
                   f"{write:>11} {read:>13}")
     return 0
