@@ -20,12 +20,11 @@ functions of it, and both take a batch, (B, input_dim); a single input
 is the batch x[None]; trainable_values and set_trainable_values gather
 and scatter on the blocks.  A PackedNetwork, the training executor, is
 built for one input batch: it copies the blocks into one row per restart
-so that every restart advances in the same stacked matmuls, holds its
-work arrays layer-major in one 64-byte-aligned block (_carve), and runs
-each pass, forward() and backward(), as
-a list of (ufunc, a, b, out) built with it; the trainer steps its params
-in place, and backward_batch is a one-row executor at the net's own
-values.  forward_batch runs the executor's forward
+so that every restart advances in the same stacked matmuls, holds its work
+arrays layer-major in one 64-byte-aligned block (_carve), and runs each
+pass, forward() and backward(), as a list of (ufunc, a, b, out) built with
+it; the trainer steps its params in place, and backward_batch is a one-row
+executor at the net's own values.  forward_batch runs the executor's forward
 program, _forward_ops, tile by tile: one op order, the biases folded into
 the matmuls through a row of ones, and one rule for what is left out
 (_operands).  It matches the per-neuron oracle bit for bit where the sums
@@ -51,7 +50,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -365,28 +363,27 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     squared = [n + 1 for ((*_, W_b), _), n in zip(layers, fan_in) if W_b is not None]
     heights = [d + 1, max(widths[::2]) + 1, max(widths[1::2], default=-1) + 1,
                max(gated, default=0), max(squared, default=0)]
-    work = _aligned(_pitch(cols) * sum(heights))
+    work = _aligned(cols * sum(heights))
 
     def program(columns: int) -> tuple:
         """The op list for a tile of the given columns, the tile's input
         rows and its output rows, with the ones rows written."""
         inp, even, odd, Q, square = _carve(work, heights, columns)
-        inp = inp.ravel()[: columns * (d + 1)].reshape(columns, d + 1)
+        inp = inp.reshape(columns, d + 1)
         inp[:, d] = 1.0
         parts = [even, odd]
         for part in parts:
-            part[-1:, :columns] = 1.0
+            part[-1:] = 1.0
         ops, X1, X2 = [], inp.T, None
-        stack = itemgetter((slice(None), slice(columns)))  # a row block less its padding
         for k, ((thirds, relu), m, n) in enumerate(zip(layers, widths, fan_in)):
             Z1 = parts[k % 2][-1 - m :]
             if thirds[2] is not None:  # the first layer's in its input's layout
-                X2 = (square[: n + 1] if k
-                      else square.ravel()[: columns * (n + 1)].reshape(columns, n + 1).T)
+                X2 = square[: n + 1]
+                X2 = X2 if k else X2.reshape(columns, n + 1).T
             Z, Qm = Z1[:-1], Q[:m]
-            ops += _forward_ops(thirds, relu, X1, Z, _LayerBuffers(Qm, X2, Z, Qm, None), stack)
+            ops += _forward_ops(thirds, relu, X1, Z, _LayerBuffers(Qm, X2, Z, Qm, None))
             X1 = Z1
-        return ops, inp[:, :d], stack(Z)
+        return ops, inp[:, :d], Z
 
     out = np.empty((batch, net.output_dim))
     width = None
@@ -468,8 +465,8 @@ class _PackedLayer(NamedTuple):
 
 
 class _LayerBuffers(NamedTuple):
-    # Each is a block of rows of the work memory (_carve), n the layer's
-    # fan-in and m its width.
+    # Each is an (R, rows, B) view of layer-major work memory (_carve), n
+    # the layer's fan-in and m its width.
     product: np.ndarray  # m rows, over grad_acts' memory, which the forward leaves free
     X2: np.ndarray | None  # X1 * X1, n + 1 rows; layers with a square term only
     P: np.ndarray | None  # m rows; layers that form P * Q only
@@ -481,30 +478,29 @@ def _aligned(size: int) -> np.ndarray:
     """An uninitialised float64 array of size entries starting on a 64-byte
     boundary."""
     raw = np.empty(size + 7)
-    skip = -raw.ctypes.data % 64 // 8
+    skip = -raw.__array_interface__["data"][0] % 64 // 8
     return raw[skip : skip + size]
 
 
-def _pitch(width: int) -> int:
-    """Row pitch of the work memory: width entries padded to a multiple of
-    8, a row of fewer than 8 entries not padded.  Padding would change bits
-    there: BLAS's matrix-vector kernels round differently on a strided
-    vector (B = 1) or on a padded (rows, 2) or (rows, 3) operand."""
-    return width if width < 8 else -(-width // 8) * 8
-
-
 def _carve(block: np.ndarray, heights: list[int], width: int) -> list[np.ndarray]:
-    """An evaluator's work memory: parts of block laid end to end, part i
-    heights[i] rows of width entries padded to _pitch(width), as (rows,
-    pitch) arrays with the padding zeroed, so that where block starts on a
-    64-byte boundary (_aligned) every row does.  The passes' elementwise
-    ops run on whole padded rows, one contiguous loop (numpy loops over a
-    strided view row by row, twice the time at B = 401), and keep the
-    padding zero; their matmuls take the rows less the padding (stack)."""
-    pitch = _pitch(width)
-    rows = block[: pitch * sum(heights)].reshape(-1, pitch)
-    rows[:, width:] = 0.0
+    """An evaluator's work memory: the start of block cut end to end into
+    (heights[i], width) parts.  Where block starts on a 64-byte boundary
+    (_aligned) the first part does, and where width is a multiple of 8
+    every row does."""
+    rows = block[: sum(heights) * width].reshape(sum(heights), width)
     return [rows[at : at + height] for at, height in zip(accumulate(heights, initial=0), heights)]
+
+
+def _memory_order(op: tuple) -> tuple:
+    """An executor op, an elementwise one on its operands seen as (rows, R,
+    B), the order of their memory, where a run of rows is C-contiguous and
+    numpy takes one flat loop, not its strided path for the (R, rows, B)
+    views (15% of the factorizer's step at R = 10, B = 100).  The result is
+    the same, element by element; a matmul (a gufunc) is left as it is."""
+    f, *args = op
+    if f.signature:
+        return op
+    return f, *(x.swapaxes(0, 1) if isinstance(x, np.ndarray) else x for x in args)
 
 
 def _run(program: list[tuple]) -> None:
@@ -512,41 +508,36 @@ def _run(program: list[tuple]) -> None:
         f(a, b, out=out)
 
 
-def _through(W, A, out, stack) -> tuple:
-    """The op W A into out, on their matmul views (stack), A without its
-    ones row where W's bias row is left out."""
-    return np.matmul, W, stack(A[: W.shape[-1]]), stack(out)
+def _through(W, A, out) -> tuple:
+    """The op W A into out, A without its ones row where W's bias row is
+    left out."""
+    return np.matmul, W, A[..., : W.shape[-1], :], out
 
 
-def _forward_ops(thirds: tuple, relu: bool, X1, Z, buffers: _LayerBuffers,
-                 stack) -> list[tuple]:
+def _forward_ops(thirds: tuple, relu: bool, X1, Z, buffers: _LayerBuffers) -> list[tuple]:
     """A layer's forward pass, from its input X1 = [X; 1] into its
     activations Z, on its operands (_operands): the one forward program,
-    of the executor and of forward_batch.  X1, Z and the buffers are row
-    blocks of the work memory (_carve), and stack maps one to the view its
-    matmuls take."""
+    of the executor and of forward_batch."""
     W, W_g, W_b = thirds
     product, X2, P, Q, _ = buffers
     ops = [] if W_b is None else [(np.multiply, X1, X1, X2)]
     if W_g is not None:
-        ops += [_through(W, X1, P, stack), _through(W_g, X1, Q, stack),
-                (np.multiply, P, Q, Z)]
+        ops += [_through(W, X1, P), _through(W_g, X1, Q), (np.multiply, P, Q, Z)]
         if W_b is not None:
-            ops += [_through(W_b, X2, product, stack), (np.add, Z, product, Z)]
+            ops += [_through(W_b, X2, product), (np.add, Z, product, Z)]
     else:
-        ops.append(_through(W_b, X2, Z, stack) if W is None else _through(W, X1, Z, stack))
+        ops.append(_through(W_b, X2, Z) if W is None else _through(W, X1, Z))
     if relu:
         ops.append((np.maximum, Z, 0.0, Z))
     return ops
 
 
-def _backward_ops(layer: _PackedLayer, X1, Z, d, g_inp, buffers: _LayerBuffers,
-                  stack) -> list[tuple]:
+def _backward_ops(layer: _PackedLayer, X1, Z, d, g_inp, buffers: _LayerBuffers) -> list[tuple]:
     """A layer's backward pass from the gradient d of its activations Z:
-    its parameter gradients and, where g_inp is given, its input gradient,
-    on row blocks as _forward_ops.  For a quadratic neuron with
-    p = w_r.x + b_r and q = w_g.x + b_g: dh/dw_r = q x, dh/db_r = q,
-    dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x, dh/dc = 1."""
+    its parameter gradients and, where g_inp is given, its input gradient.
+    For a quadratic neuron with p = w_r.x + b_r and q = w_g.x + b_g:
+    dh/dw_r = q x, dh/db_r = q, dh/dw_g = p x, dh/db_g = p, dh/dw_b = x*x,
+    dh/dc = 1."""
     (W, W_g, W_b), (G, G_g, G_b), through = layer.weights, layer.grads, layer.through_width
     _, X2, P, Q, T = buffers
     ops = []
@@ -559,22 +550,22 @@ def _backward_ops(layer: _PackedLayer, X1, Z, d, g_inp, buffers: _LayerBuffers,
         dq, dp = Q, P
         ops += [(np.multiply, d, Q, dq), (np.multiply, d, P, dp)]
         if G_g is not None:
-            ops.append((np.matmul, stack(X1), stack(dp).swapaxes(1, 2), G_g))
+            ops.append((np.matmul, X1, dp.swapaxes(1, 2), G_g))
     if G_b is not None:
-        ops.append((np.matmul, stack(X2), stack(d).swapaxes(1, 2), G_b))
+        ops.append((np.matmul, X2, d.swapaxes(1, 2), G_b))
     if G is not None:
-        ops.append((np.matmul, stack(X1), stack(dq).swapaxes(1, 2), G))
+        ops.append((np.matmul, X1, dq.swapaxes(1, 2), G))
     if g_inp is None:
         return ops
     affine = layer.thirds_t[0] is not None
     term = T if affine else g_inp  # the square term alone writes straight to g_inp
     if affine:
-        ops.append((through, W, stack(dq), stack(g_inp)))
+        ops.append((through, W, dq, g_inp))
     if layer.gated:
-        ops += [(through, W_g, stack(dp), stack(T)), (np.add, g_inp, T, g_inp)]
+        ops += [(through, W_g, dp, T), (np.add, g_inp, T, g_inp)]
     if layer.square:
         # 2 x * (W_b d); doubling last is exact, so no buffer for 2 x
-        ops += [(through, W_b, stack(d), stack(term)), (np.multiply, term, X1[:-1], term),
+        ops += [(through, W_b, d, term), (np.multiply, term, X1[:, :-1], term),
                 (np.multiply, term, 2.0, term)]
         if affine:
             ops.append((np.add, g_inp, T, g_inp))
@@ -635,16 +626,17 @@ class PackedNetwork:
     The work arrays are carved from one 64-byte-aligned block (_carve),
     sized from the layers: the activations, their gradient, the scratch T,
     then each layer's X1 * X1, P and Q (_LayerBuffers).  Each is
-    layer-major, rows of R x B entries seen as (R, rows, B), so that a
-    layer's rows are one contiguous block across restarts and a one-output
-    net's output is one contiguous (R, B) block.  The passes are lists of
-    (ufunc, a, b, out) on fixed views of those arrays and of `params`, and
-    a pass is a loop over its list: every product and sum is written
-    through `out=`, and the backward writes each ReLU mask, as 0.0 and 1.0,
-    over that layer's activations, which are dead by then.  A pass reads
-    only what it wrote, the input and ones rows and the rows' zero padding
-    aside: each layer reads the layer before it alone, so the backward
-    overwrites every input gradient whole and zeroes no row.
+    layer-major, (rows, R, B) memory seen as (R, rows, B), so that a layer's
+    rows are one contiguous block across restarts, not R strided pieces, and
+    a one-output net's output is one contiguous (R, B) block.  The passes
+    are lists of (ufunc, a, b, out) on fixed views of those arrays and of
+    `params`, the elementwise ones in memory order (_memory_order), and a
+    pass is a loop over its list: every product and sum is written through
+    `out=`, and the backward writes each ReLU mask, as 0.0 and 1.0, over
+    that layer's activations, which are dead by then.  A pass reads only
+    what it wrote, the input and the ones rows aside: each layer reads the
+    layer before it alone, so the backward overwrites every input gradient
+    whole and zeroes no row.
     Where a layer is one neuron wide, the backward's products through its
     width (W @ d) are broadcast multiplies.  These give the rank-1 matmul's
     bits except on an exact -0.0 product, which the matmul, summing from
@@ -653,9 +645,8 @@ class PackedNetwork:
     keep the matmul's bits.  The layout changes no bit: a matmul's result
     does not depend on the row stride of its operands, as the tests of
     restart rows against one-row executors, where the two layouts coincide,
-    check (a row of fewer than 8 entries, where it would, is not padded:
-    _pitch).  One executor serves one caller at a time, and the trainer
-    makes one per `train` call.
+    check.  One executor serves one caller at a time, and the trainer makes
+    one per `train` call.
 
     A restarts count whose params or activation array, R x (activation
     rows) x B entries, would pass _MAX_ENTRIES is refused by name before
@@ -706,31 +697,29 @@ class PackedNetwork:
             m = layer.out.stop - layer.out.start
             heights += [(n + 1) * layer.square, m * layer.gated, m * layer.gated]
         width = R * batch
-        acts, grad_acts, scratch, *own = _carve(_aligned(_pitch(width) * sum(heights)),
-                                                heights, width)
-
-        def stack(rows: np.ndarray) -> np.ndarray:
-            """A row block's (R, rows, B) view, its padding left out."""
-            return rows[:, :width].reshape(-1, R, batch).swapaxes(0, 1)
-
-        self._acts, self._grad_acts = stack(acts), stack(grad_acts)
-        self._acts[:, : net.input_dim] = X.T
-        self._acts[:, base[1:] - 1] = 1.0
+        acts, grad_acts, scratch, *own = (
+            part.reshape(len(part), R, batch).swapaxes(0, 1)
+            for part in _carve(_aligned(sum(heights) * width), heights, width))
+        self._acts, self._grad_acts = acts, grad_acts
+        acts[:, : net.input_dim] = X.T
+        acts[:, base[1:] - 1] = 1.0
 
         self._layer_buffers, self._forward, self._backward = [], [], []
         for k, (layer, n, s) in enumerate(zip(self._layers, fan_in, summed)):
             m = layer.out.stop - layer.out.start
-            buffers = _LayerBuffers(grad_acts[:m],
-                                    *(part if len(part) else None
+            buffers = _LayerBuffers(grad_acts[:, :m],
+                                    *(part if part.shape[1] else None
                                       for part in own[3 * k : 3 * k + 3]),
-                                    scratch[:n] if s else None)
-            X1, Z = acts[layer.inp], acts[layer.out]
-            g_inp = grad_acts[layer.inp.start : layer.inp.stop - 1] if k else None
+                                    scratch[:, :n] if s else None)
+            X1, Z = acts[:, layer.inp], acts[:, layer.out]
+            g_inp = grad_acts[:, layer.inp.start : layer.inp.stop - 1] if k else None
             self._layer_buffers.append(buffers)
-            self._forward += _forward_ops(layer.thirds_t, layer.relu, X1, Z, buffers, stack)
-            self._backward[:0] = _backward_ops(layer, X1, Z, grad_acts[layer.out], g_inp,
-                                               buffers, stack)
-        self.output, self.upstream = stack(acts[layer.out]), stack(grad_acts[layer.out])
+            self._forward += _forward_ops(layer.thirds_t, layer.relu, X1, Z, buffers)
+            self._backward[:0] = _backward_ops(layer, X1, Z, grad_acts[:, layer.out], g_inp,
+                                               buffers)
+        self.output, self.upstream = acts[:, layer.out], grad_acts[:, layer.out]
+        self._forward = [_memory_order(op) for op in self._forward]
+        self._backward = [_memory_order(op) for op in self._backward]
 
     def forward(self) -> None:
         """Evaluate the batch under every restart's params into `output`."""

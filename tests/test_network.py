@@ -803,40 +803,33 @@ def _owner(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def assert_rows_aligned(array: np.ndarray) -> None:
-    """Each row of array, along every axis but its last, starts on a
-    64-byte boundary."""
-    starts = array.ctypes.data + sum(np.ix_(*(stride * np.arange(size) for stride, size
-                                              in zip(array.strides[:-1], array.shape[:-1]))))
-    assert (np.asarray(starts) % 64 == 0).all()
-
-
 class TestWorkMemory:
-    """An evaluator's work memory is one allocation, and each of its rows
-    starts on a 64-byte boundary: the executor's rows of R x B entries, and
-    forward_batch's rows of a tile."""
+    """An evaluator's work memory is one allocation whose first part starts
+    on a 64-byte boundary, its parts carved end to end, so that where a row
+    is a multiple of 8 entries every row starts on one: the executor's rows
+    of R x B entries, and forward_batch's rows of a tile."""
 
     @pytest.mark.parametrize("restarts, batch", [(1, 4096), (10, 100), (3, 7)])
-    def test_executor_rows_aligned_in_one_block(self, restarts, batch):
+    def test_executor_work_arrays_in_one_aligned_block(self, restarts, batch):
         net = NetworkSpec.blank(4, [("relu", ["quadratic"] * 5), ("relu", ["quadratic"] * 3),
                                     ("identity", ["conventional"])])
         packed = PackedNetwork(net, np.zeros((batch, 4)), restarts)
         buffers = [[b for b in field if b is not None] for field in zip(*packed._layer_buffers)]
         assert all(buffers)  # every kind of work array is there: product, X2, P, Q and T
-        # the activations and their gradient as (rows, B) at restart 0, where a
-        # row of R x B entries starts; the buffers are rows of the work memory
-        arrays = [packed._acts[0], packed._grad_acts[0], *sum(buffers, [])]
-        assert all(array.ndim == 2 for array in arrays)
+        arrays = [packed._acts, packed._grad_acts, *sum(buffers, [])]
         assert len({id(_owner(a)) for a in arrays}) == 1
-        for array in arrays:
-            assert_rows_aligned(array)
+        assert packed._acts.ctypes.data % 64 == 0
+        # (R, rows, B) views of (rows, R, B) memory: row i starts at data + i * strides[1]
+        assert all(a.strides == (8 * batch, 8 * restarts * batch, 8) for a in arrays)
+        if restarts * batch % 8 == 0:
+            assert all(a.ctypes.data % 64 == 0 and a.strides[1] % 64 == 0 for a in arrays)
 
     @pytest.mark.parametrize("batch", [4096, 4097, 401])
-    def test_forward_batch_outputs_aligned_in_one_block(self, batch, monkeypatch):
+    def test_forward_batch_outputs_in_one_aligned_block(self, batch, monkeypatch):
         """Every out that forward_batch's op lists write is a view of one
-        array and starts on a 64-byte boundary, with each row of a tile
-        on one; the first layer's X1 * X1, in [X | 1]'s (tile, d + 1)
-        layout, is checked at its start."""
+        array; where each tile is a multiple of 8 columns, every out and
+        each of its rows starts on a 64-byte boundary (the first layer's
+        X1 * X1, in [X | 1]'s (tile, d + 1) layout, at its start)."""
         outs, run = [], network._run
 
         def spy(program):
@@ -851,10 +844,20 @@ class TestWorkMemory:
             outs.clear()
             forward_batch(net, rng.normal(size=(batch, 3)))
             assert len({id(_owner(out)) for out in outs}) == 1
+            if batch % 8:
+                continue
             for out in outs:
                 assert out.ctypes.data % 64 == 0
                 if out.strides[-1] == out.itemsize:
-                    assert_rows_aligned(out)
+                    assert out.strides[0] % 64 == 0
+
+    def test_empty_batch(self):
+        """B = 0 carves empty work arrays: forward_batch returns no rows and
+        backward_batch a zero gradient."""
+        net = one_hidden_quadratic(3, 4)
+        assert forward_batch(net, np.zeros((0, 3))).shape == (0, 1)
+        grad = backward_batch(net, np.zeros((0, 3)), np.zeros((0, 1)))
+        np.testing.assert_array_equal(grad, np.zeros(trainable_count(net)))
 
 
 class TestParameters:
