@@ -5,12 +5,19 @@ its real roots and monic quadratic factors x^2 + a x + b for each complex
 conjugate pair, with l1 + 2*l2 = N.  factor_polynomial computes that split
 numerically: companion-matrix eigenvalues, a few Newton polish steps, then a
 re-expansion residual check that fails loudly instead of returning garbage.
-The polish runs Horner over plain lists of the coefficients in Python
-complex arithmetic, which rounds as numpy's complex128 scalars do at a
-fraction of their cost.  The Newton division keeps the arithmetic of the
-iterate's type: Python's for p(z) at a float64 eigenvalue (numpy returns
-real eigenvalues as float64 when all of them are real), numpy's at a
-complex128 one; the two divide differently in the last bits.
+The polish gives the bits that numpy complex128 scalars would, in plain
+Python numbers.  Horner runs over lists of the coefficients in Python
+complex arithmetic, whose * and + round as numpy's do.  A Newton step
+divides by numpy's complex rule written out in floats (_quotient), since
+Python's a / b rounds differently in the last bits; only a step from a
+float64 eigenvalue (numpy returns real eigenvalues as float64 when all of
+them are real) divides as Python does, as a float64 scalar would.  Each
+conjugate pair is polished once: the root below the real axis takes the
+conjugate of its partner's polish.  That is exact because LAPACK returns
+the complex eigenvalues of a real matrix as conjugate pairs, and with real
+coefficients Horner, the division and abs are mirror images at the
+conjugate.  Both hold up to the sign of a zero, so a partner whose polish
+has a zero real part is not taken (see _polish_roots).
 
 bernstein_coeffs expands the degree-n Bernstein approximant of a function on
 [0, 1] into monomial coefficients exactly, as integer forward differences
@@ -28,7 +35,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, inf, lcm
+from operator import truediv
 
 import numpy as np
 
@@ -103,6 +111,10 @@ class FactoredForm:
         ]
         if self.paired_real is None:
             self.paired_real = [False] * len(self.quadratic_factors)
+        if not all(isinstance(flag, (bool, np.bool_)) for flag in self.paired_real):
+            raise ValueError(
+                f"'paired_real' must hold true or false only, got {self.paired_real!r}")
+        self.paired_real = [bool(flag) for flag in self.paired_real]
         if len(self.paired_real) != len(self.quadratic_factors):
             raise ValueError("paired_real must parallel quadratic_factors")
         for (a, b), paired in zip(self.quadratic_factors, self.paired_real):
@@ -139,8 +151,6 @@ class FactoredForm:
         roots = _numbers(doc, "linear_roots")
         quadratics = _numbers(doc, "quadratic_factors", 2)
         paired = _field(doc, "paired_real", list)
-        if not all(type(flag) is bool for flag in paired):
-            raise ValueError(f"'paired_real' must hold true or false only, got {paired!r}")
         return cls(scale, list(roots), [tuple(q) for q in quadratics], paired)
 
 
@@ -153,38 +163,91 @@ def _companion_matrix(monic: np.ndarray) -> np.ndarray:
     return m
 
 
-def _poly_val(coeffs: list[float], z):
-    """p(z) by Horner, coeffs highest degree first, in Python complex arithmetic.
-
-    Python's complex * and + round as numpy's complex128 ones do, at a
-    fraction of the cost of numpy scalar operations.  The result is a numpy
-    complex where z is one and a Python complex otherwise, so that the
-    caller divides and takes abs() in the arithmetic of z's type.
-    """
+def _poly_val(coeffs: list[float], z: complex) -> complex:
+    """p(z) by Horner, coeffs highest degree first, in Python complex
+    arithmetic, whose * and + round as numpy's complex128 ones do."""
     acc = 0j
-    zc = complex(z)
     for c in coeffs:
-        acc = acc * zc + c
-    return np.complex128(acc) if isinstance(z, np.complexfloating) else acc
+        acc = acc * z + c
+    return acc
 
 
-def _newton_polish(coeffs: list[float], deriv: list[float], z):
-    """Up to three Newton steps from z on p (coeffs) with p' (deriv), both
-    highest degree first; returns the iterate with the smallest |p|.  Each
-    iterate's p(z) is evaluated once and carried into the next step."""
-    best = z
-    pz = _poly_val(coeffs, z)
-    best_val = abs(pz)
+def _quotient(a: complex, b: complex) -> complex:
+    """a / b by numpy's complex128 rule, for b != 0: Smith's division with
+    one reciprocal, which rounds unlike Python's a / b.  It raises
+    ZeroDivisionError at b = NaN + 0j, which no Horner sum is."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+def _magnitude(z: complex) -> float:
+    """abs(z), or inf where that overflows, as numpy's abs gives."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return inf
+
+
+def _newton_polish(coeffs: list[float], deriv: list[float], z: float | complex):
+    """Up to three Newton steps from the eigenvalue z on p (coeffs) with p'
+    (deriv), both highest degree first; returns the iterate with the
+    smallest |p|, z itself if none is smaller.  Each iterate's p(z) is
+    evaluated once and carried into the next step.  A step from a float
+    divides as Python does, every other one by _quotient.  The polish stops
+    at an iterate equal to the one before it, made by _quotient: each later
+    step gives that number again, up to the sign of a zero, which changes
+    no |p| (see _polish_roots), and its |p| is already weighed."""
+    best, zc = z, complex(z)
+    pz = _poly_val(coeffs, zc)
+    best_val = _magnitude(pz)
+    divide = truediv if isinstance(z, float) else _quotient
     for _ in range(3):
-        dp = _poly_val(deriv, z)
+        dp = _poly_val(deriv, zc)
         if dp == 0:
             break
-        z = z - pz / dp
-        pz = _poly_val(coeffs, z)
-        val = abs(pz)
+        step = zc - divide(pz, dp)
+        if divide is _quotient and step == zc:
+            break
+        divide, zc = _quotient, step
+        pz = _poly_val(coeffs, zc)
+        val = _magnitude(pz)
         if val < best_val:
-            best, best_val = z, val
+            best, best_val = zc, val
     return best
+
+
+def _polish_roots(coeffs: list[float], deriv: list[float], roots: np.ndarray) -> np.ndarray:
+    """The eigenvalues roots, each after _newton_polish on p (coeffs) with p'
+    (deriv), both highest degree first.
+
+    A root below the real axis whose conjugate came before it takes the
+    conjugate of that root's polish, unless that polish has a zero real
+    part.  This is exact.  LAPACK returns the complex eigenvalues of a real
+    matrix as conjugate pairs, up to the sign of a zero real part (numpy
+    gives x^2 + 1 the roots i and -0 - i).  With real coefficients, Horner,
+    _quotient, abs and the comparisons are mirror images at the conjugate,
+    up to the sign of a zero: x - x is +0 on both sides.  As no step
+    divides by a zero, such a sign reaches no part that is not zero.  So
+    the root's own polish has the same |imaginary part| and, unless it is
+    zero, the same real part bit for bit, and factor_polynomial reads no
+    more of it.
+    """
+    polished = {}
+    out = []
+    for z in roots.tolist():
+        twin = polished.get(z.conjugate()) if z.imag < 0 else None
+        if twin is not None and twin.real:
+            out.append(twin.conjugate())
+        else:
+            out.append(_newton_polish(coeffs, deriv, z))
+            polished[z] = out[-1]
+    return np.array(out)
 
 
 # Inputs near the float64 limit overflow in the monic division, the Newton
@@ -215,10 +278,9 @@ def factor_polynomial(p: Polynomial, pair_real_roots: bool = False) -> FactoredF
     monic = coeffs[:-1] / scale
     if not np.isfinite(monic).all():
         raise FactorizationError("the monic coefficients overflow float64")
-    roots = np.linalg.eigvals(_companion_matrix(monic))
     descending = coeffs[::-1].tolist()
     deriv = (coeffs[1:] * np.arange(1, len(coeffs)))[::-1].tolist()
-    roots = np.array([_newton_polish(descending, deriv, z) for z in roots])
+    roots = _polish_roots(descending, deriv, np.linalg.eigvals(_companion_matrix(monic)))
 
     real_tol = 1e-9 * (1.0 + np.abs(roots))
     real_roots = sorted(roots[np.abs(roots.imag) < real_tol].real)

@@ -1,6 +1,7 @@
 """Factorization, exact polynomial networks, multivariate polynomials, size formulas."""
 
 import json
+import struct
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -33,6 +34,9 @@ from qnn.polynomials import (
     FactoredForm,
     FactorizationError,
     Polynomial,
+    _companion_matrix,
+    _newton_polish,
+    _polish_roots,
     _sample_exact,
     bernstein_coeffs,
     factor_polynomial,
@@ -231,12 +235,17 @@ def factor_outcome(p, pair_real_roots):
         return f"FactorizationError: {exc}"
 
 
+def numpy_scalar_polish_roots(descending, _, roots):
+    """Reference for polynomials._polish_roots: every root, above the real
+    axis or below it, polished on its own by numpy_scalar_newton_polish."""
+    coeffs = np.array(descending[::-1])
+    return np.array([numpy_scalar_newton_polish(coeffs, z) for z in roots])
+
+
 def assert_polish_matches_reference(p, pair_real_roots):
     """The factorization is the same, bit for bit, with the reference polish."""
     got = factor_outcome(p, pair_real_roots)
-    with mock.patch("qnn.polynomials._newton_polish",
-                    lambda descending, _, z: numpy_scalar_newton_polish(
-                        np.array(descending[::-1]), z)):
+    with mock.patch("qnn.polynomials._polish_roots", numpy_scalar_polish_roots):
         want = factor_outcome(p, pair_real_roots)
     assert got == want
 
@@ -260,10 +269,12 @@ def poly_from_factors(scale, real_roots, pairs):
 
 
 class TestPolishReference:
-    """The Newton polish runs Horner in Python complex arithmetic; the numpy
-    scalar version it replaced is the reference, bit for bit.  Where the
-    eigenvalues are all real, numpy returns them as float64 and the first
-    step divides in Python complex arithmetic, the later ones in numpy's."""
+    """The Newton polish runs in Python numbers, dividing by numpy's complex
+    rule written out, and a root below the real axis takes the conjugate of
+    its partner's polish; the numpy scalar version, which polishes every
+    root on its own, is the reference, bit for bit.  Where the eigenvalues
+    are all real, numpy returns them as float64 and the first step divides
+    in Python complex arithmetic, the later ones in numpy's."""
 
     @given(st.lists(signed_magnitudes, min_size=2, max_size=16), st.booleans())
     def test_random_coefficients(self, coeffs, pair_real_roots):
@@ -295,6 +306,91 @@ class TestPolishReference:
             for pair_real_roots in (False, True):
                 if p.degree >= 1:  # |x - 1/2| at n = 1 is the constant 1/2
                     assert_polish_matches_reference(p, pair_real_roots)
+
+
+def same_root(a, b) -> bool:
+    """a and b the same root as far as factor_polynomial reads one: equal,
+    and with real parts of the same bits, a zero's sign included, since a
+    real root is written with it."""
+    return a == b and struct.pack("<d", a.real) == struct.pack("<d", b.real)
+
+
+# finite floats of every magnitude, those near the float64 limit included
+wide_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def derivative(coeffs):
+    """p' highest degree first, for coeffs lowest degree first."""
+    return [k * c for k, c in enumerate(coeffs)][:0:-1]
+
+
+class TestConjugatePairs:
+    """_polish_roots polishes one root of each conjugate pair and takes the
+    other's as its conjugate."""
+
+    @given(st.lists(wide_floats, min_size=2, max_size=10).filter(lambda c: c[-1] != 0.0),
+           st.one_of(st.floats(-4.0, 4.0), wide_floats),
+           st.one_of(st.floats(1e-3, 4.0), wide_floats.filter(lambda y: y != 0.0)))
+    def test_polish_at_the_conjugate_is_the_conjugate(self, coeffs, re, im):
+        """Equal, so every part that is not zero has the same bits.  A zero
+        part may differ in sign: p(x) = x polishes i and -i to 0 + 0j."""
+        z = complex(re, im)
+        upper = _newton_polish(coeffs[::-1], derivative(coeffs), z)
+        lower = _newton_polish(coeffs[::-1], derivative(coeffs), z.conjugate())
+        assert lower == upper.conjugate()
+
+    @given(st.lists(wide_floats, min_size=3, max_size=10).filter(lambda c: c[-1] != 0.0))
+    def test_pair_rule_matches_polishing_each_root(self, coeffs):
+        """On the companion matrix's eigenvalues, as factor_polynomial finds
+        them, the pair rule gives every root as its own polish would."""
+        with np.errstate(all="ignore"):
+            monic = np.array(coeffs[:-1]) / coeffs[-1]
+            if not np.isfinite(monic).all():
+                return
+            roots = np.linalg.eigvals(_companion_matrix(monic))
+        got = _polish_roots(coeffs[::-1], derivative(coeffs), roots).tolist()
+        want = [_newton_polish(coeffs[::-1], derivative(coeffs), z) for z in roots.tolist()]
+        assert all(map(same_root, got, want))
+
+    def test_zero_real_part_polished_on_its_own(self):
+        """numpy returns the roots of x^2 + 1 as i and -0 - i, conjugates up
+        to the sign of a zero.  From -0 + 16.5i and -0 - 16.5i, p(x) =
+        0.0292 + 0.00279 x^2 polishes to -0 + 3.5i and +0 - 3.5i, which
+        differ in that sign too, so a root whose partner's polish has a zero
+        real part is polished itself."""
+        assert [str(z) for z in np.linalg.eigvals(_companion_matrix(np.array([1.0, 0.0])))] \
+            == ["1j", "(-0-1j)"]
+        coeffs = [0.02920951843486685, 0.0, 0.002793942260139877]
+        roots = np.array([complex(-0.0, 16.51316041604617), complex(-0.0, -16.51316041604617)])
+        got = _polish_roots(coeffs[::-1], derivative(coeffs), roots).tolist()
+        want = [_newton_polish(coeffs[::-1], derivative(coeffs), z) for z in roots.tolist()]
+        assert all(map(same_root, got, want)) and got[0].real == 0.0
+
+    def test_root_without_a_partner_polished_on_its_own(self):
+        """A root below the real axis whose conjugate is not among the roots
+        is polished itself, and the factorization equals the reference's;
+        one whose conjugate is there is not polished again."""
+        p = expand_factored(FactoredForm(1.5, [0.5], [(0.4, 1.3), (-1.0, 2.0)]))
+        exact = np.linalg.eigvals(_companion_matrix(p.coeffs[:-1] / p.coeffs[-1]))
+        lonely = next(z for z in exact if z.imag < 0)
+        nudged = np.where(exact == lonely.conjugate(), lonely.conjugate() + 1e-9, exact)
+        partnered = [z for z in nudged if z.imag < 0 and z != lonely]
+        assert len(partnered) == 1
+
+        polished = []
+
+        def spy(descending, deriv, z):
+            polished.append(z)
+            return _newton_polish(descending, deriv, z)
+
+        with mock.patch.object(np.linalg, "eigvals", lambda _: nudged.copy()):
+            with mock.patch("qnn.polynomials._newton_polish", spy):
+                got = factor_outcome(p, False)
+            with mock.patch("qnn.polynomials._polish_roots", numpy_scalar_polish_roots):
+                want = factor_outcome(p, False)
+        assert got == want and not got.startswith("FactorizationError")
+        assert lonely in polished and partnered[0] not in polished
+        assert len(polished) == len(nudged) - 1
 
 
 class TestBuildPolyNet:
@@ -638,6 +734,23 @@ class TestFactoredFormSerialization:
         assert rebuilt.scale == form.scale
         assert rebuilt.linear_roots == form.linear_roots
         assert rebuilt.quadratic_factors == form.quadratic_factors
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(True), False, np.bool_(False)],
+                             ids=["true", "numpy-true", "false", "numpy-false"])
+    def test_paired_real_flags_stored_as_bools(self, flag):
+        """A flag, Python's or numpy's, is stored as a Python bool, so that
+        the form's JSON reads back as the same form."""
+        form = FactoredForm(1.0, [], [(-1.0, 0.25)] if flag else [(0.0, 1.0)], [flag])
+        assert form.paired_real == [bool(flag)] and type(form.paired_real[0]) is bool
+        assert FactoredForm.from_json(form.to_json()) == form
+
+    @pytest.mark.parametrize("flag", [1, 0, 1.0, "true", None, np.int64(1)])
+    def test_paired_real_non_bool_refused(self, flag):
+        """A truthy or falsy value that is not a bool is refused by name, as
+        from_json refuses it, rather than written as JSON that from_json
+        would refuse."""
+        with pytest.raises(ValueError, match="'paired_real' must hold true or false only"):
+            FactoredForm(1.0, [], [(0.0, 1.0)], [flag])
 
     def test_polynomial_round_trip(self):
         p = Polynomial([1.5, -2.0, 0.25])

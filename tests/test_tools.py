@@ -1,6 +1,9 @@
-"""Smoke tests of the timing tool, which reads the training executor's and
-the trainer's internals: it must still run and print its tables."""
+"""Smoke tests of the tools: the timing tool reads the training executor's
+and the trainer's internals, so it must still run and print its tables,
+and the digest script stamps the environment the digests depend on."""
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,10 +42,38 @@ def test_step_timing_prints_an_exact_net_row():
     assert float(forward) > 0 and int(calls) > 0
 
 
+def test_step_timing_prints_the_factor_rows():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_timing.py"), "factor_bernstein_30",
+         "factor_poly_14", "--repeat", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == ["polynomial", "degree", "factor_us", "outcome"]
+    assert [row.split()[:2] + row.split()[3:] for row in rows] == [
+        ["factor_bernstein_30", "30", "refused"], ["factor_poly_14", "14", "factored"]]
+    assert all(float(row.split()[2]) > 0 for row in rows)
+
+
+def test_environment_stamp_names_numpy_and_blas():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_digests", ROOT / "tools" / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    import numpy as np
+
+    stamp = digests.environment_stamp()
+    match = re.fullmatch(r"numpy (\S+) simd (\S+) openblas_core (\S+) blas_threads (\S+)", stamp)
+    assert match, stamp
+    version, _, _, threads = match.groups()
+    assert version == np.__version__
+    assert threads == "unknown" or int(threads) >= 1
+
+
 def test_ab_times_the_checkout_against_itself():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "factorizer", "bernstein_16",
-         "--rounds", "2", "--seconds", "0.005"],
+         "factor_bernstein_30", "--rounds", "2", "--seconds", "0.005"],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
@@ -52,7 +83,7 @@ def test_ab_times_the_checkout_against_itself():
         ["factorizer", "forward_us"], ["factorizer", "backward_us"],
         ["factorizer", "descend_us"], ["bernstein_16@4096", "forward_batch_us"],
         ["bernstein_16@401", "forward_batch_us"], ["bernstein_16", "to_json_us"],
-        ["bernstein_16", "from_json_us"]]
+        ["bernstein_16", "from_json_us"], ["factor_bernstein_30", "factor_us"]]
     for row in rows:
         _, measure, *medians, spread, aa, aa_spread = row.split()
         # a descend_us sample is a difference of two descents, which noise can make negative

@@ -15,7 +15,9 @@ training shapes and exact nets, or the ones named) gives its measures:
   step_timing takes them, except that one ``descend_us`` sample is one
   descent of 1 + N steps less a 1-step one, over N;
 - an exact net: ``forward_batch_us`` at 4096 and at 401 points (rows
-  ``name@4096`` and ``name@401``), ``to_json_us`` and ``from_json_us``.
+  ``name@4096`` and ``name@401``), ``to_json_us`` and ``from_json_us``;
+- a polynomial: ``factor_us``, one ``factor_polynomial`` call, a refusal
+  included.
 
 A measure's call count (steps, for ``descend_us``) is fixed once, as many
 as take ``qnn_b`` ``--seconds``.  Each round then times every measure once
@@ -82,6 +84,9 @@ def runs(step_timing, qnn, picked: set) -> dict:
             out[name, "to_json_us"] = step_timing.timed(partial(qnn.to_json, net))
             out[name, "from_json_us"] = step_timing.timed(
                 partial(qnn.from_json, qnn.to_json(net)))
+    for name, p in step_timing.polynomials(qnn):
+        if name in picked:
+            out[name, "factor_us"] = step_timing.timed(partial(step_timing.factor, qnn, p))
     return out
 
 
@@ -89,7 +94,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the checkout to compare with, or its src/")
     parser.add_argument("rows", nargs="*", metavar="row",
-                        help="time only these shapes and nets, e.g. factorizer bernstein_16")
+                        help="time only these rows, e.g. factorizer bernstein_16 "
+                             "factor_bernstein_24")
     parser.add_argument("--rounds", type=int, default=10, help="rounds (default 10)")
     parser.add_argument("--seconds", type=float, default=0.05,
                         help="time of one measure in one package (default 0.05)")
@@ -112,7 +118,7 @@ def main(argv=None) -> int:
     packages = {"A": load(src, "qnn_a"), "B": load(HERE.parent / "src", "qnn_b"),
                 "C": load(HERE.parent / "src", "qnn_c")}
     names = [row[0] for row in step_timing.shapes(packages["B"])
-             + step_timing.exact_nets(packages["B"])]
+             + step_timing.exact_nets(packages["B"]) + step_timing.polynomials(packages["B"])]
     unknown = set(args.rows).difference(names)
     if unknown:
         parser.error(f"unknown row {sorted(unknown)[0]!r}; the rows are {', '.join(names)}")

@@ -29,14 +29,18 @@ the deep radial stack at d = 4 and the 200-unit shallow radial net at
 d = 2; ``np_calls`` is the numpy calls of one call, counted as above.
 The 4096-point row also times ``to_json`` writing the net and
 ``from_json`` reading it back from its JSON, written once outside the
-timer; the 401-point row leaves those "-".  Names given on
-the command line pick some of the shapes and nets.
+timer; the 401-point row leaves those "-".  Last, ``factor_us`` is one
+``factor_polynomial`` call, timed the same way, on the Bernstein
+approximant of |x - 1/2| at n = 16 and 24, at n = 30, which the residual
+check refuses, so that its row times the refusal, and on the degree-14
+polynomial of the product tree.  Names given on the command line pick some
+of the shapes, nets and polynomials.
 
 Runs from the ``src/`` of the checkout this script sits in, with one BLAS
 thread, so that two checkouts can be compared on the same machine:
 
     python tools/step_timing.py
-    python tools/step_timing.py shallow_200x2 product_tree_14
+    python tools/step_timing.py shallow_200x2 product_tree_14 factor_bernstein_24
     python ../parent/tools/step_timing.py
 
 A checkout that predates the script runs a copy put in its ``tools/``;
@@ -70,6 +74,19 @@ def shapes(qnn) -> list[tuple]:
         for width in (8, 32)]
 
 
+def absmid(t):
+    """|t - 1/2|, the target of the Bernstein rows."""
+    return abs(t - 0.5)
+
+
+def tree_polynomial(qnn, rng):
+    """The degree-14 polynomial of product_tree_14: 14 roots uniform on
+    [-2, 2], drawn from rng."""
+    import numpy as np
+
+    return qnn.Polynomial(np.poly(rng.uniform(-2.0, 2.0, size=14))[::-1])
+
+
 def exact_nets(qnn) -> list[tuple]:
     """(name, net, X) of each exact net forward_batch is timed on, made by
     the qnn package given, X of 4096 points from where exact-build
@@ -77,10 +94,8 @@ def exact_nets(qnn) -> list[tuple]:
     import numpy as np
 
     rng = np.random.default_rng(0)
-    tree = qnn.build_poly_net(qnn.factor_polynomial(
-        qnn.Polynomial(np.poly(rng.uniform(-2.0, 2.0, size=14))[::-1])))
-    bernstein = qnn.build_poly_net(qnn.factor_polynomial(
-        qnn.bernstein_coeffs(lambda t: abs(t - 0.5), 16)))
+    tree = qnn.build_poly_net(qnn.factor_polynomial(tree_polynomial(qnn, rng)))
+    bernstein = qnn.build_poly_net(qnn.factor_polynomial(qnn.bernstein_coeffs(absmid, 16)))
     breakpoints = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, size=4))])
     deep = qnn.build_deep_radial(
         qnn.RadialPartition(breakpoints, [1.0, -0.5, 1.5, -1.0], 0.05), 4)
@@ -92,6 +107,25 @@ def exact_nets(qnn) -> list[tuple]:
             ("bernstein_16", bernstein, rng.uniform(0.0, 1.0, size=(4096, 1))),
             ("deep_radial_d4", deep, ray),
             ("shallow_200x2", shallow, rng.uniform(-1.5, 1.5, size=(4096, 2)))]
+
+
+def polynomials(qnn) -> list[tuple]:
+    """(name, polynomial) of each input factor_polynomial is timed on, made
+    by the qnn package given."""
+    import numpy as np
+
+    return [(f"factor_bernstein_{n}", qnn.bernstein_coeffs(absmid, n)) for n in (16, 24, 30)] + [
+        ("factor_poly_14", tree_polynomial(qnn, np.random.default_rng(0)))]
+
+
+def factor(qnn, p) -> str:
+    """qnn's factor_polynomial(p): "factored", or "refused" where it raises
+    FactorizationError."""
+    try:
+        qnn.factor_polynomial(p)
+    except qnn.FactorizationError:
+        return "refused"
+    return "factored"
 
 
 def calls_for(run, seconds: float = 0.2) -> int:
@@ -216,7 +250,8 @@ def descend_step(qnn, net, restarts: int, batch: int, repeat: int, steps: int) -
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("shapes", nargs="*", metavar="shape",
-                        help="time only these shapes, e.g. factorizer quadratic_w32")
+                        help="time only these shapes, nets and polynomials, e.g. "
+                             "factorizer quadratic_w32 factor_poly_14")
     parser.add_argument("--repeat", type=int, default=7, help="runs per timing (default 7)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
@@ -228,14 +263,15 @@ def main(argv=None) -> int:
     import qnn
     from qnn.network import forward_batch, from_json, to_json
 
-    table, nets = shapes(qnn), exact_nets(qnn)
-    names = [name for name, *_ in table + nets]
+    table, nets, polys = shapes(qnn), exact_nets(qnn), polynomials(qnn)
+    names = [name for name, *_ in table + nets + polys]
     unknown = set(args.shapes).difference(names)
     if unknown:
         parser.error(f"unknown shape {sorted(unknown)[0]!r}; the shapes are {', '.join(names)}")
     picked = set(args.shapes or names)
     table = [row for row in table if row[0] in picked]
     nets = [row for row in nets if row[0] in picked]
+    polys = [row for row in polys if row[0] in picked]
     if table:
         print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'backward_us':>12} "
               f"{'descend_us':>11} {'np_calls':>9} {'faults':>8}")
@@ -265,6 +301,14 @@ def main(argv=None) -> int:
                 read = f"{best_us(timed(lambda: from_json(text)), args.repeat):.1f}"
             print(f"{name:<18} {net.depth:>5} {len(points):>5} {us:>17.1f} {calls:>9} "
                   f"{write:>11} {read:>13}")
+
+    if (table or nets) and polys:
+        print()
+    if polys:
+        print(f"{'polynomial':<20} {'degree':>6} {'factor_us':>10} {'outcome':>9}")
+    for name, p in polys:
+        us = best_us(timed(lambda: factor(qnn, p)), args.repeat)
+        print(f"{name:<20} {p.degree:>6} {us:>10.1f} {factor(qnn, p):>9}")
     return 0
 
 
