@@ -27,12 +27,15 @@ it; the trainer steps its params in place, and backward_batch is a one-row
 executor at the net's own values.  forward_batch runs the executor's forward
 program, _forward_ops, tile by tile: one op order, the biases folded into
 the matmuls through a row of ones, and one rule for what is left out
-(_operands).  It matches the per-neuron oracle bit for bit where the sums
-come out in one fixed order, as tested (product trees, Bernstein nets,
-deep radial stacks, the factorizer reading the triple product alone); a
-dense sum of several nonzero weights gets the BLAS kernel its operand
-layout picks and agrees to rounding (100 of 200 random multivariate
-polynomial nets differ, by at most 7.8e-16 relative to 1 + |value|).
+(_operands).  It builds the program once per structure and thread, on a
+workspace the thread keeps, and runs a product tree's layers as strided
+multiplies, not matmuls (_Pairs).  It matches the per-neuron oracle bit
+for bit where the sums come out in one fixed order, as tested (product
+trees, Bernstein nets, deep radial stacks, the factorizer reading the
+triple product alone); a dense sum of several nonzero weights gets the
+BLAS kernel its operand layout picks and agrees to rounding (100 of 200
+random multivariate polynomial nets differ, by at most 7.8e-16 relative
+to 1 + |value|).
 Complex and non-numeric inputs, parameters and data are refused by name
 (neurons._real), here and in neurons, trainer, polynomials, oracles and
 builders, rather than cast to their real parts or read as NaN.
@@ -47,6 +50,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -116,7 +120,8 @@ class NetworkSpec:
     bias row, b_r, b_g or c, that holds only zeros and no trainable entry
     (see _operands), but within the rest the zero entries multiply their
     inputs too, so where an input is inf a pre-activation can be NaN where
-    the per-neuron oracle gives inf or an exact copy.
+    the per-neuron oracle gives inf or an exact copy; forward_batch's
+    product-tree layers (_Pairs) multiply no zero entry.
     trainable flags the trainable entries of params among the canonical
     parameters; structure holds each layer's (activation, kinds) (see
     _layer).
@@ -191,6 +196,18 @@ class NetworkSpec:
         return [len(kinds) for _, kinds in self.structure]
 
 
+class _Pairs(NamedTuple):
+    """Where a structure's layers can be product-tree layers: p quadratic
+    neurons, then passthroughs, at a fan-in of at least 2p.  Such a layer
+    is one when its block equals the pattern, W_r = e_2j and W_g = e_2j+1
+    for neuron j < p, the passthroughs' ones, every other entry +-0.0."""
+
+    span: slice  # of params, from the first such layer's block to the last's end
+    pattern: np.ndarray  # over span, NaN in the blocks of the layers between
+    starts: np.ndarray  # where each layer's block starts within span
+    first: int  # the layer span starts at
+
+
 class _Layout(NamedTuple):
     """What a structure fixes of a net's params; the arrays are read-only."""
 
@@ -200,12 +217,16 @@ class _Layout(NamedTuple):
     ones: np.ndarray  # positions a passthrough or conventional column fixes at 1
     own: np.ndarray  # each neuron parameter's position, in canonical order
     parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g, W_b and c rows start
+    tile: int  # forward_batch's full tile, in batch rows
+    pairs: _Pairs | None  # the product-tree pattern, where a layer can take it
 
 
 def _param_counts(n: int) -> dict:
     """The parameter count of each neuron kind at fan-in n; a passthrough has none."""
     return {"quadratic": 3 * n + 3, "conventional": n + 1}
 
+
+_TILE_BYTES = 1 << 19  # one (widest layer, tile rows) float64 slab of the workspace
 
 # The most entries a net's blocks may hold, 32 GiB of float64: a passthrough
 # column of a huge fan-in, one JSON field, is refused rather than allocated.
@@ -221,14 +242,14 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     one walk of a structure.  A passthrough index outside its fan-in, or a
     column that takes the blocks past _MAX_ENTRIES, raises ValueError naming
     the layer and neuron before any array is made."""
-    blocks, sizes, ones, columns, strides, parts = [], [], [], [], [], []
+    blocks, sizes, ones, columns, strides, parts, pairs = [], [], [], [], [], [], []
     pos, n = 0, input_dim
     for k, (_, kinds) in enumerate(structure):
         m, height = len(kinds), 3 * n + 3
         if pos + height * m > _MAX_ENTRIES:
             raise ValueError(f"layer {k} neuron {(_MAX_ENTRIES - pos) // height}: a column "
                              f"of fan-in {n} takes the blocks past {_MAX_ENTRIES} entries")
-        size = _param_counts(n)
+        size, passed = _param_counts(n), len(ones)
         for j, kind in enumerate(kinds):
             if kind not in size:
                 if not 0 <= kind < n:
@@ -237,6 +258,11 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
                 ones.append(pos + kind * m + j)
             if kind != "quadratic":
                 ones.append(pos + (2 * n + 1) * m + j)
+        p = next((j for j, kind in enumerate(kinds) if kind != "quadratic"), m)
+        if p and 2 * p <= n and all(type(kind) is int for kind in kinds[p:]):
+            # W_r's row 2j and W_g's row 2j + 1 in column j, and the passthroughs' ones
+            pairs.append((k, [pos + (2 * j * m + j) for j in range(p)]
+                          + [pos + (n + 2 + 2 * j) * m + j for j in range(p)] + ones[passed:]))
         sizes.append(tuple(size.get(kind, 0) for kind in kinds))
         columns += range(pos, pos + m)
         strides += [m] * m
@@ -249,7 +275,26 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     own = np.repeat(columns, counts) + rows * np.repeat(strides, counts)
     ones, parts = np.array(ones, dtype=np.intp), np.array(parts, dtype=np.intp)
     own.flags.writeable = ones.flags.writeable = parts.flags.writeable = False
-    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts)
+    widest = max(input_dim, *(m for *_, m in blocks))
+    tile = max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
+    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts, tile,
+                   _pairs_of(blocks, pairs) if pairs else None)
+
+
+def _pairs_of(blocks: list, pairs: list) -> _Pairs:
+    """The _Pairs of a structure's blocks, (position, rows, width) per
+    layer, from (layer, positions of its pattern's ones) of each layer that
+    can be a product-tree layer."""
+    first, last = pairs[0][0], pairs[-1][0]
+    lo, (end, rows, m) = blocks[first][0], blocks[last]
+    pattern = np.full(end + rows * m - lo, np.nan)
+    for k, one in pairs:
+        at, rows, m = blocks[k]
+        pattern[at - lo : at - lo + rows * m] = 0.0
+        pattern[np.array(one) - lo] = 1.0
+    starts = np.array([at - lo for at, *_ in blocks[first : last + 1]], dtype=np.intp)
+    pattern.flags.writeable = starts.flags.writeable = False
+    return _Pairs(slice(lo, lo + len(pattern)), pattern, starts, first)
 
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
@@ -282,120 +327,216 @@ def _check_batch(net: NetworkSpec, X, upstream=None):
     return X, upstream
 
 
-def _live(net: NetworkSpec, flat: np.ndarray) -> list[list]:
+def _live(reduced: np.ndarray) -> list[list]:
     """Per layer, whether the thirds of its block, [W_r; b_r], [W_g; b_g]
-    and [W_b; c], and its b_r, b_g and c rows hold an entry of flat, laid
-    out as params, other than +-0.0 (NaN counts): [affine, gate, square,
-    b_r, b_g, c], from one reduction over flat."""
+    and [W_b; c], and its b_r, b_g and c rows hold an entry of an array
+    laid out as params other than +-0.0 (NaN counts): [affine, gate,
+    square, b_r, b_g, c], from reduced, the array's one reduction,
+    np.logical_or.reduceat over the layout's parts."""
     return [[w_r or b_r, w_g or b_g, w_b or c, b_r, b_g, c] for w_r, b_r, w_g, b_g, w_b, c
-            in np.logical_or.reduceat(flat, net._layout.parts).reshape(-1, 6).tolist()]
+            in reduced.reshape(-1, 6).tolist()]
 
 
-def _operands(block: np.ndarray, n: int, quadratic: bool, kept: list) -> tuple:
-    """The forward's operands of a layer's block, (..., 3n + 3, m):
-    [W_r; b_r], [W_g; b_g] and [W_b; c] transposed, (..., m, rows) views,
-    None for a third left out.  kept, the layer's _live entry, says what
-    holds a value other than +-0.0 or a trainable entry; the rest is left
-    out.  A layer without quadratic neurons is its affine third; a
-    quadratic one without [W_r; b_r] and [W_g; b_g] its square term, or
-    its affine third where that is left out too, so that it writes its
-    zeros.  A bias row left out takes the ones row of X1 with it, except
-    at fan-in one, where the matmul would be rank 1 and cost twice as
-    much."""
+def _operands(n: int, quadratic: bool, kept: list) -> tuple:
+    """The rows of a layer's block, of fan-in n, that the forward reads as
+    [W_r; b_r], [W_g; b_g] and [W_b; c], each a slice, None for a third
+    left out.  kept, the layer's _live entry, says what holds a value other
+    than +-0.0 or a trainable entry; the rest is left out.  A layer without
+    quadratic neurons is its affine third; a quadratic one without [W_r;
+    b_r] and [W_g; b_g] its square term, or its affine third where that is
+    left out too, so that it writes its zeros.  A bias row left out takes
+    the ones row of X1 with it, except at fan-in one, where the matmul
+    would be rank 1 and cost twice as much."""
     affine, gate, square, b_r, b_g, c = kept
     gated, square = quadratic and (affine or gate), quadratic and square
-    block_t = block.swapaxes(-1, -2)
-    return (block_t[..., : n + (b_r or n == 1)] if gated or not square else None,
-            block_t[..., n + 1 : 2 * n + 1 + (b_g or n == 1)] if gated else None,
-            block_t[..., 2 * n + 2 : 3 * n + 2 + (c or n == 1)] if square else None)
+    return (slice(0, n + (b_r or n == 1)) if gated or not square else None,
+            slice(n + 1, 2 * n + 1 + (b_g or n == 1)) if gated else None,
+            slice(2 * n + 2, 3 * n + 2 + (c or n == 1)) if square else None)
 
 
-_TILE_BYTES = 1 << 19  # one (widest layer, tile rows) float64 slab of the workspace
+class _Products(NamedTuple):
+    """A product-tree layer (_Pairs) as forward_batch's program reads it:
+    neuron j < pairs multiplies rows 2j and 2j + 1 of its input, and the
+    passthroughs copy the rows in copies."""
+
+    pairs: int
+    copies: tuple
+
+
+class _Program(NamedTuple):
+    """forward_batch's program for one structure, its live thirds, product
+    layers and tile width, on views of one workspace."""
+
+    layout: _Layout  # held, so that no other layout takes its id, which keys the program
+    ops: list
+    params: np.ndarray  # where a call copies net.params, which the ops read
+    ones: tuple  # the ones rows, which no op writes
+    tile: np.ndarray  # the input rows, (columns, input_dim)
+    result: np.ndarray  # the output rows, (output_dim, columns)
+
+
+_KEPT_ENTRIES = _TILE_BYTES  # the most float64 entries, 4 MiB, of a kept workspace
+_PROGRAMS = 64  # the most programs a thread keeps
+
+
+class _Kept(threading.local):
+    """What a thread keeps between forward_batch calls: one workspace, and
+    the programs bound to it by key, the oldest dropped first."""
+
+    def __init__(self):
+        self.work, self.programs = np.empty(0), {}
+
+
+_kept = _Kept()
 
 
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """Evaluate a batch of inputs, shape (B, input_dim) -> (B, output_dim).
 
-    Runs the executor's forward program (_forward_ops) on net.params, built
-    on each call: with X1 = [X; 1], a layer is Z = ([W_r; b_r]^T X1) *
-    ([W_g; b_g]^T X1) + [W_b; c]^T (X1 * X1), then the activation, less
-    what holds only +-0.0 (_operands).  The output is written with 0.0
-    added, so that an exact zero is +0.0 as when every third is evaluated:
-    a layer without its square term gives -0.0 where P * Q is zero times a
-    negative value, as at a product tree's root, and later layers read it
-    through matmuls, which sum from 0.0.  A channel past sqrt(max float64)
-    is not squared where its square weights are 0.
+    Runs the executor's forward program (_forward_ops) on net.params: with
+    X1 = [X; 1], a layer is Z = ([W_r; b_r]^T X1) * ([W_g; b_g]^T X1) +
+    [W_b; c]^T (X1 * X1), then the activation, less what holds only +-0.0
+    (_operands).  A product-tree layer, whose block is the pattern of
+    _Pairs, is one multiply of X1's even rows by its odd rows, and one copy
+    with 0.0 added per passthrough, in place of two matmuls and a multiply:
+    on finite activations the output keeps the matmuls' bits (a zero
+    product's sign may differ within, which the matmuls of later layers
+    and the output's added 0.0 clear), but where a factor is +-inf the
+    product is +-inf (or NaN at 0 * inf), not the matmuls' NaN.
+    The output is written with 0.0 added, so that an exact zero is +0.0 as
+    when every third is evaluated: a layer without its square term gives
+    -0.0 where P * Q is zero times a negative value, as at a product tree's
+    root, and later layers read it through matmuls, which sum from 0.0.  A
+    channel past sqrt(max float64) is not squared where its square weights
+    are 0.
 
     The first layer reads [X | 1] copied into a (tile, input_dim + 1)
     buffer, seen transposed, and squares it in that layout, so the output's
     bits do not depend on X's memory order (an operand's layout picks its
-    BLAS kernel).  The batch runs one tile of columns at a time, one op list
-    per tile width: a multiple of 64 columns, as many as keep one (widest
-    layer, tile) float64 slab within _TILE_BYTES, the last tile what is
-    left.  OpenBLAS computes the columns of a product in groups of 8 alike
-    whatever its size, so each column keeps the whole batch's bits; the
-    last B mod 8 columns get kernels that depend on the product's size, so
-    a batch that is not a multiple of 8 is one tile, and holds O(widest
-    layer x B): one_hidden_quadratic(2, 200) peaks (tracemalloc) at 1.2 MiB
-    at B = 20,000 and 20,008, 62.6 MiB at B = 20,001.  Pass a multiple of 8
-    to bound a large batch's memory.  The one workspace per call is carved
-    as the executor's work memory (_carve), in (rows, tile) parts, each as
-    tall as its tallest layer: [X | 1], [Z; 1] of the even and of the odd
-    layers, Q and X1 * X1; Z doubles as P, and Q as the square term's
-    product.  [X | 1] and the first layer's X1 * X1 keep their (tile,
-    input_dim + 1) layout within their parts.
+    BLAS kernel).  The batch runs one tile of columns at a time: a multiple
+    of 64 columns, as many as keep one (widest layer, tile) float64 slab
+    within _TILE_BYTES, the last tile what is left.  OpenBLAS computes the
+    columns of a product in groups of 8 alike whatever its size, so each
+    column keeps the whole batch's bits; the last B mod 8 columns get
+    kernels that depend on the product's size, so a batch that is not a
+    multiple of 8 is one tile, and holds O(widest layer x B):
+    one_hidden_quadratic(2, 200) peaks (tracemalloc) at 1.2 MiB at
+    B = 20,000 and 20,008, 62.6 MiB at B = 20,001.  Pass a multiple of 8
+    to bound a large batch's memory.
+
+    The workspace is carved as the executor's work memory (_carve), in
+    (rows, tile) parts, each as tall as its tallest layer: [X | 1], [Z; 1]
+    of the even and of the odd layers, Q and X1 * X1; Z doubles as P, and
+    Q as the square term's product.  [X | 1] and the first layer's X1 * X1
+    keep their (tile, input_dim + 1) layout within their parts, and a copy
+    of params, which the matmuls read, follows them.
+
+    Each thread keeps one workspace between calls, of at most
+    _KEPT_ENTRIES float64 entries (4 MiB), and up to _PROGRAMS programs
+    bound to it, one per (structure, live thirds, product layers, tile
+    width), the oldest dropped first.  A call looks its program up by the
+    layout's id, the bytes of the _live reduction and of the product test
+    (one comparison with the pattern), and the tile width, then copies
+    params and X in, writes the ones rows and runs it: no op list is built
+    and no view is made.  A miss builds the program, on a new workspace
+    where it needs a larger one within the bound, dropping every program
+    bound to the old.  A program whose workspace would pass the bound runs
+    on one of its own, which the call drops: one_hidden_quadratic(2, 200)
+    at B = 20,001 keeps nothing.  The thread keeps no reference to a net,
+    to X or to the output; its workspace keeps the last call's values.
     """
     X, _ = _check_batch(net, X)
-    batch, d = X.shape
-    widths = net.layer_widths()
-    fan_in = [d] + widths[:-1]
-    rows = max(64, _TILE_BYTES // (8 * max(d, *widths)) // 64 * 64)
-    if batch % 8:
-        rows = max(rows, batch)
-    cols = min(batch, rows)
-    layers = [(_operands(block, n, "quadratic" in kinds, kept), activation == "relu")
-              for block, n, (activation, kinds), kept
-              in zip(net.blocks, fan_in, net.structure, _live(net, net.params))]
-    # the rows of each part of the workspace: [X | 1], [Z; 1] of the even
-    # and of the odd layers (Z the rows just above the ones row, so that
-    # the ones row stays put), Q, X1 * X1
-    gated = [m for ((_, W_g, _), _), m in zip(layers, widths) if W_g is not None]
-    squared = [n + 1 for ((*_, W_b), _), n in zip(layers, fan_in) if W_b is not None]
-    heights = [d + 1, max(widths[::2]) + 1, max(widths[1::2], default=-1) + 1,
-               max(gated, default=0), max(squared, default=0)]
-    work = _aligned(cols * sum(heights))
-
-    def program(columns: int) -> tuple:
-        """The op list for a tile of the given columns, the tile's input
-        rows and its output rows, with the ones rows written."""
-        inp, even, odd, Q, square = _carve(work, heights, columns)
-        inp = inp.reshape(columns, d + 1)
-        inp[:, d] = 1.0
-        parts = [even, odd]
-        for part in parts:
-            part[-1:] = 1.0
-        ops, X1, X2 = [], inp.T, None
-        for k, ((thirds, relu), m, n) in enumerate(zip(layers, widths, fan_in)):
-            Z1 = parts[k % 2][-1 - m :]
-            if thirds[2] is not None:  # the first layer's in its input's layout
-                X2 = square[: n + 1]
-                X2 = X2 if k else X2.reshape(columns, n + 1).T
-            Z, Qm = Z1[:-1], Q[:m]
-            ops += _forward_ops(thirds, relu, X1, Z, _LayerBuffers(Qm, X2, Z, Qm, None))
-            X1 = Z1
-        return ops, inp[:, :d], Z
-
+    batch, layout, flat = len(X), net._layout, net.params
+    pairs = layout.pairs
+    products = pairs and np.logical_and.reduceat(flat[pairs.span] == pairs.pattern, pairs.starts)
+    live = np.logical_or.reduceat(flat, layout.parts)
+    key = (id(layout), live.tobytes(), pairs and products.tobytes())
+    rows = layout.tile if batch % 8 == 0 else max(layout.tile, batch)
     out = np.empty((batch, net.output_dim))
-    width = None
+    programs, width = _kept.programs, None
     for start in range(0, batch, rows):
         stop = min(start + rows, batch)
         if stop - start != width:
             width = stop - start
-            ops, tile, result = program(width)
-        tile[...] = X[start:stop]
-        _run(ops)
-        np.add(result.T, 0.0, out=out[start:stop])
+            program = programs.get((*key, width)) or _program(net, live, products, (*key, width))
+            program.params[...] = flat
+            for row in program.ones:
+                row.fill(1.0)
+        program.tile[...] = X[start:stop]
+        _run(program.ops)
+        np.add(program.result.T, 0.0, out=out[start:stop])
     return out
+
+
+def _program(net: NetworkSpec, live: np.ndarray, products, key: tuple) -> _Program:
+    """The program at key, (layout id, live bytes, product bytes, tile
+    width), which the thread does not keep yet: built and kept, or built on
+    a workspace of its own, and not kept, where it needs more than
+    _KEPT_ENTRIES."""
+    kept = _kept
+    layers, heights = _layers(net, live, products)
+    size = key[-1] * sum(heights) + net._layout.size
+    if size > _KEPT_ENTRIES:
+        return _bind(net, layers, heights, _aligned(size), key[-1])
+    if size > len(kept.work):
+        kept.work = _aligned(size)
+        kept.programs.clear()
+    elif len(kept.programs) >= _PROGRAMS:
+        del kept.programs[next(iter(kept.programs))]
+    program = kept.programs[key] = _bind(net, layers, heights, kept.work, key[-1])
+    return program
+
+
+def _layers(net: NetworkSpec, live: np.ndarray, products) -> tuple[list, list]:
+    """Per layer of net, (rule, relu, width): its _Products where products,
+    the product test over the _Pairs span, flags it, else the rows of its
+    thirds (_operands, from live, the reduction of net.params); and the
+    rows of each part of the workspace: [X | 1], [Z; 1] of the even and of
+    the odd layers (Z the rows just above the ones row, so that the ones
+    row stays put), Q, X1 * X1."""
+    layout, widths = net._layout, net.layer_widths()
+    fan_in = [net.input_dim] + widths[:-1]
+    flags = {} if products is None else dict(enumerate(products.tolist(), layout.pairs.first))
+    layers, gated, squared = [], [0], [0]
+    for k, (m, n, (activation, kinds), kept) in enumerate(
+            zip(widths, fan_in, net.structure, _live(live))):
+        if flags.get(k):
+            p = kinds.count("quadratic")
+            rule = _Products(p, kinds[p:])
+        else:
+            rule = _operands(n, "quadratic" in kinds, kept)
+            gated.append(m if rule[1] else 0)
+            squared.append(n + 1 if rule[2] else 0)
+        layers.append((rule, activation == "relu", m))
+    heights = [net.input_dim + 1, max(widths[::2]) + 1, max(widths[1::2], default=-1) + 1,
+               max(gated), max(squared)]
+    return layers, heights
+
+
+def _bind(net: NetworkSpec, layers: list, heights: list, work: np.ndarray,
+          columns: int) -> _Program:
+    """The _Program of layers (_layers) for a tile of columns, on the start
+    of work: the parts of the given heights, then the copy of params."""
+    d, end = net.input_dim, columns * sum(heights)
+    inp, even, odd, Q, square = _carve(work, heights, columns)
+    params = work[end : end + net._layout.size]
+    inp = inp.reshape(columns, d + 1)
+    parts = [even, odd]
+    ops, X1 = [], inp.T
+    for k, ((rule, relu, m), (pos, rows, _)) in enumerate(zip(layers, net._layout.blocks)):
+        Z1 = parts[k % 2][-1 - m :]
+        Z, buffers = Z1[:-1], None
+        if type(rule) is tuple:
+            W, W_g, W_b = rule
+            block_t, X2, Qm = params[pos : pos + rows * m].reshape(rows, m).T, None, Q[:m]
+            if W_b:  # the first layer's in its input's layout
+                n = len(X1) - 1
+                X2 = square[: n + 1] if k else square[: n + 1].reshape(columns, n + 1).T
+            rule = W and block_t[:, W], W_g and block_t[:, W_g], W_b and block_t[:, W_b]
+            buffers = _LayerBuffers(Qm, X2, Z, Qm, None)
+        ops += _forward_ops(rule, relu, X1, Z, buffers)
+        X1 = Z1
+    return _Program(net._layout, ops, params, (inp[:, d], even[-1:], odd[-1:]), inp[:, :d], Z)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +658,24 @@ def _through(W, A, out) -> tuple:
 def _forward_ops(thirds: tuple, relu: bool, X1, Z, buffers: _LayerBuffers) -> list[tuple]:
     """A layer's forward pass, from its input X1 = [X; 1] into its
     activations Z, on its operands (_operands): the one forward program,
-    of the executor and of forward_batch."""
-    W, W_g, W_b = thirds
-    product, X2, P, Q, _ = buffers
-    ops = [] if W_b is None else [(np.multiply, X1, X1, X2)]
-    if W_g is not None:
-        ops += [_through(W, X1, P), _through(W_g, X1, Q), (np.multiply, P, Q, Z)]
-        if W_b is not None:
-            ops += [_through(W_b, X2, product), (np.add, Z, product, Z)]
+    of the executor and of forward_batch.  A product-tree layer, thirds a
+    _Products (forward_batch's, on (rows, columns) views), is one multiply
+    of X1's even rows by its odd rows and one copy, with 0.0 added, per
+    passthrough."""
+    if type(thirds) is _Products:
+        p = thirds.pairs
+        ops = [(np.multiply, X1[0 : 2 * p : 2], X1[1 : 2 * p : 2], Z[:p])]
+        ops += [(np.add, X1[i : i + 1], 0.0, Z[j : j + 1]) for j, i in enumerate(thirds.copies, p)]
     else:
-        ops.append(_through(W_b, X2, Z) if W is None else _through(W, X1, Z))
+        W, W_g, W_b = thirds
+        product, X2, P, Q, _ = buffers
+        ops = [] if W_b is None else [(np.multiply, X1, X1, X2)]
+        if W_g is not None:
+            ops += [_through(W, X1, P), _through(W_g, X1, Q), (np.multiply, P, Q, Z)]
+            if W_b is not None:
+                ops += [_through(W_b, X2, product), (np.add, Z, product, Z)]
+        else:
+            ops.append(_through(W_b, X2, Z) if W is None else _through(W, X1, Z))
     if relu:
         ops.append((np.maximum, Z, 0.0, Z))
     return ops
@@ -668,9 +817,9 @@ class PackedNetwork:
         self.theta_index = _theta_index(net)
 
         self._layers = []
-        blocks = zip(net._split(self.params), net._split(self.grad),
-                     _live(net, np.logical_or(net.params, net.trainable)),
-                     _live(net, net.trainable))
+        kept, learnt = (_live(np.logical_or.reduceat(flat, net._layout.parts))
+                        for flat in (np.logical_or(net.params, net.trainable), net.trainable))
+        blocks = zip(net._split(self.params), net._split(self.grad), kept, learnt)
         for k, ((block, gblock, kept, learnt), n, (activation, kinds)) in enumerate(
                 zip(blocks, fan_in, net.structure)):
             m = block.shape[2]
@@ -680,7 +829,8 @@ class PackedNetwork:
                 relu=activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
-                thirds_t=_operands(block, n, "quadratic" in kinds, kept),
+                thirds_t=tuple(rows and block.swapaxes(1, 2)[..., rows]
+                               for rows in _operands(n, "quadratic" in kinds, kept)),
                 weights=tuple(block[:, t] for t in weights),
                 grads=tuple(gblock[:, t] if some else None
                             for t, some in zip(thirds, learnt[:3])),

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from concurrent.futures import ThreadPoolExecutor
 import sys
 import tracemalloc
 
@@ -858,6 +859,172 @@ class TestWorkMemory:
         assert forward_batch(net, np.zeros((0, 3))).shape == (0, 1)
         grad = backward_batch(net, np.zeros((0, 3)), np.zeros((0, 1)))
         np.testing.assert_array_equal(grad, np.zeros(trainable_count(net)))
+
+
+def fresh_forward(net, X):
+    """forward_batch in a new thread, which keeps no workspace or program yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(forward_batch, net, X).result()
+
+
+def random_tree(rng, degree):
+    """The product tree of a polynomial of degree real roots uniform on
+    [-2, 2]: degree linear factors, so that trees of one degree share a
+    structure."""
+    return build_poly_net(factor_polynomial(Polynomial(
+        np.poly(rng.uniform(-2.0, 2.0, size=degree))[::-1])))
+
+
+class TestKeptPrograms:
+    """Each thread keeps one workspace between forward_batch calls and the
+    programs bound to it, one per structure, live thirds, product layers
+    and tile width; whatever ran before, a call gives the bytes a call in a
+    fresh thread gives."""
+
+    def test_nets_of_one_structure_alternate(self):
+        """Two nets of one structure, with different parameters, share a
+        program: each call runs on its own net's parameters."""
+        rng = np.random.default_rng(41)
+        hidden = [one_hidden_quadratic(3, 5) for _ in range(2)]
+        for net in hidden:
+            net.params[:] = rng.normal(size=len(net.params))
+        for pair in ([random_tree(rng, 6) for _ in range(2)], hidden):
+            assert pair[0].structure == pair[1].structure
+            assert not np.array_equal(pair[0].params, pair[1].params)
+            for batch in (1, 401, 4096):
+                X = rng.uniform(-2.0, 2.0, size=(batch, pair[0].input_dim))
+                want = [fresh_forward(net, X).tobytes() for net in pair]
+                for _ in range(2):
+                    assert [forward_batch(net, X).tobytes() for net in pair] == want
+
+    def test_nan_over_the_kept_workspace_changes_no_bit(self):
+        """A call writes everything it reads, the ones rows and the copy
+        of the parameters included: NaN over the whole kept workspace
+        between two calls changes no output bit, in a single tile, in
+        several and in a short last one."""
+        rng = np.random.default_rng(42)
+        wide = one_hidden_quadratic(2, 200)
+        wide.params[:] = rng.uniform(-1.0, 1.0, size=len(wide.params))
+        deep = build_deep_radial(RadialPartition([0.0, 1.0, 2.0], [1.0, -0.5], 0.1), 3)
+        for net, batch in ((random_tree(rng, 9), 401), (deep, 4096), (wide, 1000), (wide, 1)):
+            X = rng.uniform(-2.0, 2.0, size=(batch, net.input_dim))
+            want = forward_batch(net, X).tobytes()
+            network._kept.work[...] = np.nan
+            assert forward_batch(net, X).tobytes() == want
+
+    def test_threads_evaluate_different_nets_at_once(self):
+        """Two threads evaluating different nets at once, over and over,
+        each get the bytes of their net's single-thread outputs."""
+        import threading
+
+        rng = np.random.default_rng(43)
+        wide = one_hidden_quadratic(2, 64)
+        wide.params[:] = rng.uniform(-1.0, 1.0, size=len(wide.params))
+        cases = [(random_tree(rng, 12), rng.uniform(-2.0, 2.0, size=(401, 1))),
+                 (wide, rng.uniform(-2.0, 2.0, size=(1000, 2)))]
+        want = [fresh_forward(net, X).tobytes() for net, X in cases]
+        start = threading.Barrier(len(cases))
+
+        def evaluate(net, X):
+            start.wait()
+            return [forward_batch(net, X).tobytes() for _ in range(200)]
+
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+            runs = list(pool.map(lambda case: evaluate(*case), cases))
+        for got, expected in zip(runs, want):
+            assert set(got) == {expected}
+
+    def test_what_a_thread_keeps_is_bounded(self):
+        """The kept workspace holds at most _KEPT_ENTRIES entries and the
+        table at most _PROGRAMS programs; a call whose workspace would pass
+        the bound, one_hidden_quadratic(2, 200) at B = 20,001, keeps
+        nothing."""
+
+        def kept():
+            state = network._kept
+            return state.work, list(state.programs)
+
+        def run():
+            net = one_hidden_quadratic(2, 200)
+            X = np.ones((20_001, 2))
+            forward_batch(net, X[:20_000])
+            before = kept()
+            forward_batch(net, X)
+            after = kept()
+            for width in range(1, network._PROGRAMS + 9):
+                forward_batch(one_hidden_quadratic(1, width), np.ones((8, 1)))
+            return before, after, len(network._kept.programs), network._kept.work.size
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            (work, keys), (work_after, keys_after), programs, size = pool.submit(run).result()
+        assert work_after is work and keys_after == keys
+        assert programs == network._PROGRAMS
+        assert 0 < size <= network._KEPT_ENTRIES
+
+
+def ops_run(net, X, monkeypatch) -> list:
+    """The ops forward_batch runs on X."""
+    ops, run = [], network._run
+
+    def spy(program):
+        ops.extend(program)
+        run(program)
+
+    monkeypatch.setattr(network, "_run", spy)
+    forward_batch(net, X)
+    monkeypatch.undo()
+    return ops
+
+
+class TestProductLayers:
+    """A product-tree layer, whose block is one-hot pairs W_r = e_2j,
+    W_g = e_2j+1, then passthroughs, and +-0.0 elsewhere, runs as one
+    multiply of its input's even rows by its odd rows and a copy with 0.0
+    added per passthrough, with the matmuls' bits on finite inputs."""
+
+    def test_rule_fires_on_product_trees_alone(self, monkeypatch):
+        """A degree-7 tree does the factor layer's two matmuls alone; with
+        any one entry of a product layer's block changed, that layer runs
+        its matmuls, and gives the whole-batch reference's bytes; an entry
+        of 0.0 set to -0.0 leaves the rule on."""
+        rng = np.random.default_rng(44)
+        tree = random_tree(rng, 7)
+        assert tree.layer_widths() == [7, 4, 2, 1]
+        X = rng.uniform(-2.0, 2.0, size=(401, 1))
+
+        def matmuls(net):
+            return sum(op[0] is np.matmul for op in ops_run(net, X, monkeypatch))
+
+        assert matmuls(tree) == 2
+        assert forward_batch(tree, X).tobytes() == dense_forward_batch(tree, X).tobytes()
+        for block_index in (1, 2, 3):
+            for entry in np.ndindex(tree.blocks[block_index].shape):
+                for value in (0.5, -0.0):
+                    if value == -0.0 and tree.blocks[block_index][entry] != 0.0:
+                        continue
+                    net = copy.copy(tree)  # the layout shared, as set_trainable_values shares it
+                    net.params = tree.params.copy()
+                    net.blocks[block_index][entry] = value
+                    assert (matmuls(net) == 2) == (value == -0.0), (block_index, entry)
+                    got = forward_batch(net, X)
+                    assert got.tobytes() == whole_batch_forward(net, X).tobytes()
+
+    def test_infinities_through_a_product_layer(self):
+        """x0 * x1 beside a passthrough of x2: an infinite factor gives an
+        infinite product and an infinite channel is copied, where the
+        matmuls' 0 * inf made both NaN; -0.0 is copied as +0.0."""
+        net = NetworkSpec.blank(3, [("identity", ["quadratic", 2])])
+        rows = block_rows(3)
+        net.blocks[0][rows.w_r.start + 0, 0] = 1.0
+        net.blocks[0][rows.w_g.start + 1, 0] = 1.0
+        inf = np.inf
+        X = np.array([[inf, 2.0, -inf], [-inf, -0.5, 3.0], [inf, 0.0, -0.0], [-3.0, 0.5, 7.0]])
+        want = np.array([[inf, -inf], [inf, 3.0], [np.nan, 0.0], [-1.5, 7.0]])
+        with np.errstate(invalid="ignore"):
+            got = forward_batch(net, X)
+            assert np.isnan(whole_batch_forward(net, X)[:3]).all()
+        np.testing.assert_array_equal(got, want)
+        assert not np.signbit(got[2, 1])
 
 
 class TestParameters:

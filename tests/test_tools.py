@@ -30,16 +30,18 @@ def test_step_timing_prints_an_exact_net_row():
         [sys.executable, str(ROOT / "tools" / "step_timing.py"), "bernstein_16", "--repeat", "1"],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    header, row, grid_row = result.stdout.splitlines()
-    assert header.split() == ["net", "depth", "B", "forward_batch_us", "np_calls",
+    header, row, *small_rows = result.stdout.splitlines()
+    assert header.split() == ["net", "depth", "B", "forward_batch_us", "cold_us", "np_calls",
                               "to_json_us", "from_json_us"]
-    name, depth, batch, forward, calls, *json_times = row.split()
+    name, depth, batch, forward, cold, calls, *json_times = row.split()
     assert (name, batch) == ("bernstein_16", "4096") and int(depth) > 0
-    assert float(forward) > 0 and int(calls) > 0
+    assert float(forward) > 0 and float(cold) > 0 and int(calls) > 0
     assert all(float(us) > 0 for us in json_times)
-    name, _, batch, forward, calls, *json_times = grid_row.split()
-    assert (name, batch) == ("bernstein_16", "401") and json_times == ["-", "-"]
-    assert float(forward) > 0 and int(calls) > 0
+    assert [row.split()[2] for row in small_rows] == ["401", "1"]
+    for row in small_rows:
+        name, _, batch, forward, cold, calls, *json_times = row.split()
+        assert name == "bernstein_16" and json_times == ["-", "-"]
+        assert float(forward) > 0 and float(cold) > 0 and int(calls) > 0
 
 
 def test_step_timing_prints_the_factor_rows():
@@ -82,7 +84,8 @@ def test_ab_times_the_checkout_against_itself():
     assert [row.split()[:2] for row in rows] == [
         ["factorizer", "forward_us"], ["factorizer", "backward_us"],
         ["factorizer", "descend_us"], ["bernstein_16@4096", "forward_batch_us"],
-        ["bernstein_16@401", "forward_batch_us"], ["bernstein_16", "to_json_us"],
+        ["bernstein_16@401", "forward_batch_us"], ["bernstein_16@1", "forward_batch_us"],
+        ["bernstein_16", "to_json_us"],
         ["bernstein_16", "from_json_us"], ["factor_bernstein_30", "factor_us"]]
     for row in rows:
         _, measure, *medians, spread, aa, aa_spread = row.split()

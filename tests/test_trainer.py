@@ -7,7 +7,9 @@ from conftest import loss_and_grad
 import qnn.trainer
 from qnn.builders import build_factorization_trainable
 from qnn.network import (
+    NetworkSpec,
     PackedNetwork,
+    block_rows,
     forward_batch,
     one_hidden_quadratic,
     set_trainable_values,
@@ -269,6 +271,34 @@ class TestTrain:
         assert last < cfg.iterations - 1
         assert np.isnan(history[last + 1 :]).all()
         np.testing.assert_array_equal(history, again)
+
+    @pytest.mark.parametrize("seed, finite", [(0, [True, False]), (4, [False, False])])
+    def test_nan_only_at_the_final_evaluation_is_divergence(self, seed, finite):
+        """A restart whose loss stays finite through its last step and whose
+        final forward gives NaN has final loss inf, not NaN: one ReLU unit
+        under a frozen identity output, where the one step's learning rate
+        of 1e308 takes a live unit's w and b to +inf, so that w * 0 is NaN,
+        and leaves a dead unit's (b < 0, w + b < 0) as they were."""
+        net = NetworkSpec.blank(1, [("relu", ["conventional"]), ("identity", ["conventional"])])
+        net.blocks[1][block_rows(1).w_r, 0] = 1.0
+        net.masks[1][0][:] = False
+        data = Dataset(np.array([[0.0], [1.0]]), np.array([10.0, 10.0]))
+        cfg = TrainConfig(learning_rate=1e308, iterations=1, seed=seed, restarts=2)
+        theta, history, final, stopped = _descend(net, data, cfg)
+        assert np.isfinite(history).all() and stopped.tolist() == [1, 1]
+        for row, loss, ok in zip(theta, final, finite):
+            assert np.isfinite(loss) == ok
+            if not ok:
+                assert loss == np.inf
+                with np.errstate(invalid="ignore"):
+                    out = forward_batch(set_trainable_values(net, row), data.inputs)
+                assert np.isnan(out).any()
+        if any(finite):
+            nets, _, final = train_restarts(net, data, cfg)
+            assert [trained is not None for trained in nets] == finite
+        else:
+            with pytest.raises(TrainingError):
+                train_restarts(net, data, cfg)
 
     @pytest.mark.parametrize("case", ["factorizer", "relu"])
     def test_matches_per_neuron_reference_loop(self, case):

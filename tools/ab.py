@@ -14,8 +14,11 @@ training shapes and exact nets, or the ones named) gives its measures:
 - a training shape: ``forward_us``, ``backward_us`` and ``descend_us`` as
   step_timing takes them, except that one ``descend_us`` sample is one
   descent of 1 + N steps less a 1-step one, over N;
-- an exact net: ``forward_batch_us`` at 4096 and at 401 points (rows
-  ``name@4096`` and ``name@401``), ``to_json_us`` and ``from_json_us``;
+- an exact net: ``forward_batch_us`` at 4096, 401 and 1 points (rows
+  ``name@4096``, ``name@401`` and ``name@1``), ``to_json_us`` and
+  ``from_json_us``; a first call in a fresh process, step_timing's
+  ``cold_us``, is not timed here: read it from step_timing run in each
+  checkout;
 - a polynomial: ``factor_us``, one ``factor_polynomial`` call, a refusal
   included.
 
@@ -78,7 +81,7 @@ def runs(step_timing, qnn, picked: set) -> dict:
                                               restarts, batch)
     for name, net, X in step_timing.exact_nets(qnn):
         if name in picked:
-            for points in (X, X[:4010:10]):
+            for points in step_timing.batches(X):
                 out[f"{name}@{len(points)}", "forward_batch_us"] = step_timing.timed(
                     partial(qnn.forward_batch, net, points))
             out[name, "to_json_us"] = step_timing.timed(partial(qnn.to_json, net))

@@ -22,14 +22,19 @@ The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
 points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
 kinds, one restart of 4096 points).  It then times ``forward_batch`` the
 same way on the exact nets that the exact-build benchmark evaluates, at
-4096 points and at every tenth of the first 4010, 401 points: the CLI's
-grid size, one tile, where building the call's op list counts.  The nets
-are a degree-14 product tree, the Bernstein net of |x - 1/2| at n = 16,
-the deep radial stack at d = 4 and the 200-unit shallow radial net at
-d = 2; ``np_calls`` is the numpy calls of one call, counted as above.
-The 4096-point row also times ``to_json`` writing the net and
+4096 points, at every tenth of the first 4010, 401 points (the CLI's grid
+size, one tile), and at the first point alone, the call of
+``oracles.finite_diff_grad``, where what a call does besides its
+arithmetic counts.  ``cold_us`` is the first ``forward_batch`` call at
+that row's points in a fresh process that has built the nets and
+evaluated none, the best of ``--repeat`` processes: the call that finds
+no program for the net's structure and no workspace.  The nets are a
+degree-14 product tree, the Bernstein net of |x - 1/2| at n = 16, the
+deep radial stack at d = 4 and the 200-unit shallow radial net at d = 2;
+``np_calls`` is the numpy calls of a call after a first, counted as
+above.  The 4096-point row also times ``to_json`` writing the net and
 ``from_json`` reading it back from its JSON, written once outside the
-timer; the 401-point row leaves those "-".  Last, ``factor_us`` is one
+timer; the other rows leave those "-".  Last, ``factor_us`` is one
 ``factor_polynomial`` call, timed the same way, on the Bernstein
 approximant of |x - 1/2| at n = 16 and 24, at n = 30, which the residual
 check refuses, so that its row times the refusal, and on the degree-14
@@ -55,13 +60,16 @@ import argparse
 import itertools
 import os
 import resource
+import subprocess
 import sys
 import time
 import timeit
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def shapes(qnn) -> list[tuple]:
@@ -107,6 +115,36 @@ def exact_nets(qnn) -> list[tuple]:
             ("bernstein_16", bernstein, rng.uniform(0.0, 1.0, size=(4096, 1))),
             ("deep_radial_d4", deep, ray),
             ("shallow_200x2", shallow, rng.uniform(-1.5, 1.5, size=(4096, 2)))]
+
+
+def batches(X) -> list:
+    """The points of an exact net's rows: all 4096, every tenth of the
+    first 4010, the first alone."""
+    return [X, X[:4010:10], X[:1]]
+
+
+def first_call_us(src: str, name: str, batch: int) -> float:
+    """µs of the first forward_batch call of the qnn in src on exact net
+    name at batch points, in this process, which must have evaluated none."""
+    sys.path.insert(0, src)
+    import qnn
+
+    for row, net, X in exact_nets(qnn):
+        if row == name:
+            points = next(points for points in batches(X) if len(points) == batch)
+            tick = time.perf_counter()
+            qnn.forward_batch(net, points)
+            return (time.perf_counter() - tick) * 1e6
+    raise ValueError(f"no exact net {name!r}")
+
+
+def cold_us(name: str, batch: int, repeat: int) -> float:
+    """The least first_call_us over repeat fresh processes, each running
+    the qnn of this checkout with the environment of this one."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import step_timing; "
+            f"print(step_timing.first_call_us({str(SRC)!r}, {name!r}, {batch}))")
+    return min(float(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    check=True).stdout) for _ in range(repeat))
 
 
 def polynomials(qnn) -> list[tuple]:
@@ -235,6 +273,19 @@ def numpy_calls(call) -> int:
     return count
 
 
+def warm_calls(call) -> int:
+    """The numpy calls of a call() after a first: two calls less one, each
+    pair counted in a new thread, so that what a thread keeps from its
+    first call (forward_batch's program, built through the counting
+    stand-in) is counted when the second runs it."""
+
+    def counted(times: int) -> int:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(numpy_calls, lambda: [call() for _ in range(times)]).result()
+
+    return counted(2) - counted(1)
+
+
 def descend_step(qnn, net, restarts: int, batch: int, repeat: int, steps: int) -> tuple:
     """(µs per step, numpy calls per step) of trainer._descend at a shape."""
 
@@ -259,7 +310,7 @@ def main(argv=None) -> int:
 
     for var in BLAS_THREADS:
         os.environ[var] = "1"  # read when numpy loads its BLAS, on the import below
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(SRC))
     import qnn
     from qnn.network import forward_batch, from_json, to_json
 
@@ -288,19 +339,20 @@ def main(argv=None) -> int:
     if table and nets:
         print()
     if nets:
-        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'np_calls':>9} "
-              f"{'to_json_us':>11} {'from_json_us':>13}")
+        print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'cold_us':>8} "
+              f"{'np_calls':>9} {'to_json_us':>11} {'from_json_us':>13}")
     for name, net, X in nets:
         text = to_json(net)
-        for points in (X, X[:4010:10]):
+        for points in batches(X):
             us = best_us(timed(lambda: forward_batch(net, points)), args.repeat)
-            calls = numpy_calls(lambda: forward_batch(net, points))
+            cold = cold_us(name, len(points), args.repeat)
+            calls = warm_calls(lambda: forward_batch(net, points))
             write = read = "-"
             if points is X:
                 write = f"{best_us(timed(lambda: to_json(net)), args.repeat):.1f}"
                 read = f"{best_us(timed(lambda: from_json(text)), args.repeat):.1f}"
-            print(f"{name:<18} {net.depth:>5} {len(points):>5} {us:>17.1f} {calls:>9} "
-                  f"{write:>11} {read:>13}")
+            print(f"{name:<18} {net.depth:>5} {len(points):>5} {us:>17.1f} {cold:>8.1f} "
+                  f"{calls:>9} {write:>11} {read:>13}")
 
     if (table or nets) and polys:
         print()
