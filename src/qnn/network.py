@@ -27,12 +27,13 @@ it; the trainer steps its params in place, and backward_batch is a one-row
 executor at the net's own values.  forward_batch runs the executor's forward
 program, _forward_ops, tile by tile: one op order, the biases folded into
 the matmuls through a row of ones, and one rule for what is left out
-(_operands).  It builds the program once per structure and thread, on a
-workspace the thread keeps, and runs a product tree's layers as strided
-multiplies, not matmuls (_Pairs).  It matches the per-neuron oracle bit
-for bit where the sums come out in one fixed order, as tested (product
-trees, Bernstein nets, deep radial stacks, the factorizer reading the
-triple product alone); a dense sum of several nonzero weights gets the
+(_operands).  It builds the program once per structure and thread, on the
+one workspace the thread keeps for its life, and runs a product tree's
+layers as strided multiplies, not matmuls, where a block equals the
+layout's product pattern (_Layout.pairs).  It matches the per-neuron
+oracle bit for bit where the sums come out in one fixed order, as tested
+(product trees, Bernstein nets, deep radial stacks, the factorizer reading
+the triple product alone); a dense sum of several nonzero weights gets the
 BLAS kernel its operand layout picks and agrees to rounding (100 of 200
 random multivariate polynomial nets differ, by at most 7.8e-16 relative
 to 1 + |value|).
@@ -121,7 +122,7 @@ class NetworkSpec:
     (see _operands), but within the rest the zero entries multiply their
     inputs too, so where an input is inf a pre-activation can be NaN where
     the per-neuron oracle gives inf or an exact copy; forward_batch's
-    product-tree layers (_Pairs) multiply no zero entry.
+    product-tree layers (_Layout.pairs) multiply no zero entry.
     trainable flags the trainable entries of params among the canonical
     parameters; structure holds each layer's (activation, kinds) (see
     _layer).
@@ -196,20 +197,10 @@ class NetworkSpec:
         return [len(kinds) for _, kinds in self.structure]
 
 
-class _Pairs(NamedTuple):
-    """Where a structure's layers can be product-tree layers: p quadratic
-    neurons, then passthroughs, at a fan-in of at least 2p.  Such a layer
-    is one when its block equals the pattern, W_r = e_2j and W_g = e_2j+1
-    for neuron j < p, the passthroughs' ones, every other entry +-0.0."""
-
-    span: slice  # of params, from the first such layer's block to the last's end
-    pattern: np.ndarray  # over span, NaN in the blocks of the layers between
-    starts: np.ndarray  # where each layer's block starts within span
-    first: int  # the layer span starts at
-
-
 class _Layout(NamedTuple):
-    """What a structure fixes of a net's params; the arrays are read-only."""
+    """What a structure fixes of a net's params; the arrays are read-only,
+    so that a deep copy of a net shares its layout (__deepcopy__) and with
+    it forward_batch's programs."""
 
     blocks: tuple  # per layer, (position, rows, width) of its block
     sizes: tuple  # per layer, each neuron's parameter count
@@ -218,7 +209,12 @@ class _Layout(NamedTuple):
     own: np.ndarray  # each neuron parameter's position, in canonical order
     parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g, W_b and c rows start
     tile: int  # forward_batch's full tile, in batch rows
-    pairs: _Pairs | None  # the product-tree pattern, where a layer can take it
+    # over params, the product-tree pattern in the block of each layer that
+    # can take it (see _layout_of), NaN in every other block; None if none can
+    pairs: np.ndarray | None
+
+    def __deepcopy__(self, memo) -> _Layout:
+        return self
 
 
 def _param_counts(n: int) -> dict:
@@ -261,7 +257,7 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
         p = next((j for j, kind in enumerate(kinds) if kind != "quadratic"), m)
         if p and 2 * p <= n and all(type(kind) is int for kind in kinds[p:]):
             # W_r's row 2j and W_g's row 2j + 1 in column j, and the passthroughs' ones
-            pairs.append((k, [pos + (2 * j * m + j) for j in range(p)]
+            pairs.append((slice(pos, pos + height * m), [pos + (2 * j * m + j) for j in range(p)]
                           + [pos + (n + 2 + 2 * j) * m + j for j in range(p)] + ones[passed:]))
         sizes.append(tuple(size.get(kind, 0) for kind in kinds))
         columns += range(pos, pos + m)
@@ -277,24 +273,14 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     own.flags.writeable = ones.flags.writeable = parts.flags.writeable = False
     widest = max(input_dim, *(m for *_, m in blocks))
     tile = max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
-    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts, tile,
-                   _pairs_of(blocks, pairs) if pairs else None)
-
-
-def _pairs_of(blocks: list, pairs: list) -> _Pairs:
-    """The _Pairs of a structure's blocks, (position, rows, width) per
-    layer, from (layer, positions of its pattern's ones) of each layer that
-    can be a product-tree layer."""
-    first, last = pairs[0][0], pairs[-1][0]
-    lo, (end, rows, m) = blocks[first][0], blocks[last]
-    pattern = np.full(end + rows * m - lo, np.nan)
-    for k, one in pairs:
-        at, rows, m = blocks[k]
-        pattern[at - lo : at - lo + rows * m] = 0.0
-        pattern[np.array(one) - lo] = 1.0
-    starts = np.array([at - lo for at, *_ in blocks[first : last + 1]], dtype=np.intp)
-    pattern.flags.writeable = starts.flags.writeable = False
-    return _Pairs(slice(lo, lo + len(pattern)), pattern, starts, first)
+    pattern = None
+    if pairs:
+        pattern = np.full(pos, np.nan)
+        for block, one in pairs:
+            pattern[block] = 0.0
+            pattern[one] = 1.0
+        pattern.flags.writeable = False
+    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts, tile, pattern)
 
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
@@ -307,17 +293,11 @@ def _theta_index(net: NetworkSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_inputs(X, input_dim: int) -> np.ndarray:
-    """X as a (B, input_dim) float64 array."""
-    X = _real(X, "X")
-    if X.ndim != 2 or X.shape[1] != input_dim:
-        raise ValueError(f"expected batch of shape (B, {input_dim}), got {X.shape}")
-    return X
-
-
 def _check_batch(net: NetworkSpec, X, upstream=None):
     """X as a (B, input_dim) float64 array and, when given, upstream as (B, output_dim)."""
-    X = _check_inputs(X, net.input_dim)
+    X = _real(X, "X")
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ValueError(f"expected batch of shape (B, {net.input_dim}), got {X.shape}")
     if upstream is not None:
         upstream = _real(upstream, "upstream")
         if upstream.shape != (X.shape[0], net.output_dim):
@@ -355,9 +335,10 @@ def _operands(n: int, quadratic: bool, kept: list) -> tuple:
 
 
 class _Products(NamedTuple):
-    """A product-tree layer (_Pairs) as forward_batch's program reads it:
-    neuron j < pairs multiplies rows 2j and 2j + 1 of its input, and the
-    passthroughs copy the rows in copies."""
+    """A product-tree layer, whose block equals the layout's pattern
+    (_Layout.pairs), as forward_batch's program reads it: neuron j < pairs
+    multiplies rows 2j and 2j + 1 of its input, and the passthroughs copy
+    the rows in copies."""
 
     pairs: int
     copies: tuple
@@ -375,19 +356,20 @@ class _Program(NamedTuple):
     result: np.ndarray  # the output rows, (output_dim, columns)
 
 
-_KEPT_ENTRIES = _TILE_BYTES  # the most float64 entries, 4 MiB, of a kept workspace
+# The float64 entries of a thread's kept workspace: with _aligned's 7 more,
+# under the 4 MiB at which numpy asks the kernel for huge pages, so that only
+# the pages a call touches are resident.
+_KEPT_ENTRIES = 2**19 - 8
 _PROGRAMS = 64  # the most programs a thread keeps
 
 
 class _Kept(threading.local):
-    """What a thread keeps between forward_batch calls: one workspace, and
-    the programs bound to it by key, the oldest dropped first."""
+    """What a thread keeps between forward_batch calls: one workspace, made
+    when the thread first reads it and never replaced, and the programs
+    bound to it by key, the oldest dropped first."""
 
     def __init__(self):
-        self.work, self.programs = np.empty(0), {}
-
-
-_kept = _Kept()
+        self.work, self.programs = _aligned(_KEPT_ENTRIES), {}
 
 
 def forward_batch(net: NetworkSpec, X) -> np.ndarray:
@@ -396,8 +378,10 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     Runs the executor's forward program (_forward_ops) on net.params: with
     X1 = [X; 1], a layer is Z = ([W_r; b_r]^T X1) * ([W_g; b_g]^T X1) +
     [W_b; c]^T (X1 * X1), then the activation, less what holds only +-0.0
-    (_operands).  A product-tree layer, whose block is the pattern of
-    _Pairs, is one multiply of X1's even rows by its odd rows, and one copy
+    (_operands).  A product-tree layer, whose block equals the layout's
+    product pattern (_Layout.pairs: W_r = e_2j and W_g = e_2j+1 for each
+    of its p quadratic neurons, the passthroughs' ones, +-0.0 elsewhere),
+    is one multiply of X1's even rows by its odd rows, and one copy
     with 0.0 added per passthrough, in place of two matmuls and a multiply:
     on finite activations the output keeps the matmuls' bits (a zero
     product's sign may differ within, which the matmuls of later layers
@@ -420,8 +404,9 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     column keeps the whole batch's bits; the last B mod 8 columns get
     kernels that depend on the product's size, so a batch that is not a
     multiple of 8 is one tile, and holds O(widest layer x B):
-    one_hidden_quadratic(2, 200) peaks (tracemalloc) at 1.2 MiB at
-    B = 20,000 and 20,008, 62.6 MiB at B = 20,001.  Pass a multiple of 8
+    one_hidden_quadratic(2, 200) peaks (tracemalloc) at the output's
+    0.16 MiB at B = 20,000 and 20,008 once the thread has its workspace,
+    and at 31.6 MiB at B = 20,001.  Pass a multiple of 8
     to bound a large batch's memory.
 
     The workspace is carved as the executor's work memory (_carve), in
@@ -431,26 +416,26 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     keep their (tile, input_dim + 1) layout within their parts, and a copy
     of params, which the matmuls read, follows them.
 
-    Each thread keeps one workspace between calls, of at most
-    _KEPT_ENTRIES float64 entries (4 MiB), and up to _PROGRAMS programs
+    Each thread keeps one workspace for its life, _KEPT_ENTRIES float64
+    entries made when it first reads _kept (just under 4 MiB, so that the
+    pages no call touches stay unmapped), and up to _PROGRAMS programs
     bound to it, one per (structure, live thirds, product layers, tile
     width), the oldest dropped first.  A call looks its program up by the
     layout's id, the bytes of the _live reduction and of the product test
-    (one comparison with the pattern), and the tile width, then copies
-    params and X in, writes the ones rows and runs it: no op list is built
-    and no view is made.  A miss builds the program, on a new workspace
-    where it needs a larger one within the bound, dropping every program
-    bound to the old.  A program whose workspace would pass the bound runs
-    on one of its own, which the call drops: one_hidden_quadratic(2, 200)
-    at B = 20,001 keeps nothing.  The thread keeps no reference to a net,
-    to X or to the output; its workspace keeps the last call's values.
+    (params == pattern, reduced to one flag per layer), and the tile width,
+    then copies params and X in, writes the ones rows and runs it: no op
+    list is built and no view is made.  A miss builds the program and keeps
+    it.  A program whose workspace would pass the bound runs on one of its
+    own, which the call drops: one_hidden_quadratic(2, 200) at B = 20,001
+    keeps nothing.  The thread keeps no reference to a net, to X or to the
+    output; its workspace keeps the last call's values.
     """
     X, _ = _check_batch(net, X)
     batch, layout, flat = len(X), net._layout, net.params
     pairs = layout.pairs
-    products = pairs and np.logical_and.reduceat(flat[pairs.span] == pairs.pattern, pairs.starts)
+    products = None if pairs is None else np.logical_and.reduceat(flat == pairs, layout.parts[::6])
     live = np.logical_or.reduceat(flat, layout.parts)
-    key = (id(layout), live.tobytes(), pairs and products.tobytes())
+    key = (id(layout), live.tobytes(), None if products is None else products.tobytes())
     rows = layout.tile if batch % 8 == 0 else max(layout.tile, batch)
     out = np.empty((batch, net.output_dim))
     programs, width = _kept.programs, None
@@ -470,37 +455,33 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
 
 def _program(net: NetworkSpec, live: np.ndarray, products, key: tuple) -> _Program:
     """The program at key, (layout id, live bytes, product bytes, tile
-    width), which the thread does not keep yet: built and kept, or built on
-    a workspace of its own, and not kept, where it needs more than
-    _KEPT_ENTRIES."""
-    kept = _kept
+    width), which the thread does not keep yet: built on the kept workspace
+    and kept, or built on a workspace of its own, and not kept, where it
+    needs more than _KEPT_ENTRIES."""
     layers, heights = _layers(net, live, products)
     size = key[-1] * sum(heights) + net._layout.size
     if size > _KEPT_ENTRIES:
         return _bind(net, layers, heights, _aligned(size), key[-1])
-    if size > len(kept.work):
-        kept.work = _aligned(size)
-        kept.programs.clear()
-    elif len(kept.programs) >= _PROGRAMS:
-        del kept.programs[next(iter(kept.programs))]
-    program = kept.programs[key] = _bind(net, layers, heights, kept.work, key[-1])
+    programs = _kept.programs
+    if len(programs) >= _PROGRAMS:
+        del programs[next(iter(programs))]
+    program = programs[key] = _bind(net, layers, heights, _kept.work, key[-1])
     return program
 
 
 def _layers(net: NetworkSpec, live: np.ndarray, products) -> tuple[list, list]:
     """Per layer of net, (rule, relu, width): its _Products where products,
-    the product test over the _Pairs span, flags it, else the rows of its
-    thirds (_operands, from live, the reduction of net.params); and the
-    rows of each part of the workspace: [X | 1], [Z; 1] of the even and of
-    the odd layers (Z the rows just above the ones row, so that the ones
-    row stays put), Q, X1 * X1."""
-    layout, widths = net._layout, net.layer_widths()
+    the product test's flag per layer (None where no layer can be one),
+    flags it, else the rows of its thirds (_operands, from live, the
+    reduction of net.params); and the rows of each part of the workspace:
+    [X | 1], [Z; 1] of the even and of the odd layers (Z the rows just
+    above the ones row, so that the ones row stays put), Q, X1 * X1."""
+    widths = net.layer_widths()
     fan_in = [net.input_dim] + widths[:-1]
-    flags = {} if products is None else dict(enumerate(products.tolist(), layout.pairs.first))
     layers, gated, squared = [], [0], [0]
     for k, (m, n, (activation, kinds), kept) in enumerate(
             zip(widths, fan_in, net.structure, _live(live))):
-        if flags.get(k):
+        if products is not None and products[k]:
             p = kinds.count("quadratic")
             rule = _Products(p, kinds[p:])
         else:
@@ -621,6 +602,9 @@ def _aligned(size: int) -> np.ndarray:
     raw = np.empty(size + 7)
     skip = -raw.__array_interface__["data"][0] % 64 // 8
     return raw[skip : skip + size]
+
+
+_kept = _Kept()  # here, below _aligned: threading.local runs __init__ in the importing thread
 
 
 def _carve(block: np.ndarray, heights: list[int], width: int) -> list[np.ndarray]:
@@ -803,7 +787,7 @@ class PackedNetwork:
     """
 
     def __init__(self, net: NetworkSpec, X, restarts: int = 1):
-        X = _check_inputs(X, net.input_dim)
+        X, _ = _check_batch(net, X)
         batch = len(X)
         fan_in = [net.input_dim] + net.layer_widths()[:-1]
         # Rows of the activation array: the input, then each layer's

@@ -962,6 +962,50 @@ class TestKeptPrograms:
         assert 0 < size <= network._KEPT_ENTRIES
 
 
+    def test_workspace_kept_for_life(self):
+        """A call whose program needs more rows than any before it binds it
+        to the same workspace, and the earlier program stays kept."""
+
+        def run():
+            forward_batch(single_quadratic_net(1), np.ones((8, 1)))
+            work, (first,) = network._kept.work, list(network._kept.programs)
+            forward_batch(one_hidden_quadratic(2, 200), np.ones((4096, 2)))
+            return work, first, network._kept.work, list(network._kept.programs)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            work, first, work_after, keys = pool.submit(run).result()
+        assert work_after is work and work.size == network._KEPT_ENTRIES
+        assert keys[0] == first and len(keys) > 1
+
+    def test_kept_workspace_under_the_huge_page_threshold(self):
+        """_aligned's allocation for the kept workspace, _KEPT_ENTRIES + 7
+        float64 entries, stays under the 4 MiB at which numpy asks the
+        kernel for huge pages, which would make the whole of it resident."""
+        assert (network._KEPT_ENTRIES + 7) * 8 < 4 * 2**20
+
+    def test_deep_copy_shares_the_program(self):
+        """A deep copy of a net shares its layout, and so its program: one
+        program is kept for the two, each call runs on its own net's
+        params, and the copy's params are its own."""
+        rng = np.random.default_rng(45)
+        net = random_tree(rng, 6)
+        X = rng.uniform(-2.0, 2.0, size=(401, 1))
+
+        def run():
+            want = forward_batch(net, X).tobytes()
+            twin = copy.deepcopy(net)
+            got = forward_batch(twin, X).tobytes()
+            programs = len(network._kept.programs)
+            twin.params[:] = rng.uniform(-1.0, 1.0, size=len(twin.params))
+            return want, got, programs, twin, forward_batch(net, X).tobytes()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            want, got, programs, twin, after = pool.submit(run).result()
+        assert programs == 1 and got == want
+        assert twin.params is not net.params and twin._layout is net._layout
+        assert after == want
+
+
 def ops_run(net, X, monkeypatch) -> list:
     """The ops forward_batch runs on X."""
     ops, run = [], network._run
@@ -1008,6 +1052,30 @@ class TestProductLayers:
                     assert (matmuls(net) == 2) == (value == -0.0), (block_index, entry)
                     got = forward_batch(net, X)
                     assert got.tobytes() == whole_batch_forward(net, X).tobytes()
+
+    def test_conventional_layer_between_product_layers(self, monkeypatch):
+        """x0 x1 and x2 x3, a conventional ReLU layer of four, then x0 x1
+        with x2 and x3 passed through: the product test flags the outer
+        two layers alone, the conventional layer's matmul is the one
+        matmul run, and the bytes are the whole-batch reference's."""
+        rng = np.random.default_rng(46)
+        net = NetworkSpec.blank(4, [("identity", ["quadratic"] * 2),
+                                    ("relu", ["conventional"] * 4),
+                                    ("identity", ["quadratic", 2, 3])])
+        for block, pairs in ((net.blocks[0], 2), (net.blocks[2], 1)):
+            rows = block_rows(4)
+            for j in range(pairs):
+                block[rows.w_r.start + 2 * j, j] = block[rows.w_g.start + 2 * j + 1, j] = 1.0
+        rows = block_rows(2)
+        net.blocks[1][rows.w_r] = rng.normal(size=(2, 4))
+        net.blocks[1][rows.b_r] = rng.normal(size=4)
+        flags = np.logical_and.reduceat(net.params == net._layout.pairs,
+                                        net._layout.parts[::6])
+        assert flags.tolist() == [True, False, True]
+        X = rng.uniform(-2.0, 2.0, size=(401, 4))
+        ops = ops_run(net, X, monkeypatch)
+        assert sum(op[0] is np.matmul for op in ops) == 1
+        assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes()
 
     def test_infinities_through_a_product_layer(self):
         """x0 * x1 beside a passthrough of x2: an infinite factor gives an
