@@ -7,14 +7,15 @@ them it keeps each layer's activation and neuron kinds.  A layer reads the
 layer before it alone: a value a later layer needs is carried there by
 passthrough neurons.  A net is made in one of two ways: NetworkSpec.blank,
 whose block columns a builder or a test then writes, or from_json, which
-reads them from JSON; to_json writes them.  Both pass over the whole net,
-not neuron by neuron.  One cached walk of a structure, _layout_of, works
-out where its rows lie and refuses a passthrough index outside its fan-in;
-from_json tests the document list by list, each neuron's parameter count
-and mask length against its fan-in among the tests, before any array is
-made, and then makes the net through blank.  Neuron objects are a
-read-only view, made only when net.layers is read (by the per-neuron
-oracle in oracles) through block_rows, the one map of a block column.
+reads them from JSON; to_json writes them, one object per layer that
+holds its kinds and, parallel to them, each neuron's parameters and mask.
+One cached walk of a structure, _layout_of, works out where its rows lie
+and refuses a passthrough index outside its fan-in; from_json tests the
+document's lists whole and each layer's counts against its fan-in before
+any array is made, and then makes the net through blank.  Neuron objects
+are a read-only view, made only when net.layers is read (by the
+per-neuron oracle in oracles) through block_rows, the one map of a block
+column.
 Nothing here mutates a spec: forward_batch and backward_batch are pure
 functions of it, and both take a batch, (B, input_dim); a single input
 is the batch x[None]; trainable_values and set_trainable_values gather
@@ -71,8 +72,8 @@ def _layer(activation: str, kinds) -> tuple[str, tuple]:
         raise ValueError(f"unknown activation {activation!r}")
     if not kinds:
         raise ValueError("layer must contain at least one neuron")
-    for kind in set(kinds).difference(("quadratic", "conventional")):
-        if type(kind) is not int:
+    for kind in kinds:  # each one: a set of kinds would hold true or 1.0 as 1
+        if type(kind) is not int and kind not in ("quadratic", "conventional"):
             raise ValueError(f"unknown neuron kind {kind!r}")
     return activation, tuple(kinds)
 
@@ -197,6 +198,19 @@ class NetworkSpec:
         return [len(kinds) for _, kinds in self.structure]
 
 
+class _Pattern(NamedTuple):
+    """The product-tree pattern over the span of params from the first
+    block of a layer that can take it (see _layout_of) to the last: the
+    pattern's 1.0 and 0.0 in each such block, NaN in the blocks between.
+    forward_batch compares the span alone, one flag per layer of it from
+    np.logical_and.reduceat at starts; a layer outside it is no product."""
+
+    first: int  # the span's first layer
+    span: slice  # of params
+    values: np.ndarray
+    starts: np.ndarray  # each of its layers' block start, within the span
+
+
 class _Layout(NamedTuple):
     """What a structure fixes of a net's params; the arrays are read-only,
     so that a deep copy of a net shares its layout (__deepcopy__) and with
@@ -209,9 +223,7 @@ class _Layout(NamedTuple):
     own: np.ndarray  # each neuron parameter's position, in canonical order
     parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g, W_b and c rows start
     tile: int  # forward_batch's full tile, in batch rows
-    # over params, the product-tree pattern in the block of each layer that
-    # can take it (see _layout_of), NaN in every other block; None if none can
-    pairs: np.ndarray | None
+    pairs: _Pattern | None  # the product-tree pattern; None where no layer can take it
 
     def __deepcopy__(self, memo) -> _Layout:
         return self
@@ -257,7 +269,7 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
         p = next((j for j, kind in enumerate(kinds) if kind != "quadratic"), m)
         if p and 2 * p <= n and all(type(kind) is int for kind in kinds[p:]):
             # W_r's row 2j and W_g's row 2j + 1 in column j, and the passthroughs' ones
-            pairs.append((slice(pos, pos + height * m), [pos + (2 * j * m + j) for j in range(p)]
+            pairs.append((k, pos + height * m, [pos + (2 * j * m + j) for j in range(p)]
                           + [pos + (n + 2 + 2 * j) * m + j for j in range(p)] + ones[passed:]))
         sizes.append(tuple(size.get(kind, 0) for kind in kinds))
         columns += range(pos, pos + m)
@@ -275,11 +287,15 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     tile = max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
     pattern = None
     if pairs:
-        pattern = np.full(pos, np.nan)
-        for block, one in pairs:
-            pattern[block] = 0.0
-            pattern[one] = 1.0
-        pattern.flags.writeable = False
+        (first, *_), (last, stop, _) = pairs[0], pairs[-1]
+        start = blocks[first][0]
+        values = np.full(stop - start, np.nan)
+        for k, end, one in pairs:
+            values[blocks[k][0] - start : end - start] = 0.0
+            values[np.subtract(one, start)] = 1.0
+        starts = parts[6 * first : 6 * last + 1 : 6] - start
+        values.flags.writeable = starts.flags.writeable = False
+        pattern = _Pattern(first, slice(start, stop), values, starts)
     return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts, tile, pattern)
 
 
@@ -422,7 +438,8 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     bound to it, one per (structure, live thirds, product layers, tile
     width), the oldest dropped first.  A call looks its program up by the
     layout's id, the bytes of the _live reduction and of the product test
-    (params == pattern, reduced to one flag per layer), and the tile width,
+    (the pattern's span of params == pattern, one flag per layer of the
+    span, _Pattern), and the tile width,
     then copies params and X in, writes the ones rows and runs it: no op
     list is built and no view is made.  A miss builds the program and keeps
     it.  A program whose workspace would pass the bound runs on one of its
@@ -432,8 +449,9 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """
     X, _ = _check_batch(net, X)
     batch, layout, flat = len(X), net._layout, net.params
-    pairs = layout.pairs
-    products = None if pairs is None else np.logical_and.reduceat(flat == pairs, layout.parts[::6])
+    pattern = layout.pairs
+    products = None if pattern is None else np.logical_and.reduceat(
+        flat[pattern.span] == pattern.values, pattern.starts)
     live = np.logical_or.reduceat(flat, layout.parts)
     key = (id(layout), live.tobytes(), None if products is None else products.tobytes())
     rows = layout.tile if batch % 8 == 0 else max(layout.tile, batch)
@@ -471,17 +489,19 @@ def _program(net: NetworkSpec, live: np.ndarray, products, key: tuple) -> _Progr
 
 def _layers(net: NetworkSpec, live: np.ndarray, products) -> tuple[list, list]:
     """Per layer of net, (rule, relu, width): its _Products where products,
-    the product test's flag per layer (None where no layer can be one),
-    flags it, else the rows of its thirds (_operands, from live, the
-    reduction of net.params); and the rows of each part of the workspace:
+    the product test's flag per layer of the pattern's span (None where no
+    layer can be one), flags it, else the rows of its thirds (_operands,
+    from live, the reduction of net.params); and the rows of each part of
+    the workspace:
     [X | 1], [Z; 1] of the even and of the odd layers (Z the rows just
     above the ones row, so that the ones row stays put), Q, X1 * X1."""
     widths = net.layer_widths()
     fan_in = [net.input_dim] + widths[:-1]
     layers, gated, squared = [], [0], [0]
+    flags = [] if products is None else [False] * net._layout.pairs.first + products.tolist()
     for k, (m, n, (activation, kinds), kept) in enumerate(
             zip(widths, fan_in, net.structure, _live(live))):
-        if products is not None and products[k]:
+        if k < len(flags) and flags[k]:
             p = kinds.count("quadratic")
             rule = _Products(p, kinds[p:])
         else:
@@ -964,63 +984,18 @@ def _numbers(d, key: str, row: int = 0) -> np.ndarray:
     return array.reshape(len(values), row) if row else array
 
 
-def _neuron_from_dict(d):
-    """Check a neuron object; return its kind, or a passthrough's index."""
-    kind = _field(d, "kind", str)
-    if kind == "passthrough":
-        return _field(d, "index", int)
-    if kind not in ("quadratic", "conventional"):
-        raise ValueError(f"unknown neuron kind {kind!r}")
-    _numbers(d, "params")
-    return kind
-
-
-def _layer_from_dict(d) -> None:
-    """Check a layer object: its neurons, then its activation."""
-    kinds = _each(_field(d, "neurons", list), "neuron", _neuron_from_dict)
-    _layer(_field(d, "activation", str), kinds)
-
-
-def _mask_from_list(m) -> list:
-    # True, False, 1.0 and 0.0 compare equal to 1 and 0 and pass too
-    try:
-        ok = type(m) is list and set(m) <= {0, 1}
-    except TypeError:  # an entry that is itself a list or an object
-        ok = False
-    if not ok:
-        raise ValueError(f"mask must be a list of 0 and 1 entries, got {m!r}")
-    return m
-
-
-def _masks_from_list(layer_masks) -> list[list]:
-    if not isinstance(layer_masks, list):
-        raise ValueError(f"expected a list of masks, got {layer_masks!r}")
-    return _each(layer_masks, "neuron", _mask_from_list)
-
-
-def _each(items: list, name: str, parse) -> list:
-    """parse applied to each item; a ValueError gets the item's name and index."""
-    out = []
-    for i, item in enumerate(items):
-        try:
-            out.append(parse(item))
-        except ValueError as exc:
-            raise ValueError(f"{name} {i}: {exc}") from None
-    return out
-
-
 def to_json(net: NetworkSpec) -> str:
-    """Serialize to JSON; round-trips bit-exactly.
+    """Serialize to JSON, one object per layer; round-trips bit-exactly.
 
-    Each neuron's params list is the leading entries of its block column,
-    and "shortcuts" is always the empty list.  The text is what
-    json.dumps(sort_keys=True) writes for that document, joined in one pass
-    over params[own] and trainable[own], with no per-neuron dict and no
-    encoder.  A parameter's text is its float.__repr__, json.dumps's text
-    for a finite float; most entries of the exact nets are 0.0, whose text
-    is made once, so only the entries whose bits are not all zero (-0.0
-    among them) are formatted.  JSON has no NaN or infinity, so a
-    non-finite neuron parameter raises ValueError.
+    {"input_dim": d, "layers": [{"activation": a, "kinds": [...], "masks":
+    [[...], ...], "params": [[...], ...]}, ...]}: kinds is the layer's
+    entry of net.structure, and params and masks hold, parallel to it, each
+    neuron's canonical parameters and their trainable flags as 0 and 1, a
+    passthrough's empty.  The text is what json.dumps(sort_keys=True)
+    writes for it, joined from params[own] and trainable[own] with no dict
+    and no encoder.  A parameter's text is its float.__repr__; the entries
+    whose bits are all zero share one "0.0".  JSON has no NaN or infinity,
+    so a non-finite neuron parameter raises ValueError.
     """
     own = net._layout.own
     values = net.params[own]
@@ -1034,25 +1009,23 @@ def to_json(net: NetworkSpec) -> str:
         tokens[i] = repr(value)
     # every mask entry as "0, " or "1, ", so entry i starts at character 3 i
     flags = ", ".join((net.trainable[own].view(np.uint8) + ord("0")).tobytes().decode())
-    layers, masks, start = [], [], 0
-    for (activation, kinds), sizes in zip(net.structure, net._layout.sizes):
-        neurons, layer_masks = [], []
-        for kind, size in zip(kinds, sizes):
-            end = start + size
-            if size:
-                neurons.append(f'{{"kind": "{kind}", "params": [{", ".join(tokens[start:end])}]}}')
-                layer_masks.append(f'[{flags[3 * start : 3 * end - 2]}]')
-            else:
-                neurons.append(f'{{"index": {kind}, "kind": "passthrough"}}')
-                layer_masks.append("[]")
-            start = end
-        layers.append(f'{{"activation": "{activation}", "neurons": [{", ".join(neurons)}]}}')
-        masks.append(f'[{", ".join(layer_masks)}]')
-    return (f'{{"input_dim": {net.input_dim}, "layers": [{", ".join(layers)}], '
-            f'"masks": [{", ".join(masks)}], "shortcuts": []}}')
+    # each neuron's entries, params[own][a:b], as text
+    ends = [*accumulate(chain.from_iterable(net._layout.sizes), initial=0)]
+    params = [", ".join(tokens[a:b]) for a, b in zip(ends, ends[1:])]
+    masks = [flags[3 * a : 3 * b - 2] if a < b else "" for a, b in zip(ends, ends[1:])]
+    layers, j = [], 0
+    for activation, kinds in net.structure:
+        k = j + len(kinds)
+        layers.append(f'{_layer_head(activation, kinds)}{"], [".join(masks[j:k])}]], '
+                      f'"params": [[{"], [".join(params[j:k])}]]}}')
+        j = k
+    return f'{{"input_dim": {net.input_dim}, "layers": [{", ".join(layers)}]}}'
 
 
-_JSON_KEYS = ("input_dim", "layers", "shortcuts", "masks")
+@lru_cache(maxsize=256)
+def _layer_head(activation: str, kinds: tuple) -> str:
+    """A layer's JSON up to its masks' entries: its activation and kinds."""
+    return f'{{"activation": "{activation}", "kinds": {json.dumps(kinds)}, "masks": [['
 
 
 def _refuse_constant(name: str):
@@ -1063,35 +1036,60 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def from_json(text: str) -> NetworkSpec:
-    """Parse a network written by to_json, all its parameters into
-    params[own] with one assignment and all its mask entries into
-    trainable[own] with another (see _read_net).
+    """Parse a network written by to_json.
 
-    A malformed document raises ValueError naming the layer, neuron or mask
-    at fault.  A parameter is any JSON number within the float64 range
+    The document's lists are tested whole (each field's type, the kinds,
+    the numbers, the mask entries), then layer by layer each neuron's
+    params and masks lengths and passthrough index against the fan-in
+    (_param_counts).  Where a test fails, _fault names the first fault in
+    reading order, "layer k: ..." or "layer k neuron j: ...", before any
+    array is made.  blank then makes the net, and one assignment each puts
+    every parameter in params[own] and every mask entry in trainable[own].
+    A parameter is any JSON number within the float64 range
     (_all_numbers), a mask entry 0, 1, true, false, 0.0 or 1.0, and keys
-    the reader does not know are ignored.  "shortcuts" must be the empty
-    list: a layer reads the layer before it alone, and an edge that skips
-    layers is refused rather than dropped.
+    the reader does not know are ignored.  A per-neuron document, with the
+    top-level "masks" and "shortcuts" that earlier versions wrote, is
+    refused by name.
     """
     doc = _DECODER.decode(text)
     if not isinstance(doc, dict):
         raise ValueError(
             f"network JSON must be an object, got {type(doc).__name__}"
         )
-    missing = [key for key in _JSON_KEYS if key not in doc]
-    if missing:
-        raise ValueError(f"network JSON lacks {', '.join(missing)}")
+    if "masks" in doc or "shortcuts" in doc:
+        raise ValueError("network JSON: a per-neuron document, with top-level 'masks' and "
+                         "'shortcuts' as earlier versions wrote it, is not read; this "
+                         "version reads one object per layer")
     try:
         input_dim = _integer(_field(doc, "input_dim", int), "'input_dim'", 1)
-        for key in _JSON_KEYS[1:]:
-            _field(doc, key, list)
+        layers = _field(doc, "layers", list)
+        activations = [layer["activation"] for layer in layers]
+        kinds, params, masks = ([layer[key] for layer in layers]
+                                for key in ("kinds", "params", "masks"))
+        neurons, flags = [*chain.from_iterable(params)], [*chain.from_iterable(masks)]
+        values, entries = [*chain.from_iterable(neurons)], [*chain.from_iterable(flags)]
+        names = {kind for kind in chain.from_iterable(kinds) if type(kind) is not int}
+        regular = ({*activations} <= {*ACTIVATIONS} and names <= {"quadratic", "conventional"}
+                   and {*map(type, kinds), *map(type, params), *map(type, masks),
+                        *map(type, neurons), *map(type, flags)} <= {list}
+                   and _all_numbers(values) and {*entries} <= {0, 1})
     except ValueError as exc:
         raise ValueError(f"network JSON: {exc}") from None
-    if doc["shortcuts"]:
-        raise ValueError("network JSON: 'shortcuts' must be empty; edges that "
-                         "skip layers are not supported")
-    structure, values, entries = _read_net(doc["layers"], doc["masks"], input_dim)
+    # a layer that is no object or lacks a key, a kind or mask entry that is
+    # a list or an object, a number where a list belongs
+    except (KeyError, TypeError):
+        regular = False
+    structure, n = [], input_dim
+    for activation, layer, p, mask in zip(activations, kinds, params, masks) if regular else ():
+        counts = _param_counts(n)
+        sizes = [*map(counts.get, layer, repeat(0))]
+        if not (layer and [*map(len, p)] == sizes == [*map(len, mask)]
+                and all(0 <= i < n for i in {*layer}.difference(counts))):
+            break
+        structure.append((activation, layer))
+        n = len(layer)
+    if len(structure) < len(layers):
+        raise ValueError(_fault(layers, input_dim))
     net = NetworkSpec.blank(input_dim, structure)
     own = net._layout.own
     net.params[own] = np.array(values, dtype=np.float64)
@@ -1099,63 +1097,39 @@ def from_json(text: str) -> NetworkSpec:
     return net
 
 
-# each neuron kind with the type of the field it is read from: "params", or
-# a passthrough's "index"
-_NEURON_FIELDS = {("quadratic", list), ("conventional", list), ("passthrough", int)}
-
-
-def _read_net(layers: list, masks: list, input_dim: int) -> tuple:
-    """(structure, parameters, mask entries) of a document's layers and
-    masks, from tests on whole lists: the types of the layers' neuron lists
-    and activations, each neuron's kind with the type of its field, one type
-    scan over all the parameters and one over all the mask entries; then,
-    layer by layer, each neuron's parameter and mask count against its
-    fan-in, before blank makes any array.  Only once a test has failed are
-    the items walked one by one, to name the first at fault in reading
-    order: each layer's neurons and then its activation, each layer's
-    masks, the number of mask lists, then layer by layer the counts."""
-    try:
-        lists = [layer["neurons"] for layer in layers]
-        activations = [layer["activation"] for layer in layers]
-        neurons, flags = [*chain.from_iterable(lists)], [*chain.from_iterable(masks)]
-        kinds = [neuron["kind"] for neuron in neurons]
-        fields = [neuron["index" if kind == "passthrough" else "params"]
-                  for neuron, kind in zip(neurons, kinds)]
-        params = [[] if kind == "passthrough" else field for kind, field in zip(kinds, fields)]
-        values, entries = [*chain.from_iterable(params)], [*chain.from_iterable(flags)]
-        regular = ({*map(type, lists)} <= {list} and all(lists)
-                   and {*activations} <= {*ACTIVATIONS}
-                   and {*zip(kinds, map(type, fields))} <= _NEURON_FIELDS
-                   and _all_numbers(values) and {*map(type, masks)} <= {list}
-                   and {*map(type, flags)} <= {list} and {*entries} <= {0, 1}
-                   and len(masks) == len(layers))
-    # a layer or neuron that is no object or lacks a key, a number where a
-    # list belongs, an activation, kind or mask entry that is a list or an
-    # object
-    except (KeyError, TypeError):
-        regular = False
-    if not regular:
-        _each(layers, "layer", _layer_from_dict)
-        _each(masks, "masks of layer", _masks_from_list)
-        raise ValueError("masks must parallel layers")
-    kinds = [field if kind == "passthrough" else kind for kind, field in zip(kinds, fields)]
-    widths = [*map(len, lists)]
-    structure, sizes, start, n = [], [], 0, input_dim
-    for activation, width in zip(activations, widths):
-        layer, counts = kinds[start : start + width], _param_counts(n)
-        sizes += map(counts.get, layer, repeat(0))
-        structure.append((activation, layer))
-        start, n = start + width, width
-    if [*map(len, masks)] == widths and [*map(len, params)] == sizes == [*map(len, flags)]:
-        return structure, values, entries
-    start, n = 0, input_dim
-    for k, (width, layer_masks) in enumerate(zip(widths, masks)):
-        if len(layer_masks) != width:
-            raise ValueError(f"masks for layer {k} must parallel its neurons")
-        for j, (kind, p, size, mask) in enumerate(zip(kinds[start:], params[start:],
-                                                      sizes[start:], layer_masks)):
-            if not len(p) == len(mask) == size:
-                raise ValueError(f"layer {k} neuron {j}: a {kind if size else 'passthrough'} "
-                                 f"neuron of fan-in {n} takes {size} parameters and mask "
-                                 f"entries, got {len(p)} and {len(mask)}")
-        start, n = start + width, width
+def _fault(layers: list, n: int) -> str:
+    """The first fault among a document's layers, of input_dim n, in
+    reading order, looked for one field and one neuron at a time."""
+    for k, layer in enumerate(layers):
+        try:
+            activation = _field(layer, "activation", str)
+            kinds, params, masks = (_field(layer, key, list)
+                                    for key in ("kinds", "params", "masks"))
+            if activation not in ACTIVATIONS or not kinds:
+                _layer(activation, kinds)
+            if not len(kinds) == len(params) == len(masks):
+                raise ValueError("'kinds', 'params' and 'masks' must be of one length, got "
+                                 f"{len(kinds)}, {len(params)} and {len(masks)}")
+        except ValueError as exc:
+            return f"layer {k}: {exc}"
+        counts = _param_counts(n)
+        for j, (kind, p, mask) in enumerate(zip(kinds, params, masks)):
+            size = counts.get(kind, 0) if type(kind) is str else 0
+            if not (size or type(kind) is int):
+                problem = f"unknown neuron kind {kind!r}"
+            elif not (size or 0 <= kind < n):
+                problem = f"passthrough index {kind} out of range for width {n}"
+            elif not type(p) is type(mask) is list:
+                problem = f"its params and masks must be lists, got {p!r} and {mask!r}"
+            elif not len(p) == len(mask) == size:
+                problem = (f"a {kind if size else 'passthrough'} neuron of fan-in {n} takes "
+                           f"{size} parameters and mask entries, got {len(p)} and {len(mask)}")
+            elif not _all_numbers(p):
+                problem = f"'params' must hold numbers only, got {p!r}"
+            elif not all(entry in (0, 1) for entry in mask):
+                problem = f"'masks' must hold 0 and 1 entries only, got {mask!r}"
+            else:
+                continue
+            return f"layer {k} neuron {j}: {problem}"
+        n = len(kinds)
+    raise AssertionError("no layer at fault")

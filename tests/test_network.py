@@ -441,6 +441,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkSpec.blank(2, [("identity", ["quadratic"]), ("identity", [1])])
 
+    @pytest.mark.parametrize("kind", [True, 1.0, "cubic"])
+    def test_kind_equal_to_an_index_refused(self, kind):
+        """true and 1.0 equal the index 1 before them, and are refused
+        still, so that to_json writes no kind that from_json refuses."""
+        with pytest.raises(ValueError, match="unknown neuron kind"):
+            NetworkSpec.blank(2, [("identity", [1, kind])])
+
     def test_sizes_checked_before_arrays_are_made(self):
         with pytest.raises(ValueError, match="passthrough index"):
             NetworkSpec.blank(2, [("identity", ["quadratic"]), ("identity", [10**20])])
@@ -1069,12 +1076,34 @@ class TestProductLayers:
         rows = block_rows(2)
         net.blocks[1][rows.w_r] = rng.normal(size=(2, 4))
         net.blocks[1][rows.b_r] = rng.normal(size=4)
-        flags = np.logical_and.reduceat(net.params == net._layout.pairs,
-                                        net._layout.parts[::6])
-        assert flags.tolist() == [True, False, True]
+        pattern = net._layout.pairs
+        flags = np.logical_and.reduceat(net.params[pattern.span] == pattern.values,
+                                        pattern.starts)
+        assert (pattern.first, flags.tolist()) == (0, [True, False, True])
         X = rng.uniform(-2.0, 2.0, size=(401, 4))
         ops = ops_run(net, X, monkeypatch)
         assert sum(op[0] is np.matmul for op in ops) == 1
+        assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes()
+
+    def test_pattern_spans_the_candidate_layers_alone(self):
+        """The pattern covers params from the first block of a layer that
+        can be a product (p quadratic neurons, 2p <= fan-in, then
+        passthroughs) to the last, and no more: on this multivariate net
+        that is one layer's 2,406 entries of 443,403.  forward_batch gives
+        the whole-batch reference's bytes there."""
+        net = build_multipoly_net(MultiPolySpec([[200, 1], [3, 200]], [1.0, -0.5]))
+        layout, pattern = net._layout, net._layout.pairs
+        fan_in = [net.input_dim] + net.layer_widths()
+        candidates = [k for k, (_, kinds) in enumerate(net.structure)
+                      if (p := kinds.count("quadratic")) and 2 * p <= fan_in[k]
+                      and kinds[:p] == ("quadratic",) * p
+                      and all(type(kind) is int for kind in kinds[p:])]
+        pos, rows, m = layout.blocks[candidates[-1]]
+        span = slice(layout.blocks[candidates[0]][0], pos + rows * m)
+        assert (pattern.first, pattern.span) == (candidates[0], span)
+        assert len(pattern.values) == span.stop - span.start == 2406
+        assert layout.size == 443403
+        X = np.random.default_rng(47).uniform(-1.0, 1.0, size=(401, 2))
         assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes()
 
     def test_infinities_through_a_product_layer(self):
@@ -1171,7 +1200,7 @@ class TestSerialization:
     @pytest.mark.parametrize("text, problem", [
         ("[]", "object"),
         ("3", "object"),
-        ("{}", "input_dim, layers, shortcuts, masks"),
+        ("{}", "lacks 'input_dim'"),
         ('{"input_dim": 1, "layers": [], "shortcuts": []}', "masks"),
     ])
     def test_malformed_document_rejected(self, text, problem):
@@ -1185,36 +1214,53 @@ class TestSerialization:
         net.blocks[1][:3, 0] = [1.0, -1.0, 0.25]  # w, b
         return json.loads(to_json(net))
 
+    def test_document_is_one_object_per_layer(self):
+        assert self._valid_document() == {"input_dim": 1, "layers": [
+            {"activation": "relu", "kinds": ["quadratic", 0],
+             "masks": [[1, 1, 1, 1, 1, 1], []], "params": [[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], []]},
+            {"activation": "identity", "kinds": ["conventional"],
+             "masks": [[1, 1, 1]], "params": [[1.0, -1.0, 0.25]]}]}
+
     @pytest.mark.parametrize("edit, problem", [
-        (_edit(["layers", 1, "neurons"]), "layer 1: lacks 'neurons'"),
-        (_edit(["layers", 0, "neurons", 0, "params"]), "layer 0: neuron 0: lacks 'params'"),
-        (_edit(["layers", 0, "neurons", 0, "params"], [1.0, "2", 0, 0, 0, 0]),
-         "layer 0: neuron 0: 'params' must hold numbers"),
-        (_edit(["layers", 1, "neurons", 0, "params", 0], 10**309),
-         "layer 1: neuron 0: 'params' must hold numbers"),
-        (_edit(["layers", 1, "neurons", 0, "params", 0], int(sys.float_info.max) + 1),
-         "layer 1: neuron 0: 'params' must hold numbers"),
-        (_edit(["layers", 0, "neurons", 0, "params"], []),
+        (_edit(["layers", 1, "kinds"]), "layer 1: lacks 'kinds'"),
+        (_edit(["layers", 0, "params"]), "layer 0: lacks 'params'"),
+        (_edit(["layers", 0, "params", 0], [1.0, "2", 0, 0, 0, 0]),
+         "layer 0 neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 1, "params", 0, 0], 10**309),
+         "layer 1 neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 1, "params", 0, 0], int(sys.float_info.max) + 1),
+         "layer 1 neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 0, "params", 0], []),
          "layer 0 neuron 0: a quadratic neuron of fan-in 1 takes 6 parameters and mask "
          "entries, got 0 and 6"),
-        (_edit(["layers", 1, "neurons", 0, "params"], [1.0]),
+        (_edit(["layers", 1, "params", 0], [1.0]),
          "layer 1 neuron 0: a conventional neuron of fan-in 2 takes 3 parameters and mask "
          "entries, got 1 and 3"),
-        (_edit(["layers", 0, "neurons", 1, "index"], "0"), "layer 0: neuron 1: 'index'"),
-        (_edit(["layers", 0, "neurons", 1], 7), "layer 0: neuron 1: expected an object"),
+        (_edit(["layers", 0, "params", 1], [0.0]),
+         "layer 0 neuron 1: a passthrough neuron of fan-in 1 takes 0 parameters and mask "
+         "entries, got 1 and 0"),
+        (_edit(["layers", 0, "kinds", 1], "0"), "layer 0 neuron 1: unknown neuron kind '0'"),
+        (_edit(["layers", 0, "params", 1], 7),
+         "layer 0 neuron 1: its params and masks must be lists"),
+        (_edit(["layers", 0], 7), "layer 0: expected an object"),
         (_edit(["layers", 0, "activation"], None), "layer 0: 'activation'"),
         (_edit(["layers", 0, "activation"], "tanh"), "layer 0: unknown activation 'tanh'"),
-        (_edit(["layers", 0, "neurons"], []), "layer 0: layer must contain at least one neuron"),
-        (_edit(["layers", 0, "neurons", 0, "kind"], "cubic"),
-         "layer 0: neuron 0: unknown neuron kind 'cubic'"),
+        (_edit(["layers", 0, "kinds"], []), "layer 0: layer must contain at least one neuron"),
+        (_edit(["layers", 0, "kinds", 0], "cubic"),
+         "layer 0 neuron 0: unknown neuron kind 'cubic'"),
         (_edit(["input_dim"], "1"), "input_dim' must be an integer"),
         (_edit(["input_dim"], 0), "'input_dim' must be >= 1"),
         (_edit(["layers"], {}), "'layers' must be a list"),
-        (_edit(["masks", 1, 0, 1], 2), "masks of layer 1: neuron 0: .*0 and 1"),
-        (_edit(["masks", 0, 0, 0], 0.5), "masks of layer 0: neuron 0"),
-        (_edit(["masks", 0], 1), "masks of layer 0: expected a list"),
-        (_edit(["masks", 1]), "masks must parallel layers"),
-        (_edit(["masks", 0, 1]), "masks for layer 0 must parallel its neurons"),
+        (_edit(["layers"], []), "network must have at least one layer"),
+        (_edit(["layers", 1, "masks", 0, 1], 2), "layer 1 neuron 0: 'masks' must hold 0 and 1"),
+        (_edit(["layers", 0, "masks", 0, 0], 0.5),
+         "layer 0 neuron 0: 'masks' must hold 0 and 1"),
+        (_edit(["layers", 0, "masks"], 1), "layer 0: 'masks' must be a list"),
+        (_edit(["layers", 1, "masks"]), "layer 1: lacks 'masks'"),
+        (_edit(["layers", 0, "masks", 1]),
+         "layer 0: 'kinds', 'params' and 'masks' must be of one length, got 2, 2 and 1"),
+        (_edit(["layers", 0, "params", 1]),
+         "layer 0: 'kinds', 'params' and 'masks' must be of one length, got 2, 1 and 2"),
     ])
     def test_malformed_part_named(self, edit, problem):
         doc = self._valid_document()
@@ -1225,17 +1271,16 @@ class TestSerialization:
 
     def test_mask_entries_true_false_and_floats_read_as_flags(self):
         doc = self._valid_document()
-        doc["masks"][0][0] = [True, False, 1.0, 0.0, 1, -0.0]
+        doc["layers"][0]["masks"][0] = [True, False, 1.0, 0.0, 1, -0.0]
         net = from_json(json.dumps(doc))
         assert net.masks[0][0].tolist() == [True, False, True, False, True, False]
 
     def test_unknown_keys_ignored(self):
-        """Keys the reader does not know, in a neuron, a layer or the
-        document, and a passthrough's params, are not read."""
+        """Keys the reader does not know, in a layer or the document, are
+        not read."""
         doc = self._valid_document()
         text = to_json(from_json(json.dumps(doc)))
-        doc["layers"][0]["neurons"][0]["note"] = "extra"
-        doc["layers"][0]["neurons"][1]["params"] = ["not read"]
+        doc["layers"][0]["note"] = "extra"
         doc["layers"][1]["comment"] = [1, 2]
         doc["version"] = 2
         assert to_json(from_json(json.dumps(doc))) == text
@@ -1246,24 +1291,40 @@ class TestSerialization:
         """A JSON integer within the float64 range is read as its float, as
         _field reads one, however many digits it has."""
         doc = self._valid_document()
-        doc["layers"][1]["neurons"][0]["params"][0] = value
+        doc["layers"][1]["params"][0][0] = value
         net = from_json(json.dumps(doc))
         assert net.blocks[1][0, 0] == float(value)
+
+    # the document above as earlier versions wrote it: one object per
+    # neuron, with top-level masks and shortcuts
+    PER_NEURON = (
+        '{"input_dim": 1, "layers": [{"activation": "relu", "neurons": [{"kind": "quadratic", '
+        '"params": [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]}, {"index": 0, "kind": "passthrough"}]}, '
+        '{"activation": "identity", "neurons": [{"kind": "conventional", "params": '
+        '[1.0, -1.0, 0.25]}]}], "masks": [[[1, 1, 1, 1, 1, 1], []], [[1, 1, 1]]], '
+        '"shortcuts": []}')
+
+    def test_per_neuron_document_refused(self):
+        """A document that earlier versions wrote is refused by name, not
+        read as a net."""
+        with pytest.raises(ValueError, match="^network JSON: a per-neuron document"):
+            from_json(self.PER_NEURON)
 
     def test_saved_shortcut_edge_refused(self):
         """A document that holds an edge skipping layers, as older versions
         wrote them, is refused by name rather than read without the edge."""
-        doc = self._valid_document()
+        doc = json.loads(self.PER_NEURON)
         doc["shortcuts"] = [{"src_layer": 0, "src_neuron": 1, "dst_layer": 1,
                              "dst_neuron": 0, "trainable": True, "weight": 0.25}]
-        with pytest.raises(ValueError, match="'shortcuts' must be empty"):
+        with pytest.raises(ValueError, match="per-neuron document, with top-level 'masks' and "
+                                             "'shortcuts'"):
             from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("edit, problem", [
-        (_edit(["layers", 0, "neurons", 0, "params", 4], True),
-         "layer 0: neuron 0: 'params' must hold numbers"),
-        (_edit(["layers", 1, "neurons", 0, "params", 2], False),
-         "layer 1: neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 0, "params", 0, 4], True),
+         "layer 0 neuron 0: 'params' must hold numbers"),
+        (_edit(["layers", 1, "params", 0, 2], False),
+         "layer 1 neuron 0: 'params' must hold numbers"),
     ])
     def test_boolean_parameter_refused(self, edit, problem):
         """numpy reads true among numbers as 1.0; the reader refuses it."""
@@ -1273,7 +1334,7 @@ class TestSerialization:
             from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("edit, problem", [
-        (_edit(["layers", 0, "neurons", 1, "index"], 10**20),
+        (_edit(["layers", 0, "kinds", 1], 10**20),
          f"layer 0 neuron 1: passthrough index {10**20} out of range for width 1"),
         # a block of this fan-in would not fit in any address space
         (_edit(["input_dim"], 10**15),

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import loss_and_grad, random_network
+from test_builders_poly import json_values
 from qnn.builders import (
     RadialPartition,
     build_deep_radial,
@@ -310,16 +311,16 @@ repr_edges = st.sampled_from([-0.0, 5e-324, 1e-17, 1e-5, 1e16, 1.797693134862315
 
 def json_document(net) -> dict:
     """The network document to_json writes, built from the structure, the
-    blocks and the masks."""
-    layers, masks = [], []
+    blocks and the masks: one object per layer, its params and masks one
+    list per neuron, parallel to its kinds."""
+    layers = []
     for (activation, kinds), block, layer_masks in zip(net.structure, net.blocks, net.masks,
                                                        strict=True):
-        layers.append({"activation": activation, "neurons": [
-            {"kind": kind, "params": block[: len(mask), j].tolist()} if isinstance(kind, str)
-            else {"kind": "passthrough", "index": kind}
-            for j, (kind, mask) in enumerate(zip(kinds, layer_masks, strict=True))]})
-        masks.append([mask.astype(int).tolist() for mask in layer_masks])
-    return {"input_dim": net.input_dim, "layers": layers, "shortcuts": [], "masks": masks}
+        layers.append({"activation": activation, "kinds": list(kinds),
+                       "params": [block[: len(mask), j].tolist()
+                                  for j, mask in enumerate(layer_masks)],
+                       "masks": [mask.astype(int).tolist() for mask in layer_masks]})
+    return {"input_dim": net.input_dim, "layers": layers}
 
 
 @given(st.one_of(random_nets, exact_nets), st.lists(st.one_of(repr_edges, finite), max_size=8),
@@ -350,27 +351,70 @@ def test_malformed_json_of_random_nets_names_layer_and_neuron(net, data):
     for k, (_, kinds) in enumerate(net.structure):
         for j, kind in enumerate(kinds):
             if isinstance(kind, str):
-                edits += [("params", k, j), ("mask", k, j)]
+                edits += [("params", k, j), ("masks", k, j)]
             else:
-                edits.append(("index", k, j))
+                edits += [("index", k, j), ("add param", k, j)]
             edits.append(("add mask entry", k, j))
     edit, k, j = data.draw(st.sampled_from(edits))
-    neuron, mask = doc["layers"][k]["neurons"][j], doc["masks"][k][j]
+    layer = doc["layers"][k]
+    params, mask = layer["params"][j], layer["masks"][j]
     if edit == "input_dim":
         doc["input_dim"] = 10**15
     elif edit == "index":
-        neuron["index"] = data.draw(st.sampled_from(
+        layer["kinds"][j] = data.draw(st.sampled_from(
             [fan_in[k], fan_in[k] + 1, 10**20, -1, -(10**20)]))
     elif edit == "add mask entry":
         mask.insert(data.draw(st.integers(0, len(mask))), 1)
+    elif edit == "add param":  # to a passthrough, whose lists are empty
+        params.append(data.draw(finite))
     else:  # drop or add a parameter or a mask entry of a neuron with parameters
-        entries = neuron["params"] if edit == "params" else mask
+        entries = params if edit == "params" else mask
         if data.draw(st.booleans()):
             del entries[data.draw(st.integers(0, len(entries) - 1))]
         else:
             entries.insert(data.draw(st.integers(0, len(entries))), entries[0])
     with pytest.raises(ValueError, match=f"^layer {k} neuron {j}: "):
         from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", [True, False, 0.5, 1.0, [0], {"index": 0}, "passthrough", None],
+                         ids=["true", "false", "0.5", "1.0", "list", "object", "passthrough",
+                              "null"])
+@given(random_nets, st.data())
+def test_json_kinds_entry_not_a_kind_names_layer_and_neuron(kind, net, data):
+    """A kinds entry of a random net's document that is a bool, a float, a
+    list, an object or a string other than the two kinds raises ValueError
+    naming its layer and neuron."""
+    doc = json.loads(to_json(net))
+    k = data.draw(st.integers(0, net.depth - 1))
+    j = data.draw(st.integers(0, len(net.structure[k][1]) - 1))
+    doc["layers"][k]["kinds"][j] = kind
+    with pytest.raises(ValueError, match=f"^layer {k} neuron {j}: unknown neuron kind "):
+        from_json(json.dumps(doc))
+
+
+@given(random_nets, st.data())
+def test_mutated_json_of_random_nets_reads_or_raises_value_error(net, data):
+    """Any one node of a random net's document replaced by any JSON value,
+    or removed, gives a net that round-trips or a ValueError, never another
+    exception: the whole-list tests and the search for the fault agree."""
+    doc = json.loads(to_json(net))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(node)) if isinstance(node, dict)
+                        else st.integers(0, len(node) - 1))
+        parent, node = node, node[key]
+    if parent is None:
+        doc = data.draw(json_values)
+    elif data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(json_values)
+    try:
+        text = to_json(from_json(json.dumps(doc)))
+    except ValueError:
+        return
+    assert to_json(from_json(text)) == text
 
 
 @given(random_nets)

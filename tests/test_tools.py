@@ -32,15 +32,22 @@ def test_step_timing_prints_an_exact_net_row():
     assert result.returncode == 0, result.stderr
     header, row, *small_rows = result.stdout.splitlines()
     assert header.split() == ["net", "depth", "B", "forward_batch_us", "cold_us", "np_calls",
-                              "to_json_us", "from_json_us"]
-    name, depth, batch, forward, cold, calls, *json_times = row.split()
+                              "to_json_us", "from_json_us", "json_bytes"]
+    name, depth, batch, forward, cold, calls, *json_times, json_bytes = row.split()
     assert (name, batch) == ("bernstein_16", "4096") and int(depth) > 0
     assert float(forward) > 0 and float(cold) > 0 and int(calls) > 0
     assert all(float(us) > 0 for us in json_times)
+    spec = importlib.util.spec_from_file_location("step_timing", ROOT / "tools" / "step_timing.py")
+    step_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_timing)
+    import qnn
+
+    net = next(net for name, net, _ in step_timing.exact_nets(qnn) if name == "bernstein_16")
+    assert int(json_bytes) == len(qnn.to_json(net))
     assert [row.split()[2] for row in small_rows] == ["401", "1"]
     for row in small_rows:
-        name, _, batch, forward, cold, calls, *json_times = row.split()
-        assert name == "bernstein_16" and json_times == ["-", "-"]
+        name, _, batch, forward, cold, calls, *json_columns = row.split()
+        assert name == "bernstein_16" and json_columns == ["-", "-", "-"]
         assert float(forward) > 0 and float(cold) > 0 and int(calls) > 0
 
 

@@ -34,7 +34,8 @@ deep radial stack at d = 4 and the 200-unit shallow radial net at d = 2;
 ``np_calls`` is the numpy calls of a call after a first, counted as
 above.  The 4096-point row also times ``to_json`` writing the net and
 ``from_json`` reading it back from its JSON, written once outside the
-timer; the other rows leave those "-".  Last, ``factor_us`` is one
+timer, and prints ``json_bytes``, the length of that text; the other rows
+leave those "-".  Last, ``factor_us`` is one
 ``factor_polynomial`` call, timed the same way, on the Bernstein
 approximant of |x - 1/2| at n = 16 and 24, at n = 30, which the residual
 check refuses, so that its row times the refusal, and on the degree-14
@@ -340,19 +341,20 @@ def main(argv=None) -> int:
         print()
     if nets:
         print(f"{'net':<18} {'depth':>5} {'B':>5} {'forward_batch_us':>17} {'cold_us':>8} "
-              f"{'np_calls':>9} {'to_json_us':>11} {'from_json_us':>13}")
+              f"{'np_calls':>9} {'to_json_us':>11} {'from_json_us':>13} {'json_bytes':>11}")
     for name, net, X in nets:
         text = to_json(net)
         for points in batches(X):
             us = best_us(timed(lambda: forward_batch(net, points)), args.repeat)
             cold = cold_us(name, len(points), args.repeat)
             calls = warm_calls(lambda: forward_batch(net, points))
-            write = read = "-"
+            write = read = size = "-"
             if points is X:
                 write = f"{best_us(timed(lambda: to_json(net)), args.repeat):.1f}"
                 read = f"{best_us(timed(lambda: from_json(text)), args.repeat):.1f}"
+                size = len(text)
             print(f"{name:<18} {net.depth:>5} {len(points):>5} {us:>17.1f} {cold:>8.1f} "
-                  f"{calls:>9} {write:>11} {read:>13}")
+                  f"{calls:>9} {write:>11} {read:>13} {size:>11}")
 
     if (table or nets) and polys:
         print()
