@@ -3,8 +3,14 @@
 Everything here is deliberately simple and written against definitions, not
 against the implementations it checks: Horner evaluation, factored-form
 expansion by repeated convolution, central finite differences, a per-neuron
-forward pass and chain-rule gradient, direct Bernstein basis summation, and
+forward pass and chain-rule gradient, the Bernstein basis sum, and
 trapezoidal / max-over-grid error measures.
+
+The Bernstein sum runs Horner's rule in x with the powers of 1 - x carried
+along, S <- S x + f(m/n) C(n,m) (1-x)^(n-m) from m = n down: IEEE products
+and sums alone, no pow, so its bits do not change with the SIMD target
+numpy dispatches to, in O(len(x)) memory whatever n, and within
+2(n + 1) u sum_m |w_m| x^m (1-x)^(n-m) of the exact sum (u = 2^-53).
 """
 
 from __future__ import annotations
@@ -56,11 +62,13 @@ class GridSpec:
 
 
 def horner(p: Polynomial, x) -> float | np.ndarray:
-    """Horner-scheme evaluation; accepts a scalar or an array of points."""
+    """Horner-scheme evaluation, in place on one array; accepts a scalar or
+    an array of points."""
     x = _real(x, "x")
     acc = np.zeros_like(x)
     for c in p.coeffs[::-1]:
-        acc = acc * x + c
+        np.multiply(acc, x, out=acc)
+        np.add(acc, c, out=acc)
     return acc if acc.ndim else float(acc)
 
 def expand_factored(ff: FactoredForm) -> Polynomial:
@@ -200,24 +208,36 @@ def grid_sup(f, g, grid: GridSpec) -> float:
 
 
 def bernstein_direct(f, n: int, x) -> np.ndarray:
-    """Direct basis summation sum_m f(m/n) C(n,m) x^m (1-x)^(n-m).
+    """The Bernstein polynomial sum_m w_m x^m y^(n-m), w_m = f(m/n) C(n,m)
+    and y = 1 - x, by Horner's rule in x with y's powers carried along:
 
-    Numerically stable on [0, 1] for any n whose binomials fit float64
-    (n <= 1029) since every basis term is non-negative there; serves as the
-    reference for the expanded-coefficient path, which is ill-conditioned in
-    the monomial basis at large n.  Raises ValueError naming n beyond that,
-    and naming "f values" when f returns anything but a finite real number.
+        S <- S x + w_m y^(n-m),   m = n, n-1, ..., 0,
+
+    y^(n-m) one multiply by y per step.  That is four in-place products and
+    sums per m and no pow, so the bits are IEEE's, the same on every SIMD
+    target numpy dispatches to, and the work memory is four arrays of
+    len(x), whatever n.  A term takes at most 2n + 1 roundings, so the sum
+    misses the exact one by at most 2(n + 1) u sum_m |w_m| x^m y^(n-m) to
+    first order (u = 2^-53; Horner's bound, Higham 2002, section 5.1).  On
+    [0, 1] every basis term is non-negative, so that is a relative bound on
+    a non-negative f, for any n whose binomials fit float64 (n <= 1029):
+    the reference for the expanded-coefficient path, which is
+    ill-conditioned in the monomial basis at large n.  Raises ValueError
+    naming n beyond that, and naming "f values" when f returns anything
+    but a finite real number, before the sum starts.
     """
     binomials = bernstein_binomials(n)
     x = _real(x, "x")
+    weights = [_finite(f(m / n), "f values") * binomial for m, binomial in enumerate(binomials)]
     y = 1.0 - x
+    power = np.ones_like(x)  # y^(n-m)
+    term = np.empty_like(x)
     total = np.zeros_like(x)
-    for m, weight in enumerate(binomials):
-        # the terms' product order, (f(m/n) C(n,m)) x^m (1-x)^(n-m), in place
-        term = x**m
-        term *= _finite(f(m / n), "f values") * weight
-        term *= y ** (n - m)
+    for weight in reversed(weights):
+        total *= x
+        np.multiply(power, weight, out=term)
         total += term
+        power *= y
     return total
 
 

@@ -64,6 +64,19 @@ def test_step_timing_prints_the_factor_rows():
     assert all(float(row.split()[2]) > 0 for row in rows)
 
 
+def test_step_timing_prints_an_oracle_row():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_timing.py"), "bernstein_direct_8",
+         "--repeat", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    header, row = result.stdout.splitlines()
+    assert header.split() == ["oracle", "degree", "B", "bernstein_direct_us", "horner_us"]
+    name, degree, batch, us, horner_us = row.split()
+    assert (name, degree, batch, horner_us) == ("bernstein_direct_8", "8", "4096", "-")
+    assert float(us) > 0
+
+
 def test_environment_stamp_names_numpy_and_blas():
     spec = importlib.util.spec_from_file_location(
         "artifact_digests", ROOT / "tools" / "artifact_digests.py")
@@ -82,7 +95,7 @@ def test_environment_stamp_names_numpy_and_blas():
 def test_ab_times_the_checkout_against_itself():
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), "factorizer", "bernstein_16",
-         "factor_bernstein_30", "--rounds", "2", "--seconds", "0.005"],
+         "factor_bernstein_30", "bernstein_direct_8", "--rounds", "2", "--seconds", "0.005"],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
@@ -93,7 +106,8 @@ def test_ab_times_the_checkout_against_itself():
         ["factorizer", "descend_us"], ["bernstein_16@4096", "forward_batch_us"],
         ["bernstein_16@401", "forward_batch_us"], ["bernstein_16@1", "forward_batch_us"],
         ["bernstein_16", "to_json_us"],
-        ["bernstein_16", "from_json_us"], ["factor_bernstein_30", "factor_us"]]
+        ["bernstein_16", "from_json_us"], ["factor_bernstein_30", "factor_us"],
+        ["bernstein_direct_8", "bernstein_direct_us"]]
     for row in rows:
         _, measure, *medians, spread, aa, aa_spread = row.split()
         # a descend_us sample is a difference of two descents, which noise can make negative

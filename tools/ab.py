@@ -9,7 +9,8 @@ PARENT is a checkout, or its ``src/``.  Its ``src/qnn`` is loaded as the
 package ``qnn_a``, and the ``src/qnn`` of the checkout this script sits in
 as ``qnn_b`` and, a second time, as ``qnn_c``: three packages in this
 process, on one numpy with one BLAS thread.  Each row of step_timing (its
-training shapes and exact nets, or the ones named) gives its measures:
+training shapes, exact nets, polynomials and oracles, or the ones named)
+gives its measures:
 
 - a training shape: ``forward_us``, ``backward_us`` and ``descend_us`` as
   step_timing takes them, except that one ``descend_us`` sample is one
@@ -20,7 +21,9 @@ training shapes and exact nets, or the ones named) gives its measures:
   ``cold_us``, is not timed here: read it from step_timing run in each
   checkout;
 - a polynomial: ``factor_us``, one ``factor_polynomial`` call, a refusal
-  included.
+  included;
+- an oracle: ``bernstein_direct_us`` or ``horner_us``, one call on 4096
+  points.
 
 A measure's call count (steps, for ``descend_us``) is fixed once, as many
 as take ``qnn_b`` ``--seconds``.  Each round then times every measure once
@@ -90,6 +93,9 @@ def runs(step_timing, qnn, picked: set) -> dict:
     for name, p in step_timing.polynomials(qnn):
         if name in picked:
             out[name, "factor_us"] = step_timing.timed(partial(step_timing.factor, qnn, p))
+    for name, measure, _, call in step_timing.oracles(qnn):
+        if name in picked:
+            out[name, measure] = step_timing.timed(call)
     return out
 
 
@@ -121,7 +127,8 @@ def main(argv=None) -> int:
     packages = {"A": load(src, "qnn_a"), "B": load(HERE.parent / "src", "qnn_b"),
                 "C": load(HERE.parent / "src", "qnn_c")}
     names = [row[0] for row in step_timing.shapes(packages["B"])
-             + step_timing.exact_nets(packages["B"]) + step_timing.polynomials(packages["B"])]
+             + step_timing.exact_nets(packages["B"]) + step_timing.polynomials(packages["B"])
+             + step_timing.oracles(packages["B"])]
     unknown = set(args.rows).difference(names)
     if unknown:
         parser.error(f"unknown row {sorted(unknown)[0]!r}; the rows are {', '.join(names)}")
@@ -139,7 +146,7 @@ def main(argv=None) -> int:
                 us = timers[key][measure](calls[measure]) / calls[measure] * 1e6
                 samples[key][measure].append(us)
 
-    print(f"{'row':<22} {'measure':<17} {'A_us':>10} {'B_us':>10} {'B/A':>6} {'B/A_iqr':>13} "
+    print(f"{'row':<22} {'measure':<19} {'A_us':>10} {'B_us':>10} {'B/A':>6} {'B/A_iqr':>13} "
           f"{'C/B':>6} {'C/B_iqr':>13}")
     for measure in measures:
         a, b, c = (np.array(samples[key][measure]) for key in "ABC")
@@ -148,7 +155,7 @@ def main(argv=None) -> int:
             q1, median, q3 = np.percentile(ratio, [25, 50, 75])
             cells.append(f"{median:>6.3f} {f'{q1:.3f}..{q3:.3f}':>13}")
         row, name = measure
-        print(f"{row:<22} {name:<17} {np.median(a):>10.1f} {np.median(b):>10.1f} "
+        print(f"{row:<22} {name:<19} {np.median(a):>10.1f} {np.median(b):>10.1f} "
               + " ".join(cells))
     return 0
 

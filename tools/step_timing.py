@@ -39,8 +39,13 @@ leave those "-".  Last, ``factor_us`` is one
 ``factor_polynomial`` call, timed the same way, on the Bernstein
 approximant of |x - 1/2| at n = 16 and 24, at n = 30, which the residual
 check refuses, so that its row times the refusal, and on the degree-14
-polynomial of the product tree.  Names given on the command line pick some
-of the shapes, nets and polynomials.
+polynomial of the product tree.  The oracle rows time the references the
+exact-build benchmark checks its nets against, on 4096 points, the same
+way: ``bernstein_direct_us``, ``oracles.bernstein_direct`` of |x - 1/2| at
+n = 8, 16 and 24 on uniform points of [0, 1], and ``horner_us``,
+``oracles.horner`` of the product tree's degree-14 polynomial on uniform
+points of [-2, 2].  Names given on the command line pick some of the
+shapes, nets, polynomials and oracles.
 
 Runs from the ``src/`` of the checkout this script sits in, with one BLAS
 thread, so that two checkouts can be compared on the same machine:
@@ -58,6 +63,7 @@ Only the standard library and numpy are used; ``faults`` needs the
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import resource
@@ -155,6 +161,21 @@ def polynomials(qnn) -> list[tuple]:
 
     return [(f"factor_bernstein_{n}", qnn.bernstein_coeffs(absmid, n)) for n in (16, 24, 30)] + [
         ("factor_poly_14", tree_polynomial(qnn, np.random.default_rng(0)))]
+
+
+def oracles(qnn) -> list[tuple]:
+    """(name, measure, degree, call) of each oracle call timed, call a
+    function of no arguments on 4096 points, made by the qnn package
+    given."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    xs = rng.uniform(0.0, 1.0, 4096)
+    tree = tree_polynomial(qnn, np.random.default_rng(0))
+    return [(f"bernstein_direct_{n}", "bernstein_direct_us", n,
+             functools.partial(qnn.bernstein_direct, absmid, n, xs)) for n in (8, 16, 24)] + [
+        ("horner_14", "horner_us", tree.degree,
+         functools.partial(qnn.horner, tree, rng.uniform(-2.0, 2.0, 4096)))]
 
 
 def factor(qnn, p) -> str:
@@ -315,8 +336,8 @@ def main(argv=None) -> int:
     import qnn
     from qnn.network import forward_batch, from_json, to_json
 
-    table, nets, polys = shapes(qnn), exact_nets(qnn), polynomials(qnn)
-    names = [name for name, *_ in table + nets + polys]
+    table, nets, polys, refs = shapes(qnn), exact_nets(qnn), polynomials(qnn), oracles(qnn)
+    names = [name for name, *_ in table + nets + polys + refs]
     unknown = set(args.shapes).difference(names)
     if unknown:
         parser.error(f"unknown shape {sorted(unknown)[0]!r}; the shapes are {', '.join(names)}")
@@ -324,6 +345,7 @@ def main(argv=None) -> int:
     table = [row for row in table if row[0] in picked]
     nets = [row for row in nets if row[0] in picked]
     polys = [row for row in polys if row[0] in picked]
+    refs = [row for row in refs if row[0] in picked]
     if table:
         print(f"{'shape':<18} {'R':>3} {'B':>5} {'forward_us':>11} {'backward_us':>12} "
               f"{'descend_us':>11} {'np_calls':>9} {'faults':>8}")
@@ -363,6 +385,16 @@ def main(argv=None) -> int:
     for name, p in polys:
         us = best_us(timed(lambda: factor(qnn, p)), args.repeat)
         print(f"{name:<20} {p.degree:>6} {us:>10.1f} {factor(qnn, p):>9}")
+
+    if (table or nets or polys) and refs:
+        print()
+    if refs:
+        measures = ("bernstein_direct_us", "horner_us")
+        print(f"{'oracle':<20} {'degree':>6} {'B':>5} {measures[0]:>20} {measures[1]:>10}")
+    for name, measure, degree, call in refs:
+        us = f"{best_us(timed(call), args.repeat):.1f}"
+        cells = [us if column == measure else "-" for column in measures]
+        print(f"{name:<20} {degree:>6} {len(call.args[-1]):>5} {cells[0]:>20} {cells[1]:>10}")
     return 0
 
 
