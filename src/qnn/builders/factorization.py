@@ -2,14 +2,15 @@
 
 One quadratic neuron evaluates one factor (a shifted linear term needs only
 the first affine form; x^2 + a x + b additionally uses the square term), and
-one quadratic neuron multiplies two channels, so a balanced pairwise tree
-computes the whole product in logarithmically many identity-activation
-layers.  The same product neurons build a multivariate polynomial from its
-monomials (each variable's powers by doubling, then each monomial's powers
-multiplied in one per layer) and the trainable factorizer, whose first
-layer learns offset factors and whose linear output neuron undoes the
-offsets through taps of the factors and pair products, carried to it by
-passthrough neurons.
+one product neuron (u, v), a kind in the structure with no parameter,
+multiplies two channels, so a balanced pairwise tree computes the whole
+product in logarithmically many identity-activation layers.  The same
+product neurons build a multivariate polynomial from its monomials (each
+variable's powers by doubling, then each monomial's powers multiplied in
+one per layer) and the trainable factorizer, whose first layer learns
+offset factors and whose linear output neuron undoes the offsets through
+taps of the factors and pair products, carried to it by passthrough
+neurons.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _write_factors(block: np.ndarray, terms: list[tuple]) -> None:
 
 def _product_tree(count: int) -> list[list]:
     """The pairwise-product layers that reduce count channels to one.  A
-    layer is a list of units: (u, v) for the product neuron x[u] * x[v], or
+    layer is a list of kinds: (u, v) for the product neuron x[u] * x[v], or
     the index an odd channel passes through at."""
     layers = []
     while count > 1:
@@ -126,19 +127,10 @@ def _product_net(input_dim: int, factors: int, products: list[list],
                  output: bool) -> NetworkSpec:
     """A layer of `factors` zero quadratic neurons (none when factors is 0),
     the product layers (as _product_tree gives them), and with output one
-    zero conventional neuron, all with identity activation; the product
-    neurons are written."""
+    zero conventional neuron, all with identity activation."""
     layers = [("identity", ["quadratic"] * factors)] * bool(factors)
-    layers += [("identity", ["quadratic" if isinstance(u, tuple) else u for u in units])
-               for units in products]
-    net = NetworkSpec.blank(input_dim, layers + [("identity", ["conventional"])] * output)
-    for block, units in zip(net.blocks[bool(factors):], products):
-        rows = block_rows(len(block) // 3 - 1)
-        for j, unit in enumerate(units):
-            if isinstance(unit, tuple):
-                block[rows.w_r, j][unit[0]] = 1.0
-                block[rows.w_g, j][unit[1]] = 1.0
-    return net
+    layers += [("identity", kinds) for kinds in products]
+    return NetworkSpec.blank(input_dim, layers + [("identity", ["conventional"])] * output)
 
 
 def build_poly_net(ff: FactoredForm) -> NetworkSpec:
@@ -226,10 +218,10 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
     """Trainable factorizer: learn offset factors, multiply them, undo offsets.
 
     Layer 1 holds one trainable quadratic neuron per factor (l1 + l2 of
-    them, each free to learn any quadratic in x).  Fixed product neurons
-    form the pairwise and full products, and fixed passthrough neurons
-    carry every factor and pair product beside them to the last layer; the
-    trainable linear output neuron combines the full product with those
+    them, each free to learn any quadratic in x).  Product neurons form the
+    pairwise and full products, and passthrough neurons carry every factor
+    and pair product beside them to the last layer, none with a parameter;
+    the trainable linear output neuron combines the full product with those
     taps of every proper sub-product and a bias, which is exactly the
     linear combination needed to cancel constant offsets in the learned
     factors.  Its weights are the full product's, then the factors', then
@@ -247,15 +239,11 @@ def build_factorization_trainable(degree: int, l1: int, l2: int) -> NetworkSpec:
             f"l1={l1}, l2={l2} gives {k}"
         )
 
-    # fixed product neurons, the pair products then the triple, beside
+    # product neurons, the pair products then the triple, beside
     # passthroughs that bring every factor and pair product to the output
     products = {2: [[(0, 1), 0, 1]],
                 3: [[(0, 1), (1, 2), (0, 2), 0, 1, 2], [(3, 1), 3, 4, 5, 0, 1, 2]]}.get(k, [])
-    net = _product_net(1, k, products, output=True)
-    for layer_masks in net.masks[1 : len(products) + 1]:
-        for m in layer_masks:
-            m[:] = False
-    return net
+    return _product_net(1, k, products, output=True)
 
 
 def quadratic_coefficients(column) -> np.ndarray:

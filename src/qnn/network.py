@@ -1,43 +1,45 @@
-"""Layered networks of quadratic / conventional / passthrough neurons.
+"""Layered networks of quadratic / conventional / passthrough / product neurons.
 
 A NetworkSpec stores its parameters once, as one flat float64 array of
-(3n+3, m) layer blocks, each neuron of any kind a column in quadratic form,
-with a bool array of the same layout marking the trainable entries; beside
-them it keeps each layer's activation and neuron kinds.  A layer reads the
-layer before it alone: a value a later layer needs is carried there by
-passthrough neurons.  A net is made in one of two ways: NetworkSpec.blank,
-whose block columns a builder or a test then writes, or from_json, which
-reads them from JSON; to_json writes them, one object per layer that
-holds its kinds and, parallel to them, each neuron's parameters and mask.
-One cached walk of a structure, _layout_of, works out where its rows lie
-and refuses a passthrough index outside its fan-in; from_json tests the
-document's lists whole and each layer's counts against its fan-in before
-any array is made, and then makes the net through blank.  Neuron objects
-are a read-only view, made only when net.layers is read (by the
-per-neuron oracle in oracles) through block_rows, the one map of a block
-column.
+(3n+3, m) layer blocks, each neuron of any kind a column in quadratic
+form, with a bool array of the same layout marking the trainable entries;
+beside them it keeps each layer's activation and neuron kinds.  A layer
+reads the layer before it alone: a value a later layer needs is carried
+there by passthrough neurons.  A product (u, v) is x[u] * x[v]; like a
+passthrough it has no parameter, and it shares a layer with passthroughs
+alone.  A net is made in one of two ways: NetworkSpec.blank, whose block
+columns a builder or a test then writes, or from_json, which reads them
+from JSON; to_json writes them, one object per layer that holds its kinds
+and, parallel to them, each neuron's parameters and mask.  One cached walk
+of a structure, _layout_of, works out where its rows lie and refuses a
+passthrough or product index outside its fan-in and a product beside a
+quadratic or conventional neuron; from_json tests the document's lists
+whole and each layer's counts against its fan-in before any array is made,
+and then makes the net through blank.  Neuron objects are a read-only
+view, made only when net.layers is read (by the per-neuron oracle in
+oracles) through block_rows, the one map of a block column.
 Nothing here mutates a spec: forward_batch and backward_batch are pure
-functions of it, and both take a batch, (B, input_dim); a single input
-is the batch x[None]; trainable_values and set_trainable_values gather
-and scatter on the blocks.  A PackedNetwork, the training executor, is
-built for one input batch: it copies the blocks into one row per restart
-so that every restart advances in the same stacked matmuls, holds its work
-arrays layer-major in one 64-byte-aligned block (_carve), and runs each
-pass, forward() and backward(), as a list of (ufunc, a, b, out) built with
-it; the trainer steps its params in place, and backward_batch is a one-row
-executor at the net's own values.  forward_batch runs the executor's forward
-program, _forward_ops, tile by tile: one op order, the biases folded into
-the matmuls through a row of ones, and one rule for what is left out
-(_operands).  It builds the program once per structure and thread, on the
-one workspace the thread keeps for its life, and runs a product tree's
-layers as strided multiplies, not matmuls, where a block equals the
-layout's product pattern (_Layout.pairs).  It matches the per-neuron
-oracle bit for bit where the sums come out in one fixed order, as tested
-(product trees, Bernstein nets, deep radial stacks, the factorizer reading
-the triple product alone); a dense sum of several nonzero weights gets the
-BLAS kernel its operand layout picks and agrees to rounding (100 of 200
-random multivariate polynomial nets differ, by at most 7.8e-16 relative
-to 1 + |value|).
+functions of it, and both take a batch, (B, input_dim); a single input is
+the batch x[None]; trainable_values and set_trainable_values gather and
+scatter on the blocks.  A PackedNetwork, the training executor, is built
+for one input batch: it copies the blocks into one row per restart so that
+every restart advances in the same stacked matmuls, holds its work arrays
+layer-major in one 64-byte-aligned block (_carve), and runs each pass,
+forward() and backward(), as a list of (ufunc, a, b, out) built with it;
+the trainer steps its params in place, and backward_batch is a one-row
+executor at the net's own values.  forward_batch runs the executor's
+forward program, _forward_ops, tile by tile: one op order, the biases
+folded into the matmuls through a row of ones, and one rule for what is
+left out (_operands).  It builds the program once per structure and
+thread, on the one workspace the thread keeps for its life, and runs a
+layer of products from its kinds, as multiplies of its input's rows, not
+matmuls (_Products).  It matches the per-neuron oracle bit for bit where
+the sums come out in one fixed order, as tested (product trees, Bernstein
+nets, deep radial stacks, the factorizer reading the triple product
+alone); a dense sum of several nonzero weights gets the BLAS kernel its
+operand layout picks and agrees to rounding (100 of 200 random
+multivariate polynomial nets differ, by at most 7.8e-16 relative to 1 +
+|value|).
 Complex and non-numeric inputs, parameters and data are refused by name
 (neurons._real), here and in neurons, trainer, polynomials, oracles and
 builders, rather than cast to their real parts or read as NaN.
@@ -55,7 +57,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -67,15 +69,22 @@ ACTIVATIONS = ("relu", "identity")
 
 def _layer(activation: str, kinds) -> tuple[str, tuple]:
     """A layer's structure, (activation, kinds): per neuron "quadratic",
-    "conventional", or for a passthrough the input index it copies."""
+    "conventional", for a passthrough the input index it copies, or for a
+    product the pair (u, v) of input indices it multiplies, given as a
+    tuple or a list."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     if not kinds:
         raise ValueError("layer must contain at least one neuron")
     for kind in kinds:  # each one: a set of kinds would hold true or 1.0 as 1
-        if type(kind) is not int and kind not in ("quadratic", "conventional"):
+        if not (type(kind) is int or _is_product(kind) or kind in ("quadratic", "conventional")):
             raise ValueError(f"unknown neuron kind {kind!r}")
-    return activation, tuple(kinds)
+    return activation, tuple(tuple(kind) if type(kind) is list else kind for kind in kinds)
+
+
+def _is_product(kind) -> bool:
+    """Whether kind is a product's (u, v): a tuple or list of two ints."""
+    return type(kind) in (tuple, list) and len(kind) == 2 and type(kind[0]) is type(kind[1]) is int
 
 
 class BlockRows(NamedTuple):
@@ -116,14 +125,16 @@ class NetworkSpec:
     blocks[k] is a view of layer k's block.  Its
     rows are W_r | b_r | W_g | b_g | W_b | c (block_rows), and column j is
     neuron j as a quadratic neuron: a conventional neuron (w, b) fills W_r
-    and b_r and has b_g = 1, and a passthrough is the one-hot W_r = e_index
-    with b_g = 1.  The one forward program leaves out a third of a
-    quadratic layer's block, [W_r; b_r], [W_g; b_g] or [W_b; c], and a
-    bias row, b_r, b_g or c, that holds only zeros and no trainable entry
-    (see _operands), but within the rest the zero entries multiply their
-    inputs too, so where an input is inf a pre-activation can be NaN where
-    the per-neuron oracle gives inf or an exact copy; forward_batch's
-    product-tree layers (_Layout.pairs) multiply no zero entry.
+    and b_r and has b_g = 1, a passthrough is the one-hot W_r = e_index
+    with b_g = 1, and a product (u, v) the one-hots W_r = e_u and W_g = e_v,
+    which blank writes and PackedNetwork reads; forward_batch, net.layers
+    and to_json read a product from its kind.  The one forward program
+    leaves out a third of a quadratic layer's block, [W_r; b_r], [W_g; b_g]
+    or [W_b; c], and a bias row, b_r, b_g or c, that holds only zeros and
+    no trainable entry (see _operands), but within the rest the zero
+    entries multiply their inputs too, so where an input is inf a
+    pre-activation can be NaN where the per-neuron oracle gives inf or an
+    exact copy; forward_batch's layers of products multiply no zero entry.
     trainable flags the trainable entries of params among the canonical
     parameters; structure holds each layer's (activation, kinds) (see
     _layer).
@@ -172,11 +183,16 @@ class NetworkSpec:
     def layers(self) -> list[LayerSpec]:
         layers = []
         for (activation, kinds), block in zip(self.structure, self.blocks):
-            rows = block_rows(len(block) // 3 - 1)
-            # copied once, transposed: no neuron writes the net, and its weights are contiguous
+            n = len(block) // 3 - 1
+            rows = block_rows(n)
+            # copied once, transposed: no neuron writes the net, and its weights
+            # are contiguous; a product (u, v) from its kind, W_r = e_u and W_g = e_v
             neurons = [QuadraticNeuron(*(column[row] for row in rows)) if kind == "quadratic"
                        else ConventionalNeuron(column[rows.w_r], column[rows.b_r])
                        if kind == "conventional" else PassthroughNeuron(kind)
+                       if type(kind) is int else QuadraticNeuron(*np.eye(1, n, kind[0]), 0.0,
+                                                                 *np.eye(1, n, kind[1]), 0.0,
+                                                                 np.zeros(n), 0.0)
                        for kind, column in zip(kinds, block.T.copy())]
             layers.append(LayerSpec(neurons, activation))
         return layers
@@ -198,19 +214,6 @@ class NetworkSpec:
         return [len(kinds) for _, kinds in self.structure]
 
 
-class _Pattern(NamedTuple):
-    """The product-tree pattern over the span of params from the first
-    block of a layer that can take it (see _layout_of) to the last: the
-    pattern's 1.0 and 0.0 in each such block, NaN in the blocks between.
-    forward_batch compares the span alone, one flag per layer of it from
-    np.logical_and.reduceat at starts; a layer outside it is no product."""
-
-    first: int  # the span's first layer
-    span: slice  # of params
-    values: np.ndarray
-    starts: np.ndarray  # each of its layers' block start, within the span
-
-
 class _Layout(NamedTuple):
     """What a structure fixes of a net's params; the arrays are read-only,
     so that a deep copy of a net shares its layout (__deepcopy__) and with
@@ -219,18 +222,18 @@ class _Layout(NamedTuple):
     blocks: tuple  # per layer, (position, rows, width) of its block
     sizes: tuple  # per layer, each neuron's parameter count
     size: int  # of the blocks, and so of params
-    ones: np.ndarray  # positions a passthrough or conventional column fixes at 1
+    ones: np.ndarray  # positions a passthrough, product or conventional column fixes at 1
     own: np.ndarray  # each neuron parameter's position, in canonical order
     parts: np.ndarray  # per layer, where its W_r, b_r, W_g, b_g, W_b and c rows start
     tile: int  # forward_batch's full tile, in batch rows
-    pairs: _Pattern | None  # the product-tree pattern; None where no layer can take it
 
     def __deepcopy__(self, memo) -> _Layout:
         return self
 
 
 def _param_counts(n: int) -> dict:
-    """The parameter count of each neuron kind at fan-in n; a passthrough has none."""
+    """The parameter count of each neuron kind at fan-in n; a passthrough
+    and a product have none."""
     return {"quadratic": 3 * n + 3, "conventional": n + 1}
 
 
@@ -247,30 +250,29 @@ _MAX_ENTRIES = 2**32
 @lru_cache(maxsize=256)
 def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     """The _Layout of a structure, made once for all nets that share it: the
-    one walk of a structure.  A passthrough index outside its fan-in, or a
-    column that takes the blocks past _MAX_ENTRIES, raises ValueError naming
-    the layer and neuron before any array is made."""
-    blocks, sizes, ones, columns, strides, parts, pairs = [], [], [], [], [], [], []
+    one walk of a structure.  A passthrough or product index outside its
+    fan-in, a product beside a quadratic or conventional neuron, or a
+    column that takes the blocks past _MAX_ENTRIES, raises ValueError
+    naming the layer and neuron before any array is made."""
+    blocks, sizes, ones, columns, strides, parts = [], [], [], [], [], []
     pos, n = 0, input_dim
     for k, (_, kinds) in enumerate(structure):
         m, height = len(kinds), 3 * n + 3
         if pos + height * m > _MAX_ENTRIES:
             raise ValueError(f"layer {k} neuron {(_MAX_ENTRIES - pos) // height}: a column "
                              f"of fan-in {n} takes the blocks past {_MAX_ENTRIES} entries")
-        size, passed = _param_counts(n), len(ones)
+        size = _param_counts(n)
         for j, kind in enumerate(kinds):
-            if kind not in size:
-                if not 0 <= kind < n:
-                    raise ValueError(f"layer {k} neuron {j}: passthrough index "
-                                     f"{kind} out of range for width {n}")
-                ones.append(pos + kind * m + j)
-            if kind != "quadratic":
+            if kind == "conventional":  # b_g = 1
                 ones.append(pos + (2 * n + 1) * m + j)
-        p = next((j for j, kind in enumerate(kinds) if kind != "quadratic"), m)
-        if p and 2 * p <= n and all(type(kind) is int for kind in kinds[p:]):
-            # W_r's row 2j and W_g's row 2j + 1 in column j, and the passthroughs' ones
-            pairs.append((k, pos + height * m, [pos + (2 * j * m + j) for j in range(p)]
-                          + [pos + (n + 2 + 2 * j) * m + j for j in range(p)] + ones[passed:]))
+            elif kind != "quadratic":
+                if problem := _index_fault(kind, n):
+                    raise ValueError(f"layer {k} neuron {j}: {problem}")
+                # a passthrough's W_r = e_index and b_g = 1, a product's W_r = e_u and W_g = e_v
+                rows = (kind, 2 * n + 1) if type(kind) is int else (kind[0], n + 1 + kind[1])
+                ones += (pos + row * m + j for row in rows)
+        if problem := _mix_fault(kinds):
+            raise ValueError(f"layer {k} {problem}")
         sizes.append(tuple(size.get(kind, 0) for kind in kinds))
         columns += range(pos, pos + m)
         strides += [m] * m
@@ -285,18 +287,24 @@ def _layout_of(input_dim: int, structure: tuple) -> _Layout:
     own.flags.writeable = ones.flags.writeable = parts.flags.writeable = False
     widest = max(input_dim, *(m for *_, m in blocks))
     tile = max(64, _TILE_BYTES // (8 * widest) // 64 * 64)
-    pattern = None
-    if pairs:
-        (first, *_), (last, stop, _) = pairs[0], pairs[-1]
-        start = blocks[first][0]
-        values = np.full(stop - start, np.nan)
-        for k, end, one in pairs:
-            values[blocks[k][0] - start : end - start] = 0.0
-            values[np.subtract(one, start)] = 1.0
-        starts = parts[6 * first : 6 * last + 1 : 6] - start
-        values.flags.writeable = starts.flags.writeable = False
-        pattern = _Pattern(first, slice(start, stop), values, starts)
-    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts, tile, pattern)
+    return _Layout(tuple(blocks), tuple(sizes), pos, ones, own, parts, tile)
+
+
+def _index_fault(kind, n: int) -> str | None:
+    """What is wrong with a passthrough's index or a product's pair at
+    fan-in n, naming the first index outside it; None where nothing is."""
+    name, indices = ("passthrough", (kind,)) if type(kind) is int else ("product", kind)
+    bad = next((i for i in indices if not 0 <= i < n), None)
+    return None if bad is None else f"{name} index {bad} out of range for width {n}"
+
+
+def _mix_fault(kinds) -> str | None:
+    """Where a layer holds a product beside a quadratic or conventional
+    neuron, "neuron j: ..." naming its first product; else a false value."""
+    named = [kind for kind in kinds if type(kind) is str]
+    products = [j for j, kind in enumerate(kinds) if type(kind) not in (int, str)]
+    return named and products and (f"neuron {products[0]}: a product beside a {named[0]} "
+                                   "neuron; products share a layer with passthroughs alone")
 
 
 def _theta_index(net: NetworkSpec) -> np.ndarray:
@@ -351,13 +359,10 @@ def _operands(n: int, quadratic: bool, kept: list) -> tuple:
 
 
 class _Products(NamedTuple):
-    """A product-tree layer, whose block equals the layout's pattern
-    (_Layout.pairs), as forward_batch's program reads it: neuron j < pairs
-    multiplies rows 2j and 2j + 1 of its input, and the passthroughs copy
-    the rows in copies."""
+    """A layer that holds a product, as forward_batch's program reads it:
+    from its kinds alone, not its block."""
 
-    pairs: int
-    copies: tuple
+    kinds: tuple
 
 
 class _Program(NamedTuple):
@@ -394,15 +399,16 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     Runs the executor's forward program (_forward_ops) on net.params: with
     X1 = [X; 1], a layer is Z = ([W_r; b_r]^T X1) * ([W_g; b_g]^T X1) +
     [W_b; c]^T (X1 * X1), then the activation, less what holds only +-0.0
-    (_operands).  A product-tree layer, whose block equals the layout's
-    product pattern (_Layout.pairs: W_r = e_2j and W_g = e_2j+1 for each
-    of its p quadratic neurons, the passthroughs' ones, +-0.0 elsewhere),
-    is one multiply of X1's even rows by its odd rows, and one copy
-    with 0.0 added per passthrough, in place of two matmuls and a multiply:
-    on finite activations the output keeps the matmuls' bits (a zero
+    (_operands).  A layer that holds a product is built from its kinds
+    alone (_Products): its leading products (2j, 2j + 1) are one multiply
+    of X1's even rows by its odd rows, and each other product (u, v) one
+    multiply of rows u and v, each passthrough one copy with 0.0 added, in
+    place of two matmuls and a multiply of the products' one-hot columns:
+    on finite activations the output keeps those matmuls' bits (a zero
     product's sign may differ within, which the matmuls of later layers
     and the output's added 0.0 clear), but where a factor is +-inf the
-    product is +-inf (or NaN at 0 * inf), not the matmuls' NaN.
+    product is +-inf (or NaN at 0 * inf), not the matmuls' NaN.  A layer
+    of passthroughs alone runs its matmul.
     The output is written with 0.0 added, so that an exact zero is +0.0 as
     when every third is evaluated: a layer without its square term gives
     -0.0 where P * Q is zero times a negative value, as at a product tree's
@@ -435,13 +441,11 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     Each thread keeps one workspace for its life, _KEPT_ENTRIES float64
     entries made when it first reads _kept (just under 4 MiB, so that the
     pages no call touches stay unmapped), and up to _PROGRAMS programs
-    bound to it, one per (structure, live thirds, product layers, tile
-    width), the oldest dropped first.  A call looks its program up by the
-    layout's id, the bytes of the _live reduction and of the product test
-    (the pattern's span of params == pattern, one flag per layer of the
-    span, _Pattern), and the tile width,
-    then copies params and X in, writes the ones rows and runs it: no op
-    list is built and no view is made.  A miss builds the program and keeps
+    bound to it, one per (structure, live thirds, tile width), the oldest
+    dropped first.  A call looks its program up by the layout's id, the
+    bytes of the _live reduction and the tile width, then copies params
+    and X in, writes the ones rows and runs it: no op list is built and no
+    view is made.  A miss builds the program and keeps
     it.  A program whose workspace would pass the bound runs on one of its
     own, which the call drops: one_hidden_quadratic(2, 200) at B = 20,001
     keeps nothing.  The thread keeps no reference to a net, to X or to the
@@ -449,11 +453,8 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     """
     X, _ = _check_batch(net, X)
     batch, layout, flat = len(X), net._layout, net.params
-    pattern = layout.pairs
-    products = None if pattern is None else np.logical_and.reduceat(
-        flat[pattern.span] == pattern.values, pattern.starts)
     live = np.logical_or.reduceat(flat, layout.parts)
-    key = (id(layout), live.tobytes(), None if products is None else products.tobytes())
+    key = (id(layout), live.tobytes())
     rows = layout.tile if batch % 8 == 0 else max(layout.tile, batch)
     out = np.empty((batch, net.output_dim))
     programs, width = _kept.programs, None
@@ -461,7 +462,7 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
         stop = min(start + rows, batch)
         if stop - start != width:
             width = stop - start
-            program = programs.get((*key, width)) or _program(net, live, products, (*key, width))
+            program = programs.get((*key, width)) or _program(net, live, (*key, width))
             program.params[...] = flat
             for row in program.ones:
                 row.fill(1.0)
@@ -471,12 +472,12 @@ def forward_batch(net: NetworkSpec, X) -> np.ndarray:
     return out
 
 
-def _program(net: NetworkSpec, live: np.ndarray, products, key: tuple) -> _Program:
-    """The program at key, (layout id, live bytes, product bytes, tile
-    width), which the thread does not keep yet: built on the kept workspace
-    and kept, or built on a workspace of its own, and not kept, where it
-    needs more than _KEPT_ENTRIES."""
-    layers, heights = _layers(net, live, products)
+def _program(net: NetworkSpec, live: np.ndarray, key: tuple) -> _Program:
+    """The program at key, (layout id, live bytes, tile width), which the
+    thread does not keep yet: built on the kept workspace and kept, or
+    built on a workspace of its own, and not kept, where it needs more than
+    _KEPT_ENTRIES."""
+    layers, heights = _layers(net, live)
     size = key[-1] * sum(heights) + net._layout.size
     if size > _KEPT_ENTRIES:
         return _bind(net, layers, heights, _aligned(size), key[-1])
@@ -487,23 +488,18 @@ def _program(net: NetworkSpec, live: np.ndarray, products, key: tuple) -> _Progr
     return program
 
 
-def _layers(net: NetworkSpec, live: np.ndarray, products) -> tuple[list, list]:
-    """Per layer of net, (rule, relu, width): its _Products where products,
-    the product test's flag per layer of the pattern's span (None where no
-    layer can be one), flags it, else the rows of its thirds (_operands,
-    from live, the reduction of net.params); and the rows of each part of
-    the workspace:
+def _layers(net: NetworkSpec, live: np.ndarray) -> tuple[list, list]:
+    """Per layer of net, (rule, relu, width): its _Products where it holds
+    a product, else the rows of its thirds (_operands, from live, the
+    reduction of net.params); and the rows of each part of the workspace:
     [X | 1], [Z; 1] of the even and of the odd layers (Z the rows just
     above the ones row, so that the ones row stays put), Q, X1 * X1."""
     widths = net.layer_widths()
     fan_in = [net.input_dim] + widths[:-1]
     layers, gated, squared = [], [0], [0]
-    flags = [] if products is None else [False] * net._layout.pairs.first + products.tolist()
-    for k, (m, n, (activation, kinds), kept) in enumerate(
-            zip(widths, fan_in, net.structure, _live(live))):
-        if k < len(flags) and flags[k]:
-            p = kinds.count("quadratic")
-            rule = _Products(p, kinds[p:])
+    for m, n, (activation, kinds), kept in zip(widths, fan_in, net.structure, _live(live)):
+        if any(type(kind) is tuple for kind in kinds):
+            rule = _Products(kinds)
         else:
             rule = _operands(n, "quadratic" in kinds, kept)
             gated.append(m if rule[1] else 0)
@@ -662,14 +658,19 @@ def _through(W, A, out) -> tuple:
 def _forward_ops(thirds: tuple, relu: bool, X1, Z, buffers: _LayerBuffers) -> list[tuple]:
     """A layer's forward pass, from its input X1 = [X; 1] into its
     activations Z, on its operands (_operands): the one forward program,
-    of the executor and of forward_batch.  A product-tree layer, thirds a
+    of the executor and of forward_batch.  A layer of products, thirds a
     _Products (forward_batch's, on (rows, columns) views), is one multiply
-    of X1's even rows by its odd rows and one copy, with 0.0 added, per
-    passthrough."""
+    of X1's even rows by its odd rows for its leading products (2j, 2j + 1),
+    then per neuron one row multiply for a product and one copy, with 0.0
+    added, for a passthrough."""
     if type(thirds) is _Products:
-        p = thirds.pairs
-        ops = [(np.multiply, X1[0 : 2 * p : 2], X1[1 : 2 * p : 2], Z[:p])]
-        ops += [(np.add, X1[i : i + 1], 0.0, Z[j : j + 1]) for j, i in enumerate(thirds.copies, p)]
+        kinds = thirds.kinds
+        p = next((j for j, kind in enumerate(kinds) if kind != (2 * j, 2 * j + 1)), len(kinds))
+        ops = [(np.multiply, X1[0 : 2 * p : 2], X1[1 : 2 * p : 2], Z[:p])] if p else []
+        for j, kind in enumerate(kinds[p:], p):
+            ops.append((np.multiply, X1[kind[0] : kind[0] + 1], X1[kind[1] : kind[1] + 1],
+                        Z[j : j + 1]) if type(kind) is tuple
+                       else (np.add, X1[kind : kind + 1], 0.0, Z[j : j + 1]))
     else:
         W, W_g, W_b = thirds
         product, X2, P, Q, _ = buffers
@@ -833,8 +834,9 @@ class PackedNetwork:
                 relu=activation == "relu",
                 inp=slice(base[k], base[k + 1]),
                 out=slice(base[k + 1], base[k + 2] - 1),
-                thirds_t=tuple(rows and block.swapaxes(1, 2)[..., rows]
-                               for rows in _operands(n, "quadratic" in kinds, kept)),
+                # a product's block column is its quadratic form, as the executor reads it
+                thirds_t=tuple(rows and block.swapaxes(1, 2)[..., rows] for rows in _operands(
+                    n, any(kind == "quadratic" or type(kind) is tuple for kind in kinds), kept)),
                 weights=tuple(block[:, t] for t in weights),
                 grads=tuple(gblock[:, t] if some else None
                             for t, some in zip(thirds, learnt[:3])),
@@ -989,13 +991,14 @@ def to_json(net: NetworkSpec) -> str:
 
     {"input_dim": d, "layers": [{"activation": a, "kinds": [...], "masks":
     [[...], ...], "params": [[...], ...]}, ...]}: kinds is the layer's
-    entry of net.structure, and params and masks hold, parallel to it, each
-    neuron's canonical parameters and their trainable flags as 0 and 1, a
-    passthrough's empty.  The text is what json.dumps(sort_keys=True)
-    writes for it, joined from params[own] and trainable[own] with no dict
-    and no encoder.  A parameter's text is its float.__repr__; the entries
-    whose bits are all zero share one "0.0".  JSON has no NaN or infinity,
-    so a non-finite neuron parameter raises ValueError.
+    entry of net.structure, a product [u, v], and params and masks hold,
+    parallel to it, each neuron's canonical parameters and their trainable
+    flags as 0 and 1, a passthrough's and a product's empty.  The text is
+    what json.dumps(sort_keys=True) writes for it, joined from params[own]
+    and trainable[own] with no dict and no encoder.  A parameter's text is
+    its float.__repr__; the entries whose bits are all zero share one
+    "0.0".  JSON has no NaN or infinity, so a non-finite neuron parameter
+    raises ValueError.
     """
     own = net._layout.own
     values = net.params[own]
@@ -1040,11 +1043,13 @@ def from_json(text: str) -> NetworkSpec:
 
     The document's lists are tested whole (each field's type, the kinds,
     the numbers, the mask entries), then layer by layer each neuron's
-    params and masks lengths and passthrough index against the fan-in
-    (_param_counts).  Where a test fails, _fault names the first fault in
-    reading order, "layer k: ..." or "layer k neuron j: ...", before any
-    array is made.  blank then makes the net, and one assignment each puts
-    every parameter in params[own] and every mask entry in trainable[own].
+    params and masks lengths against the fan-in (_param_counts).  Where a
+    test fails, _fault names the first fault in reading order, "layer k:
+    ..." or "layer k neuron j: ...", before any array is made.  blank then
+    makes the net, its layout walk refusing in the same words an index
+    outside its fan-in and a product beside a quadratic or conventional
+    neuron, and one assignment each puts every parameter in params[own]
+    and every mask entry in trainable[own].
     A parameter is any JSON number within the float64 range
     (_all_numbers), a mask entry 0, 1, true, false, 0.0 or 1.0, and keys
     the reader does not know are ignored.  A per-neuron document, with the
@@ -1068,7 +1073,8 @@ def from_json(text: str) -> NetworkSpec:
                                 for key in ("kinds", "params", "masks"))
         neurons, flags = [*chain.from_iterable(params)], [*chain.from_iterable(masks)]
         values, entries = [*chain.from_iterable(neurons)], [*chain.from_iterable(flags)]
-        names = {kind for kind in chain.from_iterable(kinds) if type(kind) is not int}
+        names = {kind for kind in chain.from_iterable(kinds)
+                 if type(kind) is not int and not _is_product(kind)}
         regular = ({*activations} <= {*ACTIVATIONS} and names <= {"quadratic", "conventional"}
                    and {*map(type, kinds), *map(type, params), *map(type, masks),
                         *map(type, neurons), *map(type, flags)} <= {list}
@@ -1082,9 +1088,8 @@ def from_json(text: str) -> NetworkSpec:
     structure, n = [], input_dim
     for activation, layer, p, mask in zip(activations, kinds, params, masks) if regular else ():
         counts = _param_counts(n)
-        sizes = [*map(counts.get, layer, repeat(0))]
-        if not (layer and [*map(len, p)] == sizes == [*map(len, mask)]
-                and all(0 <= i < n for i in {*layer}.difference(counts))):
+        sizes = [counts[kind] if type(kind) is str else 0 for kind in layer]
+        if not (layer and [*map(len, p)] == sizes == [*map(len, mask)]):
             break
         structure.append((activation, layer))
         n = len(layer)
@@ -1115,15 +1120,16 @@ def _fault(layers: list, n: int) -> str:
         counts = _param_counts(n)
         for j, (kind, p, mask) in enumerate(zip(kinds, params, masks)):
             size = counts.get(kind, 0) if type(kind) is str else 0
-            if not (size or type(kind) is int):
+            name = kind if size else "passthrough" if type(kind) is int else "product"
+            if not (size or type(kind) is int or _is_product(kind)):
                 problem = f"unknown neuron kind {kind!r}"
-            elif not (size or 0 <= kind < n):
-                problem = f"passthrough index {kind} out of range for width {n}"
+            elif not size and _index_fault(kind, n):
+                problem = _index_fault(kind, n)
             elif not type(p) is type(mask) is list:
                 problem = f"its params and masks must be lists, got {p!r} and {mask!r}"
             elif not len(p) == len(mask) == size:
-                problem = (f"a {kind if size else 'passthrough'} neuron of fan-in {n} takes "
-                           f"{size} parameters and mask entries, got {len(p)} and {len(mask)}")
+                problem = (f"a {name} neuron of fan-in {n} takes {size} parameters and mask "
+                           f"entries, got {len(p)} and {len(mask)}")
             elif not _all_numbers(p):
                 problem = f"'params' must hold numbers only, got {p!r}"
             elif not all(entry in (0, 1) for entry in mask):
@@ -1131,5 +1137,7 @@ def _fault(layers: list, n: int) -> str:
             else:
                 continue
             return f"layer {k} neuron {j}: {problem}"
+        if problem := _mix_fault(kinds):
+            return f"layer {k} {problem}"
         n = len(kinds)
     raise AssertionError("no layer at fault")

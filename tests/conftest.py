@@ -24,17 +24,22 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 def random_network(rng, max_layers=4, max_width=3, max_input=3, allow_frozen=True) -> NetworkSpec:
     """A small random network mixing neuron kinds, activations, and masks;
-    everything is trainable unless allow_frozen.  Each neuron's parameters
-    are drawn in canonical order, as the rows of its block column."""
+    everything is trainable unless allow_frozen.  About one layer in four
+    holds products and passthroughs alone.  Each neuron's parameters are
+    drawn in canonical order, as the rows of its block column."""
     input_dim = int(rng.integers(1, max_input + 1))
     n_layers = int(rng.integers(1, max_layers + 1))
     layers, values = [], []
     prev = input_dim
     for _ in range(n_layers):
         kinds = []
+        products = rng.random() < 0.25
         for _ in range(int(rng.integers(1, max_width + 1))):
-            kind = str(rng.choice(["quadratic", "conventional", "passthrough"]))
-            if kind == "passthrough":
+            kind = str(rng.choice(["product", "passthrough"] if products
+                                  else ["quadratic", "conventional", "passthrough"]))
+            if kind == "product":
+                kinds.append(tuple(int(i) for i in rng.integers(0, prev, size=2)))
+            elif kind == "passthrough":
                 kinds.append(int(rng.integers(0, prev)))
             else:
                 kinds.append(kind)

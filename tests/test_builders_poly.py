@@ -643,8 +643,8 @@ class TestFactorizationTrainable:
     def test_counts_for_degree_five(self):
         net = build_factorization_trainable(5, 1, 2)
         assert net.layer_widths() == [3, 6, 7, 1]
-        assert trainable_count(net) == 3 * 6 + 7 + 1  # factors, output weights and bias
-        assert parameter_count(net) - trainable_count(net) > 0
+        # factors, output weights and bias; the products and passthroughs hold no parameter
+        assert parameter_count(net) == trainable_count(net) == 3 * 6 + 7 + 1
 
     def test_zero_offsets_reduce_to_exact_product(self):
         """Seeding the factor neurons with the true factors, weight 1 on the

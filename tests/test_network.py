@@ -59,7 +59,9 @@ def layered_forward(net, X, keep_ones=True, dense=False):
     otherwise).  Unless dense, a quadratic layer does no work for a dead
     third: with [W_r; b_r] and [W_g; b_g] both all ±0.0 it is
     [W_b; c]^T (X1 * X1), or [W_r; b_r]^T X1 where [W_b; c] is too; with
-    [W_b; c] all ±0.0 it is P * Q.  The output has 0.0 added.  The first
+    [W_b; c] all ±0.0 it is P * Q.  A layer that holds a product is
+    gathers, from its kinds alone: x[u] * x[v] per product (u, v) and
+    x[i] + 0.0 per passthrough i.  The output has 0.0 added.  The first
     layer's X1 is [X | 1] transposed, the layout forward_batch copies X
     into."""
     X = np.asarray(X, dtype=np.float64)
@@ -77,7 +79,10 @@ def layered_forward(net, X, keep_ones=True, dense=False):
             return block[t * (n + 1) : t * (n + 1) + rows].T @ A[:rows]
 
         quadratic, square = "quadratic" in kinds, dense or any(live[4:])
-        if quadratic and (dense or any(live[:4])):
+        if any(type(kind) is tuple for kind in kinds):
+            Z = np.array([X1[kind[0]] * X1[kind[1]] if type(kind) is tuple else X1[kind] + 0.0
+                          for kind in kinds])
+        elif quadratic and (dense or any(live[:4])):
             Z = third(0, X1) * third(1, X1)
             if square:
                 Z += third(2, X1 * X1)
@@ -171,16 +176,24 @@ def tile_rows(net) -> int:
 @st.composite
 def tiled_nets(draw):
     """Nets of up to four layers up to 70 wide, mixing the three neuron
-    kinds, either activation and fan-in-one layers, with normal
+    kinds or products and passthroughs, the products led by some pairs
+    (2j, 2j + 1), either activation and fan-in-one layers, with normal
     parameters, sometimes every bias a signed zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     input_dim = draw(st.integers(1, 4))
     widths = draw(st.lists(st.sampled_from([1, 2, 3, 8, 33, 64, 70]), min_size=1, max_size=4))
     structure, fan_in = [], input_dim
     for m in widths:
-        kinds = [str(kind) if kind != "passthrough" else int(rng.integers(fan_in))
-                 for kind in rng.choice(["quadratic", "conventional", "passthrough"], size=m,
-                                        p=draw(st.sampled_from([(1, 0, 0), (0.4, 0.4, 0.2)])))]
+        mix = draw(st.sampled_from([(1, 0, 0), (0.4, 0.4, 0.2), "products"]))
+        if mix == "products":
+            pairs = draw(st.integers(0, min(m, fan_in // 2)))
+            kinds = [(2 * j, 2 * j + 1) for j in range(pairs)] + [
+                tuple(map(int, rng.integers(fan_in, size=2))) if rng.random() < 0.7
+                else int(rng.integers(fan_in)) for _ in range(m - pairs)]
+        else:
+            kinds = [str(kind) if kind != "passthrough" else int(rng.integers(fan_in))
+                     for kind in rng.choice(["quadratic", "conventional", "passthrough"],
+                                            size=m, p=mix)]
         structure.append((draw(st.sampled_from(["relu", "identity"])), kinds))
         fan_in = m
     net = NetworkSpec.blank(input_dim, structure)
@@ -884,9 +897,9 @@ def random_tree(rng, degree):
 
 class TestKeptPrograms:
     """Each thread keeps one workspace between forward_batch calls and the
-    programs bound to it, one per structure, live thirds, product layers
-    and tile width; whatever ran before, a call gives the bytes a call in a
-    fresh thread gives."""
+    programs bound to it, one per structure, live thirds and tile width;
+    whatever ran before, a call gives the bytes a call in a fresh thread
+    gives."""
 
     def test_nets_of_one_structure_alternate(self):
         """Two nets of one structure, with different parameters, share a
@@ -1027,101 +1040,90 @@ def ops_run(net, X, monkeypatch) -> list:
     return ops
 
 
-class TestProductLayers:
-    """A product-tree layer, whose block is one-hot pairs W_r = e_2j,
-    W_g = e_2j+1, then passthroughs, and +-0.0 elsewhere, runs as one
-    multiply of its input's even rows by its odd rows and a copy with 0.0
-    added per passthrough, with the matmuls' bits on finite inputs."""
+def quadratic_form(net):
+    """net with each product (u, v) a frozen quadratic neuron of its block
+    column, W_r = e_u and W_g = e_v, as nets were stored before a product
+    was a kind: each of its layers runs through the matmuls."""
+    twin = NetworkSpec.blank(net.input_dim, [
+        (activation, ["quadratic" if type(kind) is tuple else kind for kind in kinds])
+        for activation, kinds in net.structure])
+    twin.params[:], twin.trainable[:] = net.params, net.trainable
+    return twin
 
-    def test_rule_fires_on_product_trees_alone(self, monkeypatch):
-        """A degree-7 tree does the factor layer's two matmuls alone; with
-        any one entry of a product layer's block changed, that layer runs
-        its matmuls, and gives the whole-batch reference's bytes; an entry
-        of 0.0 set to -0.0 leaves the rule on."""
+
+class TestProductLayers:
+    """A layer that holds a product (u, v) runs from its kinds alone: its
+    leading products (2j, 2j + 1) as one multiply of its input's even rows
+    by its odd rows, then a row multiply per other product and a copy with
+    0.0 added per passthrough, with the matmuls' bits on finite inputs."""
+
+    def test_rule_fires_from_the_kinds(self, monkeypatch):
+        """A degree-7 tree runs its factor layer's two matmuls alone, and
+        gives the bytes of its product neurons run as quadratic ones
+        through the matmuls.  So does a multivariate net, whose products
+        pair channels in any order, and the three-factor factorizer."""
         rng = np.random.default_rng(44)
         tree = random_tree(rng, 7)
         assert tree.layer_widths() == [7, 4, 2, 1]
         X = rng.uniform(-2.0, 2.0, size=(401, 1))
-
-        def matmuls(net):
-            return sum(op[0] is np.matmul for op in ops_run(net, X, monkeypatch))
-
-        assert matmuls(tree) == 2
-        assert forward_batch(tree, X).tobytes() == dense_forward_batch(tree, X).tobytes()
-        for block_index in (1, 2, 3):
-            for entry in np.ndindex(tree.blocks[block_index].shape):
-                for value in (0.5, -0.0):
-                    if value == -0.0 and tree.blocks[block_index][entry] != 0.0:
-                        continue
-                    net = copy.copy(tree)  # the layout shared, as set_trainable_values shares it
-                    net.params = tree.params.copy()
-                    net.blocks[block_index][entry] = value
-                    assert (matmuls(net) == 2) == (value == -0.0), (block_index, entry)
-                    got = forward_batch(net, X)
-                    assert got.tobytes() == whole_batch_forward(net, X).tobytes()
+        assert sum(op[0] is np.matmul for op in ops_run(tree, X, monkeypatch)) == 2
+        cases = [(tree, X)]
+        net = build_multipoly_net(MultiPolySpec([[200, 1], [3, 200]], [1.0, -0.5]))
+        # the blocks still hold every product's column; the output's w and b are its parameters
+        assert (net._layout.size, parameter_count(net)) == (443403, 3)
+        cases.append((net, rng.uniform(-1.0, 1.0, size=(401, 2))))
+        net = build_factorization_trainable(4, 2, 1)
+        net = set_trainable_values(net, rng.uniform(-0.5, 0.5, size=trainable_count(net)))
+        cases.append((net, X))
+        for net, X in cases:
+            want = forward_batch(quadratic_form(net), X).tobytes()
+            assert forward_batch(net, X).tobytes() == want
+            assert whole_batch_forward(net, X).tobytes() == want
 
     def test_conventional_layer_between_product_layers(self, monkeypatch):
         """x0 x1 and x2 x3, a conventional ReLU layer of four, then x0 x1
-        with x2 and x3 passed through: the product test flags the outer
-        two layers alone, the conventional layer's matmul is the one
-        matmul run, and the bytes are the whole-batch reference's."""
+        with x2 and x3 passed through: the conventional layer's matmul is
+        the one matmul run, and the bytes are the matmuls'."""
         rng = np.random.default_rng(46)
-        net = NetworkSpec.blank(4, [("identity", ["quadratic"] * 2),
+        net = NetworkSpec.blank(4, [("identity", [(0, 1), (2, 3)]),
                                     ("relu", ["conventional"] * 4),
-                                    ("identity", ["quadratic", 2, 3])])
-        for block, pairs in ((net.blocks[0], 2), (net.blocks[2], 1)):
-            rows = block_rows(4)
-            for j in range(pairs):
-                block[rows.w_r.start + 2 * j, j] = block[rows.w_g.start + 2 * j + 1, j] = 1.0
+                                    ("identity", [(0, 1), 2, 3])])
         rows = block_rows(2)
         net.blocks[1][rows.w_r] = rng.normal(size=(2, 4))
         net.blocks[1][rows.b_r] = rng.normal(size=4)
-        pattern = net._layout.pairs
-        flags = np.logical_and.reduceat(net.params[pattern.span] == pattern.values,
-                                        pattern.starts)
-        assert (pattern.first, flags.tolist()) == (0, [True, False, True])
         X = rng.uniform(-2.0, 2.0, size=(401, 4))
         ops = ops_run(net, X, monkeypatch)
         assert sum(op[0] is np.matmul for op in ops) == 1
-        assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes()
-
-    def test_pattern_spans_the_candidate_layers_alone(self):
-        """The pattern covers params from the first block of a layer that
-        can be a product (p quadratic neurons, 2p <= fan-in, then
-        passthroughs) to the last, and no more: on this multivariate net
-        that is one layer's 2,406 entries of 443,403.  forward_batch gives
-        the whole-batch reference's bytes there."""
-        net = build_multipoly_net(MultiPolySpec([[200, 1], [3, 200]], [1.0, -0.5]))
-        layout, pattern = net._layout, net._layout.pairs
-        fan_in = [net.input_dim] + net.layer_widths()
-        candidates = [k for k, (_, kinds) in enumerate(net.structure)
-                      if (p := kinds.count("quadratic")) and 2 * p <= fan_in[k]
-                      and kinds[:p] == ("quadratic",) * p
-                      and all(type(kind) is int for kind in kinds[p:])]
-        pos, rows, m = layout.blocks[candidates[-1]]
-        span = slice(layout.blocks[candidates[0]][0], pos + rows * m)
-        assert (pattern.first, pattern.span) == (candidates[0], span)
-        assert len(pattern.values) == span.stop - span.start == 2406
-        assert layout.size == 443403
-        X = np.random.default_rng(47).uniform(-1.0, 1.0, size=(401, 2))
-        assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes()
+        want = forward_batch(quadratic_form(net), X).tobytes()
+        assert forward_batch(net, X).tobytes() == whole_batch_forward(net, X).tobytes() == want
 
     def test_infinities_through_a_product_layer(self):
         """x0 * x1 beside a passthrough of x2: an infinite factor gives an
         infinite product and an infinite channel is copied, where the
         matmuls' 0 * inf made both NaN; -0.0 is copied as +0.0."""
-        net = NetworkSpec.blank(3, [("identity", ["quadratic", 2])])
-        rows = block_rows(3)
-        net.blocks[0][rows.w_r.start + 0, 0] = 1.0
-        net.blocks[0][rows.w_g.start + 1, 0] = 1.0
+        net = NetworkSpec.blank(3, [("identity", [(0, 1), 2])])
         inf = np.inf
         X = np.array([[inf, 2.0, -inf], [-inf, -0.5, 3.0], [inf, 0.0, -0.0], [-3.0, 0.5, 7.0]])
         want = np.array([[inf, -inf], [inf, 3.0], [np.nan, 0.0], [-1.5, 7.0]])
         with np.errstate(invalid="ignore"):
             got = forward_batch(net, X)
-            assert np.isnan(whole_batch_forward(net, X)[:3]).all()
+            assert np.isnan(forward_batch(quadratic_form(net), X)[:3]).all()
         np.testing.assert_array_equal(got, want)
         assert not np.signbit(got[2, 1])
+
+    def test_written_product_column_read_by_no_evaluator(self):
+        """forward_batch, the per-neuron oracle and the JSON read a product
+        from its kind: after a write over its block column the three still
+        give the unwritten net's bytes and text."""
+        rng = np.random.default_rng(48)
+        net = random_tree(rng, 4)
+        X = rng.uniform(-2.0, 2.0, size=(64, 1))
+        want, text = forward_batch(net, X).tobytes(), to_json(net)
+        assert net.structure[1][1][0] == (0, 1)
+        net.blocks[1][:, 0] = rng.normal(size=len(net.blocks[1]))
+        assert forward_batch(net, X).tobytes() == want
+        assert reference_forward_batch(net, X)[1][-1].tobytes() == want
+        assert to_json(net) == text
 
 
 class TestParameters:
@@ -1248,6 +1250,24 @@ class TestSerialization:
         (_edit(["layers", 0, "kinds"], []), "layer 0: layer must contain at least one neuron"),
         (_edit(["layers", 0, "kinds", 0], "cubic"),
          "layer 0 neuron 0: unknown neuron kind 'cubic'"),
+        (_edit(["layers", 1, "kinds", 0], [0]), r"layer 1 neuron 0: unknown neuron kind \[0\]"),
+        (_edit(["layers", 1, "kinds", 0], [0, 1, 2]),
+         r"layer 1 neuron 0: unknown neuron kind \[0, 1, 2\]"),
+        (_edit(["layers", 1, "kinds", 0], [0, True]),
+         r"layer 1 neuron 0: unknown neuron kind \[0, True\]"),
+        (_edit(["layers", 1, "kinds", 0], [0, 1.0]),
+         r"layer 1 neuron 0: unknown neuron kind \[0, 1.0\]"),
+        (_edit(["layers", 1], {"activation": "identity", "kinds": [[-1, 0]], "masks": [[]],
+                               "params": [[]]}),
+         "layer 1 neuron 0: product index -1 out of range for width 2"),
+        (_edit(["layers", 1], {"activation": "identity", "kinds": [[0, 2]], "masks": [[]],
+                               "params": [[]]}),
+         "layer 1 neuron 0: product index 2 out of range for width 2"),
+        (_edit(["layers", 1, "kinds", 0], [0, 1]),
+         "layer 1 neuron 0: a product neuron of fan-in 2 takes 0 parameters and mask entries, "
+         "got 3 and 3"),
+        (_edit(["layers", 0, "kinds", 1], [0, 0]),
+         "layer 0 neuron 1: a product beside a quadratic neuron"),
         (_edit(["input_dim"], "1"), "input_dim' must be an integer"),
         (_edit(["input_dim"], 0), "'input_dim' must be >= 1"),
         (_edit(["layers"], {}), "'layers' must be a list"),
@@ -1346,6 +1366,28 @@ class TestSerialization:
         edit(doc)
         with pytest.raises(ValueError, match=problem):
             from_json(json.dumps(doc))
+
+    # qnn poly --coeffs -1 1 -1 1's network.json as versions before product
+    # kinds wrote it: each product a frozen quadratic neuron of one-hot W_r, W_g
+    QUADRATIC_PRODUCTS = (
+        '{"input_dim": 1, "layers": [{"activation": "identity", "kinds": ["quadratic", '
+        '"quadratic"], "masks": [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]], "params": [[1.0, -1.0, '
+        '0.0, 1.0, 0.0, 0.0], [-3.903127820947816e-17, 1.0, 0.0, 1.0, 1.0, 0.0]]}, {"activation": '
+        '"identity", "kinds": ["quadratic"], "masks": [[0, 0, 0, 0, 0, 0, 0, 0, 0]], "params": '
+        '[[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]}]}')
+
+    def test_quadratic_product_document_read(self):
+        """A document that writes a product as a quadratic neuron still
+        reads, and round-trips to its own text; its net gives the bytes of
+        the net with a product kind, whose JSON is shorter, on finite
+        points."""
+        old = from_json(self.QUADRATIC_PRODUCTS)
+        assert to_json(old) == self.QUADRATIC_PRODUCTS
+        net = build_poly_net(factor_polynomial(Polynomial([-1.0, 1.0, -1.0, 1.0])))
+        assert net.structure[1] == ("identity", ((0, 1),))
+        assert len(to_json(net)) == 318 < len(self.QUADRATIC_PRODUCTS) == 391
+        X = np.random.default_rng(49).uniform(-3.0, 3.0, size=(4096, 1))
+        assert forward_batch(old, X).tobytes() == forward_batch(net, X).tobytes()
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_rejected(self, literal):

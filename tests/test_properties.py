@@ -422,7 +422,9 @@ def test_neurons_read_back_from_the_blocks(net):
     """net.layers, made from the stored blocks, gives each layer's
     activation and kinds, and each neuron's fields, laid end to end in
     canonical order, are its slice of the parameters in the order JSON and
-    theta use, bit for bit; writing to its neurons leaves the net unchanged."""
+    theta use, bit for bit; a product (u, v), which has none, is the
+    quadratic neuron of W_r = e_u and W_g = e_v made from its kind; writing
+    to its neurons leaves the net unchanged."""
     params = net.params.copy()
     canonical = params[net._layout.own]
     fields = {"quadratic": ("w_r", "b_r", "w_g", "b_g", "w_b", "c"), "conventional": ("w", "b")}
@@ -430,6 +432,12 @@ def test_neurons_read_back_from_the_blocks(net):
     for (activation, kinds), layer in zip(net.structure, net.layers, strict=True):
         assert (layer.activation, layer.width) == (activation, len(kinds))
         for kind, got in zip(kinds, layer.neurons, strict=True):
+            if type(kind) is tuple:
+                one_hot = np.eye(len(got.w_r))
+                assert got.kind == "quadratic" and not got.w_b.any()
+                assert got.w_r.tobytes() + got.w_g.tobytes() == one_hot[list(kind)].tobytes()
+                assert got.b_r == got.b_g == got.c == 0.0
+                continue
             if kind not in fields:
                 assert (got.kind, got.index) == ("passthrough", kind)
                 continue

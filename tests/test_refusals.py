@@ -283,6 +283,25 @@ def test_oversized_count_refused_before_allocating(make, problem):
         make()
 
 
+@pytest.mark.parametrize("kinds, problem", [
+    ([[0]], "unknown neuron kind [0]"),
+    ([[0, 1, 2]], "unknown neuron kind [0, 1, 2]"),
+    ([[0, True]], "unknown neuron kind [0, True]"),
+    ([[0, 1.0]], "unknown neuron kind [0, 1.0]"),
+    ([(0, np.int64(1))], "unknown neuron kind (0, np.int64(1))"),
+    ([[-1, 0]], "layer 1 neuron 0: product index -1 out of range for width 9"),
+    ([[0, 9]], "layer 1 neuron 0: product index 9 out of range for width 9"),
+    ([1, (0, 1), "quadratic"], "layer 1 neuron 1: a product beside a quadratic neuron"),
+    ([(0, 1), "conventional"], "layer 1 neuron 0: a product beside a conventional neuron"),
+])
+def test_malformed_product_refused_by_name(kinds, problem):
+    """A product is two int indices within its fan-in, in a layer of
+    products and passthroughs; blank refuses any other by name, before any
+    array is made."""
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}"):
+        NetworkSpec.blank(9, [("identity", ["quadratic"] * 9), ("identity", kinds)])
+
+
 def test_grid_count_bound_is_inclusive():
     """GridSpec holds n lazily, so the largest count is accepted unmade."""
     assert GridSpec(0, 1, 2**32).n == 2**32

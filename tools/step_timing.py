@@ -21,18 +21,19 @@ mean of 5 calls after one warm-up: the pages a call maps afresh.
 The shapes are the factorizer's (``qnn factor-train``: 10 restarts of 100
 points) and the width sweep's (4 inputs, widths 8 and 32 of both neuron
 kinds, one restart of 4096 points).  It then times ``forward_batch`` the
-same way on the exact nets that the exact-build benchmark evaluates, at
-4096 points, at every tenth of the first 4010, 401 points (the CLI's grid
-size, one tile), and at the first point alone, the call of
-``oracles.finite_diff_grad``, where what a call does besides its
-arithmetic counts.  ``cold_us`` is the first ``forward_batch`` call at
+same way on the exact nets that the exact-build benchmark evaluates and
+on a multivariate polynomial net, at 4096 points, at every tenth of the
+first 4010, 401 points (the CLI's grid size, one tile), and at the first
+point alone, the call of ``oracles.finite_diff_grad``, where what a call
+does besides its arithmetic counts.  ``cold_us`` is the first ``forward_batch`` call at
 that row's points in a fresh process that has built the nets and
 evaluated none, the best of ``--repeat`` processes: the call that finds
 no program for the net's structure and no workspace.  The nets are a
 degree-14 product tree, the Bernstein net of |x - 1/2| at n = 16, the
-deep radial stack at d = 4 and the 200-unit shallow radial net at d = 2;
-``np_calls`` is the numpy calls of a call after a first, counted as
-above.  The 4096-point row also times ``to_json`` writing the net and
+deep radial stack at d = 4, the 200-unit shallow radial net at d = 2
+and ``build_multipoly_net`` of x1^200 x2 - 0.5 x1^3 x2^200 (10 layers up
+to 400 wide, on uniform points of [-1, 1]^2); ``np_calls`` is the numpy
+calls of a call after a first, counted as above.  The 4096-point row also times ``to_json`` writing the net and
 ``from_json`` reading it back from its JSON, written once outside the
 timer, and prints ``json_bytes``, the length of that text; the other rows
 leave those "-".  Last, ``factor_us`` is one
@@ -105,7 +106,7 @@ def tree_polynomial(qnn, rng):
 def exact_nets(qnn) -> list[tuple]:
     """(name, net, X) of each exact net forward_batch is timed on, made by
     the qnn package given, X of 4096 points from where exact-build
-    evaluates it."""
+    evaluates it, or for the multivariate net, from [-1, 1]^2."""
     import numpy as np
 
     rng = np.random.default_rng(0)
@@ -118,10 +119,12 @@ def exact_nets(qnn) -> list[tuple]:
     ray[:, 0] = np.linspace(0.0, breakpoints[-1] + 0.5, 4096)
     # 200 hidden units: floor((R - r) L / delta) + 1
     shallow = qnn.build_shallow_radial(np.sin, 0.5, 2.0, 1.0, 1.5 / 199.5, input_dim=2)
+    multipoly = qnn.build_multipoly_net(qnn.MultiPolySpec([[200, 1], [3, 200]], [1.0, -0.5]))
     return [("product_tree_14", tree, rng.uniform(-2.0, 2.0, size=(4096, 1))),
             ("bernstein_16", bernstein, rng.uniform(0.0, 1.0, size=(4096, 1))),
             ("deep_radial_d4", deep, ray),
-            ("shallow_200x2", shallow, rng.uniform(-1.5, 1.5, size=(4096, 2)))]
+            ("shallow_200x2", shallow, rng.uniform(-1.5, 1.5, size=(4096, 2))),
+            ("multipoly_200", multipoly, rng.uniform(-1.0, 1.0, size=(4096, 2)))]
 
 
 def batches(X) -> list:
